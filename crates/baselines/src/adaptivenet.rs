@@ -8,7 +8,7 @@
 //! flexible accuracy–latency tradeoff but **no knowledge sharing across
 //! devices**, which is exactly the gap the paper's Table 1 shows.
 
-use crate::dense::DenseModel;
+use crate::dense::{active_slice, splice_active, DenseModel};
 use nebula_data::{Dataset, TrainConfig};
 use nebula_nn::{cross_entropy, Layer, Mode, Optimizer, Sgd};
 use nebula_tensor::NebulaRng;
@@ -83,17 +83,12 @@ impl AdaptiveNet {
     ) -> (DenseModel, u64) {
         let params = self.supernet.param_vector();
         let mask = self.supernet.mask_for_ratio(ratio);
-        let slice: Vec<f32> = params.iter().zip(&mask).filter_map(|(&v, &m)| m.then_some(v)).collect();
         let mut decoded = Vec::new();
-        let bytes =
-            pool.send_down(device, &slice, &mut decoded).expect("pristine in-process frame must decode");
+        let bytes = pool
+            .send_down(device, &active_slice(&params, &mask), &mut decoded)
+            .expect("pristine in-process frame must decode");
         let mut full = params;
-        let mut it = decoded.iter();
-        for (v, &m) in full.iter_mut().zip(&mask) {
-            if m {
-                *v = *it.next().expect("decoded slice shorter than mask");
-            }
-        }
+        splice_active(&mut full, &mask, &decoded);
         let mut m = self.supernet.deep_clone();
         m.load_param_vector(&full);
         m.set_width_ratio(ratio);

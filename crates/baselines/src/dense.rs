@@ -55,6 +55,13 @@ impl ScalableBlock {
         self.w1.shape()[0]
     }
 
+    /// Hidden units active at width ratio `r`: the first `⌈r·H⌉`, at
+    /// least one.
+    fn hidden_at(&self, r: f32) -> usize {
+        let full = self.full_hidden();
+        ((full as f32 * r).ceil() as usize).clamp(1, full)
+    }
+
     /// Copies the active prefix slices: `(w1[:h, :], b1[:h], w2ᵀ[:h, :])`.
     /// The transpose of the active `w2` columns is materialised so both
     /// GEMMs run on contiguous rows; the copies are `O(h·d)` against
@@ -139,6 +146,23 @@ impl ScalableBlock {
     }
 }
 
+/// The coordinates of `values` that `mask` marks active, in order — the
+/// slice of a width-scaled sub-model that travels on the wire.
+pub(crate) fn active_slice(values: &[f32], mask: &[bool]) -> Vec<f32> {
+    values.iter().zip(mask).filter_map(|(&v, &m)| m.then_some(v)).collect()
+}
+
+/// Inverse of [`active_slice`]: writes `slice` back over the active
+/// coordinates of `full`, leaving the others untouched.
+pub(crate) fn splice_active(full: &mut [f32], mask: &[bool], slice: &[f32]) {
+    let mut it = slice.iter();
+    for (v, &m) in full.iter_mut().zip(mask) {
+        if m {
+            *v = *it.next().expect("decoded slice shorter than mask");
+        }
+    }
+}
+
 /// Static architecture of a [`DenseModel`]: enough to rebuild an
 /// identical (untrained) model elsewhere — the shape a transport job
 /// ships to a remote executor.
@@ -209,8 +233,7 @@ impl DenseModel {
         assert!(r > 0.0 && r <= 1.0, "width ratio {r} out of (0, 1]");
         self.width_ratio = r;
         for b in &mut self.blocks {
-            let h = ((b.full_hidden() as f32 * r).ceil() as usize).max(1);
-            b.active = h.min(b.full_hidden());
+            b.active = b.hidden_at(r);
         }
     }
 
@@ -228,7 +251,7 @@ impl DenseModel {
         mask.extend(std::iter::repeat_n(true, self.stem_w.len() + self.stem_b.len()));
         for b in &self.blocks {
             let full = b.full_hidden();
-            let h = ((full as f32 * r).ceil() as usize).clamp(1, full);
+            let h = b.hidden_at(r);
             let d = b.w1.shape()[1];
             // w1 rows 0..h active.
             for j in 0..full {
@@ -252,9 +275,20 @@ impl DenseModel {
         mask
     }
 
-    /// Number of parameters active at ratio `r`.
+    /// Number of parameters active at ratio `r` (the count of `true` in
+    /// [`Self::mask_for_ratio`], without building the mask).
     pub fn active_params(&self, r: f32) -> usize {
-        self.mask_for_ratio(r).iter().filter(|&&m| m).count()
+        assert!(r > 0.0 && r <= 1.0);
+        let blocks: usize = self
+            .blocks
+            .iter()
+            .map(|b| {
+                // h rows of w1, h of b1, h columns of w2, all of b2.
+                let (h, d) = (b.hidden_at(r), b.w1.shape()[1]);
+                2 * h * d + h + b.b2.len()
+            })
+            .sum();
+        self.stem_w.len() + self.stem_b.len() + blocks + self.head_w.len() + self.head_b.len()
     }
 
     /// The model's static architecture (see [`DenseDims`]).
@@ -391,7 +425,10 @@ mod tests {
         for (s, b) in small.iter().zip(&big) {
             assert!(!s || *b, "masks are not nested");
         }
-        assert_eq!(m.mask_for_ratio(1.0).iter().filter(|&&v| v).count(), m.param_count());
+        assert_eq!(m.active_params(1.0), m.param_count());
+        for r in [1.0, 0.75, 0.5, 0.3, 0.125, 0.01] {
+            assert_eq!(m.active_params(r), m.mask_for_ratio(r).iter().filter(|&&v| v).count(), "ratio {r}");
+        }
     }
 
     #[test]

@@ -1,16 +1,9 @@
-//! HeteroFL (Diao et al., ICLR'21): federated learning over *nested*
-//! width-scaled sub-models.
-//!
-//! Each device trains the prefix sub-model its resources allow
-//! (`ratio ∈ HETEROFL_RATIOS`); the server averages every coordinate over
-//! the devices whose sub-model contains it, keeping its own value for
-//! uncovered coordinates. Communication carries only the active slice.
+//! HeteroFL (Diao et al., ICLR'21) width levels: federated learning over
+//! *nested* width-scaled sub-models. Each device trains the prefix
+//! sub-model its resources allow (`ratio ∈ HETEROFL_RATIOS`); the round
+//! itself is [`dense_round`](crate::dense_round).
 
 use crate::dense::DenseModel;
-use nebula_data::{Dataset, TrainConfig};
-use nebula_nn::{Layer, Sgd};
-use nebula_tensor::NebulaRng;
-use rayon::prelude::*;
 
 /// The nested width levels HeteroFL assigns to device classes.
 pub const HETEROFL_RATIOS: [f32; 4] = [1.0, 0.5, 0.25, 0.125];
@@ -26,156 +19,19 @@ pub fn ratio_for_budget(model: &DenseModel, budget_params: usize) -> f32 {
     *HETEROFL_RATIOS.last().unwrap()
 }
 
-/// One device's contribution to a HeteroFL round.
-pub struct HeteroFlUpdate {
-    /// The device's width level.
-    pub ratio: f32,
-    /// Full-length parameter vector (inactive coordinates unchanged from
-    /// the server copy — they are excluded by the mask during averaging).
-    pub params: Vec<f32>,
-    pub volume: usize,
-}
-
-impl HeteroFlUpdate {
-    /// Bytes on the wire: only the active slice travels.
-    pub fn bytes(&self, model: &DenseModel) -> u64 {
-        (model.active_params(self.ratio) * 4) as u64
-    }
-}
-
-/// Runs one HeteroFL round. `device_ratios[k]` is device `k`'s width level.
-/// Returns total communication bytes (down + up per participant, active
-/// slices only).
-pub fn heterofl_round(
-    server: &mut DenseModel,
-    device_data: &[&Dataset],
-    device_ratios: &[f32],
-    local_epochs: usize,
-    batch_size: usize,
-    lr: f32,
-    rng: &mut NebulaRng,
-) -> u64 {
-    assert_eq!(device_data.len(), device_ratios.len(), "data/ratio length mismatch");
-    assert!(!device_data.is_empty(), "HeteroFL round with no participants");
-
-    // Fork per-device streams sequentially, then train in parallel
-    // (identical results for any thread count).
-    let rngs: Vec<NebulaRng> = (0..device_data.len()).map(|k| rng.fork(k as u64)).collect();
-    let updates: Vec<HeteroFlUpdate> = device_data
-        .par_iter()
-        .zip(device_ratios.par_iter())
-        .zip(rngs)
-        .map(|((data, &ratio), mut drng)| {
-            // Keep inner kernels sequential inside the client-parallel
-            // section (see nebula_tensor::par).
-            nebula_tensor::par::sequential(|| {
-                let mut local = server.deep_clone();
-                local.set_width_ratio(ratio);
-                let mut opt = Sgd::with_momentum(lr, 0.9);
-                nebula_data::train_epochs(
-                    &mut local,
-                    &mut opt,
-                    data,
-                    TrainConfig { epochs: local_epochs, batch_size, clip_norm: Some(5.0) },
-                    &mut drng,
-                );
-                HeteroFlUpdate { ratio, params: local.param_vector(), volume: data.len() }
-            })
-        })
-        .collect();
-    let comm: u64 = updates.iter().map(|u| 2 * (server.active_params(u.ratio) * 4) as u64).sum();
-
-    // Coordinate-wise weighted average over covering devices.
-    let base = server.param_vector();
-    let len = base.len();
-    let mut acc = vec![0.0f32; len];
-    let mut weight = vec![0.0f32; len];
-    for u in &updates {
-        let mask = server.mask_for_ratio(u.ratio);
-        let w = u.volume as f32;
-        for i in 0..len {
-            if mask[i] {
-                acc[i] += w * u.params[i];
-                weight[i] += w;
-            }
-        }
-    }
-    let merged: Vec<f32> =
-        (0..len).map(|i| if weight[i] > 0.0 { acc[i] / weight[i] } else { base[i] }).collect();
-    server.load_param_vector(&merged);
-    comm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nebula_data::{SynthSpec, Synthesizer};
-
-    fn server() -> DenseModel {
-        DenseModel::new(16, 24, 2, 32, 4, 7)
-    }
+    use nebula_nn::Layer;
 
     #[test]
     fn ratio_for_budget_is_monotone() {
-        let m = server();
+        let m = DenseModel::new(16, 24, 2, 32, 4, 7);
         let full = m.param_count();
         assert_eq!(ratio_for_budget(&m, full), 1.0);
         let r_small = ratio_for_budget(&m, m.active_params(0.25));
         assert!(r_small <= 0.25 + 1e-6);
         // Impossible budget degrades to the smallest level.
         assert_eq!(ratio_for_budget(&m, 0), 0.125);
-    }
-
-    #[test]
-    fn heterogeneous_round_improves_accuracy() {
-        let synth = Synthesizer::new(SynthSpec::toy(), 1);
-        let mut rng = NebulaRng::seed(1);
-        let d1 = synth.sample_classes(150, &[0, 1], 0, &mut rng);
-        let d2 = synth.sample_classes(150, &[2, 3], 0, &mut rng);
-        let test = synth.sample(200, 0, &mut rng);
-
-        let mut s = server();
-        let before = nebula_data::evaluate_accuracy(&mut s, &test, 64);
-        for _ in 0..15 {
-            heterofl_round(&mut s, &[&d1, &d2], &[1.0, 0.5], 3, 16, 0.03, &mut rng);
-        }
-        let after = nebula_data::evaluate_accuracy(&mut s, &test, 64);
-        // Label-skewed participants make HeteroFL converge slowly (the
-        // paper's 1.83× extra rounds) — require progress, not mastery.
-        assert!(after > before + 0.1, "HeteroFL failed to learn: {before} -> {after}");
-    }
-
-    #[test]
-    fn uncovered_coordinates_keep_server_values() {
-        let synth = Synthesizer::new(SynthSpec::toy(), 1);
-        let mut rng = NebulaRng::seed(2);
-        let d = synth.sample(60, 0, &mut rng);
-        let mut s = server();
-        let before = s.param_vector();
-        let mask_small = s.mask_for_ratio(0.125);
-        heterofl_round(&mut s, &[&d], &[0.125], 2, 16, 0.05, &mut rng);
-        let after = s.param_vector();
-        for i in 0..before.len() {
-            if !mask_small[i] {
-                assert_eq!(before[i], after[i], "uncovered coord {i} changed");
-            }
-        }
-        // And some covered coordinate did change.
-        assert!(
-            before.iter().zip(&after).zip(&mask_small).any(|((b, a), &m)| m && b != a),
-            "no covered coordinate moved"
-        );
-    }
-
-    #[test]
-    fn comm_bytes_smaller_for_narrow_devices() {
-        let synth = Synthesizer::new(SynthSpec::toy(), 1);
-        let mut rng = NebulaRng::seed(3);
-        let d = synth.sample(50, 0, &mut rng);
-        let mut s1 = server();
-        let mut s2 = server();
-        let full = heterofl_round(&mut s1, &[&d], &[1.0], 1, 16, 0.01, &mut rng);
-        let narrow = heterofl_round(&mut s2, &[&d], &[0.125], 1, 16, 0.01, &mut rng);
-        assert!(narrow < full / 3, "narrow comm {narrow} vs full {full}");
     }
 }

@@ -10,10 +10,17 @@
 //!   the cloud; a device picks the widest branch its resources allow and
 //!   adapts it locally ([`adaptivenet`]).
 //! * **FedAvg (FA)** — classic federated averaging of the full dense
-//!   model ([`fedavg`]).
+//!   model.
 //! * **HeteroFL (HFL)** — resource-aware federated learning over nested
-//!   width-scaled sub-models; overlapping coordinates are averaged
-//!   ([`heterofl`]).
+//!   width-scaled sub-models ([`heterofl`] holds the width levels);
+//!   overlapping coordinates are averaged.
+//!
+//! FA and HFL share one communication round, [`dense_round`] in
+//! [`round`]: downloads and uploads as real `nebula-wire` frames on
+//! per-device channels, local training dispatched through a
+//! [`nebula_core::Transport`] to [`DenseJobRunner`] executors. FedAvg is
+//! the round with every width ratio 1.0; only the combine step's float
+//! order differs between the two rules.
 //!
 //! All five share [`DenseModel`], a residual-MLP with *width scaling*:
 //! every block can run at a hidden-width ratio `r ∈ (0, 1]` using only the
@@ -22,18 +29,12 @@
 
 pub mod adaptivenet;
 pub mod dense;
-pub mod fedavg;
 pub mod heterofl;
 pub mod local_adapt;
-pub mod transport_rounds;
-pub mod wire_rounds;
+pub mod round;
 
 pub use adaptivenet::{AdaptiveNet, BRANCH_RATIOS};
 pub use dense::{DenseDims, DenseModel};
-pub use fedavg::{fedavg_round, FedAvgUpdate};
-pub use heterofl::{heterofl_round, ratio_for_budget, HeteroFlUpdate, HETEROFL_RATIOS};
+pub use heterofl::{ratio_for_budget, HETEROFL_RATIOS};
 pub use local_adapt::local_adapt;
-pub use transport_rounds::{
-    fedavg_round_transport, heterofl_round_transport, DenseJobRunner, TransportRound,
-};
-pub use wire_rounds::{fedavg_round_wire, heterofl_round_wire, WireBytes};
+pub use round::{dense_round, DenseJobRunner};

@@ -114,10 +114,12 @@ impl From<CheckpointError> for io::Error {
 
 /// The current checkpoint format version. Version 2 adds a declared
 /// parameter count (explicit truncation detection) and a CRC32 trailer
-/// (bit-flip detection); version 1 files remain loadable.
+/// (bit-flip detection). Binary version-1 files had neither and are no
+/// longer decoded; a version-1 [`Checkpoint`] struct (the JSON form) still
+/// restores.
 pub const CHECKPOINT_VERSION: u32 = 2;
 
-/// Oldest format version the loader still accepts.
+/// Oldest [`Checkpoint`] version [`restore`] still accepts.
 pub const MIN_CHECKPOINT_VERSION: u32 = 1;
 
 /// Snapshots a model into a [`Checkpoint`].
@@ -196,10 +198,10 @@ pub fn encode_binary(ckpt: &Checkpoint) -> Vec<u8> {
     buf
 }
 
-/// Decodes the binary checkpoint format (versions 1 and 2). Any
-/// malformed input — wrong magic, truncation anywhere, flipped bytes
-/// (v2), garbage header — returns an error; nothing panics and nothing
-/// corrupt decodes silently.
+/// Decodes the binary checkpoint format. Any malformed input — wrong
+/// magic, truncation anywhere, flipped bytes, garbage header, a version
+/// other than [`CHECKPOINT_VERSION`] — returns an error; nothing panics
+/// and nothing corrupt decodes silently.
 // The mismatch variant carries both configs for diagnostics; decoding is not hot.
 #[allow(clippy::result_large_err)]
 pub fn decode_binary(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
@@ -208,31 +210,9 @@ pub fn decode_binary(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
     }
     let version = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes"));
     match version {
-        1 => decode_v1(data),
-        2 => decode_v2(data),
+        CHECKPOINT_VERSION => decode_v2(data),
         other => Err(CheckpointError::UnsupportedVersion(other)),
     }
-}
-
-/// Version-1 layout: `magic ‖ ver ‖ header-len ‖ header ‖ params`.
-/// No declared count and no trailer, so only structural truncation is
-/// detectable — kept verbatim so pre-existing checkpoints still load.
-#[allow(clippy::result_large_err)]
-fn decode_v1(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
-    let header_len = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes")) as usize;
-    let rest = &data[12..];
-    if rest.len() < header_len {
-        return Err(CheckpointError::Truncated { expected: header_len, available: rest.len() });
-    }
-    let config: CheckpointConfig = serde_json::from_slice(&rest[..header_len])
-        .map_err(|e| CheckpointError::MalformedHeader(e.to_string()))?;
-    let payload = &rest[header_len..];
-    if !payload.len().is_multiple_of(4) {
-        return Err(CheckpointError::Truncated { expected: 4 - payload.len() % 4, available: 0 });
-    }
-    let params =
-        payload.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))).collect();
-    Ok(Checkpoint { version: 1, config, params })
 }
 
 /// Version-2 layout (see [`encode_binary`]). The CRC is verified over
@@ -444,14 +424,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_load() {
-        let a = model(10);
-        let encoded = encode_v1(&snapshot(&a));
-        let decoded = decode_binary(&encoded).unwrap();
-        assert_eq!(decoded.version, 1);
-        let mut b = model(11);
-        restore(&mut b, &decoded).unwrap();
-        assert_eq!(b.param_vector(), a.param_vector());
+    fn v1_files_are_rejected() {
+        // The CRC-less layout has no integrity check to decode under.
+        let encoded = encode_v1(&snapshot(&model(10)));
+        assert_eq!(decode_binary(&encoded).unwrap_err(), CheckpointError::UnsupportedVersion(1));
     }
 
     #[test]

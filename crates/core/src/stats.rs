@@ -2,9 +2,9 @@
 //! consolidated [`RoundStats`] every driver and sink consumes.
 //!
 //! These types used to live in `nebula-sim` (`network::CommTracker`,
-//! `faults::RoundReport`) and were duplicated field-by-field across
-//! `StepReport` / `RoundOutcome` / bench bins. They are hoisted here —
-//! field names unchanged, so serialized `RunState` / `RoundRecord`
+//! `faults::RoundReport`) and were duplicated field-by-field across the
+//! sim's step report, `RoundOutcome` and the bench bins. They are hoisted
+//! here — field names unchanged, so serialized `RunState` / `RoundRecord`
 //! payloads from earlier versions still decode — and re-exported from the
 //! sim crate for compatibility.
 
@@ -139,8 +139,7 @@ impl RoundReport {
 
 /// Everything one adaptation step / collaborative round cost — the single
 /// shape bench bins, telemetry sinks and the [`RoundStats::merge`]-based
-/// accumulators consume. (Formerly duplicated as `StepReport` in the sim
-/// crate; that name survives as a deprecated alias.)
+/// accumulators consume.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct RoundStats {
     /// Communication during the step (including retry re-sends).

@@ -23,13 +23,11 @@ use crate::faults::{
 use crate::latency::adaptation_latency_ms;
 use crate::network::{transfer_time_ms, CommTracker};
 use crate::world::SimWorld;
-use nebula_baselines::{
-    fedavg_round_wire, heterofl_round_wire, local_adapt, ratio_for_budget, AdaptiveNet, DenseModel,
-};
+use nebula_baselines::{dense_round, local_adapt, ratio_for_budget, AdaptiveNet, DenseJobRunner, DenseModel};
 use nebula_core::{
     discount_staleness, plan_corrupt_resend, plan_upload, round_deadline_ms, EdgeAccumulator, EdgeClient,
-    EdgeClientState, EdgePartial, EdgeUpdate, NebulaCloud, NebulaParams, RobustAggregator, RoundStats,
-    SanitizePolicy, WireConfig, WireContext,
+    EdgeClientState, EdgePartial, EdgeUpdate, Loopback, NebulaCloud, NebulaParams, RobustAggregator,
+    RoundStats, SanitizePolicy, TrainParams, Transport, WireConfig, WireContext,
 };
 use nebula_data::Dataset;
 use nebula_modular::ModularConfig;
@@ -39,12 +37,7 @@ use nebula_tensor::NebulaRng;
 use nebula_wire::{CodecKind, DensePool};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// What one adaptation step cost. The fields formerly defined here were
-/// merged with the per-round counters into [`RoundStats`] in
-/// `nebula-core::stats`; this alias keeps old call sites compiling.
-#[deprecated(note = "use RoundStats (defined in nebula-core, re-exported from nebula-sim)")]
-pub type StepReport = RoundStats;
+use std::sync::Arc;
 
 /// What one collaborative round produced under the fault plan.
 #[derive(Clone, Copy, Debug, Default)]
@@ -154,32 +147,11 @@ impl StrategyConfig {
     }
 }
 
-/// Approximate forward MACs of a dense model: one MAC per weight.
-fn dense_forward_flops(model: &DenseModel) -> u64 {
-    model.param_count() as u64
-}
-
-/// Mean per-participant adaptation latency over an evenly-spaced device
-/// sample: local training plus the down+up transfer.
-fn mean_participant_latency_ms(
-    world: &SimWorld,
-    forward_flops: u64,
-    exchange_bytes: u64,
-    epochs: usize,
-    batch: usize,
-) -> f64 {
-    let n = world.num_devices();
-    if n == 0 {
-        return 0.0;
-    }
-    let samples = 8.min(n);
-    let mut total = 0.0;
-    for i in 0..samples {
-        let dev = &world.devices[i * n / samples];
-        total += adaptation_latency_ms(&dev.resources, forward_flops, dev.volume(), epochs, batch)
-            + transfer_time_ms(exchange_bytes, dev.resources.bandwidth_bps);
-    }
-    total / samples as f64
+/// Offline stage shared by every dense-model strategy: pre-train on the
+/// cloud's proxy data.
+fn pretrain_dense(model: &mut DenseModel, cfg: &StrategyConfig, world: &mut SimWorld, rng: &mut NebulaRng) {
+    let proxy = world.proxy(cfg.proxy_samples);
+    local_adapt(model, &proxy, cfg.pretrain_epochs, 32, 0.05, rng);
 }
 
 fn dense_footprint(model: &DenseModel, ratio: f32) -> Footprint {
@@ -308,13 +280,14 @@ pub trait AdaptStrategy {
     /// Strategies without module-wise aggregation ignore it.
     fn set_aggregator(&mut self, _aggregator: RobustAggregator) {}
 
-    /// Routes the per-round local training through a
-    /// [`nebula_core::Transport`] (loopback executors or socket workers)
-    /// instead of the inline in-process loop. Strategies without a
-    /// dispatch seam ignore it. Collaborative strategies panic on a
-    /// configuration the transport cannot reproduce bit-exactly (Nebula
-    /// requires the stateless `Raw` codec).
-    fn set_transport(&mut self, _transport: Box<dyn nebula_core::Transport>) {}
+    /// Routes the per-round local training through `transport`
+    /// (loopback executors or socket workers). FedAvg and HeteroFL always
+    /// train through one — a loopback over in-process executors until
+    /// this replaces it; Nebula trains inline until one is installed, and
+    /// panics on a configuration the transport cannot reproduce
+    /// bit-exactly (it requires the stateless `Raw` codec). Strategies
+    /// without a dispatch seam ignore it.
+    fn set_transport(&mut self, _transport: Box<dyn Transport>) {}
 
     /// One adaptation step (collaborative rounds and/or tracked-device
     /// local updates against the devices' *current* data).
@@ -391,19 +364,7 @@ impl AdaptStrategy for NoAdaptStrategy {
     }
 
     fn offline(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) {
-        let proxy = world.proxy(self.cfg.proxy_samples);
-        let mut opt = nebula_nn::Sgd::with_momentum(0.05, 0.9);
-        nebula_data::train_epochs(
-            &mut self.model,
-            &mut opt,
-            &proxy,
-            nebula_data::TrainConfig {
-                epochs: self.cfg.pretrain_epochs,
-                batch_size: 32,
-                clip_norm: Some(5.0),
-            },
-            rng,
-        );
+        pretrain_dense(&mut self.model, &self.cfg, world, rng);
     }
 
     fn track(&mut self, _ids: &[usize]) {}
@@ -455,19 +416,7 @@ impl AdaptStrategy for LocalAdaptStrategy {
     }
 
     fn offline(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) {
-        let proxy = world.proxy(self.cfg.proxy_samples);
-        let mut opt = nebula_nn::Sgd::with_momentum(0.05, 0.9);
-        nebula_data::train_epochs(
-            &mut self.base,
-            &mut opt,
-            &proxy,
-            nebula_data::TrainConfig {
-                epochs: self.cfg.pretrain_epochs,
-                batch_size: 32,
-                clip_norm: Some(5.0),
-            },
-            rng,
-        );
+        pretrain_dense(&mut self.base, &self.cfg, world, rng);
     }
 
     fn track(&mut self, ids: &[usize]) {
@@ -490,7 +439,8 @@ impl AdaptStrategy for LocalAdaptStrategy {
             );
             time_ms += adaptation_latency_ms(
                 &dev.resources,
-                dense_forward_flops(model),
+                // Forward MACs of a dense model: one per weight.
+                model.param_count() as u64,
                 dev.volume(),
                 self.cfg.finetune_epochs,
                 self.cfg.batch_size,
@@ -621,33 +571,56 @@ impl AdaptStrategy for AdaptiveNetStrategy {
 }
 
 // ---------------------------------------------------------------------------
-// FedAvg
+// FedAvg and HeteroFL
 // ---------------------------------------------------------------------------
 
-/// Classic federated averaging of the full dense model.
-pub struct FedAvgStrategy {
+/// The dense collaborative baselines: federated rounds over the flat
+/// [`DenseModel`] through [`dense_round`]. `HETERO` is all that tells
+/// the two apart — HeteroFL trains each device at the widest nested
+/// sub-model its budget allows, FedAvg trains the full model everywhere.
+/// Name them through [`FedAvgStrategy`] / [`HeteroFlStrategy`].
+pub struct DenseFlStrategy<const HETERO: bool> {
     cfg: StrategyConfig,
     server: DenseModel,
-    /// Per-device wire channels; all model traffic moves as real frames.
+    /// Per-device wire channels carrying each device's active slice; all
+    /// model traffic moves as real frames.
     pool: DensePool,
-    /// Optional dispatch transport; `None` trains in-process.
-    transport: Option<Box<dyn nebula_core::Transport>>,
+    /// Where the round's local training runs: in-process executors until
+    /// [`AdaptStrategy::set_transport`] installs socket workers.
+    transport: Box<dyn Transport>,
     telemetry: Telemetry,
 }
 
-impl FedAvgStrategy {
+/// Classic federated averaging of the full dense model.
+pub type FedAvgStrategy = DenseFlStrategy<false>;
+
+/// Resource-aware FL over nested width-scaled sub-models.
+pub type HeteroFlStrategy = DenseFlStrategy<true>;
+
+impl<const HETERO: bool> DenseFlStrategy<HETERO> {
     pub fn new(cfg: StrategyConfig, seed: u64) -> Self {
         let server = cfg.dense_model(seed);
         let pool = cfg.dense_pool();
-        Self { cfg, server, pool, transport: None, telemetry: Telemetry::off() }
+        let transport = Box::new(Loopback::new(Arc::new(DenseJobRunner)));
+        Self { cfg, server, pool, transport, telemetry: Telemetry::off() }
+    }
+
+    /// The width ratio `dev` trains and serves at.
+    fn ratio_for(&self, dev: &SimDevice) -> f32 {
+        if !HETERO {
+            return 1.0;
+        }
+        let budget = (self.server.param_count() as f64 * dev.resources.budget_ratio as f64) as usize;
+        ratio_for_budget(&self.server, budget)
     }
 
     /// One communication round (used by the rounds-to-target driver),
     /// under the world's fault plan and round policy.
     ///
-    /// FedAvg has no per-update gate: a corrupted client poisons the
-    /// averaged weights themselves ([`poison_dense_mean`]) — the contrast
-    /// the fault sweep measures against Nebula's sanitize gate.
+    /// Neither baseline has a per-update gate: a corrupted or Byzantine
+    /// client poisons the averaged weights themselves
+    /// ([`poison_dense_mean`], [`attack_dense_mean`]) — the contrast the
+    /// fault sweep measures against Nebula's sanitize gate.
     pub fn single_round(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) -> RoundOutcome {
         let telemetry = self.telemetry.clone();
         let mut round_span = telemetry.span("round");
@@ -658,16 +631,21 @@ impl FedAvgStrategy {
         let policy = world.policy;
         let mut comm = CommTracker::new();
         let mut report = RoundReport { sampled: ids.len() as u64, ..Default::default() };
-        let payload_bytes = (self.server.param_count() * 4) as u64;
-        let flops = dense_forward_flops(&self.server);
 
-        let mut meta: Vec<(usize, DeviceFate, f64)> = Vec::with_capacity(ids.len());
+        // (device, fate, predicted wall-clock, width ratio)
+        let mut meta: Vec<(usize, DeviceFate, f64, f32)> = Vec::with_capacity(ids.len());
         for &id in &ids {
             let fate = plan.fate(round, id);
             if fate.dropped {
                 report.dropped += 1;
                 continue;
             }
+            let dev = &world.devices[id];
+            // Each device trains and exchanges its own width-scaled
+            // sub-model.
+            let ratio = self.ratio_for(dev);
+            let active = self.server.active_params(ratio) as u64;
+            let payload_bytes = active * 4;
             let up = plan_upload(fate.upload_attempts, fate.flaky_link, policy.retry_policy());
             for _ in 0..up.resends {
                 comm.record_retry(payload_bytes);
@@ -692,27 +670,26 @@ impl FedAvgStrategy {
                 resends += 1;
                 backoff += wait;
             }
-            let dev = &world.devices[id];
             let bw = dev.resources.bandwidth_bps * fate.bandwidth_factor;
             let time_ms = adaptation_latency_ms(
                 &dev.resources,
-                flops,
+                active,
                 dev.volume(),
                 self.cfg.local_epochs,
                 self.cfg.batch_size,
             ) * fate.slowdown
                 + transfer_time_ms(2 * payload_bytes + resends * payload_bytes, bw)
                 + backoff;
-            meta.push((id, fate, time_ms));
+            meta.push((id, fate, time_ms, ratio));
         }
 
         let times: Vec<f64> = meta.iter().map(|m| m.2).collect();
         let deadline = round_deadline_ms(policy.deadline_factor, &times);
-        let mut trainers: Vec<usize> = Vec::with_capacity(meta.len());
+        let mut cohort: Vec<(u64, &Dataset, f32)> = Vec::with_capacity(meta.len());
         let mut n_corrupt = 0usize;
         let mut n_malicious = 0usize;
         let mut round_time_ms = 0.0f64;
-        for (id, fate, time_ms) in meta {
+        for (id, fate, time_ms, ratio) in meta {
             if let Some(d) = deadline {
                 if time_ms > d {
                     report.deadline_dropped += 1;
@@ -721,12 +698,19 @@ impl FedAvgStrategy {
                 }
             }
             if fate.crashed {
-                // Received the global model (a real measured frame on its
-                // download channel), died before uploading.
-                let mut scratch = Vec::new();
+                // Received its active slice as a real measured frame on
+                // its download channel, died before uploading.
+                let mask = self.server.mask_for_ratio(ratio);
+                let slice: Vec<f32> = self
+                    .server
+                    .param_vector()
+                    .iter()
+                    .zip(&mask)
+                    .filter_map(|(&v, &m)| m.then_some(v))
+                    .collect();
                 let bytes = self
                     .pool
-                    .send_down(id as u64, &self.server.param_vector(), &mut scratch)
+                    .send_down(id as u64, &slice, &mut Vec::new())
                     .expect("pristine in-process frame must decode");
                 comm.record_download(bytes);
                 report.crashed += 1;
@@ -739,72 +723,52 @@ impl FedAvgStrategy {
             if fate.malicious.is_some() {
                 n_malicious += 1;
             }
-            trainers.push(id);
+            cohort.push((id as u64, &world.devices[id].partition.data, ratio));
         }
-        report.participated = trainers.len() as u64;
+        report.participated = cohort.len() as u64;
 
-        if !trainers.is_empty() {
-            let data: Vec<&Dataset> = trainers.iter().map(|&i| &world.devices[i].partition.data).collect();
-            let ids_u64: Vec<u64> = trainers.iter().map(|&i| i as u64).collect();
-            let (wb, lost) = match self.transport.as_deref_mut() {
-                Some(t) => {
-                    let out = nebula_baselines::fedavg_round_transport(
-                        &mut self.server,
-                        &data,
-                        &ids_u64,
-                        &mut self.pool,
-                        self.cfg.local_epochs,
-                        self.cfg.batch_size,
-                        self.cfg.local_lr,
-                        rng,
-                        round as usize,
-                        t,
-                    );
-                    (out.bytes, out.lost)
-                }
-                None => (
-                    fedavg_round_wire(
-                        &mut self.server,
-                        &data,
-                        &ids_u64,
-                        &mut self.pool,
-                        self.cfg.local_epochs,
-                        self.cfg.batch_size,
-                        self.cfg.local_lr,
-                        rng,
-                    ),
-                    0,
-                ),
+        if !cohort.is_empty() {
+            let train = TrainParams {
+                epochs: self.cfg.local_epochs,
+                batch_size: self.cfg.batch_size,
+                lr: self.cfg.local_lr,
             };
+            let moved = dense_round(
+                &mut self.server,
+                &cohort,
+                &mut self.pool,
+                train,
+                rng,
+                round as usize,
+                self.transport.as_mut(),
+            );
             // Jobs the transport lost (worker crash/deadline) degrade the
-            // round like dropped links; in-process rounds never lose any.
+            // round like dropped links; loopback rounds never lose any.
+            let lost = cohort.len() as u64 - moved.uploads;
             report.link_dropped += lost;
-            report.participated = report.participated.saturating_sub(lost);
-            comm.down_bytes = comm.down_bytes.saturating_add(wb.down);
-            comm.up_bytes = comm.up_bytes.saturating_add(wb.up);
-            comm.downloads = comm.downloads.saturating_add(trainers.len() as u64);
-            comm.uploads = comm.uploads.saturating_add(trainers.len() as u64 - lost);
-            if n_corrupt > 0 {
+            report.participated -= lost;
+            comm.merge(&moved);
+            // With every job lost nothing was averaged, so there is no
+            // mean for the bad clients to have poisoned.
+            if moved.uploads > 0 && n_corrupt + n_malicious > 0 {
                 let mut params = self.server.param_vector();
-                poison_dense_mean(
-                    &mut params,
-                    plan.corruption,
-                    plan.explode_scale,
-                    n_corrupt as f32 / trainers.len() as f32,
-                    plan.seed ^ (round << 20),
-                );
-                self.server.load_param_vector(&params);
-            }
-            if n_malicious > 0 {
-                // No per-update gate and no robust combine: the Byzantine
-                // cohort's attacked mean lands on the server weights.
-                let mut params = self.server.param_vector();
-                attack_dense_mean(
-                    &mut params,
-                    &plan.adversary,
-                    n_malicious as f32 / trainers.len() as f32,
-                    plan.adversary.attack_seed(round, usize::MAX),
-                );
+                if n_corrupt > 0 {
+                    poison_dense_mean(
+                        &mut params,
+                        plan.corruption,
+                        plan.explode_scale,
+                        n_corrupt as f32 / cohort.len() as f32,
+                        plan.seed ^ (round << 20),
+                    );
+                }
+                if n_malicious > 0 {
+                    attack_dense_mean(
+                        &mut params,
+                        &plan.adversary,
+                        n_malicious as f32 / cohort.len() as f32,
+                        plan.adversary.attack_seed(round, usize::MAX),
+                    );
+                }
                 self.server.load_param_vector(&params);
             }
         }
@@ -815,33 +779,25 @@ impl FedAvgStrategy {
     }
 }
 
-impl AdaptStrategy for FedAvgStrategy {
+impl<const HETERO: bool> AdaptStrategy for DenseFlStrategy<HETERO> {
     fn name(&self) -> &'static str {
-        "FA"
+        if HETERO {
+            "HFL"
+        } else {
+            "FA"
+        }
     }
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
 
-    fn set_transport(&mut self, transport: Box<dyn nebula_core::Transport>) {
-        self.transport = Some(transport);
+    fn set_transport(&mut self, transport: Box<dyn Transport>) {
+        self.transport = transport;
     }
 
     fn offline(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) {
-        let proxy = world.proxy(self.cfg.proxy_samples);
-        let mut opt = nebula_nn::Sgd::with_momentum(0.05, 0.9);
-        nebula_data::train_epochs(
-            &mut self.server,
-            &mut opt,
-            &proxy,
-            nebula_data::TrainConfig {
-                epochs: self.cfg.pretrain_epochs,
-                batch_size: 32,
-                clip_norm: Some(5.0),
-            },
-            rng,
-        );
+        pretrain_dense(&mut self.server, &self.cfg, world, rng);
     }
 
     fn track(&mut self, _ids: &[usize]) {}
@@ -853,311 +809,32 @@ impl AdaptStrategy for FedAvgStrategy {
         }
         // Per-participant local-training + transfer latency, averaged over
         // an evenly-spaced device sample (a single device's hardware would
-        // bias the estimate).
-        let flops = dense_forward_flops(&self.server);
-        let bytes = 2 * (self.server.param_count() * 4) as u64;
-        let time_ms =
-            mean_participant_latency_ms(world, flops, bytes, self.cfg.local_epochs, self.cfg.batch_size);
-        RoundStats { adapt_time_ms: time_ms, ..stats }
-    }
-
-    fn device_accuracy(&mut self, world: &mut SimWorld, id: usize) -> f32 {
-        nebula_data::evaluate_accuracy(&mut self.server, &world.devices[id].test, 64)
-    }
-
-    fn footprint(&self, _world: &SimWorld, _id: usize) -> Footprint {
-        dense_footprint(&self.server, 1.0)
-    }
-
-    fn export_state(&self) -> Option<StrategyState> {
-        // Delta/int8 dense channels carry baseline and error-feedback
-        // history that a snapshot does not capture; only Raw resumes
-        // bit-identically.
-        (self.cfg.wire.codec == CodecKind::Raw).then(|| dense_export("FA", &self.server))
-    }
-
-    fn import_state(&mut self, state: &StrategyState) -> Result<(), String> {
-        if self.cfg.wire.codec != CodecKind::Raw {
-            return Err("FA: state import requires the Raw wire codec".to_string());
-        }
-        dense_import("FA", &mut self.server, state)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// HeteroFL
-// ---------------------------------------------------------------------------
-
-/// Resource-aware FL over nested width-scaled sub-models.
-pub struct HeteroFlStrategy {
-    cfg: StrategyConfig,
-    server: DenseModel,
-    /// Per-device wire channels carrying each device's active slice.
-    pool: DensePool,
-    /// Optional dispatch transport; `None` trains in-process.
-    transport: Option<Box<dyn nebula_core::Transport>>,
-    telemetry: Telemetry,
-}
-
-impl HeteroFlStrategy {
-    pub fn new(cfg: StrategyConfig, seed: u64) -> Self {
-        let server = cfg.dense_model(seed);
-        let pool = cfg.dense_pool();
-        Self { cfg, server, pool, transport: None, telemetry: Telemetry::off() }
-    }
-
-    fn ratio_for(&self, dev: &SimDevice) -> f32 {
-        let budget = (self.server.param_count() as f64 * dev.resources.budget_ratio as f64) as usize;
-        ratio_for_budget(&self.server, budget)
-    }
-
-    /// One communication round (used by the rounds-to-target driver),
-    /// under the world's fault plan and round policy.
-    ///
-    /// Like FedAvg, HeteroFL has no per-update gate: corrupted clients
-    /// poison the width-wise averaged weights ([`poison_dense_mean`]).
-    pub fn single_round(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) -> RoundOutcome {
-        let telemetry = self.telemetry.clone();
-        let mut round_span = telemetry.span("round");
-        let ids = world.sample_participants(self.cfg.devices_per_round);
-        let round = world.next_round_index();
-        round_span.int("index", round);
-        let plan = world.faults;
-        let policy = world.policy;
-        let mut comm = CommTracker::new();
-        let mut report = RoundReport { sampled: ids.len() as u64, ..Default::default() };
-
-        let mut meta: Vec<(usize, DeviceFate, f64)> = Vec::with_capacity(ids.len());
-        for &id in &ids {
-            let fate = plan.fate(round, id);
-            if fate.dropped {
-                report.dropped += 1;
-                continue;
-            }
-            let ratio = self.ratio_for(&world.devices[id]);
-            // Each device exchanges its own width-scaled sub-model.
-            let payload_bytes = (self.server.active_params(ratio) * 4) as u64;
-            let up = plan_upload(fate.upload_attempts, fate.flaky_link, policy.retry_policy());
-            for _ in 0..up.resends {
-                comm.record_retry(payload_bytes);
-            }
-            report.retried += up.resends as u64;
-            if !up.delivered {
-                report.link_dropped += 1;
-                continue;
-            }
-            let mut backoff = up.backoff_ms;
-            let mut resends = up.resends as u64;
-            // Transit corruption on the upload frame: CRC-rejected, one
-            // clean resend. Without a retry budget the device is lost.
-            if fate.frame_corrupt {
-                report.corrupt_frames += 1;
-                comm.record_retry(payload_bytes);
-                let Some(wait) = plan_corrupt_resend(up.resends, policy.retry_policy()) else {
-                    report.link_dropped += 1;
-                    continue;
-                };
-                report.retried += 1;
-                resends += 1;
-                backoff += wait;
-            }
-            let dev = &world.devices[id];
-            let bw = dev.resources.bandwidth_bps * fate.bandwidth_factor;
-            let time_ms = adaptation_latency_ms(
-                &dev.resources,
-                self.server.active_params(ratio) as u64,
-                dev.volume(),
-                self.cfg.local_epochs,
-                self.cfg.batch_size,
-            ) * fate.slowdown
-                + transfer_time_ms(2 * payload_bytes + resends * payload_bytes, bw)
-                + backoff;
-            meta.push((id, fate, time_ms));
-        }
-
-        let times: Vec<f64> = meta.iter().map(|m| m.2).collect();
-        let deadline = round_deadline_ms(policy.deadline_factor, &times);
-        let mut trainers: Vec<usize> = Vec::with_capacity(meta.len());
-        let mut n_corrupt = 0usize;
-        let mut n_malicious = 0usize;
-        let mut round_time_ms = 0.0f64;
-        for (id, fate, time_ms) in meta {
-            if let Some(d) = deadline {
-                if time_ms > d {
-                    report.deadline_dropped += 1;
-                    round_time_ms = round_time_ms.max(d);
-                    continue;
-                }
-            }
-            if fate.crashed {
-                // Received its active slice as a real measured frame,
-                // died before uploading.
-                let ratio = self.ratio_for(&world.devices[id]);
-                let params = self.server.param_vector();
-                let mask = self.server.mask_for_ratio(ratio);
-                let slice: Vec<f32> =
-                    params.iter().zip(&mask).filter_map(|(&v, &m)| m.then_some(v)).collect();
-                let mut scratch = Vec::new();
-                let bytes = self
-                    .pool
-                    .send_down(id as u64, &slice, &mut scratch)
-                    .expect("pristine in-process frame must decode");
-                comm.record_download(bytes);
-                report.crashed += 1;
-                continue;
-            }
-            round_time_ms = round_time_ms.max(time_ms);
-            if fate.corruption.is_some() {
-                n_corrupt += 1;
-            }
-            if fate.malicious.is_some() {
-                n_malicious += 1;
-            }
-            trainers.push(id);
-        }
-        report.participated = trainers.len() as u64;
-
-        if !trainers.is_empty() {
-            let data: Vec<&Dataset> = trainers.iter().map(|&i| &world.devices[i].partition.data).collect();
-            let ratios: Vec<f32> = trainers.iter().map(|&i| self.ratio_for(&world.devices[i])).collect();
-            let ids_u64: Vec<u64> = trainers.iter().map(|&i| i as u64).collect();
-            let (wb, lost) = match self.transport.as_deref_mut() {
-                Some(t) => {
-                    let out = nebula_baselines::heterofl_round_transport(
-                        &mut self.server,
-                        &data,
-                        &ratios,
-                        &ids_u64,
-                        &mut self.pool,
-                        self.cfg.local_epochs,
-                        self.cfg.batch_size,
-                        self.cfg.local_lr,
-                        rng,
-                        round as usize,
-                        t,
-                    );
-                    (out.bytes, out.lost)
-                }
-                None => (
-                    heterofl_round_wire(
-                        &mut self.server,
-                        &data,
-                        &ratios,
-                        &ids_u64,
-                        &mut self.pool,
-                        self.cfg.local_epochs,
-                        self.cfg.batch_size,
-                        self.cfg.local_lr,
-                        rng,
-                    ),
-                    0,
-                ),
-            };
-            // Jobs the transport lost (worker crash/deadline) degrade the
-            // round like dropped links; in-process rounds never lose any.
-            report.link_dropped += lost;
-            report.participated = report.participated.saturating_sub(lost);
-            comm.down_bytes = comm.down_bytes.saturating_add(wb.down);
-            comm.up_bytes = comm.up_bytes.saturating_add(wb.up);
-            comm.downloads = comm.downloads.saturating_add(trainers.len() as u64);
-            comm.uploads = comm.uploads.saturating_add(trainers.len() as u64 - lost);
-            if n_corrupt > 0 {
-                let mut params = self.server.param_vector();
-                poison_dense_mean(
-                    &mut params,
-                    plan.corruption,
-                    plan.explode_scale,
-                    n_corrupt as f32 / trainers.len() as f32,
-                    plan.seed ^ (round << 20),
-                );
-                self.server.load_param_vector(&params);
-            }
-            if n_malicious > 0 {
-                // Like FedAvg: no gate, no robust combine — the attacked
-                // width-wise mean lands on the server weights.
-                let mut params = self.server.param_vector();
-                attack_dense_mean(
-                    &mut params,
-                    &plan.adversary,
-                    n_malicious as f32 / trainers.len() as f32,
-                    plan.adversary.attack_seed(round, usize::MAX),
-                );
-                self.server.load_param_vector(&params);
-            }
-        }
-        comm.end_round();
-        note_round(&telemetry, round, &comm, &report, round_time_ms);
-        round_span.num("time_ms", round_time_ms);
-        RoundOutcome { stats: RoundStats { comm, adapt_time_ms: 0.0, faults: report }, round_time_ms }
-    }
-}
-
-impl AdaptStrategy for HeteroFlStrategy {
-    fn name(&self) -> &'static str {
-        "HFL"
-    }
-
-    fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    fn set_transport(&mut self, transport: Box<dyn nebula_core::Transport>) {
-        self.transport = Some(transport);
-    }
-
-    fn offline(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) {
-        let proxy = world.proxy(self.cfg.proxy_samples);
-        let mut opt = nebula_nn::Sgd::with_momentum(0.05, 0.9);
-        nebula_data::train_epochs(
-            &mut self.server,
-            &mut opt,
-            &proxy,
-            nebula_data::TrainConfig {
-                epochs: self.cfg.pretrain_epochs,
-                batch_size: 32,
-                clip_norm: Some(5.0),
-            },
-            rng,
-        );
-    }
-
-    fn track(&mut self, _ids: &[usize]) {}
-
-    fn adaptation_step(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) -> RoundStats {
-        let mut stats = RoundStats::default();
-        for _ in 0..self.cfg.rounds_per_step {
-            stats.merge(&self.single_round(world, rng).stats);
-        }
-        // Mean over a device sample, each at its own width level.
+        // bias the estimate), each device at its own width level.
+        let n = world.num_devices();
+        let samples = 8.min(n);
         let mut time_ms = 0.0;
-        let ids: Vec<usize> = (0..8.min(world.num_devices()))
-            .map(|i| i * world.num_devices() / 8.min(world.num_devices()))
-            .collect();
-        for &id in &ids {
-            let dev = &world.devices[id];
-            let ratio = self.ratio_for(dev);
-            let flops = self.server.active_params(ratio) as u64;
+        for i in 0..samples {
+            let dev = &world.devices[i * n / samples];
+            let active = self.server.active_params(self.ratio_for(dev)) as u64;
             time_ms += adaptation_latency_ms(
                 &dev.resources,
-                flops,
+                active,
                 dev.volume(),
                 self.cfg.local_epochs,
                 self.cfg.batch_size,
-            ) + transfer_time_ms(
-                2 * (self.server.active_params(ratio) * 4) as u64,
-                dev.resources.bandwidth_bps,
-            );
+            ) + transfer_time_ms(2 * active * 4, dev.resources.bandwidth_bps);
         }
-        time_ms /= ids.len().max(1) as f64;
-        RoundStats { adapt_time_ms: time_ms, ..stats }
+        RoundStats { adapt_time_ms: time_ms / samples.max(1) as f64, ..stats }
     }
 
     fn device_accuracy(&mut self, world: &mut SimWorld, id: usize) -> f32 {
-        // The device serves the sub-model its resources allow.
-        let ratio = self.ratio_for(&world.devices[id]);
-        let mut local = self.server.deep_clone();
-        local.set_width_ratio(ratio);
-        nebula_data::evaluate_accuracy(&mut local, &world.devices[id].test, 64)
+        // The device serves the sub-model its resources allow; the server
+        // itself always runs at full width.
+        let dev = &world.devices[id];
+        self.server.set_width_ratio(self.ratio_for(dev));
+        let acc = nebula_data::evaluate_accuracy(&mut self.server, &dev.test, 64);
+        self.server.set_width_ratio(1.0);
+        acc
     }
 
     fn footprint(&self, world: &SimWorld, id: usize) -> Footprint {
@@ -1165,15 +842,65 @@ impl AdaptStrategy for HeteroFlStrategy {
     }
 
     fn export_state(&self) -> Option<StrategyState> {
-        (self.cfg.wire.codec == CodecKind::Raw).then(|| dense_export("HFL", &self.server))
+        // Delta/int8 dense channels carry baseline and error-feedback
+        // history that a snapshot does not capture; only Raw resumes
+        // bit-identically.
+        (self.cfg.wire.codec == CodecKind::Raw).then(|| dense_export(self.name(), &self.server))
     }
 
     fn import_state(&mut self, state: &StrategyState) -> Result<(), String> {
         if self.cfg.wire.codec != CodecKind::Raw {
-            return Err("HFL: state import requires the Raw wire codec".to_string());
+            return Err(format!("{}: state import requires the Raw wire codec", self.name()));
         }
-        dense_import("HFL", &mut self.server, state)
+        dense_import(self.name(), &mut self.server, state)
     }
+}
+
+/// The cloud's side of one module-update upload: `frame` crosses the
+/// link (a `tamper` seed flips bytes in transit), is decoded as `device`'s,
+/// and a rejected tampered frame earns one clean resend when the policy
+/// has a `retry` budget. Bills `comm`/`report` exactly as the transfer
+/// went; `None` means the update never arrived.
+///
+/// Under frame auth the tamper also recomputes the CRC — the forgery only
+/// the MAC catches. Either way the decode rejects before aggregation.
+fn receive_upload(
+    wire: &mut WireContext,
+    device: u64,
+    frame: &[u8],
+    tamper: Option<u64>,
+    retry: bool,
+    comm: &mut CommTracker,
+    report: &mut RoundReport,
+) -> Option<EdgeUpdate> {
+    let bytes = frame.len() as u64;
+    let first = match tamper {
+        Some(seed) => {
+            report.corrupt_frames += 1;
+            let mut bad = frame.to_vec();
+            if wire.config().auth_key.is_some() {
+                forge_frame(&mut bad, seed);
+            } else {
+                corrupt_frame(&mut bad, seed);
+            }
+            wire.decode_update_from(device, &bad)
+        }
+        None => wire.decode_update_from(device, frame),
+    };
+    let update = match first {
+        Ok(update) => update,
+        Err(_) => {
+            comm.record_retry(bytes);
+            // A pristine frame that fails to decode would fail again.
+            if tamper.is_none() || !retry {
+                return None;
+            }
+            report.retried += 1;
+            wire.decode_update_from(device, frame).ok()?
+        }
+    };
+    comm.record_upload(bytes);
+    Some(update)
 }
 
 // ---------------------------------------------------------------------------
@@ -1215,7 +942,7 @@ pub struct NebulaStrategy {
     frame_buf: Vec<u8>,
     /// Optional dispatch transport for the round's local training;
     /// `None` trains in-process (the historical path, bit-identical).
-    transport: Option<Box<dyn nebula_core::Transport>>,
+    transport: Option<Box<dyn Transport>>,
     telemetry: Telemetry,
 }
 
@@ -1402,7 +1129,7 @@ impl NebulaStrategy {
         }
 
         let arrivals: Vec<Arrived> = if self.transport.is_some() {
-            let train = nebula_core::TrainParams {
+            let train = TrainParams {
                 epochs: self.cfg.local_epochs,
                 batch_size: self.cfg.batch_size,
                 lr: self.cfg.local_lr,
@@ -1474,6 +1201,23 @@ impl NebulaStrategy {
             }
             round_time_ms = round_time_ms.max(time_ms);
             let upload_span = telemetry.span("wire_tx");
+            let fault_seed = plan.seed ^ (round << 20) ^ id as u64;
+            // What a faulty or hostile device does to its own update.
+            // App-level corruption garbles the tensors inside a valid
+            // frame (the sanitize gate is the defence); a Byzantine
+            // persona crafts a well-formed update to poison the aggregate
+            // (colluders share one per-round attack seed; the robust
+            // combine rule is the defence).
+            let sabotage = |update: &mut EdgeUpdate| {
+                if let Some(kind) = fate.corruption {
+                    corrupt_module_update(update, kind, plan.explode_scale, fault_seed);
+                }
+                if fate.malicious.is_some() {
+                    apply_attack(update, &plan.adversary, plan.adversary.attack_seed(round, id));
+                }
+            };
+            let tamper = fate.frame_corrupt.then_some(fault_seed);
+            let retry = policy.max_retries > 0;
             let decoded = match arrived {
                 Arrived::Lost => {
                     // The transport failed to bring the job back (worker
@@ -1483,138 +1227,31 @@ impl NebulaStrategy {
                     None
                 }
                 Arrived::Update(mut update) => {
-                    if let Some(kind) = fate.corruption {
-                        // App-level corruption garbles the tensors *before*
-                        // the frame is cut: the frame is valid, the sanitize
-                        // gate is the defence.
-                        corrupt_module_update(
-                            &mut update,
-                            kind,
-                            plan.explode_scale,
-                            plan.seed ^ (round << 20) ^ id as u64,
-                        );
-                    }
-                    if fate.malicious.is_some() {
-                        // Byzantine persona: a well-formed update deliberately
-                        // crafted to poison the aggregate (colluders share one
-                        // per-round attack seed). The robust combine rule is
-                        // the defence, not the frame or the sanitize gate.
-                        apply_attack(&mut update, &plan.adversary, plan.adversary.attack_seed(round, id));
-                    }
-                    // The upload is a real frame; the cloud aggregates what
-                    // it decodes, never the sender's structs.
-                    let enc = self.wire.encode_update(id as u64, &update, &mut self.frame_buf) as u64;
-                    if fate.frame_corrupt {
-                        // Transit corruption flips bytes on the wire; under
-                        // frame auth the tamper also recomputes the CRC (the
-                        // forgery only the MAC catches). Either way the
-                        // decode rejects before aggregation and the retry
-                        // path re-sends; without a retry budget the device
-                        // is lost.
-                        report.corrupt_frames += 1;
-                        let mut bad = self.frame_buf.clone();
-                        if self.cfg.wire.auth_key.is_some() {
-                            forge_frame(&mut bad, plan.seed ^ (round << 20) ^ id as u64);
-                        } else {
-                            corrupt_frame(&mut bad, plan.seed ^ (round << 20) ^ id as u64);
-                        }
-                        match self.wire.decode_update_from(id as u64, &bad) {
-                            Ok(u) => {
-                                comm.record_upload(enc);
-                                Some(u)
-                            }
-                            Err(_) => {
-                                comm.record_retry(enc);
-                                if policy.max_retries == 0 {
-                                    None
-                                } else {
-                                    report.retried += 1;
-                                    match self.wire.decode_update_from(id as u64, &self.frame_buf) {
-                                        Ok(u) => {
-                                            comm.record_upload(enc);
-                                            Some(u)
-                                        }
-                                        Err(_) => None,
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        match self.wire.decode_update_from(id as u64, &self.frame_buf) {
-                            Ok(u) => {
-                                comm.record_upload(enc);
-                                Some(u)
-                            }
-                            Err(_) => {
-                                comm.record_retry(enc);
-                                None
-                            }
-                        }
-                    }
+                    // In-process the device sabotages *before* the frame
+                    // is cut; the cloud aggregates what it decodes, never
+                    // the sender's structs.
+                    sabotage(&mut update);
+                    self.wire.encode_update(id as u64, &update, &mut self.frame_buf);
+                    receive_upload(
+                        &mut self.wire,
+                        id as u64,
+                        &self.frame_buf,
+                        tamper,
+                        retry,
+                        &mut comm,
+                        &mut report,
+                    )
                 }
                 Arrived::Frame(frame) => {
-                    // A remote worker already encoded the update; transit
-                    // faults tamper with its bytes, and app-level
-                    // corruption / Byzantine attacks mutate what the cloud
-                    // decoded. Under the Raw codec that ordering is
-                    // bit-identical to the loopback order (mutate before
-                    // encode), which the serve tests pin.
-                    let enc = frame.len() as u64;
-                    let got = if fate.frame_corrupt {
-                        report.corrupt_frames += 1;
-                        let mut bad = frame.clone();
-                        if self.cfg.wire.auth_key.is_some() {
-                            forge_frame(&mut bad, plan.seed ^ (round << 20) ^ id as u64);
-                        } else {
-                            corrupt_frame(&mut bad, plan.seed ^ (round << 20) ^ id as u64);
-                        }
-                        match self.wire.decode_update_from(id as u64, &bad) {
-                            Ok(u) => {
-                                comm.record_upload(enc);
-                                Some(u)
-                            }
-                            Err(_) => {
-                                comm.record_retry(enc);
-                                if policy.max_retries == 0 {
-                                    None
-                                } else {
-                                    report.retried += 1;
-                                    match self.wire.decode_update_from(id as u64, &frame) {
-                                        Ok(u) => {
-                                            comm.record_upload(enc);
-                                            Some(u)
-                                        }
-                                        Err(_) => None,
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        match self.wire.decode_update_from(id as u64, &frame) {
-                            Ok(u) => {
-                                comm.record_upload(enc);
-                                Some(u)
-                            }
-                            Err(_) => {
-                                comm.record_retry(enc);
-                                None
-                            }
-                        }
-                    };
-                    got.map(|mut update| {
-                        if let Some(kind) = fate.corruption {
-                            corrupt_module_update(
-                                &mut update,
-                                kind,
-                                plan.explode_scale,
-                                plan.seed ^ (round << 20) ^ id as u64,
-                            );
-                        }
-                        if fate.malicious.is_some() {
-                            apply_attack(&mut update, &plan.adversary, plan.adversary.attack_seed(round, id));
-                        }
-                        update
-                    })
+                    // A remote worker already encoded the update, so the
+                    // sabotage lands on what the cloud decoded. Under the
+                    // Raw codec that ordering is bit-identical to the
+                    // in-process one, which the serve tests pin.
+                    receive_upload(&mut self.wire, id as u64, &frame, tamper, retry, &mut comm, &mut report)
+                        .map(|mut update| {
+                            sabotage(&mut update);
+                            update
+                        })
                 }
             };
             drop(upload_span);
@@ -1823,7 +1460,7 @@ impl AdaptStrategy for NebulaStrategy {
         self.aggregator = aggregator;
     }
 
-    fn set_transport(&mut self, transport: Box<dyn nebula_core::Transport>) {
+    fn set_transport(&mut self, transport: Box<dyn Transport>) {
         // Remote dispatch rebuilds a fresh WireContext per job on the
         // worker side, which is only byte-identical to the coordinator's
         // shared context under the stateless Raw codec.
@@ -2061,6 +1698,42 @@ mod tests {
         let r2 = no_cloud.adaptation_step(&mut world, &mut rng);
         // Second step: no new download at all.
         assert_eq!(r2.comm.downloads, 0, "w/o-cloud re-downloaded");
+    }
+
+    /// A transport that loses every job.
+    struct BlackHole;
+
+    impl Transport for BlackHole {
+        fn kind(&self) -> &'static str {
+            "black-hole"
+        }
+
+        fn round_trip(
+            &mut self,
+            jobs: Vec<nebula_core::DispatchJob>,
+        ) -> Vec<Result<nebula_core::JobResult, nebula_core::TransportError>> {
+            jobs.iter().map(|_| Err(nebula_core::TransportError::Closed("worker died".into()))).collect()
+        }
+    }
+
+    #[test]
+    fn dense_round_that_loses_every_job_is_not_poisoned() {
+        let mut world = toy_world(8);
+        world.set_fault_plan(crate::FaultPlan {
+            corrupt_prob: 1.0,
+            adversary: crate::AdversaryPlan { frac: 1.0, ..crate::AdversaryPlan::none() },
+            ..crate::FaultPlan::none()
+        });
+        let mut s = FedAvgStrategy::new(toy_cfg(), 1);
+        s.set_transport(Box::new(BlackHole));
+        let before = s.export_state();
+        let out = s.single_round(&mut world, &mut NebulaRng::seed(3));
+        assert_eq!(out.stats.faults.participated, 0);
+        assert_eq!(out.stats.faults.link_dropped, 4);
+        assert_eq!((out.stats.comm.downloads, out.stats.comm.uploads), (4, 0));
+        // Nothing was averaged, so the corrupt and Byzantine clients had
+        // no mean to poison: the server is exactly what it was.
+        assert_eq!(s.export_state(), before);
     }
 
     #[test]

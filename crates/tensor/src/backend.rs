@@ -1,9 +1,8 @@
 //! Kernel-backend selection: which GEMM engine the public
 //! [`crate::Tensor`] mat-mul API routes through.
 //!
-//! This replaces the old boolean `set_reference_kernels` switch, which
-//! could only express "blocked or not" — a dead end once the engine grew
-//! runtime-dispatched SIMD variants. The model is now:
+//! A boolean "blocked or not" switch stopped being enough once the
+//! engine grew runtime-dispatched SIMD variants. The model is:
 //!
 //! * [`KernelBackend`] names an engine: the retained pre-blocking
 //!   [`Reference`](KernelBackend::Reference) kernels, the scalar

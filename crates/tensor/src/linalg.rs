@@ -51,20 +51,6 @@ use crate::Tensor;
 /// off roughly an order of magnitude later.
 const PAR_THRESHOLD: usize = 512 * 1024;
 
-/// Routes all mat-muls through the pre-blocking [`reference`] kernels
-/// (benchmark baseline) or back to automatic engine selection.
-#[deprecated(note = "use nebula_tensor::set_kernel_backend / KernelBackend::scoped instead; \
-                     `true` maps to KernelBackend::Reference, `false` to KernelBackend::Auto")]
-pub fn set_reference_kernels(on: bool) {
-    backend::set_kernel_backend(if on { KernelBackend::Reference } else { KernelBackend::Auto });
-}
-
-/// True while the [`KernelBackend::Reference`] engine is selected.
-#[deprecated(note = "use nebula_tensor::active_backend() instead")]
-pub fn reference_kernels_enabled() -> bool {
-    backend::active_backend() == KernelBackend::Reference
-}
-
 /// Whether this product should use the rayon path.
 fn go_parallel(work: usize) -> bool {
     work >= PAR_THRESHOLD && par::kernel_parallelism_allowed()
@@ -428,16 +414,6 @@ mod tests {
         };
         assert_tensor_close(&auto, &baseline, 1e-4);
         assert_tensor_close(&blocked, &baseline, 1e-4);
-        // The deprecated boolean shim still flips the backend.
-        #[allow(deprecated)]
-        {
-            set_reference_kernels(true);
-            assert!(reference_kernels_enabled());
-            assert_eq!(backend::active_backend(), KernelBackend::Reference);
-            set_reference_kernels(false);
-            assert!(!reference_kernels_enabled());
-            assert_eq!(backend::active_backend(), KernelBackend::Auto);
-        }
     }
 
     #[test]

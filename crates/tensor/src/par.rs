@@ -1,12 +1,13 @@
 //! Nested-parallelism policy.
 //!
 //! The simulator parallelises at the *client* level: one task per sampled
-//! device inside a collaborative round (`strategy.rs`, `fedavg_round`,
-//! `heterofl_round`). The tensor kernels also parallelise, at the
-//! *row-block* level, once a product is large enough. Letting both fire at
-//! once oversubscribes the pool: every client task forks its own kernel
-//! tasks, and the fork/join overhead swamps the 16×96×24-sized products a
-//! per-device training batch actually runs.
+//! device inside a collaborative round (the in-process arm of
+//! `NebulaStrategy::single_round`, and `core::net::Loopback`, which every
+//! dense-baseline round goes through). The tensor kernels also
+//! parallelise, at the *row-block* level, once a product is large enough.
+//! Letting both fire at once oversubscribes the pool: every client task
+//! forks its own kernel tasks, and the fork/join overhead swamps the
+//! 16×96×24-sized products a per-device training batch actually runs.
 //!
 //! The fix is a per-thread depth counter: a round section that is already
 //! parallel over clients wraps each client's work in [`sequential`], and
