@@ -1,4 +1,5 @@
-//! Golden trajectory pins for the three collaborative round bodies.
+//! Golden trajectory pins for the three collaborative round bodies and
+//! for the `Runner` loop that drives them.
 //!
 //! Each case runs a few `single_round`s and folds the global parameter
 //! bits plus every [`RoundStats`] counter (and the simulated round time)
@@ -12,6 +13,12 @@
 //! device actually trains from — a bit-exact function of the server
 //! state (and of the per-device channel state) for any codec.
 //!
+//! The `runner_*` cases pin what the relative parity tests (plain ≡
+//! durable ≡ resumed) cannot see — a change common to both sides, such as
+//! swapping the two modes' RNG salts: every [`RunOutcome`] field plus the
+//! ordered sequence of event kinds (and span names) a [`MemorySink`]
+//! captured.
+//!
 //! Everything lives in ONE test function under
 //! `KernelBackend::Blocked.scoped()`: the constants are then independent
 //! of the host's SIMD level, and the process-global backend switch
@@ -22,14 +29,17 @@ use nebula_core::{
     DispatchJob, JobResult, JobSpec, Loopback, ModularRunner, RobustAggregator, Transport, TransportError,
     WireConfig,
 };
-use nebula_data::{PartitionSpec, Partitioner, SynthSpec, Synthesizer};
+use nebula_data::drift::DriftKind;
+use nebula_data::{DriftModel, PartitionSpec, Partitioner, SynthSpec, Synthesizer};
 use nebula_modular::ModularConfig;
 use nebula_nn::Layer;
 use nebula_sim::strategy::{RoundOutcome, StrategyConfig, StrategyState};
+use nebula_sim::RoundStats;
 use nebula_sim::{
-    AdaptStrategy, AdversaryPlan, AttackPersona, CorruptionKind, FaultPlan, FedAvgStrategy, HeteroFlStrategy,
-    NebulaStrategy, ResourceSampler, RoundPolicy, SimWorld,
+    AdaptStrategy, AdversaryPlan, AttackPersona, CorruptionKind, ExperimentConfig, FaultPlan, FedAvgStrategy,
+    HeteroFlStrategy, NebulaStrategy, ResourceSampler, RoundPolicy, RunOutcome, Runner, SimWorld,
 };
+use nebula_telemetry::MemorySink;
 use nebula_tensor::{KernelBackend, NebulaRng};
 use std::sync::{Arc, Mutex};
 
@@ -55,9 +65,21 @@ impl Fnv {
         }
     }
 
+    fn bytes(&mut self, text: &str) {
+        self.word(text.len() as u64);
+        for b in text.bytes() {
+            self.word(b as u64);
+        }
+    }
+
     fn outcome(&mut self, out: &RoundOutcome) {
-        let c = out.stats.comm;
-        let f = out.stats.faults;
+        self.stats(&out.stats);
+        self.word(out.round_time_ms.to_bits());
+    }
+
+    fn stats(&mut self, stats: &RoundStats) {
+        let c = stats.comm;
+        let f = stats.faults;
         for w in [
             c.down_bytes,
             c.up_bytes,
@@ -77,10 +99,34 @@ impl Fnv {
             f.stale,
             f.rolled_back,
             f.corrupt_frames,
-            out.stats.adapt_time_ms.to_bits(),
-            out.round_time_ms.to_bits(),
+            stats.adapt_time_ms.to_bits(),
         ] {
             self.word(w);
+        }
+    }
+
+    /// Every [`RunOutcome`] field, then the ordered event kinds of the
+    /// run's trace (span events carry their name).
+    fn run(&mut self, out: &RunOutcome, sink: &MemorySink) {
+        self.bytes(&out.strategy);
+        self.bytes(&out.mode);
+        self.word(out.reached as u64);
+        self.word(out.rounds);
+        self.word(out.final_accuracy.to_bits() as u64);
+        self.floats(&out.accuracy_per_slot);
+        self.word(out.mean_adapt_time_ms.to_bits());
+        self.word(out.eval_ids.len() as u64);
+        for &id in &out.eval_ids {
+            self.word(id as u64);
+        }
+        self.stats(&out.stats);
+        let events = sink.events();
+        self.word(events.len() as u64);
+        for e in &events {
+            self.bytes(&e.kind);
+            if e.kind == "span" {
+                self.bytes(&e.text["name"]);
+            }
         }
     }
 }
@@ -200,6 +246,36 @@ fn nebula_case(mut s: NebulaStrategy, plan: Option<FaultPlan>) -> u64 {
     h.0
 }
 
+/// The runner cases' scale: an offline stage and adaptation steps small
+/// enough for a debug-build test.
+fn runner_cfg() -> StrategyConfig {
+    let mut cfg = toy_cfg(WireConfig::raw());
+    cfg.devices_per_round = 4;
+    cfg.rounds_per_step = 2;
+    cfg.pretrain_epochs = 2;
+    cfg.proxy_samples = 100;
+    cfg
+}
+
+/// A light plan, so the run-level fault counters are not all zero.
+fn light_plan() -> FaultPlan {
+    FaultPlan { seed: 23, dropout_prob: 0.2, straggler_prob: 0.3, link_flake_prob: 0.3, ..FaultPlan::none() }
+}
+
+/// One whole `Runner` run with a [`MemorySink`] attached.
+fn runner_case(
+    s: &mut dyn AdaptStrategy,
+    mut world: SimWorld,
+    mode: impl FnOnce(Runner<'_>) -> Runner<'_>,
+) -> u64 {
+    let sink = Arc::new(MemorySink::new());
+    let runner = Runner::new(&mut world, s).config(ExperimentConfig { eval_devices: 3, seed: 11 });
+    let out = mode(runner).telemetry(sink.clone()).run().expect("golden run");
+    let mut h = Fnv::new();
+    h.run(&out, &sink);
+    h.0
+}
+
 fn run_case(name: &str) -> u64 {
     let dense_plan = Some(full_plan(CorruptionKind::Exploding));
     let nebula_plan = Some(full_plan(CorruptionKind::NanPoison));
@@ -237,12 +313,44 @@ fn run_case(name: &str) -> u64 {
             cfg.aggregator = RobustAggregator::TrimmedMean { frac: 0.2 };
             nebula_case(NebulaStrategy::new(cfg, 1), nebula_plan)
         }
+        "nebula_edges3_raw_clean" => {
+            let mut cfg = toy_cfg(WireConfig::raw());
+            cfg.edge_groups = Some(3);
+            nebula_case(NebulaStrategy::new(cfg, 1), None)
+        }
+        "nebula_edges3_int8_trimmed_faulty" => {
+            let mut cfg = toy_cfg(WireConfig::int8());
+            cfg.aggregator = RobustAggregator::TrimmedMean { frac: 0.2 };
+            cfg.edge_groups = Some(3);
+            nebula_case(NebulaStrategy::new(cfg, 1), nebula_plan)
+        }
+        // The target is out of reach, so the run probes on the cadence
+        // (round 2) and at the cap (round 3).
+        "runner_target_fa" => {
+            let mut world = toy_world(None);
+            world.set_fault_plan(light_plan());
+            runner_case(&mut FedAvgStrategy::new(runner_cfg(), 1), world, |r| r.target(1.01, 3, 2))
+        }
+        // A target the cadence probe after round 2 meets.
+        "runner_target_nebula" => {
+            runner_case(&mut NebulaStrategy::new(runner_cfg(), 1), toy_world(None), |r| r.target(0.97, 6, 2))
+        }
+        "runner_continuous_nebula_drift" => {
+            let synth = Synthesizer::new(SynthSpec::toy(), 1);
+            let spec = PartitionSpec::new(16, Partitioner::LabelSkew { m: 2 });
+            let drift = Some(DriftModel::new(0.5, DriftKind::ClassShift { m: 2, group_seed: 9 }));
+            let mut world = SimWorld::new(synth, spec, 9, drift, &ResourceSampler::default(), 5);
+            world.set_fault_plan(light_plan());
+            runner_case(&mut NebulaStrategy::new(runner_cfg(), 1), world, |r| r.continuous(3))
+        }
         other => panic!("unknown golden case {other}"),
     }
 }
 
-/// Captured at the parent of the one-dense-round refactor.
-const GOLDEN: [(&str, u64); 7] = [
+/// The first seven were captured at the parent of the one-dense-round
+/// refactor; the hierarchy and `runner_*` cases at the parent of the
+/// one-Runner-loop / one-guarded-aggregation refactor.
+const GOLDEN: [(&str, u64); 12] = [
     ("fa_raw_clean", 0xf449_a4ce_cd01_c038),
     ("fa_int8_faulty", 0xde47_9568_83e0_4859),
     ("hfl_raw_clean", 0x222f_cb4c_6cb6_e831),
@@ -250,6 +358,14 @@ const GOLDEN: [(&str, u64); 7] = [
     ("nebula_raw_clean", 0xbbe2_647a_0792_5916),
     ("nebula_raw_auth_faulty_loopback", 0x652b_6d5b_05de_75c3),
     ("nebula_int8_trimmed_faulty", 0xd9cb_e91a_1238_dc6a),
+    ("nebula_edges3_raw_clean", 0xdba1_8c1b_436e_7509),
+    // Equal to the flat case above by design: a robust rule buffers at
+    // the edges and the cloud runs the full gate + rule over the same
+    // updates in the same order.
+    ("nebula_edges3_int8_trimmed_faulty", 0xd9cb_e91a_1238_dc6a),
+    ("runner_target_fa", 0x9997_d0da_d51a_458b),
+    ("runner_target_nebula", 0x017f_0200_8109_61cb),
+    ("runner_continuous_nebula_drift", 0x81d8_bebf_bdb6_9cd4),
 ];
 
 #[test]
