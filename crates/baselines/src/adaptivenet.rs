@@ -100,11 +100,6 @@ impl AdaptiveNet {
         &self.supernet
     }
 
-    /// Mutable supernet access (evaluation requires `&mut`).
-    pub fn supernet_mut(&mut self) -> &mut DenseModel {
-        &mut self.supernet
-    }
-
     /// Device-local adaptation of a branch copy (returns the adapted model).
     pub fn adapt_on_device(
         &self,

@@ -130,7 +130,7 @@ fn bench_aggregation(c: &mut Criterion) {
     group.bench_function("module_wise_25_devices", |b| {
         b.iter_batched(
             || cloud.deep_clone(),
-            |mut m| black_box(aggregate_module_wise(&mut m, &updates)),
+            |mut m| black_box(aggregate_module_wise(&mut m, &updates, true)),
             criterion::BatchSize::LargeInput,
         );
     });

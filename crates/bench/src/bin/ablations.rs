@@ -10,7 +10,7 @@
 
 use nebula_bench::{emit_record, Scale, TaskRow};
 use nebula_core::edge::update_bytes;
-use nebula_core::{aggregate_module_wise_with, modular_config_for, EdgeClient, NebulaCloud, NebulaParams};
+use nebula_core::{aggregate_module_wise, modular_config_for, EdgeClient, NebulaCloud, NebulaParams};
 use nebula_data::{evaluate_accuracy, TaskPreset};
 use nebula_modular::cost::CostModel;
 use nebula_modular::ModularModel;
@@ -90,7 +90,7 @@ fn rounds_with_aggregation(
             let _ = update_bytes(&u);
             updates.push(u);
         }
-        aggregate_module_wise_with(cloud.model_mut(), &updates, use_importance);
+        aggregate_module_wise(cloud.model_mut(), &updates, use_importance);
     }
     // Personalized eval.
     let eval_ids = pick_eval_ids(world, 8);

@@ -4,8 +4,8 @@
 //! shapes) across the kernel-backend matrix — the retained pre-blocking
 //! reference kernels, the scalar blocked engine, and the best SIMD engine
 //! the host supports (`KernelBackend::Auto`) — reporting each case's
-//! GFLOP/s against a measured per-engine peak, plus the int8 quantized
-//! matmul, plus end-to-end `NebulaStrategy::single_round` throughput,
+//! GFLOP/s against a measured per-engine peak, plus end-to-end
+//! `NebulaStrategy::single_round` throughput,
 //! plus the wire transport (codec frame sizes and encode/decode
 //! throughput on the CIFAR-10/ResNet18 preset, and measured per-round
 //! bytes per codec), and writes machine-readable records to
@@ -23,7 +23,6 @@ use nebula_modular::ModularConfig;
 use nebula_sim::strategy::{AdaptStrategy, StrategyConfig};
 use nebula_sim::{FaultPlan, NebulaStrategy, ResourceSampler, SimWorld};
 use nebula_telemetry::{MemorySink, NullSink, Telemetry};
-use nebula_tensor::gemm::int8;
 use nebula_tensor::{resolved_backend, KernelBackend, NebulaRng, Tensor};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -243,41 +242,6 @@ fn run_gemm_case(case: &GemmCase, reps: usize, target_s: f64) -> KernelRow {
     }
 }
 
-struct Int8Row {
-    m: usize,
-    n: usize,
-    k: usize,
-    int8_ms: f64,
-    /// Integer multiply-add throughput, counting 2·m·n·k ops like f32.
-    gops: f64,
-    speedup_vs_blocked: f64,
-    speedup_vs_simd: f64,
-}
-
-/// Times the quantize-free steady state of the int8 path — pre-quantized
-/// operands, `matmul_nt_dequant` per call — on the largest tracked
-/// forward shape, against that shape's f32 engines.
-fn run_int8_case(reps: usize, target_s: f64, f32_row: &KernelRow) -> Int8Row {
-    let (m, n, k) = (f32_row.m, f32_row.n, f32_row.k);
-    let mut rng = NebulaRng::seed(11);
-    let af: Vec<f32> = (0..m * k).map(|_| rng.normal_f32(0.0, 1.0)).collect();
-    let bf: Vec<f32> = (0..n * k).map(|_| rng.normal_f32(0.0, 1.0)).collect();
-    let (aq, sa) = int8::quantize(&af);
-    let (bq, sb) = int8::quantize(&bf);
-    let mut out = vec![0.0f32; m * n];
-    let t = time_median(reps, target_s, || int8::matmul_nt_dequant(&mut out, m, n, k, &aq, sa, &bq, sb));
-    let int8_ms = t * 1e3;
-    Int8Row {
-        m,
-        n,
-        k,
-        int8_ms,
-        gops: 2.0 * m as f64 * n as f64 * k as f64 / t / 1e9,
-        speedup_vs_blocked: f32_row.blocked_ms / int8_ms,
-        speedup_vs_simd: f32_row.simd_ms / int8_ms,
-    }
-}
-
 fn toy_world(devices: usize, seed: u64) -> SimWorld {
     let synth = Synthesizer::new(SynthSpec::toy(), 1);
     let spec = PartitionSpec::new(devices, Partitioner::LabelSkew { m: 2 });
@@ -452,17 +416,6 @@ fn main() {
             row.simd_pct_peak
         );
     }
-    // int8 steady state on the largest tracked forward shape.
-    let int8_base = rows.iter().find(|r| r.name == "vgg16_conv3").expect("tracked shape");
-    let i8r = run_int8_case(reps, target_s, int8_base);
-    println!(
-        "int8 matmul_nt_dequant   {:>13} {:>9.3} ms {:>8.2} GOP/s ({:.2}x blocked f32, {:.2}x simd f32)",
-        format!("{}x{}x{}", i8r.m, i8r.n, i8r.k),
-        i8r.int8_ms,
-        i8r.gops,
-        i8r.speedup_vs_blocked,
-        i8r.speedup_vs_simd
-    );
 
     let kernel_json = {
         let mut items = Vec::new();
@@ -498,23 +451,14 @@ fn main() {
                 "{{\n  \"mode\": \"{mode}\",\n  \"reps\": {reps},\n",
                 "  \"simd_backend\": \"{simd}\",\n",
                 "  \"peak_gflops\": {{\"blocked\": {pb:.3}, \"simd\": {ps:.3}}},\n",
-                "  \"kernels\": [\n{items}\n  ],\n",
-                "  \"int8\": {{\"m\": {im}, \"n\": {in_}, \"k\": {ik}, \"int8_ms\": {ims:.4}, ",
-                "\"gops\": {gops:.3}, \"speedup_vs_blocked\": {svb:.3}, \"speedup_vs_simd\": {svs:.3}}}\n}}\n"
+                "  \"kernels\": [\n{items}\n  ]\n}}\n"
             ),
             mode = mode,
             reps = reps,
             simd = peaks.simd_backend,
             pb = peaks.blocked_gflops,
             ps = peaks.simd_gflops,
-            items = items.join(",\n"),
-            im = i8r.m,
-            in_ = i8r.n,
-            ik = i8r.k,
-            ims = i8r.int8_ms,
-            gops = i8r.gops,
-            svb = i8r.speedup_vs_blocked,
-            svs = i8r.speedup_vs_simd
+            items = items.join(",\n")
         )
     };
     let kernels_path = repo_root().join("BENCH_KERNELS.json");

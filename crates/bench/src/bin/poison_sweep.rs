@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use nebula_bench::{emit_record, print_row, Scale, TaskRow};
 use nebula_core::RobustAggregator;
 use nebula_sim::experiment::{run_adaptation_step, ExperimentConfig};
-use nebula_sim::{AdversaryPlan, AttackPersona, FaultPlan, NebulaStrategy};
+use nebula_sim::{AdaptStrategy, AdversaryPlan, AttackPersona, FaultPlan, NebulaStrategy};
 use serde::Serialize;
 
 #[derive(Serialize)]

@@ -1,9 +1,9 @@
 //! Shared experiment harness for the per-table / per-figure binaries in
 //! `src/bin/`. See DESIGN.md §4 for the experiment index.
 //!
-//! Every binary prints the paper's rows/series to stdout and appends a
-//! JSON record per measurement to `results/<experiment>.jsonl` so the
-//! numbers in EXPERIMENTS.md are regenerable.
+//! Every binary prints the paper's rows/series to stdout and writes a
+//! JSON record per measurement to `results/<experiment>.jsonl` (one run
+//! per file) so the numbers in EXPERIMENTS.md are regenerable.
 
 use nebula_core::modular_config_for;
 use nebula_data::drift::DriftKind;
@@ -11,8 +11,10 @@ use nebula_data::{DriftModel, PartitionSpec, Partitioner, Synthesizer, TaskPrese
 use nebula_sim::strategy::StrategyConfig;
 use nebula_sim::{ResourceSampler, SimWorld};
 use serde::Serialize;
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 /// Scale knobs for the experiment binaries. The paper simulates 500
 /// devices; `quick` mode shrinks everything for smoke runs, `full` mode
@@ -112,13 +114,23 @@ impl TaskRow {
     }
 }
 
-/// Appends a JSON record to `results/<experiment>.jsonl` (creating the
-/// directory on first use).
+/// Writes a JSON record to `results/<experiment>.jsonl` (creating the
+/// directory on first use). The first record a process writes to a file
+/// replaces what an earlier run left there; later ones append, so the
+/// file always holds exactly one run.
 pub fn emit_record<T: Serialize>(experiment: &str, record: &T) {
+    static STARTED: Mutex<BTreeSet<PathBuf>> = Mutex::new(BTreeSet::new());
     let dir = results_dir();
     std::fs::create_dir_all(&dir).expect("create results dir");
     let path = dir.join(format!("{experiment}.jsonl"));
-    let mut f = std::fs::OpenOptions::new().create(true).append(true).open(&path).expect("open results file");
+    let first = STARTED.lock().expect("results registry lock").insert(path.clone());
+    let mut f = std::fs::OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(first)
+        .append(!first)
+        .open(&path)
+        .expect("open results file");
     let line = serde_json::to_string(record).expect("serialize record");
     writeln!(f, "{line}").expect("write record");
 }
@@ -179,6 +191,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("nebula-results-test-{}", std::process::id()));
         // Env var scoping: this is the only test touching NEBULA_RESULTS_DIR.
         std::env::set_var("NEBULA_RESULTS_DIR", &dir);
+        // A previous run's file must be replaced, not extended.
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("unit_test.jsonl"), "{\"x\":0}\n").unwrap();
         emit_record("unit_test", &R { x: 1 });
         emit_record("unit_test", &R { x: 2 });
         let text = std::fs::read_to_string(dir.join("unit_test.jsonl")).unwrap();

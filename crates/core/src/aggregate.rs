@@ -36,44 +36,17 @@ pub struct ModuleUpdate {
     pub data_volume: usize,
 }
 
-/// Applies module-wise weighted aggregation to the cloud model in place.
+/// Applies module-wise weighted aggregation to the cloud model in place,
+/// over owned or borrowed updates. `use_importance = false` falls back to
+/// a plain mean over contributing sub-models (the ablation in DESIGN.md
+/// §5.2). Returns the number of modules that received at least one update.
 ///
-/// Returns the number of modules that received at least one update.
-pub fn aggregate_module_wise(cloud: &mut ModularModel, updates: &[ModuleUpdate]) -> usize {
-    aggregate_module_wise_with(cloud, updates, true)
-}
-
-/// [`aggregate_module_wise`] with a switch for the importance weighting —
-/// `use_importance = false` falls back to a plain mean over contributing
-/// sub-models (the ablation in DESIGN.md §5.2).
-pub fn aggregate_module_wise_with(
-    cloud: &mut ModularModel,
-    updates: &[ModuleUpdate],
-    use_importance: bool,
-) -> usize {
-    aggregate_module_wise_impl(cloud, updates, use_importance)
-}
-
-/// [`aggregate_module_wise_with`] over update references — the form the
-/// robust round loop uses after the sanitize gate filtered out rejected
-/// updates without cloning the survivors.
-pub fn aggregate_module_wise_refs(
-    cloud: &mut ModularModel,
-    updates: &[&ModuleUpdate],
-    use_importance: bool,
-) -> usize {
-    aggregate_module_wise_impl(cloud, updates, use_importance)
-}
-
-/// The materialized reference path, generic over owned or borrowed update
-/// slices so neither entry point re-collects a `Vec<&ModuleUpdate>`. One
-/// accumulator buffer is reused across every module.
-///
-/// Per coordinate the fold is `Σ w_k·p_k / Σ w_k` with contributions taken
-/// in update order; [`StreamingAccumulator`] performs the same operations
-/// in the same order, which is what keeps the two paths bit-identical
-/// (test-pinned).
-fn aggregate_module_wise_impl<U: Borrow<ModuleUpdate>>(
+/// This is the materialized reference path; one accumulator buffer is
+/// reused across every module. Per coordinate the fold is
+/// `Σ w_k·p_k / Σ w_k` with contributions taken in update order;
+/// [`StreamingAccumulator`] performs the same operations in the same
+/// order, which is what keeps the two paths bit-identical (test-pinned).
+pub fn aggregate_module_wise<U: Borrow<ModuleUpdate>>(
     cloud: &mut ModularModel,
     updates: &[U],
     use_importance: bool,
@@ -163,7 +136,7 @@ struct ModuleSum {
 /// (≤ one full model) regardless of how many updates fold in — the
 /// property that lets a round scale to 10^5–10^6 devices. Folding updates
 /// in the same order the materialized path iterates them reproduces
-/// [`aggregate_module_wise_refs`] bit-for-bit (test-pinned): per
+/// [`aggregate_module_wise`] bit-for-bit (test-pinned): per
 /// coordinate both paths compute `p_1·w_1 + w_2·p_2 + …` then divide by
 /// the same weight sum.
 ///
@@ -184,7 +157,7 @@ pub struct StreamingAccumulator {
 
 impl StreamingAccumulator {
     /// An empty accumulator. `use_importance = false` is the plain-mean
-    /// ablation, mirroring [`aggregate_module_wise_with`].
+    /// ablation, mirroring [`aggregate_module_wise`].
     pub fn new(use_importance: bool) -> Self {
         Self { use_importance, folded: 0, modules: BTreeMap::new(), shared_sum: Vec::new(), volume_sum: 0.0 }
     }
@@ -329,14 +302,9 @@ impl EdgePartial {
     /// Bytes the edge→cloud upload costs.
     pub fn wire_bytes(&self) -> u64 {
         let streamed: u64 = self.groups.iter().map(|(_, a)| a.wire_bytes()).sum();
-        let buffered: u64 = self.buffered.iter().map(update_wire_bytes).sum();
+        let buffered: u64 = self.buffered.iter().map(crate::edge::update_bytes).sum();
         streamed + buffered
     }
-}
-
-fn update_wire_bytes(u: &ModuleUpdate) -> u64 {
-    let module: usize = u.module_params.values().map(Vec::len).sum();
-    ((module + u.shared_params.len()) * 4) as u64
 }
 
 /// The aggregation half of an edge server: ingests device updates as they
@@ -420,7 +388,7 @@ impl EdgeAccumulator {
 /// How one round of surviving updates is combined into the cloud model.
 ///
 /// `WeightedMean` is Nebula's §5.2 importance-weighted average and stays
-/// bit-identical to [`aggregate_module_wise_refs`] (test-pinned). The
+/// bit-identical to [`aggregate_module_wise`] (test-pinned). The
 /// robust alternatives deliberately ignore importance and data-volume
 /// weights — both are attacker-controlled inputs (gate-load gaming
 /// inflates importance to capture a module's average), so robust modes
@@ -460,7 +428,7 @@ impl fmt::Display for RobustAggregator {
 /// Module-wise aggregation under a selectable combine rule.
 ///
 /// `RobustAggregator::WeightedMean` delegates verbatim to
-/// [`aggregate_module_wise_refs`], so existing trajectories are
+/// [`aggregate_module_wise`], so existing trajectories are
 /// unchanged. The robust rules gather, per module, the parameter vectors
 /// of every contributing update (same skip conditions as the weighted
 /// path: module in spec, params present and non-empty) and combine them
@@ -473,7 +441,7 @@ pub fn aggregate_module_wise_robust(
     use_importance: bool,
 ) -> usize {
     if aggregator == RobustAggregator::WeightedMean {
-        return aggregate_module_wise_refs(cloud, updates, use_importance);
+        return aggregate_module_wise(cloud, updates, use_importance);
     }
     if updates.is_empty() {
         return 0;
@@ -799,7 +767,7 @@ mod tests {
         let spec = SubModelSpec::new(vec![vec![0], vec![0]]);
         let imp = vec![vec![1.0, 0.0, 0.0, 0.0], vec![1.0, 0.0, 0.0, 0.0]];
         let u = update_for(&c, spec, imp, 1.0, 100);
-        let touched = aggregate_module_wise(&mut c, &[u]);
+        let touched = aggregate_module_wise(&mut c, &[u], true);
         assert_eq!(touched, 2);
         let after = c.module_param_vector(0, 0);
         for (b, a) in before.iter().zip(&after) {
@@ -816,7 +784,7 @@ mod tests {
         let spec = SubModelSpec::new(vec![vec![0], vec![0]]);
         let imp = vec![vec![1.0; 4]; 2];
         let u = update_for(&c, spec, imp, 5.0, 10);
-        aggregate_module_wise(&mut c, &[u]);
+        aggregate_module_wise(&mut c, &[u], true);
         assert_eq!(c.module_param_vector(0, 2), before);
     }
 
@@ -828,7 +796,7 @@ mod tests {
         // Device A: importance 3, offset +1; device B: importance 1, offset +5.
         let ua = update_for(&c, spec.clone(), vec![vec![3.0, 0.0, 0.0, 0.0]; 2], 1.0, 10);
         let ub = update_for(&c, spec, vec![vec![1.0, 0.0, 0.0, 0.0]; 2], 5.0, 10);
-        aggregate_module_wise(&mut c, &[ua, ub]);
+        aggregate_module_wise(&mut c, &[ua, ub], true);
         let after = c.module_param_vector(0, 0);
         // Weighted offset: (3·1 + 1·5)/4 = 2.
         for (b, a) in base.iter().zip(&after) {
@@ -843,7 +811,7 @@ mod tests {
         let spec = SubModelSpec::new(vec![vec![0], vec![0]]);
         let ua = update_for(&c, spec.clone(), vec![vec![1.0; 4]; 2], 1.0, 30);
         let ub = update_for(&c, spec, vec![vec![1.0; 4]; 2], 5.0, 10);
-        aggregate_module_wise(&mut c, &[ua, ub]);
+        aggregate_module_wise(&mut c, &[ua, ub], true);
         let after = c.shared_param_vector();
         // (30·1 + 10·5)/40 = 2.
         for (b, a) in base.iter().zip(&after) {
@@ -855,7 +823,7 @@ mod tests {
     fn empty_update_list_is_noop() {
         let mut c = cloud();
         let before = c.param_vector();
-        assert_eq!(aggregate_module_wise(&mut c, &[]), 0);
+        assert_eq!(aggregate_module_wise::<ModuleUpdate>(&mut c, &[], true), 0);
         assert_eq!(c.param_vector(), before);
     }
 
@@ -876,7 +844,7 @@ mod tests {
         missing.module_params.remove(&(1, 1));
         for u in [u, missing] {
             let mut c2 = cloud();
-            let touched = aggregate_module_wise(&mut c2, &[u]);
+            let touched = aggregate_module_wise(&mut c2, &[u], true);
             assert_eq!(touched, 1, "only the layer-0 module moved");
             for (i, before) in before_l1.iter().enumerate() {
                 assert_eq!(&c2.module_param_vector(1, i), before, "layer-1 module {i} moved");
@@ -894,7 +862,7 @@ mod tests {
         let u = update_for(&c, spec, imp, 3.0, 5);
         let expect_module = u.module_params[&(0, 1)].clone();
         let expect_shared = u.shared_params.clone();
-        let touched = aggregate_module_wise(&mut c, &[u]);
+        let touched = aggregate_module_wise(&mut c, &[u], true);
         assert_eq!(touched, 2);
         for (got, want) in c.module_param_vector(0, 1).iter().zip(&expect_module) {
             nebula_tensor::assert_close(*got, *want, 1e-5);
@@ -967,7 +935,7 @@ mod tests {
         let refs: Vec<&ModuleUpdate> = ups.iter().collect();
         let mut a = cloud();
         let mut b = cloud();
-        let ta = aggregate_module_wise_refs(&mut a, &refs, true);
+        let ta = aggregate_module_wise(&mut a, &refs, true);
         let tb = aggregate_module_wise_robust(&mut b, &refs, RobustAggregator::WeightedMean, true);
         assert_eq!(ta, tb);
         assert_eq!(a.param_vector(), b.param_vector(), "WeightedMean must stay bit-identical");
@@ -1068,7 +1036,7 @@ mod tests {
         assert!(kept.is_empty());
         assert_eq!(report.rejected_non_finite, 3);
         let refs: Vec<&ModuleUpdate> = kept.iter().map(|&i| &bad[i]).collect();
-        assert_eq!(aggregate_module_wise_refs(&mut c, &refs, true), 0);
+        assert_eq!(aggregate_module_wise(&mut c, &refs, true), 0);
         let after = c.param_vector();
         assert_eq!(after, before, "all-rejected round must be a no-op");
         assert!(after.iter().all(|v| v.is_finite()));
@@ -1105,7 +1073,7 @@ mod tests {
             let c = cloud();
             let ups = mixed_cohort(&c);
             let mut reference = cloud();
-            let touched_ref = aggregate_module_wise_with(&mut reference, &ups, use_importance);
+            let touched_ref = aggregate_module_wise(&mut reference, &ups, use_importance);
 
             let mut acc = StreamingAccumulator::new(use_importance);
             for u in &ups {
@@ -1182,7 +1150,7 @@ mod tests {
 
         // The streamed partial equals aggregating the surviving update.
         let mut reference = cloud();
-        aggregate_module_wise_with(&mut reference, &[good], true);
+        aggregate_module_wise(&mut reference, &[good], true);
         let mut streamed = cloud();
         partial.groups[0].1.apply(&mut streamed);
         assert_eq!(reference.param_vector(), streamed.param_vector());

@@ -10,7 +10,7 @@ use crate::aggregate::{
     aggregate_module_wise, aggregate_module_wise_robust, sanitize_updates, EdgePartial, ModuleUpdate,
     RobustAggregator, SanitizePolicy, SanitizeReport, StreamingAccumulator,
 };
-use crate::checkpoint::{self, Checkpoint, CheckpointError};
+use crate::checkpoint;
 use crate::derive::{derive_submodel, DeriveOutcome};
 use crate::offline::{enhance_module_abilities, pretrain, EnhanceConfig, EnhanceOutcome, PretrainConfig};
 use crate::profile::ResourceProfile;
@@ -78,6 +78,12 @@ impl NebulaCloud {
     pub fn new(cfg: ModularConfig, params: NebulaParams, seed: u64) -> Self {
         let cost = CostModel::new(cfg.clone());
         Self { model: ModularModel::new(cfg, seed), cost, params }
+    }
+
+    /// An independent copy of this cloud — what an edge server refreshes
+    /// each round to derive and dispatch without a cloud round-trip.
+    pub(crate) fn replica(&self) -> Self {
+        Self { model: self.model.deep_clone(), cost: self.cost.clone(), params: self.params }
     }
 
     /// Framework hyper-parameters.
@@ -151,24 +157,13 @@ impl NebulaCloud {
     /// Aggregates a round of device updates module-wise (§5.2). Returns
     /// the number of modules updated.
     pub fn aggregate(&mut self, updates: &[ModuleUpdate]) -> usize {
-        aggregate_module_wise(&mut self.model, updates)
+        aggregate_module_wise(&mut self.model, updates, true)
     }
 
     /// Aggregates a round behind the sanitize gate: non-finite and
-    /// norm-outlier updates are rejected before they can touch the model.
-    /// With nothing to reject this is exactly [`NebulaCloud::aggregate`].
-    pub fn aggregate_robust(
-        &mut self,
-        updates: &[ModuleUpdate],
-        policy: &SanitizePolicy,
-    ) -> AggregateOutcome {
-        self.aggregate_robust_with(updates, policy, RobustAggregator::WeightedMean)
-    }
-
-    /// [`NebulaCloud::aggregate_robust`] with a selectable combine rule:
-    /// the sanitize gate filters first, then `aggregator` merges the
-    /// survivors module-wise. `WeightedMean` reproduces the unparameterized
-    /// method bit-for-bit.
+    /// norm-outlier updates are rejected before they can touch the model,
+    /// then `aggregator` merges the survivors module-wise. With nothing to
+    /// reject, `WeightedMean` is exactly [`NebulaCloud::aggregate`].
     pub fn aggregate_robust_with(
         &mut self,
         updates: &[ModuleUpdate],
@@ -179,14 +174,6 @@ impl NebulaCloud {
         let refs: Vec<&ModuleUpdate> = kept.iter().map(|&i| &updates[i]).collect();
         let touched = aggregate_module_wise_robust(&mut self.model, &refs, aggregator, true);
         AggregateOutcome { touched, sanitize }
-    }
-
-    /// Applies a streamed accumulator to the cloud model. Returns the
-    /// number of modules touched. Callers that need the sanitize gate
-    /// should have applied its per-update checks at fold time (see
-    /// [`crate::aggregate::EdgeAccumulator`]).
-    pub fn apply_accumulator(&mut self, acc: &StreamingAccumulator) -> usize {
-        acc.apply(&mut self.model)
     }
 
     /// Hierarchical aggregation: merges edge partials into the cloud
@@ -235,68 +222,22 @@ impl NebulaCloud {
         AggregateOutcome { touched, sanitize }
     }
 
-    /// [`NebulaCloud::absorb_partials`] under the checkpoint-rollback
-    /// guard (same contract as [`NebulaCloud::aggregate_guarded_with`]).
-    pub fn absorb_partials_guarded(
+    /// Runs `aggregate` — any of the entry points above — under the
+    /// checkpoint guard: the model is snapshotted, `probe` measures
+    /// accuracy before and after, and if the drop exceeds `max_drop` (or
+    /// the model stopped producing finite accuracy) the aggregation is
+    /// rolled back: updates that slipped past the sanitize gate but still
+    /// wrecked the model. `probe` takes `&mut` because evaluation uses the
+    /// model's forward caches.
+    pub fn guarded(
         &mut self,
-        partials: &[EdgePartial],
-        policy: &SanitizePolicy,
-        aggregator: RobustAggregator,
         mut probe: impl FnMut(&mut ModularModel) -> f32,
         max_drop: f32,
+        aggregate: impl FnOnce(&mut Self) -> AggregateOutcome,
     ) -> GuardedOutcome {
         let ckpt = checkpoint::snapshot(&self.model);
         let acc_before = probe(&mut self.model);
-        let out = self.absorb_partials(partials, policy, aggregator);
-        let acc_after = probe(&mut self.model);
-        let rolled_back = !acc_after.is_finite() || acc_after < acc_before - max_drop;
-        if rolled_back {
-            checkpoint::restore(&mut self.model, &ckpt)
-                .expect("a snapshot of the same model always restores");
-        }
-        GuardedOutcome { touched: out.touched, sanitize: out.sanitize, rolled_back, acc_before, acc_after }
-    }
-
-    /// In-memory checkpoint of the cloud model (for the rollback guard).
-    pub fn snapshot(&self) -> Checkpoint {
-        checkpoint::snapshot(&self.model)
-    }
-
-    /// Restores the cloud model from a snapshot taken earlier.
-    // The mismatch variant carries both configs for diagnostics; rollback is rare.
-    #[allow(clippy::result_large_err)]
-    pub fn rollback(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-        checkpoint::restore(&mut self.model, ckpt)
-    }
-
-    /// [`NebulaCloud::aggregate_robust`] under a checkpoint guard: the
-    /// model is snapshotted, `probe` measures accuracy before and after
-    /// aggregation, and if the drop exceeds `max_drop` the aggregation is
-    /// rolled back (updates that slipped past the sanitize gate but still
-    /// wrecked the model). `probe` takes `&mut` because evaluation uses
-    /// the model's forward caches.
-    pub fn aggregate_guarded(
-        &mut self,
-        updates: &[ModuleUpdate],
-        policy: &SanitizePolicy,
-        probe: impl FnMut(&mut ModularModel) -> f32,
-        max_drop: f32,
-    ) -> GuardedOutcome {
-        self.aggregate_guarded_with(updates, policy, RobustAggregator::WeightedMean, probe, max_drop)
-    }
-
-    /// [`NebulaCloud::aggregate_guarded`] with a selectable combine rule.
-    pub fn aggregate_guarded_with(
-        &mut self,
-        updates: &[ModuleUpdate],
-        policy: &SanitizePolicy,
-        aggregator: RobustAggregator,
-        mut probe: impl FnMut(&mut ModularModel) -> f32,
-        max_drop: f32,
-    ) -> GuardedOutcome {
-        let ckpt = checkpoint::snapshot(&self.model);
-        let acc_before = probe(&mut self.model);
-        let out = self.aggregate_robust_with(updates, policy, aggregator);
+        let out = aggregate(self);
         let acc_after = probe(&mut self.model);
         let rolled_back = !acc_after.is_finite() || acc_after < acc_before - max_drop;
         if rolled_back {
@@ -307,7 +248,7 @@ impl NebulaCloud {
     }
 }
 
-/// What [`NebulaCloud::aggregate_robust`] did.
+/// What one aggregation did.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AggregateOutcome {
     /// Modules that received at least one accepted update.
@@ -316,7 +257,7 @@ pub struct AggregateOutcome {
     pub sanitize: SanitizeReport,
 }
 
-/// What [`NebulaCloud::aggregate_guarded`] did.
+/// What [`NebulaCloud::guarded`] did.
 #[derive(Clone, Copy, Debug)]
 pub struct GuardedOutcome {
     pub touched: usize,
@@ -396,7 +337,8 @@ mod tests {
         let good = honest_update(&c, 0.5);
         let mut bad = honest_update(&c, 0.5);
         bad.shared_params[0] = f32::NAN;
-        let out = c.aggregate_robust(&[good, bad], &SanitizePolicy::default());
+        let out =
+            c.aggregate_robust_with(&[good, bad], &SanitizePolicy::default(), RobustAggregator::WeightedMean);
         assert_eq!(out.sanitize.rejected_non_finite, 1);
         assert_eq!(out.sanitize.accepted, 1);
         assert!(out.touched > 0);
@@ -410,9 +352,7 @@ mod tests {
         let u = honest_update(&c, 1.0);
         // Probe reports a collapse after aggregation → rollback.
         let mut calls = 0;
-        let out = c.aggregate_guarded(
-            &[u],
-            &SanitizePolicy::default(),
+        let out = c.guarded(
             |_m| {
                 calls += 1;
                 if calls == 1 {
@@ -422,6 +362,7 @@ mod tests {
                 }
             },
             0.2,
+            |c| c.aggregate_robust_with(&[u], &SanitizePolicy::default(), RobustAggregator::WeightedMean),
         );
         assert!(out.rolled_back);
         assert_eq!(c.model().param_vector(), before, "rollback must restore the snapshot");
@@ -432,7 +373,11 @@ mod tests {
         let mut c = cloud();
         let before = c.model().param_vector();
         let u = honest_update(&c, 1.0);
-        let out = c.aggregate_guarded(&[u], &SanitizePolicy::default(), |_m| 0.8, 0.2);
+        let out = c.guarded(
+            |_m| 0.8,
+            0.2,
+            |c| c.aggregate_robust_with(&[u], &SanitizePolicy::default(), RobustAggregator::WeightedMean),
+        );
         assert!(!out.rolled_back);
         assert_ne!(c.model().param_vector(), before, "benign aggregation must stick");
     }

@@ -9,7 +9,7 @@
 
 use crate::aggregate::{EdgeAccumulator, EdgePartial, ModuleUpdate, RobustAggregator, SanitizePolicy};
 use crate::cloud::{NebulaCloud, SubModelPayload};
-use crate::derive::{derive_submodel, DeriveOutcome};
+use crate::derive::DeriveOutcome;
 use crate::profile::ResourceProfile;
 use nebula_data::{Dataset, TrainConfig};
 use nebula_modular::cost::CostModel;
@@ -235,8 +235,9 @@ impl EdgeClient {
 /// noise-free deterministic gate, so every edge's replica scores
 /// identically to the cloud model it was refreshed from.
 pub struct EdgeServer {
-    model: ModularModel,
-    cost: CostModel,
+    /// This round's copy of the cloud: derivation and dispatch run on it
+    /// through the cloud's own code.
+    replica: NebulaCloud,
     acc: EdgeAccumulator,
     download_bytes: u64,
     ingest_bytes: u64,
@@ -247,16 +248,9 @@ impl EdgeServer {
     /// Construction *is* the per-round refresh; the returned server
     /// already accounts the replica download.
     pub fn new(cloud: &NebulaCloud, aggregator: RobustAggregator, policy: SanitizePolicy) -> Self {
-        let model = cloud.model().deep_clone();
-        let cost = CostModel::new(model.config().clone());
-        let download_bytes = (model.param_count() * 4) as u64;
-        Self {
-            model,
-            cost,
-            acc: EdgeAccumulator::new(aggregator, policy, true),
-            download_bytes,
-            ingest_bytes: 0,
-        }
+        let replica = cloud.replica();
+        let download_bytes = (replica.model().param_count() * 4) as u64;
+        Self { replica, acc: EdgeAccumulator::new(aggregator, policy, true), download_bytes, ingest_bytes: 0 }
     }
 
     /// Derives a personalized sub-model for one of this edge's devices
@@ -268,9 +262,7 @@ impl EdgeServer {
         profile: &ResourceProfile,
         module_cap: Option<usize>,
     ) -> DeriveOutcome {
-        assert!(!local_data.is_empty(), "cannot derive from empty local data");
-        let importance = self.model.importance(local_data.features());
-        derive_submodel(&self.cost, &importance, profile, module_cap)
+        self.replica.derive_for_data(local_data, profile, module_cap)
     }
 
     /// Derives directly from an importance matrix (devices that score
@@ -281,24 +273,17 @@ impl EdgeServer {
         profile: &ResourceProfile,
         module_cap: Option<usize>,
     ) -> DeriveOutcome {
-        derive_submodel(&self.cost, importance, profile, module_cap)
+        self.replica.derive_for_importance(importance, profile, module_cap)
     }
 
     /// Packages a sub-model for a device from the replica's parameters.
     pub fn dispatch(&self, spec: &SubModelSpec) -> SubModelPayload {
-        spec.validate(self.model.num_layers(), self.model.config().modules_per_layer);
-        let mut module_params = BTreeMap::new();
-        for (l, layer) in spec.layers().iter().enumerate() {
-            for &i in layer {
-                module_params.insert((l, i), self.model.module_param_vector(l, i));
-            }
-        }
-        SubModelPayload { spec: spec.clone(), module_params, shared_params: self.model.shared_param_vector() }
+        self.replica.dispatch(spec)
     }
 
     /// The replica's cost model (device resource profiles).
     pub fn cost_model(&self) -> &CostModel {
-        &self.cost
+        self.replica.cost_model()
     }
 
     /// Ingests one device update (see [`EdgeAccumulator::ingest`]).

@@ -39,9 +39,9 @@ pub mod stats;
 pub mod transport;
 
 pub use aggregate::{
-    aggregate_module_wise, aggregate_module_wise_refs, aggregate_module_wise_robust,
-    aggregate_module_wise_with, discount_staleness, sanitize_updates, update_is_finite, EdgeAccumulator,
-    EdgePartial, ModuleUpdate, RobustAggregator, SanitizePolicy, SanitizeReport, StreamingAccumulator,
+    aggregate_module_wise, aggregate_module_wise_robust, discount_staleness, sanitize_updates,
+    update_is_finite, EdgeAccumulator, EdgePartial, ModuleUpdate, RobustAggregator, SanitizePolicy,
+    SanitizeReport, StreamingAccumulator,
 };
 pub use checkpoint::{restore, snapshot, Checkpoint, CheckpointError};
 pub use cloud::{AggregateOutcome, GuardedOutcome, NebulaCloud, NebulaParams, SubModelPayload};

@@ -134,14 +134,6 @@ impl JobResult {
             JobResult::Params(_) => panic!("expected a frame result, got dense params"),
         }
     }
-
-    /// The dense parameters, panicking on a frame result.
-    pub fn into_params(self) -> Vec<f32> {
-        match self {
-            JobResult::Params(p) => p,
-            JobResult::Frame(_) => panic!("expected dense params, got a frame result"),
-        }
-    }
 }
 
 /// Executes one job. Implementations must be callable from many threads
@@ -185,14 +177,6 @@ impl ModularRunner {
             wire.codec
         );
         ModularRunner { modular, wire }
-    }
-
-    pub fn modular_config(&self) -> &ModularConfig {
-        &self.modular
-    }
-
-    pub fn wire_config(&self) -> WireConfig {
-        self.wire
     }
 }
 

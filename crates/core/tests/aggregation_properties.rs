@@ -2,8 +2,7 @@
 //! convexity and isolation must hold for arbitrary update sets.
 
 use nebula_core::{
-    aggregate_module_wise, aggregate_module_wise_refs, aggregate_module_wise_robust, ModuleUpdate,
-    RobustAggregator, StreamingAccumulator,
+    aggregate_module_wise, aggregate_module_wise_robust, ModuleUpdate, RobustAggregator, StreamingAccumulator,
 };
 use nebula_modular::{ModularConfig, ModularModel, SubModelSpec};
 use nebula_nn::Layer;
@@ -61,7 +60,7 @@ proptest! {
         let mut c = cloud(seed);
         let u = offset_update(&c, &spec, offset, 0.7, 100);
         let updates: Vec<ModuleUpdate> = (0..k).map(|_| u.clone()).collect();
-        aggregate_module_wise(&mut c, &updates);
+        aggregate_module_wise(&mut c, &updates, true);
         for (l, layer) in spec.layers().iter().enumerate() {
             for &i in layer {
                 let got = c.module_param_vector(l, i);
@@ -89,7 +88,7 @@ proptest! {
             .flat_map(|(l, layer)| layer.iter().map(move |&i| (l, i)))
             .map(|(l, i)| before(&c, l, i))
             .collect();
-        aggregate_module_wise(&mut c, &[u1, u2]);
+        aggregate_module_wise(&mut c, &[u1, u2], true);
         let (lo, hi) = (o1.min(o2), o1.max(o2));
         let mut idx = 0;
         for (l, layer) in spec.layers().iter().enumerate() {
@@ -122,7 +121,7 @@ proptest! {
                 }
             }
         }
-        aggregate_module_wise(&mut c, &[u]);
+        aggregate_module_wise(&mut c, &[u], true);
         for ((l, i), before) in untouched {
             prop_assert_eq!(c.module_param_vector(l, i), before, "untouched module ({}, {}) moved", l, i);
         }
@@ -233,7 +232,7 @@ proptest! {
         let refs: Vec<&ModuleUpdate> = ups.iter().collect();
         let mut a = cloud(seed);
         let mut b = cloud(seed);
-        let ta = aggregate_module_wise_refs(&mut a, &refs, true);
+        let ta = aggregate_module_wise(&mut a, &refs, true);
         let tb = aggregate_module_wise_robust(&mut b, &refs, RobustAggregator::WeightedMean, true);
         prop_assert_eq!(ta, tb);
         let (pa, pb) = (a.param_vector(), b.param_vector());
@@ -261,7 +260,7 @@ proptest! {
             .collect();
         let refs: Vec<&ModuleUpdate> = ups.iter().collect();
         let mut materialized = cloud(seed);
-        let tm = aggregate_module_wise_refs(&mut materialized, &refs, true);
+        let tm = aggregate_module_wise(&mut materialized, &refs, true);
         let mut streamed = cloud(seed);
         let mut acc = StreamingAccumulator::new(true);
         for u in &ups {
@@ -324,7 +323,7 @@ proptest! {
         let l = 0;
         let i = spec.layer(0)[0];
         let before = c.module_param_vector(l, i);
-        aggregate_module_wise(&mut c, &[ua, ub]);
+        aggregate_module_wise(&mut c, &[ua, ub], true);
         let after = c.module_param_vector(l, i);
         // Expected delta: (3·1 + 1·(−1))/4 = 0.5.
         for (a, b) in after.iter().zip(&before) {

@@ -73,11 +73,6 @@ impl MoeLayer {
         Self { modules, width, cache: None, ws: Workspace::new(), gate_row: Vec::new(), topk: Vec::new() }
     }
 
-    /// Number of modules in this layer.
-    pub fn num_modules(&self) -> usize {
-        self.modules.len()
-    }
-
     /// Trunk width.
     pub fn width(&self) -> usize {
         self.width

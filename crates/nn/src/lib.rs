@@ -20,8 +20,6 @@
 //! * [`sequential`] — ordered container of boxed layers.
 //! * [`loss`] — softmax cross-entropy, KL-to-target (gate distillation), MSE.
 //! * [`optim`] — SGD (+momentum, +weight-decay) and Adam.
-//! * [`qlinear`] — inference-only int8 linear layer in the wire's
-//!   `QuantInt8` format (end-cloud low-tier serving path).
 //! * [`gradcheck`] — finite-difference gradient checking used by tests.
 //! * [`workspace`] — reusable scratch-buffer pool backing the zero-alloc
 //!   forward/backward hot paths of the conv and MoE layers.
@@ -36,7 +34,6 @@ pub mod linear;
 pub mod loss;
 pub mod norm;
 pub mod optim;
-pub mod qlinear;
 pub mod schedule;
 pub mod sequential;
 pub mod workspace;

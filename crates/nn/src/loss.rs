@@ -96,15 +96,6 @@ impl CrossEntropyLoss {
         (loss, grad)
     }
 
-    /// Mean loss over everything seen so far.
-    pub fn mean_loss(&self) -> f32 {
-        if self.total_seen == 0 {
-            0.0
-        } else {
-            (self.total_loss / self.total_seen as f64) as f32
-        }
-    }
-
     /// Accuracy over everything seen so far.
     pub fn accuracy(&self) -> f32 {
         if self.total_seen == 0 {

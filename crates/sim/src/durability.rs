@@ -55,8 +55,94 @@ pub const RUN_STATE_FORMAT: u32 = 1;
 /// Journal file name inside the durability directory.
 pub const JOURNAL_FILE: &str = "rounds.nblj";
 
-pub(crate) const MODE_TARGET: &str = "target";
-pub(crate) const MODE_CONTINUOUS: &str = "continuous";
+/// Which experiment shape a run drives. Everything the two shapes do not
+/// share — label, RNG salt, validation, what resume does to a fresh world,
+/// when a step probes and when the run is over — is a method here, so the
+/// [`crate::runner::Runner`] loop and [`step`] exist once.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Mode {
+    /// Rounds until `target` accuracy (probe every `probe_every`), capped
+    /// at `max_rounds`.
+    Target { target: f32, max_rounds: usize, probe_every: usize },
+    /// `slots` drift slots, adapting and evaluating after each.
+    Continuous { slots: usize },
+}
+
+impl Mode {
+    /// `RunState::mode` / `RunOutcome::mode`.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Mode::Target { .. } => "target",
+            Mode::Continuous { .. } => "continuous",
+        }
+    }
+
+    /// XORed into the experiment seed for the harness RNG.
+    pub(crate) fn rng_salt(self) -> u64 {
+        match self {
+            Mode::Target { .. } => 0x7A6,
+            Mode::Continuous { .. } => 0xC0,
+        }
+    }
+
+    /// Run identity derived from the experiment seed and mode; resume
+    /// refuses state from a different run.
+    fn run_id(self, seed: u64) -> u64 {
+        let salt = match self {
+            Mode::Target { .. } => 0x7A6C_E77A_6CE7_0001,
+            Mode::Continuous { .. } => 0xC0C0_17D5_C0C0_0002,
+        };
+        splitmix64(seed ^ salt)
+    }
+
+    /// Rejects configurations that cannot produce a meaningful run.
+    pub(crate) fn validate(self, world: &SimWorld, cfg: &ExperimentConfig) -> Result<(), RunError> {
+        if world.num_devices() == 0 {
+            return Err(RunError::InvalidConfig("world has no devices".into()));
+        }
+        if cfg.eval_devices == 0 {
+            return Err(RunError::InvalidConfig("eval_devices must be ≥ 1".into()));
+        }
+        if let Mode::Target { target, probe_every, .. } = self {
+            if !target.is_finite() {
+                return Err(RunError::InvalidConfig(format!("target accuracy must be finite, got {target}")));
+            }
+            if probe_every == 0 {
+                return Err(RunError::InvalidConfig("probe_every must be ≥ 1".into()));
+            }
+        }
+        Ok(())
+    }
+
+    /// Brings a freshly built world to where the snapshot left it: a
+    /// continuous run drifts it forward to the snapshot's slot. Only
+    /// per-device RNGs advance here; the world RNG is restored after.
+    fn prepare_restored_world(self, world: &mut SimWorld, state: &RunState) {
+        if let Mode::Continuous { .. } = self {
+            for _ in 0..state.slot {
+                world.advance_slot();
+            }
+        }
+    }
+
+    /// Whether the run is over.
+    pub(crate) fn done(self, acc: &Accum) -> bool {
+        match self {
+            Mode::Target { target, max_rounds, .. } => {
+                !(acc.acc < target && (acc.rounds as usize) < max_rounds)
+            }
+            Mode::Continuous { slots } => acc.rounds as usize >= slots,
+        }
+    }
+
+    /// Whether the run met its goal (a continuous run has none to miss).
+    pub(crate) fn reached(self, acc: &Accum) -> bool {
+        match self {
+            Mode::Target { target, .. } => acc.acc >= target,
+            Mode::Continuous { .. } => true,
+        }
+    }
+}
 
 /// Everything that can go wrong while driving a durable run.
 #[derive(Clone, Debug, PartialEq)]
@@ -254,14 +340,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-pub(crate) fn derive_run_id(seed: u64, mode: &str) -> u64 {
-    let salt = match mode {
-        MODE_TARGET => 0x7A6C_E77A_6CE7_0001,
-        _ => 0xC0C0_17D5_C0C0_0002,
-    };
-    splitmix64(seed ^ salt)
-}
-
 fn arr4(words: &[u64], what: &str) -> Result<[u64; 4], RunError> {
     if words.len() != 4 {
         return Err(DurabilityError::Malformed(format!(
@@ -299,36 +377,9 @@ fn decode_record(bytes: &[u8]) -> Result<RoundRecord, RunError> {
     Ok(serde_json::from_slice(bytes).map_err(|e| DurabilityError::Malformed(format!("round record: {e}")))?)
 }
 
-/// Shared validation for the experiment drivers (plain and durable).
-pub(crate) fn validate_common(world: &SimWorld, cfg: &ExperimentConfig) -> Result<(), RunError> {
-    if world.num_devices() == 0 {
-        return Err(RunError::InvalidConfig("world has no devices".into()));
-    }
-    if cfg.eval_devices == 0 {
-        return Err(RunError::InvalidConfig("eval_devices must be ≥ 1".into()));
-    }
-    Ok(())
-}
-
-pub(crate) fn validate_target(
-    world: &SimWorld,
-    cfg: &ExperimentConfig,
-    target: f32,
-    probe_every: usize,
-) -> Result<(), RunError> {
-    validate_common(world, cfg)?;
-    if !target.is_finite() {
-        return Err(RunError::InvalidConfig(format!("target accuracy must be finite, got {target}")));
-    }
-    if probe_every == 0 {
-        return Err(RunError::InvalidConfig("probe_every must be ≥ 1".into()));
-    }
-    Ok(())
-}
-
-/// Mutable accumulators a run threads through execute/replay. Shared by
-/// the durable drivers and the plain [`crate::runner::Runner`] loops so
-/// both paths accumulate — and therefore probe — identically.
+/// Mutable accumulators a run threads through execute/replay — the same
+/// for plain, durable and resumed runs, so all accumulate (and therefore
+/// probe) identically.
 pub(crate) struct Accum {
     pub(crate) rng: NebulaRng,
     pub(crate) comm: CommTracker,
@@ -356,18 +407,33 @@ impl Accum {
 }
 
 pub(crate) struct Engine {
-    pub(crate) store: SnapshotStore,
-    pub(crate) journal: JournalWriter,
-    pub(crate) opts: DurableOptions,
-    pub(crate) run_id: u64,
-    pub(crate) mode: &'static str,
+    store: SnapshotStore,
+    journal: JournalWriter,
+    opts: DurableOptions,
+    run_id: u64,
+    mode: &'static str,
     pub(crate) eval_ids: Vec<usize>,
     /// Observes `journal.append_ms` / `snapshot.save_ms` latencies; the
     /// disarmed default costs one branch per durability write.
-    pub(crate) telemetry: Telemetry,
+    telemetry: Telemetry,
 }
 
 impl Engine {
+    /// A fresh run's engine over an already-opened `store`: starts the
+    /// round journal. ([`restore`] builds a resumed run's.)
+    pub(crate) fn create(
+        store: SnapshotStore,
+        opts: DurableOptions,
+        mode: Mode,
+        seed: u64,
+        eval_ids: Vec<usize>,
+        telemetry: Telemetry,
+    ) -> Result<Self, RunError> {
+        let run_id = mode.run_id(seed);
+        let journal = JournalWriter::create(&opts.durability.journal_path(), run_id)?;
+        Ok(Engine { store, journal, opts, run_id, mode: mode.label(), eval_ids, telemetry })
+    }
+
     fn capture(
         &self,
         strategy: &dyn AdaptStrategy,
@@ -478,23 +544,35 @@ fn open_or_create_journal(
     }
 }
 
-/// One until-target round: execute, accumulate, probe. Returns the
-/// round's journal record.
-pub(crate) fn target_round(
+/// One step of a run — a collaborative round (target mode) or a drift
+/// slot (continuous mode): execute, accumulate, probe. Returns the step's
+/// journal record.
+pub(crate) fn step(
+    mode: Mode,
     strategy: &mut dyn AdaptStrategy,
     world: &mut SimWorld,
     eval_ids: &[usize],
     acc: &mut Accum,
-    max_rounds: usize,
-    probe_every: usize,
 ) -> RoundRecord {
+    if let Mode::Continuous { .. } = mode {
+        world.advance_slot();
+        acc.slot += 1;
+    }
     let report = strategy.adaptation_step(world, &mut acc.rng);
     acc.comm.merge(&report.comm);
     acc.faults.merge(&report.faults);
     acc.time_sum += report.adapt_time_ms;
     acc.rounds += 1;
-    if (acc.rounds as usize).is_multiple_of(probe_every) || acc.rounds as usize == max_rounds {
-        acc.acc = mean_accuracy(strategy, world, eval_ids);
+    match mode {
+        Mode::Target { max_rounds, probe_every, .. } => {
+            if (acc.rounds as usize).is_multiple_of(probe_every) || acc.rounds as usize == max_rounds {
+                acc.acc = mean_accuracy(strategy, world, eval_ids);
+            }
+        }
+        Mode::Continuous { .. } => {
+            acc.acc = mean_accuracy(strategy, world, eval_ids);
+            acc.acc_per_slot.push(acc.acc);
+        }
     }
     RoundRecord {
         index: acc.rounds,
@@ -504,47 +582,20 @@ pub(crate) fn target_round(
         time_bits: report.adapt_time_ms.to_bits(),
     }
 }
-
-/// One continuous slot: drift, adapt, evaluate. Returns the record.
-pub(crate) fn continuous_slot(
-    strategy: &mut dyn AdaptStrategy,
-    world: &mut SimWorld,
-    eval_ids: &[usize],
-    acc: &mut Accum,
-) -> RoundRecord {
-    world.advance_slot();
-    acc.slot += 1;
-    let report = strategy.adaptation_step(world, &mut acc.rng);
-    acc.comm.merge(&report.comm);
-    acc.faults.merge(&report.faults);
-    acc.time_sum += report.adapt_time_ms;
-    acc.rounds += 1;
-    acc.acc = mean_accuracy(strategy, world, eval_ids);
-    acc.acc_per_slot.push(acc.acc);
-    RoundRecord {
-        index: acc.rounds,
-        comm: report.comm,
-        faults: report.faults,
-        acc_bits: acc.acc.to_bits(),
-        time_bits: report.adapt_time_ms.to_bits(),
-    }
-}
-
-pub(crate) type EngineParts = (SnapshotStore, JournalWriter, Vec<usize>, BTreeMap<u64, RoundRecord>);
 
 /// Loads the newest valid snapshot, validates it against the caller's
 /// reconstruction, restores strategy/world/accumulators, and opens the
-/// journal (truncating any torn tail). Returns the engine pieces plus
-/// the journal records newer than the snapshot.
+/// journal (truncating any torn tail). Returns the resumed engine, the
+/// accumulators, and the journal records newer than the snapshot.
 pub(crate) fn restore(
     strategy: &mut dyn AdaptStrategy,
     world: &mut SimWorld,
     cfg: &ExperimentConfig,
-    run_id: u64,
-    mode: &'static str,
-    opts: &DurableOptions,
-    world_prep: impl FnOnce(&mut SimWorld, &RunState) -> Result<(), RunError>,
-) -> Result<(EngineParts, Accum), RunError> {
+    mode: Mode,
+    opts: DurableOptions,
+    telemetry: &Telemetry,
+) -> Result<(Engine, Accum, BTreeMap<u64, RoundRecord>), RunError> {
+    let run_id = mode.run_id(cfg.seed);
     let store = SnapshotStore::open(&opts.durability.dir)?;
     let loaded = store.load_newest_valid()?;
     let state = decode_state(&loaded.payload)?;
@@ -555,8 +606,12 @@ pub(crate) fn restore(
             state.run_id, run_id
         )));
     }
-    if state.mode != mode {
-        return Err(RunError::StateMismatch(format!("snapshot mode {:?} vs requested {mode:?}", state.mode)));
+    if state.mode != mode.label() {
+        return Err(RunError::StateMismatch(format!(
+            "snapshot mode {:?} vs requested {:?}",
+            state.mode,
+            mode.label()
+        )));
     }
     if state.strategy_name != strategy.name() {
         return Err(RunError::StateMismatch(format!(
@@ -579,7 +634,7 @@ pub(crate) fn restore(
         )));
     }
 
-    world_prep(world, &state)?;
+    mode.prepare_restored_world(world, &state);
     strategy.track(&eval_ids);
     strategy.import_state(&state.strategy).map_err(RunError::StateMismatch)?;
     world.set_fault_plan(state.plan);
@@ -603,5 +658,7 @@ pub(crate) fn restore(
 
     let (journal, mut records) = open_or_create_journal(&opts.durability.journal_path(), run_id)?;
     records.retain(|&idx, _| idx > state.rounds);
-    Ok(((store, journal, eval_ids, records), acc))
+    let eng =
+        Engine { store, journal, opts, run_id, mode: mode.label(), eval_ids, telemetry: telemetry.clone() };
+    Ok((eng, acc, records))
 }

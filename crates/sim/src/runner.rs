@@ -1,8 +1,6 @@
 //! The unified experiment driver.
 //!
-//! [`Runner`] subsumes the six free-function drivers that grew across
-//! earlier iterations (`run_until_target`, `run_continuous`, their
-//! `_durable` variants and the two `resume_*` functions) behind one
+//! [`Runner`] is the single driver for every experiment shape, behind one
 //! builder:
 //!
 //! ```text
@@ -15,12 +13,11 @@
 //!     .run()?                          // -> RunOutcome
 //! ```
 //!
-//! Every path funnels through the same round helpers the durable drivers
-//! use ([`crate::durability`]'s `target_round` / `continuous_slot`), so a
-//! plain run and a durable run of the same configuration produce
-//! **bit-identical** trajectories — the legacy free functions are now
-//! thin deprecated wrappers over this type, and a parity test holds them
-//! to bit equality.
+//! Every combination — plain / durable / resumed × target / continuous —
+//! is the one loop in [`Runner::run`] over `durability::step`;
+//! the two experiment shapes differ only in what `Mode` answers. A plain
+//! run and a durable run of the same configuration therefore produce
+//! **bit-identical** trajectories.
 //!
 //! ## Determinism contract
 //!
@@ -30,27 +27,17 @@
 //! [`RunOutcome`] as one with the disarmed default.
 
 use crate::durability::{
-    continuous_slot, derive_run_id, restore, target_round, validate_common, validate_target, verify_replay,
-    Accum, ChaosControl, DurabilityConfig, DurableOptions, Engine, RunError, MODE_CONTINUOUS, MODE_TARGET,
+    restore, step, verify_replay, Accum, ChaosControl, DurabilityConfig, DurableOptions, Engine, Mode,
+    RunError,
 };
 use crate::experiment::{mean_accuracy, pick_eval_ids, ContinuousOutcome, ExperimentConfig, TargetOutcome};
 use crate::strategy::AdaptStrategy;
 use crate::world::SimWorld;
 use nebula_core::stats::RoundStats;
-use nebula_core::{JournalWriter, RobustAggregator, SanitizePolicy, SnapshotStore};
+use nebula_core::{RobustAggregator, SanitizePolicy, SnapshotStore};
 use nebula_telemetry::{Span, Telemetry};
 use nebula_tensor::NebulaRng;
 use serde::Serialize;
-
-/// Which experiment shape a [`Runner`] drives.
-#[derive(Clone, Copy, Debug)]
-enum Mode {
-    /// Rounds until `target` accuracy (probe every `probe_every`), capped
-    /// at `max_rounds`.
-    Target { target: f32, max_rounds: usize, probe_every: usize },
-    /// `slots` drift slots, adapting and evaluating after each.
-    Continuous { slots: usize },
-}
 
 /// Unified result of a [`Runner`] run, covering both experiment shapes.
 ///
@@ -233,16 +220,7 @@ impl<'a> Runner<'a> {
                 return Err(RunError::InvalidConfig("chaos injection requires .durable(..)".into()));
             }
         }
-        match mode {
-            Mode::Target { target, max_rounds, probe_every } => {
-                self.run_target(target, max_rounds, probe_every)
-            }
-            Mode::Continuous { slots } => self.run_continuous(slots),
-        }
-    }
-
-    fn run_target(self, target: f32, max_rounds: usize, probe_every: usize) -> Result<RunOutcome, RunError> {
-        validate_target(self.world, &self.cfg, target, probe_every)?;
+        mode.validate(self.world, &self.cfg)?;
         let Runner {
             world,
             strategy,
@@ -272,34 +250,18 @@ impl<'a> Runner<'a> {
             strategy.set_transport(t);
         }
         let pool0 = nebula_nn::workspace::pool_stats();
-        let mut run_span = open_run(&telemetry, strategy, MODE_TARGET, &cfg, |e| {
-            e.num.insert("target".into(), target as f64);
-            e.ints.insert("max_rounds".into(), max_rounds as u64);
-            e.ints.insert("probe_every".into(), probe_every as u64);
-        });
-        run_span.num("target", target as f64);
+        let run_span = open_run(&telemetry, strategy, mode, &cfg);
 
         let (eval_ids, mut acc, mut eng) = if resume {
-            let opts = opts.expect("run() rejects resume without durability");
-            let run_id = derive_run_id(cfg.seed, MODE_TARGET);
-            let (parts, mut acc) =
-                restore(strategy, world, &cfg, run_id, MODE_TARGET, &opts, |_world, _state| Ok(()))?;
-            let (store, journal, eval_ids, tail) = parts;
+            let opts = opts.expect("resume without durability was rejected above");
+            let (eng, mut acc, tail) = restore(strategy, world, &cfg, mode, opts, &telemetry)?;
+            let eval_ids = eng.eval_ids.clone();
             note_eval_cohort(&telemetry, &eval_ids, acc.rounds);
-            let eng = Engine {
-                store,
-                journal,
-                opts,
-                run_id,
-                mode: MODE_TARGET,
-                eval_ids: eval_ids.clone(),
-                telemetry: telemetry.clone(),
-            };
             // Deterministically re-execute the journal tail, verifying
-            // each round against its record.
+            // each step against its record.
             let replay_to = tail.keys().next_back().copied().unwrap_or(0);
-            while acc.acc < target && (acc.rounds as usize) < max_rounds && acc.rounds < replay_to {
-                let rec = target_round(strategy, world, &eval_ids, &mut acc, max_rounds, probe_every);
+            while !mode.done(&acc) && acc.rounds < replay_to {
+                let rec = step(mode, strategy, world, &eval_ids, &mut acc);
                 if let Some(journaled) = tail.get(&rec.index) {
                     verify_replay(journaled, &rec)?;
                 }
@@ -307,13 +269,12 @@ impl<'a> Runner<'a> {
             (eval_ids, acc, Some(eng))
         } else {
             // Open the store before any simulation work so I/O problems
-            // surface ahead of the (expensive) offline stage — same order
-            // the legacy durable driver used.
-            let store = match &opts {
-                Some(o) => Some(SnapshotStore::open(&o.durability.dir)?),
+            // surface ahead of the (expensive) offline stage.
+            let durable = match opts {
+                Some(o) => Some((SnapshotStore::open(&o.durability.dir)?, o)),
                 None => None,
             };
-            let mut rng = NebulaRng::seed(cfg.seed ^ 0x7A6);
+            let mut rng = NebulaRng::seed(cfg.seed ^ mode.rng_salt());
             let eval_ids = pick_eval_ids(world, cfg.eval_devices);
             note_eval_cohort(&telemetry, &eval_ids, 0);
             strategy.track(&eval_ids);
@@ -323,170 +284,54 @@ impl<'a> Runner<'a> {
             }
             let first_probe = mean_accuracy(strategy, world, &eval_ids);
             let acc = Accum::fresh(rng, first_probe);
-            let eng = match (store, opts) {
-                (Some(store), Some(opts)) => {
-                    let run_id = derive_run_id(cfg.seed, MODE_TARGET);
-                    let journal = JournalWriter::create(&opts.durability.journal_path(), run_id)?;
-                    let eng = Engine {
-                        store,
-                        journal,
-                        opts,
-                        run_id,
-                        mode: MODE_TARGET,
-                        eval_ids: eval_ids.clone(),
-                        telemetry: telemetry.clone(),
-                    };
+            let eng = match durable {
+                Some((store, opts)) => {
+                    let eng =
+                        Engine::create(store, opts, mode, cfg.seed, eval_ids.clone(), telemetry.clone())?;
                     // Guaranteed recovery point (and early
                     // UnsupportedStrategy signal).
                     eng.save_snapshot(&*strategy, world, &acc)?;
                     Some(eng)
                 }
-                _ => None,
-            };
-            (eval_ids, acc, eng)
-        };
-
-        while acc.acc < target && (acc.rounds as usize) < max_rounds {
-            let rec = target_round(strategy, world, &eval_ids, &mut acc, max_rounds, probe_every);
-            if let Some(eng) = &mut eng {
-                eng.finish_round(&rec, &*strategy, world, &acc)?;
-            }
-        }
-        let reached = acc.acc >= target;
-        Ok(finalize(strategy, &telemetry, run_span, MODE_TARGET, reached, eval_ids, acc, pool0))
-    }
-
-    fn run_continuous(self, slots: usize) -> Result<RunOutcome, RunError> {
-        validate_common(self.world, &self.cfg)?;
-        let Runner {
-            world,
-            strategy,
-            cfg,
-            durability,
-            chaos,
-            resume,
-            telemetry,
-            sanitize,
-            aggregator,
-            transport,
-            ..
-        } = self;
-        if let Some(d) = &durability {
-            d.validate()?;
-        }
-        let opts = durability.map(|d| DurableOptions { durability: d, chaos });
-
-        strategy.set_telemetry(telemetry.clone());
-        if let Some(policy) = sanitize {
-            strategy.set_sanitize_policy(policy);
-        }
-        if let Some(agg) = aggregator {
-            strategy.set_aggregator(agg);
-        }
-        if let Some(t) = transport {
-            strategy.set_transport(t);
-        }
-        let pool0 = nebula_nn::workspace::pool_stats();
-        let mut run_span = open_run(&telemetry, strategy, MODE_CONTINUOUS, &cfg, |e| {
-            e.ints.insert("slots".into(), slots as u64);
-        });
-        run_span.int("slots", slots as u64);
-
-        let (eval_ids, mut acc, mut eng) = if resume {
-            let opts = opts.expect("run() rejects resume without durability");
-            let run_id = derive_run_id(cfg.seed, MODE_CONTINUOUS);
-            let (parts, mut acc) =
-                restore(strategy, world, &cfg, run_id, MODE_CONTINUOUS, &opts, |world, state| {
-                    // Drift the fresh world forward to the snapshot's
-                    // slot. Only per-device RNGs advance here; the world
-                    // RNG is restored after.
-                    for _ in 0..state.slot {
-                        world.advance_slot();
-                    }
-                    Ok(())
-                })?;
-            let (store, journal, eval_ids, tail) = parts;
-            note_eval_cohort(&telemetry, &eval_ids, acc.rounds);
-            let eng = Engine {
-                store,
-                journal,
-                opts,
-                run_id,
-                mode: MODE_CONTINUOUS,
-                eval_ids: eval_ids.clone(),
-                telemetry: telemetry.clone(),
-            };
-            let replay_to = tail.keys().next_back().copied().unwrap_or(0);
-            while (acc.rounds as usize) < slots && acc.rounds < replay_to {
-                let rec = continuous_slot(strategy, world, &eval_ids, &mut acc);
-                if let Some(journaled) = tail.get(&rec.index) {
-                    verify_replay(journaled, &rec)?;
-                }
-            }
-            (eval_ids, acc, Some(eng))
-        } else {
-            let store = match &opts {
-                Some(o) => Some(SnapshotStore::open(&o.durability.dir)?),
                 None => None,
             };
-            let mut rng = NebulaRng::seed(cfg.seed ^ 0xC0);
-            let eval_ids = pick_eval_ids(world, cfg.eval_devices);
-            note_eval_cohort(&telemetry, &eval_ids, 0);
-            strategy.track(&eval_ids);
-            {
-                let _offline = telemetry.span("offline");
-                strategy.offline(world, &mut rng);
-            }
-            let first_probe = mean_accuracy(strategy, world, &eval_ids);
-            let acc = Accum::fresh(rng, first_probe);
-            let eng = match (store, opts) {
-                (Some(store), Some(opts)) => {
-                    let run_id = derive_run_id(cfg.seed, MODE_CONTINUOUS);
-                    let journal = JournalWriter::create(&opts.durability.journal_path(), run_id)?;
-                    let eng = Engine {
-                        store,
-                        journal,
-                        opts,
-                        run_id,
-                        mode: MODE_CONTINUOUS,
-                        eval_ids: eval_ids.clone(),
-                        telemetry: telemetry.clone(),
-                    };
-                    eng.save_snapshot(&*strategy, world, &acc)?;
-                    Some(eng)
-                }
-                _ => None,
-            };
             (eval_ids, acc, eng)
         };
 
-        while (acc.rounds as usize) < slots {
-            let rec = continuous_slot(strategy, world, &eval_ids, &mut acc);
+        while !mode.done(&acc) {
+            let rec = step(mode, strategy, world, &eval_ids, &mut acc);
             if let Some(eng) = &mut eng {
                 eng.finish_round(&rec, &*strategy, world, &acc)?;
             }
         }
-        Ok(finalize(strategy, &telemetry, run_span, MODE_CONTINUOUS, true, eval_ids, acc, pool0))
+        Ok(finalize(strategy, &telemetry, run_span, mode, eval_ids, acc, pool0))
     }
 }
 
 /// Opens the run-level span and emits the `kind = "run"` header event.
-fn open_run(
-    telemetry: &Telemetry,
-    strategy: &dyn AdaptStrategy,
-    mode: &'static str,
-    cfg: &ExperimentConfig,
-    extra: impl FnOnce(&mut nebula_telemetry::Event),
-) -> Span {
+fn open_run(telemetry: &Telemetry, strategy: &dyn AdaptStrategy, mode: Mode, cfg: &ExperimentConfig) -> Span {
     let mut span = telemetry.span("run");
     span.int("seed", cfg.seed);
     telemetry.emit("run", |e| {
         e.text.insert("strategy".into(), strategy.name().to_string());
-        e.text.insert("mode".into(), mode.to_string());
+        e.text.insert("mode".into(), mode.label().to_string());
         e.ints.insert("seed".into(), cfg.seed);
         e.ints.insert("eval_devices".into(), cfg.eval_devices as u64);
-        extra(e);
+        match mode {
+            Mode::Target { target, max_rounds, probe_every } => {
+                e.num.insert("target".into(), target as f64);
+                e.ints.insert("max_rounds".into(), max_rounds as u64);
+                e.ints.insert("probe_every".into(), probe_every as u64);
+            }
+            Mode::Continuous { slots } => {
+                e.ints.insert("slots".into(), slots as u64);
+            }
+        }
     });
+    match mode {
+        Mode::Target { target, .. } => span.num("target", target as f64),
+        Mode::Continuous { slots } => span.int("slots", slots as u64),
+    }
     span
 }
 
@@ -500,22 +345,15 @@ fn note_eval_cohort(telemetry: &Telemetry, eval_ids: &[usize], resumed_rounds: u
     });
 }
 
-#[allow(clippy::too_many_arguments)]
 fn finalize(
     strategy: &dyn AdaptStrategy,
     telemetry: &Telemetry,
     mut run_span: Span,
-    mode: &'static str,
-    reached: bool,
+    mode: Mode,
     eval_ids: Vec<usize>,
     acc: Accum,
     pool0: (u64, u64),
 ) -> RunOutcome {
-    let mean_adapt_time_ms = if mode == MODE_CONTINUOUS {
-        acc.time_sum / acc.acc_per_slot.len().max(1) as f64
-    } else {
-        acc.time_sum / acc.rounds.max(1) as f64
-    };
     if telemetry.enabled() {
         let (hits, misses) = nebula_nn::workspace::pool_stats();
         telemetry.counter_add("nn.pool_hits", hits.saturating_sub(pool0.0));
@@ -528,12 +366,13 @@ fn finalize(
     telemetry.finish();
     RunOutcome {
         strategy: strategy.name().to_string(),
-        mode: mode.to_string(),
-        reached,
+        mode: mode.label().to_string(),
+        reached: mode.reached(&acc),
         rounds: acc.rounds,
         final_accuracy: acc.acc,
         accuracy_per_slot: acc.acc_per_slot,
-        mean_adapt_time_ms,
+        // One probe per slot, so a continuous run's slots are its rounds.
+        mean_adapt_time_ms: acc.time_sum / acc.rounds.max(1) as f64,
         eval_ids,
         stats: RoundStats { comm: acc.comm, adapt_time_ms: acc.time_sum, faults: acc.faults },
     }

@@ -18,7 +18,7 @@
 use crate::device::SimDevice;
 use crate::faults::{
     apply_attack, attack_dense_mean, corrupt_frame, corrupt_module_update, forge_frame, poison_dense_mean,
-    DeviceFate, RoundReport,
+    DeviceFate, RoundPolicy, RoundReport,
 };
 use crate::latency::adaptation_latency_ms;
 use crate::network::{transfer_time_ms, CommTracker};
@@ -27,7 +27,7 @@ use nebula_baselines::{dense_round, local_adapt, ratio_for_budget, AdaptiveNet, 
 use nebula_core::{
     discount_staleness, plan_corrupt_resend, plan_upload, round_deadline_ms, EdgeAccumulator, EdgeClient,
     EdgeClientState, EdgePartial, EdgeUpdate, Loopback, NebulaCloud, NebulaParams, RobustAggregator,
-    RoundStats, SanitizePolicy, TrainParams, Transport, WireConfig, WireContext,
+    RoundStats, SanitizePolicy, SubModelPayload, TrainParams, Transport, WireConfig, WireContext,
 };
 use nebula_data::Dataset;
 use nebula_modular::ModularConfig;
@@ -252,6 +252,74 @@ fn note_client(t: &Telemetry, device: usize, outcome: &'static str, time_ms: Opt
             e.num.insert("time_ms".into(), ms);
         }
     });
+}
+
+/// A sampled device that got as far as local training this round.
+struct Participant {
+    id: usize,
+    fate: DeviceFate,
+    /// Predicted wall-clock ([`predicted_time_ms`]).
+    time_ms: f64,
+}
+
+/// Predicted participant wall-clock: local training of `flops` per sample
+/// under the injected slowdown, plus the download, the upload and
+/// `resends` re-sends of `bytes` each over the possibly-collapsed link,
+/// plus backoff waits.
+fn predicted_time_ms(
+    cfg: &StrategyConfig,
+    dev: &SimDevice,
+    fate: &DeviceFate,
+    flops: u64,
+    bytes: u64,
+    resends: u64,
+    backoff_ms: f64,
+) -> f64 {
+    let bw = dev.resources.bandwidth_bps * fate.bandwidth_factor;
+    adaptation_latency_ms(&dev.resources, flops, dev.volume(), cfg.local_epochs, cfg.batch_size)
+        * fate.slowdown
+        + transfer_time_ms(2 * bytes + resends * bytes, bw)
+        + backoff_ms
+}
+
+/// How a participant left the round.
+enum Exit {
+    /// Straggled past the round deadline.
+    Late,
+    /// Trained, but died before its upload landed.
+    Crashed,
+    /// Its upload is due.
+    Reported,
+}
+
+/// The deadline/crash gate every collaborative round applies to the
+/// devices that trained: the deadline comes from the latency model over
+/// the whole cohort, stragglers past it drop, then crashes. Counts both
+/// in `report`; returns each participant's exit, in order, and the
+/// round's predicted wall-clock (capped at the deadline when one cut in).
+fn gate(policy: &RoundPolicy, participants: &[Participant], report: &mut RoundReport) -> (Vec<Exit>, f64) {
+    let times: Vec<f64> = participants.iter().map(|p| p.time_ms).collect();
+    let deadline = round_deadline_ms(policy.deadline_factor, &times);
+    let mut round_time_ms = 0.0f64;
+    let exits = participants
+        .iter()
+        .map(|p| match deadline {
+            Some(d) if p.time_ms > d => {
+                report.deadline_dropped += 1;
+                round_time_ms = round_time_ms.max(d);
+                Exit::Late
+            }
+            _ if p.fate.crashed => {
+                report.crashed += 1;
+                Exit::Crashed
+            }
+            _ => {
+                round_time_ms = round_time_ms.max(p.time_ms);
+                Exit::Reported
+            }
+        })
+        .collect();
+    (exits, round_time_ms)
 }
 
 /// One adaptation system under test.
@@ -632,8 +700,8 @@ impl<const HETERO: bool> DenseFlStrategy<HETERO> {
         let mut comm = CommTracker::new();
         let mut report = RoundReport { sampled: ids.len() as u64, ..Default::default() };
 
-        // (device, fate, predicted wall-clock, width ratio)
-        let mut meta: Vec<(usize, DeviceFate, f64, f32)> = Vec::with_capacity(ids.len());
+        let mut trained: Vec<Participant> = Vec::with_capacity(ids.len());
+        let mut ratios: Vec<f32> = Vec::with_capacity(ids.len());
         for &id in &ids {
             let fate = plan.fate(round, id);
             if fate.dropped {
@@ -670,53 +738,38 @@ impl<const HETERO: bool> DenseFlStrategy<HETERO> {
                 resends += 1;
                 backoff += wait;
             }
-            let bw = dev.resources.bandwidth_bps * fate.bandwidth_factor;
-            let time_ms = adaptation_latency_ms(
-                &dev.resources,
-                active,
-                dev.volume(),
-                self.cfg.local_epochs,
-                self.cfg.batch_size,
-            ) * fate.slowdown
-                + transfer_time_ms(2 * payload_bytes + resends * payload_bytes, bw)
-                + backoff;
-            meta.push((id, fate, time_ms, ratio));
+            let time_ms = predicted_time_ms(&self.cfg, dev, &fate, active, payload_bytes, resends, backoff);
+            trained.push(Participant { id, fate, time_ms });
+            ratios.push(ratio);
         }
 
-        let times: Vec<f64> = meta.iter().map(|m| m.2).collect();
-        let deadline = round_deadline_ms(policy.deadline_factor, &times);
-        let mut cohort: Vec<(u64, &Dataset, f32)> = Vec::with_capacity(meta.len());
+        let (exits, round_time_ms) = gate(&policy, &trained, &mut report);
+        let mut cohort: Vec<(u64, &Dataset, f32)> = Vec::with_capacity(trained.len());
         let mut n_corrupt = 0usize;
         let mut n_malicious = 0usize;
-        let mut round_time_ms = 0.0f64;
-        for (id, fate, time_ms, ratio) in meta {
-            if let Some(d) = deadline {
-                if time_ms > d {
-                    report.deadline_dropped += 1;
-                    round_time_ms = round_time_ms.max(d);
+        for ((Participant { id, fate, .. }, ratio), exit) in trained.into_iter().zip(ratios).zip(exits) {
+            match exit {
+                Exit::Late => continue,
+                Exit::Crashed => {
+                    // Received its active slice as a real measured frame on
+                    // its download channel, died before uploading.
+                    let mask = self.server.mask_for_ratio(ratio);
+                    let slice: Vec<f32> = self
+                        .server
+                        .param_vector()
+                        .iter()
+                        .zip(&mask)
+                        .filter_map(|(&v, &m)| m.then_some(v))
+                        .collect();
+                    let bytes = self
+                        .pool
+                        .send_down(id as u64, &slice, &mut Vec::new())
+                        .expect("pristine in-process frame must decode");
+                    comm.record_download(bytes);
                     continue;
                 }
+                Exit::Reported => {}
             }
-            if fate.crashed {
-                // Received its active slice as a real measured frame on
-                // its download channel, died before uploading.
-                let mask = self.server.mask_for_ratio(ratio);
-                let slice: Vec<f32> = self
-                    .server
-                    .param_vector()
-                    .iter()
-                    .zip(&mask)
-                    .filter_map(|(&v, &m)| m.then_some(v))
-                    .collect();
-                let bytes = self
-                    .pool
-                    .send_down(id as u64, &slice, &mut Vec::new())
-                    .expect("pristine in-process frame must decode");
-                comm.record_download(bytes);
-                report.crashed += 1;
-                continue;
-            }
-            round_time_ms = round_time_ms.max(time_ms);
             if fate.corruption.is_some() {
                 n_corrupt += 1;
             }
@@ -987,25 +1040,10 @@ impl NebulaStrategy {
         &mut self.cloud
     }
 
-    /// Replaces the sanitize gate's policy (testing/ablation hook).
-    pub fn set_sanitize_policy(&mut self, policy: SanitizePolicy) {
-        self.sanitize = policy;
-    }
-
-    /// Selects the module-wise combine rule applied behind the gate.
-    pub fn set_aggregator(&mut self, aggregator: RobustAggregator) {
-        self.aggregator = aggregator;
-    }
-
     /// Arms the checkpoint-rollback guard: every aggregation is probed on
     /// `probe` and undone if accuracy regresses by more than `max_drop`.
     pub fn enable_rollback(&mut self, probe: Dataset, max_drop: f32) {
         self.rollback = Some((probe, max_drop));
-    }
-
-    /// Disarms the rollback guard.
-    pub fn disable_rollback(&mut self) {
-        self.rollback = None;
     }
 
     /// One collaborative round: sample devices, derive/dispatch/train/
@@ -1047,7 +1085,7 @@ impl NebulaStrategy {
         // frame length, while the latency model keeps the analytic
         // planning size (so `Raw` rounds stay bit-identical).
         let mut jobs = Vec::with_capacity(ids.len());
-        let mut meta: Vec<(usize, DeviceFate, f64)> = Vec::with_capacity(ids.len());
+        let mut trained: Vec<Participant> = Vec::with_capacity(ids.len());
         for &id in &ids {
             let mut client_span = telemetry.span("client");
             client_span.int("device", id as u64);
@@ -1057,67 +1095,45 @@ impl NebulaStrategy {
                 note_client(&telemetry, id, "dropped", None);
                 continue;
             }
-            let (profile, local);
-            {
-                let dev = &world.devices[id];
-                profile = dev.profile(self.cloud.cost_model());
-                local = dev.partition.data.clone();
-            }
-            let outcome = self.cloud.derive_for_data(&local, &profile, None);
-            let payload = self.cloud.dispatch(&outcome.spec);
-            let plan_bytes = payload.bytes();
             let up = plan_upload(fate.upload_attempts, fate.flaky_link, policy.retry_policy());
+            let dl = self.download(world, id, up.delivered, &telemetry);
             if !up.delivered {
                 // Retries exhausted: the device never joins the round (and
                 // never receives a frame, so its wire state stays cold).
                 for _ in 0..up.resends {
-                    comm.record_retry(plan_bytes);
+                    comm.record_retry(dl.plan_bytes);
                 }
                 report.retried += up.resends as u64;
                 report.link_dropped += 1;
                 note_client(&telemetry, id, "link_dropped", None);
                 continue;
             }
-            let wire_span = telemetry.span("wire_tx");
-            let wire_bytes = self.wire.encode_payload(id as u64, &payload, &mut self.frame_buf) as u64;
-            comm.record_download(wire_bytes);
-            let payload = match self.wire.decode_payload(id as u64, &self.frame_buf) {
-                Ok(p) => p,
-                Err(_) => {
-                    // Defensive: a pristine in-process frame always decodes.
-                    report.link_dropped += 1;
-                    note_client(&telemetry, id, "link_dropped", None);
-                    continue;
-                }
+            comm.record_download(dl.wire_bytes);
+            let Some(payload) = dl.payload else {
+                // Defensive: a pristine in-process frame always decodes.
+                report.link_dropped += 1;
+                note_client(&telemetry, id, "link_dropped", None);
+                continue;
             };
-            drop(wire_span);
-            let extra = up.resends;
-            let backoff = up.backoff_ms;
-            for _ in 0..extra {
-                comm.record_retry(wire_bytes);
+            for _ in 0..up.resends {
+                comm.record_retry(dl.wire_bytes);
             }
-            report.retried += extra as u64;
-            // Predicted participant wall-clock: local training under the
-            // injected slowdown, plus transfers (and retry re-sends) over
-            // the possibly-collapsed link, plus backoff waits.
-            let flops = self.cloud.cost_model().submodel(&outcome.spec).flops;
-            let dev = &world.devices[id];
-            let bw = dev.resources.bandwidth_bps * fate.bandwidth_factor;
-            let time_ms = adaptation_latency_ms(
-                &dev.resources,
-                flops,
-                local.len(),
-                self.cfg.local_epochs,
-                self.cfg.batch_size,
-            ) * fate.slowdown
-                + transfer_time_ms(2 * plan_bytes + extra as u64 * plan_bytes, bw)
-                + backoff;
-            meta.push((id, fate, time_ms));
+            report.retried += up.resends as u64;
+            let time_ms = predicted_time_ms(
+                &self.cfg,
+                &world.devices[id],
+                &fate,
+                self.cloud.cost_model().submodel(&payload.spec).flops,
+                dl.plan_bytes,
+                up.resends as u64,
+                up.backoff_ms,
+            );
+            trained.push(Participant { id, fate, time_ms });
             // Remote dispatch ships the encoded payload frame; the fork
             // happens here either way, so both modes consume the same RNG
             // sequence.
             let frame = self.transport.is_some().then(|| self.frame_buf.clone());
-            jobs.push((payload, frame, local, rng.fork(id as u64 ^ 0xEB)));
+            jobs.push((payload, frame, dl.local, rng.fork(id as u64 ^ 0xEB)));
         }
 
         /// How one device's training came back: an in-process update, a
@@ -1136,10 +1152,10 @@ impl NebulaStrategy {
             };
             let dispatch: Vec<nebula_core::DispatchJob> = jobs
                 .into_iter()
-                .zip(&meta)
-                .map(|((_payload, frame, local, drng), &(id, _, _))| nebula_core::DispatchJob {
+                .zip(&trained)
+                .map(|((_payload, frame, local, drng), p)| nebula_core::DispatchJob {
                     round: round as usize,
-                    device: id as u64,
+                    device: p.id as u64,
                     spec: nebula_core::JobSpec::Modular {
                         frame: frame.expect("remote jobs carry their payload frame"),
                     },
@@ -1179,27 +1195,22 @@ impl NebulaStrategy {
                 .collect()
         };
 
-        // Round deadline from the latency model; stragglers past it drop.
-        let times: Vec<f64> = meta.iter().map(|m| m.2).collect();
-        let deadline = round_deadline_ms(policy.deadline_factor, &times);
+        let (exits, round_time_ms) = gate(&policy, &trained, &mut report);
         let mut accepted: Vec<EdgeUpdate> = Vec::with_capacity(arrivals.len());
-        let mut round_time_ms = 0.0f64;
-        for (arrived, (id, fate, time_ms)) in arrivals.into_iter().zip(meta) {
-            if let Some(d) = deadline {
-                if time_ms > d {
-                    report.deadline_dropped += 1;
-                    round_time_ms = round_time_ms.max(d);
+        for ((arrived, Participant { id, fate, time_ms }), exit) in
+            arrivals.into_iter().zip(trained).zip(exits)
+        {
+            match exit {
+                Exit::Late => {
                     note_client(&telemetry, id, "deadline_dropped", Some(time_ms));
                     continue;
                 }
+                Exit::Crashed => {
+                    note_client(&telemetry, id, "crashed", Some(time_ms));
+                    continue;
+                }
+                Exit::Reported => {}
             }
-            if fate.crashed {
-                // Trained, but died before the upload landed.
-                report.crashed += 1;
-                note_client(&telemetry, id, "crashed", Some(time_ms));
-                continue;
-            }
-            round_time_ms = round_time_ms.max(time_ms);
             let upload_span = telemetry.span("wire_tx");
             let fault_seed = plan.seed ^ (round << 20) ^ id as u64;
             // What a faulty or hostile device does to its own update.
@@ -1298,49 +1309,30 @@ impl NebulaStrategy {
         // checkpoint-rollback guard.
         let mut agg_span = telemetry.span("aggregate");
         agg_span.int("accepted", accepted.len() as u64);
-        let outcome = if let Some(partials) = self.edge_partials(&accepted) {
-            // Hierarchical fan-out: the cloud only ever sees one partial
-            // per edge group. (Edge→cloud backhaul byte/latency accounting
-            // lives in the sharded engine; `comm` here stays the
-            // device-side traffic, identical to the flat path.)
+        // Hierarchical fan-out: the cloud only ever sees one partial per
+        // edge group. (Edge→cloud backhaul byte/latency accounting lives
+        // in the sharded engine; `comm` here stays the device-side
+        // traffic, identical to the flat path.)
+        let partials = self.edge_partials(&accepted);
+        if let Some(partials) = &partials {
             agg_span.int("edge_partials", partials.len() as u64);
-            match &self.rollback {
-                Some((probe, max_drop)) => {
-                    let out = self.cloud.absorb_partials_guarded(
-                        &partials,
-                        &self.sanitize,
-                        self.aggregator,
-                        |m| nebula_data::evaluate_accuracy(m, probe, 64),
-                        *max_drop,
-                    );
-                    if out.rolled_back {
-                        report.rolled_back += 1;
-                    }
-                    nebula_core::AggregateOutcome { touched: out.touched, sanitize: out.sanitize }
-                }
-                None => self.cloud.absorb_partials(&partials, &self.sanitize, self.aggregator),
-            }
-        } else {
-            match &self.rollback {
-                Some((probe, max_drop)) => {
-                    let out = self.cloud.aggregate_guarded_with(
-                        &accepted,
-                        &self.sanitize,
-                        self.aggregator,
-                        |m| nebula_data::evaluate_accuracy(m, probe, 64),
-                        *max_drop,
-                    );
-                    if out.rolled_back {
-                        report.rolled_back += 1;
-                    }
-                    nebula_core::AggregateOutcome { touched: out.touched, sanitize: out.sanitize }
-                }
-                None => self.cloud.aggregate_robust_with(&accepted, &self.sanitize, self.aggregator),
-            }
+        }
+        let (sanitize, rule) = (self.sanitize, self.aggregator);
+        let combine = |cloud: &mut NebulaCloud| match &partials {
+            Some(partials) => cloud.absorb_partials(partials, &sanitize, rule),
+            None => cloud.aggregate_robust_with(&accepted, &sanitize, rule),
         };
-        report.rejected += outcome.sanitize.rejected() as u64;
+        let s = match &self.rollback {
+            Some((probe, max_drop)) => {
+                let out =
+                    self.cloud.guarded(|m| nebula_data::evaluate_accuracy(m, probe, 64), *max_drop, combine);
+                report.rolled_back += out.rolled_back as u64;
+                out.sanitize
+            }
+            None => combine(&mut self.cloud).sanitize,
+        };
+        report.rejected += s.rejected() as u64;
         if telemetry.enabled() {
-            let s = outcome.sanitize;
             telemetry.counter_add("sanitize.rejected_non_finite", s.rejected_non_finite as u64);
             telemetry.counter_add("sanitize.rejected_outlier", s.rejected_outlier as u64);
             telemetry.counter_add("sanitize.outlier_check_skipped", s.outlier_check_skipped as u64);
@@ -1400,28 +1392,54 @@ impl NebulaStrategy {
         )
     }
 
-    /// Refreshes (or creates) the tracked device's client from the cloud:
-    /// derive + dispatch, over the wire. Returns the measured download
-    /// frame bytes; the client installs what it decoded.
-    fn refresh_client(&mut self, world: &mut SimWorld, id: usize) -> u64 {
+    /// The cloud → device half of an exchange: derive a sub-model for the
+    /// device's current data and budget, package it, and — unless the
+    /// link never `delivers` — cut the frame (left in `frame_buf`) and
+    /// decode it as the device would. The crossing is spanned as
+    /// `wire_tx` under `trace`.
+    fn download(&mut self, world: &SimWorld, id: usize, delivers: bool, trace: &Telemetry) -> Download {
         let dev = &world.devices[id];
-        let profile = dev.profile(self.cloud.cost_model());
         let local = dev.partition.data.clone();
-        let outcome = self.cloud.derive_for_data(&local, &profile, None);
-        let payload = self.cloud.dispatch(&outcome.spec);
-        let bytes = self.wire.encode_payload(id as u64, &payload, &mut self.frame_buf) as u64;
-        let payload = self
-            .wire
-            .decode_payload(id as u64, &self.frame_buf)
-            .expect("pristine in-process frame must decode");
+        let outcome = self.cloud.derive_for_data(&local, &dev.profile(self.cloud.cost_model()), None);
+        let sent = self.cloud.dispatch(&outcome.spec);
+        let mut dl = Download { local, plan_bytes: sent.bytes(), wire_bytes: 0, payload: None };
+        if delivers {
+            let _span = trace.span("wire_tx");
+            dl.wire_bytes = self.wire.encode_payload(id as u64, &sent, &mut self.frame_buf) as u64;
+            dl.payload = self.wire.decode_payload(id as u64, &self.frame_buf).ok();
+        }
+        dl
+    }
+
+    /// Refreshes (or creates) the tracked device's client from the cloud,
+    /// over the wire. Returns the measured download frame bytes; the
+    /// client installs what it decoded. Not part of any round, so not in
+    /// a round's trace.
+    fn refresh_client(&mut self, world: &mut SimWorld, id: usize) -> u64 {
+        let dl = self.download(world, id, true, &Telemetry::off());
+        let payload = dl.payload.expect("pristine in-process frame must decode");
         match self.clients.get_mut(&id) {
             Some(client) => client.install(&payload),
             None => {
                 self.clients.insert(id, EdgeClient::from_payload(self.cfg.modular.clone(), &payload));
             }
         }
-        bytes
+        dl.wire_bytes
     }
+}
+
+/// What [`NebulaStrategy::download`] produced for one device.
+struct Download {
+    /// The device's local data the derivation scored.
+    local: Dataset,
+    /// Analytic payload size — the planning input of the latency model
+    /// (so `Raw` rounds stay bit-identical) and what an undelivered
+    /// transfer's retries are billed at.
+    plan_bytes: u64,
+    /// Measured frame length (0 when no frame was cut).
+    wire_bytes: u64,
+    /// The payload as the device decoded it.
+    payload: Option<SubModelPayload>,
 }
 
 impl AdaptStrategy for NebulaStrategy {

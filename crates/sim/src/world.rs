@@ -240,16 +240,6 @@ impl SimWorld {
             }
         }
     }
-
-    /// Mean over `eval_ids` of a per-device metric.
-    pub fn mean_over(&mut self, eval_ids: &[usize], mut f: impl FnMut(&mut SimDevice) -> f32) -> f32 {
-        assert!(!eval_ids.is_empty(), "empty evaluation set");
-        let mut sum = 0.0;
-        for &id in eval_ids {
-            sum += f(&mut self.devices[id]);
-        }
-        sum / eval_ids.len() as f32
-    }
 }
 
 #[cfg(test)]

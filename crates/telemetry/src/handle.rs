@@ -57,11 +57,6 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Monotonic nanoseconds since the handle was created (0 when off).
-    pub fn elapsed_ns(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.start.elapsed().as_nanos() as u64)
-    }
-
     /// Emits one event. `fill` runs only when telemetry is enabled, so
     /// callers can build fields without guarding on [`Telemetry::enabled`].
     pub fn emit(&self, kind: &str, fill: impl FnOnce(&mut Event)) {

@@ -22,7 +22,7 @@
 //! the scalar 4×8 tile the compiler auto-vectorises (the `Blocked`
 //! backend — numerically identical to the pre-generic engine), and the
 //! explicit AVX2/AVX-512 tiles in [`simd`] selected at runtime through
-//! [`crate::backend`]. [`int8`] adds the quantized `i8×i8→i32` path.
+//! [`crate::backend`].
 //!
 //! ## Determinism
 //!
@@ -37,7 +37,6 @@
 //! micro-kernels) or not (the scalar tile; LLVM does not contract without
 //! fast-math flags) — never in summation order.
 
-pub mod int8;
 pub mod simd;
 
 use rayon::prelude::*;

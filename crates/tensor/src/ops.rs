@@ -32,11 +32,6 @@ impl Tensor {
         self.zip_assign(other, |a, b| *a += b);
     }
 
-    /// In-place element-wise difference.
-    pub fn sub_assign(&mut self, other: &Tensor) {
-        self.zip_assign(other, |a, b| *a -= b);
-    }
-
     /// In-place `self += alpha * other` (axpy). The workhorse of SGD updates
     /// and weighted model aggregation.
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
@@ -64,11 +59,6 @@ impl Tensor {
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor::from_vec(self.data().iter().map(|&v| f(v)).collect(), self.shape())
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_assign(&mut self, f: impl Fn(f32) -> f32) {
-        self.data_mut().iter_mut().for_each(|v| *v = f(*v));
     }
 
     /// Combines two same-shape tensors element-wise with `f`.

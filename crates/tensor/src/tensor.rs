@@ -173,13 +173,6 @@ impl Tensor {
         Tensor { data: self.data.clone(), shape: shape.to_vec() }
     }
 
-    /// Reshapes in place; element count must be preserved.
-    pub fn reshape_in_place(&mut self, shape: &[usize]) {
-        let expect: usize = shape.iter().product();
-        assert_eq!(self.len(), expect, "reshape {:?} -> {:?} changes element count", self.shape, shape);
-        self.shape = shape.to_vec();
-    }
-
     /// Transposes a rank-2 tensor (copying).
     pub fn transpose(&self) -> Tensor {
         assert_eq!(self.rank(), 2, "transpose requires a rank-2 tensor");
@@ -191,11 +184,6 @@ impl Tensor {
             }
         }
         out
-    }
-
-    /// Builds a rank-2 tensor by stacking row slices.
-    pub fn stack_rows(rows: &[&[f32]]) -> Tensor {
-        Tensor::matrix(rows)
     }
 
     /// Extracts a contiguous range of rows as a new tensor.

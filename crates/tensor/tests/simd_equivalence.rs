@@ -1,5 +1,5 @@
 //! Property tests pinning the SIMD engines against the scalar blocked
-//! engine, and the int8 quantized matmul against the f32 reference.
+//! engine.
 //!
 //! The SIMD micro-kernels share the blocked engine's macro-kernel and
 //! `KC` slabbing, so for every output element they accumulate the same
@@ -18,7 +18,7 @@
 //! test at the bottom.
 
 use nebula_tensor::gemm::simd::{self, SimdLevel};
-use nebula_tensor::gemm::{self, int8, ALayout, BLayout};
+use nebula_tensor::gemm::{self, ALayout, BLayout};
 use nebula_tensor::{KernelBackend, NebulaRng, Tensor};
 use proptest::prelude::*;
 
@@ -101,45 +101,6 @@ proptest! {
             if let Err(e) = check_engine(simd::gemm_avx512, "avx512", m, n, k, seed) {
                 prop_assert!(false, "{}", e);
             }
-        }
-    }
-
-    /// Quantize → int8 matmul → dequantize stays within the guaranteed
-    /// quantization error bound of the f32 reference, for every shape.
-    #[test]
-    fn int8_matmul_tracks_f32_reference(
-        m in 1usize..24, n in 1usize..24, k in 1usize..200, seed in 0u64..1_000_000,
-    ) {
-        let mut rng = NebulaRng::seed(seed);
-        let af = fill(&mut rng, m * k);
-        let bf = fill(&mut rng, n * k); // n×k weight layout
-        let mut want = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                want[i * n + j] = (0..k).map(|p| af[i * k + p] * bf[j * k + p]).sum();
-            }
-        }
-        let (aq, sa) = int8::quantize(&af);
-        let (bq, sb) = int8::quantize(&bf);
-        let mut got = vec![0.0f32; m * n];
-        int8::matmul_nt_dequant(&mut got, m, n, k, &aq, sa, &bq, sb);
-        // Guaranteed bound (see the int8 module docs) plus f32 slack.
-        let tol = k as f32 * sa * sb * 127.25 + 1e-5;
-        for (i, (x, y)) in got.iter().zip(&want).enumerate() {
-            prop_assert!((x - y).abs() <= tol, "element {} at {}x{}x{}: {} vs {} (tol {})",
-                i, m, n, k, x, y, tol);
-        }
-    }
-
-    /// Per-element quantization round-trip error never exceeds half a step.
-    #[test]
-    fn quantize_round_trip_error_is_half_step(len in 1usize..300, seed in 0u64..1_000_000) {
-        let mut rng = NebulaRng::seed(seed);
-        let v = fill(&mut rng, len);
-        let (q, s) = int8::quantize(&v);
-        let d = int8::dequantize(&q, s);
-        for (x, y) in v.iter().zip(&d) {
-            prop_assert!((x - y).abs() <= s * 0.5 + s * 1e-3, "{} vs {} (scale {})", x, y, s);
         }
     }
 }
