@@ -3,16 +3,24 @@
 //! the full model (FedAvg), HeteroFL's width-scaled sub-model, and
 //! Nebula's derived sub-models under the two data partitions (m1 / m2).
 //!
-//! These are cost-model quantities (the paper measures them on hardware);
-//! no training is needed, so this binary is fast.
+//! Memory and latency are cost-model quantities (the paper measures them
+//! on hardware); no training is needed, so this binary is fast. The
+//! parameter footprint is both: `params` is what the cost model budgets,
+//! `held_params` is what an instantiated client reports from
+//! `param_count()` — for Nebula an [`EdgeClient`] built from the dispatched
+//! payload, which holds its sub-model and nothing else. Latency is priced
+//! from the held count where one exists.
 //!
 //! Run: `cargo run --release -p nebula-bench --bin fig8_fig9_footprint`
 
 use nebula_baselines::ratio_for_budget;
 use nebula_bench::{emit_record, print_row, Scale, TaskRow};
-use nebula_core::{derive_submodel, modular_config_for, ResourceProfile};
+use nebula_core::{
+    derive_submodel, modular_config_for, EdgeClient, NebulaCloud, NebulaParams, ResourceProfile,
+};
 use nebula_data::TaskPreset;
 use nebula_modular::cost::CostModel;
+use nebula_modular::SubModelSpec;
 use nebula_nn::Layer;
 use nebula_sim::latency::training_batch_latency_ms;
 use nebula_sim::{DeviceClass, DeviceResources};
@@ -25,6 +33,9 @@ struct FootprintRecord {
     device: &'static str,
     system: String,
     params: u64,
+    /// `param_count()` of the instantiated client; `None` where this
+    /// binary builds none (HeteroFL's width slice is a mask count).
+    held_params: Option<u64>,
     train_mem_bytes: u64,
     train_latency_ms: f64,
 }
@@ -53,9 +64,11 @@ fn device(class: DeviceClass) -> DeviceResources {
 fn main() {
     let _ = Scale::from_args();
     println!("Figs 8 & 9: training memory footprint and per-batch latency during adaptation\n");
-    let widths = [14usize, 12, 14, 12, 14, 14];
+    let widths = [14usize, 12, 14, 12, 12, 14, 14];
     print_row(
-        ["Task", "Device", "System", "Params(K)", "TrnMem(KB)", "Batch(ms)"].map(String::from).as_ref(),
+        ["Task", "Device", "System", "Params(K)", "Held(K)", "TrnMem(KB)", "Batch(ms)"]
+            .map(String::from)
+            .as_ref(),
         &widths,
     );
 
@@ -68,6 +81,11 @@ fn main() {
         let mcfg = modular_config_for(row.task);
         let cost = CostModel::new(mcfg.clone());
         let full_mod = cost.full_model();
+        let cloud = NebulaCloud::new(mcfg.clone(), NebulaParams::default(), 1);
+        let held_by_client = |spec: &SubModelSpec| {
+            let mut client = EdgeClient::from_payload(mcfg.clone(), &cloud.dispatch(spec));
+            client.model_mut().param_count() as u64
+        };
 
         // Dense full model (FedAvg / LA reference).
         let scfg = row.strategy_config(Scale::quick());
@@ -89,26 +107,38 @@ fn main() {
                 vec![vec![1.0 / mcfg.modules_per_layer as f32; mcfg.modules_per_layer]; mcfg.num_layers];
             let m1_cap = (mcfg.modules_per_layer / 4).max(2);
             let m2_cap = (mcfg.modules_per_layer / 2).max(3);
-            let nebula_m1 = cost.submodel(&derive_submodel(&cost, &uniform, &budget, Some(m1_cap)).spec);
-            let nebula_m2 = cost.submodel(&derive_submodel(&cost, &uniform, &budget, Some(m2_cap)).spec);
+            let m1_spec = derive_submodel(&cost, &uniform, &budget, Some(m1_cap)).spec;
+            let m2_spec = derive_submodel(&cost, &uniform, &budget, Some(m2_cap)).spec;
+            let (nebula_m1, nebula_m2) = (cost.submodel(&m1_spec), cost.submodel(&m2_spec));
             let hfl_ratio =
                 ratio_for_budget(&dense, (dense_params as f64 * dev.budget_ratio as f64) as usize);
             let hfl_params = dense.active_params(hfl_ratio) as u64;
 
-            let rows: Vec<(String, u64, u64)> = vec![
-                ("Full model".to_string(), dense_params, 3 * dense_params * 4),
-                ("HeteroFL".to_string(), hfl_params, 3 * hfl_params * 4),
-                ("Nebula (m1)".to_string(), nebula_m1.params, nebula_m1.training_mem_bytes),
-                ("Nebula (m2)".to_string(), nebula_m2.params, nebula_m2.training_mem_bytes),
+            let rows: Vec<(String, u64, Option<u64>, u64)> = vec![
+                ("Full model".to_string(), dense_params, Some(dense_params), 3 * dense_params * 4),
+                ("HeteroFL".to_string(), hfl_params, None, 3 * hfl_params * 4),
+                (
+                    "Nebula (m1)".to_string(),
+                    nebula_m1.params,
+                    Some(held_by_client(&m1_spec)),
+                    nebula_m1.training_mem_bytes,
+                ),
+                (
+                    "Nebula (m2)".to_string(),
+                    nebula_m2.params,
+                    Some(held_by_client(&m2_spec)),
+                    nebula_m2.training_mem_bytes,
+                ),
             ];
-            for (system, params, mem) in rows {
-                let latency = training_batch_latency_ms(&dev, params, 16);
+            for (system, params, held_params, mem) in rows {
+                let latency = training_batch_latency_ms(&dev, held_params.unwrap_or(params), 16);
                 print_row(
                     &[
                         row.task.name().to_string(),
                         dev.class.name().to_string(),
                         system.clone(),
                         format!("{}", params / 1000),
+                        held_params.map_or("-".to_string(), |h| format!("{}", h / 1000)),
                         format!("{}", mem / 1024),
                         format!("{latency:.2}"),
                     ],
@@ -122,6 +152,7 @@ fn main() {
                         device: dev.class.name(),
                         system,
                         params,
+                        held_params,
                         train_mem_bytes: mem,
                         train_latency_ms: latency,
                     },

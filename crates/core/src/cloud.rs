@@ -64,6 +64,63 @@ impl SubModelPayload {
         let module: usize = self.module_params.values().map(Vec::len).sum();
         ((module + self.shared_params.len()) * 4) as u64
     }
+
+    /// Checks that this payload fits the architecture `cfg`: layer count,
+    /// non-empty layers, module indices in range, exactly one record per
+    /// spec module, and every record and the shared vector of the length
+    /// the configuration implies. A payload decoded from a frame is only
+    /// well-formed, not well-matched — an executor must call this before
+    /// [`crate::EdgeClient::from_payload`], which panics on a mismatch.
+    pub fn validate(&self, cfg: &ModularConfig) -> Result<(), String> {
+        check_spec_shape("payload", self.spec.layers(), cfg)?;
+        if self.module_params.len() != self.spec.total_modules() {
+            return Err(format!(
+                "payload ships {} module records for a {}-module spec",
+                self.module_params.len(),
+                self.spec.total_modules()
+            ));
+        }
+        let cost = CostModel::new(cfg.clone());
+        for (l, mods) in self.spec.layers().iter().enumerate() {
+            for &i in mods {
+                let Some(record) = self.module_params.get(&(l, i)) else {
+                    return Err(format!("payload ships no record for spec module ({l}, {i})"));
+                };
+                let want = cost.module(l, i).params as usize;
+                if record.len() != want {
+                    return Err(format!(
+                        "module ({l}, {i}) record has {} params, wants {want}",
+                        record.len()
+                    ));
+                }
+            }
+        }
+        let want = cost.shared().params as usize;
+        if self.shared_params.len() != want {
+            return Err(format!("shared record has {} params, wants {want}", self.shared_params.len()));
+        }
+        Ok(())
+    }
+}
+
+/// Checks per-layer module lists from outside the process (a decoded
+/// frame, a snapshot) against `cfg` before anything indexes with them.
+pub(crate) fn check_spec_shape(name: &str, layers: &[Vec<usize>], cfg: &ModularConfig) -> Result<(), String> {
+    if layers.len() != cfg.num_layers {
+        return Err(format!("{name} spec has {} layers, model has {}", layers.len(), cfg.num_layers));
+    }
+    for (l, mods) in layers.iter().enumerate() {
+        if mods.is_empty() {
+            return Err(format!("{name} spec layer {l} is empty"));
+        }
+        if let Some(&bad) = mods.iter().find(|&&m| m >= cfg.modules_per_layer) {
+            return Err(format!(
+                "{name} spec layer {l} references module {bad} of {}",
+                cfg.modules_per_layer
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// The cloud side of Nebula.
@@ -289,6 +346,49 @@ mod tests {
         assert_eq!(payload.module_params.len(), 3);
         assert_eq!(payload.module_params[&(0, 2)], c.model().module_param_vector(0, 2));
         assert!(payload.bytes() > 0);
+    }
+
+    #[test]
+    fn validate_accepts_what_dispatch_ships_and_names_each_mismatch() {
+        let c = cloud();
+        let cfg = c.model().config().clone();
+        let good = c.dispatch(&SubModelSpec::new(vec![vec![0, 3], vec![1]]));
+        assert_eq!(good.validate(&cfg), Ok(()));
+
+        let rejected = |payload: &SubModelPayload, cfg: &ModularConfig, needle: &str| {
+            let err = payload.validate(cfg).expect_err(needle);
+            assert!(err.contains(needle), "expected `{needle}` in `{err}`");
+        };
+        // Another architecture: layer count, module count, widths.
+        let mut other = cfg.clone();
+        other.num_layers = 3;
+        rejected(&good, &other, "spec has 2 layers, model has 3");
+        other = cfg.clone();
+        other.modules_per_layer = 3;
+        other.top_k = 2;
+        rejected(&good, &other, "references module 3 of 3");
+        other = cfg.clone();
+        other.module_hidden += 1;
+        rejected(&good, &other, "module (0, 0) record has");
+        other = cfg.clone();
+        other.selector_embed += 1;
+        rejected(&good, &other, "shared record has");
+        // A spec that skipped `SubModelSpec::new` (it is `Deserialize`).
+        let mut bad = good.clone();
+        bad.spec = serde_json::from_str(r#"{"active":[[0,3],[]]}"#).expect("spec json");
+        rejected(&bad, &cfg, "spec layer 1 is empty");
+        // Records that do not match the spec.
+        let mut bad = good.clone();
+        bad.module_params.remove(&(1, 1));
+        rejected(&bad, &cfg, "ships 2 module records for a 3-module spec");
+        bad.module_params.insert((1, 2), good.module_params[&(1, 1)].clone());
+        rejected(&bad, &cfg, "no record for spec module (1, 1)");
+        let mut bad = good.clone();
+        bad.module_params.get_mut(&(0, 3)).expect("bypass record").push(0.0);
+        rejected(&bad, &cfg, "module (0, 3) record has 1 params, wants 0");
+        let mut bad = good.clone();
+        bad.shared_params.pop();
+        rejected(&bad, &cfg, "shared record has");
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! The edge side of Nebula: a device running a derived sub-model.
 //!
-//! The client instantiates the cloud architecture, loads the payload's
-//! parameters, and masks routing to the sub-model's modules. Locally it
+//! The client materialises exactly the payload's modules plus the shared
+//! stem/head/selector — never the rest of the cloud architecture (§5.1) —
+//! and loads the payload's parameters into them. Locally it
 //! (i) serves inference, (ii) fine-tunes on fresh data, (iii) scores
 //! module importance with the decoupled selector, and (iv) emits a
 //! [`EdgeUpdate`] carrying only the sub-model's parameters back to the
 //! cloud.
 
 use crate::aggregate::{EdgeAccumulator, EdgePartial, ModuleUpdate, RobustAggregator, SanitizePolicy};
-use crate::cloud::{NebulaCloud, SubModelPayload};
+use crate::cloud::{check_spec_shape, NebulaCloud, SubModelPayload};
 use crate::derive::DeriveOutcome;
 use crate::profile::ResourceProfile;
 use nebula_data::{Dataset, TrainConfig};
@@ -45,14 +46,11 @@ pub struct EdgeClient {
 }
 
 impl EdgeClient {
-    /// Instantiates a client from the cloud architecture and a payload.
+    /// Instantiates a client holding exactly the payload's sub-model.
+    /// Panics on a payload that [`SubModelPayload::validate`] rejects.
     pub fn from_payload(cfg: ModularConfig, payload: &SubModelPayload) -> Self {
-        let mut model = ModularModel::new(cfg, 0);
-        for (&(l, i), params) in &payload.module_params {
-            model.load_module_param_vector(l, i, params);
-        }
-        model.load_shared_param_vector(&payload.shared_params);
-        model.set_submodel(Some(&payload.spec));
+        let mut model = ModularModel::for_submodel(cfg, &payload.spec);
+        load_payload(&mut model, payload);
         Self { model, spec: payload.spec.clone(), installed: payload.spec.clone() }
     }
 
@@ -67,13 +65,11 @@ impl EdgeClient {
     }
 
     /// Swaps in a new sub-model payload (e.g. after querying the cloud in
-    /// a new environment) without rebuilding the client.
+    /// a new environment) without rebuilding the client: modules the new
+    /// sub-model drops are freed, the ones it adds are materialised.
     pub fn install(&mut self, payload: &SubModelPayload) {
-        for (&(l, i), params) in &payload.module_params {
-            self.model.load_module_param_vector(l, i, params);
-        }
-        self.model.load_shared_param_vector(&payload.shared_params);
-        self.model.set_submodel(Some(&payload.spec));
+        self.model.set_resident(&payload.spec);
+        load_payload(&mut self.model, payload);
         self.spec = payload.spec.clone();
         self.installed = payload.spec.clone();
     }
@@ -105,14 +101,9 @@ impl EdgeClient {
         self.spec = new_spec;
     }
 
-    /// Back-compat alias for [`EdgeClient::schedule_modules`].
-    pub fn shrink_to(&mut self, keep: usize, local_data: &Dataset) {
-        self.schedule_modules(keep, local_data);
-    }
-
     /// Re-activates the full installed sub-model (resources recovered).
     pub fn restore_installed(&mut self) {
-        self.model.set_submodel(Some(&self.installed.clone()));
+        self.model.set_submodel(Some(&self.installed));
         self.spec = self.installed.clone();
     }
 
@@ -167,8 +158,9 @@ impl EdgeClient {
         &mut self.model
     }
 
-    /// Captures the client's full mutable state (parameters + active and
-    /// installed sub-model specs) for a run snapshot.
+    /// Captures the client's full mutable state (the installed modules'
+    /// and shared parameters + active and installed sub-model specs) for a
+    /// run snapshot.
     pub fn export_state(&self) -> EdgeClientState {
         EdgeClientState {
             params: self.model.param_vector(),
@@ -178,33 +170,23 @@ impl EdgeClient {
     }
 
     /// Rebuilds a client from state captured by [`Self::export_state`].
-    /// Validates the parameter count and spec structure against `cfg`
-    /// before constructing anything, so corrupted or mismatched state is
-    /// an error rather than a panic.
+    /// Validates both specs against `cfg` before constructing anything,
+    /// and the parameter count and finiteness before loading, so corrupted
+    /// or mismatched state is an error rather than a panic.
     pub fn from_state(cfg: ModularConfig, state: &EdgeClientState) -> Result<Self, String> {
-        let check_spec = |name: &str, layers: &[Vec<usize>]| -> Result<(), String> {
-            if layers.len() != cfg.num_layers {
-                return Err(format!("{name} spec has {} layers, model has {}", layers.len(), cfg.num_layers));
+        check_spec_shape("active", &state.active, &cfg)?;
+        check_spec_shape("installed", &state.installed, &cfg)?;
+        let spec = SubModelSpec::new(state.active.clone());
+        let installed = SubModelSpec::new(state.installed.clone());
+        for (l, mods) in spec.layers().iter().enumerate() {
+            if let Some(&m) = mods.iter().find(|&&m| !installed.contains(l, m)) {
+                return Err(format!("active module ({l}, {m}) is not installed"));
             }
-            for (l, mods) in layers.iter().enumerate() {
-                if mods.is_empty() {
-                    return Err(format!("{name} spec layer {l} is empty"));
-                }
-                if let Some(&bad) = mods.iter().find(|&&m| m >= cfg.modules_per_layer) {
-                    return Err(format!(
-                        "{name} spec layer {l} references module {bad} of {}",
-                        cfg.modules_per_layer
-                    ));
-                }
-            }
-            Ok(())
-        };
-        check_spec("active", &state.active)?;
-        check_spec("installed", &state.installed)?;
-        let mut model = ModularModel::new(cfg, 0);
+        }
+        let mut model = ModularModel::for_submodel(cfg, &installed);
         if state.params.len() != model.param_count() {
             return Err(format!(
-                "client state has {} params, model wants {}",
+                "client state has {} params, its installed sub-model wants {}",
                 state.params.len(),
                 model.param_count()
             ));
@@ -213,11 +195,18 @@ impl EdgeClient {
             return Err(format!("client state param {i} is non-finite ({v})"));
         }
         model.load_param_vector(&state.params);
-        let spec = SubModelSpec::new(state.active.clone());
-        let installed = SubModelSpec::new(state.installed.clone());
         model.set_submodel(Some(&spec));
         Ok(Self { model, spec, installed })
     }
+}
+
+/// Loads every record of `payload` into `model`, which must already hold
+/// exactly `payload.spec`.
+fn load_payload(model: &mut ModularModel, payload: &SubModelPayload) {
+    for (&(l, i), params) in &payload.module_params {
+        model.load_module_param_vector(l, i, params);
+    }
+    model.load_shared_param_vector(&payload.shared_params);
 }
 
 /// The middle tier of hierarchical cloud→edge→device aggregation: an
@@ -319,7 +308,8 @@ impl EdgeServer {
 /// Serializable snapshot of an [`EdgeClient`]'s mutable state.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EdgeClientState {
-    /// Flat parameters of the full local model instance.
+    /// Flat parameters of what the device holds: stem, the installed
+    /// modules in `(layer, index)` order, head, selector.
     pub params: Vec<f32>,
     /// Active sub-model (module indices per layer).
     pub active: Vec<Vec<usize>>,
@@ -402,12 +392,12 @@ mod tests {
     }
 
     #[test]
-    fn shrink_to_reduces_active_modules() {
+    fn schedule_modules_reduces_active_modules() {
         let (cloud, synth, mut rng) = setup();
         let payload = cloud.dispatch(&SubModelSpec::full(2, 4));
         let mut client = EdgeClient::from_payload(cloud.model().config().clone(), &payload);
         let local = synth.sample(30, 0, &mut rng);
-        client.shrink_to(2, &local);
+        client.schedule_modules(2, &local);
         for l in 0..2 {
             assert_eq!(client.spec().layer(l).len(), 2);
         }

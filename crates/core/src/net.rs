@@ -191,6 +191,9 @@ impl JobRunner for ModularRunner {
         let mut wire = WireContext::new(self.wire);
         let payload =
             wire.decode_payload(job.device, frame).map_err(|e| TransportError::Wire(e.to_string()))?;
+        // A CRC-clean frame is only well-formed: it may still describe a
+        // sub-model of some other architecture.
+        payload.validate(&self.modular).map_err(TransportError::Rejected)?;
         let mut rng = NebulaRng::from_state(job.rng_state)
             .ok_or_else(|| TransportError::Rejected("degenerate rng state".into()))?;
         let mut client = EdgeClient::from_payload(self.modular.clone(), &payload);
@@ -319,6 +322,58 @@ mod tests {
             shared.encode_update(job.device, &update, &mut out);
             assert_eq!(remote, out, "fresh context must be bit-identical under Raw");
         }
+    }
+
+    #[test]
+    fn mismatched_payload_frames_are_rejected_not_panicked_on() {
+        // CRC-clean frames cut for some other architecture, through the
+        // same Loopback a round uses: every one must come back as an
+        // error, and the executor must keep serving afterwards.
+        let c = cloud();
+        let cfg = c.model().config().clone();
+        let wire_cfg = WireConfig::raw();
+        let mut transport = Loopback::new(Arc::new(ModularRunner::new(cfg.clone(), wire_cfg)));
+
+        let frame_from = |other: ModularConfig, spec: SubModelSpec| {
+            let foreign = NebulaCloud::new(other, NebulaParams::default(), 3);
+            let mut frame = Vec::new();
+            WireContext::new(wire_cfg).encode_payload(1, &foreign.dispatch(&spec), &mut frame);
+            frame
+        };
+        let mut wider = cfg.clone();
+        wider.modules_per_layer = 8; // module keys beyond this executor's range
+        let mut deeper = cfg.clone();
+        deeper.num_layers = 3; // one layer too many
+        let mut fatter = cfg.clone();
+        fatter.module_hidden += 4; // right keys, wrong record lengths
+        let mut frames = vec![
+            frame_from(wider, SubModelSpec::new(vec![vec![0, 6], vec![7]])),
+            frame_from(deeper, SubModelSpec::new(vec![vec![0], vec![1], vec![2]])),
+            frame_from(fatter, spec()),
+        ];
+        // A frame whose records skip layer 0 describes no sub-model at all.
+        let mut gap = Vec::new();
+        let mut b = nebula_wire::frame::FrameBuilder::begin(
+            &mut gap,
+            nebula_wire::frame::FrameKind::Payload,
+            nebula_wire::CodecKind::Raw,
+        );
+        b.record(nebula_wire::frame::ModuleKey::module(1, 0), nebula_wire::CodecKind::Raw, 0, 0, |_| {});
+        b.finish();
+        frames.push(gap);
+
+        let mut jobs: Vec<DispatchJob> = frames
+            .into_iter()
+            .map(|frame| DispatchJob { spec: JobSpec::Modular { frame }, ..job_for(&c, wire_cfg, 1) })
+            .collect();
+        jobs.push(job_for(&c, wire_cfg, 1));
+        let results = transport.round_trip(jobs);
+        assert_eq!(results.len(), 5);
+        for r in &results[..3] {
+            assert!(matches!(r, Err(TransportError::Rejected(_))), "got {r:?}");
+        }
+        assert!(matches!(&results[3], Err(TransportError::Wire(_))), "got {:?}", results[3]);
+        assert!(results[4].is_ok(), "an honest job after the hostile ones must still run");
     }
 
     #[test]

@@ -296,7 +296,7 @@ impl WireContext {
                 version = u64::from_le_bytes(rec.payload.try_into().unwrap());
             }
         }
-        let spec = spec_from_keys(module_params.keys().copied());
+        let spec = spec_from_keys(module_params.keys().copied())?;
         if version > 0 {
             for &(l, i) in module_params.keys() {
                 self.registry.ack(device, ModuleKey::module(l, i), version);
@@ -406,7 +406,7 @@ impl WireContext {
         }
         importance_rows.sort_unstable_by_key(|(l, _)| *l);
         let importance: Vec<Vec<f32>> = importance_rows.into_iter().map(|(_, r)| r).collect();
-        let spec = spec_from_keys(module_params.keys().copied());
+        let spec = spec_from_keys(module_params.keys().copied())?;
         Ok(ModuleUpdate { spec, module_params, shared_params, importance, data_volume })
     }
 
@@ -448,9 +448,11 @@ impl WireContext {
 }
 
 /// Rebuild a [`SubModelSpec`] from the module keys present in a frame.
-/// Valid because derivation guarantees at least one module per layer and
-/// dispatch ships every spec module (residuals as empty records).
-fn spec_from_keys(keys: impl Iterator<Item = (usize, usize)>) -> SubModelSpec {
+/// Derivation guarantees at least one module per layer and dispatch ships
+/// every spec module (residuals as empty records), so an honest frame has
+/// no gap; a frame that skips a layer is rejected rather than handed to
+/// [`SubModelSpec::new`], which panics on an empty layer.
+fn spec_from_keys(keys: impl Iterator<Item = (usize, usize)>) -> Result<SubModelSpec, WireError> {
     let mut layers: Vec<Vec<usize>> = Vec::new();
     for (l, i) in keys {
         if layers.len() <= l {
@@ -458,7 +460,10 @@ fn spec_from_keys(keys: impl Iterator<Item = (usize, usize)>) -> SubModelSpec {
         }
         layers[l].push(i);
     }
-    SubModelSpec::new(layers)
+    match layers.iter().position(Vec::is_empty) {
+        Some(layer) => Err(WireError::EmptyLayer { layer }),
+        None => Ok(SubModelSpec::new(layers)),
+    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! The modularized cloud model (§4.1): stem → L module layers → head,
 //! routed by the unified selector, with sub-model masking.
 
-use crate::config::ModularConfig;
+use crate::config::{ConvStemConfig, ModularConfig};
 use crate::moe_layer::MoeLayer;
 use crate::selector::UnifiedSelector;
 use crate::submodel::SubModelSpec;
 use nebula_nn::{Activation, Conv1d, Layer, Linear, MaxPool1d, Mode, Sequential};
 use nebula_tensor::{NebulaRng, Tensor};
+use std::sync::Mutex;
 
 /// A modularized model.
 ///
@@ -21,6 +22,12 @@ use nebula_tensor::{NebulaRng, Tensor};
 /// * the load-balancing loss is folded into `backward` with weight
 ///   `cfg.load_balance_weight`, so a plain cross-entropy training loop
 ///   trains exactly the paper's §4.3 objective.
+///
+/// A model need not hold every module: [`ModularModel::for_submodel`]
+/// materialises only a sub-model's modules (what an edge device holds,
+/// §5.1), and everything that walks parameters — `param_count`,
+/// `param_vector`, `zero_grad`, gradient clipping, the optimiser — then
+/// touches only those.
 pub struct ModularModel {
     cfg: ModularConfig,
     /// Dense (`Linear → ReLU`) or convolutional
@@ -44,29 +51,11 @@ pub struct ModularModel {
 }
 
 impl ModularModel {
-    /// Builds a freshly-initialised modularized model.
+    /// Builds a freshly-initialised modularized model holding every module.
     pub fn new(cfg: ModularConfig, seed: u64) -> Self {
         cfg.validate();
         let mut rng = NebulaRng::seed(seed);
-        let stem = match &cfg.conv_stem {
-            None => Sequential::new()
-                .with(Linear::new(cfg.input_dim, cfg.width, &mut rng))
-                .with(Activation::relu()),
-            Some(cs) => Sequential::new()
-                .with(Conv1d::new(
-                    cs.in_channels,
-                    cs.out_channels,
-                    cs.kernel,
-                    1,
-                    cs.kernel / 2,
-                    cs.in_len,
-                    &mut rng,
-                ))
-                .with(Activation::relu())
-                .with(MaxPool1d::new(cs.out_channels, cs.in_len, cs.pool))
-                .with(Linear::new(cs.pooled_features(), cfg.width, &mut rng))
-                .with(Activation::relu()),
-        };
+        let stem = build_stem(&cfg, Some(&mut rng));
         let layers: Vec<MoeLayer> = (0..cfg.num_layers)
             .map(|_| {
                 MoeLayer::new(
@@ -87,6 +76,53 @@ impl ModularModel {
             cfg.gate_noise_std,
             &mut rng,
         );
+        Self::assemble(cfg, stem, layers, head, selector)
+    }
+
+    /// Builds a model holding exactly `spec`'s modules plus the shared
+    /// stem, head and selector, all parameters zero and ready to be
+    /// loaded, routing restricted to `spec`. Draws nothing from an RNG, so
+    /// it costs a few allocations rather than a full initialisation: this
+    /// is how an edge client, a replica or a restored snapshot is built.
+    pub fn for_submodel(cfg: ModularConfig, spec: &SubModelSpec) -> Self {
+        cfg.validate();
+        spec.validate(cfg.num_layers, cfg.modules_per_layer);
+        let noise_rng = seed0_gate_noise_rng(&cfg);
+        let stem = build_stem(&cfg, None);
+        let layers: Vec<MoeLayer> = spec
+            .layers()
+            .iter()
+            .map(|resident| {
+                MoeLayer::zeros(
+                    cfg.width,
+                    cfg.module_hidden,
+                    cfg.modules_per_layer,
+                    cfg.residual_module,
+                    resident,
+                )
+            })
+            .collect();
+        let head = Linear::zeros(cfg.width, cfg.classes);
+        let selector = UnifiedSelector::zeros(
+            cfg.input_dim,
+            cfg.selector_embed,
+            cfg.num_layers,
+            cfg.modules_per_layer,
+            cfg.gate_noise_std,
+            noise_rng,
+        );
+        let mut model = Self::assemble(cfg, stem, layers, head, selector);
+        model.masks = spec.to_masks(model.cfg.modules_per_layer);
+        model
+    }
+
+    fn assemble(
+        cfg: ModularConfig,
+        stem: Sequential,
+        layers: Vec<MoeLayer>,
+        head: Linear,
+        selector: UnifiedSelector,
+    ) -> Self {
         let masks = vec![vec![true; cfg.modules_per_layer]; cfg.num_layers];
         let top_k = cfg.top_k;
         Self {
@@ -108,17 +144,41 @@ impl ModularModel {
         &self.cfg
     }
 
-    /// Restricts routing to `spec`'s modules; `None` restores the full model.
+    /// Restricts routing to `spec`'s modules; `None` restores every module
+    /// the model holds (the full model, unless it was built for a
+    /// sub-model). Panics if `spec` names a module the model does not hold.
     pub fn set_submodel(&mut self, spec: Option<&SubModelSpec>) {
         match spec {
             Some(s) => {
                 s.validate(self.cfg.num_layers, self.cfg.modules_per_layer);
+                for (l, mods) in s.layers().iter().enumerate() {
+                    for &i in mods {
+                        assert!(
+                            self.layers[l].is_resident(i),
+                            "sub-model routes to module ({l}, {i}), which this model does not hold"
+                        );
+                    }
+                }
                 self.masks = s.to_masks(self.cfg.modules_per_layer);
             }
-            None => {
-                self.masks = vec![vec![true; self.cfg.modules_per_layer]; self.cfg.num_layers];
-            }
+            None => self.masks = self.resident_submodel().to_masks(self.cfg.modules_per_layer),
         }
+    }
+
+    /// The modules this model holds.
+    pub fn resident_submodel(&self) -> SubModelSpec {
+        SubModelSpec::new(self.layers.iter().map(MoeLayer::resident).collect())
+    }
+
+    /// Makes the held modules exactly `spec` and routes to all of them:
+    /// departed modules are dropped, arrived ones start all-zero (to be
+    /// loaded), modules in both keep their parameters.
+    pub fn set_resident(&mut self, spec: &SubModelSpec) {
+        spec.validate(self.cfg.num_layers, self.cfg.modules_per_layer);
+        for (layer, resident) in self.layers.iter_mut().zip(spec.layers()) {
+            layer.set_resident(resident);
+        }
+        self.masks = spec.to_masks(self.cfg.modules_per_layer);
     }
 
     /// The currently-active sub-model.
@@ -203,9 +263,10 @@ impl ModularModel {
         assert_eq!(offset, flat.len(), "shared parameter vector length mismatch");
     }
 
-    /// Deep copy: same architecture, identical parameters, fresh caches.
+    /// Deep copy: same architecture and held modules, identical
+    /// parameters, fresh caches.
     pub fn deep_clone(&self) -> ModularModel {
-        let mut clone = ModularModel::new(self.cfg.clone(), 0);
+        let mut clone = ModularModel::for_submodel(self.cfg.clone(), &self.resident_submodel());
         clone.load_param_vector(&self.param_vector());
         clone.masks = self.masks.clone();
         clone.top_k = self.top_k;
@@ -221,6 +282,80 @@ impl ModularModel {
     pub fn layer(&self, l: usize) -> &MoeLayer {
         &self.layers[l]
     }
+}
+
+/// The stem of `cfg`, Kaiming-initialised from `rng` or all-zero without
+/// one.
+fn build_stem(cfg: &ModularConfig, rng: Option<&mut NebulaRng>) -> Sequential {
+    match &cfg.conv_stem {
+        None => {
+            let project = match rng {
+                Some(rng) => Linear::new(cfg.input_dim, cfg.width, rng),
+                None => Linear::zeros(cfg.input_dim, cfg.width),
+            };
+            Sequential::new().with(project).with(Activation::relu())
+        }
+        Some(cs) => {
+            let pad = cs.kernel / 2;
+            let (conv, project) = match rng {
+                Some(rng) => (
+                    Conv1d::new(cs.in_channels, cs.out_channels, cs.kernel, 1, pad, cs.in_len, rng),
+                    Linear::new(cs.pooled_features(), cfg.width, rng),
+                ),
+                None => (
+                    Conv1d::zeros(cs.in_channels, cs.out_channels, cs.kernel, 1, pad, cs.in_len),
+                    Linear::zeros(cs.pooled_features(), cfg.width),
+                ),
+            };
+            Sequential::new()
+                .with(conv)
+                .with(Activation::relu())
+                .with(MaxPool1d::new(cs.out_channels, cs.in_len, cs.pool))
+                .with(project)
+                .with(Activation::relu())
+        }
+    }
+}
+
+/// The [`ModularConfig`] fields that size tensors, and therefore fix how
+/// many draws [`ModularModel::new`] makes before it forks the selector's
+/// gate-noise stream.
+type ArchKey = ([usize; 7], bool, Option<ConvStemConfig>);
+
+/// The gate-noise stream of `ModularModel::new(cfg, 0)`.
+///
+/// Every edge client, replica and restored snapshot used to be built as a
+/// seed-0 model and then overwritten, so its noisy top-k drew from the
+/// stream `UnifiedSelector::new` forks off the *tail of the seed-0 init
+/// stream* — a constant per architecture. [`ModularModel::for_submodel`]
+/// draws nothing, so it is handed that constant instead: obtained by
+/// construction (one real seed-0 model per distinct architecture, on first
+/// use) rather than by counting draws, which would silently go stale when
+/// an initialiser changes. Sharing one noise stream across devices is a
+/// known defect (ROADMAP item 3); this keeps it bit-identical until the
+/// PR that re-keys it to the device RNG and re-blesses the pins.
+fn seed0_gate_noise_rng(cfg: &ModularConfig) -> NebulaRng {
+    static MEMO: Mutex<Vec<(ArchKey, NebulaRng)>> = Mutex::new(Vec::new());
+    let key: ArchKey = (
+        [
+            cfg.input_dim,
+            cfg.classes,
+            cfg.width,
+            cfg.num_layers,
+            cfg.modules_per_layer,
+            cfg.module_hidden,
+            cfg.selector_embed,
+        ],
+        cfg.residual_module,
+        cfg.conv_stem,
+    );
+    let mut memo = MEMO.lock().expect("a validated config cannot panic ModularModel::new under the lock");
+    if let Some((_, rng)) = memo.iter().find(|(k, _)| *k == key) {
+        return rng.clone();
+    }
+    let rng = ModularModel::new(cfg.clone(), 0).selector.noise_rng().clone();
+    memo.push((key, rng.clone()));
+    rng
 }
 
 impl Layer for ModularModel {

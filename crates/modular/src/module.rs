@@ -32,6 +32,12 @@ impl Module {
         Module::Shrunk { l1: Linear::new(d, h, rng), act: Activation::relu(), l2: Linear::new(h, d, rng) }
     }
 
+    /// A shrunk module `d → h → d` with all-zero parameters, built without
+    /// an RNG: the shape an edge client loads a shipped module into.
+    pub fn zeros(d: usize, h: usize) -> Self {
+        Module::Shrunk { l1: Linear::zeros(d, h), act: Activation::relu(), l2: Linear::zeros(h, d) }
+    }
+
     /// Builds the bypass module.
     pub fn residual() -> Self {
         Module::Residual

@@ -20,8 +20,14 @@ use nebula_tensor::{NebulaRng, Tensor};
 
 /// One module layer of a modularized model.
 pub struct MoeLayer {
-    modules: Vec<Module>,
+    /// One slot per module index. `None` is a module this model does not
+    /// hold: an edge client materialises only its installed sub-model, so
+    /// an absent slot owns no weights, gradients or scratch and is skipped
+    /// by the parameter visitors.
+    modules: Vec<Option<Module>>,
     width: usize,
+    hidden: usize,
+    residual_module: bool,
     cache: Option<LayerCache>,
     ws: Workspace,
     /// Per-row gate scratch (masked logits, then their softmax), reused
@@ -65,12 +71,75 @@ impl MoeLayer {
         let mut modules = Vec::with_capacity(n_modules);
         let shrunk_count = if residual_module { n_modules - 1 } else { n_modules };
         for _ in 0..shrunk_count {
-            modules.push(Module::shrunk(width, hidden, rng));
+            modules.push(Some(Module::shrunk(width, hidden, rng)));
         }
         if residual_module {
-            modules.push(Module::residual());
+            modules.push(Some(Module::residual()));
         }
-        Self { modules, width, cache: None, ws: Workspace::new(), gate_row: Vec::new(), topk: Vec::new() }
+        Self::with_slots(modules, width, hidden, residual_module)
+    }
+
+    /// Builds the same layer shape without an RNG, holding only the
+    /// modules in `resident` (all-zero parameters, to be loaded).
+    pub fn zeros(
+        width: usize,
+        hidden: usize,
+        n_modules: usize,
+        residual_module: bool,
+        resident: &[usize],
+    ) -> Self {
+        assert!(n_modules >= 1);
+        let mut layer =
+            Self::with_slots((0..n_modules).map(|_| None).collect(), width, hidden, residual_module);
+        layer.set_resident(resident);
+        layer
+    }
+
+    fn with_slots(modules: Vec<Option<Module>>, width: usize, hidden: usize, residual_module: bool) -> Self {
+        Self {
+            modules,
+            width,
+            hidden,
+            residual_module,
+            cache: None,
+            ws: Workspace::new(),
+            gate_row: Vec::new(),
+            topk: Vec::new(),
+        }
+    }
+
+    /// Makes the held modules exactly `resident`: departed modules are
+    /// dropped with their buffers, arrived ones start all-zero, modules in
+    /// both keep their parameters.
+    pub fn set_resident(&mut self, resident: &[usize]) {
+        let n = self.modules.len();
+        for &i in resident {
+            assert!(i < n, "module index {i} out of range");
+        }
+        for i in 0..n {
+            match (self.modules[i].is_some(), resident.contains(&i)) {
+                (true, false) => self.modules[i] = None,
+                (false, true) => {
+                    let bypass = self.residual_module && i == n - 1;
+                    self.modules[i] = Some(if bypass {
+                        Module::residual()
+                    } else {
+                        Module::zeros(self.width, self.hidden)
+                    });
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Whether module `i` is held by this model.
+    pub fn is_resident(&self, i: usize) -> bool {
+        self.modules[i].is_some()
+    }
+
+    /// Indices of the modules this model holds, ascending.
+    pub fn resident(&self) -> Vec<usize> {
+        (0..self.modules.len()).filter(|&i| self.is_resident(i)).collect()
     }
 
     /// Trunk width.
@@ -78,14 +147,15 @@ impl MoeLayer {
         self.width
     }
 
-    /// Access a module (for cost models and tests).
+    /// Access a module (for cost models and tests). Panics on a module
+    /// this model does not hold.
     pub fn module(&self, i: usize) -> &Module {
-        &self.modules[i]
+        self.modules[i].as_ref().unwrap_or_else(|| panic!("module {i} is not resident"))
     }
 
-    /// Mutable module access (for aggregation).
+    /// Mutable module access (for aggregation and parameter loading).
     pub fn module_mut(&mut self, i: usize) -> &mut Module {
-        &mut self.modules[i]
+        self.modules[i].as_mut().unwrap_or_else(|| panic!("module {i} is not resident"))
     }
 
     /// Forward pass.
@@ -204,12 +274,13 @@ impl MoeLayer {
         // Run each module on its routed rows and scatter the weighted sum.
         let mut y = Tensor::zeros(&[batch, self.width]);
         let mut outputs: Vec<Option<Tensor>> = Vec::with_capacity(n);
-        for (i, module) in self.modules.iter_mut().enumerate() {
+        for (i, slot) in self.modules.iter_mut().enumerate() {
             let rows = &rows_per_module[i];
             if rows.is_empty() {
                 outputs.push(None);
                 continue;
             }
+            let module = slot.as_mut().expect("routed to a module this model does not hold");
             let mut xi = self.ws.zeroed(&[rows.len(), self.width]);
             x.gather_rows_into(rows, &mut xi);
             let oi = module.forward(&xi, mode);
@@ -259,11 +330,12 @@ impl MoeLayer {
 
         // Module gradients and dx.
         let mut dx = Tensor::zeros(&[batch, self.width]);
-        for (i, module) in self.modules.iter_mut().enumerate() {
+        for (i, slot) in self.modules.iter_mut().enumerate() {
             let rows = &cache.rows_per_module[i];
             if rows.is_empty() {
                 continue;
             }
+            let module = slot.as_mut().expect("routed to a module this model does not hold");
             // Per-row gradient into the module: w[b,i] · dy[b].
             let mut gi = self.ws.zeroed(&[rows.len(), self.width]);
             for (j, &b) in rows.iter().enumerate() {
@@ -350,16 +422,16 @@ impl MoeLayer {
         dlogits
     }
 
-    /// Visits `(param, grad)` pairs of every module, in module order.
+    /// Visits `(param, grad)` pairs of every held module, in module order.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        for m in &mut self.modules {
+        for m in self.modules.iter_mut().flatten() {
             m.visit_params(f);
         }
     }
 
     /// Visits parameters immutably.
     pub fn visit_params_ref(&self, f: &mut dyn FnMut(&Tensor)) {
-        for m in &self.modules {
+        for m in self.modules.iter().flatten() {
             m.visit_params_ref(f);
         }
     }
@@ -445,6 +517,47 @@ mod tests {
         let x = Tensor::ones(&[1, 6]);
         let logits = uniform_logits(1, 2);
         l.forward(&x, &logits, &[false, false], 1, Mode::Eval);
+    }
+
+    #[test]
+    fn absent_slots_hold_nothing_and_set_resident_keeps_what_stays() {
+        // 4 slots over width 6 / hidden 3, slot 3 is the bypass.
+        let per_module = 6 * 3 + 3 + 3 * 6 + 6;
+        let mut l = MoeLayer::zeros(6, 3, 4, true, &[1, 3]);
+        assert_eq!(l.resident(), vec![1, 3]);
+        assert!(l.module(3).is_residual());
+        let count = |l: &MoeLayer| {
+            let mut n = 0;
+            l.visit_params_ref(&mut |p| n += p.len());
+            n
+        };
+        assert_eq!(count(&l), per_module, "only module 1 carries parameters");
+
+        let marked: Vec<f32> = (0..per_module).map(|i| i as f32 + 1.0).collect();
+        l.module_mut(1).load_param_vector(&marked);
+        l.set_resident(&[0, 1]);
+        assert_eq!(l.resident(), vec![0, 1]);
+        assert_eq!(l.module(1).param_vector(), marked, "a module in both sets keeps its parameters");
+        assert!(l.module(0).param_vector().iter().all(|&p| p == 0.0), "an arrived module starts at zero");
+        assert_eq!(count(&l), 2 * per_module);
+
+        // Routing only to held modules works; the absent ones are skipped.
+        let y = l.forward(
+            &Tensor::ones(&[2, 6]),
+            &uniform_logits(2, 4),
+            &[true, true, false, false],
+            2,
+            Mode::Train,
+        );
+        assert!(y.all_finite());
+        l.backward(&Tensor::ones(&[2, 6]));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold")]
+    fn routing_to_an_absent_slot_panics() {
+        let mut l = MoeLayer::zeros(6, 3, 4, false, &[0]);
+        l.forward(&Tensor::ones(&[1, 6]), &uniform_logits(1, 4), &[true, true, false, false], 2, Mode::Eval);
     }
 
     #[test]

@@ -43,6 +43,32 @@ impl UnifiedSelector {
         Self { embed, act: Activation::relu(), gates, noise_std, rng: rng.fork(0x5E1E_C70F), cached_h: None }
     }
 
+    /// An all-zero selector of the same shape as [`UnifiedSelector::new`]
+    /// that draws nothing: parameters are loaded afterwards and the
+    /// gate-noise stream is handed in as `noise_rng`.
+    pub fn zeros(
+        input_dim: usize,
+        embed_dim: usize,
+        layers: usize,
+        modules: usize,
+        noise_std: f32,
+        noise_rng: NebulaRng,
+    ) -> Self {
+        Self {
+            embed: Linear::zeros(input_dim, embed_dim),
+            act: Activation::relu(),
+            gates: (0..layers).map(|_| Linear::zeros(embed_dim, modules)).collect(),
+            noise_std,
+            rng: noise_rng,
+            cached_h: None,
+        }
+    }
+
+    /// The gate-noise stream's current state.
+    pub(crate) fn noise_rng(&self) -> &NebulaRng {
+        &self.rng
+    }
+
     /// Number of module layers this selector routes for.
     pub fn num_layers(&self) -> usize {
         self.gates.len()

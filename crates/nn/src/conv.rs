@@ -45,6 +45,22 @@ impl Conv1d {
         in_len: usize,
         rng: &mut NebulaRng,
     ) -> Self {
+        Self {
+            w: Init::KaimingNormal.weight(out_channels, in_channels * kernel, rng),
+            ..Self::zeros(in_channels, out_channels, kernel, stride, pad, in_len)
+        }
+    }
+
+    /// All-zero convolution that draws nothing from an RNG: the shape to
+    /// load shipped parameters into.
+    pub fn zeros(
+        in_channels: usize,
+        out_channels: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        in_len: usize,
+    ) -> Self {
         assert!(kernel >= 1 && stride >= 1, "kernel/stride must be ≥ 1");
         assert!(in_len + 2 * pad >= kernel, "kernel larger than padded input");
         Self {
@@ -54,7 +70,7 @@ impl Conv1d {
             stride,
             pad,
             in_len,
-            w: Init::KaimingNormal.weight(out_channels, in_channels * kernel, rng),
+            w: Tensor::zeros(&[out_channels, in_channels * kernel]),
             b: Tensor::zeros(&[out_channels]),
             dw: Tensor::zeros(&[out_channels, in_channels * kernel]),
             db: Tensor::zeros(&[out_channels]),

@@ -26,11 +26,22 @@ impl Linear {
 
     /// Linear layer with an explicit weight-init scheme; bias starts at zero.
     pub fn with_init(in_features: usize, out_features: usize, init: Init, rng: &mut NebulaRng) -> Self {
+        Self::from_weight(init.weight(out_features, in_features, rng))
+    }
+
+    /// All-zero layer that draws nothing from an RNG: the shape to load
+    /// shipped parameters into.
+    pub fn zeros(in_features: usize, out_features: usize) -> Self {
+        Self::from_weight(Tensor::zeros(&[out_features, in_features]))
+    }
+
+    fn from_weight(w: Tensor) -> Self {
+        let out_features = w.shape()[0];
         Self {
-            w: init.weight(out_features, in_features, rng),
             b: Tensor::zeros(&[out_features]),
-            dw: Tensor::zeros(&[out_features, in_features]),
+            dw: Tensor::zeros(w.shape()),
             db: Tensor::zeros(&[out_features]),
+            w,
             cached_x: None,
             ws: Workspace::new(),
         }

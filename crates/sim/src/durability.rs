@@ -49,8 +49,10 @@ use nebula_tensor::NebulaRng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// Version tag inside every serialized [`RunState`].
-pub const RUN_STATE_FORMAT: u32 = 1;
+/// Version tag inside every serialized [`RunState`]. Format 2: a Nebula
+/// client's `param_bits` cover only what the device holds (stem, installed
+/// modules, head, selector) instead of a full model instance.
+pub const RUN_STATE_FORMAT: u32 = 2;
 
 /// Journal file name inside the durability directory.
 pub const JOURNAL_FILE: &str = "rounds.nblj";

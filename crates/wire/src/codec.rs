@@ -85,10 +85,15 @@ impl CodecKind {
 }
 
 /// Append `values` as little-endian f32 bytes.
+///
+/// The destination is sized once and filled through `chunks_exact_mut`,
+/// so the loop carries no per-element capacity check and compiles to a
+/// block copy on little-endian targets.
 pub fn encode_raw(values: &[f32], out: &mut Vec<u8>) {
-    out.reserve(4 * values.len());
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
+    let start = out.len();
+    out.resize(start + 4 * values.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -98,9 +103,9 @@ pub fn decode_raw(payload: &[u8], elems: usize, out: &mut Vec<f32>) -> Result<()
         return Err(WireError::LengthMismatch { expected: 4 * elems, got: payload.len() });
     }
     out.clear();
-    out.reserve(elems);
-    for chunk in payload.chunks_exact(4) {
-        out.push(f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
+    out.resize(elems, 0.0);
+    for (dst, chunk) in out.iter_mut().zip(payload.chunks_exact(4)) {
+        *dst = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
     }
     Ok(())
 }
@@ -204,9 +209,9 @@ pub fn decode_q8(payload: &[u8], elems: usize, out: &mut Vec<f32>) -> Result<(),
     }
     let scale = f32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]);
     out.clear();
-    out.reserve(elems);
-    for &b in &payload[4..] {
-        out.push((b as i8) as f32 * scale);
+    out.resize(elems, 0.0);
+    for (dst, &b) in out.iter_mut().zip(&payload[4..]) {
+        *dst = (b as i8) as f32 * scale;
     }
     Ok(())
 }
@@ -249,5 +254,66 @@ impl ResidualStore {
 
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn raw_round_trips_every_bit_pattern_class() {
+        // Values a numeric copy could launder but a byte copy must not:
+        // quiet and signalling NaNs with payloads, both zeros, subnormals,
+        // infinities and the extremes.
+        let bits: [u32; 12] = [
+            0x7FC0_0001,
+            0xFFC1_2345,
+            0x7F80_0001,
+            0xFFBF_FFFF,
+            0x0000_0000,
+            0x8000_0000,
+            0x0000_0001,
+            0x807F_FFFF,
+            0x7F80_0000,
+            0xFF80_0000,
+            0x7F7F_FFFF,
+            0x0080_0000,
+        ];
+        let vals: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        // Appends after what the frame builder already wrote.
+        let mut enc = vec![0xAB, 0xCD, 0xEF];
+        encode_raw(&vals, &mut enc);
+        assert_eq!(&enc[..3], &[0xAB, 0xCD, 0xEF]);
+        assert_eq!(enc.len(), 3 + 4 * vals.len());
+        for (chunk, b) in enc[3..].chunks_exact(4).zip(bits) {
+            assert_eq!(chunk, b.to_le_bytes());
+        }
+        // Decodes over stale contents of a reused buffer.
+        let mut back = vec![1.0f32; 40];
+        decode_raw(&enc[3..], vals.len(), &mut back).unwrap();
+        let back_bits: Vec<u32> = back.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(back_bits, bits);
+    }
+
+    #[test]
+    fn raw_and_q8_reject_wrong_lengths_and_handle_empty() {
+        let mut out = vec![9.0f32];
+        assert!(decode_raw(&[0; 7], 2, &mut out).is_err());
+        assert!(decode_q8(&[0; 4], 1, &mut out).is_err());
+        decode_raw(&[], 0, &mut out).unwrap();
+        assert!(out.is_empty());
+        let mut enc = Vec::new();
+        encode_raw(&[], &mut enc);
+        assert!(enc.is_empty());
+    }
+
+    #[test]
+    fn q8_decode_scales_signed_bytes() {
+        let mut payload = 0.5f32.to_le_bytes().to_vec();
+        payload.extend_from_slice(&[0x7F, 0x81, 0x00, 0xFF]);
+        let mut out = vec![3.0f32; 9];
+        decode_q8(&payload, 4, &mut out).unwrap();
+        assert_eq!(out, vec![63.5, -63.5, 0.0, -0.5]);
     }
 }

@@ -41,6 +41,9 @@ pub enum WireError {
     /// A delta record references a module the decoder has no baseline for
     /// at all.
     MissingBaseline { key: ModuleKey },
+    /// A payload or update frame carries module records above `layer` but
+    /// none for it, so its records do not describe a sub-model.
+    EmptyLayer { layer: usize },
 }
 
 impl fmt::Display for WireError {
@@ -75,6 +78,7 @@ impl fmt::Display for WireError {
             WireError::MissingBaseline { key } => {
                 write!(f, "missing baseline for module ({}, {})", key.layer, key.module)
             }
+            WireError::EmptyLayer { layer } => write!(f, "no module record for layer {layer}"),
         }
     }
 }

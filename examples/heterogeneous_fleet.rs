@@ -4,7 +4,7 @@
 //! SoCs vs IoT boards), derives a personalized sub-model for each under
 //! its own resource profile, and shows how sub-model size, memory and
 //! per-batch training latency track the hardware — including the
-//! on-device module scheduling (`shrink_to`) that reacts to runtime
+//! on-device module scheduling (`schedule_modules`) that reacts to runtime
 //! contention.
 //!
 //! Run: `cargo run --release --example heterogeneous_fleet`
@@ -81,7 +81,7 @@ fn main() {
             let payload = cloud.dispatch(&outcome.spec);
             let mut client = EdgeClient::from_payload(cloud.model().config().clone(), &payload);
             let before = client.spec().total_modules();
-            client.shrink_to(2, &dev.partition.data);
+            client.schedule_modules(2, &dev.partition.data);
             let shrunk_cost = cloud.cost_model().submodel(client.spec());
             println!(
                 "\n  device {i} under load: shrank {} → {} modules locally ({} K params), accuracy {:.1}% on {} local test samples",
