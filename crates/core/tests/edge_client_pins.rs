@@ -10,6 +10,11 @@
 //! materialising modules they do not hold; a change of client
 //! representation must leave them untouched.
 //!
+//! Each case also digests a *second* `make_update` at both points
+//! (captured before updates started refilling spent download buffers):
+//! building an update must neither disturb the client nor depend on what
+//! an earlier call left behind.
+//!
 //! One test function under `KernelBackend::Blocked.scoped()`, for the
 //! reasons given in `round_golden.rs`.
 
@@ -68,8 +73,9 @@ fn digest(u: &EdgeUpdate) -> u64 {
     h.0
 }
 
-/// `(fresh-client digest, reinstalled-and-rescheduled digest)`.
-fn client_trajectory(task: TaskPreset, first: &SubModelSpec, second: &SubModelSpec) -> (u64, u64) {
+/// `((fresh-client digest, reinstalled-and-rescheduled digest), digest of
+/// the second `make_update` at those two points)`.
+fn client_trajectory(task: TaskPreset, first: &SubModelSpec, second: &SubModelSpec) -> ((u64, u64), u64) {
     let cfg = modular_config_for(task);
     let cloud = NebulaCloud::new(cfg.clone(), NebulaParams::default(), 7);
     let synth = Synthesizer::new(task.synth_spec(), 1);
@@ -80,6 +86,8 @@ fn client_trajectory(task: TaskPreset, first: &SubModelSpec, second: &SubModelSp
     client.adapt(&data, 3, 16, 0.02, &mut rng);
     let fresh = client.make_update(&data);
     assert_eq!(&fresh.spec, first);
+    let mut repeat = Fnv::new();
+    repeat.update(&client.make_update(&data));
 
     client.install(&cloud.dispatch(second));
     client.schedule_modules(2, &data);
@@ -87,8 +95,9 @@ fn client_trajectory(task: TaskPreset, first: &SubModelSpec, second: &SubModelSp
     client.restore_installed();
     let again = client.make_update(&data);
     assert_eq!(&again.spec, second);
+    repeat.update(&client.make_update(&data));
 
-    (digest(&fresh), digest(&again))
+    ((digest(&fresh), digest(&again)), repeat.0)
 }
 
 #[test]
@@ -111,7 +120,16 @@ fn edge_update_digests_are_pinned() {
         client_trajectory(TaskPreset::Har, &har_first, &har_second),
         client_trajectory(TaskPreset::Cifar10, &c10_thin, &c10_first),
     ];
-    assert_eq!(got, PINNED, "an edge client's update moved: [c10, har, c10 thin] x (fresh, reinstalled)");
+    assert_eq!(
+        got.map(|(first, _)| first),
+        PINNED,
+        "an edge client's update moved: [c10, har, c10 thin] x (fresh, reinstalled)"
+    );
+    assert_eq!(
+        got.map(|(_, repeat)| repeat),
+        PINNED_REPEAT,
+        "an edge client's second update moved: [c10, har, c10 thin]"
+    );
 }
 
 /// `[c10, har, c10 thin]`, each `(fresh, reinstalled)`.
@@ -120,3 +138,7 @@ const PINNED: [(u64, u64); 3] = [
     (5531924951114594115, 1516696367413450457),
     (4822144695172842306, 784679698225934883),
 ];
+
+/// `[c10, har, c10 thin]`: the second `make_update` after the fresh one
+/// folded with the second after the reinstalled one.
+const PINNED_REPEAT: [u64; 3] = [11222039349493174092, 7085519927469272231, 3338060047776063788];

@@ -246,6 +246,47 @@ fn nebula_case(mut s: NebulaStrategy, plan: Option<FaultPlan>) -> u64 {
     h.0
 }
 
+/// The tracked cohort's half of `adaptation_step`: three steps of one
+/// round each with five tracked devices, then every step's stats
+/// (`adapt_time_ms` is a float sum in tracked order) and the tracked
+/// clients' parameters, active and installed sets, sorted by id. The
+/// cloud-side digests above never see a tracked client.
+fn tracked_case() -> u64 {
+    let mut cfg = toy_cfg(WireConfig::raw());
+    cfg.rounds_per_step = 1;
+    let mut s = NebulaStrategy::new(cfg, 1);
+    // Not in id order, so a loop that sorted the cohort would move the
+    // per-device RNG forks.
+    s.track(&[13, 1, 7, 4, 10]);
+    let mut world = toy_world(None);
+    let mut rng = NebulaRng::seed(3);
+    let mut h = Fnv::new();
+    for _ in 0..ROUNDS {
+        h.stats(&s.adaptation_step(&mut world, &mut rng));
+    }
+    let Some(StrategyState::Nebula(state)) = s.export_state() else {
+        panic!("a Raw Nebula strategy exports its state");
+    };
+    h.word(state.clients.len() as u64);
+    for c in &state.clients {
+        h.word(c.id as u64);
+        h.word(c.param_bits.len() as u64);
+        for &b in &c.param_bits {
+            h.word(b as u64);
+        }
+        for spec in [&c.active, &c.installed] {
+            h.word(spec.len() as u64);
+            for layer in spec {
+                h.word(layer.len() as u64);
+                for &m in layer {
+                    h.word(m as u64);
+                }
+            }
+        }
+    }
+    h.0
+}
+
 /// The runner cases' scale: an offline stage and adaptation steps small
 /// enough for a debug-build test.
 fn runner_cfg() -> StrategyConfig {
@@ -324,6 +365,7 @@ fn run_case(name: &str) -> u64 {
             cfg.edge_groups = Some(3);
             nebula_case(NebulaStrategy::new(cfg, 1), nebula_plan)
         }
+        "nebula_tracked_raw_clean" => tracked_case(),
         // The target is out of reach, so the run probes on the cadence
         // (round 2) and at the cap (round 3).
         "runner_target_fa" => {
@@ -349,8 +391,10 @@ fn run_case(name: &str) -> u64 {
 
 /// The first seven were captured at the parent of the one-dense-round
 /// refactor; the hierarchy and `runner_*` cases at the parent of the
-/// one-Runner-loop / one-guarded-aggregation refactor.
-const GOLDEN: [(&str, u64); 12] = [
+/// one-Runner-loop / one-guarded-aggregation refactor; the tracked-cohort
+/// case at the parent of the change that trains a round's devices on
+/// real threads.
+const GOLDEN: [(&str, u64); 13] = [
     ("fa_raw_clean", 0xf449_a4ce_cd01_c038),
     ("fa_int8_faulty", 0xde47_9568_83e0_4859),
     ("hfl_raw_clean", 0x222f_cb4c_6cb6_e831),
@@ -363,6 +407,7 @@ const GOLDEN: [(&str, u64); 12] = [
     // the edges and the cloud runs the full gate + rule over the same
     // updates in the same order.
     ("nebula_edges3_int8_trimmed_faulty", 0xd9cb_e91a_1238_dc6a),
+    ("nebula_tracked_raw_clean", 0x8873_3294_aafa_bc11),
     ("runner_target_fa", 0x9997_d0da_d51a_458b),
     ("runner_target_nebula", 0x017f_0200_8109_61cb),
     ("runner_continuous_nebula_drift", 0x81d8_bebf_bdb6_9cd4),
