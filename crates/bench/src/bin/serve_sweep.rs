@@ -8,7 +8,7 @@
 //!
 //! The transports are required to be *bit-identical*: under the `Raw`
 //! codec a remote worker executes exactly the computation the
-//! in-process rayon pool would, so the only thing allowed to differ is
+//! in-process threads would, so the only thing allowed to differ is
 //! wall-clock time. The sweep digests each trajectory (an FNV fold of
 //! the final cloud parameter bits) and the per-round comm accounting;
 //! `--check` exits nonzero if any transport disagrees with in-process

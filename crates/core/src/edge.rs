@@ -138,16 +138,42 @@ impl EdgeClient {
 
     /// Builds the edge → cloud update from the current parameters.
     pub fn make_update(&mut self, local_data: &Dataset) -> EdgeUpdate {
-        let mut module_params = BTreeMap::new();
+        self.fill_update(local_data, BTreeMap::new(), Vec::new())
+    }
+
+    /// [`Self::make_update`] into the allocations of a spent payload —
+    /// normally the download this client was installed from, whose records
+    /// have exactly the update's keys and lengths, so nothing is
+    /// allocated. A record `buffers` lacks, or one that is too short, is
+    /// allocated as usual; one the active set lacks is dropped.
+    ///
+    /// This is what keeps a round that trains devices on several threads
+    /// inside its memory bound: the update a `par::map` job returns lives
+    /// in buffers the calling thread allocated, not in the worker
+    /// thread's malloc arena.
+    pub fn make_update_reusing(&mut self, local_data: &Dataset, buffers: SubModelPayload) -> EdgeUpdate {
+        self.fill_update(local_data, buffers.module_params, buffers.shared_params)
+    }
+
+    /// The update, written over whatever `module_params` and
+    /// `shared_params` hold.
+    fn fill_update(
+        &mut self,
+        local_data: &Dataset,
+        mut module_params: BTreeMap<(usize, usize), Vec<f32>>,
+        mut shared_params: Vec<f32>,
+    ) -> EdgeUpdate {
+        module_params.retain(|&(l, i), _| l < self.spec.num_layers() && self.spec.contains(l, i));
         for (l, layer) in self.spec.layers().iter().enumerate() {
             for &i in layer {
-                module_params.insert((l, i), self.model.module_param_vector(l, i));
+                self.model.write_module_param_vector(l, i, module_params.entry((l, i)).or_default());
             }
         }
+        self.model.write_shared_param_vector(&mut shared_params);
         EdgeUpdate {
             spec: self.spec.clone(),
             module_params,
-            shared_params: self.model.shared_param_vector(),
+            shared_params,
             importance: self.model.importance(local_data.features()),
             data_volume: local_data.len(),
         }
@@ -450,6 +476,61 @@ mod tests {
         let touched = cloud.aggregate(&[update]);
         // Only module (0,0) and the shared parts carry parameters.
         assert_eq!(touched, 1);
+    }
+
+    /// Every field of an update, floats as bit patterns.
+    type UpdateBits = (SubModelSpec, Vec<((usize, usize), Vec<u32>)>, Vec<u32>, Vec<Vec<u32>>, usize);
+
+    fn update_bits(u: &EdgeUpdate) -> UpdateBits {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        (
+            u.spec.clone(),
+            u.module_params.iter().map(|(&k, v)| (k, bits(v))).collect(),
+            bits(&u.shared_params),
+            u.importance.iter().map(|row| bits(row)).collect(),
+            u.data_volume,
+        )
+    }
+
+    #[test]
+    fn recycled_update_equals_a_fresh_one_whatever_the_buffers() {
+        let (cloud, synth, mut rng) = setup();
+        let spec = SubModelSpec::new(vec![vec![0, 2, 3], vec![1, 2]]);
+        let payload = cloud.dispatch(&spec);
+        let mut client = EdgeClient::from_payload(cloud.model().config().clone(), &payload);
+        let local = synth.sample(40, 0, &mut rng);
+        client.adapt(&local, 2, 16, 0.05, &mut rng);
+        let want = update_bits(&client.make_update(&local));
+
+        // Its own download: same keys and lengths, so the records are
+        // refilled where they are.
+        let (record, shared) = (payload.module_params[&(0, 2)].as_ptr(), payload.shared_params.as_ptr());
+        let (record_cap, shared_cap) =
+            (payload.module_params[&(0, 2)].capacity(), payload.shared_params.capacity());
+        let own = client.make_update_reusing(&local, payload);
+        assert_eq!(update_bits(&own), want);
+        assert_eq!(
+            (own.module_params[&(0, 2)].as_ptr(), own.module_params[&(0, 2)].capacity()),
+            (record, record_cap)
+        );
+        assert_eq!((own.shared_params.as_ptr(), own.shared_params.capacity()), (shared, shared_cap));
+
+        // A download of some other sub-model: foreign records are dropped,
+        // missing ones allocated.
+        let other = cloud.dispatch(&SubModelSpec::new(vec![vec![1, 2], vec![0, 3]]));
+        assert_eq!(update_bits(&client.make_update_reusing(&local, other)), want);
+
+        // Nothing to reuse at all.
+        let empty =
+            SubModelPayload { spec: spec.clone(), module_params: BTreeMap::new(), shared_params: Vec::new() };
+        assert_eq!(update_bits(&client.make_update_reusing(&local, empty)), want);
+
+        // The active set shrank below what the download shipped.
+        client.schedule_modules(1, &local);
+        let shrunk = update_bits(&client.make_update(&local));
+        let recycled = client.make_update_reusing(&local, cloud.dispatch(&spec));
+        assert_eq!(recycled.module_params.len(), 2, "departed modules must not ride along");
+        assert_eq!(update_bits(&recycled), shrunk);
     }
 
     #[test]

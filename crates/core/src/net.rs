@@ -2,10 +2,10 @@
 //! executors.
 //!
 //! Historically every strategy trained its cohort in-process with a
-//! rayon `par_iter` inlined into the round loop. The serving plane
-//! generalizes that into a [`Transport`]: the coordinator hands a batch
-//! of [`DispatchJob`]s to the transport and gets back one
-//! [`JobResult`] (or [`TransportError`]) per job, order-preserving.
+//! loop inlined into the round body. The serving plane generalizes that
+//! into a [`Transport`]: the coordinator hands a batch of
+//! [`DispatchJob`]s to the transport and gets back one [`JobResult`] (or
+//! [`TransportError`]) per job, order-preserving.
 //!
 //! Two families of implementation exist:
 //!
@@ -28,7 +28,6 @@ use crate::transport::{WireConfig, WireContext};
 use nebula_data::Dataset;
 use nebula_modular::ModularConfig;
 use nebula_tensor::NebulaRng;
-use rayon::prelude::*;
 use std::fmt;
 use std::sync::Arc;
 
@@ -198,16 +197,15 @@ impl JobRunner for ModularRunner {
             .ok_or_else(|| TransportError::Rejected("degenerate rng state".into()))?;
         let mut client = EdgeClient::from_payload(self.modular.clone(), &payload);
         client.adapt(&job.data, job.train.epochs, job.train.batch_size, job.train.lr, &mut rng);
-        let update: EdgeUpdate = client.make_update(&job.data);
+        let update: EdgeUpdate = client.make_update_reusing(&job.data, payload);
         let mut out = Vec::new();
         wire.encode_update(job.device, &update, &mut out);
         Ok(JobResult::Frame(out))
     }
 }
 
-/// In-process transport: run every job on the local rayon pool, exactly
-/// like the historical inline training loop (client-level parallelism
-/// outside, sequential tensor kernels inside).
+/// In-process transport: run the round's jobs on this process's threads
+/// ([`nebula_tensor::par::map`]), results in job order.
 pub struct Loopback {
     runner: Arc<dyn JobRunner>,
 }
@@ -225,14 +223,7 @@ impl Transport for Loopback {
 
     fn round_trip(&mut self, jobs: Vec<DispatchJob>) -> Vec<Result<JobResult, TransportError>> {
         let runner = &self.runner;
-        jobs.into_par_iter()
-            .map(|job| {
-                // Client-level parallelism owns the pool here; keep the
-                // inner tensor kernels sequential so per-device training
-                // does not nest-fork (see nebula_tensor::par).
-                nebula_tensor::par::sequential(|| runner.run(&job))
-            })
-            .collect()
+        nebula_tensor::par::map(jobs, |job| runner.run(&job))
     }
 }
 

@@ -240,13 +240,34 @@ impl ModularModel {
         self.layers[layer].module(module).param_count()
     }
 
+    /// Overwrites `out` with the flat parameters of module
+    /// `(layer, index)`, reusing its allocation when it is large enough.
+    pub fn write_module_param_vector(&self, layer: usize, module: usize, out: &mut Vec<f32>) {
+        self.layers[layer].module(module).write_param_vector(out);
+    }
+
     /// Flat parameters of the shared parts (stem + head + selector).
     pub fn shared_param_vector(&self) -> Vec<f32> {
         let mut out = Vec::new();
-        self.stem.visit_params_ref(&mut |p| out.extend_from_slice(p.data()));
-        self.head.visit_params_ref(&mut |p| out.extend_from_slice(p.data()));
-        self.selector.visit_params_ref(&mut |p| out.extend_from_slice(p.data()));
+        self.write_shared_param_vector(&mut out);
         out
+    }
+
+    /// Overwrites `out` with the shared parts' flat parameters, reusing
+    /// its allocation when it is large enough.
+    pub fn write_shared_param_vector(&self, out: &mut Vec<f32>) {
+        let mut count = 0;
+        self.visit_shared_ref(&mut |p| count += p.len());
+        out.clear();
+        out.reserve(count);
+        self.visit_shared_ref(&mut |p| out.extend_from_slice(p.data()));
+    }
+
+    /// The shared parts' parameters in vector order: stem, head, selector.
+    fn visit_shared_ref(&self, f: &mut dyn FnMut(&Tensor)) {
+        self.stem.visit_params_ref(f);
+        self.head.visit_params_ref(f);
+        self.selector.visit_params_ref(f);
     }
 
     /// Overwrites the shared parts from a flat vector.

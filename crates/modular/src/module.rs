@@ -101,9 +101,17 @@ impl Module {
 
     /// Flat parameter vector (empty for the residual module).
     pub fn param_vector(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        self.visit_params_ref(&mut |p| out.extend_from_slice(p.data()));
+        let mut out = Vec::new();
+        self.write_param_vector(&mut out);
         out
+    }
+
+    /// Overwrites `out` with the flat parameter vector, reusing its
+    /// allocation when it is large enough.
+    pub fn write_param_vector(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.reserve(self.param_count());
+        self.visit_params_ref(&mut |p| out.extend_from_slice(p.data()));
     }
 
     /// Loads a flat parameter vector produced by [`Module::param_vector`].

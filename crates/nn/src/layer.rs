@@ -24,7 +24,10 @@ pub enum Mode {
 ///   via [`Layer::zero_grad`] between steps) and returns ∂loss/∂input.
 /// * `visit_params` yields `(parameter, gradient)` pairs in a fixed,
 ///   deterministic order — optimiser state is keyed by this order.
-pub trait Layer {
+/// * `Send + Sync`: a round trains its devices' models on separate
+///   threads (`nebula_tensor::par::map`) while all of them read the cloud
+///   model, so a layer holds no `Rc`, `Cell` or `RefCell`.
+pub trait Layer: Send + Sync {
     /// Computes the layer output, caching activations for backward.
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
 

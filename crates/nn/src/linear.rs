@@ -6,6 +6,15 @@
 use crate::layer::{Layer, Mode};
 use crate::workspace::Workspace;
 use nebula_tensor::{Init, NebulaRng, Tensor};
+use std::cell::RefCell;
+
+thread_local! {
+    // Scratch for `dW = gradᵀ · x`: one per thread, not one per layer. A
+    // weight-sized buffer pooled in every `Linear` made a live model a
+    // third larger than its values, gradients and optimiser state — which
+    // is what a round pays for every device it trains at the same time.
+    static DW_SCRATCH: RefCell<Workspace> = const { RefCell::new(Workspace::new()) };
+}
 
 /// `y = x · Wᵀ + b` with `W: out×in`, `b: out`.
 #[derive(Clone, Debug)]
@@ -15,7 +24,6 @@ pub struct Linear {
     dw: Tensor,
     db: Tensor,
     cached_x: Option<Tensor>,
-    ws: Workspace,
 }
 
 impl Linear {
@@ -43,7 +51,6 @@ impl Linear {
             db: Tensor::zeros(&[out_features]),
             w,
             cached_x: None,
-            ws: Workspace::new(),
         }
     }
 
@@ -87,7 +94,7 @@ impl Layer for Linear {
             Some(c) if c.shape() == x.shape() => c.data_mut().copy_from_slice(x.data()),
             _ => self.cached_x = Some(x.clone()),
         }
-        let mut y = self.ws.zeroed(&[x.rows(), self.out_features()]);
+        let mut y = Tensor::zeros(&[x.rows(), self.out_features()]);
         x.matmul_nt_into(&self.w, &mut y);
         y.add_row_broadcast_assign(&self.b);
         y
@@ -96,10 +103,10 @@ impl Layer for Linear {
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         let x = self.cached_x.as_ref().expect("Linear::backward before forward");
         // dW = gradᵀ · x  (out×batch · batch×in), accumulated via scratch.
-        let mut dw = self.ws.zeroed(&[self.out_features(), self.in_features()]);
+        let mut dw = DW_SCRATCH.with_borrow_mut(|ws| ws.zeroed(&[self.out_features(), self.in_features()]));
         grad.matmul_tn_into(x, &mut dw);
         self.dw.add_assign(&dw);
-        self.ws.recycle(dw);
+        DW_SCRATCH.with_borrow_mut(|ws| ws.recycle(dw));
         self.db.add_assign(&grad.sum_rows());
         // dx = grad · W  (batch×out · out×in).
         grad.matmul(&self.w)

@@ -57,9 +57,9 @@ host:port or a UDS path (anything containing '/'). --auth takes the
 --hedge-ms speculatively re-dispatches jobs still unresolved after the
 soft timeout (0 = off).
 
---threads N bounds the worker's executor pool AND the threaded GEMM
-macro-kernel (the kernel-thread budget); --threads 1 pins the kernels
-to their sequential path. Results are bit-identical at any setting.
+--threads N sizes the worker's executor pool and caps the process's
+fork-join thread budget (par::map regions; NEBULA_THREADS seeds the
+same budget). Results are bit-identical at any setting.
 
 --durable DIR drives the run through the crash-safe journal under DIR
 instead of the plain round loop; add --resume 1 to continue a journal
@@ -331,10 +331,8 @@ fn worker_cmd(args: &[String]) -> Result<ExitCode, String> {
     }
     cfg.threads = flags.num("threads", 2)?;
     // --threads bounds the whole worker, not just the executor pool: the
-    // same budget caps the threaded GEMM macro-kernel (1 pins the
-    // kernels to their sequential path; the split keeps results
-    // bit-identical either way).
-    nebula_tensor::par::set_max_kernel_threads(cfg.threads);
+    // same budget caps any `par::map` region the process enters.
+    nebula_tensor::par::set_max_threads(cfg.threads);
     cfg.rejoin = flags.num("rejoin", 1u8)? == 1;
     cfg.auth_key = flags.get("auth").map(parse_key).transpose()?;
     cfg.telemetry = telemetry_from(&flags)?;

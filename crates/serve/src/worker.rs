@@ -2,10 +2,10 @@
 //! off the connection into a small thread pool and stream results back.
 //!
 //! Execution is routed through the same [`JobRunner`]s the in-process
-//! [`nebula_core::Loopback`] transport uses, each job wrapped in
-//! [`nebula_tensor::par::sequential`] exactly like loopback — that pair
-//! is what makes a remote round byte-identical to an in-process one
-//! under the `Raw` codec (test-pinned in this crate).
+//! [`nebula_core::Loopback`] transport uses — that is what makes a
+//! remote round byte-identical to an in-process one under the `Raw`
+//! codec (test-pinned in this crate). A job forks nothing: the executor
+//! pool is the worker's parallelism.
 //!
 //! A worker outlives its connection: [`run_worker`] wraps one *session*
 //! (connect → handshake → serve until shutdown or loss) in a rejoin
@@ -286,7 +286,7 @@ fn run_session(
                 let Ok((job, tag)) = msg else { break };
                 let mut span = telemetry.span("serve.job");
                 span.int("device", job.device);
-                let outcome = nebula_tensor::par::sequential(|| runner.run(&job));
+                let outcome = runner.run(&job);
                 drop(span);
                 jobs_run.fetch_add(1, Ordering::SeqCst);
                 let mut out = Vec::new();

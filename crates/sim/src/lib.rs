@@ -69,3 +69,18 @@ pub use strategy::{
     NebulaVariant, NoAdaptStrategy,
 };
 pub use world::SimWorld;
+
+// What the round bodies hand to `nebula_tensor::par::map` jobs, by value
+// or behind a shared reference. A `Cell`, `RefCell` or `Rc` slipping into
+// any of these (or into any `Layer`) fails the build here rather than at a
+// call site three crates away.
+const _: fn() = || {
+    fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<Box<dyn nebula_nn::Layer>>();
+    shared_across_threads::<nebula_modular::ModularModel>();
+    shared_across_threads::<nebula_core::EdgeClient>();
+    shared_across_threads::<nebula_core::NebulaCloud>();
+    shared_across_threads::<nebula_baselines::DenseModel>();
+    shared_across_threads::<ShardedWorld>();
+    shared_across_threads::<nebula_telemetry::Telemetry>();
+};

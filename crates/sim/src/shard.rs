@@ -41,8 +41,8 @@
 //! parallel and ships model-sized partials up a fast backhaul — which is
 //! where the near-linear round-time speedup in `S` comes from. Host
 //! wall-clock on an N-core machine additionally benefits from shard
-//! parallelism ([`rayon`]), which this module also exploits but does not
-//! model.
+//! parallelism ([`nebula_tensor::par::map`]), which this module also
+//! exploits but does not model.
 
 use crate::durability::RunError;
 use crate::latency::adaptation_latency_ms;
@@ -57,7 +57,6 @@ use nebula_data::{SynthSpec, Synthesizer};
 use nebula_modular::cost::CostModel;
 use nebula_modular::ModularConfig;
 use nebula_tensor::NebulaRng;
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// Fixed-size block of device ids: the unit of canonical sampling and of
@@ -491,22 +490,16 @@ impl ShardedWorld {
     }
 
     /// Runs one round over the sharded population and folds the result
-    /// into the cloud model. Shards run in parallel (rayon) with inner
-    /// tensor kernels pinned sequential; partials merge in shard order.
+    /// into the cloud model. Shards run on the process's threads
+    /// (`par::map`); partials merge in shard order.
     pub fn run_round(&mut self) -> ShardRound {
         let round = self.round;
         self.round += 1;
         let shards = self.cfg.spec.shards;
         let cells = self.cells();
         let cells_per_shard = cells.div_ceil(shards);
-        let results: Vec<ShardResult> = (0..shards)
-            .into_par_iter()
-            .map(|s| {
-                // Shard-level parallelism owns the pool; keep per-device
-                // tensor work sequential (see nebula_tensor::par).
-                nebula_tensor::par::sequential(|| self.run_shard(s, round, cells_per_shard))
-            })
-            .collect();
+        let results: Vec<ShardResult> =
+            nebula_tensor::par::map((0..shards).collect(), |s| self.run_shard(s, round, cells_per_shard));
 
         let links = self.cfg.links;
         let sampled: usize = results.iter().map(|r| r.devices).sum();

@@ -1050,18 +1050,19 @@ impl NebulaStrategy {
     /// aggregate — under the world's fault plan and round policy.
     ///
     /// Derivation/dispatch happen sequentially (they read the shared cloud
-    /// model); the expensive per-device local training runs in parallel
-    /// with pre-forked RNG streams, so results are identical for any
-    /// rayon thread count. Fault fates come from the plan's dedicated RNG,
-    /// so with [`crate::faults::FaultPlan::none`] this round is bit-for-bit
+    /// model); the expensive per-device local training runs on the
+    /// process's threads (`nebula_tensor::par::map`) with pre-forked RNG
+    /// streams, so results are identical for any thread budget. Fault
+    /// fates come from the plan's dedicated RNG, so with
+    /// [`crate::faults::FaultPlan::none`] this round is bit-for-bit
     /// identical to a fault-free build.
     pub fn single_round(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) -> RoundOutcome {
-        use rayon::prelude::*;
-
         let telemetry = self.telemetry.clone();
         let mut round_span = telemetry.span("round");
         let ids = world.sample_participants(self.cfg.devices_per_round);
         let round = world.next_round_index();
+        // Read-only from here on: the jobs borrow their devices' data.
+        let world = &*world;
         round_span.int("index", round);
         let plan = world.faults;
         let policy = world.policy;
@@ -1161,7 +1162,7 @@ impl NebulaStrategy {
                     },
                     rng_state: drng.state(),
                     train,
-                    data: local,
+                    data: local.clone(),
                 })
                 .collect();
             let transport = self.transport.as_deref_mut().expect("transport checked above");
@@ -1181,18 +1182,13 @@ impl NebulaStrategy {
             let cfg = &self.cfg;
             let mut train_span = telemetry.span("local_train");
             train_span.int("clients", jobs.len() as u64);
-            jobs.into_par_iter()
-                .map(|(payload, _frame, local, mut drng)| {
-                    // Client-level parallelism owns the pool here; keep the
-                    // inner tensor kernels sequential so per-device training
-                    // does not nest-fork (see nebula_tensor::par).
-                    nebula_tensor::par::sequential(|| {
-                        let mut client = EdgeClient::from_payload(cfg.modular.clone(), &payload);
-                        client.adapt(&local, cfg.local_epochs, cfg.batch_size, cfg.local_lr, &mut drng);
-                        Arrived::Update(client.make_update(&local))
-                    })
-                })
-                .collect()
+            nebula_tensor::par::map(jobs, |(payload, _frame, local, mut drng)| {
+                let mut client = EdgeClient::from_payload(cfg.modular.clone(), &payload);
+                client.adapt(local, cfg.local_epochs, cfg.batch_size, cfg.local_lr, &mut drng);
+                // The update goes into the download's buffers, which this
+                // thread did not allocate (see `nebula_tensor::par`).
+                Arrived::Update(client.make_update_reusing(local, payload))
+            })
         };
 
         let (exits, round_time_ms) = gate(&policy, &trained, &mut report);
@@ -1397,10 +1393,16 @@ impl NebulaStrategy {
     /// link never `delivers` — cut the frame (left in `frame_buf`) and
     /// decode it as the device would. The crossing is spanned as
     /// `wire_tx` under `trace`.
-    fn download(&mut self, world: &SimWorld, id: usize, delivers: bool, trace: &Telemetry) -> Download {
+    fn download<'w>(
+        &mut self,
+        world: &'w SimWorld,
+        id: usize,
+        delivers: bool,
+        trace: &Telemetry,
+    ) -> Download<'w> {
         let dev = &world.devices[id];
-        let local = dev.partition.data.clone();
-        let outcome = self.cloud.derive_for_data(&local, &dev.profile(self.cloud.cost_model()), None);
+        let local = &dev.partition.data;
+        let outcome = self.cloud.derive_for_data(local, &dev.profile(self.cloud.cost_model()), None);
         let sent = self.cloud.dispatch(&outcome.spec);
         let mut dl = Download { local, plan_bytes: sent.bytes(), wire_bytes: 0, payload: None };
         if delivers {
@@ -1415,7 +1417,7 @@ impl NebulaStrategy {
     /// over the wire. Returns the measured download frame bytes; the
     /// client installs what it decoded. Not part of any round, so not in
     /// a round's trace.
-    fn refresh_client(&mut self, world: &mut SimWorld, id: usize) -> u64 {
+    fn refresh_client(&mut self, world: &SimWorld, id: usize) -> u64 {
         let dl = self.download(world, id, true, &Telemetry::off());
         let payload = dl.payload.expect("pristine in-process frame must decode");
         match self.clients.get_mut(&id) {
@@ -1429,9 +1431,9 @@ impl NebulaStrategy {
 }
 
 /// What [`NebulaStrategy::download`] produced for one device.
-struct Download {
+struct Download<'w> {
     /// The device's local data the derivation scored.
-    local: Dataset,
+    local: &'w Dataset,
     /// Analytic payload size — the planning input of the latency model
     /// (so `Raw` rounds stay bit-identical) and what an undelivered
     /// transfer's retries are billed at.
@@ -1506,7 +1508,13 @@ impl AdaptStrategy for NebulaStrategy {
         self.wire.commit_model(self.cloud.model());
         let mut comm = stats.comm;
         let mut time_ms = 0.0;
-        for &id in &self.tracked.clone() {
+        let local_training = self.variant != NebulaVariant::NoLocalTraining;
+        // Sequential pass, in tracked order: everything that touches the
+        // wire, the step RNG or the float sum. A refresh fixes the client's
+        // spec, so its training cost is known before it trains.
+        let mut streams = HashMap::with_capacity(self.tracked.len());
+        for i in 0..self.tracked.len() {
+            let id = self.tracked[i];
             let refresh = match self.variant {
                 NebulaVariant::Full | NebulaVariant::NoLocalTraining => true,
                 NebulaVariant::NoCloud => !self.clients.contains_key(&id),
@@ -1516,19 +1524,9 @@ impl AdaptStrategy for NebulaStrategy {
                 comm.record_download(bytes);
                 time_ms += transfer_time_ms(bytes, world.devices[id].resources.bandwidth_bps);
             }
-            let local_training = self.variant != NebulaVariant::NoLocalTraining;
             if local_training {
-                let local = world.devices[id].partition.data.clone();
-                let client = self.clients.get_mut(&id).expect("tracked client exists");
-                let mut drng = rng.fork(id as u64 ^ 0xF00D);
-                client.adapt(
-                    &local,
-                    self.cfg.local_epochs,
-                    self.cfg.batch_size,
-                    self.cfg.local_lr,
-                    &mut drng,
-                );
-                let spec_cost = self.cloud.cost_model().submodel(client.spec());
+                streams.insert(id, rng.fork(id as u64 ^ 0xF00D));
+                let spec_cost = self.cloud.cost_model().submodel(self.clients[&id].spec());
                 let dev = &world.devices[id];
                 time_ms += adaptation_latency_ms(
                     &dev.resources,
@@ -1539,6 +1537,18 @@ impl AdaptStrategy for NebulaStrategy {
                 );
             }
         }
+        // Then the trainings themselves, which share nothing.
+        let cfg = &self.cfg;
+        let jobs: Vec<(&mut EdgeClient, &Dataset, NebulaRng)> = self
+            .clients
+            .iter_mut()
+            .filter_map(|(id, client)| {
+                Some((client, &world.devices[*id].partition.data, streams.remove(id)?))
+            })
+            .collect();
+        nebula_tensor::par::map(jobs, |(client, local, mut drng)| {
+            client.adapt(local, cfg.local_epochs, cfg.batch_size, cfg.local_lr, &mut drng);
+        });
 
         RoundStats { comm, adapt_time_ms: time_ms / self.tracked.len().max(1) as f64, faults: stats.faults }
     }

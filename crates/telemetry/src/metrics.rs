@@ -62,8 +62,8 @@ pub struct MetricsSnapshot {
 ///
 /// Interior mutability is a plain mutex: the instrumented seams run a few
 /// thousand times per round, far from contention territory, and the
-/// registry must be `Sync` because rounds fan client work out through
-/// rayon.
+/// registry must be `Sync` because rounds fan client work out over
+/// threads.
 #[derive(Default)]
 pub struct MetricsRegistry {
     inner: Mutex<MetricsSnapshot>,

@@ -16,8 +16,8 @@
 //!   (`Auto` and unsupported requests resolve downward, never upward).
 //! * [`BackendGuard`] is a scoped RAII override for tests and benches:
 //!   it swaps the selection in and restores the previous one on drop.
-//!   The underlying switch stays process-global (kernels run on rayon
-//!   worker threads, so a thread-local would not reach them) — concurrent
+//!   The underlying switch stays process-global (devices train on
+//!   `par::map` threads, which a thread-local would not reach) — concurrent
 //!   guards in one process race exactly like the old boolean did, so test
 //!   binaries keep backend-sensitive assertions in a single `#[test]`.
 //!

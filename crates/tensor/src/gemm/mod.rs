@@ -28,18 +28,17 @@
 //!
 //! For a fixed output element `C[i, j]`, products are accumulated in
 //! ascending `p` order: the `pc` loop walks `k` in `KC` steps and the
-//! micro-kernel walks each slab in order. Threads only ever split the `m`
-//! dimension (disjoint row blocks of `C`), never `k`, so the reduction
-//! order — and therefore the floating-point result — is bit-identical for
-//! any thread count, including the sequential path. `KC` is shared by
-//! every register-tile shape, so two backends differ only in whether
-//! `a*b + c` is contracted into a fused multiply-add (the explicit SIMD
-//! micro-kernels) or not (the scalar tile; LLVM does not contract without
-//! fast-math flags) — never in summation order.
+//! micro-kernel walks each slab in order. A product runs on the thread
+//! that issued it — the products a round issues take 10–300 µs, less
+//! than forking costs, so the workspace's threads split *devices*
+//! ([`crate::par`]), never a GEMM. `KC` is shared by every register-tile
+//! shape, so two backends differ only in whether `a*b + c` is contracted
+//! into a fused multiply-add (the explicit SIMD micro-kernels) or not
+//! (the scalar tile; LLVM does not contract without fast-math flags) —
+//! never in summation order.
 
 pub mod simd;
 
-use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Micro-tile rows of the scalar engine: `MR` rows of `A` broadcast per step.
@@ -91,37 +90,25 @@ pub enum BLayout {
 }
 
 thread_local! {
-    // Packing scratch, reused across calls (and per worker thread under a
-    // real rayon pool) so steady-state GEMMs allocate nothing.
+    // Packing scratch, reused across calls (one per thread that trains a
+    // device) so steady-state GEMMs allocate nothing.
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// `C += A·B` over row-major `out` (`m×n`, assumed pre-zeroed by callers
 /// wanting a plain product) through the scalar `Blocked` engine.
-/// `parallel` splits the `m` dimension over rayon; results are
-/// bit-identical either way.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm(
-    out: &mut [f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    al: ALayout,
-    b: &[f32],
-    bl: BLayout,
-    parallel: bool,
-) {
+pub fn gemm(out: &mut [f32], m: usize, n: usize, k: usize, a: &[f32], al: ALayout, b: &[f32], bl: BLayout) {
     // SAFETY: the scalar micro-kernel has no CPU-feature requirements.
-    unsafe { gemm_with::<MR, NR>(microkernel_scalar, MC, out, m, n, k, a, al, b, bl, parallel) }
+    unsafe { gemm_with::<MR, NR>(microkernel_scalar, MC, out, m, n, k, a, al, b, bl) }
 }
 
 /// The shared macro-kernel, generic over the register-tile shape.
 ///
-/// `mc_block` is the row-block height (a multiple of `MR_`; also the unit
-/// of the deterministic parallel m-split). `KC`/`NC` are shared constants
-/// so every tile shape produces the same k-reduction slabs.
+/// `mc_block` is the row-block height (a multiple of `MR_`). `KC`/`NC`
+/// are shared constants so every tile shape produces the same
+/// k-reduction slabs.
 ///
 /// # Safety
 ///
@@ -139,7 +126,6 @@ pub(crate) unsafe fn gemm_with<const MR_: usize, const NR_: usize>(
     al: ALayout,
     b: &[f32],
     bl: BLayout,
-    parallel: bool,
 ) {
     debug_assert_eq!(out.len(), m * n);
     debug_assert_eq!(mc_block % MR_, 0, "row block must be a multiple of the tile height");
@@ -165,19 +151,10 @@ pub(crate) unsafe fn gemm_with<const MR_: usize, const NR_: usize>(
             PACK_B.with(|cell| {
                 let mut bbuf = cell.borrow_mut();
                 pack_b::<NR_>(&mut bbuf, b, bl, ldb, pc, kc, jc, nc);
-                let bpack: &[f32] = &bbuf;
-                if parallel {
-                    out.par_chunks_mut(mc_block * n).enumerate().for_each(|(blk, rows)| {
-                        let ic = blk * mc_block;
-                        let mc = mc_block.min(m - ic);
-                        process_block(kernel, rows, a, al, lda, ic, mc, n, jc, nc, pc, kc, bpack);
-                    });
-                } else {
-                    for (blk, rows) in out.chunks_mut(mc_block * n).enumerate() {
-                        let ic = blk * mc_block;
-                        let mc = mc_block.min(m - ic);
-                        process_block(kernel, rows, a, al, lda, ic, mc, n, jc, nc, pc, kc, bpack);
-                    }
+                for (blk, rows) in out.chunks_mut(mc_block * n).enumerate() {
+                    let ic = blk * mc_block;
+                    let mc = mc_block.min(m - ic);
+                    process_block(kernel, rows, a, al, lda, ic, mc, n, jc, nc, pc, kc, &bbuf);
                 }
             });
             pc += kc;
@@ -370,24 +347,12 @@ mod tests {
             let a = fill(m * k, 1 + m as u64);
             let b = fill(k * n, 2 + n as u64);
             let mut out = vec![0.0; m * n];
-            gemm(&mut out, m, n, k, &a, ALayout::RowMajor, &b, BLayout::RowMajor, false);
+            gemm(&mut out, m, n, k, &a, ALayout::RowMajor, &b, BLayout::RowMajor);
             let want = naive(m, n, k, &a, &b);
             for (x, y) in out.iter().zip(&want) {
                 assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()), "{m}x{n}x{k}: {x} vs {y}");
             }
         }
-    }
-
-    #[test]
-    fn parallel_path_is_bit_identical() {
-        let (m, n, k) = (MC * 2 + 5, 70, KC + 9);
-        let a = fill(m * k, 11);
-        let b = fill(k * n, 12);
-        let mut seq = vec![0.0; m * n];
-        let mut par = vec![0.0; m * n];
-        gemm(&mut seq, m, n, k, &a, ALayout::RowMajor, &b, BLayout::RowMajor, false);
-        gemm(&mut par, m, n, k, &a, ALayout::RowMajor, &b, BLayout::RowMajor, true);
-        assert_eq!(seq, par, "parallel split changed the reduction result");
     }
 
     #[test]
@@ -411,12 +376,12 @@ mod tests {
         }
         let want = naive(m, n, k, &a, &b);
         let mut out = vec![0.0; m * n];
-        gemm(&mut out, m, n, k, &at, ALayout::Transposed, &b, BLayout::RowMajor, false);
+        gemm(&mut out, m, n, k, &at, ALayout::Transposed, &b, BLayout::RowMajor);
         for (x, y) in out.iter().zip(&want) {
             assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()));
         }
         let mut out2 = vec![0.0; m * n];
-        gemm(&mut out2, m, n, k, &a, ALayout::RowMajor, &bt, BLayout::Transposed, false);
+        gemm(&mut out2, m, n, k, &a, ALayout::RowMajor, &bt, BLayout::Transposed);
         for (x, y) in out2.iter().zip(&want) {
             assert!((x - y).abs() <= 1e-3 * (1.0 + y.abs()));
         }

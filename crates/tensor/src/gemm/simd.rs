@@ -24,11 +24,10 @@
 //!
 //! Both kernels run under the same macro-kernel
 //! ([`crate::gemm::gemm_with`]) with the same `KC` slabbing as the scalar
-//! tile, accumulate each output element in ascending `p` order, and split
-//! only the `m` dimension across threads. A fixed backend is therefore
-//! run-to-run (and thread-count-to-thread-count) bit-identical; across
-//! backends results differ only by FMA contraction, pinned against the
-//! scalar engine by `tests/simd_equivalence.rs`.
+//! tile and accumulate each output element in ascending `p` order on the
+//! calling thread. A fixed backend is therefore run-to-run bit-identical;
+//! across backends results differ only by FMA contraction, pinned against
+//! the scalar engine by `tests/simd_equivalence.rs`.
 
 use super::{gemm_with, ALayout, BLayout, MicroKernel};
 use std::sync::OnceLock;
@@ -78,8 +77,7 @@ pub const MR_AVX512: usize = 8;
 /// Register-tile columns of the AVX-512 micro-kernel (two ZMM lanes).
 pub const NR_AVX512: usize = 32;
 /// Row-block height for the SIMD engines: a common multiple of both tile
-/// heights (and of the parallel m-split unit); `96×KC` floats ≈ 96 KiB of
-/// packed `A` stays L2-resident.
+/// heights; `96×KC` floats ≈ 96 KiB of packed `A` stays L2-resident.
 pub const MC_SIMD: usize = 96;
 
 /// `C += A·B` through the AVX2+FMA 6×16 micro-kernel.
@@ -97,17 +95,16 @@ pub fn gemm_avx2(
     al: ALayout,
     b: &[f32],
     bl: BLayout,
-    parallel: bool,
 ) {
     #[cfg(target_arch = "x86_64")]
     {
         debug_assert!(detect() >= SimdLevel::Avx2, "AVX2 kernel dispatched on unsupported CPU");
         let kernel: MicroKernel<MR_AVX2, NR_AVX2> = x86::microkernel_avx2;
         // SAFETY: resolve() only routes here when AVX2+FMA are present.
-        unsafe { gemm_with::<MR_AVX2, NR_AVX2>(kernel, MC_SIMD, out, m, n, k, a, al, b, bl, parallel) }
+        unsafe { gemm_with::<MR_AVX2, NR_AVX2>(kernel, MC_SIMD, out, m, n, k, a, al, b, bl) }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    super::gemm(out, m, n, k, a, al, b, bl, parallel);
+    super::gemm(out, m, n, k, a, al, b, bl);
 }
 
 /// `C += A·B` through the AVX-512F 8×32 micro-kernel.
@@ -123,17 +120,16 @@ pub fn gemm_avx512(
     al: ALayout,
     b: &[f32],
     bl: BLayout,
-    parallel: bool,
 ) {
     #[cfg(target_arch = "x86_64")]
     {
         debug_assert!(detect() >= SimdLevel::Avx512, "AVX-512 kernel dispatched on unsupported CPU");
         let kernel: MicroKernel<MR_AVX512, NR_AVX512> = x86::microkernel_avx512;
         // SAFETY: resolve() only routes here when AVX-512F is present.
-        unsafe { gemm_with::<MR_AVX512, NR_AVX512>(kernel, MC_SIMD, out, m, n, k, a, al, b, bl, parallel) }
+        unsafe { gemm_with::<MR_AVX512, NR_AVX512>(kernel, MC_SIMD, out, m, n, k, a, al, b, bl) }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    super::gemm(out, m, n, k, a, al, b, bl, parallel);
+    super::gemm(out, m, n, k, a, al, b, bl);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -264,23 +260,23 @@ mod tests {
             let a = fill(m * k, 21 + m as u64);
             let b = fill(k * n, 22 + n as u64);
             let mut scalar = vec![0.0; m * n];
-            super::super::gemm(&mut scalar, m, n, k, &a, ALayout::RowMajor, &b, BLayout::RowMajor, false);
+            super::super::gemm(&mut scalar, m, n, k, &a, ALayout::RowMajor, &b, BLayout::RowMajor);
 
             if detect() >= SimdLevel::Avx2 {
                 let mut v = vec![0.0; m * n];
-                gemm_avx2(&mut v, m, n, k, &a, ALayout::RowMajor, &b, BLayout::RowMajor, false);
+                gemm_avx2(&mut v, m, n, k, &a, ALayout::RowMajor, &b, BLayout::RowMajor);
                 close(&v, &scalar, 1e-4);
                 let mut v2 = vec![0.0; m * n];
-                gemm_avx2(&mut v2, m, n, k, &a, ALayout::RowMajor, &b, BLayout::RowMajor, true);
-                assert_eq!(v, v2, "AVX2 parallel split changed the result");
+                gemm_avx2(&mut v2, m, n, k, &a, ALayout::RowMajor, &b, BLayout::RowMajor);
+                assert_eq!(v, v2, "AVX2 engine is not run-to-run deterministic");
             }
             if detect() >= SimdLevel::Avx512 {
                 let mut v = vec![0.0; m * n];
-                gemm_avx512(&mut v, m, n, k, &a, ALayout::RowMajor, &b, BLayout::RowMajor, false);
+                gemm_avx512(&mut v, m, n, k, &a, ALayout::RowMajor, &b, BLayout::RowMajor);
                 close(&v, &scalar, 1e-4);
                 let mut v2 = vec![0.0; m * n];
-                gemm_avx512(&mut v2, m, n, k, &a, ALayout::RowMajor, &b, BLayout::RowMajor, true);
-                assert_eq!(v, v2, "AVX-512 parallel split changed the result");
+                gemm_avx512(&mut v2, m, n, k, &a, ALayout::RowMajor, &b, BLayout::RowMajor);
+                assert_eq!(v, v2, "AVX-512 engine is not run-to-run deterministic");
             }
         }
     }

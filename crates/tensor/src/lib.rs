@@ -4,8 +4,9 @@
 //!
 //! The Nebula paper runs on PyTorch; this crate is the from-scratch
 //! replacement: a row-major dense tensor with the operations a
-//! feed-forward / residual-MLP training stack needs, parallelised with
-//! rayon where it pays off (mat-muls over a few thousand elements).
+//! feed-forward / residual-MLP training stack needs, plus the
+//! workspace's one fork-join primitive ([`par::map`]) for running
+//! independent devices' training on separate threads.
 //!
 //! Design notes:
 //! * Row-major `Vec<f32>` storage, shape carried as a small vector.
@@ -15,9 +16,9 @@
 //!   loop a shape mismatch is a programming error, not a recoverable
 //!   condition (this mirrors ndarray/PyTorch behaviour).
 //! * Deterministic: every random initialiser takes an explicit RNG so a
-//!   seeded experiment reproduces bit-for-bit on one thread count.
-//!   Parallelism is over independent output elements only, so results do
-//!   not depend on the rayon thread count.
+//!   seeded experiment reproduces bit-for-bit. Threads split independent
+//!   devices, never a kernel's reduction, so results do not depend on
+//!   the thread budget.
 
 pub mod backend;
 pub mod gemm;

@@ -23,14 +23,11 @@
 //! with [`crate::KernelBackend::scoped`]. Every backend is run-to-run
 //! deterministic; see `backend.rs` for the full contract.
 //!
-//! Parallelism: the engine splits rows of the output over rayon once the
-//! work is large enough to amortise fork/join (`PAR_THRESHOLD`) *and* the
-//! current thread is not already inside a client-parallel round section
-//! ([`crate::par::in_sequential_scope`] — see `par.rs` for the nesting
-//! policy) *and* the process-wide kernel-thread budget
-//! ([`crate::par::set_max_kernel_threads`]) permits forking. The
-//! sequential and parallel paths are bit-identical, so all three checks
-//! are purely scheduling decisions.
+//! Threads: a product runs on the thread that issued it. The workspace
+//! forks over *devices* ([`crate::par::map`]), never inside a kernel —
+//! the products a round issues finish in 10–300 µs, less than a fork
+//! costs, so the row-split this engine once had was deleted as a measured
+//! loss.
 //!
 //! The pre-blocking kernels are retained under [`reference`] — they anchor
 //! the equivalence proptests and give `perf_suite` a stable baseline to
@@ -39,22 +36,7 @@
 use crate::backend::{self, KernelBackend};
 use crate::gemm::{self, simd, ALayout, BLayout};
 use crate::ops::dot_slices;
-use crate::par;
 use crate::Tensor;
-
-/// Minimum number of multiply-adds before a kernel goes parallel.
-///
-/// Re-tuned for the blocked engine: packing raises the fixed cost per call
-/// and the micro-kernel raises per-core throughput, so the old `64·1024`
-/// crossover (tuned for the naive row loop) now forks far too early — a
-/// 128×128×64 product finishes in the tens of microseconds. Forking pays
-/// off roughly an order of magnitude later.
-const PAR_THRESHOLD: usize = 512 * 1024;
-
-/// Whether this product should use the rayon path.
-fn go_parallel(work: usize) -> bool {
-    work >= PAR_THRESHOLD && par::kernel_parallelism_allowed()
-}
 
 /// Lowers one product onto the engine the resolved backend names.
 /// `Reference` is handled by the callers (its three naive kernels are
@@ -71,11 +53,10 @@ fn gemm_backend(
     b: &[f32],
     bl: BLayout,
 ) {
-    let parallel = go_parallel(m * n * k);
     match engine {
-        KernelBackend::Blocked => gemm::gemm(out, m, n, k, a, al, b, bl, parallel),
-        KernelBackend::Avx2 => simd::gemm_avx2(out, m, n, k, a, al, b, bl, parallel),
-        KernelBackend::Avx512 => simd::gemm_avx512(out, m, n, k, a, al, b, bl, parallel),
+        KernelBackend::Blocked => gemm::gemm(out, m, n, k, a, al, b, bl),
+        KernelBackend::Avx2 => simd::gemm_avx2(out, m, n, k, a, al, b, bl),
+        KernelBackend::Avx512 => simd::gemm_avx512(out, m, n, k, a, al, b, bl),
         KernelBackend::Reference | KernelBackend::Auto => {
             unreachable!("resolve() never yields {engine} here")
         }
@@ -354,22 +335,12 @@ mod tests {
     }
 
     #[test]
-    fn matmul_parallel_path_matches_naive() {
-        // Big enough to cross PAR_THRESHOLD (256·256·64 = 4M MACs).
+    fn matmul_multi_block_matches_naive() {
+        // Several row blocks and a full NC slab (256·256·64 = 4M MACs).
         let mut rng = crate::NebulaRng::seed(11);
         let a = Tensor::from_vec((0..256 * 64).map(|_| rng.normal_f32(0.0, 0.5)).collect(), &[256, 64]);
         let b = Tensor::from_vec((0..64 * 256).map(|_| rng.normal_f32(0.0, 0.5)).collect(), &[64, 256]);
         assert_tensor_close(&a.matmul(&b), &naive_matmul(&a, &b), 1e-3);
-    }
-
-    #[test]
-    fn sequential_scope_does_not_change_results() {
-        let mut rng = crate::NebulaRng::seed(13);
-        let a = Tensor::from_vec((0..256 * 64).map(|_| rng.normal_f32(0.0, 0.5)).collect(), &[256, 64]);
-        let b = Tensor::from_vec((0..64 * 256).map(|_| rng.normal_f32(0.0, 0.5)).collect(), &[64, 256]);
-        let free = a.matmul(&b);
-        let scoped = crate::par::sequential(|| a.matmul(&b));
-        assert_eq!(free.data(), scoped.data(), "seq scope changed kernel results");
     }
 
     #[test]

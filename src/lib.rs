@@ -7,7 +7,8 @@
 //! (and the root-level examples/integration tests) can depend on a single
 //! `nebula` crate:
 //!
-//! * [`tensor`] — dense f32 tensors with rayon-parallel linear algebra.
+//! * [`tensor`] — dense f32 tensors, the multi-backend GEMM engine and the
+//!   fork-join `par::map` that trains a round's devices on separate threads.
 //! * [`nn`] — layers, losses and optimisers with manual backprop.
 //! * [`data`] — synthetic datasets, non-IID partitioners, distribution drift.
 //! * [`modular`] — block-level model modularization and the unified module
