@@ -170,12 +170,13 @@ fn tcp_deployment_with_auth_matches_and_serves_ops() {
         cfg.wire = cfg.wire.with_auth(key);
         cfg
     };
-    let (base_params, _) = run_rounds_with(authed_cfg(), None, 3);
+    let (base_params, base_trail) = run_rounds_with(authed_cfg(), None, 3);
     let (deployment, _) = deploy(true, "tcp", 2, Some(key));
     let ops = OpsServer::spawn("127.0.0.1:0", deployment.coordinator.clone()).expect("ops binds");
 
-    let (tcp_params, _) =
+    let (tcp_params, tcp_trail) =
         run_rounds_with(authed_cfg(), Some(Box::new(deployment.coordinator.transport())), 3);
+    assert_eq!(base_trail, tcp_trail, "comm/fault accounting must match over TCP+auth");
     assert_eq!(base_params, tcp_params, "cloud parameters must be bit-identical over TCP+auth");
 
     let health = http_get(ops.addr(), "/healthz");
