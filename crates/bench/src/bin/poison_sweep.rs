@@ -10,14 +10,11 @@
 //! poison in, while the coordinate median / trimmed mean / Krum bound the
 //! cohort's influence.
 //!
-//! Emits one JSON record per run to `results/poison_sweep.jsonl` and a
-//! summary to `BENCH_POISON.json` at the repo root.
+//! Emits one JSON record per run to `results/poison_sweep.jsonl`.
 //!
 //! Run: `cargo run --release -p nebula-bench --bin poison_sweep
 //! [--quick] [--check]` — `--check` exits nonzero unless the robust
 //! aggregators beat the weighted mean under the 20% scaled-update attack.
-
-use std::path::PathBuf;
 
 use nebula_bench::{emit_record, print_row, Scale, TaskRow};
 use nebula_core::RobustAggregator;
@@ -44,7 +41,6 @@ struct PoisonRecord {
     rejected: u64,
 }
 
-#[derive(Clone, Serialize)]
 struct SummaryRow {
     aggregator: String,
     /// Accuracy with no attackers (frac 0).
@@ -53,17 +49,6 @@ struct SummaryRow {
     attacked_acc: f32,
     /// clean − attacked, in accuracy points (negative = improved).
     gap: f32,
-}
-
-#[derive(Serialize)]
-struct PoisonReport {
-    mode: String,
-    task: String,
-    attack_scale: f32,
-    reference_attack: String,
-    reference_frac: f64,
-    summary: Vec<SummaryRow>,
-    rows: Vec<PoisonRecord>,
 }
 
 fn persona_label(p: AttackPersona) -> &'static str {
@@ -75,14 +60,9 @@ fn persona_label(p: AttackPersona) -> &'static str {
     }
 }
 
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 fn main() {
     let scale = Scale::from_args();
     let check = std::env::args().any(|a| a == "--check");
-    let quick = std::env::args().any(|a| a == "--quick");
     let seed = 42u64;
     let row = TaskRow::table1_rows()[1]; // CIFAR-10, m=2
 
@@ -197,20 +177,6 @@ fn main() {
     for s in &summary {
         println!("  {:<16} {:.3} → {:.3} (gap {:+.3})", s.aggregator, s.clean_acc, s.attacked_acc, s.gap);
     }
-
-    let report = PoisonReport {
-        mode: if quick { "quick" } else { "full" }.to_string(),
-        task: row.task.name().to_string(),
-        attack_scale,
-        reference_attack: "scaled_update".to_string(),
-        reference_frac: 0.2,
-        summary: summary.clone(),
-        rows,
-    };
-    let path = repo_root().join("BENCH_POISON.json");
-    std::fs::write(&path, serde_json::to_string(&report).expect("serialize report"))
-        .expect("write BENCH_POISON.json");
-    println!("wrote {}", path.display());
 
     if check {
         let by = |name: &str| summary.iter().find(|s| s.aggregator.starts_with(name)).unwrap();

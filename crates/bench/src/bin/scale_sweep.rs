@@ -1,7 +1,6 @@
 //! Population-scale sweep of the sharded round engine (DESIGN.md §14):
 //! populations × shard counts → per-case round timings, throughput and
-//! peak RSS, written to `results/scale_sweep.jsonl` (one record per case)
-//! and `BENCH_SCALE.json` (summary + gate verdicts) at the repo root.
+//! peak RSS, written to `results/scale_sweep.jsonl` (one record per case).
 //!
 //! Rounds run in [`RoundMode::Synthetic`]: the full derive → dispatch →
 //! fold → absorb engine with analytic local steps, so 10^5–10^6-device
@@ -25,15 +24,15 @@
 //! to the largest population, and (c) — only when ≥4 cores are available —
 //! S=8 also improves host wall-clock by ≥1.5×.
 
+use nebula_bench::emit_record;
 use nebula_core::RobustAggregator;
 use nebula_modular::ModularConfig;
 use nebula_sim::{FoldPlan, RoundMode, ShardConfig, ShardedWorld};
 use serde::Serialize;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// One (population, shards) case of the sweep.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Debug, Serialize)]
 struct CaseRecord {
     population: usize,
     shards: usize,
@@ -63,32 +62,11 @@ struct CaseRecord {
     peak_rss_bytes: u64,
 }
 
-#[derive(Serialize)]
-struct Summary {
-    suite: String,
-    mode: String,
-    cores: usize,
-    cases: Vec<CaseRecord>,
-    /// Simulated S-max vs S=1 round-time speedup per population tier.
-    sim_speedup_by_population: Vec<Speedup>,
-    /// Host wall-clock speedup per tier (meaningful only with >1 core).
-    wall_speedup_by_population: Vec<Speedup>,
-    /// peak RSS(largest population) / peak RSS(smallest population).
-    rss_growth: f64,
-    check: Option<CheckVerdict>,
-}
-
 /// S-max vs S=1 round-time ratio at one population tier.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 struct Speedup {
     population: usize,
     speedup: f64,
-}
-
-#[derive(Serialize)]
-struct CheckVerdict {
-    passed: bool,
-    failures: Vec<String>,
 }
 
 /// Reads a VmHWM/VmRSS-style line (kB) from /proc/self/status; 0 when the
@@ -101,10 +79,6 @@ fn proc_status_kb(key: &str) -> u64 {
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(0)
-}
-
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Builds one sweep world. The model is the paper's toy modular config —
@@ -177,7 +151,6 @@ fn run_case(population: usize, shards: usize, rounds: usize) -> CaseRecord {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let check = std::env::args().any(|a| a == "--check");
-    let mode = if quick { "quick" } else { "full" };
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     // Smallest population first: VmHWM is monotone, so per-tier readings
@@ -199,6 +172,7 @@ fn main() {
                 rec.wall_round_ms,
                 rec.peak_rss_bytes / (1024 * 1024),
             );
+            emit_record("scale_sweep", &rec);
             cases.push(rec);
         }
     }
@@ -230,7 +204,18 @@ fn main() {
         }
     };
 
-    let verdict = if check {
+    // Simulated S-max vs S=1 speedup per tier, the host wall-clock one
+    // (meaningful only with >1 core), and peak RSS(largest population) /
+    // peak RSS(smallest population).
+    for (sim, wall) in sim_speedups.iter().zip(&wall_speedups) {
+        println!(
+            "pop {:>9}  S={smax} vs S=1: simulated {:.2}x, host wall-clock {:.2}x",
+            sim.population, sim.speedup, wall.speedup
+        );
+    }
+    println!("peak RSS growth, smallest to largest population: {rss_growth:.2}x");
+
+    if check {
         let mut failures = Vec::new();
         for sp in &sim_speedups {
             if sp.speedup < 3.0 {
@@ -259,42 +244,10 @@ fn main() {
         } else {
             println!("note: {cores} core(s) available — wall-clock speedup gate skipped (simulated gate still applies)");
         }
-        Some(CheckVerdict { passed: failures.is_empty(), failures })
-    } else {
-        None
-    };
-
-    let root = repo_root();
-    let jsonl: String = cases
-        .iter()
-        .map(|c| serde_json::to_string(c).expect("case serializes"))
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n";
-    let jsonl_path = root.join("results/scale_sweep.jsonl");
-    std::fs::write(&jsonl_path, jsonl).expect("write results/scale_sweep.jsonl");
-    println!("wrote {}", jsonl_path.display());
-
-    let summary = Summary {
-        suite: "scale_sweep".into(),
-        mode: mode.into(),
-        cores,
-        cases: cases.clone(),
-        sim_speedup_by_population: sim_speedups,
-        wall_speedup_by_population: wall_speedups,
-        rss_growth,
-        check: verdict,
-    };
-    let json_path = root.join("BENCH_SCALE.json");
-    std::fs::write(&json_path, serde_json::to_string(&summary).expect("summary serializes"))
-        .expect("write BENCH_SCALE.json");
-    println!("wrote {}", json_path.display());
-
-    if let Some(v) = &summary.check {
-        if v.passed {
+        if failures.is_empty() {
             println!("check passed: hierarchy speeds up simulated rounds, memory stays flat");
         } else {
-            for f in &v.failures {
+            for f in &failures {
                 eprintln!("check FAILED: {f}");
             }
             std::process::exit(1);

@@ -21,13 +21,12 @@
 //! twice and fails on any divergence between the two passes (or any
 //! scenario failing its own invariants). The deterministic scorecard —
 //! scenario, seed, pass, trajectory digest, fate accounting — goes to
-//! `BENCH_CHAOS.json`; per-scenario wall-clock (not deterministic, not
-//! gated) rides along in `results/serve_chaos.jsonl`.
+//! `results/serve_chaos.jsonl`, one line per scenario, with the
+//! scenario's wall-clock (not deterministic, not gated) riding along.
 //!
 //! Usage: `serve_chaos [--quick] [--check]`.
 //! `--quick` drops to 2 rounds per scenario for CI.
 
-use std::path::PathBuf;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -63,26 +62,8 @@ struct ScenarioRecord {
     notes: Vec<String>,
 }
 
-#[derive(Serialize)]
-struct CheckVerdict {
-    passed: bool,
-    failures: Vec<String>,
-}
-
-#[derive(Serialize)]
-struct Summary {
-    suite: String,
-    mode: String,
-    scenarios: Vec<ScenarioRecord>,
-    check: Option<CheckVerdict>,
-}
-
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-/// The serving-plane toy pin (same as `serve_sweep` and the
-/// nebula-serve integration tests).
+/// The serving-plane toy pin (same as the nebula-serve integration
+/// tests).
 fn toy_cfg() -> StrategyConfig {
     let mut modular = ModularConfig::toy(16, 4);
     modular.gate_noise_std = 0.3;
@@ -513,18 +494,17 @@ fn run_grid(rounds: usize, walls: &mut Vec<f64>) -> Vec<ScenarioRecord> {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let check = std::env::args().any(|a| a == "--check");
-    let mode = if quick { "quick" } else { "full" };
     let rounds = if quick { 2 } else { 4 };
 
     let mut walls = Vec::new();
     let records = run_grid(rounds, &mut walls);
 
-    let verdict = if check {
-        let mut failures: Vec<String> = records
-            .iter()
-            .filter(|r| !r.pass)
-            .map(|r| format!("{}: {}", r.scenario, r.notes.join("; ")))
-            .collect();
+    let mut failures: Vec<String> = records
+        .iter()
+        .filter(|r| !r.pass)
+        .map(|r| format!("{}: {}", r.scenario, r.notes.join("; ")))
+        .collect();
+    if check {
         println!("check: re-running the grid to verify determinism");
         let second = run_grid(rounds, &mut Vec::new());
         for (a, b) in records.iter().zip(&second) {
@@ -535,12 +515,8 @@ fn main() {
                 ));
             }
         }
-        Some(CheckVerdict { passed: failures.is_empty(), failures })
-    } else {
-        None
-    };
+    }
 
-    let root = repo_root();
     let jsonl: String = records
         .iter()
         .zip(&walls)
@@ -554,29 +530,19 @@ fn main() {
         .collect::<Vec<_>>()
         .join("\n")
         + "\n";
-    let jsonl_path = root.join("results/serve_chaos.jsonl");
-    std::fs::write(&jsonl_path, jsonl).expect("write results/serve_chaos.jsonl");
+    let dir = nebula_bench::results_dir();
+    std::fs::create_dir_all(&dir).expect("create results dir");
+    let jsonl_path = dir.join("serve_chaos.jsonl");
+    std::fs::write(&jsonl_path, jsonl).expect("write serve_chaos.jsonl");
     println!("wrote {}", jsonl_path.display());
 
-    let summary =
-        Summary { suite: "serve_chaos".into(), mode: mode.into(), scenarios: records, check: verdict };
-    let json_path = root.join("BENCH_CHAOS.json");
-    std::fs::write(&json_path, serde_json::to_string(&summary).expect("summary serializes"))
-        .expect("write BENCH_CHAOS.json");
-    println!("wrote {}", json_path.display());
-
-    match &summary.check {
-        Some(v) if !v.passed => {
-            for f in &v.failures {
-                eprintln!("check FAILED: {f}");
-            }
-            std::process::exit(1);
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("check FAILED: {f}");
         }
-        Some(_) => println!("check passed: every scenario holds and the grid is deterministic"),
-        None => {
-            if summary.scenarios.iter().any(|r| !r.pass) {
-                std::process::exit(1);
-            }
-        }
+        std::process::exit(1);
+    }
+    if check {
+        println!("check passed: every scenario holds and the grid is deterministic");
     }
 }

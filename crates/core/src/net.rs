@@ -124,17 +124,6 @@ pub enum JobResult {
     Params(Vec<f32>),
 }
 
-impl JobResult {
-    /// The update bytes, panicking on a dense result (strategy paths
-    /// know which family they dispatched).
-    pub fn into_frame(self) -> Vec<u8> {
-        match self {
-            JobResult::Frame(f) => f,
-            JobResult::Params(_) => panic!("expected a frame result, got dense params"),
-        }
-    }
-}
-
 /// Executes one job. Implementations must be callable from many threads
 /// at once — both [`Loopback`] and the serve worker pool fan jobs out.
 pub trait JobRunner: Send + Sync {
@@ -249,6 +238,13 @@ mod tests {
         synth.sample(24, 0, &mut rng)
     }
 
+    fn frame_of(result: Result<JobResult, TransportError>) -> Vec<u8> {
+        match result.expect("job runs") {
+            JobResult::Frame(f) => f,
+            JobResult::Params(_) => panic!("expected a frame result, got dense params"),
+        }
+    }
+
     fn job_for(c: &NebulaCloud, wire_cfg: WireConfig, device: u64) -> DispatchJob {
         let mut rng = NebulaRng::seed(7);
         let payload = c.dispatch(&spec());
@@ -278,8 +274,7 @@ mod tests {
         let b = t2.round_trip(jobs);
         assert_eq!(a.len(), 3);
         for (ra, rb) in a.into_iter().zip(b) {
-            let fa = ra.expect("job runs").into_frame();
-            let fb = rb.expect("job runs").into_frame();
+            let (fa, fb) = (frame_of(ra), frame_of(rb));
             assert!(!fa.is_empty());
             assert_eq!(fa, fb, "loopback execution must be deterministic");
         }
@@ -295,7 +290,7 @@ mod tests {
             let cfg = c.model().config().clone();
             let job = job_for(&c, wire_cfg, 5);
             let runner = ModularRunner::new(cfg.clone(), wire_cfg);
-            let remote = runner.run(&job).expect("runs").into_frame();
+            let remote = frame_of(runner.run(&job));
 
             // Shared-context path: same decode/train/encode through one
             // long-lived context.

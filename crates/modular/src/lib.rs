@@ -42,5 +42,5 @@ pub use model::ModularModel;
 pub use module::Module;
 pub use moe_layer::MoeLayer;
 pub use selector::UnifiedSelector;
-pub use stats::{normalized_entropy, routing_stats, LayerRoutingStats};
+pub use stats::normalized_entropy;
 pub use submodel::SubModelSpec;

@@ -1,46 +1,9 @@
-//! Routing telemetry: who routes where, and with whom.
-//!
-//! The offline stage's diagnostics (and the ablation studies) need to see
-//! how the selector distributes work: per-module load histograms, the
-//! utilisation entropy the load-balancing loss shapes, and the top-k
-//! *co-activation* structure (which modules fire together — the emergent
-//! sub-task clusters of §4.3).
-
-use crate::model::ModularModel;
-use nebula_tensor::reduce::top_k_indices;
-use nebula_tensor::Tensor;
-
-/// Routing statistics for one module layer over a dataset.
-#[derive(Clone, Debug)]
-pub struct LayerRoutingStats {
-    /// Mean gate probability per module (the importance vector).
-    pub mean_gate: Vec<f32>,
-    /// Fraction of samples whose top-k set contains each module.
-    pub load: Vec<f32>,
-    /// `N × N` co-activation frequencies: `co[i][j]` = fraction of samples
-    /// activating both `i` and `j` (diagonal = load).
-    pub coactivation: Vec<Vec<f32>>,
-}
-
-impl LayerRoutingStats {
-    /// Normalised entropy of the mean gate distribution
-    /// (1.0 = perfectly uniform utilisation).
-    pub fn gate_entropy(&self) -> f64 {
-        normalized_entropy(&self.mean_gate)
-    }
-
-    /// Modules that receive effectively no traffic (load below `eps`) —
-    /// dead experts the load-balancing loss is meant to prevent.
-    pub fn dead_modules(&self, eps: f32) -> Vec<usize> {
-        self.load.iter().enumerate().filter_map(|(i, &l)| (l < eps).then_some(i)).collect()
-    }
-}
+//! Routing telemetry: how evenly the selector spreads its gate mass.
 
 /// Normalised Shannon entropy of a gate-probability vector
 /// (1.0 = uniform over its modules, 0.0 = one-hot or degenerate).
-/// Shared by the offline routing diagnostics and the online
-/// gate-probability telemetry, which sees one such vector per layer in
-/// every accepted edge update.
+/// The online gate-probability telemetry sees one such vector per layer
+/// in every accepted edge update.
 pub fn normalized_entropy(probs: &[f32]) -> f64 {
     let n = probs.len() as f64;
     if n <= 1.0 {
@@ -60,123 +23,13 @@ pub fn normalized_entropy(probs: &[f32]) -> f64 {
     h / n.ln()
 }
 
-/// Collects per-layer routing statistics of `model` over inputs `x`,
-/// using the deterministic (noise-free) selector and the model's current
-/// top-k.
-pub fn routing_stats(model: &mut ModularModel, x: &Tensor, top_k: usize) -> Vec<LayerRoutingStats> {
-    let probs = model.gate_probs(x);
-    let batch = x.rows();
-    probs
-        .into_iter()
-        .map(|p| {
-            let n = p.cols();
-            let mean_gate = p.mean_rows().into_vec();
-            let mut load = vec![0.0f32; n];
-            let mut co = vec![vec![0.0f32; n]; n];
-            for b in 0..batch {
-                let active = top_k_indices(p.row(b), top_k);
-                for (ai, &i) in active.iter().enumerate() {
-                    load[i] += 1.0;
-                    for &j in &active[ai..] {
-                        co[i][j] += 1.0;
-                        if i != j {
-                            co[j][i] += 1.0;
-                        }
-                    }
-                }
-            }
-            let denom = batch.max(1) as f32;
-            load.iter_mut().for_each(|v| *v /= denom);
-            for row in &mut co {
-                row.iter_mut().for_each(|v| *v /= denom);
-            }
-            LayerRoutingStats { mean_gate, load, coactivation: co }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ModularConfig;
-    use nebula_tensor::NebulaRng;
-
-    fn model() -> ModularModel {
-        let mut cfg = ModularConfig::toy(12, 4);
-        cfg.gate_noise_std = 0.0;
-        ModularModel::new(cfg, 7)
-    }
-
-    fn input(batch: usize) -> Tensor {
-        let mut rng = NebulaRng::seed(3);
-        Tensor::from_vec((0..batch * 12).map(|_| rng.normal_f32(0.0, 1.0)).collect(), &[batch, 12])
-    }
-
-    #[test]
-    fn stats_shapes_and_ranges() {
-        let mut m = model();
-        let stats = routing_stats(&mut m, &input(32), 2);
-        assert_eq!(stats.len(), 2);
-        for s in &stats {
-            assert_eq!(s.mean_gate.len(), 4);
-            assert_eq!(s.load.len(), 4);
-            assert_eq!(s.coactivation.len(), 4);
-            assert!(s.load.iter().all(|&l| (0.0..=1.0).contains(&l)));
-            // Total load per sample = k.
-            let total: f32 = s.load.iter().sum();
-            nebula_tensor::assert_close(total, 2.0, 1e-4);
-        }
-    }
-
-    #[test]
-    fn diagonal_of_coactivation_is_load() {
-        let mut m = model();
-        let stats = routing_stats(&mut m, &input(16), 2);
-        for s in &stats {
-            for i in 0..4 {
-                nebula_tensor::assert_close(s.coactivation[i][i], s.load[i], 1e-5);
-            }
-        }
-    }
-
-    #[test]
-    fn coactivation_is_symmetric_and_bounded_by_load() {
-        let mut m = model();
-        let stats = routing_stats(&mut m, &input(24), 3);
-        for s in &stats {
-            for i in 0..4 {
-                for j in 0..4 {
-                    nebula_tensor::assert_close(s.coactivation[i][j], s.coactivation[j][i], 1e-5);
-                    assert!(s.coactivation[i][j] <= s.load[i].min(s.load[j]) + 1e-5);
-                }
-            }
-        }
-    }
 
     #[test]
     fn entropy_is_one_for_uniform_and_lower_when_skewed() {
-        let uniform = LayerRoutingStats {
-            mean_gate: vec![0.25; 4],
-            load: vec![0.5; 4],
-            coactivation: vec![vec![0.0; 4]; 4],
-        };
-        assert!((uniform.gate_entropy() - 1.0).abs() < 1e-9);
-        let skewed = LayerRoutingStats {
-            mean_gate: vec![0.97, 0.01, 0.01, 0.01],
-            load: vec![1.0, 0.0, 0.0, 0.0],
-            coactivation: vec![vec![0.0; 4]; 4],
-        };
-        assert!(skewed.gate_entropy() < 0.3);
-    }
-
-    #[test]
-    fn dead_module_detection() {
-        let s = LayerRoutingStats {
-            mean_gate: vec![0.5, 0.5, 0.0, 0.0],
-            load: vec![1.0, 0.99, 0.001, 0.0],
-            coactivation: vec![vec![0.0; 4]; 4],
-        };
-        assert_eq!(s.dead_modules(0.01), vec![2, 3]);
-        assert!(s.dead_modules(0.0001).contains(&3));
+        assert!((normalized_entropy(&[0.25; 4]) - 1.0).abs() < 1e-9);
+        assert!(normalized_entropy(&[0.97, 0.01, 0.01, 0.01]) < 0.3);
     }
 }

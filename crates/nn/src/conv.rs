@@ -287,57 +287,6 @@ impl Layer for MaxPool1d {
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&Tensor)) {}
 }
 
-/// Mean over the sequence axis (global average pooling): `channels·len →
-/// channels`.
-pub struct GlobalAvgPool1d {
-    channels: usize,
-    in_len: usize,
-    last_batch: usize,
-}
-
-impl GlobalAvgPool1d {
-    pub fn new(channels: usize, in_len: usize) -> Self {
-        assert!(in_len >= 1);
-        Self { channels, in_len, last_batch: 0 }
-    }
-}
-
-impl Layer for GlobalAvgPool1d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        assert_eq!(x.cols(), self.channels * self.in_len, "GlobalAvgPool1d width mismatch");
-        let batch = x.rows();
-        self.last_batch = batch;
-        let mut y = Tensor::zeros(&[batch, self.channels]);
-        for bsample in 0..batch {
-            let xrow = x.row(bsample);
-            for c in 0..self.channels {
-                let s: f32 = xrow[c * self.in_len..(c + 1) * self.in_len].iter().sum();
-                y.row_mut(bsample)[c] = s / self.in_len as f32;
-            }
-        }
-        y
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let batch = self.last_batch;
-        let mut dx = Tensor::zeros(&[batch, self.channels * self.in_len]);
-        let scale = 1.0 / self.in_len as f32;
-        for bsample in 0..batch {
-            let grow = grad.row(bsample);
-            let xrow = dx.row_mut(bsample);
-            for c in 0..self.channels {
-                for t in 0..self.in_len {
-                    xrow[c * self.in_len + t] = grow[c] * scale;
-                }
-            }
-        }
-        dx
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
-    fn visit_params_ref(&self, _f: &mut dyn FnMut(&Tensor)) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,16 +339,6 @@ mod tests {
         // Gradient routes to the argmax positions only.
         let dx = p.backward(&Tensor::matrix(&[&[1.0, 1.0, 1.0]]));
         assert_eq!(dx.data(), &[0.0, 1.0, 1.0, 0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn global_avg_pool_and_backward() {
-        let mut g = GlobalAvgPool1d::new(2, 3);
-        let x = Tensor::matrix(&[&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]);
-        let y = g.forward(&x, Mode::Eval);
-        assert_eq!(y.data(), &[2.0, 5.0]);
-        let dx = g.backward(&Tensor::matrix(&[&[3.0, 6.0]]));
-        assert_eq!(dx.data(), &[1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Optimisers: SGD (with momentum and weight decay) and Adam.
+//! Optimiser: SGD with momentum and weight decay.
 //!
-//! Optimiser state (momentum buffers, Adam moments) is keyed by the visit
+//! Optimiser state (momentum buffers) is keyed by the visit
 //! order of [`Layer::visit_params`], which is fixed per architecture. State
 //! buffers are allocated lazily on the first step so an optimiser can be
 //! constructed before the model.
@@ -13,12 +13,6 @@ pub trait Optimizer {
     /// Applies one update step using the layer's accumulated gradients.
     /// Does **not** zero the gradients — callers do that explicitly.
     fn step(&mut self, model: &mut dyn Layer);
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Replaces the learning rate (for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
 /// Stochastic gradient descent with optional momentum and L2 weight decay.
@@ -77,91 +71,6 @@ impl Optimizer for Sgd {
             idx += 1;
         });
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam (Kingma & Ba) with bias correction.
-#[derive(Clone, Debug)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-    t: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Adam with the standard (0.9, 0.999) betas.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-
-    /// Adds L2 weight decay (builder style).
-    pub fn weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, model: &mut dyn Layer) {
-        self.t += 1;
-        let t = self.t as f32;
-        let bc1 = 1.0 - self.beta1.powf(t);
-        let bc2 = 1.0 - self.beta2.powf(t);
-        let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
-        let (mbuf, vbuf) = (&mut self.m, &mut self.v);
-        let mut idx = 0;
-        model.visit_params(&mut |p, g| {
-            if mbuf.len() <= idx {
-                mbuf.push(Tensor::zeros(p.shape()));
-                vbuf.push(Tensor::zeros(p.shape()));
-            }
-            let m = &mut mbuf[idx];
-            let v = &mut vbuf[idx];
-            for i in 0..p.len() {
-                let mut gi = g.data()[i];
-                if wd > 0.0 {
-                    gi += wd * p.data()[i];
-                }
-                let mi = b1 * m.data()[i] + (1.0 - b1) * gi;
-                let vi = b2 * v.data()[i] + (1.0 - b2) * gi * gi;
-                m.data_mut()[i] = mi;
-                v.data_mut()[i] = vi;
-                let m_hat = mi / bc1;
-                let v_hat = vi / bc2;
-                p.data_mut()[i] -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
-            idx += 1;
-        });
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -206,12 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn adam_converges_on_linear_regression() {
-        let mut opt = Adam::new(0.05);
-        assert!(train_scalar(&mut opt, 300) < 1e-3);
-    }
-
-    #[test]
     fn weight_decay_shrinks_parameters() {
         let mut rng = NebulaRng::seed(2);
         let mut model = Linear::new(4, 4, &mut rng);
@@ -224,20 +127,5 @@ mod tests {
         }
         let after = model.param_vector().iter().map(|v| v * v).sum::<f32>();
         assert!(after < before * 0.8, "decay had no effect: {before} -> {after}");
-    }
-
-    #[test]
-    fn set_learning_rate_takes_effect() {
-        let mut opt = Sgd::new(0.1);
-        opt.set_learning_rate(0.0);
-        assert_eq!(opt.learning_rate(), 0.0);
-        let mut rng = NebulaRng::seed(3);
-        let mut model = Linear::new(2, 2, &mut rng);
-        let before = model.param_vector();
-        let x = Tensor::ones(&[1, 2]);
-        model.forward(&x, Mode::Train);
-        model.backward(&Tensor::ones(&[1, 2]));
-        opt.step(&mut model);
-        assert_eq!(model.param_vector(), before, "lr=0 must not move params");
     }
 }

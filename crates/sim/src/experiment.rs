@@ -110,49 +110,6 @@ pub fn mean_accuracy(strategy: &mut dyn AdaptStrategy, world: &mut SimWorld, ids
     sum / ids.len().max(1) as f32
 }
 
-/// Mean and sample standard deviation of a per-seed metric.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct MeanStd {
-    pub mean: f64,
-    pub std: f64,
-    pub n: usize,
-}
-
-impl MeanStd {
-    /// Computes mean/std over samples (std = 0 for n < 2).
-    pub fn of(samples: &[f64]) -> MeanStd {
-        let n = samples.len();
-        assert!(n > 0, "MeanStd of empty sample set");
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let std = if n < 2 {
-            0.0
-        } else {
-            (samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1) as f64).sqrt()
-        };
-        MeanStd { mean, std, n }
-    }
-}
-
-/// Runs [`run_adaptation_step`] under several seeds with freshly-built
-/// strategies and worlds, reporting accuracy mean ± std. `build` receives
-/// the seed and must construct both.
-pub fn run_adaptation_step_multi(
-    seeds: &[u64],
-    eval_devices: usize,
-    mut build: impl FnMut(u64) -> (Box<dyn AdaptStrategy>, SimWorld),
-) -> MeanStd {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let accs: Vec<f64> = seeds
-        .iter()
-        .map(|&seed| {
-            let (mut s, mut world) = build(seed);
-            let out = run_adaptation_step(s.as_mut(), &mut world, &ExperimentConfig { eval_devices, seed });
-            out.accuracy_after as f64
-        })
-        .collect();
-    MeanStd::of(&accs)
-}
-
 /// Result of a rounds-to-target run.
 #[derive(Clone, Debug, Serialize)]
 pub struct TargetOutcome {
@@ -267,26 +224,6 @@ mod tests {
         ));
         // A Runner without a mode is itself an invalid configuration.
         assert!(matches!(Runner::new(&mut world, &mut s).config(cfg).run(), Err(RunError::InvalidConfig(_))));
-    }
-
-    #[test]
-    fn mean_std_arithmetic() {
-        let ms = MeanStd::of(&[1.0, 2.0, 3.0]);
-        assert!((ms.mean - 2.0).abs() < 1e-12);
-        assert!((ms.std - 1.0).abs() < 1e-12);
-        assert_eq!(ms.n, 3);
-        let single = MeanStd::of(&[5.0]);
-        assert_eq!(single.std, 0.0);
-    }
-
-    #[test]
-    fn multi_seed_runs_vary_but_average_sanely() {
-        let ms = run_adaptation_step_multi(&[1, 2, 3], 2, |seed| {
-            (Box::new(NoAdaptStrategy::new(toy_cfg(), seed)) as Box<dyn AdaptStrategy>, toy_world(false))
-        });
-        assert_eq!(ms.n, 3);
-        assert!((0.0..=1.0).contains(&ms.mean));
-        assert!(ms.std >= 0.0);
     }
 
     #[test]

@@ -30,8 +30,7 @@
 //! loss.
 //!
 //! The pre-blocking kernels are retained under [`reference`] — they anchor
-//! the equivalence proptests and give `perf_suite` a stable baseline to
-//! report speedups against ([`KernelBackend::Reference`]).
+//! the equivalence proptests ([`KernelBackend::Reference`]).
 
 use crate::backend::{self, KernelBackend};
 use crate::gemm::{self, simd, ALayout, BLayout};
@@ -204,10 +203,9 @@ impl Tensor {
 /// The pre-blocking kernels, retained verbatim (branchy `ikj` row loop for
 /// `matmul`/`matmul_tn`, row-dot loop for `matmul_nt`).
 ///
-/// They serve two purposes: the equivalence proptests check the blocked
-/// engine against them across random shapes, and `perf_suite` measures
-/// every engine's speedup over them (via
-/// `KernelBackend::Reference.scoped()` for end-to-end runs). They are
+/// The equivalence proptests check the blocked engine against them across
+/// random shapes and the shapes a round issues, and
+/// `KernelBackend::Reference.scoped()` runs whole rounds on them. They are
 /// sequential — on the round hot path they were always below the old
 /// parallel threshold.
 pub mod reference {

@@ -17,16 +17,6 @@ impl Tensor {
         self.zip(other, |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product; shapes must match.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a * b)
-    }
-
-    /// Element-wise quotient; shapes must match.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a / b)
-    }
-
     /// In-place element-wise sum.
     pub fn add_assign(&mut self, other: &Tensor) {
         self.zip_assign(other, |a, b| *a += b);
@@ -111,22 +101,6 @@ impl Tensor {
         }
     }
 
-    /// Multiplies every row of a rank-2 tensor by a rank-1 vector
-    /// (per-feature scaling, used by batch-norm).
-    pub fn mul_row_broadcast(&self, gamma: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2, "mul_row_broadcast needs a rank-2 receiver");
-        assert_eq!(gamma.rank(), 1, "gamma must be rank-1");
-        assert_eq!(self.cols(), gamma.len(), "gamma length must match columns");
-        let mut out = self.clone();
-        let c = out.cols();
-        for row in out.data_mut().chunks_mut(c) {
-            for (v, &g) in row.iter_mut().zip(gamma.data()) {
-                *v *= g;
-            }
-        }
-        out
-    }
-
     /// Rectified linear unit.
     pub fn relu(&self) -> Tensor {
         self.map(|v| v.max(0.0))
@@ -178,13 +152,11 @@ mod tests {
     use crate::assert_tensor_close;
 
     #[test]
-    fn add_sub_mul_div() {
+    fn add_sub() {
         let a = Tensor::vector(&[1.0, 2.0, 3.0]);
         let b = Tensor::vector(&[4.0, 5.0, 6.0]);
         assert_eq!(a.add(&b).data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).data(), &[4.0, 10.0, 18.0]);
-        assert_eq!(b.div(&a).data(), &[4.0, 2.5, 2.0]);
     }
 
     #[test]
@@ -208,8 +180,6 @@ mod tests {
         let b = Tensor::vector(&[10.0, 20.0]);
         let y = x.add_row_broadcast(&b);
         assert_eq!(y.data(), &[11.0, 22.0, 13.0, 24.0]);
-        let z = x.mul_row_broadcast(&b);
-        assert_eq!(z.data(), &[10.0, 40.0, 30.0, 80.0]);
     }
 
     #[test]

@@ -51,25 +51,6 @@ impl Tensor {
         out
     }
 
-    /// Column-wise (biased) variance of a rank-2 tensor → rank-1.
-    pub fn var_rows(&self) -> Tensor {
-        assert_eq!(self.rank(), 2, "var_rows requires rank-2");
-        let mean = self.mean_rows();
-        let c = self.cols();
-        let r = self.rows() as f32;
-        let mut out = Tensor::zeros(&[c]);
-        for row in self.data().chunks(c) {
-            for ((o, &v), &m) in out.data_mut().iter_mut().zip(row).zip(mean.data()) {
-                let d = v - m;
-                *o += d * d;
-            }
-        }
-        if r > 0.0 {
-            out.scale_assign(1.0 / r);
-        }
-        out
-    }
-
     /// Index of the maximum element of a rank-1 tensor (first on ties).
     pub fn argmax(&self) -> usize {
         assert!(!self.is_empty(), "argmax of empty tensor");
@@ -203,7 +184,6 @@ mod tests {
         let t = Tensor::matrix(&[&[1.0, 2.0], &[3.0, 6.0]]);
         assert_eq!(t.sum_rows().data(), &[4.0, 8.0]);
         assert_eq!(t.mean_rows().data(), &[2.0, 4.0]);
-        assert_eq!(t.var_rows().data(), &[1.0, 4.0]);
     }
 
     #[test]

@@ -73,7 +73,8 @@ proptest! {
 }
 
 /// Deterministic sweep of the exact edge shapes named in the issue:
-/// m=1, k=1, and dims that are not multiples of any block parameter.
+/// m=1, k=1, and dims that are not multiples of any block parameter —
+/// and of the shapes a round issues.
 #[test]
 fn edge_shapes_all_variants() {
     let shapes: &[(usize, usize, usize)] = &[
@@ -86,6 +87,24 @@ fn edge_shapes_all_variants() {
         (64, 256, 64),  // exact MC/NC
         (65, 257, 300), // one past MC/NC, k past KC
         (3, 300, 7),
+        // What a local train step issues at batch 16 on the paper presets
+        // (trunk W→W, module in W→24, module out 24→W; W = 64 HAR, 96
+        // CIFAR-10) — the list `nebula_benchmark` times as
+        // `tensor.gemm_small_gflops`: forward `nt` and `dX` `nn` are
+        // (16, out, in) / (16, in, out) ...
+        (16, 64, 64),
+        (16, 24, 64),
+        (16, 64, 24),
+        (16, 96, 96),
+        (16, 24, 96),
+        (16, 96, 24),
+        // ... and `dW` `tn` is (out, in, 16).
+        (64, 64, 16),
+        (24, 64, 16),
+        (64, 24, 16),
+        (96, 96, 16),
+        (24, 96, 16),
+        (96, 24, 16),
     ];
     for &(m, n, k) in shapes {
         let mut rng = NebulaRng::seed((m * 1_000_003 + n * 1_009 + k) as u64);

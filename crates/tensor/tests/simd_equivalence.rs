@@ -99,8 +99,8 @@ proptest! {
 }
 
 /// Deterministic sweep of the adversarial shapes named in the issue —
-/// tail m/n/k not divisible by any register block, k=1, m=1 — through
-/// every supported engine.
+/// tail m/n/k not divisible by any register block, k=1, m=1 — and of the
+/// shapes a round issues, through every supported engine.
 #[test]
 fn edge_shapes_every_engine() {
     let shapes: &[(usize, usize, usize)] = &[
@@ -115,6 +115,24 @@ fn edge_shapes_every_engine() {
         (96, 256, 96),  // exact MC_SIMD/NC
         (97, 257, 300), // one past MC_SIMD/NC, k past KC
         (5, 300, 7),
+        // What a local train step issues at batch 16 on the paper presets
+        // (trunk W→W, module in W→24, module out 24→W; W = 64 HAR, 96
+        // CIFAR-10) — the list `nebula_benchmark` times as
+        // `tensor.gemm_small_gflops`: forward `nt` and `dX` `nn` are
+        // (16, out, in) / (16, in, out) ...
+        (16, 64, 64),
+        (16, 24, 64),
+        (16, 64, 24),
+        (16, 96, 96),
+        (16, 24, 96),
+        (16, 96, 24),
+        // ... and `dW` `tn` is (out, in, 16).
+        (64, 64, 16),
+        (24, 64, 16),
+        (64, 24, 16),
+        (96, 96, 16),
+        (24, 96, 16),
+        (96, 24, 16),
     ];
     for &(m, n, k) in shapes {
         let seed = (m * 1_000_003 + n * 1_009 + k) as u64;
