@@ -77,7 +77,7 @@ proptest! {
 /// and of the shapes a round issues.
 #[test]
 fn edge_shapes_all_variants() {
-    let shapes: &[(usize, usize, usize)] = &[
+    let mut shapes: Vec<(usize, usize, usize)> = vec![
         (1, 1, 1),
         (1, 17, 33),
         (17, 1, 33),
@@ -106,7 +106,16 @@ fn edge_shapes_all_variants() {
         (24, 96, 16),
         (96, 24, 16),
     ];
-    for &(m, n, k) in shapes {
+    // Sparse top-k routing hands each module only the rows that chose it
+    // — 3 to 15 of a 16-row batch, hardly ever all 16 — so these are the
+    // row counts the module products above really run at, and the depth
+    // of the matching `dW` shapes.
+    for rows in [1, 3, 5, 8, 9, 11, 15] {
+        for w in [64, 96] {
+            shapes.extend([(rows, 24, w), (rows, w, 24), (24, w, rows), (w, 24, rows)]);
+        }
+    }
+    for (m, n, k) in shapes {
         let mut rng = NebulaRng::seed((m * 1_000_003 + n * 1_009 + k) as u64);
         let a = random_tensor(&mut rng, m, k);
         let b = random_tensor(&mut rng, k, n);

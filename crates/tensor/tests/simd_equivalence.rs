@@ -103,7 +103,7 @@ proptest! {
 /// shapes a round issues, through every supported engine.
 #[test]
 fn edge_shapes_every_engine() {
-    let shapes: &[(usize, usize, usize)] = &[
+    let mut shapes: Vec<(usize, usize, usize)> = vec![
         (1, 1, 1),
         (1, 17, 33),
         (17, 1, 33),
@@ -134,7 +134,16 @@ fn edge_shapes_every_engine() {
         (24, 96, 16),
         (96, 24, 16),
     ];
-    for &(m, n, k) in shapes {
+    // Sparse top-k routing hands each module only the rows that chose it
+    // — 3 to 15 of a 16-row batch, hardly ever all 16 — so these are the
+    // row counts the module products above really run at, and the depth
+    // of the matching `dW` shapes.
+    for rows in [1, 3, 5, 8, 9, 11, 15] {
+        for w in [64, 96] {
+            shapes.extend([(rows, 24, w), (rows, w, 24), (24, w, rows), (w, 24, rows)]);
+        }
+    }
+    for (m, n, k) in shapes {
         let seed = (m * 1_000_003 + n * 1_009 + k) as u64;
         if simd::detect() >= SimdLevel::Avx2 {
             check_engine(simd::gemm_avx2, "avx2", m, n, k, seed).unwrap();
