@@ -84,7 +84,11 @@ fn a_warm_train_step_stays_under_its_allocation_ceiling() {
     );
 }
 
-/// Allocations per step at 6 modules per layer: what the code this test
-/// was first committed against spends (262 / 723 / 1332 at 2 / 6 / 12
-/// modules, the same on every kernel backend, debug and release).
-const CEILING: u64 = 723;
+/// Allocations per step at 6 modules per layer. The code this test was
+/// first committed against spent 262 / 723 / 1332 at 2 / 6 / 12 modules;
+/// with one allocation per tensor, caches refilled in place and module
+/// temporaries drawn from each layer's workspace it is 31 / 36 / 44 (the
+/// same on every kernel backend, debug and release): the batch, the
+/// tensors `Layer::forward` / `backward` return by value, and a fresh
+/// optimiser's momentum buffers spread over the steps.
+const CEILING: u64 = 40;

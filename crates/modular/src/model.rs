@@ -382,13 +382,12 @@ fn seed0_gate_noise_rng(cfg: &ModularConfig) -> NebulaRng {
 impl Layer for ModularModel {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         assert_eq!(x.cols(), self.cfg.input_dim, "input width mismatch");
-        let logits = self.selector.forward(x, mode);
-        self.cached_logits = logits.clone();
+        self.cached_logits = self.selector.forward(x, mode);
 
         let mut u = self.stem.forward(x, mode);
         let mut lb = 0.0f32;
-        for (l, layer) in self.layers.iter_mut().enumerate() {
-            u = layer.forward(&u, &logits[l], &self.masks[l], self.top_k, mode);
+        for ((layer, logits), mask) in self.layers.iter_mut().zip(&self.cached_logits).zip(&self.masks) {
+            u = layer.forward(&u, logits, mask, self.top_k, mode);
             lb += layer.load_balance_loss();
         }
         self.last_lb_loss = lb / self.layers.len() as f32;
@@ -397,22 +396,22 @@ impl Layer for ModularModel {
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         let mut du = self.head.backward(grad);
-        let mut dlogits: Vec<Option<Tensor>> = vec![None; self.layers.len()];
-        for (l, layer) in self.layers.iter_mut().enumerate().rev() {
+        // Per-layer gate gradients, last layer first until reversed.
+        let mut dlogits: Vec<Tensor> = Vec::with_capacity(self.layers.len());
+        for layer in self.layers.iter_mut().rev() {
             let (dx, dl) = layer.backward(&du);
-            dlogits[l] = Some(dl);
+            dlogits.push(dl);
             du = dx;
         }
-        let dx_stem = self.stem.backward(&du);
+        dlogits.reverse();
+        let mut dx = self.stem.backward(&du);
 
         // Assemble selector gradients: task path + load-balancing path
         // (+ optional KL-to-recommended-gate path during fine-tuning).
         let lambda = self.cfg.load_balance_weight;
-        let mut dlogit_vec: Vec<Tensor> = Vec::with_capacity(self.layers.len());
-        for (l, layer) in self.layers.iter().enumerate() {
-            let mut dl = dlogits[l].take().expect("missing layer grad");
+        for (l, (layer, dl)) in self.layers.iter().zip(&mut dlogits).enumerate() {
             if lambda > 0.0 {
-                dl.add_assign(&layer.load_balance_logit_grad(lambda));
+                layer.add_load_balance_logit_grad(lambda, dl);
             }
             if let Some((targets, kl_w)) = &self.gate_kl_target {
                 // ∂KL(t ‖ softmax(logits))/∂logits = softmax(logits) − t,
@@ -422,10 +421,9 @@ impl Layer for ModularModel {
                 kl_grad.scale_assign(kl_w / grad.rows().max(1) as f32);
                 dl.add_assign(&kl_grad);
             }
-            dlogit_vec.push(dl);
         }
-        let dx_selector = self.selector.backward(&dlogit_vec);
-        dx_stem.add(&dx_selector)
+        dx.add_assign(&self.selector.backward(&dlogits));
+        dx
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

@@ -11,7 +11,7 @@
 //! * **residual module** — a parameter-free bypass `x ↦ x`, letting inputs
 //!   skip the layer ("not all inputs need layer-by-layer processing").
 
-use nebula_nn::{Activation, Layer, Linear, Mode};
+use nebula_nn::{Activation, Layer, Linear, Mode, Workspace};
 use nebula_tensor::{NebulaRng, Tensor};
 
 /// One module of a module layer. Input and output width are both `d`
@@ -50,30 +50,49 @@ impl Module {
 
     /// Forward pass over a (sub-)batch of rows.
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        self.forward_with(x, mode, &mut Workspace::new())
+    }
+
+    /// [`Module::forward`] with the hidden activation and the output held
+    /// in buffers of `ws` (the output is the caller's to recycle), so a
+    /// layer that runs its modules step after step allocates nothing.
+    pub fn forward_with(&mut self, x: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
+        let mut y = ws.zeroed(x.shape());
         match self {
             Module::Shrunk { l1, act, l2 } => {
-                let h = l1.forward(x, mode);
-                let a = act.forward(&h, mode);
-                let mut y = l2.forward(&a, mode);
+                let mut h = ws.zeroed(&[x.rows(), l1.out_features()]);
+                l1.forward_into(x, &mut h, mode);
+                act.forward_in_place(&mut h, mode);
+                l2.forward_into(&h, &mut y, mode);
+                ws.recycle(h);
                 y.add_assign(x); // block-level skip (ResNet pattern)
-                y
             }
-            Module::Residual => x.clone(),
+            Module::Residual => y.data_mut().copy_from_slice(x.data()),
         }
+        y
     }
 
     /// Backward pass; accumulates parameter gradients, returns ∂loss/∂x.
     pub fn backward(&mut self, grad: &Tensor) -> Tensor {
+        self.backward_with(grad, &mut Workspace::new())
+    }
+
+    /// [`Module::backward`] with the hidden gradient and the result held
+    /// in buffers of `ws` (the result is the caller's to recycle).
+    pub fn backward_with(&mut self, grad: &Tensor, ws: &mut Workspace) -> Tensor {
+        let mut dx = ws.zeroed(grad.shape());
         match self {
             Module::Shrunk { l1, act, l2 } => {
-                let da = l2.backward(grad);
-                let dh = act.backward(&da);
-                let mut dx = l1.backward(&dh);
+                let mut dh = ws.zeroed(&[grad.rows(), l2.in_features()]);
+                l2.backward_into(grad, &mut dh);
+                act.backward_in_place(&mut dh);
+                l1.backward_into(&dh, &mut dx);
+                ws.recycle(dh);
                 dx.add_assign(grad); // skip path
-                dx
             }
-            Module::Residual => grad.clone(),
+            Module::Residual => dx.data_mut().copy_from_slice(grad.data()),
         }
+        dx
     }
 
     /// Visits `(param, grad)` pairs.

@@ -44,7 +44,8 @@ struct LayerCache {
     weights: Tensor,
     /// Row indices routed to each module.
     rows_per_module: Vec<Vec<usize>>,
-    /// Each module's output on its routed rows.
+    /// Each module's output on its routed rows, for the gate gradient:
+    /// kept by Train forwards only, like `probs`.
     outputs: Vec<Option<Tensor>>,
     /// Full softmax over allowed modules (B×N), pre-top-k. Only the
     /// load-balancing *gradient* needs the full matrix, so it is kept in
@@ -174,59 +175,60 @@ impl MoeLayer {
         assert!(n_allowed >= 1, "sub-model leaves no module in a layer");
         let k = k.max(1).min(n_allowed);
         let batch = x.rows();
-        // Only the backward pass (load-balance logit gradient) needs the
-        // full B×N softmax matrix; eval forwards keep just its column
-        // means.
-        let keep_probs = mode == Mode::Train;
+        // Only the backward pass needs the full B×N softmax matrix (the
+        // load-balance logit gradient) and the modules' outputs (the gate
+        // gradient); eval forwards keep just the matrix's column means.
+        let train = mode == Mode::Train;
 
         // Recycle the previous forward's cache buffers so steady-state
         // routing performs no heap allocation.
-        let (mut weights, mut rows_per_module, mut probs, mut mean_probs, mut loads) = match self.cache.take()
-        {
-            Some(old) => {
-                for o in old.outputs.into_iter().flatten() {
-                    self.ws.recycle(o);
-                }
-                let weights = if old.weights.shape() == [batch, n] {
-                    let mut w = old.weights;
-                    w.zero_();
-                    w
-                } else {
-                    self.ws.recycle(old.weights);
-                    self.ws.zeroed(&[batch, n])
-                };
-                let mut rpm = old.rows_per_module;
-                for v in &mut rpm {
-                    v.clear();
-                }
-                let probs = match old.probs {
-                    Some(p) if keep_probs && p.shape() == [batch, n] => Some(p),
-                    Some(p) => {
-                        self.ws.recycle(p);
-                        if keep_probs {
-                            Some(self.ws.zeroed(&[batch, n]))
-                        } else {
-                            None
-                        }
+        let (mut weights, mut rows_per_module, mut outputs, mut probs, mut mean_probs, mut loads) =
+            match self.cache.take() {
+                Some(mut old) => {
+                    for o in old.outputs.drain(..).flatten() {
+                        self.ws.recycle(o);
                     }
-                    None => {
-                        if keep_probs {
-                            Some(self.ws.zeroed(&[batch, n]))
-                        } else {
-                            None
-                        }
+                    let weights = if old.weights.shape() == [batch, n] {
+                        let mut w = old.weights;
+                        w.zero_();
+                        w
+                    } else {
+                        self.ws.recycle(old.weights);
+                        self.ws.zeroed(&[batch, n])
+                    };
+                    let mut rpm = old.rows_per_module;
+                    for v in &mut rpm {
+                        v.clear();
                     }
-                };
-                (weights, rpm, probs, old.mean_probs, old.loads)
-            }
-            None => (
-                Tensor::zeros(&[batch, n]),
-                vec![Vec::new(); n],
-                if keep_probs { Some(Tensor::zeros(&[batch, n])) } else { None },
-                Vec::new(),
-                Vec::new(),
-            ),
-        };
+                    let probs = match old.probs {
+                        Some(p) if train && p.shape() == [batch, n] => Some(p),
+                        Some(p) => {
+                            self.ws.recycle(p);
+                            if train {
+                                Some(self.ws.zeroed(&[batch, n]))
+                            } else {
+                                None
+                            }
+                        }
+                        None => {
+                            if train {
+                                Some(self.ws.zeroed(&[batch, n]))
+                            } else {
+                                None
+                            }
+                        }
+                    };
+                    (weights, rpm, old.outputs, probs, old.mean_probs, old.loads)
+                }
+                None => (
+                    Tensor::zeros(&[batch, n]),
+                    vec![Vec::new(); n],
+                    Vec::with_capacity(n),
+                    if train { Some(Tensor::zeros(&[batch, n])) } else { None },
+                    Vec::new(),
+                    Vec::new(),
+                ),
+            };
         mean_probs.clear();
         mean_probs.resize(n, 0.0);
 
@@ -273,7 +275,6 @@ impl MoeLayer {
 
         // Run each module on its routed rows and scatter the weighted sum.
         let mut y = Tensor::zeros(&[batch, self.width]);
-        let mut outputs: Vec<Option<Tensor>> = Vec::with_capacity(n);
         for (i, slot) in self.modules.iter_mut().enumerate() {
             let rows = &rows_per_module[i];
             if rows.is_empty() {
@@ -283,7 +284,7 @@ impl MoeLayer {
             let module = slot.as_mut().expect("routed to a module this model does not hold");
             let mut xi = self.ws.zeroed(&[rows.len(), self.width]);
             x.gather_rows_into(rows, &mut xi);
-            let oi = module.forward(&xi, mode);
+            let oi = module.forward_with(&xi, mode, &mut self.ws);
             self.ws.recycle(xi);
             for (j, &b) in rows.iter().enumerate() {
                 let w = weights.at(b, i);
@@ -292,7 +293,14 @@ impl MoeLayer {
                     *yv += w * ov;
                 }
             }
-            outputs.push(Some(oi));
+            // An eval forward hands the output's buffer straight back, so
+            // a model that is only evaluated holds one at a time.
+            if train {
+                outputs.push(Some(oi));
+            } else {
+                self.ws.recycle(oi);
+                outputs.push(None);
+            }
         }
 
         loads.clear();
@@ -303,7 +311,8 @@ impl MoeLayer {
     }
 
     /// Backward pass: returns `(∂loss/∂x, ∂loss/∂logits)`; accumulates
-    /// module parameter gradients.
+    /// module parameter gradients. The forward before it must have run in
+    /// `Mode::Train`.
     ///
     /// The gate gradient covers the differentiable path through the active
     /// set's renormalised softmax; the discrete top-k selection itself is
@@ -315,9 +324,10 @@ impl MoeLayer {
         assert_eq!(dy.cols(), self.width, "dy width mismatch");
 
         // dw[b,i] = ⟨f_i(x_b), dy_b⟩ for active modules.
-        let mut dw = Tensor::zeros(&[batch, n]);
+        let mut dw = self.ws.zeroed(&[batch, n]);
         for i in 0..n {
-            if let Some(oi) = &cache.outputs[i] {
+            if !cache.rows_per_module[i].is_empty() {
+                let oi = cache.outputs[i].as_ref().expect("MoeLayer::backward requires a Train-mode forward");
                 for (j, &b) in cache.rows_per_module[i].iter().enumerate() {
                     let mut acc = 0.0f32;
                     for (&ov, &gv) in oi.row(j).iter().zip(dy.row(b)) {
@@ -344,7 +354,7 @@ impl MoeLayer {
                     *gv = w * dv;
                 }
             }
-            let dxi = module.backward(&gi);
+            let dxi = module.backward_with(&gi, &mut self.ws);
             self.ws.recycle(gi);
             for (j, &b) in rows.iter().enumerate() {
                 for (xv, &dv) in dx.row_mut(b).iter_mut().zip(dxi.row(j)) {
@@ -368,6 +378,7 @@ impl MoeLayer {
                 }
             }
         }
+        self.ws.recycle(dw);
 
         (dx, dlogits)
     }
@@ -395,19 +406,19 @@ impl MoeLayer {
         cache.n_allowed as f32 * cache.loads.iter().zip(&cache.mean_probs).map(|(&l, &p)| l * p).sum::<f32>()
     }
 
-    /// Gradient of λ·load_balance_loss w.r.t. this layer's gate logits,
-    /// computed from the cached full-softmax probabilities.
-    pub fn load_balance_logit_grad(&self, lambda: f32) -> Tensor {
+    /// Adds the gradient of λ·load_balance_loss w.r.t. this layer's gate
+    /// logits, computed from the cached full-softmax probabilities, to
+    /// `dlogits` (B×N).
+    pub fn add_load_balance_logit_grad(&self, lambda: f32, dlogits: &mut Tensor) {
         let cache = self.cache.as_ref().expect("lb grad before forward");
         let probs = cache
             .probs
             .as_ref()
             .expect("load_balance_logit_grad requires a Train-mode forward (probs not kept in eval)");
+        assert_eq!(dlogits.shape(), probs.shape(), "lb grad shape mismatch");
         let batch = probs.rows();
-        let n = probs.cols();
         // dL/dprob[b,i] = λ · N_allowed · load_i / B (loads constant).
         let coeff = lambda * cache.n_allowed as f32 / batch.max(1) as f32;
-        let mut dlogits = Tensor::zeros(&[batch, n]);
         for b in 0..batch {
             let prow = probs.row(b);
             // Softmax jacobian: dlogit_j = p_j (g_j − Σ_i p_i g_i).
@@ -416,10 +427,9 @@ impl MoeLayer {
                 inner += p * (coeff * load);
             }
             for ((d, p), load) in dlogits.row_mut(b).iter_mut().zip(prow).zip(&cache.loads) {
-                *d = p * (coeff * load - inner);
+                *d += p * (coeff * load - inner);
             }
         }
-        dlogits
     }
 
     /// Visits `(param, grad)` pairs of every held module, in module order.
@@ -692,7 +702,8 @@ mod tests {
         // Train mode: the logit gradient needs the full probs matrix,
         // which eval forwards no longer materialise.
         l.forward(&x, &conc, &[true; 4], 1, Mode::Train);
-        let g = l.load_balance_logit_grad(1.0);
+        let mut g = Tensor::zeros(conc.shape());
+        l.add_load_balance_logit_grad(1.0, &mut g);
         // Gradient descent (−g) must reduce logit 0 (overloaded): g > 0 there.
         for b in 0..8 {
             assert!(g.at(b, 0) > 0.0, "overloaded module grad should be positive");

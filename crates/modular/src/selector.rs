@@ -14,7 +14,7 @@
 //! specifying the variant, and fixed noise reproduces the load-spreading
 //! effect (ablated in the bench suite).
 
-use nebula_nn::{Activation, Layer, Linear, Mode};
+use nebula_nn::{Activation, Layer, Linear, Mode, Workspace};
 use nebula_tensor::{NebulaRng, Tensor};
 
 /// Unified selector: shared embedding + per-layer gate heads.
@@ -24,7 +24,10 @@ pub struct UnifiedSelector {
     gates: Vec<Linear>,
     noise_std: f32,
     rng: NebulaRng,
-    cached_h: Option<Tensor>,
+    /// Batch rows of the last forward (the gates cache the embedding
+    /// itself; backward only needs its shape).
+    cached_rows: Option<usize>,
+    ws: Workspace,
 }
 
 impl UnifiedSelector {
@@ -40,7 +43,15 @@ impl UnifiedSelector {
     ) -> Self {
         let embed = Linear::new(input_dim, embed_dim, rng);
         let gates = (0..layers).map(|_| Linear::new(embed_dim, modules, rng)).collect();
-        Self { embed, act: Activation::relu(), gates, noise_std, rng: rng.fork(0x5E1E_C70F), cached_h: None }
+        Self {
+            embed,
+            act: Activation::relu(),
+            gates,
+            noise_std,
+            rng: rng.fork(0x5E1E_C70F),
+            cached_rows: None,
+            ws: Workspace::new(),
+        }
     }
 
     /// An all-zero selector of the same shape as [`UnifiedSelector::new`]
@@ -60,7 +71,8 @@ impl UnifiedSelector {
             gates: (0..layers).map(|_| Linear::zeros(embed_dim, modules)).collect(),
             noise_std,
             rng: noise_rng,
-            cached_h: None,
+            cached_rows: None,
+            ws: Workspace::new(),
         }
     }
 
@@ -77,10 +89,12 @@ impl UnifiedSelector {
     /// Gate logits for every module layer. In `Train` mode with
     /// `noise_std > 0`, Gaussian noise is added (noisy top-k).
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Vec<Tensor> {
-        let e = self.embed.forward(x, mode);
-        let h = self.act.forward(&e, mode);
-        self.cached_h = Some(h.clone());
-        self.gates
+        let mut h = self.ws.zeroed(&[x.rows(), self.embed.out_features()]);
+        self.embed.forward_into(x, &mut h, mode);
+        self.act.forward_in_place(&mut h, mode);
+        self.cached_rows = Some(x.rows());
+        let logits = self
+            .gates
             .iter_mut()
             .map(|gate| {
                 let mut logits = gate.forward(&h, mode);
@@ -92,7 +106,9 @@ impl UnifiedSelector {
                 }
                 logits
             })
-            .collect()
+            .collect();
+        self.ws.recycle(h);
+        logits
     }
 
     /// Deterministic (noise-free) logits regardless of mode — used for
@@ -105,13 +121,19 @@ impl UnifiedSelector {
     /// order. Accumulates parameter gradients; returns ∂loss/∂x.
     pub fn backward(&mut self, dlogits: &[Tensor]) -> Tensor {
         assert_eq!(dlogits.len(), self.gates.len(), "dlogits per layer mismatch");
-        let h = self.cached_h.as_ref().expect("selector backward before forward");
-        let mut dh = Tensor::zeros(h.shape());
+        let rows = self.cached_rows.expect("selector backward before forward");
+        let shape = [rows, self.embed.out_features()];
+        let mut dh = self.ws.zeroed(&shape);
+        let mut from_gate = self.ws.zeroed(&shape);
         for (gate, dl) in self.gates.iter_mut().zip(dlogits) {
-            dh.add_assign(&gate.backward(dl));
+            gate.backward_into(dl, &mut from_gate);
+            dh.add_assign(&from_gate);
         }
-        let de = self.act.backward(&dh);
-        self.embed.backward(&de)
+        self.ws.recycle(from_gate);
+        self.act.backward_in_place(&mut dh);
+        let dx = self.embed.backward(&dh);
+        self.ws.recycle(dh);
+        dx
     }
 
     /// Visits `(param, grad)` pairs (embedding first, then gates in order).

@@ -1,6 +1,6 @@
 //! Parameter-free activation layers.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{refill_cache, Layer, Mode};
 use nebula_tensor::Tensor;
 
 /// Which nonlinearity an [`Activation`] layer applies.
@@ -28,40 +28,47 @@ impl ActivationKind {
         }
     }
 
-    /// Derivative expressed in terms of input `x` and output `y = f(x)`.
-    fn derivative(self, x: f32, y: f32) -> f32 {
+    /// Whether the derivative is a function of the output `y = f(x)`
+    /// (tanh, sigmoid) rather than of the input `x` (the ReLUs).
+    fn derivative_uses_output(self) -> bool {
+        matches!(self, ActivationKind::Tanh | ActivationKind::Sigmoid)
+    }
+
+    /// Derivative in terms of the value [`Activation`] caches: the input
+    /// for the ReLUs, the output otherwise.
+    fn derivative(self, cached: f32) -> f32 {
         match self {
             ActivationKind::Relu => {
-                if x > 0.0 {
+                if cached > 0.0 {
                     1.0
                 } else {
                     0.0
                 }
             }
             ActivationKind::LeakyRelu(a) => {
-                if x > 0.0 {
+                if cached > 0.0 {
                     1.0
                 } else {
                     a
                 }
             }
-            ActivationKind::Tanh => 1.0 - y * y,
-            ActivationKind::Sigmoid => y * (1.0 - y),
+            ActivationKind::Tanh => 1.0 - cached * cached,
+            ActivationKind::Sigmoid => cached * (1.0 - cached),
         }
     }
 }
 
-/// Element-wise activation layer caching both input and output.
+/// Element-wise activation layer caching whichever of its input and
+/// output the derivative is written in.
 #[derive(Clone, Debug)]
 pub struct Activation {
     kind: ActivationKind,
-    cached_x: Option<Tensor>,
-    cached_y: Option<Tensor>,
+    cached: Option<Tensor>,
 }
 
 impl Activation {
     pub fn new(kind: ActivationKind) -> Self {
-        Self { kind, cached_x: None, cached_y: None }
+        Self { kind, cached: None }
     }
 
     pub fn relu() -> Self {
@@ -79,25 +86,42 @@ impl Activation {
     pub fn leaky_relu(slope: f32) -> Self {
         Self::new(ActivationKind::LeakyRelu(slope))
     }
+
+    /// [`Layer::forward`] applied to `x` where it lies; the cache is
+    /// refilled as [`crate::Linear::forward_into`]'s is.
+    pub fn forward_in_place(&mut self, x: &mut Tensor, mode: Mode) {
+        if !self.kind.derivative_uses_output() {
+            refill_cache(&mut self.cached, x, mode);
+        }
+        for v in x.data_mut() {
+            *v = self.kind.apply(*v);
+        }
+        if self.kind.derivative_uses_output() {
+            refill_cache(&mut self.cached, x, mode);
+        }
+    }
+
+    /// [`Layer::backward`] applied to `grad` where it lies.
+    pub fn backward_in_place(&mut self, grad: &mut Tensor) {
+        let cached = self.cached.as_ref().expect("Activation::backward before forward");
+        assert_eq!(grad.shape(), cached.shape(), "Activation grad shape mismatch");
+        for (g, &c) in grad.data_mut().iter_mut().zip(cached.data()) {
+            *g *= self.kind.derivative(c);
+        }
+    }
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        let y = x.map(|v| self.kind.apply(v));
-        self.cached_x = Some(x.clone());
-        self.cached_y = Some(y.clone());
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        let mut y = x.clone();
+        self.forward_in_place(&mut y, mode);
         y
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let x = self.cached_x.as_ref().expect("Activation::backward before forward");
-        let y = self.cached_y.as_ref().expect("Activation::backward before forward");
-        assert_eq!(grad.shape(), x.shape(), "Activation grad shape mismatch");
-        let mut out = grad.clone();
-        for ((o, &xi), &yi) in out.data_mut().iter_mut().zip(x.data()).zip(y.data()) {
-            *o *= self.kind.derivative(xi, yi);
-        }
-        out
+        let mut dx = grad.clone();
+        self.backward_in_place(&mut dx);
+        dx
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}

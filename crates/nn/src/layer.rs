@@ -97,6 +97,24 @@ pub trait Layer: Send + Sync {
     }
 }
 
+/// Makes `cache` a copy of `value`.
+///
+/// A `Train` forward copies into the buffer the cache already has,
+/// whatever the row count: a train loop's batches are bounded by its
+/// batch size, so after the first few steps refilling the cache never
+/// allocates — even for a module, whose routed row count changes every
+/// step. An `Eval` forward is a one-off at whatever size its caller has
+/// (a whole dataset for module importance, an evaluation batch), so it
+/// reuses the buffer only when the shape repeats and otherwise leaves an
+/// exactly-sized one: nothing the size of the largest batch ever seen is
+/// kept for the layer's lifetime.
+pub(crate) fn refill_cache(cache: &mut Option<Tensor>, value: &Tensor, mode: Mode) {
+    match cache {
+        Some(c) if mode == Mode::Train || c.shape() == value.shape() => c.clone_from(value),
+        _ => *cache = Some(value.clone()),
+    }
+}
+
 /// Blanket impl so `Box<dyn Layer>` composes inside containers.
 impl Layer for Box<dyn Layer> {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {

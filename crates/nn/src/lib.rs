@@ -17,7 +17,7 @@
 //! * [`activation`] — ReLU / LeakyReLU / Tanh / Sigmoid.
 //! * [`sequential`] — ordered container of boxed layers.
 //! * [`loss`] — softmax cross-entropy, KL-to-target (gate distillation), MSE.
-//! * [`optim`] — SGD (+momentum, +weight-decay).
+//! * [`optim`] — SGD (+momentum).
 //! * [`gradcheck`] — finite-difference gradient checking used by tests.
 //! * [`workspace`] — reusable scratch-buffer pool backing the zero-alloc
 //!   forward/backward hot paths of the conv and MoE layers.

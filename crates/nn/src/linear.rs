@@ -3,18 +3,8 @@
 //! Weights are stored row-major as `out_features × in_features` so the
 //! forward pass is a single [`Tensor::matmul_nt`] over contiguous rows.
 
-use crate::layer::{Layer, Mode};
-use crate::workspace::Workspace;
+use crate::layer::{refill_cache, Layer, Mode};
 use nebula_tensor::{Init, NebulaRng, Tensor};
-use std::cell::RefCell;
-
-thread_local! {
-    // Scratch for `dW = gradᵀ · x`: one per thread, not one per layer. A
-    // weight-sized buffer pooled in every `Linear` made a live model a
-    // third larger than its values, gradients and optimiser state — which
-    // is what a round pays for every device it trains at the same time.
-    static DW_SCRATCH: RefCell<Workspace> = const { RefCell::new(Workspace::new()) };
-}
 
 /// `y = x · Wᵀ + b` with `W: out×in`, `b: out`.
 #[derive(Clone, Debug)]
@@ -83,33 +73,42 @@ impl Linear {
     pub fn bias_mut(&mut self) -> &mut Tensor {
         &mut self.b
     }
+
+    /// [`Layer::forward`] into a caller-provided `y` (`batch × out`,
+    /// overwritten), so a composite can keep the output in a buffer it
+    /// reuses. A `Train` forward refills the input cache in the buffer it
+    /// has, whatever the row count; an `Eval` forward leaves one sized to
+    /// its batch.
+    pub fn forward_into(&mut self, x: &Tensor, y: &mut Tensor, mode: Mode) {
+        assert_eq!(x.cols(), self.in_features(), "Linear input width mismatch");
+        refill_cache(&mut self.cached_x, x, mode);
+        x.matmul_nt_into(&self.w, y);
+        y.add_row_broadcast_assign(&self.b);
+    }
+
+    /// [`Layer::backward`] with ∂loss/∂input written into a
+    /// caller-provided `dx` (`batch × in`, overwritten).
+    pub fn backward_into(&mut self, grad: &Tensor, dx: &mut Tensor) {
+        let x = self.cached_x.as_ref().expect("Linear::backward before forward");
+        // dW += gradᵀ · x  (out×batch · batch×in), summed where it lives.
+        grad.matmul_tn_acc(x, &mut self.dw);
+        grad.add_sum_rows_to(&mut self.db);
+        // dx = grad · W  (batch×out · out×in).
+        grad.matmul_into(&self.w, dx);
+    }
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        assert_eq!(x.cols(), self.in_features(), "Linear input width mismatch");
-        // Reuse the activation cache buffer when the batch shape repeats
-        // (always true inside a training loop).
-        match self.cached_x.as_mut() {
-            Some(c) if c.shape() == x.shape() => c.data_mut().copy_from_slice(x.data()),
-            _ => self.cached_x = Some(x.clone()),
-        }
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let mut y = Tensor::zeros(&[x.rows(), self.out_features()]);
-        x.matmul_nt_into(&self.w, &mut y);
-        y.add_row_broadcast_assign(&self.b);
+        self.forward_into(x, &mut y, mode);
         y
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let x = self.cached_x.as_ref().expect("Linear::backward before forward");
-        // dW = gradᵀ · x  (out×batch · batch×in), accumulated via scratch.
-        let mut dw = DW_SCRATCH.with_borrow_mut(|ws| ws.zeroed(&[self.out_features(), self.in_features()]));
-        grad.matmul_tn_into(x, &mut dw);
-        self.dw.add_assign(&dw);
-        DW_SCRATCH.with_borrow_mut(|ws| ws.recycle(dw));
-        self.db.add_assign(&grad.sum_rows());
-        // dx = grad · W  (batch×out · out×in).
-        grad.matmul(&self.w)
+        let mut dx = Tensor::zeros(&[grad.rows(), self.in_features()]);
+        self.backward_into(grad, &mut dx);
+        dx
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -161,6 +160,26 @@ mod tests {
         let g2 = l.grad_vector();
         for (a, b) in g1.iter().zip(&g2) {
             assert!((b - 2.0 * a).abs() < 1e-5, "grad not accumulated: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn input_cache_follows_a_changing_row_count() {
+        // Backward must see the rows of the forward before it, whether the
+        // batch grew or shrank since the one before that.
+        let mut rng = NebulaRng::seed(6);
+        let mut l = Linear::new(3, 2, &mut rng);
+        let mut fresh = l.clone();
+        for rows in [4, 9, 2] {
+            let x = Tensor::from_vec((0..rows * 3).map(|_| rng.normal_f32(0.0, 1.0)).collect(), &[rows, 3]);
+            l.zero_grad();
+            let y = l.forward(&x, Mode::Train);
+            let dx = l.backward(&Tensor::ones(y.shape()));
+            fresh.cached_x = None;
+            fresh.zero_grad();
+            assert_eq!(fresh.forward(&x, Mode::Train), y);
+            assert_eq!(fresh.backward(&Tensor::ones(y.shape())), dx);
+            assert_eq!(fresh.grad_vector(), l.grad_vector());
         }
     }
 

@@ -1,4 +1,4 @@
-//! Optimiser: SGD with momentum and weight decay.
+//! Optimiser: SGD with momentum.
 //!
 //! Optimiser state (momentum buffers) is keyed by the visit
 //! order of [`Layer::visit_params`], which is fixed per architecture. State
@@ -15,30 +15,23 @@ pub trait Optimizer {
     fn step(&mut self, model: &mut dyn Layer);
 }
 
-/// Stochastic gradient descent with optional momentum and L2 weight decay.
+/// Stochastic gradient descent with optional momentum.
 #[derive(Clone, Debug)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    weight_decay: f32,
     velocity: Vec<Tensor>,
 }
 
 impl Sgd {
     /// Plain SGD.
     pub fn new(lr: f32) -> Self {
-        Self { lr, momentum: 0.0, weight_decay: 0.0, velocity: Vec::new() }
+        Self::with_momentum(lr, 0.0)
     }
 
     /// SGD with momentum.
     pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self { lr, momentum, weight_decay: 0.0, velocity: Vec::new() }
-    }
-
-    /// Adds L2 weight decay (builder style).
-    pub fn weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
+        Self { lr, momentum, velocity: Vec::new() }
     }
 }
 
@@ -47,26 +40,26 @@ impl Optimizer for Sgd {
         let mut idx = 0;
         let lr = self.lr;
         let momentum = self.momentum;
-        let wd = self.weight_decay;
         let velocity = &mut self.velocity;
         model.visit_params(&mut |p, g| {
             if momentum == 0.0 {
-                if wd > 0.0 {
-                    p.scale_assign(1.0 - lr * wd);
-                }
                 p.axpy(-lr, g);
             } else {
                 if velocity.len() <= idx {
                     velocity.push(Tensor::zeros(p.shape()));
                 }
                 let v = &mut velocity[idx];
-                // v ← μ·v + (g + wd·p); p ← p − lr·v
-                v.scale_assign(momentum);
-                v.add_assign(g);
-                if wd > 0.0 {
-                    v.axpy(wd, p);
+                assert_eq!(p.shape(), g.shape(), "parameter and gradient shapes differ");
+                assert_eq!(p.shape(), v.shape(), "parameter {idx} changed shape between steps");
+                // v ← μ·v + g; p ← p − lr·v, one walk over the three
+                // tensors. Each element sees the multiplications and
+                // additions a pass per operation would make, in their
+                // order (nothing here is contracted into an FMA), so the
+                // bits are those of the unfused update.
+                for ((p, v), &g) in p.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
+                    *v = *v * momentum + g;
+                    *p += -lr * *v;
                 }
-                p.axpy(-lr, v);
             }
             idx += 1;
         });
@@ -115,17 +108,31 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_shrinks_parameters() {
+    fn fused_momentum_step_equals_a_pass_per_operation_bitwise() {
         let mut rng = NebulaRng::seed(2);
-        let mut model = Linear::new(4, 4, &mut rng);
-        let before = model.param_vector().iter().map(|v| v * v).sum::<f32>();
-        let mut opt = Sgd::new(0.1).weight_decay(0.5);
-        // Zero gradients: the only force is decay.
-        for _ in 0..10 {
-            model.zero_grad();
+        let mut model = Linear::new(7, 5, &mut rng);
+        let mut opt = Sgd::with_momentum(0.03, 0.9);
+        let mut params: Vec<Tensor> = Vec::new();
+        model.visit_params(&mut |p, _| params.push(p.clone()));
+        let mut velocity: Vec<Tensor> = params.iter().map(|p| Tensor::zeros(p.shape())).collect();
+        for _ in 0..3 {
+            let mut i = 0;
+            model.visit_params(&mut |_, g| {
+                for v in g.data_mut() {
+                    *v = rng.normal_f32(0.0, 1.0);
+                }
+                velocity[i].scale_assign(0.9);
+                velocity[i].add_assign(g);
+                params[i].axpy(-0.03, &velocity[i]);
+                i += 1;
+            });
             opt.step(&mut model);
+            let mut i = 0;
+            model.visit_params(&mut |p, _| {
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+                assert_eq!(bits(p), bits(&params[i]));
+                i += 1;
+            });
         }
-        let after = model.param_vector().iter().map(|v| v * v).sum::<f32>();
-        assert!(after < before * 0.8, "decay had no effect: {before} -> {after}");
     }
 }

@@ -44,19 +44,15 @@ impl Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur, mode);
-        }
-        cur
+        let mut layers = self.layers.iter_mut();
+        let Some(first) = layers.next() else { return x.clone() };
+        layers.fold(first.forward(x, mode), |cur, layer| layer.forward(&cur, mode))
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let mut cur = grad.clone();
-        for layer in self.layers.iter_mut().rev() {
-            cur = layer.backward(&cur);
-        }
-        cur
+        let mut layers = self.layers.iter_mut().rev();
+        let Some(last) = layers.next() else { return grad.clone() };
+        layers.fold(last.backward(grad), |cur, layer| layer.backward(&cur))
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

@@ -20,8 +20,10 @@ use nebula_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cap on pooled buffers so a workspace cannot hoard memory if a caller
-/// recycles more shapes than it ever reuses.
-const MAX_POOLED: usize = 8;
+/// recycles more shapes than it ever reuses. Sized for the largest user:
+/// a module layer keeps one output per routed module between forwards
+/// (up to 32 modules on the paper presets) next to a few temporaries.
+const MAX_POOLED: usize = 40;
 
 static POOL_HITS: AtomicU64 = AtomicU64::new(0);
 static POOL_MISSES: AtomicU64 = AtomicU64::new(0);

@@ -32,11 +32,14 @@
 //! and inputs, results are bit-identical across calls, thread counts and
 //! processes on the same machine. `Reference` and `Blocked` are
 //! bit-identical to what they produced before this module existed.
-//! *Across* backends results differ only by f32 rounding (the SIMD
-//! engines contract `a*b + c` into fused multiply-adds; the blocked and
-//! reference engines accumulate in the same ascending-`p` order without
-//! contraction) — equivalence is pinned by the proptest suites in
-//! `crates/tensor/tests/`.
+//! The SIMD engines run small products on a direct (pack-free) path and
+//! the rest on the packed one; the direct and packed paths of one engine
+//! agree bit for bit, so the choice — made from the operand shapes alone
+//! — is not part of the contract's inputs. *Across* backends results
+//! still differ only by f32 rounding (the SIMD engines contract
+//! `a*b + c` into fused multiply-adds; the blocked and reference engines
+//! accumulate in the same ascending-`p` order without contraction) —
+//! equivalence is pinned by the proptest suites in `crates/tensor/tests/`.
 
 use crate::gemm::simd::{self, SimdLevel};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -51,9 +54,10 @@ pub enum KernelBackend {
     /// Cache-blocked, register-tiled scalar engine (auto-vectorised by
     /// the compiler; no FMA contraction).
     Blocked,
-    /// Blocked engine with the explicit AVX2+FMA 6×16 micro-kernel.
+    /// Explicit AVX2+FMA 6×16 tiles: packed under the blocked engine's
+    /// macro-kernel, direct for small products.
     Avx2,
-    /// Blocked engine with the explicit AVX-512 8×32 micro-kernel.
+    /// Explicit AVX-512 8×32 tiles, packed or direct likewise.
     Avx512,
     /// Resolve to the fastest supported engine at first use (default).
     Auto,

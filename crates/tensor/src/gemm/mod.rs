@@ -24,13 +24,35 @@
 //! explicit AVX2/AVX-512 tiles in [`simd`] selected at runtime through
 //! [`crate::backend`].
 //!
+//! ## The direct path
+//!
+//! Packing pays for itself when a panel is re-read many times. The
+//! products a train step issues are not like that: sparse top-k routing
+//! leaves a module 3–15 of a batch's 16 rows, so a step is ~160 products
+//! of 1–9 µs whose operands (10²–10⁴ floats) already sit in L1, and
+//! packing them cost more than multiplying them. For any product whose
+//! operands are small ([`direct_fits`] — decided from the shape alone)
+//! the SIMD engines therefore skip packing: `A` is read through
+//! `(row, column)` strides, a row-major `B` where it lies, a transposed
+//! `B` after a blockwise in-register transpose onto the stack, the tile
+//! is as tall as the rows that exist, and it is added straight into `C`
+//! ([`simd`] has the macro-loop and the tiles). The packed engine keeps
+//! everything larger. `Blocked` always packs: it is the portable fallback
+//! and the FMA-free engine every golden digest is pinned under, nothing
+//! on an x86 host resolves to it, and a scalar direct tile would be a
+//! third tile to keep bit-exact for no measured caller.
+//!
 //! ## Determinism
 //!
 //! For a fixed output element `C[i, j]`, products are accumulated in
 //! ascending `p` order: the `pc` loop walks `k` in `KC` steps and the
-//! micro-kernel walks each slab in order. A product runs on the thread
-//! that issued it — the products a round issues take 10–300 µs, less
-//! than forking costs, so the workspace's threads split *devices*
+//! micro-kernel walks each slab in order, from zero, before the slab's
+//! sum is added to `C`. The direct path runs the same chain per element
+//! — same slabs, same order, same FMA — so the two paths of one engine
+//! agree bit for bit (`simd::tests::direct_path_equals_packed_path_bit_for_bit`)
+//! and which one ran is unobservable. A product runs on the thread
+//! that issued it — the products a train step issues take 1–9 µs, far
+//! less than forking costs, so the workspace's threads split *devices*
 //! ([`crate::par`]), never a GEMM. `KC` is shared by every register-tile
 //! shape, so two backends differ only in whether `a*b + c` is contracted
 //! into a fused multiply-add (the explicit SIMD micro-kernels) or not
@@ -59,6 +81,26 @@ pub const KC: usize = 256;
 /// `KC×NC` floats ≈ 256 KiB keeps the shared `B` panel cache-resident
 /// while every row block re-reads it.
 pub const NC: usize = 256;
+
+/// Largest operand, in floats, of a product the SIMD engines run on
+/// their direct path (see [`direct_fits`]): 256 KiB, so `A` and `B`
+/// together stay inside a core's L2.
+pub const DIRECT_MAX_FLOATS: usize = 64 * 1024;
+
+/// Whether the SIMD engines run `A(m×k)·B(k×n)` on their direct path,
+/// which reads both operands where they lie instead of packing them.
+/// Decided from the shape alone, and the same bits either way.
+///
+/// The direct path re-reads all of `A` for every column panel and all of
+/// a panel's `B` for every row tile, with no `MC`/`NC` blocking, so it
+/// wins while both operands stay cache-resident and loses once one
+/// outgrows L2. Measured on a 2 MiB-L2 AVX-512 host it is 1.4–4.5× as
+/// fast as the packed path on everything a train step issues (operands
+/// of 10²–10⁴ floats), still 1.1–1.2× at 256³ (65 536 floats each), and
+/// 0.73–0.87× on the `tn` layout from 512 × 256 × 256 (131 072) on.
+pub fn direct_fits(m: usize, n: usize, k: usize) -> bool {
+    m * k <= DIRECT_MAX_FLOATS && k * n <= DIRECT_MAX_FLOATS
+}
 
 /// A register-tiled micro-kernel: `acc[i][j] += Σ_p apanel[p][i] · bpanel[p][j]`
 /// over one packed `(MR_, NR_)` tile pair of depth `kc`.
@@ -94,6 +136,22 @@ thread_local! {
     // device) so steady-state GEMMs allocate nothing.
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The layout pairs the mat-mul API issues: `matmul`, `matmul_nt`,
+/// `matmul_tn`.
+#[cfg(test)]
+pub(crate) const LAYOUTS: [(ALayout, BLayout); 3] = [
+    (ALayout::RowMajor, BLayout::RowMajor),
+    (ALayout::RowMajor, BLayout::Transposed),
+    (ALayout::Transposed, BLayout::RowMajor),
+];
+
+/// Capacities of this thread's `(PACK_A, PACK_B)`: zero until a product
+/// on this thread has gone through the packed path.
+#[cfg(test)]
+pub(crate) fn pack_capacities() -> (usize, usize) {
+    (PACK_A.with_borrow(Vec::capacity), PACK_B.with_borrow(Vec::capacity))
 }
 
 /// `C += A·B` over row-major `out` (`m×n`, assumed pre-zeroed by callers

@@ -9,7 +9,8 @@
 //! independent devices' training on separate threads.
 //!
 //! Design notes:
-//! * Row-major `Vec<f32>` storage, shape carried as a small vector.
+//! * Row-major `Vec<f32>` storage, shape carried inline (one allocation
+//!   per tensor).
 //!   Most of the training stack works on rank-2 tensors (`batch × features`);
 //!   rank-1 tensors are used for biases and per-class statistics.
 //! * All shape errors panic with a descriptive message: inside a training

@@ -9,11 +9,12 @@
 //!   weight layout: each output element is a dot of two contiguous rows.
 //! * [`Tensor::matmul_tn`] — `Aᵀ(k×m) · B(k×n)`, gradient w.r.t. weights.
 //!
-//! All three lower onto the cache-blocked, register-tiled engine in
-//! [`crate::gemm`]; the transposed layouts are absorbed by its packing
-//! routines, so there is a single macro-kernel to tune. `*_into` variants
-//! write into a caller-provided output tensor so hot loops can reuse
-//! buffers (see `nebula-nn`'s workspace).
+//! All three lower onto the register-tiled engine in [`crate::gemm`],
+//! which absorbs the transposed layouts — by packing, or, for the small
+//! products a train step is made of, by reading the operands through
+//! strides with nothing packed at all. `*_into` variants write into a
+//! caller-provided output tensor so hot loops can reuse buffers (see
+//! `nebula-nn`'s workspace); [`Tensor::matmul_tn_acc`] adds into it.
 //!
 //! Which micro-kernel runs under that macro-kernel is selected through
 //! [`crate::backend`]: the default `Auto` resolves once (cached CPUID) to
@@ -25,9 +26,10 @@
 //!
 //! Threads: a product runs on the thread that issued it. The workspace
 //! forks over *devices* ([`crate::par::map`]), never inside a kernel —
-//! the products a round issues finish in 10–300 µs, less than a fork
-//! costs, so the row-split this engine once had was deleted as a measured
-//! loss.
+//! the products a train step issues finish in 1–9 µs (median ≈ 2 µs:
+//! sparse routing leaves each module 3–15 of a batch's 16 rows), far less
+//! than a fork costs, so the row-split this engine once had was deleted
+//! as a measured loss.
 //!
 //! The pre-blocking kernels are retained under [`reference`] — they anchor
 //! the equivalence proptests ([`KernelBackend::Reference`]).
@@ -146,13 +148,29 @@ impl Tensor {
 
     /// `selfᵀ · other` written into `out` (`m×n`, overwritten).
     pub fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor) {
+        out.zero_();
+        self.matmul_tn_acc(other, out);
+    }
+
+    /// `out += selfᵀ · other`: the accumulating form of
+    /// [`Tensor::matmul_tn_into`], so a weight gradient is summed where it
+    /// lives instead of in a scratch that is then added.
+    ///
+    /// Bits: `Blocked`, `Avx2` and `Avx512` sum each `KC`-deep slab of the
+    /// reduction from zero and add it to `out`, so for `k ≤ KC` the result
+    /// is what adding a separately computed product to `out` gives (only
+    /// the sign of a zero can differ, when a sum that is exactly `-0.0`
+    /// meets an `out` element that is exactly `-0.0`). For deeper
+    /// reductions, and on `Reference` (which adds product by product), the
+    /// two agree when `out` starts at zero — as a gradient does in every
+    /// train loop, which zeroes it before each backward pass.
+    pub fn matmul_tn_acc(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(self.rank(), 2, "matmul_tn lhs must be rank-2");
         assert_eq!(other.rank(), 2, "matmul_tn rhs must be rank-2");
         let (k, m) = (self.shape()[0], self.shape()[1]);
         let (k2, n) = (other.shape()[0], other.shape()[1]);
         assert_eq!(k, k2, "matmul_tn inner dims differ: {k} vs {k2}");
         assert_eq!(out.shape(), &[m, n], "matmul_tn out shape mismatch");
-        out.zero_();
         match backend::resolved_backend() {
             KernelBackend::Reference => {
                 reference::matmul_tn_slices(out.data_mut(), m, n, k, self.data(), other.data())
@@ -365,6 +383,109 @@ mod tests {
         let mut out = Tensor::full(&[5, 3], 99.0); // stale garbage must not leak
         a.matmul_into(&b, &mut out);
         assert_tensor_close(&out, &naive_matmul(&a, &b), 1e-4);
+    }
+
+    /// Adding `Aᵀ·B` into `out` equals computing it apart and adding it,
+    /// bit for bit, wherever [`Tensor::matmul_tn_acc`] says so. Engines
+    /// are named explicitly so a concurrent test's scoped backend cannot
+    /// change the kernel between the two halves of a comparison.
+    #[test]
+    fn accumulating_tn_equals_product_then_add_bitwise() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut rng = crate::NebulaRng::seed(23);
+        let mut random = |len: usize| (0..len).map(|_| rng.normal_f32(0.0, 1.0)).collect::<Vec<f32>>();
+        let tn =
+            |engine, out: &mut [f32], (k, m, n): (usize, usize, usize), a: &[f32], b: &[f32]| match engine {
+                KernelBackend::Reference => reference::matmul_tn_slices(out, m, n, k, a, b),
+                engine => gemm_backend(engine, out, m, n, k, a, ALayout::Transposed, b, BLayout::RowMajor),
+            };
+        // (k, m, n): two dW shapes of a train step, a ragged one, and a
+        // reduction deeper than KC.
+        for shape @ (k, m, n) in [(11, 24, 96), (16, 96, 24), (5, 7, 9), (300, 9, 20)] {
+            let (a, b, gradient) = (random(k * m), random(k * n), random(m * n));
+            for engine in
+                [KernelBackend::Reference, KernelBackend::Blocked, KernelBackend::Avx2, KernelBackend::Avx512]
+            {
+                if backend::resolve(engine) != engine {
+                    continue;
+                }
+                let one_slab = engine != KernelBackend::Reference && k <= gemm::KC;
+                for onto in [vec![0.0; m * n], gradient.clone()] {
+                    if onto[0] != 0.0 && !one_slab {
+                        continue;
+                    }
+                    let mut product = vec![0.0; m * n];
+                    tn(engine, &mut product, shape, &a, &b);
+                    let want: Vec<f32> = onto.iter().zip(&product).map(|(o, p)| o + p).collect();
+                    let mut got = onto;
+                    tn(engine, &mut got, shape, &a, &b);
+                    assert_eq!(bits(&got), bits(&want), "{engine} {k}x{m}x{n}");
+                }
+            }
+        }
+
+        // The method itself, on whatever backend is selected right now.
+        let (a, b) = (Tensor::from_vec(random(6 * 4), &[6, 4]), Tensor::from_vec(random(6 * 5), &[6, 5]));
+        let mut got = Tensor::ones(&[4, 5]);
+        a.matmul_tn_acc(&b, &mut got);
+        assert_tensor_close(&got, &a.matmul_tn(&b).add_scalar(1.0), 1e-4);
+    }
+
+    /// The products of a train step must never reach the packing
+    /// routines on a SIMD engine: on a fresh thread, after every shape of
+    /// the round table in all three layouts, neither packing buffer has
+    /// ever been allocated. Engines are named explicitly (what
+    /// `matmul*` do after resolving the backend), so a concurrent test's
+    /// scoped backend cannot route this one elsewhere.
+    #[test]
+    fn round_shapes_never_pack_on_simd_engines() {
+        let mut shapes = vec![
+            (16, 96, 96),
+            (16, 64, 64),
+            (16, 48, 96),
+            (16, 16, 48),
+            (16, 10, 96),
+            (200, 48, 96),
+            (16, 64, 360),
+        ];
+        for r in [1, 3, 5, 8, 9, 11, 15, 16] {
+            for w in [64, 96] {
+                shapes.extend([(r, 24, w), (r, w, 24), (24, w, r), (w, 24, r)]);
+            }
+        }
+        for engine in [KernelBackend::Avx2, KernelBackend::Avx512] {
+            if backend::resolve(engine) != engine {
+                continue;
+            }
+            let shapes = shapes.clone();
+            let grown = std::thread::spawn(move || {
+                for (m, n, k) in shapes {
+                    let (a, b) = (vec![0.5; m * k], vec![0.25; k * n]);
+                    for (al, bl) in gemm::LAYOUTS {
+                        let mut out = vec![0.0; m * n];
+                        gemm_backend(engine, &mut out, m, n, k, &a, al, &b, bl);
+                        assert_eq!(out[m * n - 1], 0.125 * k as f32);
+                    }
+                }
+                gemm::pack_capacities()
+            })
+            .join()
+            .expect("the product thread panicked");
+            assert_eq!(grown, (0, 0), "{engine} packed an operand of a round-sized product");
+
+            // The accessor does see packing: a product past the direct
+            // path's bounds grows both buffers.
+            let grown = std::thread::spawn(move || {
+                let (m, n, k) = (300, 300, 300);
+                let mut out = vec![0.0; m * n];
+                let (a, b) = (vec![0.5; m * k], vec![0.25; k * n]);
+                gemm_backend(engine, &mut out, m, n, k, &a, ALayout::RowMajor, &b, BLayout::Transposed);
+                gemm::pack_capacities()
+            })
+            .join()
+            .expect("the product thread panicked");
+            assert!(grown.0 > 0 && grown.1 > 0, "{engine} did not pack a large product");
+        }
     }
 
     #[test]

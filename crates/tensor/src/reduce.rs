@@ -41,6 +41,29 @@ impl Tensor {
         out
     }
 
+    /// `out += self.sum_rows()` without the temporary: each column is
+    /// summed from zero in row order and then added to `out`, so the bits
+    /// are those of the two-step form.
+    pub fn add_sum_rows_to(&self, out: &mut Tensor) {
+        assert_eq!(self.rank(), 2, "add_sum_rows_to requires rank-2");
+        let c = self.cols();
+        assert_eq!(out.len(), c, "add_sum_rows_to out length mismatch");
+        // A stack-sized run of columns at a time.
+        const RUN: usize = 64;
+        for (start, dst) in out.data_mut().chunks_mut(RUN).enumerate() {
+            let mut sums = [0.0f32; RUN];
+            let sums = &mut sums[..dst.len()];
+            for row in self.data().chunks_exact(c) {
+                for (s, &v) in sums.iter_mut().zip(&row[start * RUN..]) {
+                    *s += v;
+                }
+            }
+            for (o, &s) in dst.iter_mut().zip(sums.iter()) {
+                *o += s;
+            }
+        }
+    }
+
     /// Column-wise mean of a rank-2 tensor → rank-1 of length `cols`.
     pub fn mean_rows(&self) -> Tensor {
         let r = self.rows() as f32;
@@ -184,6 +207,22 @@ mod tests {
         let t = Tensor::matrix(&[&[1.0, 2.0], &[3.0, 6.0]]);
         assert_eq!(t.sum_rows().data(), &[4.0, 8.0]);
         assert_eq!(t.mean_rows().data(), &[2.0, 4.0]);
+    }
+
+    #[test]
+    fn add_sum_rows_to_equals_sum_rows_then_add_bitwise() {
+        let mut rng = crate::NebulaRng::seed(9);
+        // Narrower than, equal to and wider than one column run.
+        for (r, c) in [(1, 1), (7, 24), (16, 64), (11, 150)] {
+            let t = Tensor::from_vec((0..r * c).map(|_| rng.normal_f32(0.0, 1.0)).collect(), &[r, c]);
+            let start = Tensor::from_vec((0..c).map(|_| rng.normal_f32(0.0, 1.0)).collect(), &[c]);
+            let mut want = start.clone();
+            want.add_assign(&t.sum_rows());
+            let mut got = start;
+            t.add_sum_rows_to(&mut got);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(&got), bits(&want), "{r}x{c}");
+        }
     }
 
     #[test]

@@ -1,20 +1,58 @@
 //! The core [`Tensor`] type: row-major dense `f32` storage with a dynamic
 //! shape. Rank-1 and rank-2 tensors cover everything the Nebula training
-//! stack needs; higher ranks are supported for storage but most linear
-//! algebra is defined on rank ≤ 2.
+//! stack needs; ranks up to [`MAX_RANK`] are supported for storage but
+//! most linear algebra is defined on rank ≤ 2.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// Highest rank a [`Tensor`] can have: its shape is stored inline, so a
+/// tensor is one heap allocation (the values), not two.
+pub const MAX_RANK: usize = 4;
+
+/// A shape of rank ≤ [`MAX_RANK`], stored inline. Unused trailing
+/// dimensions are always zero, so derived equality compares shapes.
+#[derive(Clone, Copy, PartialEq)]
+struct Shape {
+    dims: [usize; MAX_RANK],
+    rank: u8,
+}
+
+impl Shape {
+    fn new(shape: &[usize]) -> Self {
+        assert!(shape.len() <= MAX_RANK, "rank-{} shape {shape:?} exceeds MAX_RANK {MAX_RANK}", shape.len());
+        let mut dims = [0; MAX_RANK];
+        dims[..shape.len()].copy_from_slice(shape);
+        Self { dims, rank: shape.len() as u8 }
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[usize] {
+        &self.dims[..self.rank as usize]
+    }
+}
 
 /// A dense, row-major `f32` tensor.
 ///
 /// Cloning a tensor copies its buffer; the training stack relies on this for
 /// snapshotting model parameters before aggregation, so buffers are kept as
 /// plain `Vec<f32>` rather than reference-counted slabs.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+/// [`Clone::clone_from`] reuses the receiver's buffer, which is how layers
+/// refill an activation cache without visiting the allocator.
+#[derive(PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
-    shape: Vec<usize>,
+    shape: Shape,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Self { data: self.data.clone(), shape: self.shape }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.data.clone_from(&source.data);
+        self.shape = source.shape;
+    }
 }
 
 impl Tensor {
@@ -30,27 +68,27 @@ impl Tensor {
             shape,
             expect
         );
-        Self { data, shape: shape.to_vec() }
+        Self { data, shape: Shape::new(shape) }
     }
 
     /// All-zeros tensor of the given shape.
     pub fn zeros(shape: &[usize]) -> Self {
-        Self { data: vec![0.0; shape.iter().product()], shape: shape.to_vec() }
+        Self::full(shape, 0.0)
     }
 
     /// All-ones tensor of the given shape.
     pub fn ones(shape: &[usize]) -> Self {
-        Self { data: vec![1.0; shape.iter().product()], shape: shape.to_vec() }
+        Self::full(shape, 1.0)
     }
 
     /// Tensor filled with a constant.
     pub fn full(shape: &[usize], value: f32) -> Self {
-        Self { data: vec![value; shape.iter().product()], shape: shape.to_vec() }
+        Self { data: vec![value; shape.iter().product()], shape: Shape::new(shape) }
     }
 
     /// Rank-1 tensor from a slice.
     pub fn vector(values: &[f32]) -> Self {
-        Self { data: values.to_vec(), shape: vec![values.len()] }
+        Self { data: values.to_vec(), shape: Shape::new(&[values.len()]) }
     }
 
     /// Rank-2 tensor from nested slices; all rows must have equal length.
@@ -62,7 +100,7 @@ impl Tensor {
             assert_eq!(row.len(), c, "ragged rows in Tensor::matrix");
             data.extend_from_slice(row);
         }
-        Self { data, shape: vec![r, c] }
+        Self { data, shape: Shape::new(&[r, c]) }
     }
 
     /// Identity matrix of size `n × n`.
@@ -77,13 +115,13 @@ impl Tensor {
     /// The shape as a slice.
     #[inline]
     pub fn shape(&self) -> &[usize] {
-        &self.shape
+        self.shape.as_slice()
     }
 
     /// Number of dimensions.
     #[inline]
     pub fn rank(&self) -> usize {
-        self.shape.len()
+        self.shape.rank as usize
     }
 
     /// Total number of elements.
@@ -119,8 +157,8 @@ impl Tensor {
     #[inline]
     pub fn rows(&self) -> usize {
         match self.rank() {
-            1 => self.shape[0],
-            2 => self.shape[0],
+            1 => self.shape.dims[0],
+            2 => self.shape.dims[0],
             r => panic!("rows() on rank-{r} tensor"),
         }
     }
@@ -130,7 +168,7 @@ impl Tensor {
     pub fn cols(&self) -> usize {
         match self.rank() {
             1 => 1,
-            2 => self.shape[1],
+            2 => self.shape.dims[1],
             r => panic!("cols() on rank-{r} tensor"),
         }
     }
@@ -139,7 +177,7 @@ impl Tensor {
     #[inline]
     pub fn row(&self, i: usize) -> &[f32] {
         assert_eq!(self.rank(), 2, "row() requires a rank-2 tensor");
-        let c = self.shape[1];
+        let c = self.shape.dims[1];
         &self.data[i * c..(i + 1) * c]
     }
 
@@ -147,7 +185,7 @@ impl Tensor {
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
         assert_eq!(self.rank(), 2, "row_mut() requires a rank-2 tensor");
-        let c = self.shape[1];
+        let c = self.shape.dims[1];
         &mut self.data[i * c..(i + 1) * c]
     }
 
@@ -155,28 +193,28 @@ impl Tensor {
     #[inline]
     pub fn at(&self, i: usize, j: usize) -> f32 {
         debug_assert_eq!(self.rank(), 2);
-        self.data[i * self.shape[1] + j]
+        self.data[i * self.shape.dims[1] + j]
     }
 
     /// Mutable element accessor for rank-2 tensors.
     #[inline]
     pub fn at_mut(&mut self, i: usize, j: usize) -> &mut f32 {
         debug_assert_eq!(self.rank(), 2);
-        let c = self.shape[1];
+        let c = self.shape.dims[1];
         &mut self.data[i * c + j]
     }
 
     /// Returns a copy reshaped to `shape`; element count must be preserved.
     pub fn reshape(&self, shape: &[usize]) -> Tensor {
         let expect: usize = shape.iter().product();
-        assert_eq!(self.len(), expect, "reshape {:?} -> {:?} changes element count", self.shape, shape);
-        Tensor { data: self.data.clone(), shape: shape.to_vec() }
+        assert_eq!(self.len(), expect, "reshape {:?} -> {:?} changes element count", self.shape(), shape);
+        Tensor { data: self.data.clone(), shape: Shape::new(shape) }
     }
 
     /// Transposes a rank-2 tensor (copying).
     pub fn transpose(&self) -> Tensor {
         assert_eq!(self.rank(), 2, "transpose requires a rank-2 tensor");
-        let (r, c) = (self.shape[0], self.shape[1]);
+        let (r, c) = (self.shape.dims[0], self.shape.dims[1]);
         let mut out = Tensor::zeros(&[c, r]);
         for i in 0..r {
             for j in 0..c {
@@ -189,15 +227,15 @@ impl Tensor {
     /// Extracts a contiguous range of rows as a new tensor.
     pub fn slice_rows(&self, start: usize, end: usize) -> Tensor {
         assert_eq!(self.rank(), 2, "slice_rows requires rank-2");
-        assert!(start <= end && end <= self.shape[0], "row range {start}..{end} out of bounds");
-        let c = self.shape[1];
+        assert!(start <= end && end <= self.shape.dims[0], "row range {start}..{end} out of bounds");
+        let c = self.shape.dims[1];
         Tensor::from_vec(self.data[start * c..end * c].to_vec(), &[end - start, c])
     }
 
     /// Gathers the given rows (by index) into a new tensor.
     pub fn gather_rows(&self, idx: &[usize]) -> Tensor {
         assert_eq!(self.rank(), 2, "gather_rows requires rank-2");
-        let c = self.shape[1];
+        let c = self.shape.dims[1];
         let mut data = Vec::with_capacity(idx.len() * c);
         for &i in idx {
             data.extend_from_slice(self.row(i));
@@ -209,7 +247,7 @@ impl Tensor {
     /// without allocating; `out` must already have the right shape.
     pub fn gather_rows_into(&self, idx: &[usize], out: &mut Tensor) {
         assert_eq!(self.rank(), 2, "gather_rows_into requires rank-2");
-        let c = self.shape[1];
+        let c = self.shape.dims[1];
         assert_eq!(out.shape(), &[idx.len(), c], "gather_rows_into out shape mismatch");
         for (dst, &i) in out.data.chunks_exact_mut(c).zip(idx) {
             dst.copy_from_slice(&self.data[i * c..(i + 1) * c]);
@@ -239,7 +277,7 @@ impl Tensor {
 
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tensor{:?}", self.shape)?;
+        write!(f, "Tensor{:?}", self.shape())?;
         if self.len() <= 16 {
             write!(f, " {:?}", self.data)
         } else {
@@ -348,6 +386,23 @@ mod tests {
         assert!(t.all_finite());
         t.data_mut()[0] = f32::NAN;
         assert!(!t.all_finite());
+    }
+
+    #[test]
+    fn clone_from_reuses_the_buffer() {
+        let mut t = Tensor::zeros(&[4, 6]);
+        let buffer = t.data().as_ptr();
+        let src = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]);
+        t.clone_from(&src);
+        assert_eq!(t, src);
+        assert_eq!(t.data().as_ptr(), buffer, "a smaller source must not reallocate");
+        assert_ne!(Tensor::zeros(&[6]), Tensor::zeros(&[2, 3]), "equal data, different shape");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_RANK")]
+    fn rank_above_max_is_rejected() {
+        Tensor::zeros(&[1; MAX_RANK + 1]);
     }
 
     #[test]

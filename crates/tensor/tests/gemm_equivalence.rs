@@ -87,11 +87,11 @@ fn edge_shapes_all_variants() {
         (64, 256, 64),  // exact MC/NC
         (65, 257, 300), // one past MC/NC, k past KC
         (3, 300, 7),
-        // What a local train step issues at batch 16 on the paper presets
+        // The shapes `nebula_benchmark` times as `tensor.gemm_small_gflops`
         // (trunk W→W, module in W→24, module out 24→W; W = 64 HAR, 96
-        // CIFAR-10) — the list `nebula_benchmark` times as
-        // `tensor.gemm_small_gflops`: forward `nt` and `dX` `nn` are
-        // (16, out, in) / (16, in, out) ...
+        // CIFAR-10) at a full batch of 16 rows — which only the stem, head
+        // and selector see; modules run at the row counts appended below:
+        // forward `nt` and `dX` `nn` are (16, out, in) / (16, in, out) ...
         (16, 64, 64),
         (16, 24, 64),
         (16, 64, 24),

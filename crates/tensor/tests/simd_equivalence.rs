@@ -1,10 +1,13 @@
 //! Property tests pinning the SIMD engines against the scalar blocked
 //! engine.
 //!
-//! The SIMD micro-kernels share the blocked engine's macro-kernel and
-//! `KC` slabbing, so for every output element they accumulate the same
-//! products in the same order — the only difference is FMA contraction.
-//! Tolerance is therefore the workspace's ordinary mixed 1e-4.
+//! Both paths of a SIMD engine — the packed macro-kernel it shares with
+//! the blocked engine, and the direct one small products take — use the
+//! blocked engine's `KC` slabbing, so for every output element they
+//! accumulate the same products in the same order — the only difference
+//! is FMA contraction. Tolerance is therefore the workspace's ordinary
+//! mixed 1e-4. (That the two paths of one engine agree bit for bit is a
+//! unit test next to them, `gemm::simd::tests`.)
 //!
 //! Shapes are drawn to straddle every register tile in play (scalar 4×8,
 //! AVX2 6×16, AVX-512 8×32), the `MC_SIMD = 96` row block, and the shared
@@ -115,11 +118,16 @@ fn edge_shapes_every_engine() {
         (96, 256, 96),  // exact MC_SIMD/NC
         (97, 257, 300), // one past MC_SIMD/NC, k past KC
         (5, 300, 7),
-        // What a local train step issues at batch 16 on the paper presets
+        // Operands past `DIRECT_MAX_FLOATS` (everything else here is small
+        // enough for the engines' direct path), so the packed path's
+        // block edges stay covered through the public entry points.
+        (300, 70, 280),
+        (100, 400, 300),
+        // The shapes `nebula_benchmark` times as `tensor.gemm_small_gflops`
         // (trunk W→W, module in W→24, module out 24→W; W = 64 HAR, 96
-        // CIFAR-10) — the list `nebula_benchmark` times as
-        // `tensor.gemm_small_gflops`: forward `nt` and `dX` `nn` are
-        // (16, out, in) / (16, in, out) ...
+        // CIFAR-10) at a full batch of 16 rows — which only the stem, head
+        // and selector see; modules run at the row counts appended below:
+        // forward `nt` and `dX` `nn` are (16, out, in) / (16, in, out) ...
         (16, 64, 64),
         (16, 24, 64),
         (16, 64, 24),
