@@ -9,7 +9,7 @@
 //! devices**, which is exactly the gap the paper's Table 1 shows.
 
 use crate::dense::{active_slice, splice_active, DenseModel};
-use nebula_data::{Dataset, TrainConfig};
+use nebula_data::Dataset;
 use nebula_nn::{cross_entropy, Layer, Mode, Optimizer, Sgd};
 use nebula_tensor::NebulaRng;
 
@@ -99,34 +99,12 @@ impl AdaptiveNet {
     pub fn supernet(&self) -> &DenseModel {
         &self.supernet
     }
-
-    /// Device-local adaptation of a branch copy (returns the adapted model).
-    pub fn adapt_on_device(
-        &self,
-        ratio: f32,
-        local_data: &Dataset,
-        epochs: usize,
-        batch_size: usize,
-        lr: f32,
-        rng: &mut NebulaRng,
-    ) -> DenseModel {
-        let mut device = self.branch_model(ratio);
-        let mut opt = Sgd::with_momentum(lr, 0.9);
-        nebula_data::train_epochs(
-            &mut device,
-            &mut opt,
-            local_data,
-            TrainConfig { epochs, batch_size, clip_norm: Some(5.0) },
-            rng,
-        );
-        device
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nebula_data::{SynthSpec, Synthesizer};
+    use nebula_data::{SynthSpec, Synthesizer, TrainConfig};
 
     #[test]
     fn sandwich_training_keeps_all_branches_usable() {
@@ -162,7 +140,10 @@ mod tests {
         let an = AdaptiveNet::new(DenseModel::new(16, 24, 1, 16, 4, 3));
         let before = an.supernet().param_vector();
         let local = synth.sample(80, 0, &mut rng);
-        let _device = an.adapt_on_device(0.5, &local, 3, 16, 0.05, &mut rng);
+        let mut device = an.branch_model(0.5);
+        let mut opt = Sgd::with_momentum(0.05, 0.9);
+        let cfg = TrainConfig { epochs: 3, batch_size: 16, clip_norm: Some(5.0) };
+        nebula_data::train_epochs(&mut device, &mut opt, &local, cfg, &mut rng);
         assert_eq!(an.supernet().param_vector(), before);
     }
 }

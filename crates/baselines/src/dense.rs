@@ -345,7 +345,7 @@ impl Layer for DenseModel {
         dpre.matmul(&self.stem_w)
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {
         f(&mut self.stem_w, &mut self.dstem_w);
         f(&mut self.stem_b, &mut self.dstem_b);
         for b in &mut self.blocks {

@@ -71,11 +71,6 @@ impl CommTracker {
         self.total_bytes() as f64 / (1024.0 * 1024.0)
     }
 
-    /// Total in gibibytes (Fig. 7's unit for the CNN tasks).
-    pub fn total_gib(&self) -> f64 {
-        self.total_bytes() as f64 / (1024.0 * 1024.0 * 1024.0)
-    }
-
     /// Merges another tracker into this one.
     pub fn merge(&mut self, other: &CommTracker) {
         self.down_bytes = self.down_bytes.saturating_add(other.down_bytes);
@@ -185,7 +180,6 @@ mod tests {
     fn unit_conversions() {
         let t = CommTracker { down_bytes: 1024 * 1024, up_bytes: 0, ..Default::default() };
         assert!((t.total_mib() - 1.0).abs() < 1e-9);
-        assert!((t.total_gib() - 1.0 / 1024.0).abs() < 1e-9);
     }
 
     #[test]

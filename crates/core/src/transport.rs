@@ -226,10 +226,8 @@ impl WireContext {
     /// frame length — the measured download size.
     pub fn encode_payload(&mut self, device: u64, payload: &SubModelPayload, out: &mut Vec<u8>) -> usize {
         let mut b = FrameBuilder::begin(out, FrameKind::Payload, self.cfg.codec);
-        // Deterministic record order: modules sorted by (layer, module).
-        let mut keys: Vec<(usize, usize)> = payload.module_params.keys().copied().collect();
-        keys.sort_unstable();
-        for (l, i) in keys {
+        // Deterministic record order: the map iterates by (layer, module).
+        for (&(l, i), params) in &payload.module_params {
             let key = ModuleKey::module(l, i);
             Self::encode_record(
                 &mut b,
@@ -240,7 +238,7 @@ impl WireContext {
                 self.registry.acked_version(device, key),
                 0.0, // downloads are exact under delta
                 key,
-                &payload.module_params[&(l, i)],
+                params,
             );
         }
         let key = ModuleKey::SHARED;
@@ -310,9 +308,7 @@ impl WireContext {
     /// frame length — the measured upload size.
     pub fn encode_update(&mut self, device: u64, update: &ModuleUpdate, out: &mut Vec<u8>) -> usize {
         let mut b = FrameBuilder::begin(out, FrameKind::Update, self.cfg.codec);
-        let mut keys: Vec<(usize, usize)> = update.module_params.keys().copied().collect();
-        keys.sort_unstable();
-        for (l, i) in keys {
+        for (&(l, i), params) in &update.module_params {
             let key = ModuleKey::module(l, i);
             Self::encode_record(
                 &mut b,
@@ -323,7 +319,7 @@ impl WireContext {
                 self.registry.acked_version(device, key),
                 self.cfg.delta_threshold,
                 key,
-                &update.module_params[&(l, i)],
+                params,
             );
         }
         let key = ModuleKey::SHARED;

@@ -116,12 +116,6 @@ impl ModularConfig {
     pub fn total_modules(&self) -> usize {
         self.num_layers * self.modules_per_layer
     }
-
-    /// log2 of the size of the sub-model design space (each module either
-    /// in or out): the paper's "2^16 per layer" count.
-    pub fn design_space_bits(&self) -> usize {
-        self.total_modules()
-    }
 }
 
 #[cfg(test)]
@@ -167,6 +161,5 @@ mod tests {
     fn design_space_counts_modules() {
         let cfg = ModularConfig::toy(16, 4);
         assert_eq!(cfg.total_modules(), 8);
-        assert_eq!(cfg.design_space_bits(), 8);
     }
 }

@@ -426,7 +426,7 @@ impl Layer for ModularModel {
         dx
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {
         self.stem.visit_params(f);
         for layer in &mut self.layers {
             layer.visit_params(f);

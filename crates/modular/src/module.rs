@@ -96,7 +96,7 @@ impl Module {
     }
 
     /// Visits `(param, grad)` pairs.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+    pub fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {
         if let Module::Shrunk { l1, l2, .. } = self {
             l1.visit_params(f);
             l2.visit_params(f);
@@ -208,7 +208,7 @@ mod tests {
             fn backward(&mut self, grad: &Tensor) -> Tensor {
                 self.0.backward(grad)
             }
-            fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+            fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {
                 self.0.visit_params(f)
             }
             fn visit_params_ref(&self, f: &mut dyn FnMut(&Tensor)) {

@@ -433,7 +433,7 @@ impl MoeLayer {
     }
 
     /// Visits `(param, grad)` pairs of every held module, in module order.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+    pub fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {
         for m in self.modules.iter_mut().flatten() {
             m.visit_params(f);
         }

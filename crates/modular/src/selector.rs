@@ -137,7 +137,7 @@ impl UnifiedSelector {
     }
 
     /// Visits `(param, grad)` pairs (embedding first, then gates in order).
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+    pub fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {
         self.embed.visit_params(f);
         for gate in &mut self.gates {
             gate.visit_params(f);

@@ -107,26 +107,6 @@ impl SubModelSpec {
                 .collect(),
         )
     }
-
-    /// Jaccard similarity of the module sets (1.0 = identical sub-models).
-    /// Measures how much of a device's sub-model survives an environment
-    /// shift — the quantity that makes Nebula's cloud round-trips cheap
-    /// when environments recur.
-    pub fn jaccard(&self, other: &SubModelSpec) -> f64 {
-        assert_eq!(self.num_layers(), other.num_layers(), "layer count mismatch");
-        let mut inter = 0usize;
-        let mut union = 0usize;
-        for (l, a) in self.active.iter().enumerate() {
-            let common = a.iter().filter(|&&i| other.contains(l, i)).count();
-            inter += common;
-            union += a.len() + other.layer(l).len() - common;
-        }
-        if union == 0 {
-            1.0
-        } else {
-            inter as f64 / union as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -190,17 +170,6 @@ mod tests {
         let a = SubModelSpec::new(vec![vec![0]]);
         let b = SubModelSpec::new(vec![vec![1]]);
         a.intersection(&b);
-    }
-
-    #[test]
-    fn jaccard_bounds_and_identity() {
-        let a = SubModelSpec::new(vec![vec![0, 1], vec![2, 3]]);
-        assert_eq!(a.jaccard(&a), 1.0);
-        let b = SubModelSpec::new(vec![vec![2, 3], vec![0, 1]]);
-        assert_eq!(a.jaccard(&b), 0.0);
-        let c = SubModelSpec::new(vec![vec![0, 2], vec![2, 0]]);
-        // inter = 1 (layer0: {0}) + 1 (layer1: {2}) = 2; union = 3 + 3 = 6.
-        nebula_tensor::assert_close(a.jaccard(&c) as f32, 2.0 / 6.0, 1e-9);
     }
 
     #[test]

@@ -7,35 +7,25 @@ use nebula_tensor::Tensor;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ActivationKind {
     Relu,
-    LeakyRelu(f32),
     Tanh,
-    Sigmoid,
 }
 
 impl ActivationKind {
     fn apply(self, v: f32) -> f32 {
         match self {
             ActivationKind::Relu => v.max(0.0),
-            ActivationKind::LeakyRelu(a) => {
-                if v > 0.0 {
-                    v
-                } else {
-                    a * v
-                }
-            }
             ActivationKind::Tanh => v.tanh(),
-            ActivationKind::Sigmoid => 1.0 / (1.0 + (-v).exp()),
         }
     }
 
     /// Whether the derivative is a function of the output `y = f(x)`
-    /// (tanh, sigmoid) rather than of the input `x` (the ReLUs).
+    /// (tanh) rather than of the input `x` (ReLU).
     fn derivative_uses_output(self) -> bool {
-        matches!(self, ActivationKind::Tanh | ActivationKind::Sigmoid)
+        matches!(self, ActivationKind::Tanh)
     }
 
     /// Derivative in terms of the value [`Activation`] caches: the input
-    /// for the ReLUs, the output otherwise.
+    /// for ReLU, the output for tanh.
     fn derivative(self, cached: f32) -> f32 {
         match self {
             ActivationKind::Relu => {
@@ -45,15 +35,7 @@ impl ActivationKind {
                     0.0
                 }
             }
-            ActivationKind::LeakyRelu(a) => {
-                if cached > 0.0 {
-                    1.0
-                } else {
-                    a
-                }
-            }
             ActivationKind::Tanh => 1.0 - cached * cached,
-            ActivationKind::Sigmoid => cached * (1.0 - cached),
         }
     }
 }
@@ -77,14 +59,6 @@ impl Activation {
 
     pub fn tanh() -> Self {
         Self::new(ActivationKind::Tanh)
-    }
-
-    pub fn sigmoid() -> Self {
-        Self::new(ActivationKind::Sigmoid)
-    }
-
-    pub fn leaky_relu(slope: f32) -> Self {
-        Self::new(ActivationKind::LeakyRelu(slope))
     }
 
     /// [`Layer::forward`] applied to `x` where it lies; the cache is
@@ -124,7 +98,7 @@ impl Layer for Activation {
         dx
     }
 
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
+    fn visit_params<'a>(&'a mut self, _f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {}
 
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&Tensor)) {}
 }
@@ -142,30 +116,6 @@ mod tests {
         assert_eq!(y.data(), &[0.0, 0.5, 2.0]);
         let dx = a.backward(&Tensor::ones(&[1, 3]));
         assert_eq!(dx.data(), &[0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn leaky_relu_keeps_negative_slope() {
-        let mut a = Activation::leaky_relu(0.1);
-        let x = Tensor::vector(&[-2.0, 3.0]).reshape(&[1, 2]);
-        let y = a.forward(&x, Mode::Train);
-        assert_close(y.data()[0], -0.2, 1e-6);
-        let dx = a.backward(&Tensor::ones(&[1, 2]));
-        assert_close(dx.data()[0], 0.1, 1e-6);
-        assert_close(dx.data()[1], 1.0, 1e-6);
-    }
-
-    #[test]
-    fn sigmoid_saturates_and_derivative_peaks_at_zero() {
-        let mut a = Activation::sigmoid();
-        let x = Tensor::vector(&[0.0, 10.0, -10.0]).reshape(&[1, 3]);
-        let y = a.forward(&x, Mode::Eval);
-        assert_close(y.data()[0], 0.5, 1e-6);
-        assert!(y.data()[1] > 0.9999);
-        assert!(y.data()[2] < 0.0001);
-        let dx = a.backward(&Tensor::ones(&[1, 3]));
-        assert_close(dx.data()[0], 0.25, 1e-6);
-        assert!(dx.data()[1] < 1e-3);
     }
 
     #[test]

@@ -205,7 +205,7 @@ impl Layer for Conv1d {
         dx
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {
         f(&mut self.w, &mut self.dw);
         f(&mut self.b, &mut self.db);
     }
@@ -283,7 +283,7 @@ impl Layer for MaxPool1d {
         dx
     }
 
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
+    fn visit_params<'a>(&'a mut self, _f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {}
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&Tensor)) {}
 }
 

@@ -121,7 +121,7 @@ mod tests {
         fn backward(&mut self, grad: &Tensor) -> Tensor {
             self.0.backward(grad).scale(0.5) // wrong on purpose
         }
-        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+        fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {
             self.0.visit_params(f)
         }
         fn visit_params_ref(&self, f: &mut dyn FnMut(&Tensor)) {

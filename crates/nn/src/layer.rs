@@ -5,7 +5,7 @@
 //! any layer or composite expose its parameters without committing to a
 //! specific container layout.
 
-use nebula_tensor::Tensor;
+use nebula_tensor::{reduce, Tensor};
 
 /// Forward-pass mode. `Train` enables dropout masks, batch statistics and
 /// gate noise; `Eval` uses running statistics and deterministic routing.
@@ -36,7 +36,7 @@ pub trait Layer: Send + Sync {
     fn backward(&mut self, grad: &Tensor) -> Tensor;
 
     /// Visits `(param, grad)` pairs in a fixed order.
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor));
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor));
 
     /// Visits parameters immutably (fixed order matching `visit_params`).
     fn visit_params_ref(&self, f: &mut dyn FnMut(&Tensor));
@@ -85,13 +85,37 @@ pub trait Layer: Send + Sync {
     }
 
     /// Global L2 gradient-norm clipping; returns the pre-clip norm.
+    ///
+    /// The norm is `sqrt(Σ g.norm_sq())` with the tensors' sums added in
+    /// visit order, and a clipped gradient is `g.scale_assign(max_norm /
+    /// norm)` — those bits exactly. Only the schedule differs from that
+    /// expression: one visit collects the gradients,
+    /// [`reduce::sum_sq_each`] advances several tensors' sums at a time
+    /// (each tensor's own sum keeps its order), and the scaling runs over
+    /// the collected list instead of a second visit.
     fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
+        let mut tensors = 0;
+        self.visit_params_ref(&mut |_| tensors += 1);
+        let mut grads: Vec<&mut [f32]> = Vec::with_capacity(tensors);
+        self.visit_params(&mut |_, g| grads.push(g.data_mut()));
+
+        // A stack-sized run of tensors at a time.
+        const RUN: usize = 64;
+        let mut sums = [0.0f32; RUN];
         let mut sq = 0.0f32;
-        self.visit_params(&mut |_, g| sq += g.norm_sq());
+        for run in grads.chunks(RUN) {
+            let sums = &mut sums[..run.len()];
+            reduce::sum_sq_each(run, sums);
+            for &s in sums.iter() {
+                sq += s;
+            }
+        }
         let norm = sq.sqrt();
         if norm > max_norm && norm > 0.0 {
             let scale = max_norm / norm;
-            self.visit_params(&mut |_, g| g.scale_assign(scale));
+            for g in grads {
+                g.iter_mut().for_each(|v| *v *= scale);
+            }
         }
         norm
     }
@@ -123,7 +147,7 @@ impl Layer for Box<dyn Layer> {
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         (**self).backward(grad)
     }
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {
         (**self).visit_params(f)
     }
     fn visit_params_ref(&self, f: &mut dyn FnMut(&Tensor)) {

@@ -14,7 +14,7 @@
 //! * [`layer`] — the `Layer` trait, parameter visitors, flat (de)serialisation
 //!   of parameters (needed by federated aggregation).
 //! * [`linear`] — fully-connected layer (`out×in` row-major weights).
-//! * [`activation`] — ReLU / LeakyReLU / Tanh / Sigmoid.
+//! * [`activation`] — ReLU / Tanh.
 //! * [`sequential`] — ordered container of boxed layers.
 //! * [`loss`] — softmax cross-entropy, KL-to-target (gate distillation), MSE.
 //! * [`optim`] — SGD (+momentum).

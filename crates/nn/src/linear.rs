@@ -111,7 +111,7 @@ impl Layer for Linear {
         dx
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {
         f(&mut self.w, &mut self.dw);
         f(&mut self.b, &mut self.db);
     }

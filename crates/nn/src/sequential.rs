@@ -55,7 +55,7 @@ impl Layer for Sequential {
         layers.fold(last.backward(grad), |cur, layer| layer.backward(&cur))
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+    fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {
         for layer in &mut self.layers {
             layer.visit_params(f);
         }

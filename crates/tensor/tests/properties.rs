@@ -1,6 +1,6 @@
 //! Property-based tests for the tensor algebra.
 
-use nebula_tensor::reduce::top_k_indices;
+use nebula_tensor::reduce::{sum_sq_each, top_k_indices};
 use nebula_tensor::{NebulaRng, Tensor};
 use proptest::prelude::*;
 
@@ -94,6 +94,32 @@ proptest! {
             if !idx.contains(&i) {
                 prop_assert!(s <= min_selected + 1e-6);
             }
+        }
+    }
+
+    /// `sum_sq_each` interleaves the sums of several slices; each
+    /// slice's own sum must keep the bits of `Tensor::norm_sq`. Values
+    /// span twenty orders of magnitude inside one slice (squares stay
+    /// finite), so a sum taken in any other order or association rounds
+    /// differently; lists are shorter than, equal to and longer than the
+    /// lane count, with empty and one-element slices among long ones.
+    #[test]
+    fn interleaved_sum_sq_keeps_norm_sq_bits(count in 0usize..6, seed in 0u64..1000) {
+        let count = [0, 1, 7, 8, 9, 70][count];
+        let mut rng = NebulaRng::seed(seed);
+        let tensors: Vec<Tensor> = (0..count)
+            .map(|_| {
+                let len = *rng.choose(&[0, 1, 24, 96, 2_304, 9_216]);
+                let sign = |rng: &mut NebulaRng| if rng.bernoulli(0.5) { -1.0 } else { 1.0 };
+                Tensor::vector(&(0..len).map(|_| sign(&mut rng) * 10f32.powf(rng.uniform_f32(-10.0, 10.0))).collect::<Vec<_>>())
+            })
+            .collect();
+        let slices: Vec<&[f32]> = tensors.iter().map(Tensor::data).collect();
+        let mut sums = vec![f32::NAN; count];
+        sum_sq_each(&slices, &mut sums);
+        for (t, sum) in tensors.iter().zip(&sums) {
+            prop_assert!(t.norm_sq().is_finite());
+            prop_assert_eq!(sum.to_bits(), t.norm_sq().to_bits(), "slice of {} floats", t.len());
         }
     }
 

@@ -128,10 +128,6 @@ impl ModuleKey {
         self.layer == 0xFFFD
     }
 
-    pub fn is_control(self) -> bool {
-        self.layer == 0xFFFC
-    }
-
     pub fn is_module(self) -> bool {
         self.layer < 0xFFFC
     }
@@ -345,10 +341,6 @@ impl<'a> FrameView<'a> {
         self.records.iter()
     }
 
-    pub fn record_count(&self) -> usize {
-        self.records.len()
-    }
-
     /// Find a record by key (frames are small; linear scan).
     pub fn find(&self, key: ModuleKey) -> Option<&Record<'a>> {
         self.records.iter().find(|r| r.key == key)
@@ -372,7 +364,7 @@ mod tests {
 
         let view = FrameView::parse(&buf).unwrap();
         assert_eq!(view.kind, FrameKind::Update);
-        assert_eq!(view.record_count(), 2);
+        assert_eq!(view.records().count(), 2);
         let r = view.find(ModuleKey::module(0, 3)).unwrap();
         assert_eq!(r.elems, 3);
         let mut back = Vec::new();
@@ -425,7 +417,7 @@ mod tests {
     fn authed_round_trip_and_key_checks() {
         let buf = authed_frame();
         let view = FrameView::parse_keyed(&buf, Some(&test_key())).unwrap();
-        assert_eq!(view.record_count(), 1);
+        assert_eq!(view.records().count(), 1);
         // Wrong key: MAC fails.
         let wrong = FrameKey::from_bytes(&[0x5A; 16]).derive(7);
         assert!(matches!(FrameView::parse_keyed(&buf, Some(&wrong)), Err(WireError::AuthMismatch { .. })));
@@ -506,7 +498,6 @@ mod tests {
         assert!(ModuleKey::importance(7).is_importance());
         assert!(ModuleKey::META.is_meta());
         assert!(ModuleKey::module(3, 11).is_module());
-        assert!(ModuleKey::control(2).is_control());
         assert!(!ModuleKey::control(2).is_module());
         assert_ne!(ModuleKey::SHARED, ModuleKey::importance(0xFFF));
         assert_ne!(ModuleKey::META, ModuleKey::module(0, 0));

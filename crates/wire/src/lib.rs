@@ -11,7 +11,11 @@
 //! Layering (no dependencies on the rest of the workspace — this is a
 //! leaf crate):
 //!
-//! * [`crc32`] — table-driven IEEE CRC32 for the frame trailer.
+//! * [`crc32`] — IEEE CRC32 for the frame trailer (and, through the one
+//!   function, journal records, snapshots and checkpoints): buffers of 64
+//!   bytes or more are folded with carry-less multiplies on x86-64 CPUs
+//!   that have `pclmulqdq`, everything else walks slicing-by-8 tables;
+//!   same value either way.
 //! * [`codec`] — `Raw` / `DeltaFp32` / `QuantInt8` payload codecs plus
 //!   the sender-side [`codec::ResidualStore`] for error feedback.
 //! * [`frame`] — the framed format: header, per-module records keyed by
