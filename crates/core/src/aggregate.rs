@@ -12,6 +12,7 @@
 //! with data-volume weights (FedAvg-style).
 
 use nebula_modular::{ModularModel, SubModelSpec};
+use nebula_tensor::reduce;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -643,21 +644,35 @@ impl SanitizeReport {
 /// finite — the sanitize check an edge can run per update at fold time,
 /// without buffering the cohort.
 pub fn update_is_finite(u: &ModuleUpdate) -> bool {
-    u.module_params.values().all(|p| p.iter().all(|v| v.is_finite()))
-        && u.shared_params.iter().all(|v| v.is_finite())
+    u.module_params.values().all(|p| all_finite(p))
+        && all_finite(&u.shared_params)
         && u.importance.iter().all(|row| row.iter().all(|v| v.is_finite()))
 }
 
+/// `values.iter().all(|v| v.is_finite())`, folded a fixed-size chunk at a
+/// time: inside a chunk there is no early exit, so the compare
+/// vectorises; a non-finite value still stops the scan at its chunk's end.
+fn all_finite(values: &[f32]) -> bool {
+    const CHUNK: usize = 64;
+    let mut chunks = values.chunks_exact(CHUNK);
+    chunks.by_ref().all(|c| c.iter().fold(true, |ok, v| ok & v.is_finite()))
+        && chunks.remainder().iter().all(|v| v.is_finite())
+}
+
 /// RMS norm over every parameter the update carries (0.0 if empty).
+///
+/// The sum of squares is `f64`: each module vector's squares (`v as f64`
+/// squared) summed from zero in ascending order, the per-vector sums added
+/// in key order, the shared vector's last. [`reduce::sum_sq_each`] keeps
+/// every vector's own chain and only interleaves eight of them, so ~110 k
+/// squares per update are not one chain of dependent adds.
 fn update_rms_norm(u: &ModuleUpdate) -> f32 {
-    let mut sum = 0.0f64;
-    let mut n = 0usize;
-    for p in u.module_params.values() {
-        sum += p.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
-        n += p.len();
-    }
-    sum += u.shared_params.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
-    n += u.shared_params.len();
+    let vectors: Vec<&[f32]> =
+        u.module_params.values().map(Vec::as_slice).chain([u.shared_params.as_slice()]).collect();
+    let mut sums = vec![0.0f64; vectors.len()];
+    reduce::sum_sq_each(&vectors, &mut sums);
+    let sum = sums.iter().fold(0.0f64, |sum, &s| sum + s);
+    let n: usize = vectors.iter().map(|v| v.len()).sum();
     if n == 0 {
         0.0
     } else {
@@ -982,6 +997,67 @@ mod tests {
         assert_eq!(kept, vec![0]);
         assert_eq!(report.rejected_non_finite, 2);
         assert_eq!(report.accepted, 1);
+    }
+
+    #[test]
+    fn interleaved_rms_norm_keeps_the_sequential_bits() {
+        // The one-chain expression `update_rms_norm` replaced.
+        fn sequential(u: &ModuleUpdate) -> f32 {
+            let mut sum = 0.0f64;
+            let mut n = 0usize;
+            for p in u.module_params.values() {
+                sum += p.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
+                n += p.len();
+            }
+            sum += u.shared_params.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>();
+            n += u.shared_params.len();
+            if n == 0 {
+                0.0
+            } else {
+                (sum / n as f64).sqrt() as f32
+            }
+        }
+        let mut rng = nebula_tensor::NebulaRng::seed(12);
+        let mut wide = |len: usize| -> Vec<f32> {
+            (0..len).map(|_| rng.normal_f32(0.0, 1.0) * 10f32.powf(rng.uniform_f32(-10.0, 10.0))).collect()
+        };
+        // Fewer vectors than lanes, more than lanes, empty (bypass) vectors
+        // first, last and in between, an empty shared part, nothing at all.
+        let shapes: [(&[usize], usize); 6] = [
+            (&[4_632, 0, 4_632, 4_632], 9_000),
+            (&[0, 7, 0, 96, 2_304, 1, 0, 24, 4_632, 4_632, 63, 64, 65, 0], 1_000),
+            (&[5, 0], 0),
+            (&[0, 0], 0),
+            (&[], 17),
+            (&[], 0),
+        ];
+        for (modules, shared) in shapes {
+            let module_params =
+                modules.iter().enumerate().map(|(i, &len)| ((i / 4, i % 4), wide(len))).collect();
+            let u = ModuleUpdate {
+                spec: SubModelSpec::new(vec![vec![0]]),
+                module_params,
+                shared_params: wide(shared),
+                importance: Vec::new(),
+                data_volume: 1,
+            };
+            assert_eq!(update_rms_norm(&u).to_bits(), sequential(&u).to_bits(), "{modules:?} + {shared}");
+        }
+    }
+
+    #[test]
+    fn chunked_finiteness_finds_a_bad_value_anywhere() {
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            let clean = vec![1.0f32; len];
+            assert!(all_finite(&clean), "length {len}");
+            for at in 0..len {
+                for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut v = clean.clone();
+                    v[at] = bad;
+                    assert!(!all_finite(&v), "length {len}, {bad} at {at}");
+                }
+            }
+        }
     }
 
     #[test]

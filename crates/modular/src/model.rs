@@ -39,10 +39,6 @@ pub struct ModularModel {
     selector: UnifiedSelector,
     /// Current per-layer module availability (sub-model restriction).
     masks: Vec<Vec<bool>>,
-    /// Current per-sample activation count.
-    top_k: usize,
-    /// Mean per-layer load-balancing loss of the last forward.
-    last_lb_loss: f32,
     /// KL-target distributions for gate fine-tuning (§4.3 step 3);
     /// when set, `backward` adds λ·KL(g_label ‖ gate) gradients.
     gate_kl_target: Option<(Vec<Tensor>, f32)>,
@@ -124,19 +120,7 @@ impl ModularModel {
         selector: UnifiedSelector,
     ) -> Self {
         let masks = vec![vec![true; cfg.modules_per_layer]; cfg.num_layers];
-        let top_k = cfg.top_k;
-        Self {
-            cfg,
-            stem,
-            layers,
-            head,
-            selector,
-            masks,
-            top_k,
-            last_lb_loss: 0.0,
-            gate_kl_target: None,
-            cached_logits: Vec::new(),
-        }
+        Self { cfg, stem, layers, head, selector, masks, gate_kl_target: None, cached_logits: Vec::new() }
     }
 
     /// The model's configuration.
@@ -179,27 +163,6 @@ impl ModularModel {
             layer.set_resident(resident);
         }
         self.masks = spec.to_masks(self.cfg.modules_per_layer);
-    }
-
-    /// The currently-active sub-model.
-    pub fn current_submodel(&self) -> SubModelSpec {
-        SubModelSpec::new(
-            self.masks
-                .iter()
-                .map(|mask| mask.iter().enumerate().filter_map(|(i, &a)| a.then_some(i)).collect())
-                .collect(),
-        )
-    }
-
-    /// Adjusts the per-sample activation count (accuracy–latency knob).
-    pub fn set_top_k(&mut self, k: usize) {
-        assert!(k >= 1 && k <= self.cfg.modules_per_layer, "top_k {k} out of range");
-        self.top_k = k;
-    }
-
-    /// Mean per-layer load-balancing loss of the last forward pass.
-    pub fn last_load_balance_loss(&self) -> f32 {
-        self.last_lb_loss
     }
 
     /// Sets per-layer gate KL targets (`g_label`, §4.3 step 3) applied on
@@ -290,7 +253,6 @@ impl ModularModel {
         let mut clone = ModularModel::for_submodel(self.cfg.clone(), &self.resident_submodel());
         clone.load_param_vector(&self.param_vector());
         clone.masks = self.masks.clone();
-        clone.top_k = self.top_k;
         clone
     }
 
@@ -382,15 +344,15 @@ fn seed0_gate_noise_rng(cfg: &ModularConfig) -> NebulaRng {
 impl Layer for ModularModel {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         assert_eq!(x.cols(), self.cfg.input_dim, "input width mismatch");
-        self.cached_logits = self.selector.forward(x, mode);
+        // Gate noise goes where the sub-model can observe it — unless a KL
+        // target is set: that path of `backward` reads every logit.
+        let noised = self.gate_kl_target.is_none().then_some(self.masks.as_slice());
+        self.cached_logits = self.selector.forward(x, noised, mode);
 
         let mut u = self.stem.forward(x, mode);
-        let mut lb = 0.0f32;
         for ((layer, logits), mask) in self.layers.iter_mut().zip(&self.cached_logits).zip(&self.masks) {
-            u = layer.forward(&u, logits, mask, self.top_k, mode);
-            lb += layer.load_balance_loss();
+            u = layer.forward(&u, logits, mask, self.cfg.top_k, mode);
         }
-        self.last_lb_loss = lb / self.layers.len() as f32;
         self.head.forward(&u, mode)
     }
 
@@ -492,14 +454,6 @@ mod tests {
         m.set_submodel(None);
         let restored = m.forward(&x, Mode::Eval);
         nebula_tensor::assert_tensor_close(&restored, &full, 1e-6);
-    }
-
-    #[test]
-    fn current_submodel_roundtrip() {
-        let mut m = model();
-        let spec = SubModelSpec::new(vec![vec![1, 3], vec![0, 2]]);
-        m.set_submodel(Some(&spec));
-        assert_eq!(m.current_submodel(), spec);
     }
 
     #[test]
@@ -656,20 +610,5 @@ mod tests {
             Some(ConvStemConfig { in_channels: 2, in_len: 6, out_channels: 3, kernel: 3, pool: 2 });
         let m = ModularModel::new(cfg, 3);
         nebula_nn::gradcheck::check_layer_gradients_with(Box::new(m), 12, 2, 32, 1e-3, 6e-2);
-    }
-
-    #[test]
-    fn lb_loss_reported_after_forward() {
-        let mut m = model();
-        let x = Tensor::ones(&[8, 12]);
-        m.forward(&x, Mode::Eval);
-        assert!(m.last_load_balance_loss() > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn set_top_k_validates() {
-        let mut m = model();
-        m.set_top_k(100);
     }
 }

@@ -12,10 +12,37 @@
 //! Routing is *per sample*: each module runs once on the sub-batch of rows
 //! that selected it (sparse MoE execution), which is also what makes the
 //! layer's compute proportional to `k`, not `N`.
+//!
+//! ## What a sub-model cannot observe is not computed
+//!
+//! A sub-model's mask sets the logit of every module it lacks to −∞, and
+//! everything downstream of such a logit is exact: it never enters top-k,
+//! `exp(−∞ − max)` is exactly `+0.0`, adding `+0.0` to the softmax's
+//! (≥ 1) denominator changes no bit, `0.0 / sum` is `+0.0`, so its
+//! probability, its combination weight, its load and both its gradients
+//! are `+0.0` whatever the logit was. The forward therefore takes the
+//! softmax's max and `exp` over allowed entries only and *writes* `0.0`
+//! for the rest (24 → 10 `exp` calls per row at 6 of 16 modules), the
+//! active-set softmax keeps each top-k `exp` from the denominator loop
+//! for the weight that divides it, and the selector does not draw the
+//! noise of a masked-out logit (see `selector.rs`). Logits are assumed
+//! finite, as the sanitize gate guarantees of every parameter that
+//! produces them.
+//!
+//! ## Who owns which cache
+//!
+//! Between a Train forward and its backward, a routed module's input rows
+//! and hidden activation live in that module's two `Linear` input caches
+//! (see `module.rs`); its *output* lives here, in `LayerCache::outputs`,
+//! because only the gate gradient `dw[b,i] = ⟨f_i(x_b), dy_b⟩` reads it.
+//! Temporaries that are overwritten in full (a module's output, the
+//! per-module gradient `w·dy`, the hidden gradient, `dx_i`) come from the
+//! layer's [`Workspace`] unfilled; only what is accumulated into (`y`,
+//! `dx`, the weights and `dw` matrices) is zeroed first.
 
 use crate::module::Module;
 use nebula_nn::{Mode, Workspace};
-use nebula_tensor::reduce::{softmax_in_place, top_k_indices_into};
+use nebula_tensor::reduce::top_k_indices_into;
 use nebula_tensor::{NebulaRng, Tensor};
 
 /// One module layer of a modularized model.
@@ -35,6 +62,8 @@ pub struct MoeLayer {
     gate_row: Vec<f32>,
     /// Top-k selection scratch.
     topk: Vec<usize>,
+    /// `exp(logit − max)` of each top-k entry, in `topk`'s order.
+    topk_exp: Vec<f32>,
 }
 
 struct LayerCache {
@@ -106,6 +135,7 @@ impl MoeLayer {
             ws: Workspace::new(),
             gate_row: Vec::new(),
             topk: Vec::new(),
+            topk_exp: Vec::new(),
         }
     }
 
@@ -246,19 +276,22 @@ impl MoeLayer {
             // Top-k over the *masked logits* (pre-softmax), exactly as the
             // previous full-materialisation path selected.
             top_k_indices_into(&self.gate_row, k, &mut self.topk);
-            // Softmax over the active logits only.
+            // Softmax over the active logits only; each `exp` is taken
+            // once and serves the denominator and its own weight.
             let maxv = self.topk.iter().map(|&i| self.gate_row[i]).fold(f32::NEG_INFINITY, f32::max);
+            self.topk_exp.clear();
+            self.topk_exp.extend(self.topk.iter().map(|&i| (self.gate_row[i] - maxv).exp()));
             let mut denom = 0.0f32;
-            for &i in &self.topk {
-                denom += (self.gate_row[i] - maxv).exp();
+            for &e in &self.topk_exp {
+                denom += e;
             }
-            for &i in &self.topk {
-                weights.row_mut(b)[i] = (self.gate_row[i] - maxv).exp() / denom;
+            for (&i, &e) in self.topk.iter().zip(&self.topk_exp) {
+                weights.row_mut(b)[i] = e / denom;
                 rows_per_module[i].push(b);
             }
             // Full softmax over allowed modules, accumulated into column
             // sums (row order matches `Tensor::mean_rows` bit-for-bit).
-            softmax_in_place(&mut self.gate_row);
+            softmax_over_allowed(&mut self.gate_row, allowed);
             for (s, &p) in mean_probs.iter_mut().zip(self.gate_row.iter()) {
                 *s += p;
             }
@@ -282,10 +315,7 @@ impl MoeLayer {
                 continue;
             }
             let module = slot.as_mut().expect("routed to a module this model does not hold");
-            let mut xi = self.ws.zeroed(&[rows.len(), self.width]);
-            x.gather_rows_into(rows, &mut xi);
-            let oi = module.forward_with(&xi, mode, &mut self.ws);
-            self.ws.recycle(xi);
+            let oi = module.forward(x, rows, mode, &mut self.ws);
             for (j, &b) in rows.iter().enumerate() {
                 let w = weights.at(b, i);
                 let orow = oi.row(j);
@@ -323,22 +353,10 @@ impl MoeLayer {
         let n = self.modules.len();
         assert_eq!(dy.cols(), self.width, "dy width mismatch");
 
-        // dw[b,i] = ⟨f_i(x_b), dy_b⟩ for active modules.
+        // Per routed module: the gate-gradient dots dw[b,i] = ⟨f_i(x_b), dy_b⟩,
+        // the gradient into the module w[b,i] · dy[b], then the module's
+        // parameter gradients and its dx.
         let mut dw = self.ws.zeroed(&[batch, n]);
-        for i in 0..n {
-            if !cache.rows_per_module[i].is_empty() {
-                let oi = cache.outputs[i].as_ref().expect("MoeLayer::backward requires a Train-mode forward");
-                for (j, &b) in cache.rows_per_module[i].iter().enumerate() {
-                    let mut acc = 0.0f32;
-                    for (&ov, &gv) in oi.row(j).iter().zip(dy.row(b)) {
-                        acc += ov * gv;
-                    }
-                    *dw.at_mut(b, i) = acc;
-                }
-            }
-        }
-
-        // Module gradients and dx.
         let mut dx = Tensor::zeros(&[batch, self.width]);
         for (i, slot) in self.modules.iter_mut().enumerate() {
             let rows = &cache.rows_per_module[i];
@@ -346,15 +364,16 @@ impl MoeLayer {
                 continue;
             }
             let module = slot.as_mut().expect("routed to a module this model does not hold");
-            // Per-row gradient into the module: w[b,i] · dy[b].
-            let mut gi = self.ws.zeroed(&[rows.len(), self.width]);
+            let oi = cache.outputs[i].as_ref().expect("MoeLayer::backward requires a Train-mode forward");
+            gate_dots(oi, dy, rows, i, &mut dw);
+            let mut gi = self.ws.scratch(&[rows.len(), self.width]);
             for (j, &b) in rows.iter().enumerate() {
                 let w = cache.weights.at(b, i);
                 for (gv, &dv) in gi.row_mut(j).iter_mut().zip(dy.row(b)) {
                     *gv = w * dv;
                 }
             }
-            let dxi = module.backward_with(&gi, &mut self.ws);
+            let dxi = module.backward(&gi, &mut self.ws);
             self.ws.recycle(gi);
             for (j, &b) in rows.iter().enumerate() {
                 for (xv, &dv) in dx.row_mut(b).iter_mut().zip(dxi.row(j)) {
@@ -447,6 +466,71 @@ impl MoeLayer {
     }
 }
 
+/// Softmax of `row` over the entries `allowed` marks, `+0.0` elsewhere:
+/// the bits of `softmax_in_place` on the row with every other entry set
+/// to −∞ (whose `exp` is exactly `+0.0` and adds nothing to the sum),
+/// without computing those `exp`s. At least one entry is allowed.
+fn softmax_over_allowed(row: &mut [f32], allowed: &[bool]) {
+    let mut max = f32::NEG_INFINITY;
+    for (&v, &a) in row.iter().zip(allowed) {
+        if a {
+            max = max.max(v);
+        }
+    }
+    let mut sum = 0.0f32;
+    for (v, &a) in row.iter_mut().zip(allowed) {
+        *v = if a { (*v - max).exp() } else { 0.0 };
+        sum += *v;
+    }
+    if sum > 0.0 {
+        for v in row.iter_mut() {
+            *v /= sum;
+        }
+    }
+}
+
+/// How many rows' dot products [`gate_dots`] advances together.
+const DOT_ROWS: usize = 4;
+
+/// For module `i` and each of its routed rows `rows[j] = b`:
+/// `dw[b,i] = ⟨o[j], dy[b]⟩`.
+///
+/// Each dot is one accumulator from `0.0`, columns ascending, multiply
+/// then add — one chain of dependent adds, each waiting out the adder's
+/// latency. Four (`DOT_ROWS`) rows' chains advance in one loop so their
+/// adds overlap (the `reduce::sum_sq_each` idea); no chain is split or
+/// reassociated, so every dot has the bits of the one-row loop, which
+/// also finishes the `rows.len() % 4` rows left over.
+fn gate_dots(o: &Tensor, dy: &Tensor, rows: &[usize], i: usize, dw: &mut Tensor) {
+    let width = dy.cols();
+    let quads = rows.chunks_exact(DOT_ROWS);
+    let leftover = quads.remainder();
+    let mut o_rows = o.data().chunks_exact(width);
+    for quad in quads {
+        // Every slice is `width` long, which lets the bounds checks leave
+        // the column loop.
+        let d: [&[f32]; DOT_ROWS] = std::array::from_fn(|t| &dy.row(quad[t])[..width]);
+        let o4: [&[f32]; DOT_ROWS] =
+            std::array::from_fn(|_| o_rows.next().expect("one output row per routed row"));
+        let mut acc = [0.0f32; DOT_ROWS];
+        for c in 0..width {
+            for t in 0..DOT_ROWS {
+                acc[t] += o4[t][c] * d[t][c];
+            }
+        }
+        for (&b, a) in quad.iter().zip(acc) {
+            *dw.at_mut(b, i) = a;
+        }
+    }
+    for (&b, ov) in leftover.iter().zip(o_rows) {
+        let mut acc = 0.0f32;
+        for (&ov, &dv) in ov.iter().zip(dy.row(b)) {
+            acc += ov * dv;
+        }
+        *dw.at_mut(b, i) = acc;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,7 +561,7 @@ mod tests {
         let x = Tensor::ones(&[2, 6]);
         let logits = Tensor::matrix(&[&[10.0, 0.0, 0.0], &[10.0, 0.0, 0.0]]);
         let y = l.forward(&x, &logits, &[true; 3], 1, Mode::Eval);
-        let direct = l.module_mut(0).forward(&x, Mode::Eval);
+        let direct = l.module_mut(0).forward(&x, &[0, 1], Mode::Eval, &mut Workspace::new());
         nebula_tensor::assert_tensor_close(&y, &direct, 1e-5);
     }
 
@@ -671,6 +755,55 @@ mod tests {
             lb_conc > lb_balanced * 1.5,
             "LB loss should punish concentration: balanced {lb_balanced} vs concentrated {lb_conc}"
         );
+    }
+
+    #[test]
+    fn softmax_over_allowed_is_softmax_of_the_masked_row() {
+        use nebula_tensor::reduce::softmax_in_place;
+        let mut rng = NebulaRng::seed(8);
+        for allowed_count in [1usize, 2, 6, 15, 16] {
+            for _ in 0..20 {
+                let mut allowed = [false; 16];
+                rng.sample_indices(16, allowed_count).into_iter().for_each(|i| allowed[i] = true);
+                let row: Vec<f32> = (0..16).map(|_| rng.normal_f32(0.0, 3.0)).collect();
+                let mut want = row.clone();
+                for (v, &a) in want.iter_mut().zip(&allowed) {
+                    if !a {
+                        *v = f32::NEG_INFINITY;
+                    }
+                }
+                softmax_in_place(&mut want);
+                let mut got = row;
+                softmax_over_allowed(&mut got, &allowed);
+                let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+                assert_eq!(bits(&got), bits(&want), "{allowed_count} allowed");
+            }
+        }
+    }
+
+    #[test]
+    fn four_row_gate_dots_equal_the_one_row_loop() {
+        let mut rng = NebulaRng::seed(9);
+        let (batch, width, n, i) = (16, 96, 3, 1);
+        // Magnitudes 1e-10..1e10 inside one row, so any reassociation shows.
+        let mut wide = |len: usize| -> Vec<f32> {
+            (0..len).map(|_| rng.normal_f32(0.0, 1.0) * 10f32.powf(rng.uniform_f32(-10.0, 10.0))).collect()
+        };
+        let dy = Tensor::from_vec(wide(batch * width), &[batch, width]);
+        for count in [0usize, 1, 3, 4, 5, 7, 8, 11, 16] {
+            let rows: Vec<usize> = (0..count).map(|j| (j * 5 + 3) % batch).collect();
+            let o = Tensor::from_vec(wide(count * width), &[count, width]);
+            let mut dw = Tensor::zeros(&[batch, n]);
+            gate_dots(&o, &dy, &rows, i, &mut dw);
+            for (j, &b) in rows.iter().enumerate() {
+                let mut acc = 0.0f32;
+                for (&ov, &gv) in o.row(j).iter().zip(dy.row(b)) {
+                    acc += ov * gv;
+                }
+                assert_eq!(dw.at(b, i).to_bits(), acc.to_bits(), "{count} rows, dot {j}");
+            }
+            assert_eq!(dw.data().iter().filter(|&&v| v != 0.0).count(), count, "{count} rows: stray dots");
+        }
     }
 
     #[test]

@@ -13,6 +13,26 @@
 //! head of Shazeer et al.; the paper cites the technique without
 //! specifying the variant, and fixed noise reproduces the load-spreading
 //! effect (ablated in the bench suite).
+//!
+//! ## Noise is drawn where a module can win
+//!
+//! A sub-model holds 1–12 of a layer's 16 modules, and [`MoeLayer`] sets
+//! the logit of every module outside the mask to −∞ before it reads it:
+//! such a logit never enters top-k, its softmax probability, combination
+//! weight and gradient are exactly 0, and nothing else reads the logits
+//! the selector returns (the gate-KL path of `ModularModel::backward` does,
+//! over *all* modules — which is why a model with a KL target set passes
+//! no mask). The noise added to a masked-out logit is therefore
+//! unobservable; its *position in the stream* is not, because the next
+//! allowed logit's draw comes after it. So [`UnifiedSelector::forward`]
+//! takes the per-layer masks and, for a masked-out module, advances the
+//! stream by exactly one draw ([`NebulaRng::skip_normal`]: two raw `u64`s,
+//! no logarithm, square root or cosine) and leaves the logit un-noised.
+//! Every allowed logit, and the stream afterwards, have the bits an
+//! unmasked forward gives them. Which draws are skipped depends on the
+//! mask alone; the mask is an argument, not a mode.
+//!
+//! [`MoeLayer`]: crate::MoeLayer
 
 use nebula_nn::{Activation, Layer, Linear, Mode, Workspace};
 use nebula_tensor::{NebulaRng, Tensor};
@@ -87,26 +107,38 @@ impl UnifiedSelector {
     }
 
     /// Gate logits for every module layer. In `Train` mode with
-    /// `noise_std > 0`, Gaussian noise is added (noisy top-k).
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Vec<Tensor> {
+    /// `noise_std > 0`, Gaussian noise is added (noisy top-k) — to the
+    /// logits `masks` allows (one mask per layer, one flag per module);
+    /// a masked-out logit stays noise-free while the stream advances past
+    /// its draw. `None` allows everything.
+    pub fn forward(&mut self, x: &Tensor, masks: Option<&[Vec<bool>]>, mode: Mode) -> Vec<Tensor> {
+        if let Some(masks) = masks {
+            assert_eq!(masks.len(), self.gates.len(), "one mask per module layer");
+        }
         let mut h = self.ws.zeroed(&[x.rows(), self.embed.out_features()]);
         self.embed.forward_into(x, &mut h, mode);
         self.act.forward_in_place(&mut h, mode);
         self.cached_rows = Some(x.rows());
-        let logits = self
-            .gates
-            .iter_mut()
-            .map(|gate| {
-                let mut logits = gate.forward(&h, mode);
-                if mode == Mode::Train && self.noise_std > 0.0 {
-                    let std = self.noise_std;
-                    for v in logits.data_mut() {
-                        *v += self.rng.normal_f32(0.0, std);
+        let noise = (mode == Mode::Train && self.noise_std > 0.0).then_some(self.noise_std);
+        let mut logits = Vec::with_capacity(self.gates.len());
+        for (l, gate) in self.gates.iter_mut().enumerate() {
+            let mut layer_logits = gate.forward(&h, mode);
+            if let Some(std) = noise {
+                let mask = masks.map(|m| m[l].as_slice());
+                let n = gate.out_features();
+                assert!(mask.is_none_or(|m| m.len() == n), "mask length != module count");
+                for row in layer_logits.data_mut().chunks_exact_mut(n) {
+                    for (i, v) in row.iter_mut().enumerate() {
+                        if mask.is_none_or(|m| m[i]) {
+                            *v += self.rng.normal_f32(0.0, std);
+                        } else {
+                            self.rng.skip_normal();
+                        }
                     }
                 }
-                logits
-            })
-            .collect();
+            }
+            logits.push(layer_logits);
+        }
         self.ws.recycle(h);
         logits
     }
@@ -114,7 +146,7 @@ impl UnifiedSelector {
     /// Deterministic (noise-free) logits regardless of mode — used for
     /// importance scoring and the sub-task load matrix.
     pub fn forward_deterministic(&mut self, x: &Tensor) -> Vec<Tensor> {
-        self.forward(x, Mode::Eval)
+        self.forward(x, None, Mode::Eval)
     }
 
     /// Backward pass: one gradient tensor per layer's logits, in layer
@@ -173,7 +205,7 @@ mod tests {
     fn forward_emits_one_logit_tensor_per_layer() {
         let mut s = selector(0.0);
         let x = Tensor::zeros(&[5, 8]);
-        let logits = s.forward(&x, Mode::Eval);
+        let logits = s.forward(&x, None, Mode::Eval);
         assert_eq!(logits.len(), 3);
         for l in &logits {
             assert_eq!(l.shape(), &[5, 4]);
@@ -184,8 +216,8 @@ mod tests {
     fn eval_mode_is_noise_free_and_deterministic() {
         let mut s = selector(1.0);
         let x = Tensor::ones(&[2, 8]);
-        let a = s.forward(&x, Mode::Eval);
-        let b = s.forward(&x, Mode::Eval);
+        let a = s.forward(&x, None, Mode::Eval);
+        let b = s.forward(&x, None, Mode::Eval);
         for (la, lb) in a.iter().zip(&b) {
             assert_eq!(la.data(), lb.data());
         }
@@ -195,8 +227,8 @@ mod tests {
     fn train_mode_noise_perturbs_logits() {
         let mut s = selector(1.0);
         let x = Tensor::ones(&[2, 8]);
-        let a = s.forward(&x, Mode::Train);
-        let b = s.forward(&x, Mode::Train);
+        let a = s.forward(&x, None, Mode::Train);
+        let b = s.forward(&x, None, Mode::Train);
         assert_ne!(a[0].data(), b[0].data(), "noisy gating should differ across calls");
     }
 
@@ -204,10 +236,53 @@ mod tests {
     fn zero_noise_train_equals_eval() {
         let mut s = selector(0.0);
         let x = Tensor::ones(&[2, 8]);
-        let a = s.forward(&x, Mode::Train);
-        let b = s.forward(&x, Mode::Eval);
+        let a = s.forward(&x, None, Mode::Train);
+        let b = s.forward(&x, None, Mode::Eval);
         for (la, lb) in a.iter().zip(&b) {
             assert_eq!(la.data(), lb.data());
+        }
+    }
+
+    #[test]
+    fn masked_forward_keeps_allowed_logits_and_the_stream() {
+        let mut rng = NebulaRng::seed(7);
+        let x = Tensor::from_vec((0..5 * 8).map(|_| rng.normal_f32(0.0, 1.0)).collect(), &[5, 8]);
+        let (layers, modules) = (3, 16);
+        // 1, 6 and 16 of 16 allowed, a different set in every layer.
+        for allowed in [1usize, 6, 16] {
+            let masks: Vec<Vec<bool>> = (0..layers)
+                .map(|l| {
+                    let mut mask = vec![false; modules];
+                    rng.sample_indices(modules, allowed).into_iter().for_each(|i| mask[i] = true);
+                    assert_eq!(mask.iter().filter(|&&a| a).count(), allowed, "layer {l}");
+                    mask
+                })
+                .collect();
+            let mut open = UnifiedSelector::new(8, 16, layers, modules, 0.3, &mut NebulaRng::seed(1));
+            let mut masked = UnifiedSelector::new(8, 16, layers, modules, 0.3, &mut NebulaRng::seed(1));
+            // Two forwards: the second starts from the stream the first left.
+            for step in 0..2 {
+                let want = open.forward(&x, None, Mode::Train);
+                let got = masked.forward(&x, Some(&masks), Mode::Train);
+                let clean = open.forward_deterministic(&x);
+                for (l, mask) in masks.iter().enumerate() {
+                    for b in 0..x.rows() {
+                        for (i, &allowed_here) in mask.iter().enumerate() {
+                            let expect = if allowed_here { &want[l] } else { &clean[l] }.at(b, i);
+                            assert_eq!(
+                                got[l].at(b, i).to_bits(),
+                                expect.to_bits(),
+                                "{allowed} allowed, step {step}, layer {l}, row {b}, module {i}"
+                            );
+                        }
+                    }
+                }
+                assert_eq!(
+                    masked.noise_rng().state(),
+                    open.noise_rng().state(),
+                    "{allowed} allowed, step {step}"
+                );
+            }
         }
     }
 
@@ -215,7 +290,7 @@ mod tests {
     fn backward_accumulates_gate_and_embed_grads() {
         let mut s = selector(0.0);
         let x = Tensor::ones(&[2, 8]);
-        let logits = s.forward(&x, Mode::Train);
+        let logits = s.forward(&x, None, Mode::Train);
         let dlogits: Vec<Tensor> = logits.iter().map(|l| Tensor::ones(l.shape())).collect();
         let dx = s.backward(&dlogits);
         assert_eq!(dx.shape(), &[2, 8]);

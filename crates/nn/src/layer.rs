@@ -121,22 +121,29 @@ pub trait Layer: Send + Sync {
     }
 }
 
-/// Makes `cache` a copy of `value`.
+/// `cache` as a buffer of `shape` for the caller to fill; its contents
+/// are unspecified.
 ///
-/// A `Train` forward copies into the buffer the cache already has,
-/// whatever the row count: a train loop's batches are bounded by its
-/// batch size, so after the first few steps refilling the cache never
-/// allocates — even for a module, whose routed row count changes every
-/// step. An `Eval` forward is a one-off at whatever size its caller has
-/// (a whole dataset for module importance, an evaluation batch), so it
-/// reuses the buffer only when the shape repeats and otherwise leaves an
-/// exactly-sized one: nothing the size of the largest batch ever seen is
-/// kept for the layer's lifetime.
-pub(crate) fn refill_cache(cache: &mut Option<Tensor>, value: &Tensor, mode: Mode) {
+/// A `Train` forward takes the buffer the cache already has, whatever the
+/// row count: a train loop's batches are bounded by its batch size, so
+/// after the first few steps refilling the cache never allocates — even
+/// for a module, whose routed row count changes every step. An `Eval`
+/// forward is a one-off at whatever size its caller has (a whole dataset
+/// for module importance, an evaluation batch), so it reuses the buffer
+/// only when the shape repeats and otherwise leaves an exactly-sized one:
+/// nothing the size of the largest batch ever seen is kept for the
+/// layer's lifetime.
+pub(crate) fn cache_for<'a>(cache: &'a mut Option<Tensor>, shape: &[usize], mode: Mode) -> &'a mut Tensor {
     match cache {
-        Some(c) if mode == Mode::Train || c.shape() == value.shape() => c.clone_from(value),
-        _ => *cache = Some(value.clone()),
+        Some(c) if mode == Mode::Train || c.shape() == shape => c.resize_for_overwrite(shape),
+        _ => *cache = Some(Tensor::zeros(shape)),
     }
+    cache.as_mut().expect("filled above")
+}
+
+/// Makes `cache` a copy of `value`, in the buffer [`cache_for`] picks.
+pub(crate) fn refill_cache(cache: &mut Option<Tensor>, value: &Tensor, mode: Mode) {
+    cache_for(cache, value.shape(), mode).data_mut().copy_from_slice(value.data());
 }
 
 /// Blanket impl so `Box<dyn Layer>` composes inside containers.

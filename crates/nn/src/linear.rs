@@ -3,7 +3,7 @@
 //! Weights are stored row-major as `out_features × in_features` so the
 //! forward pass is a single [`Tensor::matmul_nt`] over contiguous rows.
 
-use crate::layer::{refill_cache, Layer, Mode};
+use crate::layer::{cache_for, refill_cache, Layer, Mode};
 use nebula_tensor::{Init, NebulaRng, Tensor};
 
 /// `y = x · Wᵀ + b` with `W: out×in`, `b: out`.
@@ -82,7 +82,28 @@ impl Linear {
     pub fn forward_into(&mut self, x: &Tensor, y: &mut Tensor, mode: Mode) {
         assert_eq!(x.cols(), self.in_features(), "Linear input width mismatch");
         refill_cache(&mut self.cached_x, x, mode);
-        x.matmul_nt_into(&self.w, y);
+        self.forward_cached_into(y);
+    }
+
+    /// The input cache as a `rows × in` buffer with unspecified contents,
+    /// sized by [`Linear::forward_into`]'s rule. A composite that can
+    /// produce this layer's input where backward will read it (gathered
+    /// rows, the previous layer's activation) fills it and calls
+    /// [`Linear::forward_cached_into`], instead of producing the input
+    /// elsewhere for `forward_into` to copy here.
+    pub fn input_cache_mut(&mut self, rows: usize, mode: Mode) -> &mut Tensor {
+        let shape = [rows, self.in_features()];
+        cache_for(&mut self.cached_x, &shape, mode)
+    }
+
+    /// The input the last forward cached. Panics before any forward.
+    pub fn input_cache(&self) -> &Tensor {
+        self.cached_x.as_ref().expect("Linear input cache read before forward")
+    }
+
+    /// `y = x · Wᵀ + b` (`y` overwritten) with `x` the cached input.
+    pub fn forward_cached_into(&self, y: &mut Tensor) {
+        self.input_cache().matmul_nt_into(&self.w, y);
         y.add_row_broadcast_assign(&self.b);
     }
 

@@ -52,6 +52,16 @@ impl Workspace {
     /// Returns an all-zeros tensor of `shape`, reusing a pooled buffer
     /// when one with sufficient capacity exists (best fit).
     pub fn zeroed(&mut self, shape: &[usize]) -> Tensor {
+        let mut t = self.scratch(shape);
+        t.zero_();
+        t
+    }
+
+    /// [`Workspace::zeroed`] without the fill: a tensor of `shape` whose
+    /// contents are unspecified (whatever the pooled buffer last held),
+    /// for a temporary its first user overwrites in full — a mat-mul
+    /// output, a gathered row batch.
+    pub fn scratch(&mut self, shape: &[usize]) -> Tensor {
         let n: usize = shape.iter().product();
         // Best fit: smallest pooled capacity that still avoids a realloc.
         let mut pick: Option<usize> = None;
@@ -70,7 +80,7 @@ impl Workspace {
                 self.pool.pop().unwrap_or_default()
             }
         };
-        buf.clear();
+        // Truncates or zero-extends; what was there stays.
         buf.resize(n, 0.0);
         Tensor::from_vec(buf, shape)
     }

@@ -1182,7 +1182,12 @@ impl NebulaStrategy {
             let cfg = &self.cfg;
             let mut train_span = telemetry.span("local_train");
             train_span.int("clients", jobs.len() as u64);
-            nebula_tensor::par::map(jobs, |(payload, _frame, local, mut drng)| {
+            // A job's length grows with the sub-model it trains and the
+            // data it trains on.
+            let cost = |(payload, _, local, _): &(SubModelPayload, _, &Dataset, _)| {
+                payload.bytes() * local.len() as u64
+            };
+            nebula_tensor::par::map_longest_first(jobs, cost, |(payload, _frame, local, mut drng)| {
                 let mut client = EdgeClient::from_payload(cfg.modular.clone(), &payload);
                 client.adapt(local, cfg.local_epochs, cfg.batch_size, cfg.local_lr, &mut drng);
                 // The update goes into the download's buffers, which this
@@ -1546,7 +1551,11 @@ impl AdaptStrategy for NebulaStrategy {
                 Some((client, &world.devices[*id].partition.data, streams.remove(id)?))
             })
             .collect();
-        nebula_tensor::par::map(jobs, |(client, local, mut drng)| {
+        let cost_model = self.cloud.cost_model();
+        let cost = |(client, local, _): &(&mut EdgeClient, &Dataset, _)| {
+            cost_model.submodel(client.spec()).comm_bytes * local.len() as u64
+        };
+        nebula_tensor::par::map_longest_first(jobs, cost, |(client, local, mut drng)| {
             client.adapt(local, cfg.local_epochs, cfg.batch_size, cfg.local_lr, &mut drng);
         });
 

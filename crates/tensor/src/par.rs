@@ -118,6 +118,30 @@ pub fn map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
     map_on(max_threads(), items, f)
 }
 
+/// [`map`] with the costliest items handed out first; results still come
+/// back in input order.
+///
+/// The shared queue balances uneven jobs only until it runs dry: if the
+/// last item pulled is a long one, the other threads idle for up to its
+/// whole length. A round's devices hold 1–12 modules per layer over
+/// differently sized datasets, so their jobs differ severalfold; queueing
+/// them by descending `cost` (ties in input order) leaves the short ones
+/// to fill the end. The order is a pure function of the costs, and what a
+/// job computes does not depend on when it runs, so results are the same
+/// as [`map`]'s at any budget.
+pub fn map_longest_first<T: Send, R: Send>(
+    items: Vec<T>,
+    cost: impl Fn(&T) -> u64,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let mut queued: Vec<(usize, T)> = items.into_iter().enumerate().collect();
+    // Stable, so equal costs keep input order.
+    queued.sort_by_cached_key(|(_, item)| std::cmp::Reverse(cost(item)));
+    let mut done = map(queued, |(index, item)| (index, f(item)));
+    done.sort_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
 /// [`map`] with the thread count passed in, so tests need not touch the
 /// process-wide budget.
 fn map_on<T: Send, R: Send>(threads: usize, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
@@ -208,6 +232,30 @@ mod tests {
             let want: Vec<(u64, u64)> = items.iter().map(|&n| (n, spin(n))).collect();
             assert_eq!(out, want, "{threads} threads");
         }
+    }
+
+    #[test]
+    fn longest_first_runs_by_descending_cost_and_returns_input_order() {
+        // Inline (inside a region) the queue order is the run order.
+        let ran = Mutex::new(Vec::new());
+        let out = sequential(|| {
+            map_longest_first(
+                vec![3u64, 9, 3, 1, 9],
+                |&c| c,
+                |c| {
+                    ran.lock().unwrap().push(c);
+                    c * 10
+                },
+            )
+        });
+        assert_eq!(out, vec![30, 90, 30, 10, 90]);
+        assert_eq!(*ran.lock().unwrap(), vec![9, 9, 3, 3, 1]);
+        // Ties keep input order.
+        let out = sequential(|| {
+            map_longest_first(vec![(1u64, 'a'), (1, 'b'), (2, 'c')], |&(c, _)| c, |(_, name)| name)
+        });
+        assert_eq!(out, vec!['a', 'b', 'c']);
+        assert_eq!(map_longest_first(Vec::<u64>::new(), |&c| c, |c| c), Vec::<u64>::new());
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! argmax) used by the classifier heads and the module selector gates.
 
 use crate::Tensor;
+use std::iter::Sum;
+use std::ops::{Add, Mul};
 
 impl Tensor {
     /// Sum of all elements.
@@ -135,24 +137,33 @@ impl Tensor {
 /// How many slices' sums [`sum_sq_each`] advances together.
 const SUM_LANES: usize = 8;
 
-/// `sums[i] = Σ v²` over `slices[i]`, each with the bits of
-/// [`Tensor::norm_sq`] on that slice: one accumulator per slice, started
-/// at `Sum`'s own identity, elements in ascending order, multiply then
-/// add. A slice is never split and no sum is reassociated.
+/// `sums[i] = Σ v²` over `slices[i]` in the accumulator type `A` of
+/// `sums`, each with the bits of the one-line sum it replaces —
+/// [`Tensor::norm_sq`] on that slice for `f32`,
+/// `slice.iter().map(|&v| v as f64 * v as f64).sum::<f64>()` for `f64`
+/// (`A::from` widens exactly): one accumulator per slice, started at
+/// `Sum`'s own identity, elements in ascending order, multiply then add.
+/// A slice is never split and no sum is reassociated.
 ///
 /// What is interleaved is *which slice's* next add issues: a single
 /// slice's sum is one chain of dependent adds, each waiting out the
 /// adder's latency, so up to eight (`SUM_LANES`) slices advance in one loop and
 /// the adds of different slices overlap. When a slice ends, the next one
 /// in list order takes the free lane. Gradient clipping sums ~100 small
-/// tensors per step this way (`nebula_nn::Layer::clip_grad_norm`).
+/// tensors per step this way (`nebula_nn::Layer::clip_grad_norm`) in
+/// `f32`; the sanitize gate's RMS norm sums an update's module vectors in
+/// `f64` (`nebula_core::aggregate`).
 ///
 /// Panics if `slices` and `sums` differ in length.
-pub fn sum_sq_each<S: AsRef<[f32]>>(slices: &[S], sums: &mut [f32]) {
+pub fn sum_sq_each<A, S>(slices: &[S], sums: &mut [A])
+where
+    A: Copy + From<f32> + Add<Output = A> + Mul<Output = A> + Sum<A>,
+    S: AsRef<[f32]>,
+{
     assert_eq!(slices.len(), sums.len(), "sum_sq_each: {} slices, {} sums", slices.len(), sums.len());
     // `-0.0` since Rust 1.83, `0.0` before; either way adding a square
     // to it gives the square, so only an empty slice's sum shows it.
-    let identity: f32 = std::iter::empty::<f32>().sum();
+    let identity: A = std::iter::empty::<A>().sum();
     // Lanes `..live` are busy: lane `s` still has `rest[s]` to add into
     // `acc[s]`, the sum of `slices[owner[s]]`.
     let mut rest: [&[f32]; SUM_LANES] = [&[]; SUM_LANES];
@@ -177,14 +188,14 @@ pub fn sum_sq_each<S: AsRef<[f32]>>(slices: &[S], sums: &mut [f32]) {
         // Every busy lane can take this many steps before one of them ends.
         let run = rest[..live].iter().map(|r| r.len()).min().expect("a busy lane");
         match live {
-            1 => advance::<1>(&mut rest, &mut acc, run),
-            2 => advance::<2>(&mut rest, &mut acc, run),
-            3 => advance::<3>(&mut rest, &mut acc, run),
-            4 => advance::<4>(&mut rest, &mut acc, run),
-            5 => advance::<5>(&mut rest, &mut acc, run),
-            6 => advance::<6>(&mut rest, &mut acc, run),
-            7 => advance::<7>(&mut rest, &mut acc, run),
-            _ => advance::<SUM_LANES>(&mut rest, &mut acc, run),
+            1 => advance::<A, 1>(&mut rest, &mut acc, run),
+            2 => advance::<A, 2>(&mut rest, &mut acc, run),
+            3 => advance::<A, 3>(&mut rest, &mut acc, run),
+            4 => advance::<A, 4>(&mut rest, &mut acc, run),
+            5 => advance::<A, 5>(&mut rest, &mut acc, run),
+            6 => advance::<A, 6>(&mut rest, &mut acc, run),
+            7 => advance::<A, 7>(&mut rest, &mut acc, run),
+            _ => advance::<A, SUM_LANES>(&mut rest, &mut acc, run),
         }
         // Retire the lanes that ended; the last busy lane moves down.
         let mut s = 0;
@@ -203,17 +214,22 @@ pub fn sum_sq_each<S: AsRef<[f32]>>(slices: &[S], sums: &mut [f32]) {
 /// Adds the squares of the next `run` elements of lanes `..K` to their
 /// accumulators, one element of every lane per step.
 #[inline]
-fn advance<const K: usize>(rest: &mut [&[f32]; SUM_LANES], acc: &mut [f32; SUM_LANES], run: usize) {
+fn advance<A, const K: usize>(rest: &mut [&[f32]; SUM_LANES], acc: &mut [A; SUM_LANES], run: usize)
+where
+    A: Copy + From<f32> + Add<Output = A> + Mul<Output = A>,
+{
     let mut heads: [&[f32]; K] = [&[]; K];
-    let mut a = [0.0f32; K];
+    // Filled by the loop; `array::from_fn` here read +6 µs per clip
+    // (the accumulators left their registers).
+    let mut a = [acc[0]; K];
     for s in 0..K {
         (heads[s], rest[s]) = rest[s].split_at(run);
         a[s] = acc[s];
     }
     for i in 0..run {
         for (a, head) in a.iter_mut().zip(&heads) {
-            let v = head[i];
-            *a += v * v;
+            let v = A::from(head[i]);
+            *a = *a + v * v;
         }
     }
     acc[..K].copy_from_slice(&a);

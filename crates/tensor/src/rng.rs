@@ -78,6 +78,16 @@ impl NebulaRng {
         Normal::new(mean, std).expect("valid normal").sample(&mut self.inner)
     }
 
+    /// Advances the stream by exactly what one [`Self::normal_f32`] draw
+    /// with `std > 0` consumes — two raw `u64`s, whatever their values
+    /// (`rand_distr`'s Box–Muller never rejects) — without computing the
+    /// Gaussian: for a draw whose value nothing can observe but whose
+    /// place in the stream later draws depend on.
+    pub fn skip_normal(&mut self) {
+        self.inner.next_u64();
+        self.inner.next_u64();
+    }
+
     /// Log-normal draw parameterised by the underlying normal's `mu`/`sigma`.
     pub fn lognormal_f32(&mut self, mu: f32, sigma: f32) -> f32 {
         LogNormal::new(mu, sigma).expect("valid lognormal").sample(&mut self.inner)
@@ -200,6 +210,20 @@ mod tests {
         let var = draws.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n as f32;
         assert!((mean - 2.0).abs() < 0.02, "mean {mean}");
         assert!((var - 0.25).abs() < 0.02, "var {var}");
+    }
+
+    #[test]
+    fn skip_normal_is_a_discarded_draw() {
+        for n in [0usize, 1, 5, 1024] {
+            let mut drawn = NebulaRng::seed(11);
+            let mut skipped = drawn.clone();
+            for _ in 0..n {
+                drawn.normal_f32(0.0, 0.3);
+                skipped.skip_normal();
+            }
+            assert_eq!(drawn.state(), skipped.state(), "after {n} draws");
+            assert_eq!(drawn.normal_f32(0.0, 0.3).to_bits(), skipped.normal_f32(0.0, 0.3).to_bits());
+        }
     }
 
     #[test]

@@ -232,6 +232,15 @@ impl Tensor {
         Tensor::from_vec(self.data[start * c..end * c].to_vec(), &[end - start, c])
     }
 
+    /// Gives the tensor `shape`, keeping its buffer when the capacity
+    /// allows. The contents are unspecified afterwards (whatever the old
+    /// buffer held, zeros where it grew): for a buffer the caller is about
+    /// to overwrite in full, which therefore needs no fill.
+    pub fn resize_for_overwrite(&mut self, shape: &[usize]) {
+        self.data.resize(shape.iter().product(), 0.0);
+        self.shape = Shape::new(shape);
+    }
+
     /// Gathers the given rows (by index) into a new tensor.
     pub fn gather_rows(&self, idx: &[usize]) -> Tensor {
         assert_eq!(self.rank(), 2, "gather_rows requires rank-2");
