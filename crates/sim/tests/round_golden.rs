@@ -19,6 +19,12 @@
 //! ordered sequence of event kinds (and span names) a [`MemorySink`]
 //! captured.
 //!
+//! `nebula_events_faulty` pins the *order* of a faulty Nebula round's
+//! trace, which no trajectory digest sees: every event's kind, a span's
+//! name and — for `client` events — the device and its outcome, so a
+//! deadline-dropped or crashed device reported at another position moves
+//! the digest.
+//!
 //! Everything lives in ONE test function under
 //! `KernelBackend::Blocked.scoped()`: the constants are then independent
 //! of the host's SIMD level, and the process-global backend switch
@@ -39,7 +45,7 @@ use nebula_sim::{
     AdaptStrategy, AdversaryPlan, AttackPersona, CorruptionKind, ExperimentConfig, FaultPlan, FedAvgStrategy,
     HeteroFlStrategy, NebulaStrategy, ResourceSampler, RoundPolicy, RunOutcome, Runner, SimWorld,
 };
-use nebula_telemetry::MemorySink;
+use nebula_telemetry::{MemorySink, Telemetry};
 use nebula_tensor::{KernelBackend, NebulaRng};
 use std::sync::{Arc, Mutex};
 
@@ -287,6 +293,46 @@ fn tracked_case() -> u64 {
     h.0
 }
 
+/// `ROUNDS` traced rounds of `s` under the full plan and the 1.5 × median
+/// deadline, folded into `h` event by event.
+fn traced_rounds(mut s: NebulaStrategy, h: &mut Fnv) {
+    let sink = Arc::new(MemorySink::new());
+    s.set_telemetry(Telemetry::new(sink.clone()));
+    let mut world = toy_world(Some(full_plan(CorruptionKind::NanPoison)));
+    let mut rng = NebulaRng::seed(3);
+    for _ in 0..ROUNDS {
+        s.single_round(&mut world, &mut rng);
+    }
+    let events = sink.events();
+    let outcome = |name: &str| events.iter().any(|e| e.kind == "client" && e.text["outcome"] == name);
+    assert!(outcome("deadline_dropped") && outcome("crashed"), "the plan must cut and crash someone");
+    h.word(events.len() as u64);
+    for e in &events {
+        h.bytes(&e.kind);
+        match e.kind.as_str() {
+            "span" => h.bytes(&e.text["name"]),
+            "client" => {
+                h.word(e.ints["device"]);
+                h.bytes(&e.text["outcome"]);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The ordered trace of a faulty round, in-process (int8) and through an
+/// authenticated loopback transport.
+fn events_case() -> u64 {
+    let mut h = Fnv::new();
+    traced_rounds(NebulaStrategy::new(toy_cfg(WireConfig::int8()), 1), &mut h);
+    let cfg = toy_cfg(WireConfig::raw().with_auth([9u8; 16]));
+    let runner = ModularRunner::new(cfg.modular.clone(), cfg.wire);
+    let mut s = NebulaStrategy::new(cfg, 1);
+    s.set_transport(Box::new(Loopback::new(Arc::new(runner))));
+    traced_rounds(s, &mut h);
+    h.0
+}
+
 /// The runner cases' scale: an offline stage and adaptation steps small
 /// enough for a debug-build test.
 fn runner_cfg() -> StrategyConfig {
@@ -366,6 +412,7 @@ fn run_case(name: &str) -> u64 {
             nebula_case(NebulaStrategy::new(cfg, 1), nebula_plan)
         }
         "nebula_tracked_raw_clean" => tracked_case(),
+        "nebula_events_faulty" => events_case(),
         // The target is out of reach, so the run probes on the cadence
         // (round 2) and at the cap (round 3).
         "runner_target_fa" => {
@@ -393,8 +440,9 @@ fn run_case(name: &str) -> u64 {
 /// refactor; the hierarchy and `runner_*` cases at the parent of the
 /// one-Runner-loop / one-guarded-aggregation refactor; the tracked-cohort
 /// case at the parent of the change that trains a round's devices on
-/// real threads.
-const GOLDEN: [(&str, u64); 13] = [
+/// real threads; the ordered-trace case at the parent of the change that
+/// gates a Nebula round's cohort before training it.
+const GOLDEN: [(&str, u64); 14] = [
     ("fa_raw_clean", 0xf449_a4ce_cd01_c038),
     ("fa_int8_faulty", 0xde47_9568_83e0_4859),
     ("hfl_raw_clean", 0x222f_cb4c_6cb6_e831),
@@ -408,6 +456,7 @@ const GOLDEN: [(&str, u64); 13] = [
     // updates in the same order.
     ("nebula_edges3_int8_trimmed_faulty", 0xd9cb_e91a_1238_dc6a),
     ("nebula_tracked_raw_clean", 0x8873_3294_aafa_bc11),
+    ("nebula_events_faulty", 0xa0f3_5a26_b69b_c837),
     ("runner_target_fa", 0x9997_d0da_d51a_458b),
     ("runner_target_nebula", 0x017f_0200_8109_61cb),
     ("runner_continuous_nebula_drift", 0x81d8_bebf_bdb6_9cd4),
