@@ -16,7 +16,6 @@ use crate::profile::ResourceProfile;
 use nebula_modular::cost::CostModel;
 use nebula_modular::SubModelSpec;
 use nebula_opt::{solve_mdkp_greedy, MdkpInstance};
-use nebula_wire::CodecKind;
 
 /// Result of a derivation: the sub-model plus diagnostics.
 #[derive(Clone, Debug)]
@@ -45,23 +44,6 @@ pub fn derive_submodel(
     profile: &ResourceProfile,
     extra_module_cap: Option<usize>,
 ) -> DeriveOutcome {
-    // Raw planned bytes equal the analytic `4 × params` exactly, so this
-    // wrapper is bit-identical to the historical derivation.
-    derive_submodel_with_codec(cost, importance, profile, extra_module_cap, CodecKind::Raw)
-}
-
-/// [`derive_submodel`] with the communication dimension charged at the
-/// *encoded* sub-model size of `codec` ([`CodecKind::planned_bytes`])
-/// instead of the fp32 parameter count. A device whose `comm_bytes`
-/// budget fits only a sliver of the model raw can fit ~4× the modules
-/// under `QuantInt8`; the knapsack should know that.
-pub fn derive_submodel_with_codec(
-    cost: &CostModel,
-    importance: &[Vec<f32>],
-    profile: &ResourceProfile,
-    extra_module_cap: Option<usize>,
-    codec: CodecKind,
-) -> DeriveOutcome {
     let layers = importance.len();
     assert!(layers > 0, "importance for zero layers");
     let n = importance[0].len();
@@ -72,9 +54,11 @@ pub fn derive_submodel_with_codec(
     // activation cache) so Σ(module costs) + base equals
     // `CostModel::submodel(spec).training_mem_bytes` — a derived
     // sub-model is guaranteed to fit the budget under the same accounting
-    // the simulator's profiles are built from.
+    // the simulator's profiles are built from. Communication is planned
+    // at the analytic fp32 size, 4 bytes per parameter, whatever codec
+    // later frames the payload (`crate::profile`).
     let shared = cost.shared();
-    let mut rem_comm = profile.comm_bytes as i128 - codec.planned_bytes(shared.params as usize) as i128;
+    let mut rem_comm = profile.comm_bytes as i128 - 4 * shared.params as i128;
     let mut rem_flops = profile.flops as i128 - shared.flops as i128;
     let mut rem_mem = profile.mem_bytes as i128 - cost.base_training_mem_bytes(layers) as i128;
 
@@ -90,7 +74,7 @@ pub fn derive_submodel_with_codec(
             .map(|(i, _)| i)
             .expect("non-empty layer");
         let c = cost.module(l, best);
-        rem_comm -= codec.planned_bytes(c.params as usize) as i128;
+        rem_comm -= 4 * c.params as i128;
         rem_flops -= c.flops as i128;
         rem_mem -= cost.module_training_mem_bytes(l, best) as i128;
         captured += imp[best];
@@ -120,7 +104,7 @@ pub fn derive_submodel_with_codec(
             items.push((l, i));
             values.push(v);
             costs.push(vec![
-                codec.planned_bytes(c.params as usize) as f32,
+                (4 * c.params) as f32,
                 c.flops as f32,
                 cost.module_training_mem_bytes(l, i) as f32,
             ]);
@@ -262,54 +246,6 @@ mod tests {
             c.training_mem_bytes,
             budget.mem_bytes
         );
-    }
-
-    #[test]
-    fn codec_aware_budget_uses_encoded_size_not_param_count() {
-        // Regression for the wire integration: a comm budget that fits
-        // only the mandatory modules raw must fit more modules when the
-        // knapsack charges the int8-encoded size (≈¼ of fp32), and the
-        // selection must respect the encoded budget exactly.
-        let cm = cost_model();
-        let imp = uniform_importance(2, 4);
-        // Generous in every dimension except communication.
-        let full = cm.full_model();
-        let comm_budget = full.comm_bytes * 4 / 10; // 40% of raw full model
-        let profile = ResourceProfile {
-            mem_bytes: full.training_mem_bytes * 4,
-            flops: full.flops * 4,
-            comm_bytes: comm_budget,
-        };
-        let raw = derive_submodel_with_codec(&cm, &imp, &profile, None, nebula_wire::CodecKind::Raw);
-        let q8 = derive_submodel_with_codec(&cm, &imp, &profile, None, nebula_wire::CodecKind::QuantInt8);
-        assert_eq!(
-            raw.spec,
-            derive_submodel(&cm, &imp, &profile, None).spec,
-            "raw codec must reproduce the analytic derivation bit-for-bit"
-        );
-        assert!(
-            q8.spec.total_modules() > raw.spec.total_modules(),
-            "int8 budget fits {} modules vs raw {} — codec not reaching the knapsack",
-            q8.spec.total_modules(),
-            raw.spec.total_modules()
-        );
-        // Both selections respect their own encoded budget.
-        for (out, codec) in [(&raw, nebula_wire::CodecKind::Raw), (&q8, nebula_wire::CodecKind::QuantInt8)] {
-            let mut encoded = codec.planned_bytes(cm.shared().params as usize);
-            for (l, layer) in out.spec.layers().iter().enumerate() {
-                for &i in layer {
-                    encoded += codec.planned_bytes(cm.module(l, i).params as usize);
-                }
-            }
-            assert!(!out.over_budget);
-            assert!(
-                encoded <= comm_budget,
-                "{} selection encodes to {} > budget {}",
-                codec.name(),
-                encoded,
-                comm_budget
-            );
-        }
     }
 
     #[test]

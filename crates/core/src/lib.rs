@@ -45,7 +45,7 @@ pub use aggregate::{
 };
 pub use checkpoint::{restore, snapshot, Checkpoint, CheckpointError};
 pub use cloud::{AggregateOutcome, GuardedOutcome, NebulaCloud, NebulaParams, SubModelPayload};
-pub use derive::{derive_submodel, derive_submodel_with_codec, DeriveOutcome};
+pub use derive::{derive_submodel, DeriveOutcome};
 pub use edge::{EdgeClient, EdgeClientState, EdgeServer, EdgeUpdate};
 pub use journal::{
     read_journal, write_atomic, DurabilityError, JournalContents, JournalWriter, LoadedSnapshot,

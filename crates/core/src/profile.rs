@@ -3,9 +3,9 @@
 //! ## Planning vs measured communication
 //!
 //! `comm_bytes` here is a **planning** input: the budget `derive` charges
-//! candidate modules against, using [`nebula_wire::CodecKind::planned_bytes`]
-//! (an upper bound on the encoded record payload — exactly `4 × params`
-//! for `Raw`, `params + 4` for `QuantInt8`). The bytes the simulator
+//! candidate modules against at the analytic fp32 size, `4 × params` (an
+//! upper bound on the encoded record payload of every codec — see
+//! [`nebula_wire::CodecKind::planned_bytes`]). The bytes the simulator
 //! *accounts* (`CommTracker::record_download` / `record_upload`) are the
 //! **measured** lengths of the encoded `nebula-wire` frames actually
 //! exchanged, which include framing overhead and, for `DeltaFp32`, are

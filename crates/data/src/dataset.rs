@@ -109,19 +109,6 @@ impl Dataset {
         (self.subset(&idx[..cut]), self.subset(&idx[cut..]))
     }
 
-    /// Returns the samples whose label is in `keep` (order preserved).
-    pub fn filter_classes(&self, keep: &[usize]) -> Dataset {
-        let idx: Vec<usize> = (0..self.len()).filter(|&i| keep.contains(&self.y[i])).collect();
-        self.subset(&idx)
-    }
-
-    /// Draws `n` samples uniformly with replacement.
-    pub fn sample_with_replacement(&self, n: usize, rng: &mut NebulaRng) -> Dataset {
-        assert!(!self.is_empty(), "cannot sample from empty dataset");
-        let idx: Vec<usize> = (0..n).map(|_| rng.below(self.len())).collect();
-        self.subset(&idx)
-    }
-
     /// Iterates over shuffled mini-batches of `(features, labels)`.
     pub fn batches(&self, batch_size: usize, rng: &mut NebulaRng) -> Vec<(Tensor, Vec<usize>)> {
         assert!(batch_size > 0, "batch size must be positive");
@@ -188,14 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_classes_keeps_only_listed() {
-        let d = toy();
-        let f = d.filter_classes(&[0]);
-        assert_eq!(f.len(), 2);
-        assert!(f.labels().iter().all(|&c| c == 0));
-    }
-
-    #[test]
     fn batches_cover_every_sample_once() {
         let d = toy();
         let mut rng = NebulaRng::seed(2);
@@ -203,14 +182,6 @@ mod tests {
         assert_eq!(batches.len(), 2);
         let total: usize = batches.iter().map(|(_, y)| y.len()).sum();
         assert_eq!(total, 4);
-    }
-
-    #[test]
-    fn sample_with_replacement_has_requested_size() {
-        let d = toy();
-        let mut rng = NebulaRng::seed(3);
-        let s = d.sample_with_replacement(10, &mut rng);
-        assert_eq!(s.len(), 10);
     }
 
     #[test]

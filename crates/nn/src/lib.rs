@@ -36,7 +36,7 @@ pub use activation::{Activation, ActivationKind};
 pub use conv::{Conv1d, MaxPool1d};
 pub use layer::{Layer, Mode};
 pub use linear::Linear;
-pub use loss::{cross_entropy, kl_to_target, mse, CrossEntropyLoss};
+pub use loss::{cross_entropy, mse};
 pub use optim::{Optimizer, Sgd};
 pub use sequential::Sequential;
 pub use workspace::Workspace;

@@ -32,37 +32,6 @@ pub fn cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
     (loss * scale, grad)
 }
 
-/// Mean KL divergence `KL(target ‖ softmax(logits))` plus its gradient
-/// w.r.t. the logits.
-///
-/// Used by the module ability-enhancing fine-tuning (§4.3): the gate is
-/// pulled toward the recommended activation distribution `g_label`.
-/// `target` rows must be probability distributions.
-pub fn kl_to_target(logits: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    assert_eq!(logits.shape(), target.shape(), "kl_to_target shape mismatch");
-    let batch = logits.rows();
-    assert!(batch > 0, "kl_to_target on empty batch");
-
-    let log_probs = logits.log_softmax_rows();
-    let probs = log_probs.map(f32::exp);
-
-    // KL(t ‖ p) = Σ t (ln t − ln p); the ln t term is constant in logits.
-    let mut loss = 0.0f32;
-    for i in 0..batch {
-        for j in 0..logits.cols() {
-            let t = target.at(i, j);
-            if t > 0.0 {
-                loss += t * (t.ln() - log_probs.at(i, j));
-            }
-        }
-    }
-    // d/dlogits = softmax(logits) − target, averaged over batch.
-    let mut grad = probs.sub(target);
-    let scale = 1.0 / batch as f32;
-    grad.scale_assign(scale);
-    (loss * scale, grad)
-}
-
 /// Mean squared error and its gradient w.r.t. predictions.
 pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
     assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
@@ -71,44 +40,6 @@ pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
     let loss = diff.norm_sq() / n;
     let grad = diff.scale(2.0 / n);
     (loss, grad)
-}
-
-/// Convenience struct bundling cross-entropy with accuracy bookkeeping.
-#[derive(Default, Clone, Debug)]
-pub struct CrossEntropyLoss {
-    total_loss: f64,
-    total_correct: usize,
-    total_seen: usize,
-}
-
-impl CrossEntropyLoss {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Computes loss+grad for one batch and updates running statistics.
-    pub fn forward(&mut self, logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-        let (loss, grad) = cross_entropy(logits, labels);
-        let preds = logits.argmax_rows();
-        self.total_correct += preds.iter().zip(labels).filter(|(p, y)| p == y).count();
-        self.total_seen += labels.len();
-        self.total_loss += loss as f64 * labels.len() as f64;
-        (loss, grad)
-    }
-
-    /// Accuracy over everything seen so far.
-    pub fn accuracy(&self) -> f32 {
-        if self.total_seen == 0 {
-            0.0
-        } else {
-            self.total_correct as f32 / self.total_seen as f32
-        }
-    }
-
-    /// Resets running statistics.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 #[cfg(test)]
@@ -168,48 +99,11 @@ mod tests {
     }
 
     #[test]
-    fn kl_is_zero_when_matching_target() {
-        let logits = Tensor::matrix(&[&[1.0, 2.0, 0.5]]);
-        let target = logits.softmax_rows();
-        let (loss, grad) = kl_to_target(&logits, &target);
-        assert_close(loss, 0.0, 1e-5);
-        assert!(grad.data().iter().all(|&g| g.abs() < 1e-5));
-    }
-
-    #[test]
-    fn kl_grad_matches_finite_difference() {
-        let logits = Tensor::matrix(&[&[0.2, -1.0, 0.7]]);
-        let target = Tensor::matrix(&[&[0.7, 0.2, 0.1]]);
-        let (_, grad) = kl_to_target(&logits, &target);
-        let eps = 1e-3;
-        for j in 0..3 {
-            let mut plus = logits.clone();
-            *plus.at_mut(0, j) += eps;
-            let mut minus = logits.clone();
-            *minus.at_mut(0, j) -= eps;
-            let fd = (kl_to_target(&plus, &target).0 - kl_to_target(&minus, &target).0) / (2.0 * eps);
-            assert!((fd - grad.at(0, j)).abs() < 1e-3, "j={j}: fd {fd} vs {}", grad.at(0, j));
-        }
-    }
-
-    #[test]
     fn mse_basics() {
         let pred = Tensor::vector(&[1.0, 2.0]);
         let target = Tensor::vector(&[0.0, 0.0]);
         let (loss, grad) = mse(&pred, &target);
         assert_close(loss, 2.5, 1e-6);
         assert_eq!(grad.data(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn running_accuracy_tracks_batches() {
-        let mut ce = CrossEntropyLoss::new();
-        let logits = Tensor::matrix(&[&[5.0, 0.0], &[0.0, 5.0]]);
-        ce.forward(&logits, &[0, 0]); // one right, one wrong
-        assert_close(ce.accuracy(), 0.5, 1e-6);
-        ce.forward(&logits, &[0, 1]); // both right
-        assert_close(ce.accuracy(), 0.75, 1e-6);
-        ce.reset();
-        assert_eq!(ce.accuracy(), 0.0);
     }
 }

@@ -124,55 +124,6 @@ pub fn solve_mdkp_greedy(inst: &MdkpInstance) -> Vec<bool> {
     selected
 }
 
-/// Lagrangian-relaxation heuristic: dualise the resource constraints with
-/// multipliers λ ≥ 0, solve the unconstrained relaxation (select item i
-/// iff `value_i > Σ_j λ_j·cost_ij`), and adjust λ by projected subgradient
-/// steps. The best *feasible* relaxation solution seen is returned,
-/// repaired greedily if no iterate is feasible.
-///
-/// On Nebula-sized instances this typically matches the exact optimum and
-/// beats plain density-greedy on adversarial value/cost mixes, at
-/// `O(iters · n · d)` cost.
-pub fn solve_mdkp_lagrangian(inst: &MdkpInstance, iters: usize) -> Vec<bool> {
-    let (n, d) = inst.dims();
-    let mut lambda = vec![0.0f32; d];
-    let mut best_sel: Option<(f32, Vec<bool>)> = None;
-
-    for t in 0..iters.max(1) {
-        // Solve the relaxation at the current multipliers.
-        let mut sel = vec![false; n];
-        for (i, si) in sel.iter_mut().enumerate() {
-            let penalty: f32 = lambda.iter().zip(&inst.costs[i]).map(|(l, c)| l * c).sum();
-            if inst.values[i] > penalty {
-                *si = true;
-            }
-        }
-        // Track the best feasible iterate.
-        if inst.feasible(&sel) {
-            let v = inst.value(&sel);
-            if best_sel.as_ref().is_none_or(|(bv, _)| v > *bv) {
-                best_sel = Some((v, sel.clone()));
-            }
-        }
-        // Subgradient: usage − limit per dimension.
-        let step = 1.0 / (t as f32 + 1.0);
-        for (j, l) in lambda.iter_mut().enumerate() {
-            let used: f32 = (0..n).filter(|&i| sel[i]).map(|i| inst.costs[i][j]).sum();
-            let slack = used - inst.limits[j];
-            let scale = if inst.limits[j] > 0.0 { inst.limits[j] } else { 1.0 };
-            *l = (*l + step * slack / scale).max(0.0);
-        }
-    }
-
-    // Duality gaps are real (a high-density item can block the dual from
-    // ever proposing the optimal set); never return worse than greedy.
-    let greedy = solve_mdkp_greedy(inst);
-    match best_sel {
-        Some((v, sel)) if v >= inst.value(&greedy) => sel,
-        _ => greedy,
-    }
-}
-
 /// Exact branch-and-bound. Items are ordered by density; the upper bound
 /// is the LP relaxation of the *single* most-binding dimension. Practical
 /// up to ~30 items (Nebula layers hold at most 64 modules, but the exact
@@ -299,59 +250,7 @@ mod tests {
         assert!(sel[1]);
     }
 
-    #[test]
-    fn lagrangian_solves_the_easy_cases() {
-        // Optimal {1, 2} = 22 and the densities agree, so both the dual
-        // and the greedy fallback find it.
-        let i = inst(vec![6.0, 10.0, 12.0], vec![vec![3.0], vec![2.0], vec![3.0]], vec![5.0]);
-        let sel = solve_mdkp_lagrangian(&i, 50);
-        assert!(i.feasible(&sel));
-        assert_eq!(i.value(&sel), 22.0);
-    }
-
-    #[test]
-    fn lagrangian_never_worse_than_greedy() {
-        // The integrality-gap trap: the high-density item 0 blocks the
-        // dual from proposing the optimal {1, 2}; the solver must still
-        // match greedy.
-        let i = inst(vec![6.0, 10.0, 12.0], vec![vec![1.0], vec![2.0], vec![3.0]], vec![5.0]);
-        let sel = solve_mdkp_lagrangian(&i, 50);
-        assert!(i.feasible(&sel));
-        let g = i.value(&solve_mdkp_greedy(&i));
-        assert!(i.value(&sel) >= g);
-    }
-
-    #[test]
-    fn lagrangian_handles_infeasible_relaxations_via_fallback() {
-        // Every item alone exceeds the limit except item 1.
-        let i = inst(vec![100.0, 1.0], vec![vec![50.0], vec![1.0]], vec![10.0]);
-        let sel = solve_mdkp_lagrangian(&i, 30);
-        assert!(i.feasible(&sel));
-        assert!(sel[1]);
-    }
-
     proptest! {
-        #[test]
-        fn lagrangian_always_feasible_and_competitive(
-            n in 1usize..12,
-            seed in 0u64..300,
-        ) {
-            let mut s = seed;
-            let mut next = || {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((s >> 33) as f32) / (u32::MAX as f32)
-            };
-            let values: Vec<f32> = (0..n).map(|_| next()).collect();
-            let costs: Vec<Vec<f32>> = (0..n).map(|_| (0..2).map(|_| next()).collect()).collect();
-            let limits: Vec<f32> = (0..2).map(|_| next() * n as f32 * 0.3).collect();
-            let inst = MdkpInstance { values, costs, limits };
-            let sel = solve_mdkp_lagrangian(&inst, 40);
-            prop_assert!(inst.feasible(&sel));
-            // By construction, never worse than greedy.
-            let g = inst.value(&solve_mdkp_greedy(&inst));
-            prop_assert!(inst.value(&sel) + 1e-5 >= g, "lagrangian {} vs greedy {}", inst.value(&sel), g);
-        }
-
         #[test]
         fn greedy_always_feasible(
             n in 1usize..12,

@@ -16,4 +16,4 @@ pub mod assignment;
 pub mod knapsack;
 
 pub use assignment::{solve_assignment, solve_assignment_exact, AssignmentProblem};
-pub use knapsack::{solve_mdkp_exact, solve_mdkp_greedy, solve_mdkp_lagrangian, MdkpInstance};
+pub use knapsack::{solve_mdkp_exact, solve_mdkp_greedy, MdkpInstance};

@@ -110,30 +110,6 @@ pub fn mean_accuracy(strategy: &mut dyn AdaptStrategy, world: &mut SimWorld, ids
     sum / ids.len().max(1) as f32
 }
 
-/// Result of a rounds-to-target run.
-#[derive(Clone, Debug, Serialize)]
-pub struct TargetOutcome {
-    pub strategy: String,
-    pub reached: bool,
-    pub rounds: usize,
-    pub comm_total_bytes: u64,
-    pub final_accuracy: f32,
-    /// Robustness accounting summed over all rounds.
-    pub faults: RoundReport,
-}
-
-/// Result of a continuous (multi-slot) adaptation run.
-#[derive(Clone, Debug, Serialize)]
-pub struct ContinuousOutcome {
-    pub strategy: String,
-    /// Mean tracked-device accuracy after each slot's adaptation.
-    pub accuracy_per_slot: Vec<f32>,
-    /// Mean on-device adaptation time per slot, ms.
-    pub mean_adapt_time_ms: f64,
-    /// Robustness accounting summed over all slots.
-    pub faults: RoundReport,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

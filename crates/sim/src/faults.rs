@@ -13,7 +13,7 @@
 //! main RNG stream is never consumed, so a [`FaultPlan::none`] run is
 //! bit-for-bit identical to a run without any fault plumbing.
 
-use nebula_core::ModuleUpdate;
+use nebula_core::{plan_upload, ModuleUpdate, UploadPlan};
 use nebula_tensor::NebulaRng;
 use serde::{Deserialize, Serialize};
 
@@ -228,6 +228,26 @@ impl FaultPlan {
     }
 }
 
+/// What the plan stage of a collaborative round decides for one sampled
+/// device that starts the round: its fate and what its link does to the
+/// upload under the retry policy.
+pub(crate) struct DevicePlan {
+    pub fate: DeviceFate,
+    pub upload: UploadPlan,
+}
+
+impl FaultPlan {
+    /// The plan stage for `device`; `None` when it never starts the round.
+    /// A pure function of `(plan, policy, round, device)`: it exists
+    /// before anything is derived, framed or trained, which is what lets
+    /// a round gate its cohort before training it.
+    pub(crate) fn plan_device(&self, policy: &RoundPolicy, round: u64, device: usize) -> Option<DevicePlan> {
+        let fate = self.fate(round, device);
+        let upload = plan_upload(fate.upload_attempts, fate.flaky_link, policy.retry_policy());
+        (!fate.dropped).then_some(DevicePlan { fate, upload })
+    }
+}
+
 /// SplitMix64-style mix of (plan seed, round, device) into a fate seed.
 fn fate_seed(seed: u64, round: u64, device: u64) -> u64 {
     let mut z = seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ device.wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -241,7 +261,8 @@ fn fate_seed(seed: u64, round: u64, device: u64) -> u64 {
 pub struct DeviceFate {
     /// Never starts the round (offline / battery / opted out).
     pub dropped: bool,
-    /// Trains but dies before the upload lands.
+    /// Dies before the upload lands: the download is paid, the training
+    /// is never simulated.
     pub crashed: bool,
     /// Compute slowed this round.
     pub straggler: bool,

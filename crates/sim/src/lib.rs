@@ -43,6 +43,7 @@ pub mod faults;
 pub mod latency;
 pub mod network;
 pub mod resources;
+mod round;
 pub mod runner;
 pub mod shard;
 pub mod strategy;

@@ -30,7 +30,7 @@ use crate::durability::{
     restore, step, verify_replay, Accum, ChaosControl, DurabilityConfig, DurableOptions, Engine, Mode,
     RunError,
 };
-use crate::experiment::{mean_accuracy, pick_eval_ids, ContinuousOutcome, ExperimentConfig, TargetOutcome};
+use crate::experiment::{mean_accuracy, pick_eval_ids, ExperimentConfig};
 use crate::strategy::AdaptStrategy;
 use crate::world::SimWorld;
 use nebula_core::stats::RoundStats;
@@ -40,9 +40,6 @@ use nebula_tensor::NebulaRng;
 use serde::Serialize;
 
 /// Unified result of a [`Runner`] run, covering both experiment shapes.
-///
-/// Convert to the legacy per-shape outcomes with
-/// [`RunOutcome::into_target`] / [`RunOutcome::into_continuous`].
 #[derive(Clone, Debug, Serialize)]
 pub struct RunOutcome {
     /// `strategy.name()`.
@@ -66,30 +63,6 @@ pub struct RunOutcome {
     /// Communication, fault accounting, and total adaptation time summed
     /// over the whole run.
     pub stats: RoundStats,
-}
-
-impl RunOutcome {
-    /// The legacy rounds-to-target outcome shape.
-    pub fn into_target(self) -> TargetOutcome {
-        TargetOutcome {
-            strategy: self.strategy,
-            reached: self.reached,
-            rounds: self.rounds as usize,
-            comm_total_bytes: self.stats.comm.total_bytes(),
-            final_accuracy: self.final_accuracy,
-            faults: self.stats.faults,
-        }
-    }
-
-    /// The legacy continuous-adaptation outcome shape.
-    pub fn into_continuous(self) -> ContinuousOutcome {
-        ContinuousOutcome {
-            strategy: self.strategy,
-            accuracy_per_slot: self.accuracy_per_slot,
-            mean_adapt_time_ms: self.mean_adapt_time_ms,
-            faults: self.stats.faults,
-        }
-    }
 }
 
 /// Builder-style driver for one experiment run.

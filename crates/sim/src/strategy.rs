@@ -14,19 +14,50 @@
 //! accuracy on local test sets), and strategies keep persistent per-device
 //! state for exactly those — LA's private models, AN's adapted branches,
 //! Nebula's edge clients — across time slots.
+//!
+//! The three on-device baselines live in `on_device`, the exported
+//! run-state types in `state`; this file is the trait, the shared
+//! configuration and the two collaborative rounds.
+//!
+//! ## One round order
+//!
+//! [`DenseFlStrategy::single_round`] and [`NebulaStrategy::single_round`]
+//! are written over the same frame (the private `round` module): a `Round`
+//! prologue and epilogue, one `Device<T>` record per sampled device whose
+//! link delivers, and the stages in one order —
+//!
+//! ```text
+//! plan → [derive + frame] → gate → train → receive → aggregate
+//! ```
+//!
+//! The dense round attaches a width ratio and hands train → receive →
+//! aggregate to `nebula_baselines::dense_round`; Nebula attaches the
+//! decoded payload, its data and a forked stream, and runs each stage as a
+//! function of its own. Retry billing stays per body: Nebula bills the
+//! frame bytes it measured, the dense round bills analytic bytes and plans
+//! the corrupt-frame resend up front.
+//!
+//! The deadline/crash gate runs *before* training in both, and a device
+//! it turns away is not trained. Nothing can observe the difference: fates
+//! and predicted times precede training; every device's stream is forked
+//! when its record is made, so no later stream moves; the download was
+//! framed and billed before the gate; and the wire's upload-side encoder
+//! state is touched only for devices whose upload is due. A `Transport`
+//! therefore never receives a job whose device is late or crashed.
 
 use crate::device::SimDevice;
 use crate::faults::{
     apply_attack, attack_dense_mean, corrupt_frame, corrupt_module_update, forge_frame, poison_dense_mean,
-    DeviceFate, RoundPolicy, RoundReport,
+    DeviceFate, DevicePlan, RoundReport,
 };
 use crate::latency::adaptation_latency_ms;
 use crate::network::{transfer_time_ms, CommTracker};
+use crate::round::{gate, predicted_time_ms, Device, Exit, Round};
 use crate::world::SimWorld;
-use nebula_baselines::{dense_round, local_adapt, ratio_for_budget, AdaptiveNet, DenseJobRunner, DenseModel};
+use nebula_baselines::{dense_round, local_adapt, ratio_for_budget, DenseJobRunner, DenseModel};
 use nebula_core::{
-    discount_staleness, plan_corrupt_resend, plan_upload, round_deadline_ms, EdgeAccumulator, EdgeClient,
-    EdgeClientState, EdgePartial, EdgeUpdate, Loopback, NebulaCloud, NebulaParams, RobustAggregator,
+    discount_staleness, plan_corrupt_resend, DispatchJob, EdgeAccumulator, EdgeClient, EdgeClientState,
+    EdgePartial, EdgeUpdate, JobResult, JobSpec, Loopback, NebulaCloud, NebulaParams, RobustAggregator,
     RoundStats, SanitizePolicy, SubModelPayload, TrainParams, Transport, WireConfig, WireContext,
 };
 use nebula_data::Dataset;
@@ -35,9 +66,15 @@ use nebula_nn::Layer;
 use nebula_telemetry::Telemetry;
 use nebula_tensor::NebulaRng;
 use nebula_wire::{CodecKind, DensePool};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+mod on_device;
+mod state;
+
+pub use on_device::{AdaptiveNetStrategy, LocalAdaptStrategy, NoAdaptStrategy};
+use state::{bits_of, dense_export, dense_import, floats_of};
+pub use state::{ClientState, DenseState, NebulaState, StrategyState};
 
 /// What one collaborative round produced under the fault plan.
 #[derive(Clone, Copy, Debug, Default)]
@@ -125,6 +162,11 @@ impl StrategyConfig {
         }
     }
 
+    /// The local-training hyper-parameters a dispatched job carries.
+    fn train_params(&self) -> TrainParams {
+        TrainParams { epochs: self.local_epochs, batch_size: self.batch_size, lr: self.local_lr }
+    }
+
     /// Per-device dense channel pool matching the configured wire codec
     /// (used by the flat-model baselines).
     fn dense_pool(&self) -> DensePool {
@@ -162,164 +204,6 @@ fn dense_footprint(model: &DenseModel, ratio: f32) -> Footprint {
         train_mem_bytes: 3 * params * 4,
         forward_flops: params,
     }
-}
-
-/// Serializable mutable state of a dense-model strategy (NA/FA/HFL):
-/// the server/base parameters, stored as `f32::to_bits` words so the
-/// JSON round trip is bit-exact even for non-finite values.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct DenseState {
-    /// `name()` of the exporting strategy, checked on import.
-    pub name: String,
-    pub param_bits: Vec<u32>,
-}
-
-/// Serializable state of one Nebula edge client.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ClientState {
-    pub id: usize,
-    pub param_bits: Vec<u32>,
-    pub active: Vec<Vec<usize>>,
-    pub installed: Vec<Vec<usize>>,
-}
-
-/// Serializable mutable state of [`NebulaStrategy`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct NebulaState {
-    /// Full cloud model parameters (stem + module layers + head +
-    /// unified selector), as bit patterns.
-    pub cloud_param_bits: Vec<u32>,
-    pub enhanced: bool,
-    pub tracked: Vec<usize>,
-    /// Edge clients sorted by device id (deterministic encoding).
-    pub clients: Vec<ClientState>,
-}
-
-/// A strategy's exported run state (see [`AdaptStrategy::export_state`]).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum StrategyState {
-    Dense(DenseState),
-    Nebula(NebulaState),
-}
-
-fn bits_of(params: &[f32]) -> Vec<u32> {
-    params.iter().map(|p| p.to_bits()).collect()
-}
-
-fn floats_of(bits: &[u32]) -> Vec<f32> {
-    bits.iter().map(|&b| f32::from_bits(b)).collect()
-}
-
-/// Round-level telemetry shared by the collaborative strategies: fault
-/// counters plus one `kind = "round"` event. One branch on a disarmed
-/// handle.
-fn note_round(t: &Telemetry, round: u64, comm: &CommTracker, report: &RoundReport, round_time_ms: f64) {
-    if !t.enabled() {
-        return;
-    }
-    t.counter_add("rounds", 1);
-    t.counter_add("faults.dropped", report.dropped);
-    t.counter_add("faults.crashed", report.crashed);
-    t.counter_add("faults.deadline_dropped", report.deadline_dropped);
-    t.counter_add("faults.link_dropped", report.link_dropped);
-    t.counter_add("faults.rejected", report.rejected);
-    t.counter_add("faults.retried", report.retried);
-    t.counter_add("faults.stale", report.stale);
-    t.counter_add("faults.rolled_back", report.rolled_back);
-    t.counter_add("faults.corrupt_frames", report.corrupt_frames);
-    t.observe("round.time_ms", round_time_ms);
-    t.emit("round", |e| {
-        e.ints.insert("index".into(), round);
-        e.ints.insert("sampled".into(), report.sampled);
-        e.ints.insert("participated".into(), report.participated);
-        e.ints.insert("lost".into(), report.lost());
-        e.ints.insert("rejected".into(), report.rejected);
-        e.ints.insert("down_bytes".into(), comm.down_bytes);
-        e.ints.insert("up_bytes".into(), comm.up_bytes);
-        e.ints.insert("retry_bytes".into(), comm.retry_bytes);
-        e.num.insert("round_time_ms".into(), round_time_ms);
-    });
-}
-
-/// Per-device fate telemetry (`kind = "client"`). `time_ms` is the
-/// simulated participant wall-clock when one was derived before the
-/// device's fate resolved.
-fn note_client(t: &Telemetry, device: usize, outcome: &'static str, time_ms: Option<f64>) {
-    t.emit("client", |e| {
-        e.ints.insert("device".into(), device as u64);
-        e.text.insert("outcome".into(), outcome.into());
-        if let Some(ms) = time_ms {
-            e.num.insert("time_ms".into(), ms);
-        }
-    });
-}
-
-/// A sampled device that got as far as local training this round.
-struct Participant {
-    id: usize,
-    fate: DeviceFate,
-    /// Predicted wall-clock ([`predicted_time_ms`]).
-    time_ms: f64,
-}
-
-/// Predicted participant wall-clock: local training of `flops` per sample
-/// under the injected slowdown, plus the download, the upload and
-/// `resends` re-sends of `bytes` each over the possibly-collapsed link,
-/// plus backoff waits.
-fn predicted_time_ms(
-    cfg: &StrategyConfig,
-    dev: &SimDevice,
-    fate: &DeviceFate,
-    flops: u64,
-    bytes: u64,
-    resends: u64,
-    backoff_ms: f64,
-) -> f64 {
-    let bw = dev.resources.bandwidth_bps * fate.bandwidth_factor;
-    adaptation_latency_ms(&dev.resources, flops, dev.volume(), cfg.local_epochs, cfg.batch_size)
-        * fate.slowdown
-        + transfer_time_ms(2 * bytes + resends * bytes, bw)
-        + backoff_ms
-}
-
-/// How a participant left the round.
-enum Exit {
-    /// Straggled past the round deadline.
-    Late,
-    /// Trained, but died before its upload landed.
-    Crashed,
-    /// Its upload is due.
-    Reported,
-}
-
-/// The deadline/crash gate every collaborative round applies to the
-/// devices that trained: the deadline comes from the latency model over
-/// the whole cohort, stragglers past it drop, then crashes. Counts both
-/// in `report`; returns each participant's exit, in order, and the
-/// round's predicted wall-clock (capped at the deadline when one cut in).
-fn gate(policy: &RoundPolicy, participants: &[Participant], report: &mut RoundReport) -> (Vec<Exit>, f64) {
-    let times: Vec<f64> = participants.iter().map(|p| p.time_ms).collect();
-    let deadline = round_deadline_ms(policy.deadline_factor, &times);
-    let mut round_time_ms = 0.0f64;
-    let exits = participants
-        .iter()
-        .map(|p| match deadline {
-            Some(d) if p.time_ms > d => {
-                report.deadline_dropped += 1;
-                round_time_ms = round_time_ms.max(d);
-                Exit::Late
-            }
-            _ if p.fate.crashed => {
-                report.crashed += 1;
-                Exit::Crashed
-            }
-            _ => {
-                round_time_ms = round_time_ms.max(p.time_ms);
-                Exit::Reported
-            }
-        })
-        .collect();
-    (exits, round_time_ms)
 }
 
 /// One adaptation system under test.
@@ -385,259 +269,6 @@ pub trait AdaptStrategy {
     }
 }
 
-/// Dense-strategy export shared by NA/FA/HFL.
-fn dense_export(name: &str, model: &DenseModel) -> StrategyState {
-    StrategyState::Dense(DenseState { name: name.to_string(), param_bits: bits_of(&model.param_vector()) })
-}
-
-/// Dense-strategy import shared by NA/FA/HFL.
-fn dense_import(name: &str, model: &mut DenseModel, state: &StrategyState) -> Result<(), String> {
-    let StrategyState::Dense(d) = state else {
-        return Err(format!("{name}: expected dense strategy state"));
-    };
-    if d.name != name {
-        return Err(format!("state belongs to strategy {}, not {name}", d.name));
-    }
-    if d.param_bits.len() != model.param_count() {
-        return Err(format!(
-            "{name}: state has {} params, model wants {}",
-            d.param_bits.len(),
-            model.param_count()
-        ));
-    }
-    model.load_param_vector(&floats_of(&d.param_bits));
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// No Adaptation
-// ---------------------------------------------------------------------------
-
-/// The pre-trained cloud model used as-is on every device.
-pub struct NoAdaptStrategy {
-    cfg: StrategyConfig,
-    model: DenseModel,
-}
-
-impl NoAdaptStrategy {
-    pub fn new(cfg: StrategyConfig, seed: u64) -> Self {
-        let model = cfg.dense_model(seed);
-        Self { cfg, model }
-    }
-}
-
-impl AdaptStrategy for NoAdaptStrategy {
-    fn name(&self) -> &'static str {
-        "NA"
-    }
-
-    fn offline(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) {
-        pretrain_dense(&mut self.model, &self.cfg, world, rng);
-    }
-
-    fn track(&mut self, _ids: &[usize]) {}
-
-    fn adaptation_step(&mut self, _world: &mut SimWorld, _rng: &mut NebulaRng) -> RoundStats {
-        RoundStats::default()
-    }
-
-    fn device_accuracy(&mut self, world: &mut SimWorld, id: usize) -> f32 {
-        nebula_data::evaluate_accuracy(&mut self.model, &world.devices[id].test, 64)
-    }
-
-    fn footprint(&self, _world: &SimWorld, _id: usize) -> Footprint {
-        dense_footprint(&self.model, 1.0)
-    }
-
-    fn export_state(&self) -> Option<StrategyState> {
-        Some(dense_export("NA", &self.model))
-    }
-
-    fn import_state(&mut self, state: &StrategyState) -> Result<(), String> {
-        dense_import("NA", &mut self.model, state)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Local Adaptation
-// ---------------------------------------------------------------------------
-
-/// Each tracked device fine-tunes a private full-model copy on its fresh
-/// local data every step.
-pub struct LocalAdaptStrategy {
-    cfg: StrategyConfig,
-    base: DenseModel,
-    device_models: HashMap<usize, DenseModel>,
-    tracked: Vec<usize>,
-}
-
-impl LocalAdaptStrategy {
-    pub fn new(cfg: StrategyConfig, seed: u64) -> Self {
-        let base = cfg.dense_model(seed);
-        Self { cfg, base, device_models: HashMap::new(), tracked: Vec::new() }
-    }
-}
-
-impl AdaptStrategy for LocalAdaptStrategy {
-    fn name(&self) -> &'static str {
-        "LA"
-    }
-
-    fn offline(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) {
-        pretrain_dense(&mut self.base, &self.cfg, world, rng);
-    }
-
-    fn track(&mut self, ids: &[usize]) {
-        self.tracked = ids.to_vec();
-    }
-
-    fn adaptation_step(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) -> RoundStats {
-        let mut time_ms = 0.0;
-        for &id in &self.tracked.clone() {
-            let model = self.device_models.entry(id).or_insert_with(|| self.base.deep_clone());
-            let dev = &world.devices[id];
-            let mut drng = rng.fork(id as u64);
-            local_adapt(
-                model,
-                &dev.partition.data,
-                self.cfg.finetune_epochs,
-                self.cfg.batch_size,
-                self.cfg.local_lr,
-                &mut drng,
-            );
-            time_ms += adaptation_latency_ms(
-                &dev.resources,
-                // Forward MACs of a dense model: one per weight.
-                model.param_count() as u64,
-                dev.volume(),
-                self.cfg.finetune_epochs,
-                self.cfg.batch_size,
-            );
-        }
-        RoundStats {
-            comm: CommTracker::new(),
-            adapt_time_ms: time_ms / self.tracked.len().max(1) as f64,
-            faults: RoundReport::default(),
-        }
-    }
-
-    fn device_accuracy(&mut self, world: &mut SimWorld, id: usize) -> f32 {
-        let model = self.device_models.entry(id).or_insert_with(|| self.base.deep_clone());
-        nebula_data::evaluate_accuracy(model, &world.devices[id].test, 64)
-    }
-
-    fn footprint(&self, _world: &SimWorld, _id: usize) -> Footprint {
-        dense_footprint(&self.base, 1.0)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AdaptiveNet-style
-// ---------------------------------------------------------------------------
-
-/// Multi-branch supernet; each tracked device adapts its selected branch
-/// locally.
-pub struct AdaptiveNetStrategy {
-    cfg: StrategyConfig,
-    an: AdaptiveNet,
-    device_models: HashMap<usize, DenseModel>,
-    tracked: Vec<usize>,
-    /// Per-device wire channels: the one-time branch download is a real
-    /// measured frame (AdaptiveNet never uploads).
-    pool: DensePool,
-}
-
-impl AdaptiveNetStrategy {
-    pub fn new(cfg: StrategyConfig, seed: u64) -> Self {
-        let an = AdaptiveNet::new(cfg.dense_model(seed));
-        let pool = cfg.dense_pool();
-        Self { cfg, an, device_models: HashMap::new(), tracked: Vec::new(), pool }
-    }
-
-    fn branch_for(&self, dev: &SimDevice) -> f32 {
-        let budget = (self.an.supernet().param_count() as f64 * dev.resources.budget_ratio as f64) as usize;
-        self.an.select_branch(budget)
-    }
-
-    /// Ensures device `id` holds its branch model, downloading it over the
-    /// wire on first contact. Returns the measured frame bytes (0 when the
-    /// device already has its branch).
-    fn ensure_branch(&mut self, id: usize, ratio: f32) -> u64 {
-        if self.device_models.contains_key(&id) {
-            return 0;
-        }
-        let (model, bytes) = self.an.branch_model_wire(ratio, id as u64, &mut self.pool);
-        self.device_models.insert(id, model);
-        bytes
-    }
-}
-
-impl AdaptStrategy for AdaptiveNetStrategy {
-    fn name(&self) -> &'static str {
-        "AN"
-    }
-
-    fn offline(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) {
-        let proxy = world.proxy(self.cfg.proxy_samples);
-        // Sandwich training is 3× the work per epoch; keep wall-clock
-        // comparable to the single-branch baselines.
-        let epochs = (self.cfg.pretrain_epochs / 2).max(1);
-        self.an.pretrain(&proxy, epochs, 32, 0.05, rng);
-    }
-
-    fn track(&mut self, ids: &[usize]) {
-        self.tracked = ids.to_vec();
-    }
-
-    fn adaptation_step(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) -> RoundStats {
-        let mut time_ms = 0.0;
-        let mut comm = CommTracker::new();
-        for &id in &self.tracked.clone() {
-            let ratio = self.branch_for(&world.devices[id]);
-            let bytes = self.ensure_branch(id, ratio);
-            if bytes > 0 {
-                comm.record_download(bytes);
-                time_ms += transfer_time_ms(bytes, world.devices[id].resources.bandwidth_bps);
-            }
-            let model = self.device_models.get_mut(&id).expect("branch just ensured");
-            let dev = &world.devices[id];
-            let mut drng = rng.fork(id as u64 ^ 0xA0A0);
-            local_adapt(
-                model,
-                &dev.partition.data,
-                self.cfg.finetune_epochs,
-                self.cfg.batch_size,
-                self.cfg.local_lr,
-                &mut drng,
-            );
-            time_ms += adaptation_latency_ms(
-                &dev.resources,
-                model.active_params(model.width_ratio()) as u64,
-                dev.volume(),
-                self.cfg.finetune_epochs,
-                self.cfg.batch_size,
-            );
-        }
-        RoundStats {
-            comm,
-            adapt_time_ms: time_ms / self.tracked.len().max(1) as f64,
-            faults: RoundReport::default(),
-        }
-    }
-
-    fn device_accuracy(&mut self, world: &mut SimWorld, id: usize) -> f32 {
-        let ratio = self.branch_for(&world.devices[id]);
-        self.ensure_branch(id, ratio);
-        let model = self.device_models.get_mut(&id).expect("branch just ensured");
-        nebula_data::evaluate_accuracy(model, &world.devices[id].test, 64)
-    }
-
-    fn footprint(&self, world: &SimWorld, id: usize) -> Footprint {
-        let ratio = self.branch_for(&world.devices[id]);
-        dense_footprint(self.an.supernet(), ratio)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // FedAvg and HeteroFL
 // ---------------------------------------------------------------------------
@@ -683,44 +314,88 @@ impl<const HETERO: bool> DenseFlStrategy<HETERO> {
     }
 
     /// One communication round (used by the rounds-to-target driver),
-    /// under the world's fault plan and round policy.
+    /// under the world's fault plan and round policy, in the order of
+    /// the module docs: plan → gate → train → receive → aggregate, the
+    /// last three inside [`dense_round`] over the cohort the gate let
+    /// through.
     ///
     /// Neither baseline has a per-update gate: a corrupted or Byzantine
     /// client poisons the averaged weights themselves
     /// ([`poison_dense_mean`], [`attack_dense_mean`]) — the contrast the
     /// fault sweep measures against Nebula's sanitize gate.
     pub fn single_round(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) -> RoundOutcome {
-        let telemetry = self.telemetry.clone();
-        let mut round_span = telemetry.span("round");
-        let ids = world.sample_participants(self.cfg.devices_per_round);
-        let round = world.next_round_index();
-        round_span.int("index", round);
-        let plan = world.faults;
-        let policy = world.policy;
-        let mut comm = CommTracker::new();
-        let mut report = RoundReport { sampled: ids.len() as u64, ..Default::default() };
+        let mut round = Round::begin(&self.telemetry, world, self.cfg.devices_per_round);
+        // Read-only from here on: the cohort borrows its devices' data.
+        let world = &*world;
+        let mut devices = self.plan_devices(&mut round, world);
+        let round_time_ms = gate(&round.policy, &mut devices, &mut round.report);
 
-        let mut trained: Vec<Participant> = Vec::with_capacity(ids.len());
-        let mut ratios: Vec<f32> = Vec::with_capacity(ids.len());
-        for &id in &ids {
-            let fate = plan.fate(round, id);
-            if fate.dropped {
-                report.dropped += 1;
-                continue;
+        let mut cohort: Vec<(u64, &Dataset, f32)> = Vec::with_capacity(devices.len());
+        let (mut n_corrupt, mut n_malicious) = (0usize, 0usize);
+        for d in &devices {
+            match d.exit {
+                Exit::Late => {}
+                Exit::Crashed => self.bill_crashed_download(d.id, d.work, &mut round.comm),
+                Exit::Reported => {
+                    n_corrupt += d.fate.corruption.is_some() as usize;
+                    n_malicious += d.fate.malicious.is_some() as usize;
+                    cohort.push((d.id as u64, &world.devices[d.id].partition.data, d.work));
+                }
             }
+        }
+        round.report.participated = cohort.len() as u64;
+
+        if !cohort.is_empty() {
+            let moved = dense_round(
+                &mut self.server,
+                &cohort,
+                &mut self.pool,
+                self.cfg.train_params(),
+                rng,
+                round.index as usize,
+                self.transport.as_mut(),
+            );
+            // Jobs the transport lost (worker crash/deadline) degrade the
+            // round like dropped links; loopback rounds never lose any.
+            let lost = cohort.len() as u64 - moved.uploads;
+            round.report.link_dropped += lost;
+            round.report.participated -= lost;
+            round.comm.merge(&moved);
+            // With every job lost nothing was averaged, so there is no
+            // mean for the bad clients to have poisoned.
+            if moved.uploads > 0 {
+                let n = cohort.len() as f32;
+                self.poison_mean(&round, n_corrupt as f32 / n, n_malicious as f32 / n);
+            }
+        }
+        round.finish(round_time_ms)
+    }
+
+    /// The plan stage: each sampled device's fate, its link's upload
+    /// ladder — the corrupt-frame resend planned up front, everything
+    /// billed at the analytic size — and its predicted wall-clock. Returns
+    /// the devices whose link delivers, each carrying the width ratio it
+    /// trains and exchanges its sub-model at.
+    fn plan_devices(&self, round: &mut Round, world: &SimWorld) -> Vec<Device<f32>> {
+        let retry_policy = round.policy.retry_policy();
+        let mut devices = Vec::with_capacity(round.ids.len());
+        for &id in &round.ids {
+            let Some(DevicePlan { fate, upload: up }) =
+                round.plan.plan_device(&round.policy, round.index, id)
+            else {
+                round.report.dropped += 1;
+                continue;
+            };
             let dev = &world.devices[id];
-            // Each device trains and exchanges its own width-scaled
-            // sub-model.
             let ratio = self.ratio_for(dev);
             let active = self.server.active_params(ratio) as u64;
             let payload_bytes = active * 4;
-            let up = plan_upload(fate.upload_attempts, fate.flaky_link, policy.retry_policy());
             for _ in 0..up.resends {
-                comm.record_retry(payload_bytes);
+                round.comm.record_retry(payload_bytes);
             }
-            report.retried += up.resends as u64;
+            round.report.retried += up.resends as u64;
             if !up.delivered {
-                report.link_dropped += 1;
+                round.report.link_dropped += 1;
                 continue;
             }
             let mut backoff = up.backoff_ms;
@@ -728,107 +403,62 @@ impl<const HETERO: bool> DenseFlStrategy<HETERO> {
             // Transit corruption on the upload frame: CRC-rejected, one
             // clean resend. Without a retry budget the device is lost.
             if fate.frame_corrupt {
-                report.corrupt_frames += 1;
-                comm.record_retry(payload_bytes);
-                let Some(wait) = plan_corrupt_resend(up.resends, policy.retry_policy()) else {
-                    report.link_dropped += 1;
+                round.report.corrupt_frames += 1;
+                round.comm.record_retry(payload_bytes);
+                let Some(wait) = plan_corrupt_resend(up.resends, retry_policy) else {
+                    round.report.link_dropped += 1;
                     continue;
                 };
-                report.retried += 1;
+                round.report.retried += 1;
                 resends += 1;
                 backoff += wait;
             }
             let time_ms = predicted_time_ms(&self.cfg, dev, &fate, active, payload_bytes, resends, backoff);
-            trained.push(Participant { id, fate, time_ms });
-            ratios.push(ratio);
+            devices.push(Device::new(id, fate, time_ms, ratio));
         }
+        devices
+    }
 
-        let (exits, round_time_ms) = gate(&policy, &trained, &mut report);
-        let mut cohort: Vec<(u64, &Dataset, f32)> = Vec::with_capacity(trained.len());
-        let mut n_corrupt = 0usize;
-        let mut n_malicious = 0usize;
-        for ((Participant { id, fate, .. }, ratio), exit) in trained.into_iter().zip(ratios).zip(exits) {
-            match exit {
-                Exit::Late => continue,
-                Exit::Crashed => {
-                    // Received its active slice as a real measured frame on
-                    // its download channel, died before uploading.
-                    let mask = self.server.mask_for_ratio(ratio);
-                    let slice: Vec<f32> = self
-                        .server
-                        .param_vector()
-                        .iter()
-                        .zip(&mask)
-                        .filter_map(|(&v, &m)| m.then_some(v))
-                        .collect();
-                    let bytes = self
-                        .pool
-                        .send_down(id as u64, &slice, &mut Vec::new())
-                        .expect("pristine in-process frame must decode");
-                    comm.record_download(bytes);
-                    continue;
-                }
-                Exit::Reported => {}
-            }
-            if fate.corruption.is_some() {
-                n_corrupt += 1;
-            }
-            if fate.malicious.is_some() {
-                n_malicious += 1;
-            }
-            cohort.push((id as u64, &world.devices[id].partition.data, ratio));
+    /// A crashed device received its active slice as a real measured
+    /// frame on its download channel before it died; [`dense_round`] only
+    /// downloads to the cohort that reports.
+    fn bill_crashed_download(&mut self, id: usize, ratio: f32, comm: &mut CommTracker) {
+        let mask = self.server.mask_for_ratio(ratio);
+        let slice: Vec<f32> =
+            self.server.param_vector().iter().zip(&mask).filter_map(|(&v, &m)| m.then_some(v)).collect();
+        let bytes = self
+            .pool
+            .send_down(id as u64, &slice, &mut Vec::new())
+            .expect("pristine in-process frame must decode");
+        comm.record_download(bytes);
+    }
+
+    /// What the round's corrupt and Byzantine fractions of the averaged
+    /// cohort did to the mean.
+    fn poison_mean(&mut self, round: &Round, corrupt_frac: f32, malicious_frac: f32) {
+        if corrupt_frac == 0.0 && malicious_frac == 0.0 {
+            return;
         }
-        report.participated = cohort.len() as u64;
-
-        if !cohort.is_empty() {
-            let train = TrainParams {
-                epochs: self.cfg.local_epochs,
-                batch_size: self.cfg.batch_size,
-                lr: self.cfg.local_lr,
-            };
-            let moved = dense_round(
-                &mut self.server,
-                &cohort,
-                &mut self.pool,
-                train,
-                rng,
-                round as usize,
-                self.transport.as_mut(),
+        let plan = &round.plan;
+        let mut params = self.server.param_vector();
+        if corrupt_frac > 0.0 {
+            poison_dense_mean(
+                &mut params,
+                plan.corruption,
+                plan.explode_scale,
+                corrupt_frac,
+                plan.seed ^ (round.index << 20),
             );
-            // Jobs the transport lost (worker crash/deadline) degrade the
-            // round like dropped links; loopback rounds never lose any.
-            let lost = cohort.len() as u64 - moved.uploads;
-            report.link_dropped += lost;
-            report.participated -= lost;
-            comm.merge(&moved);
-            // With every job lost nothing was averaged, so there is no
-            // mean for the bad clients to have poisoned.
-            if moved.uploads > 0 && n_corrupt + n_malicious > 0 {
-                let mut params = self.server.param_vector();
-                if n_corrupt > 0 {
-                    poison_dense_mean(
-                        &mut params,
-                        plan.corruption,
-                        plan.explode_scale,
-                        n_corrupt as f32 / cohort.len() as f32,
-                        plan.seed ^ (round << 20),
-                    );
-                }
-                if n_malicious > 0 {
-                    attack_dense_mean(
-                        &mut params,
-                        &plan.adversary,
-                        n_malicious as f32 / cohort.len() as f32,
-                        plan.adversary.attack_seed(round, usize::MAX),
-                    );
-                }
-                self.server.load_param_vector(&params);
-            }
         }
-        comm.end_round();
-        note_round(&telemetry, round, &comm, &report, round_time_ms);
-        round_span.num("time_ms", round_time_ms);
-        RoundOutcome { stats: RoundStats { comm, adapt_time_ms: 0.0, faults: report }, round_time_ms }
+        if malicious_frac > 0.0 {
+            attack_dense_mean(
+                &mut params,
+                &plan.adversary,
+                malicious_frac,
+                plan.adversary.attack_seed(round.index, usize::MAX),
+            );
+        }
+        self.server.load_param_vector(&params);
     }
 }
 
@@ -1046,80 +676,89 @@ impl NebulaStrategy {
         self.rollback = Some((probe, max_drop));
     }
 
-    /// One collaborative round: sample devices, derive/dispatch/train/
-    /// aggregate — under the world's fault plan and round policy.
+    /// One collaborative round under the world's fault plan and round
+    /// policy, in the order of the module docs: plan → derive + frame →
+    /// gate → train → receive → aggregate.
     ///
-    /// Derivation/dispatch happen sequentially (they read the shared cloud
-    /// model); the expensive per-device local training runs on the
-    /// process's threads (`nebula_tensor::par::map`) with pre-forked RNG
-    /// streams, so results are identical for any thread budget. Fault
+    /// Derivation and framing happen sequentially (they read the shared
+    /// cloud model and the wire's per-device state); the expensive
+    /// per-device local training runs on the process's threads
+    /// (`nebula_tensor::par::map`) with streams forked in the sequential
+    /// stage, so results are identical for any thread budget. Fault
     /// fates come from the plan's dedicated RNG, so with
     /// [`crate::faults::FaultPlan::none`] this round is bit-for-bit
     /// identical to a fault-free build.
     pub fn single_round(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) -> RoundOutcome {
-        let telemetry = self.telemetry.clone();
-        let mut round_span = telemetry.span("round");
-        let ids = world.sample_participants(self.cfg.devices_per_round);
-        let round = world.next_round_index();
+        let mut round = Round::begin(&self.telemetry, world, self.cfg.devices_per_round);
         // Read-only from here on: the jobs borrow their devices' data.
         let world = &*world;
-        round_span.int("index", round);
-        let plan = world.faults;
-        let policy = world.policy;
-        let mut comm = CommTracker::new();
-        let mut report = RoundReport { sampled: ids.len() as u64, ..Default::default() };
-        // Per-layer module-activation counts of this round's accepted
-        // updates (telemetry only; empty when disarmed).
-        let mut round_loads: Vec<Vec<u64>> = if telemetry.enabled() {
-            vec![vec![0u64; self.cfg.modular.modules_per_layer]; self.cfg.modular.num_layers]
-        } else {
-            Vec::new()
-        };
-
         // Baselines for this round's wire traffic (no-op for non-delta
         // codecs).
         self.wire.commit_model(self.cloud.model());
+        let mut devices = self.derive_and_frame(&mut round, world, rng);
+        let round_time_ms = gate(&round.policy, &mut devices, &mut round.report);
+        let devices = self.train(&round, devices);
+        let (accepted, gate_loads) = self.receive(&mut round, devices);
+        self.aggregate(&mut round, &accepted);
+        for (layer, counts) in gate_loads.iter().enumerate() {
+            round.telemetry.emit("gate_load", |e| {
+                e.ints.insert("round".into(), round.index);
+                e.ints.insert("layer".into(), layer as u64);
+                for (m, &c) in counts.iter().enumerate() {
+                    e.ints.insert(format!("b{m:03}"), c);
+                }
+            });
+        }
+        round.finish(round_time_ms)
+    }
 
-        // Sequential phase: fates, derivation, dispatch, downloads. Each
-        // download is encoded into a real frame and the *decoded* payload
-        // is what the device trains from; the tracker records the measured
-        // frame length, while the latency model keeps the analytic
-        // planning size (so `Raw` rounds stay bit-identical).
-        let mut jobs = Vec::with_capacity(ids.len());
-        let mut trained: Vec<Participant> = Vec::with_capacity(ids.len());
-        for &id in &ids {
-            let mut client_span = telemetry.span("client");
+    /// Plan → derive + frame, sequentially in sampling order: fate and
+    /// link plan, derivation, dispatch, download. Each download is encoded
+    /// into a real frame and the *decoded* payload is what the device
+    /// trains from; the tracker records the measured frame length, while
+    /// the latency model keeps the analytic planning size (so `Raw` rounds
+    /// stay bit-identical). Returns a record per device whose download
+    /// landed, its training stream already forked.
+    fn derive_and_frame<'w>(
+        &mut self,
+        round: &mut Round,
+        world: &'w SimWorld,
+        rng: &mut NebulaRng,
+    ) -> Vec<Device<Job<'w>>> {
+        let mut devices = Vec::with_capacity(round.ids.len());
+        for &id in &round.ids {
+            let mut client_span = round.telemetry.span("client");
             client_span.int("device", id as u64);
-            let fate = plan.fate(round, id);
-            if fate.dropped {
-                report.dropped += 1;
-                note_client(&telemetry, id, "dropped", None);
+            let Some(DevicePlan { fate, upload: up }) =
+                round.plan.plan_device(&round.policy, round.index, id)
+            else {
+                round.report.dropped += 1;
+                round.note_client(id, "dropped", None);
                 continue;
-            }
-            let up = plan_upload(fate.upload_attempts, fate.flaky_link, policy.retry_policy());
-            let dl = self.download(world, id, up.delivered, &telemetry);
+            };
+            let dl = self.download(world, id, up.delivered, &round.telemetry);
             if !up.delivered {
                 // Retries exhausted: the device never joins the round (and
                 // never receives a frame, so its wire state stays cold).
                 for _ in 0..up.resends {
-                    comm.record_retry(dl.plan_bytes);
+                    round.comm.record_retry(dl.plan_bytes);
                 }
-                report.retried += up.resends as u64;
-                report.link_dropped += 1;
-                note_client(&telemetry, id, "link_dropped", None);
+                round.report.retried += up.resends as u64;
+                round.report.link_dropped += 1;
+                round.note_client(id, "link_dropped", None);
                 continue;
             }
-            comm.record_download(dl.wire_bytes);
+            round.comm.record_download(dl.wire_bytes);
             let Some(payload) = dl.payload else {
                 // Defensive: a pristine in-process frame always decodes.
-                report.link_dropped += 1;
-                note_client(&telemetry, id, "link_dropped", None);
+                round.report.link_dropped += 1;
+                round.note_client(id, "link_dropped", None);
                 continue;
             };
             for _ in 0..up.resends {
-                comm.record_retry(dl.wire_bytes);
+                round.comm.record_retry(dl.wire_bytes);
             }
-            report.retried += up.resends as u64;
+            round.report.retried += up.resends as u64;
             let time_ms = predicted_time_ms(
                 &self.cfg,
                 &world.devices[id],
@@ -1129,236 +768,231 @@ impl NebulaStrategy {
                 up.resends as u64,
                 up.backoff_ms,
             );
-            trained.push(Participant { id, fate, time_ms });
             // Remote dispatch ships the encoded payload frame; the fork
-            // happens here either way, so both modes consume the same RNG
-            // sequence.
+            // happens here either way, so both modes — and a device the
+            // gate later turns away — consume the same RNG sequence.
             let frame = self.transport.is_some().then(|| self.frame_buf.clone());
-            jobs.push((payload, frame, dl.local, rng.fork(id as u64 ^ 0xEB)));
+            let job = Job { payload, frame, data: dl.local, rng: rng.fork(id as u64 ^ 0xEB) };
+            devices.push(Device::new(id, fate, time_ms, job));
         }
+        devices
+    }
 
-        /// How one device's training came back: an in-process update, a
-        /// remote worker's encoded update frame, or not at all.
-        enum Arrived {
-            Update(EdgeUpdate),
-            Frame(Vec<u8>),
-            Lost,
-        }
-
-        let arrivals: Vec<Arrived> = if self.transport.is_some() {
-            let train = TrainParams {
-                epochs: self.cfg.local_epochs,
-                batch_size: self.cfg.batch_size,
-                lr: self.cfg.local_lr,
+    /// Trains the devices whose upload is due — on the process's threads,
+    /// or through the installed transport — and attaches how each one's
+    /// update came back. A device the gate turned away is not trained and
+    /// carries `None`.
+    fn train(&mut self, round: &Round, devices: Vec<Device<Job<'_>>>) -> Vec<Device<Option<Arrived>>> {
+        let reporting = devices.iter().filter(|d| d.reports()).count();
+        let Some(transport) = self.transport.as_deref_mut() else {
+            let cfg = &self.cfg;
+            let mut train_span = round.telemetry.span("local_train");
+            train_span.int("clients", reporting as u64);
+            // A job's length grows with the sub-model it trains and the
+            // data it trains on; a gated device is no job at all.
+            let cost = |d: &Device<Job<'_>>| {
+                if d.reports() {
+                    d.work.payload.bytes() * d.work.data.len() as u64
+                } else {
+                    0
+                }
             };
-            let dispatch: Vec<nebula_core::DispatchJob> = jobs
-                .into_iter()
-                .zip(&trained)
-                .map(|((_payload, frame, local, drng), p)| nebula_core::DispatchJob {
-                    round: round as usize,
-                    device: p.id as u64,
-                    spec: nebula_core::JobSpec::Modular {
-                        frame: frame.expect("remote jobs carry their payload frame"),
-                    },
-                    rng_state: drng.state(),
-                    train,
-                    data: local.clone(),
+            return nebula_tensor::par::map_longest_first(devices, cost, |d| {
+                d.advance(|Job { payload, data, mut rng, .. }| {
+                    let mut client = EdgeClient::from_payload(cfg.modular.clone(), &payload);
+                    client.adapt(data, cfg.local_epochs, cfg.batch_size, cfg.local_lr, &mut rng);
+                    // The update goes into the download's buffers, which
+                    // this thread did not allocate (see `nebula_tensor::par`).
+                    Arrived::Update(client.make_update_reusing(data, payload))
                 })
-                .collect();
-            let transport = self.transport.as_deref_mut().expect("transport checked above");
-            let mut train_span = telemetry.span("remote_train");
-            train_span.int("clients", dispatch.len() as u64);
-            transport
-                .round_trip(dispatch)
-                .into_iter()
-                .map(|r| match r {
-                    Ok(nebula_core::JobResult::Frame(f)) => Arrived::Frame(f),
+            });
+        };
+        let mut train_span = round.telemetry.span("remote_train");
+        train_span.int("clients", reporting as u64);
+        let train = self.cfg.train_params();
+        // Only jobs whose upload is due cross the transport; their results
+        // come back in dispatch order.
+        let mut dispatch = Vec::with_capacity(reporting);
+        let waiting: Vec<Device<Option<()>>> = devices
+            .into_iter()
+            .map(|d| {
+                let device = d.id as u64;
+                d.advance(|job| {
+                    dispatch.push(DispatchJob {
+                        round: round.index as usize,
+                        device,
+                        spec: JobSpec::Modular {
+                            frame: job.frame.expect("remote jobs carry their payload frame"),
+                        },
+                        rng_state: job.rng.state(),
+                        train,
+                        data: job.data.clone(),
+                    })
+                })
+            })
+            .collect();
+        let mut results = transport.round_trip(dispatch).into_iter();
+        waiting
+            .into_iter()
+            .map(|d| {
+                d.advance(|_| match results.next() {
+                    Some(Ok(JobResult::Frame(frame))) => Arrived::Frame(frame),
                     // A dense result to a modular job is a protocol
                     // violation; the device degrades like a lost link.
-                    Ok(nebula_core::JobResult::Params(_)) | Err(_) => Arrived::Lost,
+                    _ => Arrived::Lost,
                 })
-                .collect()
-        } else {
-            let cfg = &self.cfg;
-            let mut train_span = telemetry.span("local_train");
-            train_span.int("clients", jobs.len() as u64);
-            // A job's length grows with the sub-model it trains and the
-            // data it trains on.
-            let cost = |(payload, _, local, _): &(SubModelPayload, _, &Dataset, _)| {
-                payload.bytes() * local.len() as u64
-            };
-            nebula_tensor::par::map_longest_first(jobs, cost, |(payload, _frame, local, mut drng)| {
-                let mut client = EdgeClient::from_payload(cfg.modular.clone(), &payload);
-                client.adapt(local, cfg.local_epochs, cfg.batch_size, cfg.local_lr, &mut drng);
-                // The update goes into the download's buffers, which this
-                // thread did not allocate (see `nebula_tensor::par`).
-                Arrived::Update(client.make_update_reusing(local, payload))
             })
-        };
+            .collect()
+    }
 
-        let (exits, round_time_ms) = gate(&policy, &trained, &mut report);
-        let mut accepted: Vec<EdgeUpdate> = Vec::with_capacity(arrivals.len());
-        for ((arrived, Participant { id, fate, time_ms }), exit) in
-            arrivals.into_iter().zip(trained).zip(exits)
-        {
-            match exit {
-                Exit::Late => {
-                    note_client(&telemetry, id, "deadline_dropped", Some(time_ms));
-                    continue;
-                }
-                Exit::Crashed => {
-                    note_client(&telemetry, id, "crashed", Some(time_ms));
-                    continue;
-                }
-                Exit::Reported => {}
-            }
-            let upload_span = telemetry.span("wire_tx");
-            let fault_seed = plan.seed ^ (round << 20) ^ id as u64;
-            // What a faulty or hostile device does to its own update.
-            // App-level corruption garbles the tensors inside a valid
-            // frame (the sanitize gate is the defence); a Byzantine
-            // persona crafts a well-formed update to poison the aggregate
-            // (colluders share one per-round attack seed; the robust
-            // combine rule is the defence).
-            let sabotage = |update: &mut EdgeUpdate| {
-                if let Some(kind) = fate.corruption {
-                    corrupt_module_update(update, kind, plan.explode_scale, fault_seed);
-                }
-                if fate.malicious.is_some() {
-                    apply_attack(update, &plan.adversary, plan.adversary.attack_seed(round, id));
-                }
-            };
-            let tamper = fate.frame_corrupt.then_some(fault_seed);
-            let retry = policy.max_retries > 0;
-            let decoded = match arrived {
-                Arrived::Lost => {
-                    // The transport failed to bring the job back (worker
-                    // crash, socket deadline): the device degrades through
-                    // the same path as a dropped link below.
-                    telemetry.counter_add("serve.transport_lost", 1);
-                    None
-                }
-                Arrived::Update(mut update) => {
-                    // In-process the device sabotages *before* the frame
-                    // is cut; the cloud aggregates what it decodes, never
-                    // the sender's structs.
-                    sabotage(&mut update);
-                    self.wire.encode_update(id as u64, &update, &mut self.frame_buf);
-                    receive_upload(
-                        &mut self.wire,
-                        id as u64,
-                        &self.frame_buf,
-                        tamper,
-                        retry,
-                        &mut comm,
-                        &mut report,
-                    )
-                }
-                Arrived::Frame(frame) => {
-                    // A remote worker already encoded the update, so the
-                    // sabotage lands on what the cloud decoded. Under the
-                    // Raw codec that ordering is bit-identical to the
-                    // in-process one, which the serve tests pin.
-                    receive_upload(&mut self.wire, id as u64, &frame, tamper, retry, &mut comm, &mut report)
-                        .map(|mut update| {
-                            sabotage(&mut update);
-                            update
-                        })
-                }
-            };
-            drop(upload_span);
-            let Some(mut update) = decoded else {
-                report.link_dropped += 1;
-                note_client(&telemetry, id, "link_dropped", Some(time_ms));
+    /// The cloud's door, in sampling order. A device the gate turned away
+    /// is only reported; one that trained uploads ([`Self::upload`]), and
+    /// what the cloud decoded is discounted if stale and accepted. Returns
+    /// the accepted updates and their per-layer module-activation counts
+    /// (telemetry only; empty when disarmed).
+    fn receive(
+        &mut self,
+        round: &mut Round,
+        devices: Vec<Device<Option<Arrived>>>,
+    ) -> (Vec<EdgeUpdate>, Vec<Vec<u64>>) {
+        let mut gate_loads: Vec<Vec<u64>> = if round.telemetry.enabled() {
+            vec![vec![0u64; self.cfg.modular.modules_per_layer]; self.cfg.modular.num_layers]
+        } else {
+            Vec::new()
+        };
+        let mut accepted: Vec<EdgeUpdate> = Vec::with_capacity(devices.len());
+        for Device { id, fate, time_ms, exit, work } in devices {
+            let Some(arrived) = work else {
+                let outcome = if exit == Exit::Late { "deadline_dropped" } else { "crashed" };
+                round.note_client(id, outcome, Some(time_ms));
                 continue;
             };
-            // Gate-probability and module-load telemetry of what the cloud
-            // actually decoded: which modules each accepted client
-            // activated, and how spread its per-layer gate distribution is.
-            if telemetry.enabled() {
-                for (layer, modules) in update.spec.layers().iter().enumerate() {
-                    for &m in modules {
-                        telemetry.load_add(&format!("gate_load.layer{layer}"), m, 1);
-                        if let Some(counts) = round_loads.get_mut(layer) {
-                            if let Some(c) = counts.get_mut(m) {
-                                *c += 1;
-                            }
-                        }
-                    }
-                    if let Some(row) = update.importance.get(layer) {
-                        telemetry.observe(
-                            &format!("gate_entropy.layer{layer}"),
-                            nebula_modular::normalized_entropy(row),
-                        );
-                    }
-                }
-            }
+            let upload_span = round.telemetry.span("wire_tx");
+            let decoded = self.upload(round, id, &fate, arrived);
+            drop(upload_span);
+            let Some(mut update) = decoded else {
+                round.report.link_dropped += 1;
+                round.note_client(id, "link_dropped", Some(time_ms));
+                continue;
+            };
+            note_gate_load(&round.telemetry, &update, &mut gate_loads);
             if fate.straggler {
                 // Late but within the deadline: accepted at a discount
                 // (server-side, after decode).
-                discount_staleness(&mut update, policy.staleness_discount);
-                report.stale += 1;
-                note_client(&telemetry, id, "stale", Some(time_ms));
+                discount_staleness(&mut update, round.policy.staleness_discount);
+                round.report.stale += 1;
+                round.note_client(id, "stale", Some(time_ms));
             } else {
-                note_client(&telemetry, id, "accepted", Some(time_ms));
+                round.note_client(id, "accepted", Some(time_ms));
             }
             accepted.push(update);
         }
-        report.participated = accepted.len() as u64;
+        round.report.participated = accepted.len() as u64;
+        (accepted, gate_loads)
+    }
 
-        // Aggregate behind the sanitize gate, optionally under the
-        // checkpoint-rollback guard.
+    /// One device's upload as the cloud sees it: the device does to its
+    /// own update what its fate says, the frame crosses the link, and the
+    /// cloud decodes it ([`receive_upload`]). `None` when nothing usable
+    /// arrived.
+    fn upload(
+        &mut self,
+        round: &mut Round,
+        id: usize,
+        fate: &DeviceFate,
+        arrived: Arrived,
+    ) -> Option<EdgeUpdate> {
+        let plan = &round.plan;
+        let fault_seed = plan.seed ^ (round.index << 20) ^ id as u64;
+        // What a faulty or hostile device does to its own update.
+        // App-level corruption garbles the tensors inside a valid frame
+        // (the sanitize gate is the defence); a Byzantine persona crafts
+        // a well-formed update to poison the aggregate (colluders share
+        // one per-round attack seed; the robust combine rule is the
+        // defence).
+        let sabotage = |update: &mut EdgeUpdate| {
+            if let Some(kind) = fate.corruption {
+                corrupt_module_update(update, kind, plan.explode_scale, fault_seed);
+            }
+            if fate.malicious.is_some() {
+                apply_attack(update, &plan.adversary, plan.adversary.attack_seed(round.index, id));
+            }
+        };
+        let tamper = fate.frame_corrupt.then_some(fault_seed);
+        let retry = round.policy.max_retries > 0;
+        let (comm, report) = (&mut round.comm, &mut round.report);
+        match arrived {
+            Arrived::Lost => {
+                // The transport failed to bring the job back (worker
+                // crash, socket deadline): the device degrades through
+                // the same path as a dropped link.
+                round.telemetry.counter_add("serve.transport_lost", 1);
+                None
+            }
+            Arrived::Update(mut update) => {
+                // In-process the device sabotages *before* the frame is
+                // cut; the cloud aggregates what it decodes, never the
+                // sender's structs.
+                sabotage(&mut update);
+                self.wire.encode_update(id as u64, &update, &mut self.frame_buf);
+                receive_upload(&mut self.wire, id as u64, &self.frame_buf, tamper, retry, comm, report)
+            }
+            Arrived::Frame(frame) => {
+                // A remote worker already encoded the update, so the
+                // sabotage lands on what the cloud decoded. Under the Raw
+                // codec that ordering is bit-identical to the in-process
+                // one, which the serve tests pin.
+                receive_upload(&mut self.wire, id as u64, &frame, tamper, retry, comm, report).map(
+                    |mut update| {
+                        sabotage(&mut update);
+                        update
+                    },
+                )
+            }
+        }
+    }
+
+    /// Aggregates the accepted updates behind the sanitize gate,
+    /// optionally under the checkpoint-rollback guard.
+    fn aggregate(&mut self, round: &mut Round, accepted: &[EdgeUpdate]) {
+        let telemetry = &round.telemetry;
         let mut agg_span = telemetry.span("aggregate");
         agg_span.int("accepted", accepted.len() as u64);
         // Hierarchical fan-out: the cloud only ever sees one partial per
         // edge group. (Edge→cloud backhaul byte/latency accounting lives
         // in the sharded engine; `comm` here stays the device-side
         // traffic, identical to the flat path.)
-        let partials = self.edge_partials(&accepted);
+        let partials = self.edge_partials(accepted);
         if let Some(partials) = &partials {
             agg_span.int("edge_partials", partials.len() as u64);
         }
         let (sanitize, rule) = (self.sanitize, self.aggregator);
         let combine = |cloud: &mut NebulaCloud| match &partials {
             Some(partials) => cloud.absorb_partials(partials, &sanitize, rule),
-            None => cloud.aggregate_robust_with(&accepted, &sanitize, rule),
+            None => cloud.aggregate_robust_with(accepted, &sanitize, rule),
         };
         let s = match &self.rollback {
             Some((probe, max_drop)) => {
                 let out =
                     self.cloud.guarded(|m| nebula_data::evaluate_accuracy(m, probe, 64), *max_drop, combine);
-                report.rolled_back += out.rolled_back as u64;
+                round.report.rolled_back += out.rolled_back as u64;
                 out.sanitize
             }
             None => combine(&mut self.cloud).sanitize,
         };
-        report.rejected += s.rejected() as u64;
+        round.report.rejected += s.rejected() as u64;
         if telemetry.enabled() {
             telemetry.counter_add("sanitize.rejected_non_finite", s.rejected_non_finite as u64);
             telemetry.counter_add("sanitize.rejected_outlier", s.rejected_outlier as u64);
             telemetry.counter_add("sanitize.outlier_check_skipped", s.outlier_check_skipped as u64);
             telemetry.emit("sanitize", |e| {
-                e.ints.insert("round".into(), round);
+                e.ints.insert("round".into(), round.index);
                 e.ints.insert("accepted".into(), s.accepted as u64);
                 e.ints.insert("non_finite".into(), s.rejected_non_finite as u64);
                 e.ints.insert("outlier".into(), s.rejected_outlier as u64);
                 e.ints.insert("outlier_skipped".into(), s.outlier_check_skipped as u64);
             });
         }
-        drop(agg_span);
-        comm.end_round();
-        for (layer, counts) in round_loads.iter().enumerate() {
-            telemetry.emit("gate_load", |e| {
-                e.ints.insert("round".into(), round);
-                e.ints.insert("layer".into(), layer as u64);
-                for (m, &c) in counts.iter().enumerate() {
-                    e.ints.insert(format!("b{m:03}"), c);
-                }
-            });
-        }
-        note_round(&telemetry, round, &comm, &report, round_time_ms);
-        round_span.num("time_ms", round_time_ms);
-        RoundOutcome { stats: RoundStats { comm, adapt_time_ms: 0.0, faults: report }, round_time_ms }
     }
 
     /// Folds the accepted cohort at `cfg.edge_groups` simulated edge
@@ -1447,6 +1081,49 @@ struct Download<'w> {
     wire_bytes: u64,
     /// The payload as the device decoded it.
     payload: Option<SubModelPayload>,
+}
+
+/// What a Nebula round attaches to a device's record between its
+/// download and its training.
+struct Job<'w> {
+    /// The sub-model as the device decoded it; its buffers come back as
+    /// the update's.
+    payload: SubModelPayload,
+    /// The encoded payload frame, when a transport ships the job.
+    frame: Option<Vec<u8>>,
+    /// The device's local data.
+    data: &'w Dataset,
+    /// The device's training stream, forked in sampling order.
+    rng: NebulaRng,
+}
+
+/// How one device's training came back: an in-process update, a remote
+/// worker's encoded update frame, or not at all.
+enum Arrived {
+    Update(EdgeUpdate),
+    Frame(Vec<u8>),
+    Lost,
+}
+
+/// Gate-probability and module-load telemetry of what the cloud actually
+/// decoded: which modules an accepted client activated (also counted into
+/// the round's `gate_loads`), and how spread its per-layer gate
+/// distribution is.
+fn note_gate_load(telemetry: &Telemetry, update: &EdgeUpdate, gate_loads: &mut [Vec<u64>]) {
+    if !telemetry.enabled() {
+        return;
+    }
+    for (layer, modules) in update.spec.layers().iter().enumerate() {
+        for &m in modules {
+            telemetry.load_add(&format!("gate_load.layer{layer}"), m, 1);
+            if let Some(c) = gate_loads.get_mut(layer).and_then(|counts| counts.get_mut(m)) {
+                *c += 1;
+            }
+        }
+        if let Some(row) = update.importance.get(layer) {
+            telemetry.observe(&format!("gate_entropy.layer{layer}"), nebula_modular::normalized_entropy(row));
+        }
+    }
 }
 
 impl AdaptStrategy for NebulaStrategy {
@@ -1646,139 +1323,4 @@ impl AdaptStrategy for NebulaStrategy {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::resources::ResourceSampler;
-    use nebula_data::{PartitionSpec, Partitioner, SynthSpec, Synthesizer};
-
-    fn toy_world(devices: usize) -> SimWorld {
-        let synth = Synthesizer::new(SynthSpec::toy(), 1);
-        let spec = PartitionSpec::new(devices, Partitioner::LabelSkew { m: 2 });
-        SimWorld::new(synth, spec, 9, None, &ResourceSampler::default(), 5)
-    }
-
-    fn toy_cfg() -> StrategyConfig {
-        let mut modular = ModularConfig::toy(16, 4);
-        modular.gate_noise_std = 0.3;
-        let mut cfg = StrategyConfig::new(modular);
-        cfg.devices_per_round = 4;
-        cfg.rounds_per_step = 2;
-        cfg.pretrain_epochs = 6;
-        cfg.proxy_samples = 300;
-        cfg.finetune_epochs = 4;
-        cfg
-    }
-
-    #[test]
-    fn all_strategies_run_one_step() {
-        let mut rng = NebulaRng::seed(3);
-        let mut strategies: Vec<Box<dyn AdaptStrategy>> = vec![
-            Box::new(NoAdaptStrategy::new(toy_cfg(), 1)),
-            Box::new(LocalAdaptStrategy::new(toy_cfg(), 1)),
-            Box::new(AdaptiveNetStrategy::new(toy_cfg(), 1)),
-            Box::new(FedAvgStrategy::new(toy_cfg(), 1)),
-            Box::new(HeteroFlStrategy::new(toy_cfg(), 1)),
-            Box::new(NebulaStrategy::new(toy_cfg(), 1)),
-        ];
-        for s in &mut strategies {
-            let mut world = toy_world(8);
-            s.offline(&mut world, &mut rng);
-            s.track(&[0, 1]);
-            let report = s.adaptation_step(&mut world, &mut rng);
-            let acc = s.device_accuracy(&mut world, 0);
-            assert!((0.0..=1.0).contains(&acc), "{}: acc {acc}", s.name());
-            let fp = s.footprint(&world, 0);
-            assert!(fp.params > 0, "{}: zero params", s.name());
-            // Strategies that download models must move bytes (AN pays a
-            // one-time branch download); purely local ones must not.
-            match s.name() {
-                "FA" | "HFL" | "Nebula" | "AN" => {
-                    assert!(report.comm.total_bytes() > 0, "{}", s.name())
-                }
-                _ => assert_eq!(report.comm.total_bytes(), 0, "{}", s.name()),
-            }
-        }
-    }
-
-    #[test]
-    fn nebula_comm_cheaper_than_fedavg() {
-        let mut rng = NebulaRng::seed(4);
-        let mut world_a = toy_world(8);
-        let mut fa = FedAvgStrategy::new(toy_cfg(), 1);
-        fa.offline(&mut world_a, &mut rng);
-        let fa_report = fa.adaptation_step(&mut world_a, &mut rng);
-
-        let mut world_b = toy_world(8);
-        let mut nb = NebulaStrategy::new(toy_cfg(), 1);
-        nb.offline(&mut world_b, &mut rng);
-        nb.track(&[]);
-        let nb_report = nb.adaptation_step(&mut world_b, &mut rng);
-
-        assert!(
-            nb_report.comm.total_bytes() < fa_report.comm.total_bytes(),
-            "Nebula {} vs FedAvg {}",
-            nb_report.comm.total_bytes(),
-            fa_report.comm.total_bytes()
-        );
-    }
-
-    #[test]
-    fn nebula_variants_differ_in_behaviour() {
-        let mut rng = NebulaRng::seed(5);
-        let mut world = toy_world(6);
-        let mut no_cloud = NebulaStrategy::with_variant(toy_cfg(), 1, NebulaVariant::NoCloud);
-        no_cloud.offline(&mut world, &mut rng);
-        no_cloud.track(&[0]);
-        let r1 = no_cloud.adaptation_step(&mut world, &mut rng);
-        // w/o cloud: no collaborative rounds → only the one-time download.
-        assert_eq!(r1.comm.rounds, 0);
-        let r2 = no_cloud.adaptation_step(&mut world, &mut rng);
-        // Second step: no new download at all.
-        assert_eq!(r2.comm.downloads, 0, "w/o-cloud re-downloaded");
-    }
-
-    /// A transport that loses every job.
-    struct BlackHole;
-
-    impl Transport for BlackHole {
-        fn kind(&self) -> &'static str {
-            "black-hole"
-        }
-
-        fn round_trip(
-            &mut self,
-            jobs: Vec<nebula_core::DispatchJob>,
-        ) -> Vec<Result<nebula_core::JobResult, nebula_core::TransportError>> {
-            jobs.iter().map(|_| Err(nebula_core::TransportError::Closed("worker died".into()))).collect()
-        }
-    }
-
-    #[test]
-    fn dense_round_that_loses_every_job_is_not_poisoned() {
-        let mut world = toy_world(8);
-        world.set_fault_plan(crate::FaultPlan {
-            corrupt_prob: 1.0,
-            adversary: crate::AdversaryPlan { frac: 1.0, ..crate::AdversaryPlan::none() },
-            ..crate::FaultPlan::none()
-        });
-        let mut s = FedAvgStrategy::new(toy_cfg(), 1);
-        s.set_transport(Box::new(BlackHole));
-        let before = s.export_state();
-        let out = s.single_round(&mut world, &mut NebulaRng::seed(3));
-        assert_eq!(out.stats.faults.participated, 0);
-        assert_eq!(out.stats.faults.link_dropped, 4);
-        assert_eq!((out.stats.comm.downloads, out.stats.comm.uploads), (4, 0));
-        // Nothing was averaged, so the corrupt and Byzantine clients had
-        // no mean to poison: the server is exactly what it was.
-        assert_eq!(s.export_state(), before);
-    }
-
-    #[test]
-    fn heterofl_assigns_smaller_ratios_to_weak_devices() {
-        let world = toy_world(20);
-        let s = HeteroFlStrategy::new(toy_cfg(), 1);
-        let mut ratios: Vec<f32> = world.devices.iter().map(|d| s.ratio_for(d)).collect();
-        ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert!(ratios[0] < ratios[ratios.len() - 1], "no ratio heterogeneity");
-    }
-}
+mod tests;

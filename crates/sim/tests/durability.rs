@@ -13,7 +13,6 @@ use nebula_core::transport::WireConfig;
 use nebula_data::drift::DriftKind;
 use nebula_data::{DriftModel, PartitionSpec, Partitioner, SynthSpec, Synthesizer};
 use nebula_modular::ModularConfig;
-use nebula_sim::experiment::{ContinuousOutcome, TargetOutcome};
 use nebula_sim::resources::ResourceSampler;
 use nebula_sim::strategy::{NebulaStrategy, StrategyConfig};
 use nebula_sim::{
@@ -79,14 +78,13 @@ fn run_target_durable(
     max_rounds: usize,
     probe_every: usize,
     o: &DurableOptions,
-) -> Result<TargetOutcome, RunError> {
+) -> Result<RunOutcome, RunError> {
     Runner::new(world, strategy)
         .config(*cfg)
         .target(target, max_rounds, probe_every)
         .durable(o.durability.clone())
         .chaos(o.chaos)
         .run()
-        .map(RunOutcome::into_target)
 }
 
 /// Resumes a durable rounds-to-target run from `o.durability.dir`.
@@ -98,7 +96,7 @@ fn resume_target_durable(
     max_rounds: usize,
     probe_every: usize,
     o: &DurableOptions,
-) -> Result<TargetOutcome, RunError> {
+) -> Result<RunOutcome, RunError> {
     Runner::new(world, strategy)
         .config(*cfg)
         .target(target, max_rounds, probe_every)
@@ -106,7 +104,6 @@ fn resume_target_durable(
         .chaos(o.chaos)
         .resume()
         .run()
-        .map(RunOutcome::into_target)
 }
 
 /// One durable continuous run through the `Runner` builder.
@@ -116,14 +113,13 @@ fn run_cont_durable(
     cfg: &ExperimentConfig,
     slots: usize,
     o: &DurableOptions,
-) -> Result<ContinuousOutcome, RunError> {
+) -> Result<RunOutcome, RunError> {
     Runner::new(world, strategy)
         .config(*cfg)
         .continuous(slots)
         .durable(o.durability.clone())
         .chaos(o.chaos)
         .run()
-        .map(RunOutcome::into_continuous)
 }
 
 /// Resumes a durable continuous run from `o.durability.dir`.
@@ -133,7 +129,7 @@ fn resume_cont_durable(
     cfg: &ExperimentConfig,
     slots: usize,
     o: &DurableOptions,
-) -> Result<ContinuousOutcome, RunError> {
+) -> Result<RunOutcome, RunError> {
     Runner::new(world, strategy)
         .config(*cfg)
         .continuous(slots)
@@ -141,7 +137,6 @@ fn resume_cont_durable(
         .chaos(o.chaos)
         .resume()
         .run()
-        .map(RunOutcome::into_continuous)
 }
 
 fn records_of(dir: &Path) -> Vec<RoundRecord> {
@@ -169,7 +164,7 @@ fn flip_byte(path: &Path, offset_from_end: usize) {
 }
 
 /// Uninterrupted durable run for `seed`, returning (outcome, records).
-fn baseline(seed: u64, tag: &str) -> (nebula_sim::experiment::TargetOutcome, Vec<RoundRecord>) {
+fn baseline(seed: u64, tag: &str) -> (RunOutcome, Vec<RoundRecord>) {
     let dir = tmp_dir(tag);
     let (mut s, mut world) = build(false);
     let cfg = ExperimentConfig { eval_devices: 3, seed };
@@ -181,9 +176,9 @@ fn baseline(seed: u64, tag: &str) -> (nebula_sim::experiment::TargetOutcome, Vec
 }
 
 fn assert_equivalent(
-    base: &nebula_sim::experiment::TargetOutcome,
+    base: &RunOutcome,
     base_recs: &[RoundRecord],
-    resumed: &nebula_sim::experiment::TargetOutcome,
+    resumed: &RunOutcome,
     resumed_recs: &[RoundRecord],
 ) {
     assert_eq!(base.rounds, resumed.rounds, "round counts diverge");
@@ -194,8 +189,8 @@ fn assert_equivalent(
         base.final_accuracy,
         resumed.final_accuracy
     );
-    assert_eq!(base.comm_total_bytes, resumed.comm_total_bytes, "comm totals diverge");
-    assert_eq!(base.faults, resumed.faults, "fault accounting diverges");
+    assert_eq!(base.stats.comm.total_bytes(), resumed.stats.comm.total_bytes(), "comm totals diverge");
+    assert_eq!(base.stats.faults, resumed.stats.faults, "fault accounting diverges");
     // Per-round comm-byte trajectory: every index journalled by the
     // resumed run must match the uninterrupted run exactly.
     for rec in resumed_recs {
@@ -263,7 +258,7 @@ fn kill_and_resume_is_bit_identical_continuous() {
         assert_eq!(a.to_bits(), b.to_bits(), "slot {i} accuracy diverges");
     }
     assert_eq!(base.mean_adapt_time_ms.to_bits(), resumed.mean_adapt_time_ms.to_bits());
-    assert_eq!(base.faults, resumed.faults);
+    assert_eq!(base.stats.faults, resumed.stats.faults);
     for rec in records_of(&dir) {
         let b = base_recs.iter().find(|r| r.index == rec.index).expect("baseline has slot");
         assert_eq!(b, &rec, "slot {} record diverges", rec.index);

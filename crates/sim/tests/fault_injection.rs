@@ -2,6 +2,7 @@
 //! corruption, stragglers and flaky links, plus the bit-identity guarantee
 //! of `FaultPlan::none()`.
 
+use nebula_core::{DispatchJob, JobResult, Loopback, ModularRunner, Transport, TransportError};
 use nebula_data::{PartitionSpec, Partitioner, SynthSpec, Synthesizer};
 use nebula_modular::ModularConfig;
 use nebula_nn::Layer;
@@ -10,7 +11,9 @@ use nebula_sim::{
     AdaptStrategy, CorruptionKind, FaultPlan, FedAvgStrategy, NebulaStrategy, ResourceSampler, RoundPolicy,
     RoundReport, SimWorld,
 };
+use nebula_telemetry::{MemorySink, Telemetry};
 use nebula_tensor::NebulaRng;
+use std::sync::{Arc, Mutex};
 
 fn toy_world(devices: usize, seed: u64) -> SimWorld {
     let synth = Synthesizer::new(SynthSpec::toy(), 1);
@@ -268,4 +271,97 @@ fn flaky_links_account_retries() {
     assert!(comm.retry_bytes > 0);
     assert_eq!(comm.retries, total.retried);
     assert!(comm.total_bytes() > comm.down_bytes + comm.up_bytes, "retry bytes not wasted traffic");
+}
+
+/// Loopback over the modular executor that records the device of every
+/// job a `round_trip` is handed.
+struct JobTap {
+    inner: Loopback,
+    devices: Arc<Mutex<Vec<u64>>>,
+}
+
+impl Transport for JobTap {
+    fn kind(&self) -> &'static str {
+        "job-tap"
+    }
+
+    fn round_trip(&mut self, jobs: Vec<DispatchJob>) -> Vec<Result<JobResult, TransportError>> {
+        self.devices.lock().expect("tap lock").extend(jobs.iter().map(|j| j.device));
+        self.inner.round_trip(jobs)
+    }
+}
+
+/// A Nebula strategy training through a [`JobTap`], and the tap's list.
+fn tapped_nebula(devices_per_round: usize) -> (NebulaStrategy, Arc<Mutex<Vec<u64>>>) {
+    let cfg = toy_cfg(devices_per_round);
+    let runner = ModularRunner::new(cfg.modular.clone(), cfg.wire);
+    let mut s = NebulaStrategy::new(cfg, 1);
+    let devices = Arc::new(Mutex::new(Vec::new()));
+    s.set_transport(Box::new(JobTap { inner: Loopback::new(Arc::new(runner)), devices: devices.clone() }));
+    (s, devices)
+}
+
+/// The round gates before it trains: a device that crashes before its
+/// upload is never dispatched. Its download is still paid for, the report
+/// still accounts for it, and a round of nothing but crashes leaves the
+/// cloud exactly as it was. (The golden digests prove trajectories do not
+/// move; only a tap sees how many jobs were trained.)
+#[test]
+fn crashed_devices_are_never_dispatched() {
+    let mut world = toy_world(12, 5);
+    world.set_fault_plan(FaultPlan { seed: 19, crash_prob: 1.0, ..FaultPlan::none() });
+    let (mut s, dispatched) = tapped_nebula(6);
+    let before = s.cloud().model().param_vector();
+    let out = s.single_round(&mut world, &mut NebulaRng::seed(3));
+    let (r, c) = (out.stats.faults, out.stats.comm);
+    assert_eq!(dispatched.lock().unwrap().len(), 0, "a crashed device's job crossed the transport");
+    assert_conserved(&r);
+    assert_eq!((r.sampled, r.crashed, r.participated), (6, 6, 0), "{r:?}");
+    assert_eq!((c.downloads, c.uploads), (6, 0), "every crashed device still got its download: {c:?}");
+    assert!(c.down_bytes > 0);
+    let after = s.cloud().model().param_vector();
+    assert_eq!(before.len(), after.len());
+    for (a, b) in before.iter().zip(&after) {
+        assert_eq!(a.to_bits(), b.to_bits(), "an all-crashed round must leave the cloud untouched");
+    }
+}
+
+/// A straggler the deadline cuts is known before anyone trains, so its
+/// job is never dispatched either: the transport sees exactly the devices
+/// whose upload is due.
+#[test]
+fn deadline_dropped_devices_are_never_dispatched() {
+    let mut world = toy_world(20, 5);
+    world.set_fault_plan(FaultPlan {
+        seed: 7,
+        straggler_prob: 0.4,
+        straggler_slowdown: 200.0,
+        ..FaultPlan::none()
+    });
+    world.set_round_policy(RoundPolicy { deadline_factor: Some(3.0), ..RoundPolicy::default() });
+    let (mut s, dispatched) = tapped_nebula(10);
+    let sink = Arc::new(MemorySink::new());
+    s.set_telemetry(Telemetry::new(sink.clone()));
+    let mut rng = NebulaRng::seed(3);
+    let mut cut = 0;
+    for _ in 0..4 {
+        dispatched.lock().unwrap().clear();
+        let seen = sink.len();
+        let r = s.single_round(&mut world, &mut rng).stats.faults;
+        assert_conserved(&r);
+        // With only stragglers injected, every device the deadline spares
+        // reports and is accepted.
+        assert_eq!(r.sampled, r.participated + r.deadline_dropped, "{r:?}");
+        let late: Vec<u64> = sink.events()[seen..]
+            .iter()
+            .filter(|e| e.kind == "client" && e.text["outcome"] == "deadline_dropped")
+            .map(|e| e.ints["device"])
+            .collect();
+        assert_eq!(late.len() as u64, r.deadline_dropped);
+        let jobs = dispatched.lock().unwrap();
+        assert_eq!(jobs.len() as u64, r.participated, "dispatched {jobs:?}, cut {late:?}");
+        assert!(late.iter().all(|d| !jobs.contains(d)), "dispatched {jobs:?}, cut {late:?}");
+        cut += r.deadline_dropped;
+    }
+    assert!(cut > 0, "no straggler ever hit the deadline");
 }

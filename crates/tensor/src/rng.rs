@@ -5,33 +5,44 @@
 //! the experiment configuration, so any experiment is reproducible from its
 //! seed. `fork` derives independent child streams — e.g. one per simulated
 //! device — so adding a device never perturbs another device's stream.
-
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-use rand_distr::{Distribution, LogNormal, Normal};
+//!
+//! The generator is xoshiro256** seeded through SplitMix64, written out
+//! here: how many raw words each helper consumes, and in which order, is
+//! part of every pinned trajectory (`tests/rng_pins.rs`).
 
 /// Seedable RNG with the sampling helpers the workspace needs.
 #[derive(Clone, Debug)]
 pub struct NebulaRng {
-    inner: StdRng,
+    /// xoshiro256** state; never all-zero.
+    s: [u64; 4],
 }
 
 impl NebulaRng {
     /// Creates an RNG from a 64-bit seed.
     pub fn seed(seed: u64) -> Self {
-        Self { inner: StdRng::seed_from_u64(seed) }
+        // SplitMix64 seed expansion, the reference initialisation for the
+        // xoshiro family.
+        let mut x = seed;
+        let mut next = || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        Self { s: [next(), next(), next(), next()] }
     }
 
     /// Raw generator state (xoshiro256** words) for checkpoint/resume.
     pub fn state(&self) -> [u64; 4] {
-        self.inner.state()
+        self.s
     }
 
     /// Restores an RNG from a captured [`Self::state`]. Returns `None`
-    /// for the all-zero state, which no seeded stream can reach — a
-    /// corrupted snapshot rather than a real generator.
+    /// for the all-zero state — the xoshiro fixed point, which no seeded
+    /// stream can reach: a corrupted snapshot rather than a real generator.
     pub fn from_state(state: [u64; 4]) -> Option<Self> {
-        StdRng::from_state(state).map(|inner| Self { inner })
+        (state != [0; 4]).then_some(Self { s: state })
     }
 
     /// Derives an independent child stream labelled by `stream`.
@@ -40,7 +51,7 @@ impl NebulaRng {
     /// next output, so `fork(0)` and `fork(1)` never overlap even though
     /// both derive from the same parent state.
     pub fn fork(&mut self, stream: u64) -> NebulaRng {
-        let base = self.inner.next_u64();
+        let base = self.next_u64();
         // SplitMix64-style finalizer over (base ^ stream).
         let mut z = base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -49,25 +60,71 @@ impl NebulaRng {
         NebulaRng::seed(z)
     }
 
-    /// Uniform `f32` in `[lo, hi)`.
+    /// Uniform `u64`: one xoshiro256** step.
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// Uniform draw in `[0, span)` by rejection sampling, `span > 0`.
+    fn bounded(&mut self, span: u64) -> u64 {
+        let zone = u64::MAX - (u64::MAX - span + 1) % span;
+        loop {
+            let v = self.next_u64();
+            if v <= zone {
+                return v % span;
+            }
+        }
+    }
+
+    /// Uniform `f64` in `[0, 1)` from the top 53 bits of one raw word.
+    fn unit_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform `f32` in `[lo, hi)`, from the top 24 bits of one raw word.
     pub fn uniform_f32(&mut self, lo: f32, hi: f32) -> f32 {
-        self.inner.gen_range(lo..hi)
+        assert!(lo < hi, "empty range in uniform_f32");
+        let unit = (self.next_u64() >> 40) as f32 / (1u64 << 24) as f32;
+        let v = lo + unit * (hi - lo);
+        // Guard the open upper bound against rounding.
+        if v >= hi {
+            lo
+        } else {
+            v
+        }
     }
 
     /// Uniform `usize` in `[0, n)`. Panics if `n == 0`.
     pub fn below(&mut self, n: usize) -> usize {
         assert!(n > 0, "below(0)");
-        self.inner.gen_range(0..n)
+        self.bounded(n as u64) as usize
     }
 
-    /// Uniform `u64`.
-    pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-
-    /// Bernoulli draw with probability `p`.
+    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`). A
+    /// certain success consumes no draw; everything else consumes one.
     pub fn bernoulli(&mut self, p: f64) -> bool {
-        self.inner.gen_bool(p.clamp(0.0, 1.0))
+        assert!(!p.is_nan(), "bernoulli probability is NaN");
+        p >= 1.0 || self.unit_f64() < p
+    }
+
+    /// One `N(mean, std²)` draw by Box–Muller (cos branch): always two raw
+    /// words, never a rejection. Computed in `f64`, scaled unfused.
+    fn gaussian(&mut self, mean: f32, std: f32) -> f32 {
+        assert!(mean.is_finite() && std.is_finite() && std >= 0.0, "invalid normal parameters");
+        // u1 in (0, 1]: shifted away from zero so the log is finite.
+        let u1 = ((self.next_u64() >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
+        let u2 = self.unit_f64();
+        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos();
+        std * z as f32 + mean
     }
 
     /// Gaussian draw.
@@ -75,28 +132,28 @@ impl NebulaRng {
         if std <= 0.0 {
             return mean;
         }
-        Normal::new(mean, std).expect("valid normal").sample(&mut self.inner)
+        self.gaussian(mean, std)
     }
 
     /// Advances the stream by exactly what one [`Self::normal_f32`] draw
     /// with `std > 0` consumes — two raw `u64`s, whatever their values
-    /// (`rand_distr`'s Box–Muller never rejects) — without computing the
-    /// Gaussian: for a draw whose value nothing can observe but whose
-    /// place in the stream later draws depend on.
+    /// (Box–Muller never rejects) — without computing the Gaussian: for a
+    /// draw whose value nothing can observe but whose place in the stream
+    /// later draws depend on.
     pub fn skip_normal(&mut self) {
-        self.inner.next_u64();
-        self.inner.next_u64();
+        self.next_u64();
+        self.next_u64();
     }
 
     /// Log-normal draw parameterised by the underlying normal's `mu`/`sigma`.
     pub fn lognormal_f32(&mut self, mu: f32, sigma: f32) -> f32 {
-        LogNormal::new(mu, sigma).expect("valid lognormal").sample(&mut self.inner)
+        self.gaussian(mu, sigma).exp()
     }
 
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
+            let j = self.bounded(i as u64 + 1) as usize;
             items.swap(i, j);
         }
     }
@@ -107,7 +164,7 @@ impl NebulaRng {
         let mut idx: Vec<usize> = (0..n).collect();
         // Partial Fisher–Yates: only the first k positions need shuffling.
         for i in 0..k {
-            let j = self.inner.gen_range(i..n);
+            let j = i + self.bounded((n - i) as u64) as usize;
             idx.swap(i, j);
         }
         idx.truncate(k);
