@@ -828,14 +828,18 @@ mod tests {
     use nebula_tensor::Tensor;
 
     fn shared() -> Shared {
+        shared_with(RetryPolicy::default().max_retries, 0, 1_000)
+    }
+
+    fn shared_with(max_retries: u32, hedge_after_ms: u64, deadline_ms: u64) -> Shared {
         Shared {
             key: None,
             config_json: String::new(),
-            deadline_ms: 1_000,
-            retry: RetryPolicy::default(),
+            deadline_ms,
+            retry: RetryPolicy { max_retries, ..RetryPolicy::default() },
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             liveness_timeout_ms: 0,
-            hedge_after_ms: 0,
+            hedge_after_ms,
             telemetry: Telemetry::off(),
             workers: Mutex::new(BTreeMap::new()),
             round: Mutex::new(None),
@@ -895,6 +899,66 @@ mod tests {
         s.round.lock().unwrap().as_ref().is_some_and(|st| st.results[j].is_some())
     }
 
+    /// Slots of the installed round still waiting for an outcome.
+    fn unresolved(s: &Shared) -> usize {
+        s.round.lock().unwrap().as_ref().map_or(0, |st| st.results.iter().filter(|r| r.is_none()).count())
+    }
+
+    /// The slot's primary copy: `(worker, attempt)`.
+    fn assigned_of(s: &Shared, j: usize) -> (u64, u32) {
+        s.round.lock().unwrap().as_ref().unwrap().assigned[j]
+    }
+
+    /// The slot's in-flight hedge copy, if any.
+    fn hedge_of(s: &Shared, j: usize) -> Option<(u64, u32)> {
+        s.round.lock().unwrap().as_ref().unwrap().hedge[j]
+    }
+
+    fn retries_of(s: &Shared, j: usize) -> u32 {
+        s.round.lock().unwrap().as_ref().unwrap().retries_used[j]
+    }
+
+    fn outcome_of(s: &Shared, j: usize) -> Option<Result<JobResult, TransportError>> {
+        s.round.lock().unwrap().as_ref().unwrap().results[j].clone()
+    }
+
+    /// Registers worker `id` over a socket pair and returns the far end:
+    /// what the coordinator writes to the worker is read there.
+    fn add_worker(s: &Shared, id: u64) -> Conn {
+        let (near, far) = UnixStream::pair().expect("socket pair");
+        far.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        let near = Conn::Uds(near);
+        let handle = WorkerHandle {
+            name: format!("w{id}"),
+            closer: near.try_clone().expect("clone"),
+            writer: Arc::new(Mutex::new(near)),
+            last_seen: Arc::new(AtomicU64::new(0)),
+        };
+        s.workers.lock().unwrap().insert(id, handle);
+        Conn::Uds(far)
+    }
+
+    /// The tag of the next job frame the coordinator wrote to this worker.
+    fn read_job_tag(far: &mut Conn) -> JobTag {
+        let mut buf = Vec::new();
+        assert!(read_frame(far, DEFAULT_MAX_FRAME_LEN, &mut buf).expect("a job frame"), "worker link closed");
+        match proto::decode_message(&buf, None).expect("frame decodes") {
+            Message::Job(_, tag) => tag,
+            _ => panic!("expected a job frame"),
+        }
+    }
+
+    /// Runs one real `round_trip` of toy jobs for `devices` on its own
+    /// thread: the barrier, the hedge timer and the deadline all run.
+    fn run_round(
+        s: &Arc<Shared>,
+        devices: &[u64],
+    ) -> thread::JoinHandle<Vec<Result<JobResult, TransportError>>> {
+        let jobs: Vec<DispatchJob> = devices.iter().map(|&d| toy_job(d)).collect();
+        let mut transport = SocketTransport { shared: Arc::clone(s) };
+        thread::spawn(move || transport.round_trip(jobs))
+    }
+
     /// The stale-result guard: a result only lands when its epoch,
     /// attempt and device all match the slot's live assignment. In
     /// particular a straggler from a previous round (older epoch, same
@@ -917,9 +981,7 @@ mod tests {
         // The genuine copy still lands.
         s.deliver(JobTag { job: 0, attempt: 0, epoch: 2, device: 7 }, ok);
         assert_eq!(outstanding(&s), 1);
-        let round = s.round.lock().unwrap();
-        let st = round.as_ref().unwrap();
-        assert!(st.results[0].is_some() && st.results[1].is_none());
+        assert!(resolved(&s, 0) && !resolved(&s, 1));
     }
 
     /// Hedging × the stale guard: both live copies of a hedged job are
@@ -972,21 +1034,110 @@ mod tests {
         // Job 0 primary on worker 1 (attempt 0), hedge on worker 2 (attempt 1).
         install_hedge(&s, 0, 2, 1);
         s.drop_worker(1);
-        {
-            let round = s.round.lock().unwrap();
-            let st = round.as_ref().unwrap();
-            assert_eq!(st.assigned[0], (2, 1), "the hedge must be promoted to primary");
-            assert_eq!(st.hedge[0], None);
-            assert_eq!(st.retries_used[0], 0, "promotion must not burn the retry budget");
-            // Job 1 had no hedge and no live workers remain: Closed.
-            assert!(st.results[1].is_some(), "unhedged job with no survivors must resolve Closed");
-        }
+        assert_eq!(assigned_of(&s, 0), (2, 1), "the hedge must be promoted to primary");
+        assert_eq!(hedge_of(&s, 0), None);
+        assert_eq!(retries_of(&s, 0), 0, "promotion must not burn the retry budget");
+        // Job 1 had no hedge and no live workers remain: Closed.
+        assert!(resolved(&s, 1), "unhedged job with no survivors must resolve Closed");
         let ok: Result<JobResult, String> = Ok(JobResult::Params(vec![1.0]));
         s.deliver(JobTag { job: 0, attempt: 0, epoch: 6, device: 7 }, ok.clone());
         assert!(!resolved(&s, 0), "the dead primary's attempt 0 is superseded, must not land");
         s.deliver(JobTag { job: 0, attempt: 1, epoch: 6, device: 7 }, ok);
         assert!(resolved(&s, 0), "the promoted hedge attempt still lands");
         assert_eq!(outstanding(&s), 0);
+    }
+
+    /// The retry budget is per slot: when a worker dies, a slot that has
+    /// already spent its budget resolves `Closed` while a sibling on the
+    /// same worker with budget left is reassigned to a survivor.
+    #[test]
+    fn budget_exhaustion_closes_one_slot_while_its_sibling_reassigns() {
+        let s = shared_with(1, 0, 1_000);
+        let _w2 = add_worker(&s, 2);
+        let _w3 = add_worker(&s, 3);
+        install_round(&s, 4, &[7, 8]);
+        install_hedge(&s, 1, 2, 1);
+        // Worker 1 dies: job 0 is reassigned to worker 2 (one retry), job
+        // 1 is promoted onto its hedge on worker 2 (free).
+        s.drop_worker(1);
+        assert_eq!((assigned_of(&s, 0), retries_of(&s, 0)), ((2, 1), 1));
+        assert_eq!((assigned_of(&s, 1), retries_of(&s, 1)), ((2, 1), 0));
+        // Worker 2 dies: job 0 has no budget left, job 1 still has one.
+        s.drop_worker(2);
+        assert!(
+            matches!(outcome_of(&s, 0), Some(Err(TransportError::Closed(_)))),
+            "an over-budget slot must resolve Closed: {:?}",
+            outcome_of(&s, 0)
+        );
+        assert!(!resolved(&s, 1), "the sibling still has budget and must stay in flight");
+        assert_eq!((assigned_of(&s, 1), retries_of(&s, 1)), ((3, 2), 1));
+        assert_eq!(outstanding(&s), 1);
+        let ok: Result<JobResult, String> = Ok(JobResult::Params(vec![1.0]));
+        s.deliver(JobTag { job: 1, attempt: 2, epoch: 4, device: 8 }, ok);
+        assert_eq!(outstanding(&s), 0);
+    }
+
+    /// Every copy of a job — first send, hedge, reassignment — goes out
+    /// under its own attempt number, whichever of the hedge timer and a
+    /// worker loss comes first. Runs the real barrier: the tags are read
+    /// off the workers' sockets.
+    #[test]
+    fn hedge_timer_and_reassignment_never_share_an_attempt() {
+        let ok: Result<JobResult, String> = Ok(JobResult::Params(vec![1.0]));
+        // The hedge fires first, then both copies lose their worker.
+        let s = Arc::new(shared_with(2, 20, 10_000));
+        let (mut w1, mut w2, mut w3) = (add_worker(&s, 1), add_worker(&s, 2), add_worker(&s, 3));
+        let barrier = run_round(&s, &[7]);
+        let first = read_job_tag(&mut w1);
+        let hedge = read_job_tag(&mut w2);
+        assert_eq!(hedge_of(&s, 0), Some((2, hedge.attempt)));
+        s.drop_worker(2);
+        s.drop_worker(1);
+        let moved = read_job_tag(&mut w3);
+        assert_eq!((first.attempt, hedge.attempt, moved.attempt), (0, 1, 2));
+        assert_eq!((assigned_of(&s, 0), retries_of(&s, 0)), ((3, 2), 1));
+        for tag in [hedge, moved] {
+            assert_eq!((tag.job, tag.epoch, tag.device), (first.job, first.epoch, first.device));
+        }
+        s.deliver(moved, ok.clone());
+        assert!(matches!(barrier.join().unwrap()[..], [Ok(_)]));
+
+        // The worker is lost first; the hedge timer restarts from the
+        // re-dispatch and races the moved copy.
+        let s = Arc::new(shared_with(2, 400, 10_000));
+        let (mut w1, mut w2, mut w3) = (add_worker(&s, 1), add_worker(&s, 2), add_worker(&s, 3));
+        let barrier = run_round(&s, &[7]);
+        let first = read_job_tag(&mut w1);
+        s.drop_worker(1);
+        let moved = read_job_tag(&mut w2);
+        let hedge = read_job_tag(&mut w3);
+        assert_eq!((first.attempt, moved.attempt, hedge.attempt), (0, 1, 2));
+        assert_eq!((assigned_of(&s, 0), hedge_of(&s, 0)), ((2, 1), Some((3, 2))));
+        s.deliver(hedge, ok);
+        assert!(matches!(barrier.join().unwrap()[..], [Ok(_)]));
+    }
+
+    /// The deadline resolves exactly the slots still unresolved, as
+    /// `Timeout`; a slot that already has its outcome keeps it.
+    #[test]
+    fn deadline_times_out_exactly_the_unresolved_slots() {
+        let s = Arc::new(shared_with(2, 0, 300));
+        let mut w1 = add_worker(&s, 1);
+        let barrier = run_round(&s, &[7, 8, 9]);
+        let tags = [read_job_tag(&mut w1), read_job_tag(&mut w1), read_job_tag(&mut w1)];
+        s.deliver(tags[1], Ok(JobResult::Params(vec![1.0])));
+        let results = barrier.join().unwrap();
+        assert!(
+            matches!(
+                results[..],
+                [
+                    Err(TransportError::Timeout { waited_ms: 300.. }),
+                    Ok(_),
+                    Err(TransportError::Timeout { waited_ms: 300.. })
+                ]
+            ),
+            "{results:?}"
+        );
     }
 
     proptest::proptest! {
@@ -1024,13 +1175,10 @@ mod tests {
                     Err("boom".into())
                 };
                 s.deliver(JobTag { job, attempt, epoch, device }, outcome);
-                let round = s.round.lock().unwrap();
-                let st = round.as_ref().unwrap();
-                let unresolved = st.results.iter().filter(|r| r.is_none()).count();
-                proptest::prop_assert_eq!(st.outstanding, unresolved,
+                proptest::prop_assert_eq!(outstanding(&s), unresolved(&s),
                     "outstanding must always equal the unresolved slot count");
-                proptest::prop_assert!(st.outstanding <= last, "outstanding may never grow");
-                last = st.outstanding;
+                proptest::prop_assert!(outstanding(&s) <= last, "outstanding may never grow");
+                last = outstanding(&s);
             }
         }
     }
