@@ -4,8 +4,10 @@
 //!
 //! `comm_bytes` here is a **planning** input: the budget `derive` charges
 //! candidate modules against at the analytic fp32 size, `4 × params` (an
-//! upper bound on the encoded record payload of every codec — see
-//! [`nebula_wire::CodecKind::planned_bytes`]). The bytes the simulator
+//! upper bound on the encoded record payload of every codec: exact under
+//! `Raw`, the cap of `DeltaFp32`'s raw fallback, and above `QuantInt8`'s
+//! `params + 4` — `wire/tests/properties.rs` holds the encoders to it).
+//! The bytes the simulator
 //! *accounts* (`CommTracker::record_download` / `record_upload`) are the
 //! **measured** lengths of the encoded `nebula-wire` frames actually
 //! exchanged, which include framing overhead and, for `DeltaFp32`, are

@@ -141,14 +141,6 @@ impl WireContext {
         v
     }
 
-    /// Drop all per-device transport state (crash / re-provisioning): the
-    /// next download to this device is encoded cold.
-    pub fn forget_device(&mut self, device: u64) {
-        self.registry.clear_acks(device);
-        self.up_residuals.clear_sender(device);
-        self.down_residuals.clear_sender(device);
-    }
-
     /// Encode one record's values with the configured codec, falling back
     /// to raw when no usable baseline exists for a delta.
     #[allow(clippy::too_many_arguments)]
@@ -348,18 +340,6 @@ impl WireContext {
         n
     }
 
-    /// Decode an update frame on the cloud with no sender attribution.
-    /// Only valid while auth is disabled: with a key configured every
-    /// upload is MAC'd per device, so this path rejects with
-    /// [`WireError::AuthMissing`] — use [`Self::decode_update_from`].
-    pub fn decode_update(&mut self, bytes: &[u8]) -> Result<ModuleUpdate, WireError> {
-        let res = self.decode_update_impl(None, bytes);
-        if let Err(e) = &res {
-            self.note_decode_error("up", 0, e);
-        }
-        res
-    }
-
     /// Decode an update frame attributed to `device`, verifying its MAC
     /// under the device's derived key when auth is enabled. Stale delta
     /// uploads (baseline version already evicted) surface as
@@ -510,7 +490,7 @@ mod tests {
 
         let mut frame = Vec::new();
         wire.encode_update(7, &update, &mut frame);
-        let back = wire.decode_update(&frame).unwrap();
+        let back = wire.decode_update_from(7, &frame).unwrap();
         assert_eq!(back.spec, update.spec);
         assert_eq!(back.shared_params, update.shared_params);
         assert_eq!(back.importance, update.importance);
@@ -568,7 +548,7 @@ mod tests {
             4 * (update.shared_params.len() + update.module_params.values().map(Vec::len).sum::<usize>());
         let n = wire.encode_update(7, &update, &mut frame);
         assert!(n < raw_size / 2, "delta upload {n} not smaller than raw {raw_size}");
-        let back = wire.decode_update(&frame).unwrap();
+        let back = wire.decode_update_from(7, &frame).unwrap();
         assert_eq!(back.shared_params, update.shared_params);
         assert_eq!(back.module_params[&(0, 0)], update.module_params[&(0, 0)]);
         assert_eq!(back.data_volume, 12);
@@ -708,28 +688,5 @@ mod tests {
         sender.encode_update(7, &update, &mut frame);
         // Downgrade protection: a keyed cloud never accepts v1 frames.
         assert!(matches!(keyed.decode_update_from(7, &frame), Err(WireError::AuthMissing)));
-        // And the device-less decode path refuses authed configs outright.
-        let mut authed_frame = Vec::new();
-        keyed.encode_update(7, &update, &mut authed_frame);
-        assert!(matches!(keyed.decode_update(&authed_frame), Err(WireError::AuthMissing)));
-    }
-
-    #[test]
-    fn forget_device_goes_cold_again() {
-        let c = cloud();
-        let mut wire = WireContext::new(WireConfig::delta(0.0));
-        wire.commit_model(c.model());
-        let payload = c.dispatch(&spec());
-        let mut frame = Vec::new();
-        let cold = wire.encode_payload(7, &payload, &mut frame);
-        wire.decode_payload(7, &frame).unwrap();
-        wire.commit_model(c.model());
-        let warm = wire.encode_payload(7, &payload, &mut frame);
-        wire.decode_payload(7, &frame).unwrap();
-        assert!(warm < cold);
-        wire.forget_device(7);
-        wire.commit_model(c.model());
-        let re_cold = wire.encode_payload(7, &payload, &mut frame);
-        assert!(re_cold > warm, "forgotten device must be re-sent raw");
     }
 }

@@ -150,13 +150,6 @@ pub fn partition(
     out
 }
 
-/// Builds the cloud's proxy dataset: `n` IID samples from the canonical
-/// context, as the paper's "30% of the training dataset used as the proxy
-/// dataset for model pre-training on the cloud".
-pub fn proxy_dataset(synth: &Synthesizer, n: usize, rng: &mut NebulaRng) -> Dataset {
-    synth.sample(n, 0, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,16 +259,5 @@ mod tests {
         // The tail must actually be heavy: the biggest device holds
         // several times the smallest.
         assert!(max >= 3 * min, "no heavy tail: min {min}, max {max}");
-    }
-
-    #[test]
-    fn proxy_dataset_is_iid_over_classes() {
-        let s = synth();
-        let mut rng = NebulaRng::seed(5);
-        let proxy = proxy_dataset(&s, 400, &mut rng);
-        let hist = proxy.class_histogram();
-        for &h in &hist {
-            assert!(h > 50, "class underrepresented in proxy: {hist:?}");
-        }
     }
 }

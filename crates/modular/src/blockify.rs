@@ -50,13 +50,6 @@ pub struct BlockPlan {
     pub blocks: Vec<Block>,
 }
 
-impl BlockPlan {
-    /// The repeated blocks only — the units handed to the modularizer.
-    pub fn repeated_blocks(&self) -> Vec<&Block> {
-        self.blocks.iter().filter(|b| b.repeated).collect()
-    }
-}
-
 /// Finds the smallest repeated layer pattern covering the longest stretch
 /// of `arch`, and cuts the architecture into stem / repeated blocks /
 /// head.
@@ -122,40 +115,44 @@ pub fn identify_blocks(arch: &[LayerDesc]) -> BlockPlan {
     BlockPlan { pattern: arch[start..start + k].to_vec(), blocks }
 }
 
-/// The VGG16 architecture as a layer sequence (conv blocks + classifier),
-/// simplified to the per-block pattern the paper quotes.
-pub fn vgg16_arch() -> Vec<LayerDesc> {
-    use LayerDesc::*;
-    let mut arch = Vec::new();
-    for _ in 0..5 {
-        arch.extend([Conv, BatchNorm, ReLU, Pool, Dropout]);
-    }
-    arch.extend([Linear, ReLU, Linear]);
-    arch
-}
-
-/// A ResNet-18-style architecture: a conv stem then repeated residual
-/// units, then the classifier.
-pub fn resnet18_arch() -> Vec<LayerDesc> {
-    use LayerDesc::*;
-    let mut arch = vec![Conv, BatchNorm, ReLU, Pool];
-    for _ in 0..8 {
-        arch.extend([Conv, BatchNorm, ReLU, Conv, BatchNorm, Residual]);
-    }
-    arch.extend([Pool, Linear]);
-    arch
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use LayerDesc::*;
 
+    /// The VGG16 architecture as a layer sequence (conv blocks + classifier),
+    /// simplified to the per-block pattern the paper quotes.
+    fn vgg16_arch() -> Vec<LayerDesc> {
+        let mut arch = Vec::new();
+        for _ in 0..5 {
+            arch.extend([Conv, BatchNorm, ReLU, Pool, Dropout]);
+        }
+        arch.extend([Linear, ReLU, Linear]);
+        arch
+    }
+
+    /// A ResNet-18-style architecture: a conv stem then repeated residual
+    /// units, then the classifier.
+    fn resnet18_arch() -> Vec<LayerDesc> {
+        let mut arch = vec![Conv, BatchNorm, ReLU, Pool];
+        for _ in 0..8 {
+            arch.extend([Conv, BatchNorm, ReLU, Conv, BatchNorm, Residual]);
+        }
+        arch.extend([Pool, Linear]);
+        arch
+    }
+
+    /// How many of the plan's blocks are repetitions of the pattern — the
+    /// units a modularizer would be handed.
+    fn repeated(plan: &BlockPlan) -> usize {
+        plan.blocks.iter().filter(|b| b.repeated).count()
+    }
+
     #[test]
     fn finds_the_vgg_block_pattern() {
         let plan = identify_blocks(&vgg16_arch());
         assert_eq!(plan.pattern, vec![Conv, BatchNorm, ReLU, Pool, Dropout]);
-        assert_eq!(plan.repeated_blocks().len(), 5);
+        assert_eq!(repeated(&plan), 5);
         // Head (classifier) is a non-repeated trailing block.
         let last = plan.blocks.last().unwrap();
         assert!(!last.repeated);
@@ -166,7 +163,7 @@ mod tests {
     fn finds_the_resnet_residual_unit() {
         let plan = identify_blocks(&resnet18_arch());
         assert_eq!(plan.pattern, vec![Conv, BatchNorm, ReLU, Conv, BatchNorm, Residual]);
-        assert_eq!(plan.repeated_blocks().len(), 8);
+        assert_eq!(repeated(&plan), 8);
         // Stem precedes, head follows.
         assert!(!plan.blocks.first().unwrap().repeated);
         assert!(!plan.blocks.last().unwrap().repeated);
@@ -201,7 +198,7 @@ mod tests {
         let arch = vec![Conv, Conv, Conv, Conv];
         let plan = identify_blocks(&arch);
         assert_eq!(plan.pattern, vec![Conv]);
-        assert_eq!(plan.repeated_blocks().len(), 4);
+        assert_eq!(repeated(&plan), 4);
     }
 
     #[test]
@@ -218,7 +215,7 @@ mod tests {
         let arch = vec![Linear, attn(), Linear, attn(), Linear, attn()];
         let plan = identify_blocks(&arch);
         assert_eq!(plan.pattern.len(), 2);
-        assert_eq!(plan.repeated_blocks().len(), 3);
+        assert_eq!(repeated(&plan), 3);
     }
 
     #[test]

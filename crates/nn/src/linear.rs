@@ -64,16 +64,6 @@ impl Linear {
         &self.b
     }
 
-    /// Mutable weight access (used by width-scaled HeteroFL extraction).
-    pub fn weight_mut(&mut self) -> &mut Tensor {
-        &mut self.w
-    }
-
-    /// Mutable bias access.
-    pub fn bias_mut(&mut self) -> &mut Tensor {
-        &mut self.b
-    }
-
     /// [`Layer::forward`] into a caller-provided `y` (`batch × out`,
     /// overwritten), so a composite can keep the output in a buffer it
     /// reuses. A `Train` forward refills the input cache in the buffer it
@@ -153,8 +143,8 @@ mod tests {
     fn forward_matches_manual() {
         let mut rng = NebulaRng::seed(1);
         let mut l = Linear::new(2, 3, &mut rng);
-        l.weight_mut().data_mut().copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]); // rows: [1,2],[3,4],[5,6]
-        l.bias_mut().data_mut().copy_from_slice(&[0.1, 0.2, 0.3]);
+        // Weight rows [1,2],[3,4],[5,6], then the bias.
+        l.load_param_vector(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.1, 0.2, 0.3]);
         let x = Tensor::matrix(&[&[1.0, 1.0]]);
         let y = l.forward(&x, Mode::Eval);
         assert_tensor_close(&y, &Tensor::matrix(&[&[3.1, 7.2, 11.3]]), 1e-5);

@@ -1,28 +1,36 @@
-//! The cloud coordinator: listeners, the worker registry, and the
-//! socket transport with its deadline-driven round barrier.
+//! The cloud coordinator: listeners, the handshake, the worker registry,
+//! liveness pings, and the socket transport with its deadline-driven
+//! round barrier. What a round *decides* is not here: every served round
+//! is one [`crate::round::Machine`], and the threads in this file are its
+//! drivers.
 //!
-//! ## Round barrier
+//! ## Driving the machine
 //!
-//! [`SocketTransport::round_trip`] installs the batch as the current
-//! round, spreads the jobs round-robin over the live workers, and
-//! blocks on a condvar until every slot is resolved or the wall-clock
-//! deadline passes. Results stream in on per-worker reader threads.
+//! Three kinds of thread feed the machine events: the thread inside
+//! [`SocketTransport::round_trip`] (`start`, `on_tick`, `on_deadline`),
+//! each connection's reader thread (`on_result`, and `on_worker_lost` at
+//! EOF), and the liveness monitor (`on_worker_lost` for a silent worker).
+//! A driver snapshots the live worker ids, locks the machine, feeds **one
+//! event**, bumps the counters the event returned, unlocks, and writes the
+//! sends it returned (`Shared::feed`, `Shared::perform`). A write that
+//! fails loses its worker, which is one more event; its sends join the
+//! same queue, so nothing recurses. The registry lock and the machine
+//! lock are never held together.
 //!
-//! ## Failure semantics
+//! ## Round barrier and failure semantics
 //!
-//! A worker that dies mid-round (reader hits EOF/error, or a send
-//! fails) is dropped from the registry and its outstanding jobs are
-//! *reassigned* to the survivors, each reassignment consuming one unit
-//! of the job's retry budget ([`nebula_core::RetryPolicy`], the same
-//! policy family the simulated fault paths use). A job that exhausts
-//! the budget — or has no surviving worker to go to — resolves to
-//! [`TransportError::Closed`]; jobs still unresolved at the deadline
-//! resolve to [`TransportError::Timeout`]. The strategy above maps
-//! every error onto its existing `link_dropped` fate, so a dying or
-//! straggling worker degrades the round exactly like a simulated lossy
-//! cohort and can never hang the run.
+//! `round_trip` opens the round, spreads the jobs round-robin over the
+//! live workers and blocks on a condvar until every slot is resolved or
+//! the wall-clock deadline passes. A worker that dies mid-round is dropped
+//! from the registry and its jobs are reassigned under the retry budget
+//! ([`nebula_core::RetryPolicy`]); a job out of budget or out of workers
+//! resolves [`TransportError::Closed`], one still open at the deadline
+//! [`TransportError::Timeout`]. The strategy above maps every error onto
+//! its `link_dropped` fate, so a dying or straggling worker degrades the
+//! round exactly like a simulated lossy cohort and can never hang the
+//! run. The transition table is in [`crate::round`] and DESIGN §15.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -39,6 +47,7 @@ use nebula_wire::{CodecKind, FrameKey};
 
 use crate::netio::Conn;
 use crate::proto::{self, JobTag, Message};
+use crate::round::{self, Machine, Outcome, Step};
 use crate::{ServeError, WorkerRunConfig};
 
 /// Coordinator deployment knobs.
@@ -108,71 +117,18 @@ struct WorkerHandle {
     last_seen: Arc<AtomicU64>,
 }
 
-/// The in-flight round, if any.
-struct RoundState {
-    /// Barrier epoch this round's jobs were stamped with — monotonic
-    /// across rounds, so a straggler result from a round that already
-    /// hit the deadline can never land in a later round's slot.
-    epoch: u64,
-    jobs: Vec<DispatchJob>,
-    /// Per job: (owning worker id, dispatch attempt). Worker ids start
-    /// at 1, so the initial `(0, 0)` never matches a real owner.
-    assigned: Vec<(u64, u32)>,
-    /// Per job: the secondary in-flight copy `(worker, attempt)` when a
-    /// hedge was dispatched. Either copy may resolve the slot; the other
-    /// is then a counted duplicate.
-    hedge: Vec<Option<(u64, u32)>>,
-    /// Per job: a hedge was attempted (at most one per job per round).
-    hedged: Vec<bool>,
-    /// Per job: highest attempt number ever issued. Every dispatch —
-    /// initial, reassignment, or hedge — reserves `issued + 1`, so no
-    /// two copies of a job can ever share an attempt number and a
-    /// straggler from any superseded dispatch can never collide with a
-    /// live one.
-    issued: Vec<u32>,
-    /// Per job: reassignments consumed from the retry budget (hedges
-    /// are free — they race the original, they don't replace it).
-    retries_used: Vec<u32>,
-    /// Per job: when the primary copy was (re)dispatched; what the
-    /// hedging timer measures against.
-    sent_at: Vec<Instant>,
-    results: Vec<Option<Result<JobResult, TransportError>>>,
-    outstanding: usize,
-}
-
-impl RoundState {
-    fn new(epoch: u64, jobs: Vec<DispatchJob>) -> RoundState {
-        let n = jobs.len();
-        RoundState {
-            epoch,
-            jobs,
-            assigned: vec![(0, 0); n],
-            hedge: vec![None; n],
-            hedged: vec![false; n],
-            issued: vec![0; n],
-            retries_used: vec![0; n],
-            sent_at: vec![Instant::now(); n],
-            results: vec![None; n],
-            outstanding: n,
-        }
-    }
-}
-
 struct Shared {
     key: Option<FrameKey>,
     config_json: String,
     deadline_ms: u64,
-    retry: RetryPolicy,
     max_frame_len: usize,
-    liveness_timeout_ms: u64,
-    hedge_after_ms: u64,
     telemetry: Telemetry,
     workers: Mutex<BTreeMap<u64, WorkerHandle>>,
-    round: Mutex<Option<RoundState>>,
+    /// The round machine (it holds the retry budget, the hedge trigger and
+    /// the barrier epoch). Every access is one event; see the module docs.
+    round: Mutex<Machine>,
     round_done: Condvar,
     next_worker_id: AtomicU64,
-    /// Source of [`RoundState::epoch`]; bumped once per `round_trip`.
-    round_epoch: AtomicU64,
     rounds_completed: AtomicU64,
     /// Zero point of [`Shared::now_ms`] (liveness stamps, `/healthz` age).
     started_at: Instant,
@@ -184,191 +140,96 @@ struct Shared {
 
 impl Shared {
     /// Milliseconds since the coordinator started: the clock liveness
-    /// stamps and `/healthz` ages are expressed in.
+    /// stamps, `/healthz` ages and the machine's `now_ms` are expressed in.
     fn now_ms(&self) -> u64 {
         self.started_at.elapsed().as_millis() as u64
     }
 
-    /// Live worker writers, in id order. Never held together with the
-    /// round lock — callers snapshot, release, then lock the round.
-    fn live_workers(&self) -> Vec<(u64, Arc<Mutex<Conn>>)> {
-        let map = self.workers.lock().unwrap();
-        map.iter().map(|(id, w)| (*id, Arc::clone(&w.writer))).collect()
+    /// Live worker ids, in id order.
+    fn live_ids(&self) -> Vec<u64> {
+        self.workers.lock().unwrap().keys().copied().collect()
     }
 
-    /// Resolves `job_idx` under the round lock (idempotent).
-    fn resolve(&self, st: &mut RoundState, job_idx: usize, outcome: Result<JobResult, TransportError>) {
-        if st.results[job_idx].is_some() {
-            return;
+    /// Writes one already-encoded frame to a worker; false when the worker
+    /// is gone or the write failed.
+    fn write_to(&self, worker: u64, frame: &[u8]) -> bool {
+        let writer = self.workers.lock().unwrap().get(&worker).map(|w| Arc::clone(&w.writer));
+        writer.is_some_and(|w| write_frame(&mut *w.lock().unwrap(), frame).is_ok())
+    }
+
+    /// Feeds the machine one event — given the live worker ids — bumps
+    /// the counters it returns, wakes the barrier when it resolved the
+    /// last slot, and hands back the sends it asks for. The counters are
+    /// bumped before the lock is released, so whoever sees a slot resolved
+    /// (the barrier, then `round_trip`'s caller) also sees it counted.
+    fn feed(&self, event: impl FnOnce(&mut Machine, &[u64]) -> Step) -> Vec<round::Send> {
+        let live = self.live_ids();
+        let mut machine = self.round.lock().unwrap();
+        let step = event(&mut machine, &live);
+        for name in step.counters {
+            self.telemetry.counter_add(name, 1);
         }
-        match &outcome {
-            Ok(_) => self.telemetry.counter_add("serve.results_ok", 1),
-            Err(_) => self.telemetry.counter_add("serve.results_failed", 1),
-        }
-        st.results[job_idx] = Some(outcome);
-        st.outstanding -= 1;
-        if st.outstanding == 0 {
+        if machine.outstanding() == 0 {
             self.round_done.notify_all();
         }
+        step.sends
     }
 
-    /// Records the dispatch and encodes under the round lock, writes
-    /// outside it. A primary send updates the slot's live assignment
-    /// (and restarts its hedge timer); a hedge send records the second
-    /// in-flight copy. Returns false when the write failed (caller
-    /// drops the target worker).
-    fn send_copy(
-        &self,
-        job_idx: usize,
-        target: u64,
-        attempt: u32,
-        writer: &Mutex<Conn>,
-        hedge: bool,
-    ) -> bool {
-        let mut buf = Vec::new();
-        {
-            let mut round = self.round.lock().unwrap();
-            let Some(st) = round.as_mut() else { return true };
-            if st.results[job_idx].is_some() {
-                return true;
-            }
-            if hedge {
-                st.hedge[job_idx] = Some((target, attempt));
-            } else {
-                st.assigned[job_idx] = (target, attempt);
-                st.sent_at[job_idx] = Instant::now();
-            }
-            st.issued[job_idx] = st.issued[job_idx].max(attempt);
-            let tag =
-                JobTag { job: job_idx as u64, attempt, epoch: st.epoch, device: st.jobs[job_idx].device };
-            if let Err(e) = proto::encode_job(&mut buf, &st.jobs[job_idx], tag, self.key.as_ref()) {
-                self.resolve(st, job_idx, Err(TransportError::Wire(e.to_string())));
-                return true;
+    /// Performs `sends` in order. A failed write loses its worker — one
+    /// more event, whose sends join the queue.
+    fn perform(&self, sends: Vec<round::Send>) {
+        let mut queue = VecDeque::from(sends);
+        while let Some(send) = queue.pop_front() {
+            if !self.write_job(&send) {
+                queue.extend(self.lose_worker(send.worker));
             }
         }
-        let ok = {
-            let mut w = writer.lock().unwrap();
-            write_frame(&mut *w, &buf).is_ok()
+    }
+
+    /// Asks the machine whether `send` is still wanted, frames the job
+    /// under the machine lock and writes outside it. False when the write
+    /// failed (the caller loses the target worker).
+    fn write_job(&self, send: &round::Send) -> bool {
+        let mut buf = Vec::new();
+        let framed = {
+            let mut machine = self.round.lock().unwrap();
+            let Some(job) = machine.on_send(send, self.now_ms()) else { return true };
+            proto::encode_job(&mut buf, job, send.tag, self.key.as_ref())
         };
+        if let Err(e) = framed {
+            self.feed(|machine, _| machine.on_result(send.tag, Err(TransportError::Wire(e.to_string()))));
+            return true;
+        }
+        let ok = self.write_to(send.worker, &buf);
         if ok {
             self.telemetry.counter_add("serve.jobs_sent", 1);
         }
         ok
     }
 
-    fn send_job(&self, job_idx: usize, target: u64, attempt: u32, writer: &Mutex<Conn>) -> bool {
-        self.send_copy(job_idx, target, attempt, writer, false)
-    }
-
-    /// A result frame arrived from a worker. Lands only when the echoed
-    /// tag matches the current round's epoch, the slot's device, and one
-    /// of the slot's *live* attempts — the primary assignment or its
-    /// hedge: anything else is a stale echo (a superseded attempt, or a
-    /// straggler from a round that already hit the deadline barrier) and
-    /// is dropped, not aggregated. When both live copies answer, the
-    /// first resolves the slot and the second is counted as a duplicate
-    /// — also never aggregated.
+    /// A result frame arrived from a worker. A worker-side rejection is
+    /// deterministic — re-running it elsewhere returns the same refusal,
+    /// so it resolves the slot like any other outcome, no retry.
     fn deliver(&self, tag: JobTag, outcome: Result<JobResult, String>) {
-        let mut round = self.round.lock().unwrap();
-        let Some(st) = round.as_mut() else { return };
-        let j = tag.job as usize;
-        if tag.epoch != st.epoch || j >= st.results.len() || st.jobs[j].device != tag.device {
-            self.telemetry.counter_add("serve.stale_results", 1);
-            return;
-        }
-        let primary = st.assigned[j].1 == tag.attempt;
-        let hedged = st.hedge[j].is_some_and(|(_, a)| a == tag.attempt);
-        if !primary && !hedged {
-            self.telemetry.counter_add("serve.stale_results", 1);
-            return;
-        }
-        if st.results[j].is_some() {
-            // The other copy of a hedged pair already landed.
-            self.telemetry.counter_add("serve.dup_results", 1);
-            return;
-        }
-        if hedged && !primary {
-            self.telemetry.counter_add("serve.hedge_wins", 1);
-        } else if st.hedge[j].is_some() {
-            self.telemetry.counter_add("serve.hedge_losses", 1);
-        }
-        // A worker-side rejection is deterministic — re-running it
-        // elsewhere returns the same refusal, so no retry.
-        self.resolve(st, j, outcome.map_err(TransportError::Rejected));
+        self.feed(|machine, _| machine.on_result(tag, outcome.map_err(TransportError::Rejected)));
     }
 
     /// Drops `dead` from the registry, severs its socket (so both the
-    /// blocked reader thread and the remote process observe the drop),
-    /// and re-homes its unresolved jobs: a job whose hedge copy is still
-    /// in flight on a live worker is promoted to that copy for free;
-    /// every true reassignment burns one retry; over-budget (or
-    /// unplaceable) jobs resolve to `Closed`. Safe to call repeatedly
-    /// and from any thread; recursion through failed resends is bounded
-    /// by the worker count.
-    fn drop_worker(&self, dead: u64) {
+    /// blocked reader thread and the remote process observe the drop) and
+    /// tells the machine, which re-homes the worker's unresolved jobs.
+    fn lose_worker(&self, dead: u64) -> Vec<round::Send> {
         let handle = self.workers.lock().unwrap().remove(&dead);
         if let Some(w) = handle {
             self.telemetry.counter_add("serve.workers_lost", 1);
             w.closer.shutdown();
         }
-        let live = self.live_workers();
-        let mut sends: Vec<(usize, u32, u64, Arc<Mutex<Conn>>)> = Vec::new();
-        {
-            let mut round = self.round.lock().unwrap();
-            let Some(st) = round.as_mut() else { return };
-            let mut spread = 0usize;
-            for j in 0..st.jobs.len() {
-                if st.results[j].is_some() {
-                    continue;
-                }
-                if st.hedge[j].is_some_and(|(w, _)| w == dead) {
-                    st.hedge[j] = None;
-                }
-                if st.assigned[j].0 != dead {
-                    continue;
-                }
-                if let Some((hw, ha)) = st.hedge[j] {
-                    // The hedge copy is already in flight on a live
-                    // worker: promote it to primary, no resend needed.
-                    st.assigned[j] = (hw, ha);
-                    st.hedge[j] = None;
-                    continue;
-                }
-                let used = st.retries_used[j] + 1;
-                if live.is_empty() || used > self.retry.max_retries {
-                    self.resolve(
-                        st,
-                        j,
-                        Err(TransportError::Closed(format!(
-                            "worker {dead} lost (retry {used}/{} budget)",
-                            self.retry.max_retries
-                        ))),
-                    );
-                    continue;
-                }
-                st.retries_used[j] = used;
-                let attempt = st.issued[j] + 1;
-                st.issued[j] = attempt;
-                let (wid, writer) = live[spread % live.len()].clone();
-                spread += 1;
-                st.assigned[j] = (wid, attempt);
-                sends.push((j, attempt, wid, writer));
-            }
-        }
-        for (j, attempt, wid, writer) in sends {
-            self.telemetry.counter_add("serve.jobs_reassigned", 1);
-            if !self.send_job(j, wid, attempt, &writer) {
-                self.drop_worker(wid);
-            }
-        }
+        self.feed(|machine, live| machine.on_worker_lost(dead, live))
     }
 
-    /// Liveness eviction: sever the socket first (waking the worker's
-    /// blocked reader into the drop path) and reassign through
-    /// [`Shared::drop_worker`].
-    fn evict_worker(&self, id: u64) {
-        self.telemetry.counter_add("serve.workers_evicted", 1);
-        self.drop_worker(id);
+    /// [`Shared::lose_worker`], sends performed. Safe to call repeatedly
+    /// and from any thread.
+    fn drop_worker(&self, dead: u64) {
+        self.perform(self.lose_worker(dead));
     }
 }
 
@@ -377,8 +238,7 @@ impl Shared {
 /// pings from their reader thread, so silence means a frozen process or
 /// a half-open connection — exactly what the round barrier cannot see
 /// on its own (a dead-but-ACKing socket never errors a write).
-fn liveness_monitor(shared: Arc<Shared>) {
-    let timeout = shared.liveness_timeout_ms;
+fn liveness_monitor(shared: Arc<Shared>, timeout: u64) {
     let interval = (timeout / 4).clamp(10, 1_000);
     let mut buf = Vec::new();
     let mut nonce = 0u64;
@@ -397,21 +257,18 @@ fn liveness_monitor(shared: Arc<Shared>) {
         if proto::encode_ping(&mut buf, nonce, shared.key.as_ref()).is_err() {
             continue;
         }
-        let snapshot: Vec<(u64, Arc<Mutex<Conn>>, Arc<AtomicU64>)> = {
+        let snapshot: Vec<(u64, Arc<AtomicU64>)> = {
             let map = shared.workers.lock().unwrap();
-            map.iter().map(|(id, w)| (*id, Arc::clone(&w.writer), Arc::clone(&w.last_seen))).collect()
+            map.iter().map(|(id, w)| (*id, Arc::clone(&w.last_seen))).collect()
         };
         let now = shared.now_ms();
-        for (id, writer, last_seen) in snapshot {
+        for (id, last_seen) in snapshot {
             if now.saturating_sub(last_seen.load(Ordering::SeqCst)) > timeout {
-                shared.evict_worker(id);
-                continue;
-            }
-            let ok = {
-                let mut w = writer.lock().unwrap();
-                write_frame(&mut *w, &buf).is_ok()
-            };
-            if ok {
+                // Severing the socket wakes the worker's blocked reader
+                // into the same drop path.
+                shared.telemetry.counter_add("serve.workers_evicted", 1);
+                shared.drop_worker(id);
+            } else if shared.write_to(id, &buf) {
                 shared.telemetry.counter_add("serve.pings_sent", 1);
             } else {
                 shared.drop_worker(id);
@@ -438,16 +295,12 @@ impl Coordinator {
             key: cfg.auth_key.map(|k| FrameKey::from_bytes(&k)),
             config_json,
             deadline_ms: cfg.deadline_ms,
-            retry: cfg.retry,
             max_frame_len: cfg.max_frame_len,
-            liveness_timeout_ms: cfg.liveness_timeout_ms,
-            hedge_after_ms: cfg.hedge_after_ms,
             telemetry: cfg.telemetry,
             workers: Mutex::new(BTreeMap::new()),
-            round: Mutex::new(None),
+            round: Mutex::new(Machine::new(cfg.retry.max_retries, cfg.hedge_after_ms)),
             round_done: Condvar::new(),
             next_worker_id: AtomicU64::new(1),
-            round_epoch: AtomicU64::new(0),
             rounds_completed: AtomicU64::new(0),
             started_at: Instant::now(),
             last_round_ms: AtomicU64::new(u64::MAX),
@@ -455,20 +308,20 @@ impl Coordinator {
         });
         if cfg.liveness_timeout_ms > 0 {
             let s = Arc::clone(&shared);
-            thread::spawn(move || liveness_monitor(s));
+            thread::spawn(move || liveness_monitor(s, cfg.liveness_timeout_ms));
         }
         let mut tcp_addr = None;
         if let Some(addr) = &cfg.tcp {
             let listener = TcpListener::bind(addr)?;
             tcp_addr = Some(listener.local_addr()?);
             let s = Arc::clone(&shared);
-            thread::spawn(move || accept_tcp(listener, s));
+            thread::spawn(move || accept(listener.incoming(), Conn::tcp, s));
         }
         if let Some(path) = &cfg.uds {
             let _ = std::fs::remove_file(path);
             let listener = UnixListener::bind(path)?;
             let s = Arc::clone(&shared);
-            thread::spawn(move || accept_uds(listener, s));
+            thread::spawn(move || accept(listener.incoming(), Conn::Uds, s));
         }
         Ok(Coordinator { shared, tcp_addr, uds_path: cfg.uds })
     }
@@ -524,10 +377,8 @@ impl Coordinator {
     /// The telemetry registry snapshot as JSON (`{}` when telemetry is
     /// off). What `/metrics` serves.
     pub fn metrics_json(&self) -> String {
-        match self.shared.telemetry.metrics() {
-            Some(snap) => serde_json::to_string(&snap).unwrap_or_else(|_| "{}".into()),
-            None => "{}".into(),
-        }
+        let snapshot = self.shared.telemetry.metrics().and_then(|snap| serde_json::to_string(&snap).ok());
+        snapshot.unwrap_or_else(|| "{}".into())
     }
 
     /// Tells every worker to drain and exit, then closes the listeners.
@@ -535,17 +386,13 @@ impl Coordinator {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         let mut buf = Vec::new();
         if proto::encode_shutdown(&mut buf, self.shared.key.as_ref()).is_ok() {
-            for (id, writer) in self.shared.live_workers() {
+            for id in self.shared.live_ids() {
                 // The notice alone ends a conforming worker (it severs
                 // its own side); severing here could discard the frame
                 // from the socket buffer, and a worker that misses it
                 // reads the close as a crash and tries to rejoin. Only
                 // an unwritable connection is cut outright.
-                let failed = {
-                    let mut w = writer.lock().unwrap();
-                    write_frame(&mut *w, &buf).is_err()
-                };
-                if failed {
+                if !self.shared.write_to(id, &buf) {
                     self.shared.drop_worker(id);
                 }
             }
@@ -560,13 +407,10 @@ impl Coordinator {
     /// teardown wants [`Coordinator::shutdown`].
     pub fn abort(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        let snapshot: Vec<u64> = self.shared.workers.lock().unwrap().keys().copied().collect();
-        for id in snapshot {
-            if let Some(w) = self.shared.workers.lock().unwrap().get(&id) {
-                w.closer.shutdown();
-            }
+        let workers = std::mem::take(&mut *self.shared.workers.lock().unwrap());
+        for w in workers.values() {
+            w.closer.shutdown();
         }
-        self.shared.workers.lock().unwrap().clear();
         self.close_listeners();
     }
 
@@ -583,25 +427,14 @@ impl Coordinator {
     }
 }
 
-fn accept_tcp(listener: TcpListener, shared: Arc<Shared>) {
-    for stream in listener.incoming() {
+/// One listener's accept loop; `conn` wraps an accepted stream.
+fn accept<S>(incoming: impl Iterator<Item = std::io::Result<S>>, conn: fn(S) -> Conn, shared: Arc<Shared>) {
+    for stream in incoming {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
         if let Ok(s) = stream {
-            s.set_nodelay(true).ok();
-            spawn_conn(Conn::Tcp(s), Arc::clone(&shared));
-        }
-    }
-}
-
-fn accept_uds(listener: UnixListener, shared: Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if let Ok(s) = stream {
-            spawn_conn(Conn::Uds(s), Arc::clone(&shared));
+            spawn_conn(conn(s), Arc::clone(&shared));
         }
     }
 }
@@ -625,27 +458,22 @@ fn handshake_and_serve(mut conn: Conn, shared: &Arc<Shared>) -> Result<(), Serve
     }
     let hello = decode_hello(&buf, shared.key.as_ref())
         .map_err(|e| ServeError::Handshake(format!("bad hello: {e:?}")))?;
-    let reject = |reason: &str| HelloAck {
-        accepted: false,
-        codec: CodecKind::Raw,
-        worker_id: 0,
-        reason: reason.into(),
-        config_json: String::new(),
-    };
-    let ack = if hello.proto != HELLO_PROTO {
-        reject(&format!("unsupported handshake revision {}", hello.proto))
+    let refusal = if hello.proto != HELLO_PROTO {
+        Some(format!("unsupported handshake revision {}", hello.proto))
     } else if hello.codec != CodecKind::Raw {
         // Stateful codecs would need the coordinator's channel state on
         // the worker; the serving plane speaks Raw only.
-        reject(&format!("codec {:?} not served; speak Raw", hello.codec))
+        Some(format!("codec {:?} not served; speak Raw", hello.codec))
     } else {
-        HelloAck {
-            accepted: true,
-            codec: CodecKind::Raw,
-            worker_id: shared.next_worker_id.fetch_add(1, Ordering::SeqCst),
-            reason: String::new(),
-            config_json: shared.config_json.clone(),
-        }
+        None
+    };
+    let accepted = refusal.is_none();
+    let ack = HelloAck {
+        accepted,
+        codec: CodecKind::Raw,
+        worker_id: if accepted { shared.next_worker_id.fetch_add(1, Ordering::SeqCst) } else { 0 },
+        reason: refusal.unwrap_or_default(),
+        config_json: if accepted { shared.config_json.clone() } else { String::new() },
     };
     encode_hello_ack(&mut buf, &ack, shared.key.as_ref());
     write_frame(&mut conn, &buf)?;
@@ -673,9 +501,7 @@ fn handshake_and_serve(mut conn: Conn, shared: &Arc<Shared>) -> Result<(), Serve
         // worker's reader loop is alive.
         last_seen.store(shared.now_ms(), Ordering::SeqCst);
         match proto::decode_message(&buf, shared.key.as_ref()) {
-            Ok(Message::Result(tag, outcome)) => {
-                shared.deliver(tag, outcome);
-            }
+            Ok(Message::Result(tag, outcome)) => shared.deliver(tag, outcome),
             Ok(_) => {}
             Err(_) => {
                 // An undecodable frame (MAC mismatch, corruption) means
@@ -690,16 +516,15 @@ fn handshake_and_serve(mut conn: Conn, shared: &Arc<Shared>) -> Result<(), Serve
             break;
         }
     }
-    if shared.shutdown.load(Ordering::SeqCst) {
-        // Clean teardown. `shutdown()` owns the registry now: it is
-        // writing (or has written) the shutdown notice on this very
-        // socket, and severing here races the notice out of the stream —
-        // the worker reads a torn frame or a bare EOF, mistakes the
-        // teardown for a crash, and burns its whole rejoin dial budget
-        // against a deployment that no longer exists.
-        return Ok(());
+    // Not on a clean teardown: `shutdown()` owns the registry then. It is
+    // writing (or has written) the shutdown notice on this very socket,
+    // and severing here races the notice out of the stream — the worker
+    // reads a torn frame or a bare EOF, mistakes the teardown for a crash,
+    // and burns its whole rejoin dial budget against a deployment that no
+    // longer exists.
+    if !shared.shutdown.load(Ordering::SeqCst) {
+        shared.drop_worker(id);
     }
-    shared.drop_worker(id);
     Ok(())
 }
 
@@ -714,109 +539,47 @@ impl Transport for SocketTransport {
         "socket"
     }
 
-    fn round_trip(&mut self, jobs: Vec<DispatchJob>) -> Vec<Result<JobResult, TransportError>> {
+    fn round_trip(&mut self, jobs: Vec<DispatchJob>) -> Vec<Outcome> {
         let n = jobs.len();
         if n == 0 {
             return Vec::new();
         }
-        let mut span = self.shared.telemetry.span("serve.round_trip");
+        let shared = &*self.shared;
+        let mut span = shared.telemetry.span("serve.round_trip");
         span.int("jobs", n as u64);
-        let live = self.shared.live_workers();
-        if live.is_empty() {
-            self.shared.telemetry.counter_add("serve.rounds_unserved", 1);
+        if shared.live_ids().is_empty() {
+            shared.telemetry.counter_add("serve.rounds_unserved", 1);
             return (0..n).map(|_| Err(TransportError::Closed("no workers connected".into()))).collect();
         }
-        let epoch = self.shared.round_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        *self.shared.round.lock().unwrap() = Some(RoundState::new(epoch, jobs));
-        for j in 0..n {
-            let (wid, writer) = live[j % live.len()].clone();
-            if !self.shared.send_job(j, wid, 0, &writer) {
-                self.shared.drop_worker(wid);
-            }
-        }
+        let started = shared.now_ms();
+        let deadline = started + shared.deadline_ms;
+        shared.perform(shared.feed(|machine, live| machine.start(jobs, live, started)));
 
-        let started = Instant::now();
-        let deadline = started + Duration::from_millis(self.shared.deadline_ms);
-        let hedge_after = self.shared.hedge_after_ms;
-        let mut round = self.shared.round.lock().unwrap();
-        loop {
-            let outstanding = round.as_ref().map_or(0, |st| st.outstanding);
-            if outstanding == 0 {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                // Stragglers missed the barrier: the round degrades, it
-                // does not hang.
-                let waited_ms = started.elapsed().as_millis() as u64;
-                if let Some(st) = round.as_mut() {
-                    for j in 0..st.results.len() {
-                        if st.results[j].is_none() {
-                            self.shared.resolve(st, j, Err(TransportError::Timeout { waited_ms }));
-                        }
-                    }
-                }
-                self.shared.telemetry.counter_add("serve.round_timeouts", 1);
-                break;
-            }
-            // The hedge timer: wake early enough to re-dispatch the
-            // slowest unresolved jobs to a second worker. Each job is
-            // hedged at most once per round, at a freshly reserved
-            // attempt number (reserved under the round lock here, sent
-            // outside it).
+        // The barrier: one tick (or the deadline) per wake-up, then a wait
+        // that re-checks the machine under its lock, so a result landing
+        // while a hedge was being written is never slept through.
+        let results = loop {
+            let now = shared.now_ms();
             let mut wake = deadline;
-            let mut due: Vec<(usize, u32, u64)> = Vec::new();
-            if hedge_after > 0 {
-                let h = Duration::from_millis(hedge_after);
-                if let Some(st) = round.as_mut() {
-                    for j in 0..st.jobs.len() {
-                        if st.results[j].is_some() || st.hedged[j] {
-                            continue;
-                        }
-                        let at = st.sent_at[j] + h;
-                        if at <= now {
-                            st.hedged[j] = true;
-                            let attempt = st.issued[j] + 1;
-                            st.issued[j] = attempt;
-                            due.push((j, attempt, st.assigned[j].0));
-                        } else {
-                            wake = wake.min(at);
-                        }
-                    }
-                }
+            shared.perform(shared.feed(|machine, live| {
+                let step = if now >= deadline {
+                    machine.on_deadline(now - started)
+                } else {
+                    machine.on_tick(now, live)
+                };
+                wake = step.wake_ms.map_or(deadline, |at| at.min(deadline));
+                step
+            }));
+            let mut machine = shared.round.lock().unwrap();
+            if machine.outstanding() == 0 {
+                break machine.finish();
             }
-            if !due.is_empty() {
-                drop(round);
-                let live = self.shared.live_workers();
-                let mut spread = 0usize;
-                for (j, attempt, owner) in due {
-                    // Hedge to a worker other than the slow owner; with
-                    // no second worker there is nowhere to race the job.
-                    let others: Vec<_> = live.iter().filter(|(id, _)| *id != owner).collect();
-                    if others.is_empty() {
-                        continue;
-                    }
-                    let (wid, writer) = others[spread % others.len()].clone();
-                    spread += 1;
-                    self.shared.telemetry.counter_add("serve.jobs_hedged", 1);
-                    if !self.shared.send_copy(j, wid, attempt, &writer, true) {
-                        self.shared.drop_worker(wid);
-                    }
-                }
-                round = self.shared.round.lock().unwrap();
-                continue;
-            }
-            let (guard, _) = self.shared.round_done.wait_timeout(round, wake - now).unwrap();
-            round = guard;
-        }
-        let st = round.take().expect("round state present until the barrier resolves");
-        drop(round);
-        self.shared.rounds_completed.fetch_add(1, Ordering::SeqCst);
-        self.shared.last_round_ms.store(self.shared.now_ms(), Ordering::SeqCst);
-        st.results
-            .into_iter()
-            .map(|r| r.unwrap_or(Err(TransportError::Closed("round aborted".into()))))
-            .collect()
+            let left = Duration::from_millis(wake.saturating_sub(shared.now_ms()));
+            drop(shared.round_done.wait_timeout(machine, left).unwrap());
+        };
+        shared.rounds_completed.fetch_add(1, Ordering::SeqCst);
+        shared.last_round_ms.store(shared.now_ms(), Ordering::SeqCst);
+        results
     }
 }
 
@@ -836,16 +599,12 @@ mod tests {
             key: None,
             config_json: String::new(),
             deadline_ms,
-            retry: RetryPolicy { max_retries, ..RetryPolicy::default() },
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            liveness_timeout_ms: 0,
-            hedge_after_ms,
             telemetry: Telemetry::off(),
             workers: Mutex::new(BTreeMap::new()),
-            round: Mutex::new(None),
+            round: Mutex::new(Machine::new(max_retries, hedge_after_ms)),
             round_done: Condvar::new(),
             next_worker_id: AtomicU64::new(1),
-            round_epoch: AtomicU64::new(0),
             rounds_completed: AtomicU64::new(0),
             started_at: Instant::now(),
             last_round_ms: AtomicU64::new(u64::MAX),
@@ -873,53 +632,48 @@ mod tests {
         }
     }
 
+    /// A round at `epoch` with every job written to worker 1 at attempt 0.
     fn install_round(s: &Shared, epoch: u64, devices: &[u64]) {
         let jobs: Vec<DispatchJob> = devices.iter().map(|&d| toy_job(d)).collect();
-        let n = jobs.len();
-        let mut st = RoundState::new(epoch, jobs);
-        st.assigned = vec![(1, 0); n];
-        *s.round.lock().unwrap() = Some(st);
+        s.round.lock().unwrap().install(epoch, jobs, 1);
     }
 
     /// Marks job `j` as hedged to `(worker, attempt)`, reserving the
-    /// attempt number exactly like the barrier's hedge timer does.
+    /// attempt number exactly like the hedge timer does.
     fn install_hedge(s: &Shared, j: usize, worker: u64, attempt: u32) {
-        let mut round = s.round.lock().unwrap();
-        let st = round.as_mut().unwrap();
-        st.hedged[j] = true;
-        st.issued[j] = st.issued[j].max(attempt);
-        st.hedge[j] = Some((worker, attempt));
+        s.round.lock().unwrap().install_hedge(j, worker, attempt);
     }
 
     fn outstanding(s: &Shared) -> usize {
-        s.round.lock().unwrap().as_ref().map_or(0, |st| st.outstanding)
+        s.round.lock().unwrap().outstanding()
     }
 
     fn resolved(s: &Shared, j: usize) -> bool {
-        s.round.lock().unwrap().as_ref().is_some_and(|st| st.results[j].is_some())
+        outcome_of(s, j).is_some()
     }
 
     /// Slots of the installed round still waiting for an outcome.
     fn unresolved(s: &Shared) -> usize {
-        s.round.lock().unwrap().as_ref().map_or(0, |st| st.results.iter().filter(|r| r.is_none()).count())
+        s.round.lock().unwrap().slots().iter().filter(|slot| slot.result.is_none()).count()
     }
 
     /// The slot's primary copy: `(worker, attempt)`.
     fn assigned_of(s: &Shared, j: usize) -> (u64, u32) {
-        s.round.lock().unwrap().as_ref().unwrap().assigned[j]
+        let primary = s.round.lock().unwrap().slots()[j].primary;
+        (primary.worker, primary.attempt)
     }
 
     /// The slot's in-flight hedge copy, if any.
     fn hedge_of(s: &Shared, j: usize) -> Option<(u64, u32)> {
-        s.round.lock().unwrap().as_ref().unwrap().hedge[j]
+        s.round.lock().unwrap().slots()[j].hedge.map(|h| (h.worker, h.attempt))
     }
 
     fn retries_of(s: &Shared, j: usize) -> u32 {
-        s.round.lock().unwrap().as_ref().unwrap().retries_used[j]
+        s.round.lock().unwrap().slots()[j].retries_used
     }
 
-    fn outcome_of(s: &Shared, j: usize) -> Option<Result<JobResult, TransportError>> {
-        s.round.lock().unwrap().as_ref().unwrap().results[j].clone()
+    fn outcome_of(s: &Shared, j: usize) -> Option<Outcome> {
+        s.round.lock().unwrap().slots().get(j).and_then(|slot| slot.result.clone())
     }
 
     /// Registers worker `id` over a socket pair and returns the far end:
@@ -950,10 +704,7 @@ mod tests {
 
     /// Runs one real `round_trip` of toy jobs for `devices` on its own
     /// thread: the barrier, the hedge timer and the deadline all run.
-    fn run_round(
-        s: &Arc<Shared>,
-        devices: &[u64],
-    ) -> thread::JoinHandle<Vec<Result<JobResult, TransportError>>> {
+    fn run_round(s: &Arc<Shared>, devices: &[u64]) -> thread::JoinHandle<Vec<Outcome>> {
         let jobs: Vec<DispatchJob> = devices.iter().map(|&d| toy_job(d)).collect();
         let mut transport = SocketTransport { shared: Arc::clone(s) };
         thread::spawn(move || transport.round_trip(jobs))

@@ -8,11 +8,16 @@
 //! transport; in-process that is [`nebula_core::Loopback`]. This crate
 //! provides the remote half:
 //!
-//! * [`coordinator`] — listeners, the worker registry with the
-//!   hello/ack handshake, and [`coordinator::SocketTransport`]: a
-//!   deadline-driven round barrier that reassigns jobs away from dead
-//!   workers under the shared retry budget and degrades what's left
-//!   into the round's existing fault fates (never hangs).
+//! * [`round`] — the served round as one pure state machine: a `Slot`
+//!   per job; events in (start, send, result, worker lost, hedge tick,
+//!   deadline), sends and counter bumps out. It decides reassignment
+//!   under the shared retry budget, hedging, and which result may land
+//!   (the `JobTag` guard); it touches no socket, lock, clock or thread.
+//! * [`coordinator`] — the machine's drivers: listeners, the worker
+//!   registry with the hello/ack handshake, liveness pings, and
+//!   [`coordinator::SocketTransport`], a deadline-driven round barrier
+//!   that degrades what a dying fleet leaves into the round's existing
+//!   fault fates (never hangs).
 //! * [`worker`] — a worker process: connect, handshake, then a small
 //!   thread pool executing jobs bit-identically to the loopback path.
 //! * [`proto`] — job/result/shutdown messages as wire control frames
@@ -30,6 +35,7 @@ pub mod coordinator;
 pub mod netio;
 pub mod ops;
 pub mod proto;
+pub mod round;
 pub mod worker;
 
 use std::fmt;

@@ -53,14 +53,17 @@ pub enum Conn {
 }
 
 impl Conn {
+    /// A TCP connection, dialled or accepted: frames are written whole, so
+    /// Nagle's delay buys nothing.
+    pub fn tcp(stream: TcpStream) -> Conn {
+        stream.set_nodelay(true).ok();
+        Conn::Tcp(stream)
+    }
+
     /// Dials `endpoint` once.
     pub fn connect(endpoint: &Endpoint) -> io::Result<Conn> {
         match endpoint {
-            Endpoint::Tcp(addr) => {
-                let s = TcpStream::connect(addr)?;
-                s.set_nodelay(true).ok();
-                Ok(Conn::Tcp(s))
-            }
+            Endpoint::Tcp(addr) => Ok(Conn::tcp(TcpStream::connect(addr)?)),
             Endpoint::Uds(path) => Ok(Conn::Uds(UnixStream::connect(path)?)),
         }
     }

@@ -8,15 +8,16 @@
 //! * `GET /round`   — round-barrier progress.
 //!
 //! The parser accepts exactly what `curl`/probes emit: a request line
-//! and headers, no bodies, no keep-alive. Anything else gets a 400/404
-//! and the connection is closed either way.
+//! and headers, no bodies, no keep-alive, all of it inside one
+//! [`REQUEST_DEADLINE`] (else `408`). Anything else gets a 400/404 and
+//! the connection is closed either way.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::coordinator::Coordinator;
 use crate::ServeError;
@@ -80,18 +81,31 @@ impl Drop for OpsServer {
     }
 }
 
-/// Reads one request (capped at 8 KiB), routes it, writes one response.
+/// How long a client has, from accept, to finish sending its request.
+/// One deadline for the whole request, not one per read: the accept loop
+/// is single-threaded, so a client trickling a byte at a time would
+/// otherwise hold `/healthz` away from every other probe.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Reads one request (capped at 8 KiB and [`REQUEST_DEADLINE`]), routes
+/// it, writes one response.
 fn serve_one(stream: &mut TcpStream, coordinator: &Coordinator) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut raw = Vec::new();
     let mut chunk = [0u8; 1024];
     while !raw.windows(4).any(|w| w == b"\r\n\r\n") {
         if raw.len() > 8192 {
             return respond(stream, 400, "{\"error\":\"request too large\"}");
         }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return respond(stream, 408, "{\"error\":\"request timeout\"}");
+        }
+        stream.set_read_timeout(Some(left))?;
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => raw.extend_from_slice(&chunk[..n]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(e) => return Err(e),
         }
     }
@@ -135,6 +149,7 @@ fn respond(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         _ => "Error",
     };
     let head = format!(
@@ -144,4 +159,46 @@ fn respond(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ServeConfig, WorkerRunConfig};
+
+    /// One client sends `GET /he` and then a byte a second — under a
+    /// per-read timeout it would own the single-threaded endpoint for as
+    /// long as it kept trickling. With one deadline per request it is
+    /// answered `408` and the probe queued behind it gets its `200`.
+    #[test]
+    fn a_trickling_client_cannot_hold_the_endpoint_past_the_request_deadline() {
+        let coordinator = Coordinator::bind(ServeConfig::new(WorkerRunConfig::default())).expect("bind");
+        let ops = OpsServer::spawn("127.0.0.1:0", coordinator).expect("ops binds");
+        let started = Instant::now();
+        let mut slow = TcpStream::connect(ops.addr()).expect("slow client connects");
+        slow.write_all(b"GET /he").expect("request prefix");
+        let mut trickle = slow.try_clone().expect("clone");
+        let trickler = thread::spawn(move || {
+            for _ in 0..8 {
+                thread::sleep(Duration::from_secs(1));
+                if trickle.write_all(b"a").is_err() {
+                    break;
+                }
+            }
+        });
+
+        let mut probe = TcpStream::connect(ops.addr()).expect("probe connects");
+        probe.write_all(b"GET /healthz HTTP/1.1\r\nHost: ops\r\n\r\n").expect("probe request");
+        let mut health = String::new();
+        probe.read_to_string(&mut health).expect("probe response");
+        let waited = started.elapsed();
+        assert!(health.starts_with("HTTP/1.1 200"), "the probe behind the slow client: {health}");
+        assert!(waited < REQUEST_DEADLINE + Duration::from_secs(1), "the probe waited {waited:?}");
+
+        let mut refusal = String::new();
+        let _ = slow.read_to_string(&mut refusal);
+        assert!(refusal.starts_with("HTTP/1.1 408"), "the slow client: {refusal}");
+        trickler.join().expect("trickler thread");
+        ops.stop();
+    }
 }

@@ -56,24 +56,6 @@ impl CodecKind {
         }
     }
 
-    /// Planning-time payload size for a tensor of `params` elements.
-    ///
-    /// This is the number `core::derive` budgets against when a comm
-    /// budget is expressed in encoded bytes. It is an upper bound on the
-    /// measured record payload, not an estimate: `Raw` is exact,
-    /// `DeltaFp32` plans at the raw size because the encoder's raw
-    /// fallback caps it there (actual deltas are usually far smaller),
-    /// and `QuantInt8` is one byte per element plus the f32 scale.
-    /// Frame/record header overhead is deliberately *not* charged here so
-    /// `Raw` planning stays bit-identical to the historical analytic
-    /// `4 * params` accounting.
-    pub fn planned_bytes(self, params: usize) -> u64 {
-        match self {
-            CodecKind::Raw | CodecKind::DeltaFp32 => 4 * params as u64,
-            CodecKind::QuantInt8 => params as u64 + 4,
-        }
-    }
-
     /// Human-readable name (used in bench JSON and logs).
     pub fn name(self) -> &'static str {
         match self {
@@ -241,11 +223,6 @@ impl ResidualStore {
             r.resize(len, 0.0);
         }
         r
-    }
-
-    /// Drop every residual carried for `sender` (e.g. device crash).
-    pub fn clear_sender(&mut self, sender: u64) {
-        self.map.retain(|(s, _), _| *s != sender);
     }
 
     pub fn len(&self) -> usize {

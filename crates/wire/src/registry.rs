@@ -76,11 +76,6 @@ impl ModuleRegistry {
     pub fn acked_version(&self, device: u64, key: ModuleKey) -> Option<u64> {
         self.acked.get(&device).and_then(|m| m.get(&key)).copied()
     }
-
-    /// Forget everything a device acknowledged (crash / re-provision).
-    pub fn clear_acks(&mut self, device: u64) {
-        self.acked.remove(&device);
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +105,5 @@ mod tests {
         assert_eq!(reg.acked_version(7, key), None);
         reg.ack(7, key, 3);
         assert_eq!(reg.acked_version(7, key), Some(3));
-        reg.clear_acks(7);
-        assert_eq!(reg.acked_version(7, key), None);
     }
 }
