@@ -270,12 +270,9 @@ pub fn decode_message(bytes: &[u8], key: Option<&FrameKey>) -> Result<Message, S
     let json = std::str::from_utf8(header_rec.payload)
         .map_err(|_| ServeError::Proto("header is not UTF-8".into()))?;
     let header: Header = serde_json::from_str(json).map_err(|e| ServeError::Proto(e.to_string()))?;
-    let tag = JobTag {
-        job: header.job,
-        attempt: header.attempt as u32,
-        epoch: header.epoch,
-        device: header.device,
-    };
+    let attempt = u32::try_from(header.attempt)
+        .map_err(|_| ServeError::Proto(format!("attempt {} out of range", header.attempt)))?;
+    let tag = JobTag { job: header.job, attempt, epoch: header.epoch, device: header.device };
     match header.kind.as_str() {
         "shutdown" => Ok(Message::Shutdown),
         "ping" => Ok(Message::Ping(header.job)),
@@ -327,18 +324,21 @@ pub fn decode_message(bytes: &[u8], key: Option<&FrameKey>) -> Result<Message, S
                 .collect();
             let xs = parse_f32s(feats.payload)?;
             let dim = header.feature_dim as usize;
-            if dim == 0 || xs.len() != labels.len() * dim {
+            if dim == 0 || labels.len().checked_mul(dim) != Some(xs.len()) {
                 return Err(ServeError::Proto(format!(
                     "dataset geometry mismatch: {} features, {} labels x dim {dim}",
                     xs.len(),
                     labels.len()
                 )));
             }
+            let classes = header.classes as usize;
+            if let Some(&y) = labels.iter().find(|&&y| y >= classes) {
+                return Err(ServeError::Proto(format!("label {y} out of range for {classes} classes")));
+            }
             if header.rng.len() != 4 {
                 return Err(ServeError::Proto("rng state must be 4 words".into()));
             }
-            let data =
-                Dataset::new(Tensor::from_vec(xs, &[labels.len(), dim]), labels, header.classes as usize);
+            let data = Dataset::new(Tensor::from_vec(xs, &[labels.len(), dim]), labels, classes);
             let job = DispatchJob {
                 round: header.round as usize,
                 device: header.device,
@@ -470,6 +470,58 @@ mod tests {
         assert!(decode_message(&buf, None).is_err(), "keyed ping at an open decoder must fail");
         encode_pong(&mut buf, 7, None).unwrap();
         assert!(matches!(decode_message(&buf, None).unwrap(), Message::Pong(7)));
+    }
+
+    /// A job frame built record by record from `header` and raw label
+    /// words, the way a peer that holds the key but not `encode_job`'s
+    /// typed inputs could write one.
+    fn hand_built_job(header: &Header, labels: &[u32], features: &[f32], key: Option<&FrameKey>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut b = begin(&mut buf);
+        push_header(&mut b, header).unwrap();
+        b.record(SLOT_MODEL, CodecKind::Raw, 0, 0, |o| o.extend_from_slice(&[9, 8, 7]));
+        push_f32s(&mut b, SLOT_FEATURES, features);
+        b.record(SLOT_LABELS, CodecKind::Raw, 0, labels.len(), |o| {
+            labels.iter().for_each(|y| o.extend_from_slice(&y.to_le_bytes()))
+        });
+        finish(b, key);
+        buf
+    }
+
+    /// Geometry and tag fields that pass the MAC but not the decoder's
+    /// checks are errors, not panics: a label at or past `classes`
+    /// (`Dataset::new` asserts), a feature dimension whose product with
+    /// the label count wraps to the blob's length, an attempt past `u32`.
+    #[test]
+    fn hostile_job_headers_are_errors_not_panics() {
+        let valid = Header {
+            kind: "job".into(),
+            spec: "modular".into(),
+            rng: vec![1, 2, 3, 4],
+            classes: 3,
+            feature_dim: 2,
+            ..Header::default()
+        };
+        let key = FrameKey::from_bytes(&[5u8; 16]);
+        for key in [None, Some(&key)] {
+            let ok = hand_built_job(&valid, &[0, 2], &[0.5; 4], key);
+            assert!(matches!(decode_message(&ok, key), Ok(Message::Job(..))));
+
+            let label_out_of_range = hand_built_job(&valid, &[0, 3], &[0.5; 4], key);
+            let wrapping_dim = Header { feature_dim: 1 << 63, ..valid.clone() };
+            let wrapping_dim = hand_built_job(&wrapping_dim, &[0, 1], &[], key);
+            let wide_attempt = Header { attempt: 1 << 32, ..valid.clone() };
+            let wide_attempt = hand_built_job(&wide_attempt, &[0, 2], &[0.5; 4], key);
+            for (what, frame) in
+                [("label", label_out_of_range), ("dim", wrapping_dim), ("attempt", wide_attempt)]
+            {
+                assert!(
+                    matches!(decode_message(&frame, key), Err(ServeError::Proto(_))),
+                    "{what}, keyed {}",
+                    key.is_some()
+                );
+            }
+        }
     }
 
     #[test]

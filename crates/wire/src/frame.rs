@@ -4,7 +4,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
 //!      0     4  magic  b"NBW1"
-//!      4     1  wire version (currently 1)
+//!      4     1  wire version (1 unauthenticated, 2 authenticated)
 //!      5     1  frame kind   (0 payload, 1 update, 2 dense, 3 control)
 //!      6     1  default codec id (hint; records carry their own)
 //!      7     1  flags (bit 0: authenticated; rest reserved 0)
@@ -12,8 +12,15 @@
 //!     12     4  body length in bytes    u32 LE
 //!     16   ...  records (back to back)
 //!    end     4  CRC32 (IEEE) over header + body   u32 LE
-//!   +opt     8  SipHash-2-4 MAC over header + body   u64 LE
-//!                (present iff the auth flag is set)
+//!   +opt     8  MAC over header + body   u64 LE
+//!                (present iff the auth flag is set, which it is iff the
+//!                version is 2)
+//!
+//! MAC (`FrameKey::mac`, see `crate::siphash`): over the `n` bytes of
+//! header + body, eight SipHash-2-4 lanes under derived lane keys, lane
+//! i over 8-byte word i of every whole 64-byte stripe, then
+//! SipHash-2-4 under the frame key of tag_0‖…‖tag_7‖tail‖n (u64 LE),
+//! where the tail is the last n mod 64 bytes.
 //!
 //! record:
 //!      0     2  layer   u16 LE   (0xFFFC..=0xFFFF are sentinels)
@@ -38,11 +45,15 @@ use crate::siphash::FrameKey;
 use crate::WireError;
 
 pub const MAGIC: [u8; 4] = *b"NBW1";
+/// Wire version of an unauthenticated frame.
 pub const WIRE_VERSION: u8 = 1;
+/// Wire version of an authenticated frame (the striped MAC; version 1
+/// frames with the auth flag came from a build before it and are refused).
+pub const WIRE_VERSION_AUTHED: u8 = 2;
 pub const HEADER_LEN: usize = 16;
 pub const RECORD_HEADER_LEN: usize = 24;
 pub const TRAILER_LEN: usize = 4;
-/// Length of the optional SipHash-2-4 MAC trailer.
+/// Length of the optional MAC trailer.
 pub const MAC_LEN: usize = 8;
 /// Header flag bit (byte 7): frame carries a MAC trailer after the CRC.
 pub const FLAG_AUTH: u8 = 0x01;
@@ -206,12 +217,13 @@ impl<'a> FrameBuilder<'a> {
         self.buf.len()
     }
 
-    /// Terminate an *authenticated* frame: set the auth flag, backpatch
-    /// header fields, then append the CRC trailer followed by a
-    /// SipHash-2-4 MAC over header+body under `key`. The flag byte is
+    /// Terminate an *authenticated* frame: set the auth flag and version
+    /// 2, backpatch header fields, then append the CRC trailer followed by
+    /// [`FrameKey::mac`] over header+body. The version and flag bytes are
     /// covered by both CRC and MAC, so neither can be stripped or forged
     /// without the key being caught.
     pub fn finish_authed(self, key: &FrameKey) -> usize {
+        self.buf[4] = WIRE_VERSION_AUTHED;
         self.buf[7] |= FLAG_AUTH;
         let body_len = (self.buf.len() - HEADER_LEN) as u32;
         self.buf[8..12].copy_from_slice(&self.count.to_le_bytes());
@@ -241,11 +253,11 @@ impl<'a> FrameView<'a> {
     }
 
     /// Validate and index `bytes` as one frame. Checks, in order: minimum
-    /// length, magic, version, kind, codec ids, declared body length vs
-    /// actual, MAC (authenticated frames only), CRC, then walks every
-    /// record checking bounds. Any byte flip that survives all structural
-    /// checks is caught by the CRC; any rewrite with a fixed-up CRC is
-    /// caught by the MAC.
+    /// length, magic, version (2 with the auth flag, 1 without), kind,
+    /// codec ids, declared body length vs actual, MAC (authenticated
+    /// frames only), CRC, then walks every record checking bounds. Any
+    /// byte flip that survives all structural checks is caught by the
+    /// CRC; any rewrite with a fixed-up CRC is caught by the MAC.
     ///
     /// Key semantics are strict in both directions: a key-holding
     /// receiver rejects unauthenticated frames (stripping the flag is not
@@ -261,12 +273,12 @@ impl<'a> FrameView<'a> {
         if bytes[0..4] != MAGIC {
             return Err(WireError::BadMagic);
         }
-        if bytes[4] != WIRE_VERSION {
+        let authed = bytes[7] & FLAG_AUTH != 0;
+        if bytes[4] != if authed { WIRE_VERSION_AUTHED } else { WIRE_VERSION } {
             return Err(WireError::BadVersion(bytes[4]));
         }
         let kind = FrameKind::from_id(bytes[5])?;
         let codec = CodecKind::from_id(bytes[6])?;
-        let authed = bytes[7] & FLAG_AUTH != 0;
         let count = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
         let body_len = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize;
         let trailer = TRAILER_LEN + if authed { MAC_LEN } else { 0 };
@@ -481,11 +493,17 @@ mod tests {
     #[test]
     fn stripping_the_auth_flag_is_rejected() {
         // Downgrade attack: clear the flag, drop the MAC, fix the CRC.
-        // A key-holding receiver must still refuse the frame.
+        // Left at version 2 the frame is nobody's; rewritten to version 1
+        // it is a valid unauthenticated frame, and a key-holding receiver
+        // must still refuse it.
         let buf = authed_frame();
         let mut stripped = buf[..buf.len() - MAC_LEN].to_vec();
         stripped[7] &= !FLAG_AUTH;
         let crc_at = stripped.len() - TRAILER_LEN;
+        let crc = crc32(&stripped[..crc_at]);
+        stripped[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(FrameView::parse(&stripped).err(), Some(WireError::BadVersion(WIRE_VERSION_AUTHED)));
+        stripped[4] = WIRE_VERSION;
         let crc = crc32(&stripped[..crc_at]);
         stripped[crc_at..].copy_from_slice(&crc.to_le_bytes());
         assert!(FrameView::parse(&stripped).is_ok(), "stripped frame is a valid v1 frame");

@@ -21,10 +21,11 @@
 //! * [`frame`] — the framed format: header, per-module records keyed by
 //!   (layer, module), CRC trailer; [`frame::FrameBuilder`] writes into
 //!   reusable buffers, [`frame::FrameView`] parses zero-copy.
-//! * [`siphash`] — SipHash-2-4 keyed PRF and per-device
-//!   [`siphash::FrameKey`] derivation for the optional MAC trailer, so
-//!   forged frames (tampering plus a recomputed CRC) are rejected before
-//!   decode.
+//! * [`siphash`] — SipHash-2-4 keyed PRF, per-device
+//!   [`siphash::FrameKey`] derivation and the striped MAC (eight
+//!   SipHash-2-4 lanes side by side, tied by a ninth) of the optional MAC
+//!   trailer, so forged frames (tampering plus a recomputed CRC) are
+//!   rejected before decode.
 //! * [`registry`] — cloud-side versioned baselines with bounded history
 //!   and per-device ack tracking, so deltas decode deterministically and
 //!   stale uploads are detected by version.

@@ -3,9 +3,15 @@
 //! frame authentication.
 
 use nebula_wire::codec::{self, CodecKind};
-use nebula_wire::frame::{FrameBuilder, FrameKind, FrameView, ModuleKey, MAC_LEN, TRAILER_LEN};
-use nebula_wire::{crc32, FrameKey};
+use nebula_wire::frame::{
+    FrameBuilder, FrameKind, FrameView, ModuleKey, HEADER_LEN, MAC_LEN, RECORD_HEADER_LEN, TRAILER_LEN,
+    WIRE_VERSION,
+};
+use nebula_wire::{crc32, FrameKey, WireError};
 use proptest::prelude::*;
+
+/// Bytes per stripe of the frame MAC: eight lanes of one 8-byte word.
+const STRIPE: usize = 64;
 
 fn arb_values(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-10.0f32..10.0, 1..=max_len)
@@ -52,6 +58,52 @@ fn frame_round_trip(
     }
     drop(view);
     (buf, out)
+}
+
+/// An authenticated update frame carrying `vals` as one raw record.
+fn authed_frame(vals: &[f32], key: &FrameKey) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let mut b = FrameBuilder::begin(&mut buf, FrameKind::Update, CodecKind::Raw);
+    b.record(ModuleKey::module(0, 0), CodecKind::Raw, 0, vals.len(), |o| codec::encode_raw(vals, o));
+    b.finish_authed(key);
+    buf
+}
+
+/// Recomputes the CRC of an authenticated frame after its covered bytes
+/// were rewritten, so only the MAC stands between the forgery and a
+/// decode; returns the covered length.
+fn fix_crc(frame: &mut [u8]) -> usize {
+    let body_end = frame.len() - TRAILER_LEN - MAC_LEN;
+    let crc = crc32(&frame[..body_end]).to_le_bytes();
+    frame[body_end..body_end + TRAILER_LEN].copy_from_slice(&crc);
+    body_end
+}
+
+/// `forged` (covered bytes rewritten, CRC not yet fixed) dies at the MAC,
+/// and only there: MAC'd afresh under the key, the same bytes decode.
+fn rejected_only_by_the_mac(mut forged: Vec<u8>, key: &FrameKey) -> bool {
+    let n = fix_crc(&mut forged);
+    let rejected = matches!(FrameView::parse_keyed(&forged, Some(key)), Err(WireError::AuthMismatch { .. }));
+    let mac = key.mac(&forged[..n]).to_le_bytes();
+    forged[n + TRAILER_LEN..].copy_from_slice(&mac);
+    rejected && FrameView::parse_keyed(&forged, Some(key)).is_ok()
+}
+
+/// Four or more whole stripes of covered bytes, all but the first inside
+/// the record's payload.
+fn arb_striped_values() -> impl Strategy<Value = Vec<f32>> {
+    proptest::collection::vec(-10.0f32..10.0, 64..=256)
+}
+
+fn arb_key() -> impl Strategy<Value = FrameKey> {
+    proptest::collection::vec(0u8..=255u8, 16..=16)
+        .prop_map(|b| FrameKey::from_bytes(&b.as_slice().try_into().unwrap()).derive(5))
+}
+
+/// Start of the `pick`-th stripe (mod the count) that lies wholly inside
+/// the payload of a frame with `n` covered bytes.
+fn payload_stripe(n: usize, pick: usize) -> usize {
+    STRIPE * (1 + pick % (n / STRIPE - 1))
 }
 
 proptest! {
@@ -256,5 +308,102 @@ proptest! {
         let (mut residual, mut enc) = (Vec::new(), Vec::new());
         codec::encode_q8(&vals, &mut residual, &mut enc);
         prop_assert!(enc.len() <= vals.len() + 4, "quant_int8 measured {} > {}", enc.len(), vals.len() + 4);
+    }
+}
+
+// Forgeries aimed at the striped MAC's structure — words traded between
+// lanes, stripes reordered, a byte moved between the lanes and the tail,
+// a stripe removed — with every length and the CRC fixed up: each must
+// die at the MAC, and decode once MAC'd afresh, so the MAC is the only
+// thing that stops it.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn swapping_two_words_of_a_stripe_is_rejected(
+        vals in arb_striped_values(),
+        key in arb_key(),
+        pick in 0usize..1000,
+        w in 0usize..8,
+        d in 1usize..8,
+    ) {
+        let frame = authed_frame(&vals, &key);
+        let stripe = payload_stripe(frame.len() - TRAILER_LEN - MAC_LEN, pick);
+        let (a, b) = (stripe + 8 * w, stripe + 8 * ((w + d) % 8));
+        prop_assume!(frame[a..a + 8] != frame[b..b + 8]);
+        let mut forged = frame.clone();
+        forged[a..a + 8].copy_from_slice(&frame[b..b + 8]);
+        forged[b..b + 8].copy_from_slice(&frame[a..a + 8]);
+        prop_assert!(rejected_only_by_the_mac(forged, &key), "words {} and {} of stripe at {} swapped", w, (w + d) % 8, stripe);
+    }
+
+    #[test]
+    fn swapping_two_stripes_is_rejected(
+        vals in arb_striped_values(),
+        key in arb_key(),
+        pick in 0usize..1000,
+        d in 1usize..1000,
+    ) {
+        let frame = authed_frame(&vals, &key);
+        let n = frame.len() - TRAILER_LEN - MAC_LEN;
+        let (a, b) = (payload_stripe(n, pick), payload_stripe(n, pick + 1 + d % (n / STRIPE - 2)));
+        prop_assume!(frame[a..a + STRIPE] != frame[b..b + STRIPE]);
+        let mut forged = frame.clone();
+        forged[a..a + STRIPE].copy_from_slice(&frame[b..b + STRIPE]);
+        forged[b..b + STRIPE].copy_from_slice(&frame[a..a + STRIPE]);
+        prop_assert!(rejected_only_by_the_mac(forged, &key), "stripes at {} and {} swapped", a, b);
+    }
+
+    #[test]
+    fn moving_a_byte_across_the_stripe_tail_boundary_is_rejected(
+        vals in arb_striped_values(),
+        key in arb_key(),
+    ) {
+        let frame = authed_frame(&vals, &key);
+        let n = frame.len() - TRAILER_LEN - MAC_LEN;
+        let boundary = n - n % STRIPE;
+        prop_assume!(boundary < n);
+        // The last stripe's last byte moves to the end of the tail and the
+        // tail's first byte into the stripe.
+        let mut forged = frame.clone();
+        forged[boundary - 1..n].rotate_left(1);
+        prop_assume!(forged != frame);
+        prop_assert!(rejected_only_by_the_mac(forged, &key), "byte moved across {}", boundary);
+    }
+
+    #[test]
+    fn dropping_a_whole_stripe_is_rejected(
+        vals in arb_striped_values(),
+        key in arb_key(),
+        pick in 0usize..1000,
+    ) {
+        let frame = authed_frame(&vals, &key);
+        let at = payload_stripe(frame.len() - TRAILER_LEN - MAC_LEN, pick);
+        let mut forged = [&frame[..at], &frame[at + STRIPE..]].concat();
+        // One record: body length, its element count and its payload
+        // length all shrink by one stripe's worth.
+        let shrink = |bytes: &mut [u8], by: usize| {
+            let v = u32::from_le_bytes(bytes.try_into().unwrap()) - by as u32;
+            bytes.copy_from_slice(&v.to_le_bytes());
+        };
+        let rec = HEADER_LEN;
+        shrink(&mut forged[12..16], STRIPE);
+        shrink(&mut forged[rec + 16..rec + 20], STRIPE / 4);
+        shrink(&mut forged[rec + 20..rec + RECORD_HEADER_LEN], STRIPE);
+        prop_assert!(rejected_only_by_the_mac(forged, &key), "stripe at {} dropped", at);
+    }
+
+    #[test]
+    fn an_authenticated_frame_at_version_1_is_refused_by_name(
+        vals in arb_values(256),
+        key in arb_key(),
+    ) {
+        // What a peer built before the striped MAC sends: the auth flag at
+        // version 1. Refused before any MAC is computed.
+        let mut forged = authed_frame(&vals, &key);
+        forged[4] = WIRE_VERSION;
+        fix_crc(&mut forged);
+        prop_assert_eq!(FrameView::parse_keyed(&forged, Some(&key)).err(), Some(WireError::BadVersion(WIRE_VERSION)));
+        prop_assert_eq!(FrameView::parse(&forged).err(), Some(WireError::BadVersion(WIRE_VERSION)));
     }
 }
