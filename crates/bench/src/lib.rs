@@ -1,24 +1,38 @@
-//! Shared experiment harness for the per-table / per-figure binaries in
-//! `src/bin/`. See DESIGN.md §4 for the experiment index.
+//! Every table and figure of the Nebula paper, as one experiment each.
+//! See DESIGN.md §4 for the experiment index.
 //!
-//! Every binary prints the paper's rows/series to stdout and writes a
-//! JSON record per measurement to `results/<experiment>.jsonl` (one run
-//! per file) so the numbers in EXPERIMENTS.md are regenerable.
+//! Each experiment in [`experiments`] is a function from a [`Ctx`] to
+//! rows. `campaign` runs the selected experiments once per seed of the
+//! committed manifest, `results/campaign.json`, and writes every row inside
+//! an [`Envelope`] to `results/<experiment>.jsonl`. `report` renders those
+//! rows as the markdown EXPERIMENTS.md embeds and, with `--check`,
+//! evaluates the manifest's [`claims`].
+
+/// Builds a row: an ordered JSON object whose values go through
+/// `Serialize::to_value`, so its bytes equal those of a derived struct
+/// with the same fields.
+macro_rules! row {
+    ($($key:literal => $value:expr),* $(,)?) => {
+        ::serde_json::Value::Object(vec![$(($key.to_string(), ::serde::Serialize::to_value(&$value))),*])
+    };
+}
+
+pub mod claims;
+pub mod experiments;
 
 use nebula_core::modular_config_for;
 use nebula_data::drift::DriftKind;
 use nebula_data::{DriftModel, PartitionSpec, Partitioner, Synthesizer, TaskPreset};
 use nebula_sim::strategy::StrategyConfig;
 use nebula_sim::{ResourceSampler, SimWorld};
-use serde::Serialize;
-use std::collections::BTreeSet;
-use std::io::Write;
-use std::path::PathBuf;
-use std::sync::Mutex;
+use serde::{Deserialize, Serialize};
+use serde_json::Value;
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
-/// Scale knobs for the experiment binaries. The paper simulates 500
-/// devices; `quick` mode shrinks everything for smoke runs, `full` mode
-/// is the EXPERIMENTS.md configuration.
+/// Scale knobs for the experiments. The paper simulates 500 devices;
+/// `quick` shrinks everything for smoke runs, `full` is the EXPERIMENTS.md
+/// configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct Scale {
     pub devices: usize,
@@ -40,15 +54,134 @@ impl Scale {
     pub fn quick() -> Self {
         Self { devices: 30, rounds_per_step: 3, eval_devices: 6, pretrain_epochs: 4, proxy_samples: 600 }
     }
+}
 
-    /// Parses `--quick` from argv.
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
-            Self::quick()
-        } else {
-            Self::full()
+/// What one experiment run may depend on besides its own constants.
+#[derive(Clone, Copy, Debug)]
+pub struct Ctx {
+    /// Every draw the experiment does not seed by a constant of its own
+    /// derives from this.
+    pub seed: u64,
+    pub scale: Scale,
+    /// Quick scale: also shrinks the grids and slot counts that are not
+    /// fields of [`Scale`].
+    pub quick: bool,
+}
+
+impl Ctx {
+    pub fn new(seed: u64, quick: bool) -> Self {
+        Self { seed, scale: if quick { Scale::quick() } else { Scale::full() }, quick }
+    }
+}
+
+/// One experiment: its rows for one seed at one scale.
+pub type Experiment = fn(&Ctx) -> Vec<Value>;
+
+/// The committed campaign manifest, `results/campaign.json`.
+#[derive(Clone, Debug, Deserialize)]
+pub struct Manifest {
+    /// The seeds every experiment runs under; `report` renders the first.
+    pub seeds: Vec<u64>,
+    /// What `report --check` asserts, with every tolerance.
+    pub claims: Vec<claims::ClaimSpec>,
+}
+
+impl Manifest {
+    pub fn committed() -> Self {
+        serde_json::from_str(include_str!("../../../results/campaign.json"))
+            .expect("results/campaign.json is a valid manifest")
+    }
+}
+
+/// One results line: a row and the run that produced it.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct Envelope {
+    pub experiment: String,
+    /// `git describe --always --dirty` of the producing checkout.
+    pub rev: Option<String>,
+    pub seed: u64,
+    /// The kernel backend the run resolved to.
+    pub backend: Option<String>,
+    /// The thread budget, `tensor::par::max_threads()`.
+    pub threads: Option<u64>,
+    /// `"quick"` or `"full"`.
+    pub scale: String,
+    pub row: Value,
+}
+
+fn git_rev() -> Option<String> {
+    let out = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()?;
+    out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+/// Runs `experiment` once per manifest seed, printing each run's row count
+/// and seconds, and wraps every row in its envelope.
+pub fn run(name: &str, experiment: Experiment, manifest: &Manifest, quick: bool) -> Vec<Envelope> {
+    let rev = git_rev();
+    let backend = nebula_tensor::resolved_backend().as_str().to_string();
+    let threads = nebula_tensor::par::max_threads() as u64;
+    let mut envelopes = Vec::new();
+    for &seed in &manifest.seeds {
+        let start = Instant::now();
+        let rows = experiment(&Ctx::new(seed, quick));
+        println!("{name} seed {seed}: {} rows in {:.1} s", rows.len(), start.elapsed().as_secs_f64());
+        envelopes.extend(rows.into_iter().map(|row| Envelope {
+            experiment: name.to_string(),
+            rev: rev.clone(),
+            seed,
+            backend: Some(backend.clone()),
+            threads: Some(threads),
+            scale: if quick { "quick" } else { "full" }.to_string(),
+            row,
+        }));
+    }
+    envelopes
+}
+
+/// `results/` beside the workspace root (env `NEBULA_RESULTS_DIR`
+/// overrides).
+pub fn results_dir() -> PathBuf {
+    if let Ok(dir) = std::env::var("NEBULA_RESULTS_DIR") {
+        return PathBuf::from(dir);
+    }
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+/// Replaces `dir/<experiment>.jsonl` with `envelopes`, one per line.
+pub fn write(dir: &Path, experiment: &str, envelopes: &[Envelope]) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("{experiment}.jsonl"));
+    let text: String =
+        envelopes.iter().map(|e| serde_json::to_string(e).expect("envelopes serialise") + "\n").collect();
+    std::fs::write(&path, text)?;
+    Ok(path)
+}
+
+/// The envelopes in `dir/<experiment>.jsonl`; none when the file is absent.
+pub fn read(dir: &Path, experiment: &str) -> Result<Vec<Envelope>, String> {
+    let path = dir.join(format!("{experiment}.jsonl"));
+    let Ok(text) = std::fs::read_to_string(&path) else { return Ok(Vec::new()) };
+    text.lines()
+        .enumerate()
+        .map(|(i, line)| serde_json::from_str(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1)))
+        .collect()
+}
+
+/// `items` grouped by `key`, groups in order of first appearance.
+pub fn group<'a, T, K: PartialEq>(items: &'a [T], key: impl Fn(&'a T) -> K) -> Vec<(K, Vec<&'a T>)> {
+    let mut groups: Vec<(K, Vec<&T>)> = Vec::new();
+    for item in items {
+        let k = key(item);
+        match groups.iter_mut().find(|(g, _)| *g == k) {
+            Some((_, members)) => members.push(item),
+            None => groups.push((k, vec![item])),
         }
     }
+    groups
 }
 
 /// One experiment row of a task table: the task plus its label-skew
@@ -114,45 +247,6 @@ impl TaskRow {
     }
 }
 
-/// Writes a JSON record to `results/<experiment>.jsonl` (creating the
-/// directory on first use). The first record a process writes to a file
-/// replaces what an earlier run left there; later ones append, so the
-/// file always holds exactly one run.
-pub fn emit_record<T: Serialize>(experiment: &str, record: &T) {
-    static STARTED: Mutex<BTreeSet<PathBuf>> = Mutex::new(BTreeSet::new());
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(format!("{experiment}.jsonl"));
-    let first = STARTED.lock().expect("results registry lock").insert(path.clone());
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(first)
-        .append(!first)
-        .open(&path)
-        .expect("open results file");
-    let line = serde_json::to_string(record).expect("serialize record");
-    writeln!(f, "{line}").expect("write record");
-}
-
-/// `results/` beside the workspace root (env `NEBULA_RESULTS_DIR`
-/// overrides).
-pub fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("NEBULA_RESULTS_DIR") {
-        return PathBuf::from(dir);
-    }
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
-}
-
-/// Pretty-prints a row of fixed-width columns.
-pub fn print_row(cols: &[String], widths: &[usize]) {
-    let mut line = String::new();
-    for (c, w) in cols.iter().zip(widths) {
-        line.push_str(&format!("{:<width$}", c, width = w + 2));
-    }
-    println!("{}", line.trim_end());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,33 +277,31 @@ mod tests {
     }
 
     #[test]
-    fn emit_record_appends_jsonl() {
-        #[derive(Serialize)]
-        struct R {
-            x: u32,
-        }
-        let dir = std::env::temp_dir().join(format!("nebula-results-test-{}", std::process::id()));
-        // Env var scoping: this is the only test touching NEBULA_RESULTS_DIR.
-        std::env::set_var("NEBULA_RESULTS_DIR", &dir);
-        // A previous run's file must be replaced, not extended.
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("unit_test.jsonl"), "{\"x\":0}\n").unwrap();
-        emit_record("unit_test", &R { x: 1 });
-        emit_record("unit_test", &R { x: 2 });
-        let text = std::fs::read_to_string(dir.join("unit_test.jsonl")).unwrap();
-        std::env::remove_var("NEBULA_RESULTS_DIR");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], r#"{"x":1}"#);
-        assert_eq!(lines[1], r#"{"x":2}"#);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn drift_kind_follows_partition_type() {
         let har = TaskRow { task: TaskPreset::Har, skew_m: None };
         assert!(matches!(har.drift(0.5, 1).kind, DriftKind::ContextShift));
         let c10 = TaskRow { task: TaskPreset::Cifar10, skew_m: Some(2) };
         assert!(matches!(c10.drift(0.5, 1).kind, DriftKind::ClassShift { m: 2, .. }));
+    }
+
+    /// A cheap seeded experiment: one draw from the context's seed.
+    fn draw(ctx: &Ctx) -> Vec<Value> {
+        vec![row! { "draw" => nebula_tensor::NebulaRng::seed(ctx.seed).below(1 << 30) }]
+    }
+
+    #[test]
+    fn every_manifest_seed_gets_its_own_envelopes() {
+        let both = run("draw", draw, &Manifest { seeds: vec![42, 43], claims: Vec::new() }, true);
+        let single = run("draw", draw, &Manifest { seeds: vec![42], claims: Vec::new() }, true);
+        assert_eq!(both.iter().map(|e| e.seed).collect::<Vec<_>>(), [42, 43]);
+        assert_eq!(both[0].row, single[0].row);
+        assert_ne!(both[0].row, both[1].row);
+        // Written and read back whole; an absent file reads as no rows.
+        let dir = std::env::temp_dir().join(format!("nebula-results-test-{}", std::process::id()));
+        write(&dir, "draw", &both).unwrap();
+        let back = read(&dir, "draw").unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(serde_json::to_string(&back).unwrap(), serde_json::to_string(&both).unwrap());
+        assert!(read(&dir, "draw").unwrap().is_empty());
     }
 }

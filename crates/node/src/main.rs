@@ -314,8 +314,9 @@ fn coordinator_cmd(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// FNV-1a fold of parameter bit patterns — the digest `serve_chaos`
-/// uses, so CLI runs compare against its scorecard.
+/// FNV-1a fold of parameter bit patterns — the digest the `serve_chaos`
+/// experiment of `nebula-bench` uses, so CLI runs compare against its
+/// scorecard.
 fn fnv_digest(params: &[f32]) -> u64 {
     params
         .iter()

@@ -87,8 +87,8 @@ fn per_shard_fold_is_deterministic_for_fixed_shard_count() {
 #[test]
 fn large_virtual_population_round_completes() {
     // 10^5 virtual devices: only the sampled cohort ever materializes, so
-    // this runs in seconds and flat memory. The bench bin (scale_sweep)
-    // measures the RSS claim; this test pins the functional behaviour.
+    // this runs in seconds and flat memory. The `scale_sweep` experiment
+    // of `nebula-bench` measures the RSS claim; this test pins the functional behaviour.
     let mut w =
         sharded(100_000, 200, 8, FoldPlan::PerCell, RoundMode::Synthetic, RobustAggregator::WeightedMean);
     let r = w.run_round();
