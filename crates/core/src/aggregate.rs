@@ -14,9 +14,10 @@
 use nebula_modular::{ModularModel, SubModelSpec};
 use nebula_tensor::reduce;
 use std::borrow::Borrow;
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::fmt;
+
+mod robust;
+pub use robust::{aggregate_module_wise_robust, RobustAggregator};
 
 /// One device's contribution to a round of aggregation.
 ///
@@ -380,214 +381,6 @@ impl EdgeAccumulator {
         self.seal(group);
         self.partial
     }
-}
-
-// ---------------------------------------------------------------------------
-// Byzantine-robust aggregators
-// ---------------------------------------------------------------------------
-
-/// How one round of surviving updates is combined into the cloud model.
-///
-/// `WeightedMean` is Nebula's §5.2 importance-weighted average and stays
-/// bit-identical to [`aggregate_module_wise`] (test-pinned). The
-/// robust alternatives deliberately ignore importance and data-volume
-/// weights — both are attacker-controlled inputs (gate-load gaming
-/// inflates importance to capture a module's average), so robust modes
-/// treat every contribution as one unweighted vote per coordinate.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum RobustAggregator {
-    /// Importance-weighted mean (the paper's aggregation; not robust).
-    #[default]
-    WeightedMean,
-    /// Coordinate-wise median over contributing updates. Breakdown point
-    /// 1/2: with ≤ f of 2f+1 adversarial contributions each coordinate
-    /// stays inside the honest envelope.
-    CoordinateMedian,
-    /// Coordinate-wise trimmed mean: drop the `ceil(frac·n)` largest and
-    /// smallest values per coordinate, average the rest. Falls back to
-    /// the median when trimming would consume every value.
-    TrimmedMean { frac: f32 },
-    /// Multi-Krum selection with `f` suspected Byzantine contributors:
-    /// pick the single update whose summed squared distance to its
-    /// `n − f − 2` nearest neighbours is smallest. Requires `n ≥ 2f + 3`
-    /// for its guarantee; below that it falls back to the coordinate
-    /// median.
-    Krum { f: usize },
-}
-
-impl fmt::Display for RobustAggregator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RobustAggregator::WeightedMean => write!(f, "weighted_mean"),
-            RobustAggregator::CoordinateMedian => write!(f, "coord_median"),
-            RobustAggregator::TrimmedMean { frac } => write!(f, "trimmed_mean_{frac}"),
-            RobustAggregator::Krum { f: byz } => write!(f, "krum_{byz}"),
-        }
-    }
-}
-
-/// Module-wise aggregation under a selectable combine rule.
-///
-/// `RobustAggregator::WeightedMean` delegates verbatim to
-/// [`aggregate_module_wise`], so existing trajectories are
-/// unchanged. The robust rules gather, per module, the parameter vectors
-/// of every contributing update (same skip conditions as the weighted
-/// path: module in spec, params present and non-empty) and combine them
-/// coordinate-wise; shared parameters get the same treatment across all
-/// participants. Returns the number of modules touched.
-pub fn aggregate_module_wise_robust(
-    cloud: &mut ModularModel,
-    updates: &[&ModuleUpdate],
-    aggregator: RobustAggregator,
-    use_importance: bool,
-) -> usize {
-    if aggregator == RobustAggregator::WeightedMean {
-        return aggregate_module_wise(cloud, updates, use_importance);
-    }
-    if updates.is_empty() {
-        return 0;
-    }
-    let layers = cloud.num_layers();
-    let n = cloud.config().modules_per_layer;
-    let mut touched = 0usize;
-    let mut combined = Vec::new();
-
-    for l in 0..layers {
-        for i in 0..n {
-            let mut contribs: Vec<&[f32]> = Vec::new();
-            for u in updates {
-                if !u.spec.contains(l, i) {
-                    continue;
-                }
-                let Some(params) = u.module_params.get(&(l, i)) else {
-                    continue;
-                };
-                if params.is_empty() {
-                    continue; // residual module: nothing to aggregate
-                }
-                if let Some(first) = contribs.first() {
-                    assert_eq!(first.len(), params.len(), "module param size mismatch at ({l},{i})");
-                }
-                contribs.push(params);
-            }
-            if contribs.is_empty() {
-                continue;
-            }
-            combine_robust(&contribs, aggregator, &mut combined);
-            cloud.load_module_param_vector(l, i, &combined);
-            touched += 1;
-        }
-    }
-
-    let shared: Vec<&[f32]> = updates.iter().map(|u| u.shared_params.as_slice()).collect();
-    if !shared.is_empty() && !shared[0].is_empty() {
-        let len = shared[0].len();
-        for s in &shared {
-            assert_eq!(s.len(), len, "shared param size mismatch");
-        }
-        combine_robust(&shared, aggregator, &mut combined);
-        cloud.load_shared_param_vector(&combined);
-    }
-
-    touched
-}
-
-/// Combine equal-length vectors under a robust rule into `out`.
-fn combine_robust(vectors: &[&[f32]], aggregator: RobustAggregator, out: &mut Vec<f32>) {
-    match aggregator {
-        RobustAggregator::WeightedMean => unreachable!("weighted mean uses the reference path"),
-        RobustAggregator::CoordinateMedian => coordinate_trimmed(vectors, usize::MAX, out),
-        RobustAggregator::TrimmedMean { frac } => {
-            let n = vectors.len();
-            let trim = (frac.clamp(0.0, 0.5) * n as f32).ceil() as usize;
-            coordinate_trimmed(vectors, trim, out);
-        }
-        RobustAggregator::Krum { f } => match krum_index(vectors, f) {
-            Some(idx) => {
-                out.clear();
-                out.extend_from_slice(vectors[idx]);
-            }
-            None => coordinate_trimmed(vectors, usize::MAX, out),
-        },
-    }
-}
-
-/// Coordinate-wise trimmed mean, trimming `trim` values from each end of
-/// every sorted coordinate column. When trimming consumes the whole
-/// column (including `trim == usize::MAX`, the median request) the
-/// median of the column is used instead.
-fn coordinate_trimmed(vectors: &[&[f32]], trim: usize, out: &mut Vec<f32>) {
-    let n = vectors.len();
-    let dim = vectors[0].len();
-    out.clear();
-    out.reserve(dim);
-    let mut col: Vec<f32> = Vec::with_capacity(n);
-    for j in 0..dim {
-        col.clear();
-        col.extend(vectors.iter().map(|v| v[j]));
-        col.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
-        let v = if trim >= n.div_ceil(2) {
-            // All (or more than all) values would be trimmed: median.
-            if n % 2 == 1 {
-                col[n / 2]
-            } else {
-                0.5 * (col[n / 2 - 1] + col[n / 2])
-            }
-        } else {
-            let kept = &col[trim..n - trim];
-            kept.iter().sum::<f32>() / kept.len() as f32
-        };
-        out.push(v);
-    }
-}
-
-fn sq_dist(a: &[f32], b: &[f32]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let d = (x - y) as f64;
-            d * d
-        })
-        .sum()
-}
-
-/// Lexicographic order on parameter vectors — the deterministic,
-/// permutation-invariant Krum tie-break.
-fn lex_less(a: &[f32], b: &[f32]) -> bool {
-    for (&x, &y) in a.iter().zip(b) {
-        match x.partial_cmp(&y).unwrap_or(Ordering::Equal) {
-            Ordering::Less => return true,
-            Ordering::Greater => return false,
-            Ordering::Equal => {}
-        }
-    }
-    false
-}
-
-/// The Krum winner among `vectors` assuming at most `f` Byzantine
-/// contributors, or `None` when `n < 2f + 3` (guarantee unavailable).
-fn krum_index(vectors: &[&[f32]], f: usize) -> Option<usize> {
-    let n = vectors.len();
-    if n < 2 * f + 3 {
-        return None;
-    }
-    let neighbours = n - f - 2;
-    let mut best: Option<(f64, usize)> = None;
-    let mut dists: Vec<f64> = Vec::with_capacity(n - 1);
-    for a in 0..n {
-        dists.clear();
-        dists.extend((0..n).filter(|&b| b != a).map(|b| sq_dist(vectors[a], vectors[b])));
-        dists.sort_by(|x, y| x.partial_cmp(y).unwrap_or(Ordering::Equal));
-        let score: f64 = dists[..neighbours].iter().sum();
-        let better = match best {
-            None => true,
-            Some((s, i)) => score < s || (score == s && lex_less(vectors[a], vectors[i])),
-        };
-        if better {
-            best = Some((score, a));
-        }
-    }
-    best.map(|(_, i)| i)
 }
 
 // ---------------------------------------------------------------------------

@@ -147,41 +147,90 @@ pub fn decode_delta(
     Ok(())
 }
 
+/// Running maxima kept by [`q8_max_abs`]: two AVX2 registers.
+const Q8_LANES: usize = 16;
+
 /// Encode `values` as symmetric int8 with error feedback.
 ///
 /// `residual` is the sender-side carry for this tensor; it is resized to
 /// match `values` (zero-filled) and updated in place with the new
 /// quantization error. Layout: 4-byte f32 scale, then one i8 per element.
+///
+/// Both passes are loops the compiler vectorises ([`q8_max_abs`],
+/// [`q8_quantise`]). Each element goes through the same IEEE operations
+/// as a serial loop would, so bytes and residuals do not depend on the
+/// vector width. Written the obvious way, pushing each byte through a
+/// capacity check and converting through a saturating `as i8`, the loop
+/// stays scalar.
 pub fn encode_q8(values: &[f32], residual: &mut Vec<f32>, out: &mut Vec<u8>) -> CodecKind {
     residual.resize(values.len(), 0.0);
-    let mut max_abs = 0.0f32;
-    for (v, r) in values.iter().zip(residual.iter()) {
-        max_abs = max_abs.max((v + r).abs());
-    }
-    let scale = max_abs / 127.0;
-    out.reserve(4 + values.len());
-    if !scale.is_finite() {
-        // Poisoned input: emit a NaN scale so the decode is visibly
-        // non-finite (sanitize gate territory), and drop the residual so
-        // the poison does not leak into later rounds.
-        out.extend_from_slice(&f32::NAN.to_le_bytes());
-        out.extend(std::iter::repeat_n(0u8, values.len()));
+    let scale = q8_max_abs(values, residual) / 127.0;
+    let start = out.len() + 4;
+    // Zero codes: the fill the poisoned and all-zero branches keep.
+    out.resize(start + values.len(), 0);
+    if !scale.is_finite() || scale == 0.0 {
+        // A poisoned input emits a NaN scale so the decode is visibly
+        // non-finite (sanitize gate territory); either way the residual
+        // is dropped, so poison does not leak into later rounds.
+        let written = if scale.is_finite() { scale } else { f32::NAN };
+        out[start - 4..start].copy_from_slice(&written.to_le_bytes());
         residual.iter_mut().for_each(|r| *r = 0.0);
         return CodecKind::QuantInt8;
     }
-    out.extend_from_slice(&scale.to_le_bytes());
-    if scale == 0.0 {
-        out.extend(std::iter::repeat_n(0u8, values.len()));
-        residual.iter_mut().for_each(|r| *r = 0.0);
-        return CodecKind::QuantInt8;
-    }
-    for (v, r) in values.iter().zip(residual.iter_mut()) {
-        let c = v + *r;
-        let q = (c / scale).round().clamp(-127.0, 127.0) as i8;
-        *r = c - q as f32 * scale;
-        out.push(q as u8);
-    }
+    out[start - 4..start].copy_from_slice(&scale.to_le_bytes());
+    q8_quantise(values, residual, scale, &mut out[start..]);
     CodecKind::QuantInt8
+}
+
+/// `max |v + r|` over the pairs, ignoring NaN, and 0 for an empty tensor.
+///
+/// The serial fold `m.max(|v + r|)` from `m = 0` keeps the largest
+/// non-NaN magnitude whatever the order: magnitudes are never `-0`, so
+/// equal maxima are equal bits. Each lane keeps its own running maximum
+/// through a `>` compare, which a NaN never wins, and the lanes fold the
+/// same way.
+fn q8_max_abs(values: &[f32], residual: &[f32]) -> f32 {
+    #[inline(always)]
+    fn larger(m: f32, a: f32) -> f32 {
+        if a > m {
+            a
+        } else {
+            m
+        }
+    }
+    let mut lanes = [0.0f32; Q8_LANES];
+    let mut vs = values.chunks_exact(Q8_LANES);
+    let mut rs = residual.chunks_exact(Q8_LANES);
+    for (v, r) in (&mut vs).zip(&mut rs) {
+        for ((m, v), r) in lanes.iter_mut().zip(v).zip(r) {
+            *m = larger(*m, (v + r).abs());
+        }
+    }
+    let tail = vs.remainder().iter().zip(rs.remainder()).map(|(v, r)| (v + r).abs());
+    lanes.into_iter().chain(tail).fold(0.0, larger)
+}
+
+/// Quantises `c = v + r` to `round(c / scale)` clamped to ±127, writes
+/// the code to `out` and the new error `c - q·scale` to `r`. Elements are
+/// independent, so the loop is written as one pass over the zipped slices
+/// for the compiler to vectorise. The division stays a division: a
+/// multiply by the reciprocal rounds differently.
+fn q8_quantise(values: &[f32], residual: &mut [f32], scale: f32, out: &mut [u8]) {
+    /// 1.5·2²³: its float spacing is exactly 1.
+    const ROUNDER: f32 = 12_582_912.0;
+    for ((v, r), o) in values.iter().zip(residual.iter_mut()).zip(out.iter_mut()) {
+        let c = v + *r;
+        let x = (c / scale).round().clamp(-127.0, 127.0);
+        // `x as i8` maps NaN to 0; past the clamp that is all it does.
+        let x = if x.is_nan() { 0.0 } else { x };
+        // An integer `x` within ±127 lands exactly in the low mantissa
+        // bits of `ROUNDER + x`: the low byte is the two's-complement code,
+        // and subtracting `ROUNDER` back gives `q as f32` (+0 for zero of
+        // either sign).
+        let biased = x + ROUNDER;
+        *r = c - (biased - ROUNDER) * scale;
+        *o = biased.to_bits() as u8;
+    }
 }
 
 /// Decode a symmetric-int8 payload of `elems` elements into `out`.
@@ -191,10 +240,8 @@ pub fn decode_q8(payload: &[u8], elems: usize, out: &mut Vec<f32>) -> Result<(),
     }
     let scale = f32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]);
     out.clear();
-    out.resize(elems, 0.0);
-    for (dst, &b) in out.iter_mut().zip(&payload[4..]) {
-        *dst = (b as i8) as f32 * scale;
-    }
+    // One pass: a sized iterator extends without a zero fill first.
+    out.extend(payload[4..].iter().map(|&b| (b as i8) as f32 * scale));
     Ok(())
 }
 
@@ -283,6 +330,61 @@ mod tests {
         let mut enc = Vec::new();
         encode_raw(&[], &mut enc);
         assert!(enc.is_empty());
+    }
+
+    /// The serial codec, written the obvious way: the reference the lane
+    /// loops are held to.
+    fn encode_q8_serial(values: &[f32], residual: &mut Vec<f32>, out: &mut Vec<u8>) {
+        residual.resize(values.len(), 0.0);
+        let mut max_abs = 0.0f32;
+        for (v, r) in values.iter().zip(residual.iter()) {
+            max_abs = max_abs.max((v + r).abs());
+        }
+        let scale = max_abs / 127.0;
+        if !scale.is_finite() || scale == 0.0 {
+            let written = if scale.is_finite() { scale } else { f32::NAN };
+            out.extend_from_slice(&written.to_le_bytes());
+            out.extend(std::iter::repeat_n(0u8, values.len()));
+            residual.iter_mut().for_each(|r| *r = 0.0);
+            return;
+        }
+        out.extend_from_slice(&scale.to_le_bytes());
+        for (v, r) in values.iter().zip(residual.iter_mut()) {
+            let c = v + *r;
+            let q = (c / scale).round().clamp(-127.0, 127.0) as i8;
+            *r = c - q as f32 * scale;
+            out.push(q as u8);
+        }
+    }
+
+    #[test]
+    fn q8_lanes_match_the_serial_codec_bit_for_bit() {
+        let mut s = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |m: u64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s % m
+        };
+        let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, 1e-42, 127.5, -63.5];
+        for len in 0..70 {
+            let (mut r_lane, mut r_serial) = (Vec::new(), Vec::new());
+            // Four rounds through one residual: error feedback carries over.
+            for round in 0..4 {
+                let values: Vec<f32> = (0..len)
+                    .map(|_| match next(25) {
+                        0 if round != 1 => specials[next(specials.len() as u64) as usize],
+                        _ => (next(2001) as f32 - 1000.0) * 0.01,
+                    })
+                    .collect();
+                let (mut lane, mut serial) = (vec![1u8], vec![1u8]);
+                encode_q8(&values, &mut r_lane, &mut lane);
+                encode_q8_serial(&values, &mut r_serial, &mut serial);
+                assert_eq!(lane, serial, "bytes, len {len} round {round}");
+                let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&r_lane), bits(&r_serial), "residual, len {len} round {round}");
+            }
+        }
     }
 
     #[test]
