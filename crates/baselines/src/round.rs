@@ -82,6 +82,16 @@ fn add_covered(acc: &mut [f32], weight: &mut [f32], mask: &[bool], upload: &[f32
     }
 }
 
+/// A width level in play in a round: its ratio, its mask over the flat
+/// parameter vector, whether that mask covers every coordinate, and the
+/// server's active slice.
+struct Level {
+    ratio: f32,
+    mask: Vec<bool>,
+    whole: bool,
+    slice: Vec<f32>,
+}
+
 /// One communication round of the dense baselines.
 ///
 /// `cohort[k]` is `(id, data, ratio)`: the participant's stable channel
@@ -118,24 +128,24 @@ pub fn dense_round(
 
     // One mask and one download slice per width level in play, not per
     // participant.
-    let mut levels: Vec<(f32, Vec<bool>, Vec<f32>)> = Vec::new();
+    let mut levels: Vec<Level> = Vec::new();
     for &(_, _, ratio) in cohort {
-        if !levels.iter().any(|(r, ..)| *r == ratio) {
+        if !levels.iter().any(|l| l.ratio == ratio) {
             let mask = server.mask_for_ratio(ratio);
+            let whole = mask.iter().all(|&m| m);
             let slice = active_slice(&base, &mask);
-            levels.push((ratio, mask, slice));
+            levels.push(Level { ratio, mask, whole, slice });
         }
     }
-    let level_for = |ratio: f32| -> (&[bool], &[f32]) {
-        let (_, mask, slice) =
-            levels.iter().find(|(r, ..)| *r == ratio).expect("every cohort ratio has a level");
-        (mask, slice)
+    let level_for = |ratio: f32| -> &Level {
+        levels.iter().find(|l| l.ratio == ratio).expect("every cohort ratio has a level")
     };
 
     // Downloads: ship the active slice, splice what the channel decoded
-    // into a full-length vector, and hand that to the job. A device whose
-    // width level changed since last round changes its slice length; the
-    // dense channel falls back to a raw (cold) frame transparently.
+    // into a full-length vector, and hand that to the job (a whole level's
+    // decoded slice already is that vector). A device whose width level
+    // changed since last round changes its slice length; the dense channel
+    // falls back to a raw (cold) frame transparently.
     // Per-device RNG streams are forked sequentially by participant index,
     // so the result is identical wherever and however parallel the jobs
     // run.
@@ -144,12 +154,18 @@ pub fn dense_round(
         .iter()
         .enumerate()
         .map(|(k, &(id, data, ratio))| {
-            let (mask, slice) = level_for(ratio);
-            let bytes =
-                pool.send_down(id, slice, &mut decoded).expect("pristine in-process frame must decode");
+            let level = level_for(ratio);
+            let bytes = pool
+                .send_down(id, &level.slice, &mut decoded)
+                .expect("pristine in-process frame must decode");
             comm.record_download(bytes);
-            let mut params = base.clone();
-            splice_active(&mut params, mask, &decoded);
+            let params = if level.whole {
+                std::mem::take(&mut decoded)
+            } else {
+                let mut params = base.clone();
+                splice_active(&mut params, &level.mask, &decoded);
+                params
+            };
             DispatchJob {
                 round,
                 device: id,
@@ -193,16 +209,18 @@ pub fn dense_round(
     let mut weight = if full_width { Vec::new() } else { vec![0.0f32; base.len()] };
     for (k, mut params) in trained {
         let (id, data, ratio) = cohort[k];
-        let (mask, _) = level_for(ratio);
-        let mut active = mask.iter();
-        params.retain(|_| *active.next().expect("mask covers every parameter"));
+        let level = level_for(ratio);
+        if !level.whole {
+            let mut active = level.mask.iter();
+            params.retain(|_| *active.next().expect("mask covers every parameter"));
+        }
         let bytes = pool.send_up(id, &params, &mut decoded).expect("pristine in-process frame must decode");
         comm.record_upload(bytes);
         let volume = data.len() as f32;
         if full_width {
             add_volume_share(&mut acc, &decoded, volume / total);
         } else {
-            add_covered(&mut acc, &mut weight, mask, &decoded, volume);
+            add_covered(&mut acc, &mut weight, &level.mask, &decoded, volume);
         }
     }
     if !full_width {

@@ -33,7 +33,8 @@ impl Linear {
         Self::from_weight(Tensor::zeros(&[out_features, in_features]))
     }
 
-    fn from_weight(w: Tensor) -> Self {
+    /// A layer around the `out × in` weight `w`; bias starts at zero.
+    pub fn from_weight(w: Tensor) -> Self {
         let out_features = w.shape()[0];
         Self {
             b: Tensor::zeros(&[out_features]),
