@@ -121,24 +121,32 @@ pub trait Layer: Send + Sync {
     }
 }
 
-/// `cache` as a buffer of `shape` for the caller to fill; its contents
-/// are unspecified.
+/// `buf` as a buffer of `shape` for the caller to fill; its contents are
+/// unspecified.
 ///
-/// A `Train` forward takes the buffer the cache already has, whatever the
-/// row count: a train loop's batches are bounded by its batch size, so
-/// after the first few steps refilling the cache never allocates — even
-/// for a module, whose routed row count changes every step. An `Eval`
-/// forward is a one-off at whatever size its caller has (a whole dataset
-/// for module importance, an evaluation batch), so it reuses the buffer
-/// only when the shape repeats and otherwise leaves an exactly-sized one:
-/// nothing the size of the largest batch ever seen is kept for the
-/// layer's lifetime.
+/// A `Train` forward takes the buffer it already has, whatever the row
+/// count: a train loop's batches are bounded by its batch size, so after
+/// the first few steps refilling it never allocates — even for a module,
+/// whose routed row count changes every step. An `Eval` forward is a
+/// one-off at whatever size its caller has (a whole dataset for module
+/// importance, an evaluation batch), so it reuses the buffer only when the
+/// shape repeats and otherwise leaves an exactly-sized one: nothing the
+/// size of the largest batch ever seen is kept for the layer's lifetime.
+pub fn buffer_for<'a>(buf: &'a mut Tensor, shape: &[usize], mode: Mode) -> &'a mut Tensor {
+    if mode == Mode::Train || buf.shape() == shape {
+        buf.resize_for_overwrite(shape);
+    } else {
+        *buf = Tensor::zeros(shape);
+    }
+    buf
+}
+
+/// [`buffer_for`] on a cache that is empty before the first forward.
 pub(crate) fn cache_for<'a>(cache: &'a mut Option<Tensor>, shape: &[usize], mode: Mode) -> &'a mut Tensor {
     match cache {
-        Some(c) if mode == Mode::Train || c.shape() == shape => c.resize_for_overwrite(shape),
-        _ => *cache = Some(Tensor::zeros(shape)),
+        Some(c) => buffer_for(c, shape, mode),
+        None => cache.insert(Tensor::zeros(shape)),
     }
-    cache.as_mut().expect("filled above")
 }
 
 /// Makes `cache` a copy of `value`, in the buffer [`cache_for`] picks.

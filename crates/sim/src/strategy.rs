@@ -35,7 +35,8 @@
 //! decoded payload, its data and a forked stream, and runs each stage as a
 //! function of its own. Retry billing stays per body: Nebula bills the
 //! frame bytes it measured, the dense round bills analytic bytes and plans
-//! the corrupt-frame resend up front.
+//! the corrupt-frame resend up front, before any of its frames exists
+//! (DESIGN.md §10).
 //!
 //! The deadline/crash gate runs *before* training in both, and a device
 //! it turns away is not trained. Nothing can observe the difference: fates
