@@ -266,4 +266,71 @@ mod tests {
         // Frame is about 4x smaller than raw.
         assert!(frame.len() < vals.len() * 4 / 3);
     }
+    /// Cold, warm, fallback and reshaped frames of one channel per codec,
+    /// and what each decodes to, folded into one FNV-1a digest each: a
+    /// cold raw frame, a warm frame after a sparse move, a frame after a
+    /// move in every value (a delta falls back to raw), a frame of a new
+    /// length, then a warm frame against that new length.
+    #[test]
+    fn frames_keep_their_bytes() {
+        let digest = |codec: CodecKind, threshold: f32| {
+            let mut ch = DenseChannel::new(codec, threshold);
+            let mut v: Vec<f32> = (0..300).map(|i| ((i * 29) % 97) as f32 * 0.02 - 1.0).collect();
+            let (mut frame, mut back) = (Vec::new(), Vec::new());
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for step in 0..5 {
+                match step {
+                    1 | 4 => {
+                        v[7] += 0.5;
+                        v[150] -= 0.004;
+                    }
+                    2 => v.iter_mut().for_each(|x| *x += 0.03),
+                    3 => v.truncate(280),
+                    _ => {}
+                }
+                ch.encode(&v, &mut frame);
+                ch.decode(&frame, &mut back).unwrap();
+                let bits = back.iter().flat_map(|x| x.to_bits().to_le_bytes());
+                for b in frame.iter().copied().chain(bits) {
+                    h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            h
+        };
+        let got = [
+            digest(CodecKind::Raw, 0.0),
+            digest(CodecKind::DeltaFp32, 0.0),
+            digest(CodecKind::DeltaFp32, 0.01),
+            digest(CodecKind::QuantInt8, 0.0),
+        ];
+        assert_eq!(
+            got,
+            [0xb720_6994_1902_0b99, 0xcb4f_2536_61a5_71f8, 0x5eff_d9ff_2df8_debb, 0x5463_46e2_af01_dad0],
+            "dense frames changed: {got:#018x?}"
+        );
+    }
+
+    #[test]
+    fn stale_and_cold_deltas_are_refused() {
+        let mut ch = DenseChannel::new(CodecKind::DeltaFp32, 0.0);
+        let mut v = vec![1.0f32; 64];
+        let (mut frame, mut back) = (Vec::new(), Vec::new());
+        ch.encode(&v, &mut frame);
+        ch.decode(&frame, &mut back).unwrap();
+        v[3] = 2.0;
+        ch.encode(&v, &mut frame);
+        // A channel that never decoded holds no baseline.
+        let mut cold = DenseChannel::new(CodecKind::DeltaFp32, 0.0);
+        assert_eq!(
+            cold.decode(&frame, &mut back),
+            Err(WireError::MissingBaseline { key: ModuleKey::SHARED })
+        );
+        // Once decoded, the same frame is a version behind.
+        ch.decode(&frame, &mut back).unwrap();
+        assert_eq!(
+            ch.decode(&frame, &mut back),
+            Err(WireError::StaleBaseline { key: ModuleKey::SHARED, version: 1 })
+        );
+        assert_eq!(back, v);
+    }
 }
