@@ -28,7 +28,7 @@ use crate::cloud::SubModelPayload;
 use nebula_modular::{ModularModel, SubModelSpec};
 use nebula_telemetry::Telemetry;
 use nebula_wire::codec::{self, CodecKind};
-use nebula_wire::frame::{FrameBuilder, FrameKind, FrameView, ModuleKey, Record};
+use nebula_wire::frame::{FrameBuilder, FrameKind, FrameView, ModuleKey};
 use nebula_wire::{FrameKey, ModuleRegistry, ResidualStore, WireError};
 use std::collections::BTreeMap;
 
@@ -141,119 +141,23 @@ impl WireContext {
         v
     }
 
-    /// Encode one record's values with the configured codec, falling back
-    /// to raw when no usable baseline exists for a delta.
-    #[allow(clippy::too_many_arguments)]
-    fn encode_record(
-        builder: &mut FrameBuilder<'_>,
-        cfg: WireConfig,
-        registry: &ModuleRegistry,
-        residuals: &mut ResidualStore,
-        residual_owner: u64,
-        acked: Option<u64>,
-        threshold: f32,
-        key: ModuleKey,
-        values: &[f32],
-    ) {
-        match cfg.codec {
-            CodecKind::Raw => {
-                builder.record(key, CodecKind::Raw, 0, values.len(), |o| codec::encode_raw(values, o));
-            }
-            CodecKind::DeltaFp32 => {
-                let base = acked.and_then(|v| registry.baseline(key, v).ok().map(|b| (v, b)));
-                match base {
-                    Some((v, base)) if base.len() == values.len() => {
-                        // The codec may still fall back to raw when the
-                        // delta comes out dense; re-encode honestly so the
-                        // record header matches the payload.
-                        let mut probe = Vec::new();
-                        let used = codec::encode_delta(values, base, threshold, &mut probe);
-                        match used {
-                            CodecKind::DeltaFp32 => {
-                                builder.record(key, CodecKind::DeltaFp32, v, values.len(), |o| {
-                                    o.extend_from_slice(&probe)
-                                });
-                            }
-                            _ => builder.record(key, CodecKind::Raw, 0, values.len(), |o| {
-                                o.extend_from_slice(&probe)
-                            }),
-                        }
-                    }
-                    _ => {
-                        builder.record(key, CodecKind::Raw, 0, values.len(), |o| codec::encode_raw(values, o))
-                    }
-                }
-            }
-            CodecKind::QuantInt8 => {
-                if values.is_empty() {
-                    // Residual modules: nothing to quantize, skip the
-                    // 4-byte scale and ship an empty raw record.
-                    builder.record(key, CodecKind::Raw, 0, 0, |_| {});
-                } else {
-                    let r = residuals.residual(residual_owner, key, values.len());
-                    builder.record(key, CodecKind::QuantInt8, 0, values.len(), |o| {
-                        codec::encode_q8(values, r, o);
-                    });
-                }
-            }
-        }
-    }
-
-    /// Decode one record back to f32s, resolving delta baselines against
-    /// the registry.
-    fn decode_record(registry: &ModuleRegistry, rec: &Record<'_>) -> Result<Vec<f32>, WireError> {
-        let mut out = Vec::new();
-        match rec.codec {
-            CodecKind::Raw => codec::decode_raw(rec.payload, rec.elems, &mut out)?,
-            CodecKind::DeltaFp32 => {
-                let base = registry.baseline(rec.key, rec.base_version)?;
-                codec::decode_delta(rec.payload, rec.elems, base, &mut out)?;
-            }
-            CodecKind::QuantInt8 => codec::decode_q8(rec.payload, rec.elems, &mut out)?,
-        }
-        Ok(out)
-    }
-
     /// Encode a cloud → device payload into `out` (cleared). Returns the
     /// frame length — the measured download size.
     pub fn encode_payload(&mut self, device: u64, payload: &SubModelPayload, out: &mut Vec<u8>) -> usize {
-        let mut b = FrameBuilder::begin(out, FrameKind::Payload, self.cfg.codec);
-        // Deterministic record order: the map iterates by (layer, module).
-        for (&(l, i), params) in &payload.module_params {
-            let key = ModuleKey::module(l, i);
-            Self::encode_record(
-                &mut b,
-                self.cfg,
-                &self.registry,
-                &mut self.down_residuals,
-                device,
-                self.registry.acked_version(device, key),
-                0.0, // downloads are exact under delta
-                key,
-                params,
-            );
-        }
-        let key = ModuleKey::SHARED;
-        Self::encode_record(
-            &mut b,
-            self.cfg,
-            &self.registry,
-            &mut self.down_residuals,
-            device,
-            self.registry.acked_version(device, key),
-            0.0,
-            key,
-            &payload.shared_params,
-        );
         // Registry version this payload was cut from; acked on decode.
         let version = self.registry.version();
-        b.record(ModuleKey::META, CodecKind::Raw, 0, 0, |o| o.extend_from_slice(&version.to_le_bytes()));
-        let n = match self.key_for(device) {
-            Some(key) => b.finish_authed(&key),
-            None => b.finish(),
-        };
-        self.note_frame("down", device, n);
-        n
+        self.encode_frame(
+            FrameKind::Payload,
+            device,
+            &payload.module_params,
+            &payload.shared_params,
+            out,
+            |b| {
+                b.record(ModuleKey::META, CodecKind::Raw, 0, 0, |o| {
+                    o.extend_from_slice(&version.to_le_bytes())
+                })
+            },
+        )
     }
 
     /// Decode a payload frame on behalf of `device`. On success the
@@ -261,83 +165,31 @@ impl WireContext {
     /// version, so the next download can be a delta. Any error leaves the
     /// ack state untouched (the sender retries the identical frame).
     pub fn decode_payload(&mut self, device: u64, bytes: &[u8]) -> Result<SubModelPayload, WireError> {
-        let res = self.decode_payload_impl(device, bytes);
-        if let Err(e) = &res {
-            self.note_decode_error("down", device, e);
-        }
-        res
-    }
-
-    fn decode_payload_impl(&mut self, device: u64, bytes: &[u8]) -> Result<SubModelPayload, WireError> {
-        let view = FrameView::parse_keyed(bytes, self.key_for(device).as_ref())?;
-        let mut module_params: BTreeMap<(usize, usize), Vec<f32>> = BTreeMap::new();
-        let mut shared_params = Vec::new();
-        let mut version = 0u64;
-        for rec in view.records() {
-            if rec.key.is_module() {
-                let vals = Self::decode_record(&self.registry, rec)?;
-                module_params.insert((rec.key.layer as usize, rec.key.module as usize), vals);
-            } else if rec.key.is_shared() {
-                shared_params = Self::decode_record(&self.registry, rec)?;
-            } else if rec.key.is_meta() {
-                if rec.payload.len() != 8 {
-                    return Err(WireError::LengthMismatch { expected: 8, got: rec.payload.len() });
-                }
-                version = u64::from_le_bytes(rec.payload.try_into().unwrap());
-            }
-        }
-        let spec = spec_from_keys(module_params.keys().copied())?;
+        let (payload, _, version) = self
+            .decode_frame(device, bytes, false)
+            .inspect_err(|e| self.note_decode_error("down", device, e))?;
         if version > 0 {
-            for &(l, i) in module_params.keys() {
+            for &(l, i) in payload.module_params.keys() {
                 self.registry.ack(device, ModuleKey::module(l, i), version);
             }
             self.registry.ack(device, ModuleKey::SHARED, version);
         }
-        Ok(SubModelPayload { spec, module_params, shared_params })
+        Ok(payload)
     }
 
     /// Encode a device → cloud update into `out` (cleared). Returns the
     /// frame length — the measured upload size.
     pub fn encode_update(&mut self, device: u64, update: &ModuleUpdate, out: &mut Vec<u8>) -> usize {
-        let mut b = FrameBuilder::begin(out, FrameKind::Update, self.cfg.codec);
-        for (&(l, i), params) in &update.module_params {
-            let key = ModuleKey::module(l, i);
-            Self::encode_record(
-                &mut b,
-                self.cfg,
-                &self.registry,
-                &mut self.up_residuals,
-                device,
-                self.registry.acked_version(device, key),
-                self.cfg.delta_threshold,
-                key,
-                params,
-            );
-        }
-        let key = ModuleKey::SHARED;
-        Self::encode_record(
-            &mut b,
-            self.cfg,
-            &self.registry,
-            &mut self.up_residuals,
-            device,
-            self.registry.acked_version(device, key),
-            self.cfg.delta_threshold,
-            key,
-            &update.shared_params,
-        );
-        // Importance rows and metadata are tiny: always raw.
-        for (l, row) in update.importance.iter().enumerate() {
-            b.record(ModuleKey::importance(l), CodecKind::Raw, 0, row.len(), |o| codec::encode_raw(row, o));
-        }
-        let volume = update.data_volume as u64;
-        b.record(ModuleKey::META, CodecKind::Raw, 0, 0, |o| o.extend_from_slice(&volume.to_le_bytes()));
-        let n = match self.key_for(device) {
-            Some(key) => b.finish_authed(&key),
-            None => b.finish(),
-        };
-        self.note_frame("up", device, n);
-        n
+        self.encode_frame(FrameKind::Update, device, &update.module_params, &update.shared_params, out, |b| {
+            // Importance rows and metadata are tiny: always raw.
+            for (l, row) in update.importance.iter().enumerate() {
+                b.record(ModuleKey::importance(l), CodecKind::Raw, 0, row.len(), |o| {
+                    codec::encode_raw(row, o)
+                });
+            }
+            let volume = update.data_volume as u64;
+            b.record(ModuleKey::META, CodecKind::Raw, 0, 0, |o| o.extend_from_slice(&volume.to_le_bytes()));
+        })
     }
 
     /// Decode an update frame attributed to `device`, verifying its MAC
@@ -345,45 +197,86 @@ impl WireContext {
     /// uploads (baseline version already evicted) surface as
     /// [`WireError::StaleBaseline`].
     pub fn decode_update_from(&mut self, device: u64, bytes: &[u8]) -> Result<ModuleUpdate, WireError> {
-        let key = self.key_for(device);
-        let res = self.decode_update_impl(key.as_ref(), bytes);
-        if let Err(e) = &res {
-            self.note_decode_error("up", device, e);
-        }
-        res
+        let (payload, importance, volume) = self
+            .decode_frame(device, bytes, true)
+            .inspect_err(|e| self.note_decode_error("up", device, e))?;
+        let SubModelPayload { spec, module_params, shared_params } = payload;
+        Ok(ModuleUpdate { spec, module_params, shared_params, importance, data_volume: volume as usize })
     }
 
-    fn decode_update_impl(
+    /// Cut a module frame of `kind` for `device`: the modules in key
+    /// order, then `SHARED`, each under the configured codec against what
+    /// the device acked, then the caller's `tail` records. A payload goes
+    /// down exactly (delta threshold 0) with download residuals, an update
+    /// up under the configured threshold with upload residuals.
+    fn encode_frame(
         &mut self,
-        key: Option<&FrameKey>,
+        kind: FrameKind,
+        device: u64,
+        modules: &BTreeMap<(usize, usize), Vec<f32>>,
+        shared: &[f32],
+        out: &mut Vec<u8>,
+        tail: impl FnOnce(&mut FrameBuilder<'_>),
+    ) -> usize {
+        let (dir, threshold, residuals) = match kind {
+            FrameKind::Payload => ("down", 0.0, &mut self.down_residuals),
+            _ => ("up", self.cfg.delta_threshold, &mut self.up_residuals),
+        };
+        let registry = &self.registry;
+        let mut b = FrameBuilder::begin(out, kind, self.cfg.codec);
+        let records = modules.iter().map(|(&(l, i), v)| (ModuleKey::module(l, i), v.as_slice()));
+        for (key, values) in records.chain([(ModuleKey::SHARED, shared)]) {
+            let acked = registry.acked_version(device, key);
+            let base = acked.and_then(|v| registry.baseline(key, v).ok().map(|base| (v, base)));
+            let store = &mut *residuals;
+            b.values(key, self.cfg.codec, values, base, threshold, move || {
+                store.residual(device, key, values.len())
+            });
+        }
+        tail(&mut b);
+        let n = b.finish_keyed(self.key_for(device).as_ref());
+        self.note_frame(dir, device, n);
+        n
+    }
+
+    /// Decode a module frame from `device`: its module records, `SHARED`,
+    /// with `importance` its importance rows in layer order, and the u64
+    /// its `META` record carries.
+    fn decode_frame(
+        &self,
+        device: u64,
         bytes: &[u8],
-    ) -> Result<ModuleUpdate, WireError> {
-        let view = FrameView::parse_keyed(bytes, key)?;
-        let mut module_params: BTreeMap<(usize, usize), Vec<f32>> = BTreeMap::new();
+        importance: bool,
+    ) -> Result<(SubModelPayload, Vec<Vec<f32>>, u64), WireError> {
+        let view = FrameView::parse_keyed(bytes, self.key_for(device).as_ref())?;
+        let baseline = |key, version| self.registry.baseline(key, version);
+        let mut module_params = BTreeMap::new();
         let mut shared_params = Vec::new();
-        let mut importance_rows: Vec<(usize, Vec<f32>)> = Vec::new();
-        let mut data_volume = 0usize;
+        let mut rows: Vec<(usize, Vec<f32>)> = Vec::new();
+        let mut meta = 0u64;
         for rec in view.records() {
             if rec.key.is_module() {
-                let vals = Self::decode_record(&self.registry, rec)?;
-                module_params.insert((rec.key.layer as usize, rec.key.module as usize), vals);
+                let mut values = Vec::new();
+                rec.decode(baseline, &mut values)?;
+                module_params.insert((rec.key.layer as usize, rec.key.module as usize), values);
             } else if rec.key.is_shared() {
-                shared_params = Self::decode_record(&self.registry, rec)?;
-            } else if rec.key.is_importance() {
+                rec.decode(baseline, &mut shared_params)?;
+            } else if importance && rec.key.is_importance() {
                 let mut row = Vec::new();
                 codec::decode_raw(rec.payload, rec.elems, &mut row)?;
-                importance_rows.push((rec.key.module as usize, row));
+                rows.push((rec.key.module as usize, row));
             } else if rec.key.is_meta() {
-                if rec.payload.len() != 8 {
-                    return Err(WireError::LengthMismatch { expected: 8, got: rec.payload.len() });
-                }
-                data_volume = u64::from_le_bytes(rec.payload.try_into().unwrap()) as usize;
+                let bytes: [u8; 8] = rec
+                    .payload
+                    .try_into()
+                    .map_err(|_| WireError::LengthMismatch { expected: 8, got: rec.payload.len() })?;
+                meta = u64::from_le_bytes(bytes);
             }
         }
-        importance_rows.sort_unstable_by_key(|(l, _)| *l);
-        let importance: Vec<Vec<f32>> = importance_rows.into_iter().map(|(_, r)| r).collect();
+        rows.sort_unstable_by_key(|(l, _)| *l);
         let spec = spec_from_keys(module_params.keys().copied())?;
-        Ok(ModuleUpdate { spec, module_params, shared_params, importance, data_volume })
+        let payload = SubModelPayload { spec, module_params, shared_params };
+        Ok((payload, rows.into_iter().map(|(_, r)| r).collect(), meta))
     }
 
     /// Telemetry for one encoded frame: per-direction frame/byte counters,

@@ -20,7 +20,7 @@ use nebula_core::{DispatchJob, JobResult, JobSpec, TrainParams, TransportError};
 use nebula_data::Dataset;
 use nebula_tensor::Tensor;
 use nebula_wire::frame::{FrameBuilder, FrameKind, FrameView, ModuleKey};
-use nebula_wire::{CodecKind, FrameKey};
+use nebula_wire::{codec, CodecKind, FrameKey};
 use serde::{Deserialize, Serialize};
 
 use crate::ServeError;
@@ -117,10 +117,7 @@ fn begin(buf: &mut Vec<u8>) -> FrameBuilder<'_> {
 }
 
 fn finish(b: FrameBuilder<'_>, key: Option<&FrameKey>) -> usize {
-    match key {
-        Some(k) => b.finish_authed(&job_key(k)),
-        None => b.finish(),
-    }
+    b.finish_keyed(key.map(job_key).as_ref())
 }
 
 fn push_header(b: &mut FrameBuilder<'_>, header: &Header) -> Result<(), ServeError> {
@@ -130,11 +127,7 @@ fn push_header(b: &mut FrameBuilder<'_>, header: &Header) -> Result<(), ServeErr
 }
 
 fn push_f32s(b: &mut FrameBuilder<'_>, slot: ModuleKey, xs: &[f32]) {
-    b.record(slot, CodecKind::Raw, 0, xs.len(), |o| {
-        for x in xs {
-            o.extend_from_slice(&x.to_le_bytes());
-        }
-    });
+    b.record(slot, CodecKind::Raw, 0, xs.len(), |o| codec::encode_raw(xs, o));
 }
 
 fn parse_f32s(payload: &[u8]) -> Result<Vec<f32>, ServeError> {

@@ -98,17 +98,31 @@ pub fn decode_raw(payload: &[u8], elems: usize, out: &mut Vec<f32>) -> Result<()
 /// a baseline length mismatch, which should not happen with a correct
 /// registry but must not corrupt the stream if it does).
 pub fn encode_delta(values: &[f32], baseline: &[f32], threshold: f32, out: &mut Vec<u8>) -> CodecKind {
-    if baseline.len() != values.len() {
+    if delta_pays(values, baseline, threshold) {
+        write_delta(values, baseline, threshold, out);
+        CodecKind::DeltaFp32
+    } else {
         encode_raw(values, out);
-        return CodecKind::Raw;
+        CodecKind::Raw
+    }
+}
+
+/// Whether the sparse delta of `values` against `baseline` (entries with
+/// `|delta| > threshold`) is smaller than the raw form: the size test of
+/// [`encode_delta`], made before anything is written. `false` when the
+/// lengths differ.
+pub fn delta_pays(values: &[f32], baseline: &[f32], threshold: f32) -> bool {
+    if baseline.len() != values.len() {
+        return false;
     }
     let nnz = values.iter().zip(baseline).filter(|(v, b)| !(**v - **b).abs().le(&threshold)).count();
     // 8 bytes per pair vs 4 bytes per dense element.
-    if 8 * nnz >= 4 * values.len() {
-        encode_raw(values, out);
-        return CodecKind::Raw;
-    }
-    out.reserve(8 * nnz);
+    8 * nnz < 4 * values.len()
+}
+
+/// Append the `(u32 index, f32 delta)` pairs of `values` against
+/// `baseline` whose `|delta| > threshold`: the write of [`encode_delta`].
+pub fn write_delta(values: &[f32], baseline: &[f32], threshold: f32, out: &mut Vec<u8>) {
     for (i, (v, b)) in values.iter().zip(baseline).enumerate() {
         let d = v - b;
         if !d.abs().le(&threshold) {
@@ -116,7 +130,6 @@ pub fn encode_delta(values: &[f32], baseline: &[f32], threshold: f32, out: &mut 
             out.extend_from_slice(&d.to_le_bytes());
         }
     }
-    CodecKind::DeltaFp32
 }
 
 /// Decode a sparse delta payload by applying it to `baseline` into `out`.

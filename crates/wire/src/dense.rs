@@ -8,7 +8,7 @@
 //! state untouched, so the sender can resend the identical frame and the
 //! delta still applies.
 
-use crate::codec::{self, CodecKind};
+use crate::codec::CodecKind;
 use crate::frame::{FrameBuilder, FrameKind, FrameView, ModuleKey};
 use crate::WireError;
 
@@ -32,51 +32,14 @@ impl DenseChannel {
         DenseChannel { codec, threshold, version: 0, baseline: None, residual: Vec::new() }
     }
 
-    pub fn codec(&self) -> CodecKind {
-        self.codec
-    }
-
     /// Encode `values` into `out` as one dense frame. Returns the frame
     /// length in bytes (the measured on-wire size). Cold channels (no
     /// baseline yet) and shape changes fall back to a raw record.
     pub fn encode(&mut self, values: &[f32], out: &mut Vec<u8>) -> usize {
         let mut b = FrameBuilder::begin(out, FrameKind::Dense, self.codec);
-        match self.codec {
-            CodecKind::Raw => {
-                b.record(ModuleKey::SHARED, CodecKind::Raw, 0, values.len(), |o| {
-                    codec::encode_raw(values, o)
-                });
-            }
-            CodecKind::DeltaFp32 => match &self.baseline {
-                Some(base) if base.len() == values.len() => {
-                    let threshold = self.threshold;
-                    let version = self.version;
-                    let mut used = CodecKind::Raw;
-                    b.record(ModuleKey::SHARED, CodecKind::DeltaFp32, version, values.len(), |o| {
-                        used = codec::encode_delta(values, base, threshold, o);
-                    });
-                    if used == CodecKind::Raw {
-                        // Delta came out dense; rebuild as an honest raw
-                        // record so the decoder skips the baseline path.
-                        b = FrameBuilder::begin(out, FrameKind::Dense, self.codec);
-                        b.record(ModuleKey::SHARED, CodecKind::Raw, 0, values.len(), |o| {
-                            codec::encode_raw(values, o)
-                        });
-                    }
-                }
-                _ => {
-                    b.record(ModuleKey::SHARED, CodecKind::Raw, 0, values.len(), |o| {
-                        codec::encode_raw(values, o)
-                    });
-                }
-            },
-            CodecKind::QuantInt8 => {
-                let residual = &mut self.residual;
-                b.record(ModuleKey::SHARED, CodecKind::QuantInt8, 0, values.len(), |o| {
-                    codec::encode_q8(values, residual, o);
-                });
-            }
-        }
+        let base = self.baseline.as_deref().map(|base| (self.version, base));
+        let residual = &mut self.residual;
+        b.values(ModuleKey::SHARED, self.codec, values, base, self.threshold, || residual);
         b.finish()
     }
 
@@ -87,24 +50,17 @@ impl DenseChannel {
         let view = FrameView::parse(bytes)?;
         let rec =
             view.find(ModuleKey::SHARED).ok_or(WireError::MissingBaseline { key: ModuleKey::SHARED })?;
-        match rec.codec {
-            CodecKind::Raw => codec::decode_raw(rec.payload, rec.elems, out)?,
-            CodecKind::DeltaFp32 => {
-                let base = self.baseline.as_deref().ok_or(WireError::MissingBaseline { key: rec.key })?;
-                if rec.base_version != self.version {
-                    return Err(WireError::StaleBaseline { key: rec.key, version: rec.base_version });
-                }
-                codec::decode_delta(rec.payload, rec.elems, base, out)?;
+        let held = |key, version| {
+            let base = self.baseline.as_deref().ok_or(WireError::MissingBaseline { key })?;
+            if version != self.version {
+                return Err(WireError::StaleBaseline { key, version });
             }
-            CodecKind::QuantInt8 => codec::decode_q8(rec.payload, rec.elems, out)?,
-        }
-        match &mut self.baseline {
-            Some(b) => {
-                b.clear();
-                b.extend_from_slice(out);
-            }
-            None => self.baseline = Some(out.clone()),
-        }
+            Ok(base)
+        };
+        rec.decode(held, out)?;
+        let baseline = self.baseline.get_or_insert_with(Vec::new);
+        baseline.clear();
+        baseline.extend_from_slice(out);
         self.version += 1;
         Ok(())
     }

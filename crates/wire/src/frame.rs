@@ -39,7 +39,7 @@
 //! magic/version/lengths/CRC once and hands out records borrowing the
 //! input buffer.
 
-use crate::codec::CodecKind;
+use crate::codec::{self, CodecKind};
 use crate::crc32::crc32;
 use crate::siphash::FrameKey;
 use crate::WireError;
@@ -154,6 +154,27 @@ pub struct Record<'a> {
     pub payload: &'a [u8],
 }
 
+impl Record<'_> {
+    /// Decode the record's values into `out` under its own codec, the
+    /// inverse of [`FrameBuilder::values`]. A delta asks `baseline` for
+    /// the values its key held at its base version; the receiver's error
+    /// (missing, stale) is the decode's.
+    pub fn decode<'b>(
+        &self,
+        baseline: impl FnOnce(ModuleKey, u64) -> Result<&'b [f32], WireError>,
+        out: &mut Vec<f32>,
+    ) -> Result<(), WireError> {
+        match self.codec {
+            CodecKind::Raw => codec::decode_raw(self.payload, self.elems, out),
+            CodecKind::DeltaFp32 => {
+                let base = baseline(self.key, self.base_version)?;
+                codec::decode_delta(self.payload, self.elems, base, out)
+            }
+            CodecKind::QuantInt8 => codec::decode_q8(self.payload, self.elems, out),
+        }
+    }
+}
+
 /// Incremental frame writer appending into a caller-owned buffer.
 ///
 /// The buffer is cleared on `begin`; `finish` backpatches the count and
@@ -206,33 +227,69 @@ impl<'a> FrameBuilder<'a> {
         self.count += 1;
     }
 
-    /// Terminate the frame: backpatch header fields, append CRC. Returns
-    /// the total frame length in bytes (what goes on the wire).
-    pub fn finish(self) -> usize {
+    /// Append `values` as one record under the sender's `codec`, the one
+    /// place a record's codec is chosen:
+    ///
+    /// * `DeltaFp32` writes a delta against `base` (the version and values
+    ///   the receiver holds) when `base` has the same length and the
+    ///   sparse form is smaller ([`codec::delta_pays`], decided before
+    ///   anything is written);
+    /// * `QuantInt8` writes int8 for a non-empty tensor, asking for its
+    ///   error-feedback carry only then;
+    /// * everything else is a raw record, base version 0: a cold or
+    ///   reshaped delta, a dense delta, an empty int8 tensor.
+    pub fn values<'r>(
+        &mut self,
+        key: ModuleKey,
+        codec: CodecKind,
+        values: &[f32],
+        base: Option<(u64, &[f32])>,
+        threshold: f32,
+        residual: impl FnOnce() -> &'r mut Vec<f32>,
+    ) {
+        let n = values.len();
+        match (codec, base) {
+            (CodecKind::DeltaFp32, Some((version, base))) if codec::delta_pays(values, base, threshold) => {
+                self.record(key, codec, version, n, |o| codec::write_delta(values, base, threshold, o))
+            }
+            (CodecKind::QuantInt8, _) if n > 0 => {
+                let r = residual();
+                self.record(key, codec, 0, n, |o| {
+                    codec::encode_q8(values, r, o);
+                })
+            }
+            _ => self.record(key, CodecKind::Raw, 0, n, |o| codec::encode_raw(values, o)),
+        }
+    }
+
+    /// Terminate the frame: backpatch header fields, append the CRC, and
+    /// with a `key` the MAC. Returns the total frame length in bytes
+    /// (what goes on the wire). The mirror of [`FrameView::parse_keyed`].
+    ///
+    /// A keyed frame gets version 2 and the auth flag, then the CRC
+    /// trailer followed by [`FrameKey::mac`] over header+body. The version
+    /// and flag bytes are covered by both CRC and MAC, so neither can be
+    /// stripped or forged without the key being caught.
+    pub fn finish_keyed(self, key: Option<&FrameKey>) -> usize {
+        if key.is_some() {
+            self.buf[4] = WIRE_VERSION_AUTHED;
+            self.buf[7] |= FLAG_AUTH;
+        }
         let body_len = (self.buf.len() - HEADER_LEN) as u32;
         self.buf[8..12].copy_from_slice(&self.count.to_le_bytes());
         self.buf[12..16].copy_from_slice(&body_len.to_le_bytes());
+        let mac = key.map(|k| k.mac(self.buf));
         let crc = crc32(self.buf);
         self.buf.extend_from_slice(&crc.to_le_bytes());
+        if let Some(mac) = mac {
+            self.buf.extend_from_slice(&mac.to_le_bytes());
+        }
         self.buf.len()
     }
 
-    /// Terminate an *authenticated* frame: set the auth flag and version
-    /// 2, backpatch header fields, then append the CRC trailer followed by
-    /// [`FrameKey::mac`] over header+body. The version and flag bytes are
-    /// covered by both CRC and MAC, so neither can be stripped or forged
-    /// without the key being caught.
-    pub fn finish_authed(self, key: &FrameKey) -> usize {
-        self.buf[4] = WIRE_VERSION_AUTHED;
-        self.buf[7] |= FLAG_AUTH;
-        let body_len = (self.buf.len() - HEADER_LEN) as u32;
-        self.buf[8..12].copy_from_slice(&self.count.to_le_bytes());
-        self.buf[12..16].copy_from_slice(&body_len.to_le_bytes());
-        let mac = key.mac(self.buf);
-        let crc = crc32(self.buf);
-        self.buf.extend_from_slice(&crc.to_le_bytes());
-        self.buf.extend_from_slice(&mac.to_le_bytes());
-        self.buf.len()
+    /// Terminate an unauthenticated frame: [`Self::finish_keyed`] with no key.
+    pub fn finish(self) -> usize {
+        self.finish_keyed(None)
     }
 }
 
@@ -421,7 +478,7 @@ mod tests {
         let mut b = FrameBuilder::begin(&mut buf, FrameKind::Update, CodecKind::Raw);
         let vals: Vec<f32> = (0..9).map(|i| i as f32 - 4.0).collect();
         b.record(ModuleKey::module(1, 2), CodecKind::Raw, 0, vals.len(), |out| codec::encode_raw(&vals, out));
-        b.finish_authed(&test_key());
+        b.finish_keyed(Some(&test_key()));
         buf
     }
 
@@ -478,7 +535,7 @@ mod tests {
         let mut abuf = Vec::new();
         let mut b = FrameBuilder::begin(&mut abuf, FrameKind::Update, CodecKind::Raw);
         b.record(ModuleKey::SHARED, CodecKind::Raw, 0, 2, |out| codec::encode_raw(&[1.0, 2.0], out));
-        b.finish_authed(&test_key());
+        b.finish_keyed(Some(&test_key()));
         let mut forged = abuf.clone();
         forged[HEADER_LEN + RECORD_HEADER_LEN] ^= 0x80;
         let crc_at = forged.len() - TRAILER_LEN - MAC_LEN;

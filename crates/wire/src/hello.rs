@@ -79,10 +79,7 @@ pub fn encode_hello(buf: &mut Vec<u8>, hello: &Hello, key: Option<&FrameKey>) ->
         o.extend_from_slice(&(name.len().min(u16::MAX as usize) as u16).to_le_bytes());
         o.extend_from_slice(&name[..name.len().min(u16::MAX as usize)]);
     });
-    match key {
-        Some(k) => b.finish_authed(&hello_key(k)),
-        None => b.finish(),
-    }
+    b.finish_keyed(key.map(hello_key).as_ref())
 }
 
 /// Decodes a [`Hello`] frame, verifying its MAC when `key` is set
@@ -123,10 +120,7 @@ pub fn encode_hello_ack(buf: &mut Vec<u8>, ack: &HelloAck, key: Option<&FrameKey
         o.extend_from_slice(&(json.len() as u32).to_le_bytes());
         o.extend_from_slice(json);
     });
-    match key {
-        Some(k) => b.finish_authed(&hello_key(k)),
-        None => b.finish(),
-    }
+    b.finish_keyed(key.map(hello_key).as_ref())
 }
 
 /// Decodes a [`HelloAck`] frame, verifying its MAC when `key` is set.

@@ -65,7 +65,7 @@ fn authed_frame(vals: &[f32], key: &FrameKey) -> Vec<u8> {
     let mut buf = Vec::new();
     let mut b = FrameBuilder::begin(&mut buf, FrameKind::Update, CodecKind::Raw);
     b.record(ModuleKey::module(0, 0), CodecKind::Raw, 0, vals.len(), |o| codec::encode_raw(vals, o));
-    b.finish_authed(key);
+    b.finish_keyed(Some(key));
     buf
 }
 
@@ -238,7 +238,7 @@ proptest! {
         let mut b = FrameBuilder::begin(&mut buf, FrameKind::Update, CodecKind::Raw);
         let mk = ModuleKey::module(1, 2);
         b.record(mk, CodecKind::Raw, 0, vals.len(), |o| codec::encode_raw(vals.as_slice(), o));
-        b.finish_authed(&key);
+        b.finish_keyed(Some(&key));
 
         let view = FrameView::parse_keyed(&buf, Some(&key)).expect("authed frame must parse with its key");
         let rec = *view.find(mk).expect("record present");
@@ -269,7 +269,7 @@ proptest! {
         let mut b = FrameBuilder::begin(&mut buf, FrameKind::Update, CodecKind::Raw);
         let mk = ModuleKey::module(0, 0);
         b.record(mk, CodecKind::Raw, 0, vals.len(), |o| codec::encode_raw(vals.as_slice(), o));
-        b.finish_authed(&key);
+        b.finish_keyed(Some(&key));
 
         // Forge: flip one covered byte, then recompute the CRC so only the
         // MAC stands between the forgery and a successful decode.
