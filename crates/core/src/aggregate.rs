@@ -11,7 +11,8 @@
 //! parts (stem/head/selector), which every sub-model carries, are averaged
 //! with data-volume weights (FedAvg-style).
 
-use nebula_modular::{ModularModel, SubModelSpec};
+use crate::cloud::check_records;
+use nebula_modular::{ModularConfig, ModularModel, SubModelSpec};
 use nebula_tensor::reduce;
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -36,6 +37,32 @@ pub struct ModuleUpdate {
     pub importance: Vec<Vec<f32>>,
     /// Local data volume (shared-part weighting).
     pub data_volume: usize,
+}
+
+impl ModuleUpdate {
+    /// Checks that this update fits the architecture `cfg`, as
+    /// [`crate::SubModelPayload::validate`] checks a payload, plus one
+    /// importance row per layer, each `modules_per_layer` long. An update
+    /// decoded from a frame is only well-formed, not well-matched: the
+    /// cloud calls this before aggregation, which panics on a mismatch.
+    pub fn validate(&self, cfg: &ModularConfig) -> Result<(), String> {
+        check_records("update", &self.spec, &self.module_params, &self.shared_params, cfg)?;
+        if self.importance.len() != cfg.num_layers {
+            return Err(format!(
+                "update carries {} importance rows, model has {} layers",
+                self.importance.len(),
+                cfg.num_layers
+            ));
+        }
+        match self.importance.iter().position(|row| row.len() != cfg.modules_per_layer) {
+            Some(l) => Err(format!(
+                "importance row {l} has {} entries, wants {}",
+                self.importance[l].len(),
+                cfg.modules_per_layer
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Applies module-wise weighted aggregation to the cloud model in place,

@@ -72,35 +72,46 @@ impl SubModelPayload {
     /// well-formed, not well-matched — an executor must call this before
     /// [`crate::EdgeClient::from_payload`], which panics on a mismatch.
     pub fn validate(&self, cfg: &ModularConfig) -> Result<(), String> {
-        check_spec_shape("payload", self.spec.layers(), cfg)?;
-        if self.module_params.len() != self.spec.total_modules() {
-            return Err(format!(
-                "payload ships {} module records for a {}-module spec",
-                self.module_params.len(),
-                self.spec.total_modules()
-            ));
-        }
-        let cost = CostModel::new(cfg.clone());
-        for (l, mods) in self.spec.layers().iter().enumerate() {
-            for &i in mods {
-                let Some(record) = self.module_params.get(&(l, i)) else {
-                    return Err(format!("payload ships no record for spec module ({l}, {i})"));
-                };
-                let want = cost.module(l, i).params as usize;
-                if record.len() != want {
-                    return Err(format!(
-                        "module ({l}, {i}) record has {} params, wants {want}",
-                        record.len()
-                    ));
-                }
+        check_records("payload", &self.spec, &self.module_params, &self.shared_params, cfg)
+    }
+}
+
+/// The check of [`SubModelPayload::validate`] for any message naming a
+/// sub-model: `spec`'s shape against `cfg`, exactly one record per spec
+/// module, and each record and the shared vector of the length `cfg`
+/// implies.
+pub(crate) fn check_records(
+    name: &str,
+    spec: &SubModelSpec,
+    module_params: &BTreeMap<(usize, usize), Vec<f32>>,
+    shared_params: &[f32],
+    cfg: &ModularConfig,
+) -> Result<(), String> {
+    check_spec_shape(name, spec.layers(), cfg)?;
+    if module_params.len() != spec.total_modules() {
+        return Err(format!(
+            "{name} ships {} module records for a {}-module spec",
+            module_params.len(),
+            spec.total_modules()
+        ));
+    }
+    let cost = CostModel::new(cfg.clone());
+    for (l, mods) in spec.layers().iter().enumerate() {
+        for &i in mods {
+            let Some(record) = module_params.get(&(l, i)) else {
+                return Err(format!("{name} ships no record for spec module ({l}, {i})"));
+            };
+            let want = cost.module(l, i).params as usize;
+            if record.len() != want {
+                return Err(format!("module ({l}, {i}) record has {} params, wants {want}", record.len()));
             }
         }
-        let want = cost.shared().params as usize;
-        if self.shared_params.len() != want {
-            return Err(format!("shared record has {} params, wants {want}", self.shared_params.len()));
-        }
-        Ok(())
     }
+    let want = cost.shared().params as usize;
+    if shared_params.len() != want {
+        return Err(format!("shared record has {} params, wants {want}", shared_params.len()));
+    }
+    Ok(())
 }
 
 /// Checks per-layer module lists from outside the process (a decoded
@@ -389,6 +400,37 @@ mod tests {
         let mut bad = good.clone();
         bad.shared_params.pop();
         rejected(&bad, &cfg, "shared record has");
+    }
+
+    #[test]
+    fn update_validate_adds_importance_rows_to_the_payload_check() {
+        let c = cloud();
+        let cfg = c.model().config().clone();
+        let payload = c.dispatch(&SubModelSpec::new(vec![vec![0, 3], vec![1]]));
+        let SubModelPayload { spec, module_params, shared_params } = payload;
+        let importance = vec![vec![0.25; cfg.modules_per_layer]; cfg.num_layers];
+        let good = ModuleUpdate { spec, module_params, shared_params, importance, data_volume: 9 };
+        assert_eq!(good.validate(&cfg), Ok(()));
+
+        let rejected = |update: &ModuleUpdate, needle: &str| {
+            let err = update.validate(&cfg).expect_err(needle);
+            assert!(err.contains(needle), "expected `{needle}` in `{err}`");
+        };
+        let mut bad = good.clone();
+        bad.module_params.get_mut(&(0, 0)).expect("module").pop();
+        rejected(&bad, "module (0, 0) record has");
+        let mut bad = good.clone();
+        bad.shared_params.pop();
+        rejected(&bad, "shared record has");
+        let mut bad = good.clone();
+        bad.module_params.remove(&(1, 1));
+        rejected(&bad, "update ships 2 module records for a 3-module spec");
+        let mut bad = good.clone();
+        bad.importance.pop();
+        rejected(&bad, "update carries 1 importance rows, model has 2 layers");
+        let mut bad = good.clone();
+        bad.importance[1].pop();
+        rejected(&bad, "importance row 1 has 3 entries, wants 4");
     }
 
     #[test]

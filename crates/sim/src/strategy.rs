@@ -541,16 +541,19 @@ impl<const HETERO: bool> AdaptStrategy for DenseFlStrategy<HETERO> {
 }
 
 /// The cloud's side of one module-update upload: `frame` crosses the
-/// link (a `tamper` seed flips bytes in transit), is decoded as `device`'s,
-/// and a rejected tampered frame earns one clean resend when the policy
-/// has a `retry` budget. Bills `comm`/`report` exactly as the transfer
-/// went; `None` means the update never arrived.
+/// link (a `tamper` seed flips bytes in transit, or with `forge` also
+/// recomputes the CRC), the cloud `accept`s it, and a rejected tampered
+/// frame earns one clean resend when the policy has a `retry` budget.
+/// Bills `comm`/`report` exactly as the transfer went; `None` means the
+/// update never arrived.
 ///
-/// Under frame auth the tamper also recomputes the CRC — the forgery only
-/// the MAC catches. Either way the decode rejects before aggregation.
+/// A forgery only the MAC catches, a frame that fails to decode and an
+/// update that does not fit the model ([`accept_upload`]) are refused
+/// alike, before aggregation; a pristine frame refused would be refused
+/// again, so it is not resent.
 fn receive_upload(
-    wire: &mut WireContext,
-    device: u64,
+    mut accept: impl FnMut(&[u8]) -> Option<EdgeUpdate>,
+    forge: bool,
     frame: &[u8],
     tamper: Option<u64>,
     retry: bool,
@@ -562,29 +565,39 @@ fn receive_upload(
         Some(seed) => {
             report.corrupt_frames += 1;
             let mut bad = frame.to_vec();
-            if wire.config().auth_key.is_some() {
+            if forge {
                 forge_frame(&mut bad, seed);
             } else {
                 corrupt_frame(&mut bad, seed);
             }
-            wire.decode_update_from(device, &bad)
+            accept(&bad)
         }
-        None => wire.decode_update_from(device, frame),
+        None => accept(frame),
     };
     let update = match first {
-        Ok(update) => update,
-        Err(_) => {
+        Some(update) => update,
+        None => {
             comm.record_retry(bytes);
-            // A pristine frame that fails to decode would fail again.
             if tamper.is_none() || !retry {
                 return None;
             }
             report.retried += 1;
-            wire.decode_update_from(device, frame).ok()?
+            accept(frame)?
         }
     };
     comm.record_upload(bytes);
     Some(update)
+}
+
+/// What the cloud accepts of an upload from `device`: an update the
+/// frame decodes to under the device's key that also fits the model.
+fn accept_upload(
+    wire: &mut WireContext,
+    cfg: &ModularConfig,
+    device: u64,
+    frame: &[u8],
+) -> Option<EdgeUpdate> {
+    wire.decode_update_from(device, frame).ok().filter(|update| update.validate(cfg).is_ok())
 }
 
 // ---------------------------------------------------------------------------
@@ -921,6 +934,7 @@ impl NebulaStrategy {
         };
         let tamper = fate.frame_corrupt.then_some(fault_seed);
         let retry = round.policy.max_retries > 0;
+        let forge = self.wire.config().auth_key.is_some();
         let (comm, report) = (&mut round.comm, &mut round.report);
         match arrived {
             Arrived::Lost => {
@@ -936,19 +950,19 @@ impl NebulaStrategy {
                 // sender's structs.
                 sabotage(&mut update);
                 self.wire.encode_update(id as u64, &update, &mut self.frame_buf);
-                receive_upload(&mut self.wire, id as u64, &self.frame_buf, tamper, retry, comm, report)
+                let accept = |f: &[u8]| accept_upload(&mut self.wire, &self.cfg.modular, id as u64, f);
+                receive_upload(accept, forge, &self.frame_buf, tamper, retry, comm, report)
             }
             Arrived::Frame(frame) => {
                 // A remote worker already encoded the update, so the
                 // sabotage lands on what the cloud decoded. Under the Raw
                 // codec that ordering is bit-identical to the in-process
                 // one, which the serve tests pin.
-                receive_upload(&mut self.wire, id as u64, &frame, tamper, retry, comm, report).map(
-                    |mut update| {
-                        sabotage(&mut update);
-                        update
-                    },
-                )
+                let accept = |f: &[u8]| accept_upload(&mut self.wire, &self.cfg.modular, id as u64, f);
+                receive_upload(accept, forge, &frame, tamper, retry, comm, report).map(|mut update| {
+                    sabotage(&mut update);
+                    update
+                })
             }
         }
     }

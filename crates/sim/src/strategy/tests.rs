@@ -1,5 +1,6 @@
 use super::*;
 use crate::resources::ResourceSampler;
+use nebula_core::ModularRunner;
 use nebula_data::{PartitionSpec, Partitioner, SynthSpec, Synthesizer};
 
 fn toy_world(devices: usize) -> SimWorld {
@@ -122,6 +123,59 @@ fn dense_round_that_loses_every_job_is_not_poisoned() {
     // Nothing was averaged, so the corrupt and Byzantine clients had
     // no mean to poison: the server is exactly what it was.
     assert_eq!(s.export_state(), before);
+}
+
+/// Trains every job honestly, then rewrites the first job's update in
+/// one of four shapes the aggregate cannot take and frames it again under
+/// that device's key: a frame the cloud decodes cleanly.
+struct Misshapen {
+    inner: Loopback,
+    wire: WireConfig,
+    shape: usize,
+}
+
+impl Transport for Misshapen {
+    fn kind(&self) -> &'static str {
+        "misshapen"
+    }
+
+    fn round_trip(
+        &mut self,
+        jobs: Vec<nebula_core::DispatchJob>,
+    ) -> Vec<Result<nebula_core::JobResult, nebula_core::TransportError>> {
+        let device = jobs[0].device;
+        let mut results = self.inner.round_trip(jobs);
+        let Ok(JobResult::Frame(frame)) = &mut results[0] else { panic!("honest job failed") };
+        let mut wire = WireContext::new(self.wire);
+        let mut update = wire.decode_update_from(device, frame).expect("honest update decodes");
+        match self.shape {
+            0 => drop(update.module_params.values_mut().find(|m| !m.is_empty()).expect("a module").pop()),
+            1 => drop(update.shared_params.pop()),
+            2 => drop(update.importance.pop()),
+            _ => drop(update.importance[0].pop()),
+        }
+        wire.encode_update(device, &update, frame);
+        results
+    }
+}
+
+#[test]
+fn misshapen_update_is_link_dropped_not_aggregated() {
+    // A module record, the shared record or an importance row one element
+    // short, or an importance row missing.
+    for shape in 0..4 {
+        let cfg = toy_cfg();
+        let wire = WireConfig::raw().with_auth([5u8; 16]);
+        let runner = ModularRunner::new(cfg.modular.clone(), wire);
+        let mut s = NebulaStrategy::new(StrategyConfig { wire, ..cfg }, 1);
+        s.set_transport(Box::new(Misshapen { inner: Loopback::new(Arc::new(runner)), wire, shape }));
+        let out = s.single_round(&mut toy_world(8), &mut NebulaRng::seed(3));
+        let faults = out.stats.faults;
+        assert_eq!((faults.participated, faults.link_dropped), (3, 1), "shape {shape}");
+        // The refused frame is billed as a retry and not resent.
+        assert_eq!((out.stats.comm.uploads, faults.retried), (3, 0), "shape {shape}");
+        assert!(out.stats.comm.retry_bytes > 0, "shape {shape}");
+    }
 }
 
 #[test]
