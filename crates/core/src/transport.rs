@@ -117,10 +117,6 @@ impl WireContext {
         self.cfg
     }
 
-    pub fn registry(&self) -> &ModuleRegistry {
-        &self.registry
-    }
-
     /// Commit the cloud model's current parameters as the baselines for
     /// this round's traffic. Call once per round, after aggregation (or
     /// rollback) settles and before the first dispatch. Returns the new

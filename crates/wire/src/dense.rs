@@ -90,14 +90,6 @@ impl DensePool {
         }
     }
 
-    pub fn raw() -> Self {
-        Self::new(CodecKind::Raw, 0.0)
-    }
-
-    pub fn codec(&self) -> CodecKind {
-        self.codec
-    }
-
     fn channel(
         map: &mut std::collections::HashMap<u64, DenseChannel>,
         codec: CodecKind,
@@ -125,13 +117,6 @@ impl DensePool {
         ch.decode(&self.frame, out)?;
         Ok(n as u64)
     }
-
-    /// Drop both channels of a device (crash / re-provision): the next
-    /// transfer is encoded cold.
-    pub fn forget(&mut self, device: u64) {
-        self.down.remove(&device);
-        self.up.remove(&device);
-    }
 }
 
 #[cfg(test)]
@@ -150,9 +135,6 @@ mod tests {
         let cold_b = pool.send_down(2, &vals, &mut out).unwrap();
         assert!(warm_a < cold_a / 4);
         assert_eq!(cold_b, cold_a);
-        pool.forget(1);
-        let re_cold = pool.send_down(1, &vals, &mut out).unwrap();
-        assert_eq!(re_cold, cold_a);
     }
 
     #[test]

@@ -20,7 +20,13 @@
 //!   the sender-side [`codec::ResidualStore`] for error feedback.
 //! * [`frame`] — the framed format: header, per-module records keyed by
 //!   (layer, module), CRC trailer; [`frame::FrameBuilder`] writes into
-//!   reusable buffers, [`frame::FrameView`] parses zero-copy.
+//!   reusable buffers, [`frame::FrameView`] parses zero-copy. It holds
+//!   the one record path every f32 tensor takes:
+//!   [`frame::FrameBuilder::values`] picks a record's codec (delta when it
+//!   pays, int8 for a non-empty tensor, raw otherwise),
+//!   [`frame::Record::decode`] inverts it, and
+//!   [`frame::FrameBuilder::finish_keyed`] terminates every frame, with a
+//!   MAC when keyed.
 //! * [`siphash`] — SipHash-2-4 keyed PRF, per-device
 //!   [`siphash::FrameKey`] derivation and the striped MAC (eight
 //!   SipHash-2-4 lanes side by side, tied by a ninth) of the optional MAC
@@ -29,7 +35,9 @@
 //! * [`registry`] — cloud-side versioned baselines with bounded history
 //!   and per-device ack tracking, so deltas decode deterministically and
 //!   stale uploads are detected by version.
-//! * [`dense`] — a point-to-point channel for the flat-model baselines.
+//! * [`dense`] — per-device point-to-point channels for the flat-model
+//!   baselines' blobs, one record per frame through the same record
+//!   path as module frames.
 //! * [`stream`] — length-delimited frame I/O over TCP/UDS byte streams,
 //!   with a pre-allocation cap on hostile length prefixes.
 //! * [`hello`] — the serving-plane handshake (worker hello, coordinator
@@ -47,7 +55,7 @@ pub mod stream;
 
 pub use codec::{CodecKind, ResidualStore};
 pub use crc32::crc32;
-pub use dense::{DenseChannel, DensePool};
+pub use dense::DensePool;
 pub use error::WireError;
 pub use frame::{FrameBuilder, FrameKind, FrameView, ModuleKey, Record};
 pub use hello::{Hello, HelloAck};

@@ -61,11 +61,6 @@ impl ModuleRegistry {
             .ok_or(WireError::StaleBaseline { key, version })
     }
 
-    /// Latest recorded baseline of `key`, if any.
-    pub fn latest(&self, key: ModuleKey) -> Option<(u64, &[f32])> {
-        self.history.get(&key).and_then(|h| h.back()).map(|(v, vals)| (*v, vals.as_slice()))
-    }
-
     /// Mark that `device` now holds `key` at `version` (successful,
     /// CRC-clean decode on the device side).
     pub fn ack(&mut self, device: u64, key: ModuleKey, version: u64) {
