@@ -16,8 +16,8 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-/// A serialisable snapshot of a modularized model.
-#[derive(Debug, Serialize, Deserialize)]
+/// A snapshot of a modularized model.
+#[derive(Debug)]
 pub struct Checkpoint {
     /// Format version (bumped on layout changes).
     pub version: u32,
@@ -65,7 +65,7 @@ pub enum CheckpointError {
     UnsupportedVersion(u32),
     /// The payload ends before the declared header or parameter data.
     Truncated { expected: usize, available: usize },
-    /// The JSON header (or a JSON checkpoint file) failed to parse.
+    /// The binary format's JSON header failed to parse.
     MalformedHeader(String),
     /// Checkpoint architecture differs from the target model's.
     ArchitectureMismatch { checkpoint: CheckpointConfig, model: CheckpointConfig },
@@ -155,22 +155,6 @@ pub fn restore(model: &mut ModularModel, ckpt: &Checkpoint) -> Result<(), Checkp
     }
     model.load_param_vector(&ckpt.params);
     Ok(())
-}
-
-/// Saves a checkpoint as JSON (human-inspectable; ~9 bytes per
-/// parameter). Use [`save_binary`] for the compact format.
-pub fn save_to_file(model: &ModularModel, path: &Path) -> io::Result<()> {
-    let ckpt = snapshot(model);
-    let json = serde_json::to_string(&ckpt).map_err(io::Error::other)?;
-    std::fs::write(path, json)
-}
-
-/// Loads a JSON checkpoint file into `model`.
-pub fn load_from_file(model: &mut ModularModel, path: &Path) -> io::Result<()> {
-    let json = std::fs::read_to_string(path)?;
-    let ckpt: Checkpoint =
-        serde_json::from_str(&json).map_err(|e| CheckpointError::MalformedHeader(e.to_string()))?;
-    restore(model, &ckpt).map_err(io::Error::from)
 }
 
 /// Magic prefix of the binary checkpoint format.
@@ -327,11 +311,11 @@ mod tests {
     fn file_roundtrip() {
         let dir = std::env::temp_dir().join("nebula-ckpt-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.json");
+        let path = dir.join("model.ckpt");
         let mut a = model(3);
-        save_to_file(&a, &path).unwrap();
+        save_binary(&a, &path).unwrap();
         let mut b = model(4);
-        load_from_file(&mut b, &path).unwrap();
+        load_binary(&mut b, &path).unwrap();
         let x = Tensor::ones(&[1, 8]);
         assert_eq!(a.forward(&x, Mode::Eval).data(), b.forward(&x, Mode::Eval).data());
         std::fs::remove_file(&path).ok();
@@ -488,10 +472,10 @@ mod tests {
     fn corrupt_file_is_an_error_not_a_panic() {
         let dir = std::env::temp_dir().join("nebula-ckpt-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("garbage.json");
-        std::fs::write(&path, "not json at all").unwrap();
+        let path = dir.join("garbage.ckpt");
+        std::fs::write(&path, "not a checkpoint at all").unwrap();
         let mut m = model(1);
-        assert!(load_from_file(&mut m, &path).is_err());
+        assert!(load_binary(&mut m, &path).is_err());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -46,7 +46,7 @@ fn rollback_restores_pre_aggregation_state() {
 }
 
 #[test]
-fn checkpoint_survives_json_round_trip_through_disk() {
+fn checkpoint_survives_binary_round_trip_through_disk() {
     let synth = Synthesizer::new(SynthSpec::toy(), 1);
     let mut rng = NebulaRng::seed(5);
     let mut c = cloud();
@@ -54,11 +54,11 @@ fn checkpoint_survives_json_round_trip_through_disk() {
 
     let dir = std::env::temp_dir().join("nebula-integration-ckpt");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cloud.json");
-    nebula::core::checkpoint::save_to_file(c.model(), &path).unwrap();
+    let path = dir.join("cloud.ckpt");
+    nebula::core::checkpoint::save_binary(c.model(), &path).unwrap();
 
     let mut c2 = cloud();
-    nebula::core::checkpoint::load_from_file(c2.model_mut(), &path).unwrap();
+    nebula::core::checkpoint::load_binary(c2.model_mut(), &path).unwrap();
     let test = synth.sample(100, 0, &mut rng);
     let a = nebula::data::evaluate_accuracy(c.model_mut(), &test, 64);
     let b = nebula::data::evaluate_accuracy(c2.model_mut(), &test, 64);
