@@ -111,7 +111,7 @@ pub fn encode_delta(values: &[f32], baseline: &[f32], threshold: f32, out: &mut 
 /// `|delta| > threshold`) is smaller than the raw form: the size test of
 /// [`encode_delta`], made before anything is written. `false` when the
 /// lengths differ.
-pub fn delta_pays(values: &[f32], baseline: &[f32], threshold: f32) -> bool {
+pub(crate) fn delta_pays(values: &[f32], baseline: &[f32], threshold: f32) -> bool {
     if baseline.len() != values.len() {
         return false;
     }
@@ -122,7 +122,7 @@ pub fn delta_pays(values: &[f32], baseline: &[f32], threshold: f32) -> bool {
 
 /// Append the `(u32 index, f32 delta)` pairs of `values` against
 /// `baseline` whose `|delta| > threshold`: the write of [`encode_delta`].
-pub fn write_delta(values: &[f32], baseline: &[f32], threshold: f32, out: &mut Vec<u8>) {
+pub(crate) fn write_delta(values: &[f32], baseline: &[f32], threshold: f32, out: &mut Vec<u8>) {
     for (i, (v, b)) in values.iter().zip(baseline).enumerate() {
         let d = v - b;
         if !d.abs().le(&threshold) {

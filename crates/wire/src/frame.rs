@@ -232,8 +232,7 @@ impl<'a> FrameBuilder<'a> {
     ///
     /// * `DeltaFp32` writes a delta against `base` (the version and values
     ///   the receiver holds) when `base` has the same length and the
-    ///   sparse form is smaller ([`codec::delta_pays`], decided before
-    ///   anything is written);
+    ///   sparse form is smaller, a test made before anything is written;
     /// * `QuantInt8` writes int8 for a non-empty tensor, asking for its
     ///   error-feedback carry only then;
     /// * everything else is a raw record, base version 0: a cold or
