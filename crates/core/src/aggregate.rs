@@ -964,29 +964,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_fold_matches_materialized_bitwise() {
-        for use_importance in [true, false] {
-            let c = cloud();
-            let ups = mixed_cohort(&c);
-            let mut reference = cloud();
-            let touched_ref = aggregate_module_wise(&mut reference, &ups, use_importance);
-
-            let mut acc = StreamingAccumulator::new(use_importance);
-            for u in &ups {
-                acc.fold(u);
-            }
-            let mut streamed = cloud();
-            let touched_stream = acc.apply(&mut streamed);
-            assert_eq!(touched_ref, touched_stream);
-            assert_eq!(
-                reference.param_vector(),
-                streamed.param_vector(),
-                "streaming fold must be bit-identical (use_importance={use_importance})"
-            );
-        }
-    }
-
-    #[test]
     fn merged_partials_equal_single_fold_within_tolerance() {
         let c = cloud();
         let ups = mixed_cohort(&c);

@@ -43,6 +43,88 @@ fn offset_update(
     }
 }
 
+/// The §5.2 weighted mean written out as a second, independent
+/// implementation for the bit-for-bit properties below: per module,
+/// `Σ w_k·p_k / Σ w_k` over the updates whose spec holds it and that
+/// carry a non-empty record for it, taken in update order; the shared
+/// part weighted by data volume, `Σ vol_k·p_k / Σ vol_k`. Returns the
+/// number of modules it loaded.
+fn reference_module_wise(cloud: &mut ModularModel, updates: &[ModuleUpdate], use_importance: bool) -> usize {
+    let mut touched = 0;
+    for l in 0..cloud.num_layers() {
+        for i in 0..cloud.config().modules_per_layer {
+            let mut acc: Vec<f32> = Vec::new();
+            let mut weight = 0.0f32;
+            for u in updates.iter().filter(|u| u.spec.contains(l, i)) {
+                let Some(params) = u.module_params.get(&(l, i)).filter(|p| !p.is_empty()) else {
+                    continue;
+                };
+                let w = if use_importance { u.importance[l][i].max(1e-8) } else { 1.0 };
+                if acc.is_empty() {
+                    acc = params.iter().map(|&p| p * w).collect();
+                } else {
+                    acc.iter_mut().zip(params).for_each(|(a, &p)| *a += w * p);
+                }
+                weight += w;
+            }
+            if !acc.is_empty() && weight > 0.0 {
+                acc.iter_mut().for_each(|a| *a /= weight);
+                cloud.load_module_param_vector(l, i, &acc);
+                touched += 1;
+            }
+        }
+    }
+    let volume: f32 = updates.iter().map(|u| u.data_volume as f32).sum();
+    if volume > 0.0 {
+        let mut shared = vec![0.0f32; updates[0].shared_params.len()];
+        for u in updates {
+            let w = u.data_volume as f32;
+            shared.iter_mut().zip(&u.shared_params).for_each(|(s, &p)| *s += w * p);
+        }
+        shared.iter_mut().for_each(|s| *s /= volume);
+        cloud.load_shared_param_vector(&shared);
+    }
+    touched
+}
+
+/// Punches a hole into update `u` as a device can ship one: `hole % 3`
+/// is 1 to make the `hole / 3`-th spec module (modulo the spec's size) a
+/// residual (an empty record), 2 to tear it off (no record at all), 0 to
+/// leave the update whole.
+fn punch(u: &mut ModuleUpdate, hole: usize) {
+    let keys: Vec<(usize, usize)> = u.module_params.keys().copied().collect();
+    let key = keys[hole / 3 % keys.len()];
+    match hole % 3 {
+        1 => {
+            u.module_params.insert(key, Vec::new());
+        }
+        2 => {
+            u.module_params.remove(&key);
+        }
+        _ => {}
+    }
+}
+
+/// A cohort of `offsets.len()` updates over `spec`, the `k`-th with
+/// importance `0.1 + 0.9·k`, volume `5 + 7·k` and the hole `holes[k]`.
+fn holed_cohort(
+    c: &ModularModel,
+    spec: &SubModelSpec,
+    offsets: &[f32],
+    holes: &[usize],
+) -> Vec<ModuleUpdate> {
+    offsets
+        .iter()
+        .zip(holes)
+        .enumerate()
+        .map(|(k, (&o, &hole))| {
+            let mut u = offset_update(c, spec, o, 0.1 + 0.9 * k as f32, 5 + 7 * k);
+            punch(&mut u, hole);
+            u
+        })
+        .collect()
+}
+
 /// A random valid spec over 2 layers × 4 modules.
 fn arb_spec() -> impl Strategy<Value = SubModelSpec> {
     proptest::collection::vec(proptest::collection::btree_set(0usize..4, 1..=4), 2..=2)
@@ -219,21 +301,22 @@ proptest! {
     fn weighted_mean_matches_reference_bit_for_bit(
         spec in arb_spec(),
         offsets in proptest::collection::vec(-3.0f32..3.0, 1..=6),
+        holes in proptest::collection::vec(0usize..24, 6),
+        weighting in 0u8..2,
         seed in 0u64..100,
     ) {
-        // RobustAggregator::WeightedMean is a pure delegation: bit-identical
-        // params and identical touched count for arbitrary update sets.
+        // RobustAggregator::WeightedMean is the §5.2 weighted mean:
+        // bit-identical params and identical touched count to the
+        // reference above, for arbitrary update sets with residual and
+        // torn records, under either weighting.
+        let use_importance = weighting == 1;
         let c = cloud(seed);
-        let ups: Vec<ModuleUpdate> = offsets
-            .iter()
-            .enumerate()
-            .map(|(k, &o)| offset_update(&c, &spec, o, 0.1 + k as f32, 5 + 3 * k))
-            .collect();
+        let ups = holed_cohort(&c, &spec, &offsets, &holes);
         let refs: Vec<&ModuleUpdate> = ups.iter().collect();
         let mut a = cloud(seed);
         let mut b = cloud(seed);
-        let ta = aggregate_module_wise(&mut a, &refs, true);
-        let tb = aggregate_module_wise_robust(&mut b, &refs, RobustAggregator::WeightedMean, true);
+        let ta = reference_module_wise(&mut a, &ups, use_importance);
+        let tb = aggregate_module_wise_robust(&mut b, &refs, RobustAggregator::WeightedMean, use_importance);
         prop_assert_eq!(ta, tb);
         let (pa, pb) = (a.param_vector(), b.param_vector());
         prop_assert_eq!(pa.len(), pb.len());
@@ -246,23 +329,22 @@ proptest! {
     fn streaming_fold_matches_materialized_bit_for_bit(
         spec in arb_spec(),
         offsets in proptest::collection::vec(-3.0f32..3.0, 1..=8),
+        holes in proptest::collection::vec(0usize..24, 8),
+        weighting in 0u8..2,
         seed in 0u64..100,
     ) {
-        // The constant-memory streaming path must be indistinguishable —
-        // not just close — from materializing the whole cohort: same
-        // touched count, bit-identical parameters, for arbitrary specs,
-        // importance values and volumes.
+        // Folding updates one at a time must be indistinguishable — not
+        // just close — from materializing the whole cohort: same touched
+        // count, bit-identical parameters, for arbitrary specs, importance
+        // values, volumes, residual and torn records, under either
+        // weighting.
+        let use_importance = weighting == 1;
         let c = cloud(seed);
-        let ups: Vec<ModuleUpdate> = offsets
-            .iter()
-            .enumerate()
-            .map(|(k, &o)| offset_update(&c, &spec, o, 0.1 + 0.9 * k as f32, 5 + 7 * k))
-            .collect();
-        let refs: Vec<&ModuleUpdate> = ups.iter().collect();
+        let ups = holed_cohort(&c, &spec, &offsets, &holes);
         let mut materialized = cloud(seed);
-        let tm = aggregate_module_wise(&mut materialized, &refs, true);
+        let tm = reference_module_wise(&mut materialized, &ups, use_importance);
         let mut streamed = cloud(seed);
-        let mut acc = StreamingAccumulator::new(true);
+        let mut acc = StreamingAccumulator::new(use_importance);
         for u in &ups {
             acc.fold(u);
         }

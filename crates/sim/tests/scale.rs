@@ -9,7 +9,8 @@ use nebula_modular::ModularConfig;
 use nebula_nn::Layer;
 use nebula_sim::strategy::StrategyConfig;
 use nebula_sim::{
-    FaultPlan, FoldPlan, NebulaStrategy, ResourceSampler, RoundMode, ShardConfig, ShardedWorld, SimWorld,
+    FaultPlan, FoldPlan, NebulaStrategy, ResourceSampler, RoundMode, ShardConfig, ShardRound, ShardedWorld,
+    SimWorld,
 };
 use nebula_tensor::NebulaRng;
 
@@ -45,6 +46,80 @@ fn assert_bit_identical(a: &[f32], b: &[f32], what: &str) {
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert_eq!(x.to_bits(), y.to_bits(), "{what}: param {i} diverged ({x} vs {y})");
     }
+}
+
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x1000_0000_01b3))
+}
+
+/// Every field of a round's record, floats as bit patterns. The
+/// exhaustive destructure makes a new field a compile error here.
+fn round_bits(r: &ShardRound) -> Vec<u64> {
+    let ShardRound {
+        round,
+        population,
+        shards,
+        sampled,
+        accepted,
+        rejected,
+        outlier_check_skipped,
+        touched,
+        sim_round_ms,
+        sim_max_device_ms,
+        sim_ingress_ms,
+        sim_backhaul_ms,
+        device_upload_bytes,
+        partial_upload_bytes,
+    } = *r;
+    vec![
+        round,
+        population as u64,
+        shards as u64,
+        sampled as u64,
+        accepted as u64,
+        rejected as u64,
+        outlier_check_skipped as u64,
+        touched as u64,
+        sim_round_ms.to_bits(),
+        sim_max_device_ms.to_bits(),
+        sim_ingress_ms.to_bits(),
+        sim_backhaul_ms.to_bits(),
+        device_upload_bytes,
+        partial_upload_bytes,
+    ]
+}
+
+#[test]
+fn shard_rounds_keep_their_bits() {
+    // FNV-1a over every `ShardRound` field of three rounds, then the
+    // cloud's parameter bits: the streamed and the buffered hierarchy,
+    // flat, on shards of uneven cell counts (8 cells over 3 shards) and
+    // one cell per shard. Pins the backhaul billing and the simulated
+    // clocks, which the shard-count invariance tests do not compare.
+    let pins: [(usize, RobustAggregator, u64); 6] = [
+        (1, RobustAggregator::WeightedMean, 0x4f50_0002_cb84_9b83),
+        (3, RobustAggregator::WeightedMean, 0x8fb1_595e_aa41_a72a),
+        (8, RobustAggregator::WeightedMean, 0xfb59_9cc0_4444_07e1),
+        (1, RobustAggregator::CoordinateMedian, 0xcf77_74e8_c10f_2783),
+        (3, RobustAggregator::CoordinateMedian, 0x086c_7c68_f636_f1ea),
+        (8, RobustAggregator::CoordinateMedian, 0xf7ed_8b63_5223_465f),
+    ];
+    let digest = |shards: usize, agg: RobustAggregator| {
+        let mut w = sharded(512, 48, shards, FoldPlan::PerCell, RoundMode::Synthetic, agg);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for _ in 0..3 {
+            for v in round_bits(&w.run_round()) {
+                h = fnv1a(h, &v.to_le_bytes());
+            }
+        }
+        for p in w.cloud().model().param_vector() {
+            h = fnv1a(h, &p.to_bits().to_le_bytes());
+        }
+        h
+    };
+    let got: Vec<(usize, RobustAggregator, u64)> =
+        pins.iter().map(|&(shards, agg, _)| (shards, agg, digest(shards, agg))).collect();
+    assert_eq!(got, pins);
 }
 
 #[test]
