@@ -2,10 +2,11 @@
 //! populations × shard counts → per-case round timings, throughput and
 //! peak RSS, one row per case.
 //!
-//! Rounds run in [`RoundMode::Synthetic`]: the full derive → dispatch →
-//! fold → absorb engine with analytic local steps, so 10^5–10^6-device
-//! populations fit a laptop. Numbers are engine throughput, not learning
-//! curves. Quick scale shrinks the sweep to the 10^3/10^4 tiers.
+//! Rounds run the sharded engine's one round: the full derive → dispatch
+//! → fold → absorb path with analytic local steps, each shard folding one
+//! edge partial per cell, so 10^5–10^6-device populations fit a laptop.
+//! Numbers are engine throughput, not learning curves. Quick scale
+//! shrinks the sweep to the 10^3/10^4 tiers.
 //!
 //! Two clocks are reported per case:
 //!
@@ -25,7 +26,7 @@
 use crate::Ctx;
 use nebula_core::RobustAggregator;
 use nebula_modular::ModularConfig;
-use nebula_sim::{FoldPlan, RoundMode, ShardConfig, ShardedWorld};
+use nebula_sim::{ShardConfig, ShardedWorld};
 use serde_json::Value;
 use std::time::Instant;
 
@@ -48,12 +49,10 @@ fn world(population: usize, k: usize, shards: usize, seed: u64) -> ShardedWorld 
     modular.gate_noise_std = 0.0;
     let mut cfg = ShardConfig::new(population, k, shards);
     // Enough cells that every shard gets real work at the small tiers,
-    // without drowning the big tiers in per-cell groups. Cell layout is a
-    // per-tier constant, so S=1 vs S=8 at a tier stays comparable (and
-    // PerCell keeps them bit-identical).
+    // without drowning the big tiers in per-cell partials. Cell layout is
+    // a per-tier constant, so S=1 vs S=8 at a tier stays comparable (and
+    // per-cell partials keep them bit-identical).
     cfg.spec.cell_size = (population / 128).clamp(32, 8192);
-    cfg.fold = FoldPlan::PerCell;
-    cfg.mode = RoundMode::Synthetic;
     cfg.aggregator = RobustAggregator::WeightedMean;
     ShardedWorld::new(modular, cfg, seed).expect("sweep config is valid")
 }

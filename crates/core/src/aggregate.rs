@@ -66,84 +66,21 @@ impl ModuleUpdate {
 }
 
 /// Applies module-wise weighted aggregation to the cloud model in place,
-/// over owned or borrowed updates. `use_importance = false` falls back to
-/// a plain mean over contributing sub-models (the ablation in DESIGN.md
-/// §5.2). Returns the number of modules that received at least one update.
-///
-/// This is the materialized reference path; one accumulator buffer is
-/// reused across every module. Per coordinate the fold is
-/// `Σ w_k·p_k / Σ w_k` with contributions taken in update order;
-/// [`StreamingAccumulator`] performs the same operations in the same
-/// order, which is what keeps the two paths bit-identical (test-pinned).
+/// over owned or borrowed updates: each update is folded into one
+/// [`StreamingAccumulator`] in the order given, and the sums are applied.
+/// `use_importance = false` falls back to a plain mean over contributing
+/// sub-models (the ablation in DESIGN.md §5.2). Returns the number of
+/// modules that received at least one update.
 pub fn aggregate_module_wise<U: Borrow<ModuleUpdate>>(
     cloud: &mut ModularModel,
     updates: &[U],
     use_importance: bool,
 ) -> usize {
-    if updates.is_empty() {
-        return 0;
+    let mut acc = StreamingAccumulator::new(use_importance);
+    for u in updates {
+        acc.fold(u.borrow());
     }
-    let layers = cloud.num_layers();
-    let n = cloud.config().modules_per_layer;
-    let mut touched = 0usize;
-    let mut acc: Vec<f32> = Vec::new();
-
-    for l in 0..layers {
-        for i in 0..n {
-            // Gather contributions with positive importance.
-            acc.clear();
-            let mut weight_sum = 0.0f32;
-            for u in updates {
-                let u = u.borrow();
-                if !u.spec.contains(l, i) {
-                    continue;
-                }
-                let Some(params) = u.module_params.get(&(l, i)) else {
-                    continue;
-                };
-                if params.is_empty() {
-                    continue; // residual module: nothing to aggregate
-                }
-                let w = if use_importance { u.importance[l][i].max(1e-8) } else { 1.0 };
-                if acc.is_empty() {
-                    acc.extend(params.iter().map(|&p| p * w));
-                } else {
-                    assert_eq!(acc.len(), params.len(), "module param size mismatch at ({l},{i})");
-                    for (av, &pv) in acc.iter_mut().zip(params) {
-                        *av += w * pv;
-                    }
-                }
-                weight_sum += w;
-            }
-            if !acc.is_empty() && weight_sum > 0.0 {
-                acc.iter_mut().for_each(|v| *v /= weight_sum);
-                cloud.load_module_param_vector(l, i, &acc);
-                touched += 1;
-            }
-        }
-    }
-
-    // Shared parts: volume-weighted average over all participants. The
-    // volume weights are applied unnormalized (`Σ vol_k·p_k / Σ vol_k`,
-    // one division at the end) so a single forward pass — the streaming
-    // accumulator — can reproduce the result bit-for-bit.
-    let total_volume: f32 = updates.iter().map(|u| u.borrow().data_volume as f32).sum();
-    if total_volume > 0.0 {
-        let len = updates[0].borrow().shared_params.len();
-        let mut shared = vec![0.0f32; len];
-        for u in updates {
-            let u = u.borrow();
-            assert_eq!(u.shared_params.len(), len, "shared param size mismatch");
-            let w = u.data_volume as f32;
-            for (s, &p) in shared.iter_mut().zip(&u.shared_params) {
-                *s += w * p;
-            }
-        }
-        shared.iter_mut().for_each(|v| *v /= total_volume);
-        cloud.load_shared_param_vector(&shared);
-    }
-
-    touched
+    acc.apply(cloud)
 }
 
 // ---------------------------------------------------------------------------
@@ -159,22 +96,24 @@ struct ModuleSum {
 
 /// Constant-memory module-wise aggregation: folds each arriving
 /// [`ModuleUpdate`] into importance-weighted sums instead of holding the
-/// round's updates until aggregation time.
+/// round's updates until aggregation time. It is the only implementation
+/// of the §5.2 weighted mean; [`aggregate_module_wise`] is one fold per
+/// update followed by [`apply`](Self::apply).
+///
+/// Per coordinate the sums are `w_1·p_1 + w_2·p_2 + …` in fold order,
+/// divided once by the weight sum at `apply`. Shared parts are summed the
+/// same way with data-volume weights (`Σ vol_k·p_k / Σ vol_k`).
 ///
 /// Memory is bounded by the union of module vectors contributed so far
 /// (≤ one full model) regardless of how many updates fold in — the
-/// property that lets a round scale to 10^5–10^6 devices. Folding updates
-/// in the same order the materialized path iterates them reproduces
-/// [`aggregate_module_wise`] bit-for-bit (test-pinned): per
-/// coordinate both paths compute `p_1·w_1 + w_2·p_2 + …` then divide by
-/// the same weight sum.
+/// property that lets a round scale to 10^5–10^6 devices.
 ///
 /// Accumulators [`merge`](Self::merge) associatively *in value* but not
 /// in f32 bits: `fold(a);fold(b)` and `merge(fold(a), fold(b))` sum in a
 /// different association. Callers that need bit-stable results across
 /// shard counts must merge partials at a canonical granularity that does
-/// not depend on the shard count (see `nebula-sim`'s cell-level fold
-/// plan).
+/// not depend on the shard count (`nebula-sim`'s shards emit one partial
+/// per cell).
 #[derive(Clone, Debug)]
 pub struct StreamingAccumulator {
     use_importance: bool,
@@ -186,7 +125,7 @@ pub struct StreamingAccumulator {
 
 impl StreamingAccumulator {
     /// An empty accumulator. `use_importance = false` is the plain-mean
-    /// ablation, mirroring [`aggregate_module_wise`].
+    /// ablation.
     pub fn new(use_importance: bool) -> Self {
         Self { use_importance, folded: 0, modules: BTreeMap::new(), shared_sum: Vec::new(), volume_sum: 0.0 }
     }
@@ -201,9 +140,9 @@ impl StreamingAccumulator {
         self.folded == 0
     }
 
-    /// Folds one update into the running sums. Skip rules match the
-    /// materialized path exactly: a module contributes iff the spec
-    /// contains it and its parameter vector is present and non-empty.
+    /// Folds one update into the running sums. A module contributes iff
+    /// the spec contains it and its parameter vector is present and
+    /// non-empty, weighted by its importance (floored at 1e-8) or by 1.
     pub fn fold(&mut self, u: &ModuleUpdate) {
         for (l, layer) in u.spec.layers().iter().enumerate() {
             for &i in layer {
@@ -301,23 +240,25 @@ impl StreamingAccumulator {
     }
 
     /// Bytes an edge→cloud upload of this partial costs on the wire
-    /// (f32 sums + one weight per module + shared sums + volume).
+    /// (f32 sums + one weight per module + shared sums + volume); nothing
+    /// when nothing was folded, since an empty partial is not sent.
     pub fn wire_bytes(&self) -> u64 {
+        if self.is_empty() {
+            return 0;
+        }
         let sums: usize = self.modules.values().map(|m| m.sum.len() + 1).sum();
         ((sums + self.shared_sum.len() + 1) * 4) as u64
     }
 }
 
-/// One edge server's contribution to a hierarchical round: either
-/// streamed constant-memory partials (WeightedMean) or the buffered
-/// updates a robust combine rule needs, plus the edge-side sanitize
-/// accounting.
-#[derive(Clone, Debug, Default)]
+/// One edge server's contribution to a hierarchical round: the weighted
+/// sums of the updates it folded (WeightedMean) or the updates a robust
+/// combine rule needs buffered, plus the edge-side sanitize accounting.
+#[derive(Clone, Debug)]
 pub struct EdgePartial {
-    /// Sealed accumulator groups in canonical `(group, sums)` order.
-    /// Groups are the unit the cloud merges in — per shard for lowest
-    /// memory, per cell for shard-count-invariant bits.
-    pub groups: Vec<(u64, StreamingAccumulator)>,
+    /// Importance-weighted sums of the folded updates (empty when the
+    /// edge buffers).
+    pub sums: StreamingAccumulator,
     /// Updates buffered for a robust combine rule (empty when streaming).
     pub buffered: Vec<ModuleUpdate>,
     /// Edge-side sanitize accounting (streaming mode only; buffered
@@ -328,85 +269,50 @@ pub struct EdgePartial {
 }
 
 impl EdgePartial {
+    /// The aggregation half of an edge server: takes its devices' updates
+    /// in arrival order and emits the partial for the cloud.
+    ///
+    /// Under `WeightedMean` each update is folded at once (constant
+    /// memory), after the sanitize gate's finiteness check. The
+    /// cross-cohort norm-outlier check cannot run here — it needs the
+    /// whole cohort's norms *before* any fold, and a fold cannot be undone
+    /// bit-exactly — so every accept it would have judged is counted in
+    /// [`SanitizeReport::outlier_check_skipped`]. Robust rules
+    /// (median/trimmed-mean/Krum) buffer the updates instead and leave the
+    /// full sanitize gate to the cloud: that is the documented
+    /// memory/robustness trade-off.
+    pub fn fold(
+        updates: impl IntoIterator<Item = ModuleUpdate>,
+        aggregator: RobustAggregator,
+        policy: &SanitizePolicy,
+    ) -> Self {
+        let mut partial = Self {
+            sums: StreamingAccumulator::new(true),
+            buffered: Vec::new(),
+            report: SanitizeReport::default(),
+            devices: 0,
+        };
+        for u in updates {
+            partial.devices += 1;
+            if aggregator != RobustAggregator::WeightedMean {
+                partial.buffered.push(u);
+            } else if policy.reject_non_finite && !update_is_finite(&u) {
+                partial.report.rejected_non_finite += 1;
+            } else {
+                partial.report.accepted += 1;
+                if policy.norm_outlier_ratio.is_finite() {
+                    partial.report.outlier_check_skipped += 1;
+                }
+                partial.sums.fold(&u);
+            }
+        }
+        partial
+    }
+
     /// Bytes the edge→cloud upload costs.
     pub fn wire_bytes(&self) -> u64 {
-        let streamed: u64 = self.groups.iter().map(|(_, a)| a.wire_bytes()).sum();
         let buffered: u64 = self.buffered.iter().map(crate::edge::update_bytes).sum();
-        streamed + buffered
-    }
-}
-
-/// The aggregation half of an edge server: ingests device updates as they
-/// arrive and emits an [`EdgePartial`] for the cloud.
-///
-/// In `WeightedMean` mode updates are folded immediately (constant
-/// memory); the edge applies the sanitize gate's non-finite check at fold
-/// time, but the cross-cohort norm-outlier check is unavailable — it
-/// needs the whole cohort's norms *before* any fold, and a fold cannot be
-/// undone bit-exactly. Robust rules (median/trimmed-mean/Krum) buffer
-/// updates instead and leave the full sanitize gate to the cloud: that is
-/// the documented memory/robustness trade-off.
-#[derive(Clone, Debug)]
-pub struct EdgeAccumulator {
-    aggregator: RobustAggregator,
-    policy: SanitizePolicy,
-    use_importance: bool,
-    acc: StreamingAccumulator,
-    partial: EdgePartial,
-}
-
-impl EdgeAccumulator {
-    pub fn new(aggregator: RobustAggregator, policy: SanitizePolicy, use_importance: bool) -> Self {
-        Self {
-            aggregator,
-            policy,
-            use_importance,
-            acc: StreamingAccumulator::new(use_importance),
-            partial: EdgePartial::default(),
-        }
-    }
-
-    /// Whether this edge streams (WeightedMean) or buffers (robust rules).
-    pub fn streaming(&self) -> bool {
-        self.aggregator == RobustAggregator::WeightedMean
-    }
-
-    /// Ingests one device update. Returns false if the edge rejected it
-    /// (streaming mode, non-finite parameters).
-    pub fn ingest(&mut self, u: ModuleUpdate) -> bool {
-        self.partial.devices += 1;
-        if self.streaming() {
-            if self.policy.reject_non_finite && !update_is_finite(&u) {
-                self.partial.report.rejected_non_finite += 1;
-                return false;
-            }
-            self.partial.report.accepted += 1;
-            if self.policy.norm_outlier_ratio.is_finite() {
-                self.partial.report.outlier_check_skipped += 1;
-            }
-            self.acc.fold(&u);
-        } else {
-            self.partial.buffered.push(u);
-        }
-        true
-    }
-
-    /// Seals the open accumulator as canonical group `group`. Call once
-    /// per cell for shard-count-invariant bits; never call mid-round for
-    /// one group per shard (lowest memory).
-    pub fn seal(&mut self, group: u64) {
-        if self.acc.is_empty() {
-            return;
-        }
-        let sealed = std::mem::replace(&mut self.acc, StreamingAccumulator::new(self.use_importance));
-        self.partial.groups.push((group, sealed));
-    }
-
-    /// Finishes the round: seals any open accumulator under `group` and
-    /// returns the partial for the cloud.
-    pub fn finish(mut self, group: u64) -> EdgePartial {
-        self.seal(group);
-        self.partial
+        self.sums.wire_bytes() + buffered
     }
 }
 
@@ -425,7 +331,7 @@ pub struct SanitizePolicy {
     /// sub-model sizes are comparable.
     ///
     /// The check needs every cohort norm *before* any fold, so streaming
-    /// paths ([`EdgeAccumulator`] under `WeightedMean` — `edge_groups`,
+    /// paths ([`EdgePartial::fold`] under `WeightedMean` — `edge_groups`,
     /// `ShardedWorld`) cannot run it: finite updates fold in unchecked.
     /// That is not silent — every accept that bypassed an enabled check
     /// is counted in [`SanitizeReport::outlier_check_skipped`].
@@ -506,9 +412,8 @@ fn update_rms_norm(u: &ModuleUpdate) -> f32 {
 /// Two checks, in order: (1) every parameter and importance weight must
 /// be finite; (2) among the finite updates, RMS-norm outliers beyond
 /// `norm_outlier_ratio` × the median are rejected (exploding-weight
-/// uploads that are still finite). A permissive policy that accepts
-/// everything returns the identity, so fault-free rounds aggregate
-/// exactly as before.
+/// uploads that are still finite). With nothing to reject it returns the
+/// identity, so fault-free rounds aggregate exactly as before.
 pub fn sanitize_updates<U: Borrow<ModuleUpdate>>(
     updates: &[U],
     policy: &SanitizePolicy,
@@ -1006,18 +911,18 @@ mod tests {
         let spec = SubModelSpec::new(vec![vec![0], vec![0]]);
         let good = update_for(&c, spec.clone(), vec![vec![1.0; 4]; 2], 1.0, 10);
         let bad = poisoned(&c, 1.0);
-        let mut edge = EdgeAccumulator::new(RobustAggregator::WeightedMean, SanitizePolicy::default(), true);
-        assert!(edge.streaming());
-        assert!(edge.ingest(good.clone()));
-        assert!(!edge.ingest(bad));
-        let partial = edge.finish(0);
+        let partial = EdgePartial::fold(
+            [good.clone(), bad],
+            RobustAggregator::WeightedMean,
+            &SanitizePolicy::default(),
+        );
         assert_eq!(partial.devices, 2);
         assert_eq!(partial.report.rejected_non_finite, 1);
         assert_eq!(partial.report.accepted, 1);
         // Default policy enables the norm-outlier check, which a
         // streaming fold cannot run — the accept must count as skipped.
         assert_eq!(partial.report.outlier_check_skipped, 1);
-        assert_eq!(partial.groups.len(), 1);
+        assert_eq!(partial.sums.folded(), 1);
         assert!(partial.buffered.is_empty());
         assert!(partial.wire_bytes() > 0);
 
@@ -1025,7 +930,7 @@ mod tests {
         let mut reference = cloud();
         aggregate_module_wise(&mut reference, &[good], true);
         let mut streamed = cloud();
-        partial.groups[0].1.apply(&mut streamed);
+        partial.sums.apply(&mut streamed);
         assert_eq!(reference.param_vector(), streamed.param_vector());
     }
 
@@ -1033,29 +938,24 @@ mod tests {
     fn edge_accumulator_buffers_for_robust_rules() {
         let c = cloud();
         let ups = attacked_round(&c);
-        let mut edge =
-            EdgeAccumulator::new(RobustAggregator::CoordinateMedian, SanitizePolicy::default(), true);
-        assert!(!edge.streaming());
-        for u in &ups {
-            assert!(edge.ingest(u.clone()));
-        }
-        let partial = edge.finish(0);
+        let partial =
+            EdgePartial::fold(ups.clone(), RobustAggregator::CoordinateMedian, &SanitizePolicy::default());
         assert_eq!(partial.buffered.len(), ups.len());
-        assert!(partial.groups.is_empty(), "robust mode must not fold");
+        assert!(partial.sums.is_empty(), "robust mode must not fold");
     }
 
     #[test]
-    fn sealed_groups_preserve_cell_order() {
+    fn partial_with_nothing_folded_bills_no_backhaul() {
+        // An edge whose every update was rejected sends nothing upstream.
         let c = cloud();
-        let ups = mixed_cohort(&c);
-        let mut edge = EdgeAccumulator::new(RobustAggregator::WeightedMean, SanitizePolicy::default(), true);
-        for (k, u) in ups.iter().enumerate() {
-            edge.ingest(u.clone());
-            edge.seal(k as u64); // one group per update
-        }
-        let partial = edge.finish(99);
-        let groups: Vec<u64> = partial.groups.iter().map(|(g, _)| *g).collect();
-        assert_eq!(groups, vec![0, 1, 2, 3, 4], "seal order must be the ingest order");
+        let partial = EdgePartial::fold(
+            [poisoned(&c, 1.0)],
+            RobustAggregator::WeightedMean,
+            &SanitizePolicy::default(),
+        );
+        assert_eq!(partial.devices, 1);
+        assert!(partial.sums.is_empty());
+        assert_eq!(partial.wire_bytes(), 0);
     }
 
     #[test]

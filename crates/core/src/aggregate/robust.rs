@@ -33,8 +33,9 @@ use std::fmt;
 
 /// How one round of surviving updates is combined into the cloud model.
 ///
-/// `WeightedMean` is Nebula's §5.2 importance-weighted average and stays
-/// bit-identical to [`super::aggregate_module_wise`] (test-pinned). The
+/// `WeightedMean` is Nebula's §5.2 importance-weighted average, computed
+/// by [`super::aggregate_module_wise`] (pinned against an independent
+/// reference in `tests/aggregation_properties.rs`). The
 /// robust alternatives deliberately ignore importance and data-volume
 /// weights — both are attacker-controlled inputs (gate-load gaming
 /// inflates importance to capture a module's average), so robust modes
@@ -140,7 +141,7 @@ pub fn aggregate_module_wise_robust(
 /// Combine equal-length vectors under a robust rule into `out`.
 fn combine_robust(vectors: &[&[f32]], aggregator: RobustAggregator, out: &mut Vec<f32>) {
     match aggregator {
-        RobustAggregator::WeightedMean => unreachable!("weighted mean uses the reference path"),
+        RobustAggregator::WeightedMean => unreachable!("the weighted mean is a fold, not a combine rule"),
         RobustAggregator::CoordinateMedian => coordinate_trimmed(vectors, usize::MAX, out),
         RobustAggregator::TrimmedMean { frac } => {
             let n = vectors.len();

@@ -148,12 +148,6 @@ impl NebulaCloud {
         Self { model: ModularModel::new(cfg, seed), cost, params }
     }
 
-    /// An independent copy of this cloud — what an edge server refreshes
-    /// each round to derive and dispatch without a cloud round-trip.
-    pub(crate) fn replica(&self) -> Self {
-        Self { model: self.model.deep_clone(), cost: self.cost.clone(), params: self.params }
-    }
-
     /// Framework hyper-parameters.
     pub fn params(&self) -> &NebulaParams {
         &self.params
@@ -247,12 +241,12 @@ impl NebulaCloud {
     /// Hierarchical aggregation: merges edge partials into the cloud
     /// model, in the order given.
     ///
-    /// Streamed groups (WeightedMean) are merged left-to-right across all
-    /// partials — callers pass partials in shard order, so group order is
-    /// the canonical cell order and the result does not depend on how
-    /// cells were assigned to shards. Buffered updates (robust combine
-    /// rules) are concatenated in the same order and pushed through the
-    /// full sanitize gate + robust rule, exactly as a flat round would.
+    /// Streamed sums (WeightedMean) are merged left-to-right across all
+    /// partials — `ShardedWorld` passes one partial per cell in cell
+    /// order, so the result does not depend on how cells were assigned to
+    /// shards. Buffered updates (robust combine rules) are concatenated in
+    /// the same order and pushed through the full sanitize gate + robust
+    /// rule, exactly as a flat round would.
     pub fn absorb_partials(
         &mut self,
         partials: &[EdgePartial],
@@ -260,23 +254,15 @@ impl NebulaCloud {
         aggregator: RobustAggregator,
     ) -> AggregateOutcome {
         let mut sanitize = SanitizeReport::default();
-        let mut merged: Option<StreamingAccumulator> = None;
+        let mut merged = StreamingAccumulator::new(true);
         for p in partials {
             sanitize.accepted += p.report.accepted;
             sanitize.rejected_non_finite += p.report.rejected_non_finite;
             sanitize.rejected_outlier += p.report.rejected_outlier;
             sanitize.outlier_check_skipped += p.report.outlier_check_skipped;
-            for (_, group) in &p.groups {
-                match &mut merged {
-                    None => merged = Some(group.clone()),
-                    Some(m) => m.merge(group),
-                }
-            }
+            merged.merge(&p.sums);
         }
-        let mut touched = match &merged {
-            Some(m) => m.apply(&mut self.model),
-            None => 0,
-        };
+        let mut touched = merged.apply(&mut self.model);
         let buffered: Vec<&ModuleUpdate> = partials.iter().flat_map(|p| p.buffered.iter()).collect();
         if !buffered.is_empty() {
             let (kept, report) = sanitize_updates(&buffered, policy);

@@ -8,12 +8,9 @@
 //! [`EdgeUpdate`] carrying only the sub-model's parameters back to the
 //! cloud.
 
-use crate::aggregate::{EdgeAccumulator, EdgePartial, ModuleUpdate, RobustAggregator, SanitizePolicy};
-use crate::cloud::{check_spec_shape, NebulaCloud, SubModelPayload};
-use crate::derive::DeriveOutcome;
-use crate::profile::ResourceProfile;
+use crate::aggregate::ModuleUpdate;
+use crate::cloud::{check_spec_shape, SubModelPayload};
 use nebula_data::{Dataset, TrainConfig};
-use nebula_modular::cost::CostModel;
 use nebula_modular::{ModularConfig, ModularModel, SubModelSpec};
 use nebula_nn::{Layer, Sgd};
 use nebula_tensor::NebulaRng;
@@ -233,102 +230,6 @@ fn load_payload(model: &mut ModularModel, payload: &SubModelPayload) {
         model.load_module_param_vector(l, i, params);
     }
     model.load_shared_param_vector(&payload.shared_params);
-}
-
-/// The middle tier of hierarchical cloud→edge→device aggregation: an
-/// edge server holding a per-round replica of the cloud model.
-///
-/// Each round the server refreshes its replica from the cloud (one
-/// model-sized download per edge), then handles its shard of devices
-/// locally — importance scoring, sub-model derivation, payload dispatch,
-/// and update ingestion into an [`EdgeAccumulator`] — and finally ships
-/// one [`EdgePartial`] upstream. The cloud thus touches `S` partials per
-/// round instead of every sampled device's update: per-round cloud-ingress
-/// cost is O(sampled/shard).
-///
-/// Derivation on the replica is exact: module importance uses the
-/// noise-free deterministic gate, so every edge's replica scores
-/// identically to the cloud model it was refreshed from.
-pub struct EdgeServer {
-    /// This round's copy of the cloud: derivation and dispatch run on it
-    /// through the cloud's own code.
-    replica: NebulaCloud,
-    acc: EdgeAccumulator,
-    download_bytes: u64,
-    ingest_bytes: u64,
-}
-
-impl EdgeServer {
-    /// Builds an edge server with a fresh replica of `cloud`'s model.
-    /// Construction *is* the per-round refresh; the returned server
-    /// already accounts the replica download.
-    pub fn new(cloud: &NebulaCloud, aggregator: RobustAggregator, policy: SanitizePolicy) -> Self {
-        let replica = cloud.replica();
-        let download_bytes = (replica.model().param_count() * 4) as u64;
-        Self { replica, acc: EdgeAccumulator::new(aggregator, policy, true), download_bytes, ingest_bytes: 0 }
-    }
-
-    /// Derives a personalized sub-model for one of this edge's devices
-    /// from its local data sample and resource profile (replica-local;
-    /// no cloud round-trip).
-    pub fn derive_for_data(
-        &mut self,
-        local_data: &Dataset,
-        profile: &ResourceProfile,
-        module_cap: Option<usize>,
-    ) -> DeriveOutcome {
-        self.replica.derive_for_data(local_data, profile, module_cap)
-    }
-
-    /// Derives directly from an importance matrix (devices that score
-    /// importance locally, or synthetic-load benchmarking).
-    pub fn derive_for_importance(
-        &self,
-        importance: &[Vec<f32>],
-        profile: &ResourceProfile,
-        module_cap: Option<usize>,
-    ) -> DeriveOutcome {
-        self.replica.derive_for_importance(importance, profile, module_cap)
-    }
-
-    /// Packages a sub-model for a device from the replica's parameters.
-    pub fn dispatch(&self, spec: &SubModelSpec) -> SubModelPayload {
-        self.replica.dispatch(spec)
-    }
-
-    /// The replica's cost model (device resource profiles).
-    pub fn cost_model(&self) -> &CostModel {
-        self.replica.cost_model()
-    }
-
-    /// Ingests one device update (see [`EdgeAccumulator::ingest`]).
-    /// Returns false if the edge rejected it at fold time.
-    pub fn ingest(&mut self, update: EdgeUpdate) -> bool {
-        self.ingest_bytes += update_bytes(&update);
-        self.acc.ingest(update)
-    }
-
-    /// Seals the open accumulator as canonical group `group` (cell-level
-    /// fold plan; see [`EdgeAccumulator::seal`]).
-    pub fn seal(&mut self, group: u64) {
-        self.acc.seal(group);
-    }
-
-    /// Bytes downloaded from the cloud for the replica refresh.
-    pub fn download_bytes(&self) -> u64 {
-        self.download_bytes
-    }
-
-    /// Bytes devices uploaded to this edge so far this round.
-    pub fn ingest_bytes(&self) -> u64 {
-        self.ingest_bytes
-    }
-
-    /// Finishes the round, emitting the partial for the cloud. Remaining
-    /// folded state is sealed under `group`.
-    pub fn finish(self, group: u64) -> EdgePartial {
-        self.acc.finish(group)
-    }
 }
 
 /// Serializable snapshot of an [`EdgeClient`]'s mutable state.

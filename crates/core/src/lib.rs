@@ -40,13 +40,13 @@ pub mod transport;
 
 pub use aggregate::{
     aggregate_module_wise, aggregate_module_wise_robust, discount_staleness, sanitize_updates,
-    update_is_finite, EdgeAccumulator, EdgePartial, ModuleUpdate, RobustAggregator, SanitizePolicy,
-    SanitizeReport, StreamingAccumulator,
+    update_is_finite, EdgePartial, ModuleUpdate, RobustAggregator, SanitizePolicy, SanitizeReport,
+    StreamingAccumulator,
 };
 pub use checkpoint::{restore, snapshot, Checkpoint, CheckpointError};
 pub use cloud::{AggregateOutcome, GuardedOutcome, NebulaCloud, NebulaParams, SubModelPayload};
 pub use derive::{derive_submodel, DeriveOutcome};
-pub use edge::{EdgeClient, EdgeClientState, EdgeServer, EdgeUpdate};
+pub use edge::{EdgeClient, EdgeClientState, EdgeUpdate};
 pub use journal::{
     read_journal, write_atomic, DurabilityError, JournalContents, JournalWriter, LoadedSnapshot,
     SnapshotStore,

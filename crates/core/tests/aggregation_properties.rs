@@ -365,7 +365,8 @@ proptest! {
         // Shard-merge equivalence: folding the cohort in two shard
         // accumulators and merging is the same sum in a different
         // association order, so results agree to fp tolerance (the
-        // PerCell fold plan exists precisely to make this *bit*-stable).
+        // sharded engine's one partial per cell exists precisely to make
+        // this *bit*-stable across shard counts).
         let c = cloud(seed);
         let ups: Vec<ModuleUpdate> = offsets
             .iter()

@@ -13,23 +13,27 @@
 //! cells form **shards**, one simulated edge server each. A round samples
 //! a per-cell quota with a per-`(seed, round, cell)` RNG, so *which*
 //! devices participate never depends on the shard count. Each shard
-//! refreshes an [`EdgeServer`] replica from the cloud, derives/dispatches
-//! sub-models locally, folds the device updates into a streaming
-//! accumulator, and ships one partial over the backhaul; the cloud merges
-//! partials in shard order ([`NebulaCloud::absorb_partials`]).
+//! derives and dispatches its devices' sub-models from the cloud model
+//! (the round does not change the cloud until the partials are absorbed,
+//! so every shard reads the same parameters), folds each cell's updates
+//! into one [`EdgePartial`], and ships its partials over the backhaul; the
+//! cloud merges them in shard order ([`NebulaCloud::absorb_partials`]).
+//!
+//! Rounds are an engine benchmark, not a learning simulation: a device's
+//! importance comes from its RNG and its "update" is the dispatched
+//! sub-model plus a small deterministic perturbation. That exercises
+//! derive → dispatch → fold → absorb and all byte/latency accounting
+//! without data synthesis or SGD, so rounds over 10^5–10^6-device
+//! populations fit a laptop.
 //!
 //! ## Determinism
 //!
-//! Floating-point addition does not associate, so *where* accumulator
-//! groups are sealed decides which trajectories are bit-reproducible:
-//!
-//! * [`FoldPlan::PerCell`] (default) seals one group per cell and the
-//!   cloud merges groups in global cell order — shard-order concatenation
-//!   of per-shard groups *is* cell order because shards are contiguous
-//!   cell ranges. Trajectories are bit-identical for every shard count.
-//! * [`FoldPlan::PerShard`] seals one group per shard: the least memory
-//!   and backhaul, but sums fold in shard-sized blocks, so bits are
-//!   reproducible only for a fixed shard count.
+//! Floating-point addition does not associate, so *where* partials are
+//! cut decides which trajectories are bit-reproducible. A shard emits one
+//! partial per cell and the cloud merges partials in global cell order —
+//! shard-order concatenation of per-shard partials *is* cell order because
+//! shards are contiguous cell ranges. Trajectories are bit-identical for
+//! every shard count.
 //!
 //! ## Simulated time
 //!
@@ -50,18 +54,17 @@ use crate::network::transfer_time_ms;
 use crate::resources::{DeviceResources, ResourceSampler};
 use nebula_core::edge::update_bytes;
 use nebula_core::{
-    EdgeClient, EdgePartial, EdgeServer, EdgeUpdate, NebulaCloud, NebulaParams, ResourceProfile,
-    RobustAggregator, SanitizePolicy,
+    EdgePartial, EdgeUpdate, NebulaCloud, NebulaParams, ResourceProfile, RobustAggregator, SanitizePolicy,
 };
-use nebula_data::{SynthSpec, Synthesizer};
+use nebula_data::SynthSpec;
 use nebula_modular::cost::CostModel;
 use nebula_modular::ModularConfig;
 use nebula_tensor::NebulaRng;
 use serde::Serialize;
 
 /// Fixed-size block of device ids: the unit of canonical sampling and of
-/// [`FoldPlan::PerCell`] sealing. Cell layout depends only on
-/// `(population, cell_size)`, never on the shard count.
+/// edge partials. Cell layout depends only on `(population, cell_size)`,
+/// never on the shard count.
 pub const DEFAULT_CELL_SIZE: usize = 256;
 
 /// How devices map onto edge shards.
@@ -78,32 +81,6 @@ impl ShardSpec {
     pub fn new(shards: usize) -> Self {
         Self { shards, cell_size: DEFAULT_CELL_SIZE }
     }
-}
-
-/// Where accumulator groups are sealed (see module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub enum FoldPlan {
-    /// One group per cell: bit-identical trajectories across shard
-    /// counts, at ~`sampled/cell_quota` groups of backhaul per shard.
-    PerCell,
-    /// One group per shard: minimal memory and backhaul, bits stable
-    /// only for a fixed shard count.
-    PerShard,
-}
-
-/// What the sampled devices actually do locally.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub enum RoundMode {
-    /// Real local SGD ([`EdgeClient::adapt`]) on per-device synthesized
-    /// data — the full Nebula round, tractable to ~10^4 sampled devices.
-    Train,
-    /// Engine benchmark: importance comes from the device's RNG and the
-    /// "update" is the dispatched sub-model plus a small deterministic
-    /// perturbation. Exercises derive → dispatch → fold → absorb and all
-    /// byte/latency accounting without data synthesis or SGD, so rounds
-    /// over 10^5–10^6-device populations fit a laptop. Not a learning
-    /// simulation.
-    Synthetic,
 }
 
 /// Bandwidths of the simulated aggregation network.
@@ -133,16 +110,13 @@ pub struct ShardConfig {
     /// Devices sampled per round (spread over cells).
     pub devices_per_round: usize,
     pub spec: ShardSpec,
-    pub fold: FoldPlan,
-    pub mode: RoundMode,
     /// Combine rule. `WeightedMean` streams in constant memory; robust
-    /// rules buffer per shard and re-run the full gate at the cloud.
+    /// rules buffer per cell and re-run the full gate at the cloud.
     pub aggregator: RobustAggregator,
     pub sanitize: SanitizePolicy,
     pub links: LinkModel,
     pub local_epochs: usize,
     pub batch_size: usize,
-    pub local_lr: f32,
 }
 
 impl ShardConfig {
@@ -153,14 +127,11 @@ impl ShardConfig {
             population,
             devices_per_round,
             spec: ShardSpec::new(shards),
-            fold: FoldPlan::PerCell,
-            mode: RoundMode::Synthetic,
             aggregator: RobustAggregator::WeightedMean,
             sanitize: SanitizePolicy::default(),
             links: LinkModel::default(),
             local_epochs: 1,
             batch_size: 16,
-            local_lr: 0.02,
         }
     }
 }
@@ -174,8 +145,7 @@ pub struct VirtualDevice {
     pub classes: Vec<usize>,
     /// Sensing context the device observes.
     pub context: usize,
-    /// Local data volume it reports (and, in [`RoundMode::Train`], the
-    /// samples it synthesizes).
+    /// Local data volume it reports (its aggregation weight).
     pub volume: usize,
 }
 
@@ -227,8 +197,8 @@ impl ShardRound {
 
 /// What one shard's worker produced.
 struct ShardResult {
-    partial: EdgePartial,
-    devices: usize,
+    /// One partial per sampled cell, in cell order.
+    partials: Vec<EdgePartial>,
     max_device_ms: f64,
     ingress_bytes: u64,
 }
@@ -252,9 +222,7 @@ const TAG_LOCAL: u64 = 0x10CA;
 /// A virtual device population sharded across simulated edge servers.
 pub struct ShardedWorld {
     cfg: ShardConfig,
-    modular: ModularConfig,
     cloud: NebulaCloud,
-    synth: Synthesizer,
     sampler: ResourceSampler,
     num_classes: usize,
     num_contexts: usize,
@@ -264,19 +232,9 @@ pub struct ShardedWorld {
 
 impl ShardedWorld {
     /// Builds the world. The cloud model starts at its seeded
-    /// initialization; callers wanting a pre-trained cloud can train via
-    /// [`ShardedWorld::cloud_mut`] first.
+    /// initialization; devices draw their sub-tasks from
+    /// [`SynthSpec::toy`]'s classes and contexts.
     pub fn new(modular: ModularConfig, cfg: ShardConfig, seed: u64) -> Result<Self, RunError> {
-        Self::with_synth(modular, cfg, SynthSpec::toy(), seed)
-    }
-
-    /// [`ShardedWorld::new`] with an explicit data-universe spec.
-    pub fn with_synth(
-        modular: ModularConfig,
-        cfg: ShardConfig,
-        synth_spec: SynthSpec,
-        seed: u64,
-    ) -> Result<Self, RunError> {
         if cfg.population == 0 {
             return Err(RunError::InvalidConfig("population must be at least 1".into()));
         }
@@ -292,17 +250,13 @@ impl ShardedWorld {
         if cfg.spec.cell_size == 0 {
             return Err(RunError::InvalidConfig("cell size must be at least 1".into()));
         }
-        let (num_classes, num_contexts) = (synth_spec.classes, synth_spec.contexts);
-        let cloud = NebulaCloud::new(modular.clone(), NebulaParams::default(), seed);
-        let synth = Synthesizer::new(synth_spec, seed ^ 0x5EED);
+        let toy = SynthSpec::toy();
         Ok(Self {
             cfg,
-            modular,
-            cloud,
-            synth,
+            cloud: NebulaCloud::new(modular, NebulaParams::default(), seed),
             sampler: ResourceSampler::default(),
-            num_classes,
-            num_contexts,
+            num_classes: toy.classes,
+            num_contexts: toy.contexts,
             seed,
             round: 0,
         })
@@ -371,12 +325,7 @@ impl ShardedWorld {
             vec![a]
         };
         let context = rng.below(self.num_contexts.max(1));
-        let volume = match self.cfg.mode {
-            // Kept small so real SGD over 10^4+ sampled devices stays
-            // tractable; the volume is still the aggregation weight.
-            RoundMode::Train => 16 + rng.below(48),
-            RoundMode::Synthetic => 50 + rng.below(150),
-        };
+        let volume = 50 + rng.below(150);
         VirtualDevice { id, resources, classes, context, volume }
     }
 
@@ -390,78 +339,59 @@ impl ShardedWorld {
         }
     }
 
-    /// One device's round on its shard's edge replica: derive, dispatch,
-    /// local step, and the update + its cost terms.
-    fn device_round(&self, edge: &mut EdgeServer, id: usize, round: u64) -> (EdgeUpdate, f64) {
+    /// One device's round: derive and dispatch from the cloud, perturb
+    /// the sub-model into an update, and its cost terms.
+    fn device_round(&self, id: usize, round: u64) -> (EdgeUpdate, f64) {
         let dev = self.materialize(id);
-        let profile = Self::profile(&dev.resources, edge.cost_model());
+        let cost = self.cloud.cost_model();
+        let profile = Self::profile(&dev.resources, cost);
         let mut drng = NebulaRng::seed(mix(self.seed ^ round.rotate_left(17), TAG_LOCAL, id as u64));
-        let (update, local_samples) = match self.cfg.mode {
-            RoundMode::Train => {
-                let local = self.synth.sample_classes(dev.volume, &dev.classes, dev.context, &mut drng);
-                let outcome = edge.derive_for_data(&local, &profile, None);
-                let payload = edge.dispatch(&outcome.spec);
-                let mut client = EdgeClient::from_payload(self.modular.clone(), &payload);
-                client.adapt(
-                    &local,
-                    self.cfg.local_epochs,
-                    self.cfg.batch_size,
-                    self.cfg.local_lr,
-                    &mut drng,
-                );
-                (client.make_update(&local), dev.volume)
+        let modular = self.cloud.model().config();
+        let imp: Vec<Vec<f32>> = (0..modular.num_layers)
+            .map(|_| (0..modular.modules_per_layer).map(|_| drng.uniform_f32(0.05, 1.0)).collect())
+            .collect();
+        let outcome = self.cloud.derive_for_importance(&imp, &profile, None);
+        let payload = self.cloud.dispatch(&outcome.spec);
+        let mut module_params = payload.module_params;
+        for params in module_params.values_mut() {
+            for v in params.iter_mut() {
+                *v += drng.normal_f32(0.0, 1e-3);
             }
-            RoundMode::Synthetic => {
-                let imp: Vec<Vec<f32>> = (0..self.modular.num_layers)
-                    .map(|_| {
-                        (0..self.modular.modules_per_layer).map(|_| drng.uniform_f32(0.05, 1.0)).collect()
-                    })
-                    .collect();
-                let outcome = edge.derive_for_importance(&imp, &profile, None);
-                let payload = edge.dispatch(&outcome.spec);
-                let mut module_params = payload.module_params;
-                for params in module_params.values_mut() {
-                    for v in params.iter_mut() {
-                        *v += drng.normal_f32(0.0, 1e-3);
-                    }
-                }
-                let mut shared_params = payload.shared_params;
-                for v in shared_params.iter_mut() {
-                    *v += drng.normal_f32(0.0, 1e-3);
-                }
-                let update = EdgeUpdate {
-                    spec: outcome.spec,
-                    module_params,
-                    shared_params,
-                    importance: imp,
-                    data_volume: dev.volume,
-                };
-                (update, dev.volume)
-            }
+        }
+        let mut shared_params = payload.shared_params;
+        for v in shared_params.iter_mut() {
+            *v += drng.normal_f32(0.0, 1e-3);
+        }
+        let update = EdgeUpdate {
+            spec: outcome.spec,
+            module_params,
+            shared_params,
+            importance: imp,
+            data_volume: dev.volume,
         };
-        let flops = edge.cost_model().submodel(&update.spec).flops;
+        let flops = cost.submodel(&update.spec).flops;
         // Down + up: the dispatched sub-model and the update are the same
         // tensors, so the exchange is twice the update's wire size.
         let exchange = 2 * update_bytes(&update);
         let device_ms = adaptation_latency_ms(
             &dev.resources,
             flops,
-            local_samples,
+            dev.volume,
             self.cfg.local_epochs,
             self.cfg.batch_size,
         ) + transfer_time_ms(exchange, dev.resources.bandwidth_bps);
         (update, device_ms)
     }
 
-    /// Runs shard `s` of `round`: refresh the edge replica, walk the
-    /// shard's cells in order, fold sampled devices, seal per the plan.
+    /// Runs shard `s` of `round`: walk the shard's cells in order and fold
+    /// each cell's sampled devices into one partial.
     fn run_shard(&self, s: usize, round: u64, cells_per_shard: usize) -> ShardResult {
-        let mut edge = EdgeServer::new(&self.cloud, self.cfg.aggregator, self.cfg.sanitize);
         let cells = self.cells();
         let lo = s * cells_per_shard;
         let hi = ((s + 1) * cells_per_shard).min(cells);
         let mut max_device_ms = 0.0f64;
-        let mut devices = 0usize;
+        let mut ingress_bytes = 0u64;
+        let mut partials = Vec::with_capacity(hi.saturating_sub(lo));
         for cell in lo..hi {
             let quota = self.cell_quota(cell);
             if quota == 0 {
@@ -472,21 +402,15 @@ impl ShardedWorld {
             let mut offsets = cell_rng.sample_indices(end - start, quota);
             // Canonical fold order within the cell: ascending device id.
             offsets.sort_unstable();
-            for off in offsets {
-                let (update, device_ms) = self.device_round(&mut edge, start + off, round);
+            let updates = offsets.into_iter().map(|off| {
+                let (update, device_ms) = self.device_round(start + off, round);
                 max_device_ms = max_device_ms.max(device_ms);
-                devices += 1;
-                edge.ingest(update);
-            }
-            if self.cfg.fold == FoldPlan::PerCell {
-                edge.seal(cell as u64);
-            }
+                ingress_bytes += update_bytes(&update);
+                update
+            });
+            partials.push(EdgePartial::fold(updates, self.cfg.aggregator, &self.cfg.sanitize));
         }
-        let ingress_bytes = edge.ingest_bytes();
-        // PerShard seals the open accumulator here; PerCell already sealed
-        // every cell, so the group id is moot.
-        let partial = edge.finish(s as u64);
-        ShardResult { partial, devices, max_device_ms, ingress_bytes }
+        ShardResult { partials, max_device_ms, ingress_bytes }
     }
 
     /// Runs one round over the sharded population and folds the result
@@ -502,7 +426,7 @@ impl ShardedWorld {
             nebula_tensor::par::map((0..shards).collect(), |s| self.run_shard(s, round, cells_per_shard));
 
         let links = self.cfg.links;
-        let sampled: usize = results.iter().map(|r| r.devices).sum();
+        let sampled: usize = results.iter().flat_map(|r| &r.partials).map(|p| p.devices).sum();
         let device_upload_bytes: u64 = results.iter().map(|r| r.ingress_bytes).sum();
         let max_device_ms = results.iter().map(|r| r.max_device_ms).fold(0.0f64, f64::max);
         let (sim_ingress_ms, sim_backhaul_ms, partial_upload_bytes);
@@ -517,16 +441,16 @@ impl ShardedWorld {
                 .iter()
                 .map(|r| transfer_time_ms(r.ingress_bytes, links.ingress_bps))
                 .fold(0.0f64, f64::max);
-            let max_backhaul = results
-                .iter()
-                .map(|r| transfer_time_ms(r.partial.wire_bytes(), links.backhaul_bps))
-                .fold(0.0f64, f64::max);
-            partial_upload_bytes = results.iter().map(|r| r.partial.wire_bytes()).sum();
+            let shard_bytes: Vec<u64> =
+                results.iter().map(|r| r.partials.iter().map(EdgePartial::wire_bytes).sum()).collect();
+            let max_backhaul =
+                shard_bytes.iter().map(|&b| transfer_time_ms(b, links.backhaul_bps)).fold(0.0f64, f64::max);
+            partial_upload_bytes = shard_bytes.iter().sum();
             sim_backhaul_ms = max_backhaul + transfer_time_ms(partial_upload_bytes, links.cloud_ingress_bps);
         }
         let sim_round_ms = max_device_ms + sim_ingress_ms + sim_backhaul_ms;
 
-        let partials: Vec<EdgePartial> = results.into_iter().map(|r| r.partial).collect();
+        let partials: Vec<EdgePartial> = results.into_iter().flat_map(|r| r.partials).collect();
         let outcome = self.cloud.absorb_partials(&partials, &self.cfg.sanitize, self.cfg.aggregator);
         ShardRound {
             round,
@@ -552,18 +476,17 @@ mod tests {
     use super::*;
     use nebula_nn::Layer;
 
-    fn toy_world(population: usize, k: usize, shards: usize, fold: FoldPlan) -> ShardedWorld {
+    fn toy_world(population: usize, k: usize, shards: usize) -> ShardedWorld {
         let mut modular = ModularConfig::toy(8, 3);
         modular.gate_noise_std = 0.0;
         let mut cfg = ShardConfig::new(population, k, shards);
         cfg.spec.cell_size = 64;
-        cfg.fold = fold;
         ShardedWorld::new(modular, cfg, 42).expect("valid config")
     }
 
     #[test]
     fn materialization_is_pure_in_seed_and_id() {
-        let w = toy_world(512, 32, 2, FoldPlan::PerCell);
+        let w = toy_world(512, 32, 2);
         let a = w.materialize(137);
         let b = w.materialize(137);
         assert_eq!(a.resources.ram_bytes, b.resources.ram_bytes);
@@ -576,7 +499,7 @@ mod tests {
 
     #[test]
     fn quotas_cover_devices_per_round() {
-        let w = toy_world(1000, 100, 4, FoldPlan::PerCell);
+        let w = toy_world(1000, 100, 4);
         let total: usize = (0..w.cells()).map(|c| w.cell_quota(c)).sum();
         assert_eq!(total, 100);
     }
@@ -586,7 +509,7 @@ mod tests {
         // population=70, cell_size=64 → widths {64, 6}. The even spread
         // (30, 30) would overrun the short cell; it saturates at 6 and
         // the rest moves to the full cell instead of being dropped.
-        let w = toy_world(70, 60, 2, FoldPlan::PerCell);
+        let w = toy_world(70, 60, 2);
         let quotas: Vec<usize> = (0..w.cells()).map(|c| w.cell_quota(c)).collect();
         assert_eq!(quotas, vec![54, 6]);
     }
@@ -607,7 +530,7 @@ mod tests {
             (63, 63),
             (1, 1),
         ] {
-            let w = toy_world(pop, dpr, 1, FoldPlan::PerCell);
+            let w = toy_world(pop, dpr, 1);
             let mut total = 0;
             for c in 0..w.cells() {
                 let q = w.cell_quota(c);
@@ -625,8 +548,8 @@ mod tests {
 
     #[test]
     fn per_cell_fold_is_shard_count_invariant() {
-        let mut a = toy_world(512, 64, 1, FoldPlan::PerCell);
-        let mut b = toy_world(512, 64, 8, FoldPlan::PerCell);
+        let mut a = toy_world(512, 64, 1);
+        let mut b = toy_world(512, 64, 8);
         for _ in 0..3 {
             let ra = a.run_round();
             let rb = b.run_round();
@@ -641,8 +564,8 @@ mod tests {
 
     #[test]
     fn hierarchical_round_is_simulated_faster_than_flat() {
-        let mut flat = toy_world(4096, 512, 1, FoldPlan::PerCell);
-        let mut hier = toy_world(4096, 512, 8, FoldPlan::PerCell);
+        let mut flat = toy_world(4096, 512, 1);
+        let mut hier = toy_world(4096, 512, 8);
         let rf = flat.run_round();
         let rh = hier.run_round();
         assert_eq!(rf.sampled, rh.sampled);
@@ -669,7 +592,7 @@ mod tests {
 
     #[test]
     fn sanitize_accounting_matches_sampled() {
-        let mut w = toy_world(512, 50, 4, FoldPlan::PerShard);
+        let mut w = toy_world(512, 50, 4);
         let r = w.run_round();
         assert_eq!(r.sampled, 50);
         assert_eq!(r.accepted + r.rejected, 50, "every sampled device is accounted");

@@ -57,9 +57,9 @@ use crate::round::{gate, predicted_time_ms, Device, Exit, Round};
 use crate::world::SimWorld;
 use nebula_baselines::{dense_round, local_adapt, ratio_for_budget, DenseJobRunner, DenseModel};
 use nebula_core::{
-    discount_staleness, plan_corrupt_resend, DispatchJob, EdgeAccumulator, EdgeClient, EdgeClientState,
-    EdgePartial, EdgeUpdate, JobResult, JobSpec, Loopback, NebulaCloud, NebulaParams, RobustAggregator,
-    RoundStats, SanitizePolicy, SubModelPayload, TrainParams, Transport, WireConfig, WireContext,
+    discount_staleness, plan_corrupt_resend, DispatchJob, EdgeClient, EdgeClientState, EdgePartial,
+    EdgeUpdate, JobResult, JobSpec, Loopback, NebulaCloud, NebulaParams, RobustAggregator, RoundStats,
+    SanitizePolicy, SubModelPayload, TrainParams, Transport, WireConfig, WireContext,
 };
 use nebula_data::Dataset;
 use nebula_modular::ModularConfig;
@@ -1030,14 +1030,7 @@ impl NebulaStrategy {
         Some(
             accepted
                 .chunks(chunk)
-                .enumerate()
-                .map(|(g, block)| {
-                    let mut edge = EdgeAccumulator::new(self.aggregator, self.sanitize, true);
-                    for u in block {
-                        edge.ingest(u.clone());
-                    }
-                    edge.finish(g as u64)
-                })
+                .map(|block| EdgePartial::fold(block.iter().cloned(), self.aggregator, &self.sanitize))
                 .collect(),
         )
     }

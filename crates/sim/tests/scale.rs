@@ -9,26 +9,15 @@ use nebula_modular::ModularConfig;
 use nebula_nn::Layer;
 use nebula_sim::strategy::StrategyConfig;
 use nebula_sim::{
-    FaultPlan, FoldPlan, NebulaStrategy, ResourceSampler, RoundMode, ShardConfig, ShardRound, ShardedWorld,
-    SimWorld,
+    FaultPlan, NebulaStrategy, ResourceSampler, ShardConfig, ShardRound, ShardedWorld, SimWorld,
 };
 use nebula_tensor::NebulaRng;
 
-fn sharded(
-    population: usize,
-    k: usize,
-    shards: usize,
-    fold: FoldPlan,
-    mode: RoundMode,
-    aggregator: RobustAggregator,
-) -> ShardedWorld {
-    // Input width must match SynthSpec::toy()'s feature dim for Train mode.
+fn sharded(population: usize, k: usize, shards: usize, aggregator: RobustAggregator) -> ShardedWorld {
     let mut modular = ModularConfig::toy(16, 4);
     modular.gate_noise_std = 0.0;
     let mut cfg = ShardConfig::new(population, k, shards);
     cfg.spec.cell_size = 64;
-    cfg.fold = fold;
-    cfg.mode = mode;
     cfg.aggregator = aggregator;
     ShardedWorld::new(modular, cfg, 42).expect("valid shard config")
 }
@@ -105,7 +94,7 @@ fn shard_rounds_keep_their_bits() {
         (8, RobustAggregator::CoordinateMedian, 0xf7ed_8b63_5223_465f),
     ];
     let digest = |shards: usize, agg: RobustAggregator| {
-        let mut w = sharded(512, 48, shards, FoldPlan::PerCell, RoundMode::Synthetic, agg);
+        let mut w = sharded(512, 48, shards, agg);
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for _ in 0..3 {
             for v in round_bits(&w.run_round()) {
@@ -123,40 +112,17 @@ fn shard_rounds_keep_their_bits() {
 }
 
 #[test]
-fn train_mode_trajectory_is_shard_count_invariant() {
-    // Real local SGD end-to-end: which devices are sampled, their
-    // materialized hardware/data, and the PerCell fold order are all pure
-    // functions of (seed, round, id) — so shard topology cannot leak into
-    // the learned model's bits.
-    let mut one = sharded(256, 24, 1, FoldPlan::PerCell, RoundMode::Train, RobustAggregator::WeightedMean);
-    let mut four = sharded(256, 24, 4, FoldPlan::PerCell, RoundMode::Train, RobustAggregator::WeightedMean);
-    let pa = trajectory(&mut one, 2);
-    let pb = trajectory(&mut four, 2);
-    assert_bit_identical(&pa, &pb, "Train-mode S=1 vs S=4");
-}
-
-#[test]
 fn robust_rules_buffer_and_stay_shard_count_invariant() {
     // Robust combine rules cannot stream, so shards buffer raw updates
     // and the cloud concatenates them in shard order — which is cell
     // order — before the full sanitize gate + combine rule. The
     // trajectory is therefore exactly the flat one, for any shard count.
     let agg = RobustAggregator::CoordinateMedian;
-    let mut one = sharded(512, 48, 1, FoldPlan::PerShard, RoundMode::Synthetic, agg);
-    let mut eight = sharded(512, 48, 8, FoldPlan::PerShard, RoundMode::Synthetic, agg);
+    let mut one = sharded(512, 48, 1, agg);
+    let mut eight = sharded(512, 48, 8, agg);
     let pa = trajectory(&mut one, 2);
     let pb = trajectory(&mut eight, 2);
     assert_bit_identical(&pa, &pb, "CoordinateMedian S=1 vs S=8");
-}
-
-#[test]
-fn per_shard_fold_is_deterministic_for_fixed_shard_count() {
-    // The low-memory plan re-runs to the same bits when the topology is
-    // unchanged (its documented, weaker contract).
-    let mk = || sharded(512, 48, 4, FoldPlan::PerShard, RoundMode::Synthetic, RobustAggregator::WeightedMean);
-    let pa = trajectory(&mut mk(), 2);
-    let pb = trajectory(&mut mk(), 2);
-    assert_bit_identical(&pa, &pb, "PerShard rerun at S=4");
 }
 
 #[test]
@@ -164,8 +130,7 @@ fn large_virtual_population_round_completes() {
     // 10^5 virtual devices: only the sampled cohort ever materializes, so
     // this runs in seconds and flat memory. The `scale_sweep` experiment
     // of `nebula-bench` measures the RSS claim; this test pins the functional behaviour.
-    let mut w =
-        sharded(100_000, 200, 8, FoldPlan::PerCell, RoundMode::Synthetic, RobustAggregator::WeightedMean);
+    let mut w = sharded(100_000, 200, 8, RobustAggregator::WeightedMean);
     let r = w.run_round();
     assert_eq!(r.population, 100_000);
     assert_eq!(r.sampled, 200);
