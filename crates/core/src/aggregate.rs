@@ -296,7 +296,7 @@ impl EdgePartial {
             partial.devices += 1;
             if aggregator != RobustAggregator::WeightedMean {
                 partial.buffered.push(u);
-            } else if policy.reject_non_finite && !update_is_finite(&u) {
+            } else if !update_is_finite(&u) {
                 partial.report.rejected_non_finite += 1;
             } else {
                 partial.report.accepted += 1;
@@ -323,8 +323,6 @@ impl EdgePartial {
 /// What the cloud refuses to aggregate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SanitizePolicy {
-    /// Reject updates carrying any non-finite parameter or importance.
-    pub reject_non_finite: bool,
     /// Reject updates whose RMS parameter norm exceeds this multiple of
     /// the round's median RMS norm (needs ≥ 3 finite updates to have a
     /// trustworthy median). RMS — not raw L2 — so devices with different
@@ -340,7 +338,7 @@ pub struct SanitizePolicy {
 
 impl Default for SanitizePolicy {
     fn default() -> Self {
-        Self { reject_non_finite: true, norm_outlier_ratio: 10.0 }
+        Self { norm_outlier_ratio: 10.0 }
     }
 }
 
@@ -410,7 +408,8 @@ fn update_rms_norm(u: &ModuleUpdate) -> f32 {
 /// returns the indices that may be aggregated plus an accounting report.
 ///
 /// Two checks, in order: (1) every parameter and importance weight must
-/// be finite; (2) among the finite updates, RMS-norm outliers beyond
+/// be finite — always, so the norms the second check sorts are finite;
+/// (2) among the finite updates, RMS-norm outliers beyond
 /// `norm_outlier_ratio` × the median are rejected (exploding-weight
 /// uploads that are still finite). With nothing to reject it returns the
 /// identity, so fault-free rounds aggregate exactly as before.
@@ -421,7 +420,7 @@ pub fn sanitize_updates<U: Borrow<ModuleUpdate>>(
     let mut report = SanitizeReport::default();
     let mut finite: Vec<usize> = Vec::with_capacity(updates.len());
     for (i, u) in updates.iter().enumerate() {
-        if policy.reject_non_finite && !update_is_finite(u.borrow()) {
+        if !update_is_finite(u.borrow()) {
             report.rejected_non_finite += 1;
         } else {
             finite.push(i);
@@ -823,7 +822,7 @@ mod tests {
         assert_eq!(report.rejected(), 0);
         assert_eq!(report.outlier_check_skipped, 2, "the bypassed check must be accounted");
         // With the check disabled outright, nothing counts as skipped.
-        let permissive = SanitizePolicy { norm_outlier_ratio: f32::INFINITY, ..SanitizePolicy::default() };
+        let permissive = SanitizePolicy { norm_outlier_ratio: f32::INFINITY };
         let (_, report) = sanitize_updates(&[small, big], &permissive);
         assert_eq!(report.outlier_check_skipped, 0);
     }
