@@ -65,7 +65,7 @@ use serde::Serialize;
 /// Fixed-size block of device ids: the unit of canonical sampling and of
 /// edge partials. Cell layout depends only on `(population, cell_size)`,
 /// never on the shard count.
-pub const DEFAULT_CELL_SIZE: usize = 256;
+const DEFAULT_CELL_SIZE: usize = 256;
 
 /// How devices map onto edge shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -73,7 +73,7 @@ pub struct ShardSpec {
     /// Edge servers (parallel aggregation points). `1` = flat
     /// direct-to-cloud.
     pub shards: usize,
-    /// Devices per cell (see [`DEFAULT_CELL_SIZE`]).
+    /// Devices per cell (256 by default).
     pub cell_size: usize,
 }
 
@@ -266,14 +266,6 @@ impl ShardedWorld {
         &self.cloud
     }
 
-    pub fn cloud_mut(&mut self) -> &mut NebulaCloud {
-        &mut self.cloud
-    }
-
-    pub fn config(&self) -> &ShardConfig {
-        &self.cfg
-    }
-
     /// Cells in the id space (last one may be short).
     pub fn cells(&self) -> usize {
         self.cfg.population.div_ceil(self.cfg.spec.cell_size)
@@ -313,7 +305,7 @@ impl ShardedWorld {
     }
 
     /// Materializes device `id` from its seed. Pure in `(world seed, id)`.
-    pub fn materialize(&self, id: usize) -> VirtualDevice {
+    fn materialize(&self, id: usize) -> VirtualDevice {
         let mut rng = NebulaRng::seed(mix(self.seed, TAG_DEVICE, id as u64));
         let resources = self.sampler.sample(&mut rng);
         // Label-skew sub-task: a co-occurrence pair of classes.
