@@ -902,6 +902,8 @@ mod tests {
         assert!(acc.is_empty());
         assert_eq!(acc.apply(&mut c), 0);
         assert_eq!(c.param_vector(), before);
+        // An edge whose every update was rejected sends nothing upstream.
+        assert_eq!(acc.wire_bytes(), 0);
     }
 
     #[test]
@@ -941,20 +943,6 @@ mod tests {
             EdgePartial::fold(ups.clone(), RobustAggregator::CoordinateMedian, &SanitizePolicy::default());
         assert_eq!(partial.buffered.len(), ups.len());
         assert!(partial.sums.is_empty(), "robust mode must not fold");
-    }
-
-    #[test]
-    fn partial_with_nothing_folded_bills_no_backhaul() {
-        // An edge whose every update was rejected sends nothing upstream.
-        let c = cloud();
-        let partial = EdgePartial::fold(
-            [poisoned(&c, 1.0)],
-            RobustAggregator::WeightedMean,
-            &SanitizePolicy::default(),
-        );
-        assert_eq!(partial.devices, 1);
-        assert!(partial.sums.is_empty());
-        assert_eq!(partial.wire_bytes(), 0);
     }
 
     #[test]
