@@ -463,6 +463,48 @@ mod tests {
         }
     }
 
+    /// After two devices' three-round session each codec's context holds
+    /// only what that codec reads: `Raw` nothing, `QuantInt8` its
+    /// error-feedback carries, `DeltaFp32` committed baselines and acks.
+    #[test]
+    fn wire_contexts_hold_only_what_their_codec_reads() {
+        let holds_residuals =
+            |store: &ResidualStore| format!("{store:?}") != format!("{:?}", ResidualStore::new());
+        let c = cloud();
+        for cfg in [WireConfig::raw(), WireConfig::int8(), WireConfig::delta(0.0)] {
+            let mut wire = WireContext::new(cfg);
+            let mut frame = Vec::new();
+            for round in 0..3 {
+                wire.commit_model(c.model());
+                for device in [3, 9] {
+                    wire.encode_payload(device, &c.dispatch(&spec()), &mut frame);
+                    let payload = wire.decode_payload(device, &frame).unwrap();
+                    let mut update = ModuleUpdate {
+                        spec: payload.spec,
+                        module_params: payload.module_params,
+                        shared_params: payload.shared_params,
+                        importance: vec![vec![0.25; 4]; 2],
+                        data_volume: 10,
+                    };
+                    update.shared_params[round] += 0.5;
+                    wire.encode_update(device, &update, &mut frame);
+                    wire.decode_update_from(device, &frame).unwrap();
+                }
+            }
+            let (int8, delta) = (cfg.codec == CodecKind::QuantInt8, cfg.codec == CodecKind::DeltaFp32);
+            assert_eq!(holds_residuals(&wire.down_residuals), int8, "{:?}", cfg.codec);
+            assert_eq!(holds_residuals(&wire.up_residuals), int8, "{:?}", cfg.codec);
+            assert_eq!(wire.registry.version(), if delta { 3 } else { 0 }, "{:?}", cfg.codec);
+            assert_eq!(wire.registry.baseline(ModuleKey::SHARED, 3).is_ok(), delta, "{:?}", cfg.codec);
+            for device in [3, 9] {
+                for key in [ModuleKey::SHARED, ModuleKey::module(0, 0), ModuleKey::module(1, 1)] {
+                    let acked = wire.registry.acked_version(device, key);
+                    assert_eq!(acked, delta.then_some(3), "{:?} {key:?}", cfg.codec);
+                }
+            }
+        }
+    }
+
     #[test]
     fn corrupted_frames_are_rejected_not_misdecoded() {
         let c = cloud();
