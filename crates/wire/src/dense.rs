@@ -2,11 +2,13 @@
 //! AdaptiveNet).
 //!
 //! Those strategies exchange whole parameter vectors rather than modular
-//! records, so the channel abstraction is one sender→receiver link whose
-//! shared state (the last-acked baseline) advances only on a successful,
-//! CRC-clean decode. A failed decode (transit corruption) leaves the
-//! state untouched, so the sender can resend the identical frame and the
-//! delta still applies.
+//! records, so the channel abstraction is one sender→receiver link. It
+//! holds only what its codec reads: under `DeltaFp32` the last-acked
+//! baseline, which advances only on a successful, CRC-clean decode;
+//! under `QuantInt8` the sender's error-feedback carry; under `Raw`
+//! nothing. A failed decode (transit corruption) leaves the state
+//! untouched, so the sender can resend the identical frame and the delta
+//! still applies.
 
 use crate::codec::CodecKind;
 use crate::frame::{FrameBuilder, FrameKind, FrameView, ModuleKey};
@@ -17,9 +19,11 @@ use crate::WireError;
 pub struct DenseChannel {
     codec: CodecKind,
     threshold: f32,
-    /// Version of `baseline`; bumped on every successful decode.
+    /// Version of `baseline`; bumped on every successful `DeltaFp32`
+    /// decode.
     version: u64,
-    /// What the receiver currently holds (None until the first transfer).
+    /// What the receiver holds under `DeltaFp32` (None until the first
+    /// transfer, and always None under any other codec).
     baseline: Option<Vec<f32>>,
     /// Sender-side error-feedback carry for `QuantInt8`.
     residual: Vec<f32>,
@@ -43,9 +47,11 @@ impl DenseChannel {
         b.finish()
     }
 
-    /// Decode one frame produced by `encode` into `out`. On success the
-    /// channel baseline advances to the decoded values; on any error the
-    /// state is untouched and the identical frame can be retried.
+    /// Decode one frame produced by `encode` into `out`. On success under
+    /// `DeltaFp32` the channel baseline advances to the decoded values;
+    /// no other codec keeps one, so a delta record sent to such a channel
+    /// is refused (`MissingBaseline`). On any error the state is untouched
+    /// and the identical frame can be retried.
     pub fn decode(&mut self, bytes: &[u8], out: &mut Vec<f32>) -> Result<(), WireError> {
         let view = FrameView::parse(bytes)?;
         let rec =
@@ -58,10 +64,12 @@ impl DenseChannel {
             Ok(base)
         };
         rec.decode(held, out)?;
-        let baseline = self.baseline.get_or_insert_with(Vec::new);
-        baseline.clear();
-        baseline.extend_from_slice(out);
-        self.version += 1;
+        if self.codec == CodecKind::DeltaFp32 {
+            let baseline = self.baseline.get_or_insert_with(Vec::new);
+            baseline.clear();
+            baseline.extend_from_slice(out);
+            self.version += 1;
+        }
         Ok(())
     }
 }
@@ -69,7 +77,9 @@ impl DenseChannel {
 /// Per-device channel pool for a server exchanging dense blobs with many
 /// devices: one download and one upload [`DenseChannel`] per device id,
 /// plus a reusable frame buffer so steady-state transfers do not
-/// allocate.
+/// allocate. Per device and direction it keeps one model-sized blob
+/// under `DeltaFp32` (the baseline) and under `QuantInt8` (the carry),
+/// and none under `Raw`.
 #[derive(Debug)]
 pub struct DensePool {
     codec: CodecKind,
@@ -102,7 +112,7 @@ impl DensePool {
     /// Server → device transfer of `values`: encode on the device's
     /// download channel, decode into `out`, return the measured frame
     /// bytes. In-process both ends share the channel state, so a
-    /// successful call advances the baseline exactly once.
+    /// successful call advances a `DeltaFp32` baseline exactly once.
     pub fn send_down(&mut self, device: u64, values: &[f32], out: &mut Vec<f32>) -> Result<u64, WireError> {
         let ch = Self::channel(&mut self.down, self.codec, self.threshold, device);
         let n = ch.encode(values, &mut self.frame);
@@ -270,5 +280,74 @@ mod tests {
             Err(WireError::StaleBaseline { key: ModuleKey::SHARED, version: 1 })
         );
         assert_eq!(back, v);
+    }
+
+    /// Five rounds to eight devices and back: only a `DeltaFp32` pool
+    /// keeps a baseline (one per device and direction, and it still pays
+    /// off as small warm frames); a `QuantInt8` pool keeps only its carry,
+    /// a `Raw` pool nothing.
+    #[test]
+    fn pools_hold_only_what_their_codec_reads() {
+        for codec in [CodecKind::Raw, CodecKind::QuantInt8, CodecKind::DeltaFp32] {
+            let mut pool = DensePool::new(codec, 0.0);
+            let mut v: Vec<f32> = (0..500).map(|i| ((i * 13) % 41) as f32 * 0.05 - 1.0).collect();
+            let mut out = Vec::new();
+            let mut sizes = Vec::new();
+            for round in 0..5 {
+                v[round * 7] += 0.25;
+                for device in 0..8 {
+                    sizes.push(pool.send_down(device, &v, &mut out).unwrap());
+                    pool.send_up(device, &out.clone(), &mut out).unwrap();
+                }
+            }
+            for map in [&pool.down, &pool.up] {
+                assert_eq!(map.len(), 8, "{codec:?}");
+                for ch in map.values() {
+                    let delta = codec == CodecKind::DeltaFp32;
+                    assert_eq!(ch.baseline.as_ref().map(Vec::len), delta.then_some(v.len()), "{codec:?}");
+                    assert_eq!(ch.version, if delta { 5 } else { 0 }, "{codec:?}");
+                    let carry = if codec == CodecKind::QuantInt8 { v.len() } else { 0 };
+                    assert_eq!(ch.residual.len(), carry, "{codec:?}");
+                }
+            }
+            if codec == CodecKind::DeltaFp32 {
+                let (cold, warm) = sizes.split_at(8);
+                assert!(warm.iter().all(|&w| w < cold[0] / 4), "{warm:?} against cold {}", cold[0]);
+            }
+        }
+    }
+
+    /// A channel that keeps no baseline refuses a CRC-clean delta record
+    /// rather than applying it to anything, and stays usable.
+    #[test]
+    fn delta_records_are_refused_without_a_baseline() {
+        let mut v = vec![0.5f32; 96];
+        let (mut frame, mut back) = (Vec::new(), Vec::new());
+        let mut delta = DenseChannel::new(CodecKind::DeltaFp32, 0.0);
+        delta.encode(&v, &mut frame);
+        delta.decode(&frame, &mut back).unwrap();
+        v[10] = 1.5;
+        let mut delta_frame = Vec::new();
+        delta.encode(&v, &mut delta_frame);
+        let view = FrameView::parse(&delta_frame).unwrap();
+        let rec = view.find(ModuleKey::SHARED).unwrap();
+        assert_eq!((rec.codec, rec.base_version), (CodecKind::DeltaFp32, 1));
+
+        for codec in [CodecKind::Raw, CodecKind::QuantInt8] {
+            let mut ch = DenseChannel::new(codec, 0.0);
+            ch.encode(&v, &mut frame);
+            ch.decode(&frame, &mut back).unwrap();
+            assert_eq!(
+                ch.decode(&delta_frame, &mut back),
+                Err(WireError::MissingBaseline { key: ModuleKey::SHARED }),
+                "{codec:?}"
+            );
+            ch.encode(&v, &mut frame);
+            ch.decode(&frame, &mut back).unwrap();
+            assert_eq!(back.len(), v.len());
+            if codec == CodecKind::Raw {
+                assert_eq!(back, v);
+            }
+        }
     }
 }
