@@ -137,16 +137,10 @@ impl ShardConfig {
 }
 
 /// One materialized virtual device (only ever built for sampled ids).
-#[derive(Clone, Debug)]
-pub struct VirtualDevice {
-    pub id: usize,
-    pub resources: DeviceResources,
-    /// Classes of the device's sub-task (label-skew pair).
-    pub classes: Vec<usize>,
-    /// Sensing context the device observes.
-    pub context: usize,
+struct VirtualDevice {
+    resources: DeviceResources,
     /// Local data volume it reports (its aggregation weight).
-    pub volume: usize,
+    volume: usize,
 }
 
 /// What one sharded round did: aggregation accounting plus the simulated
@@ -308,17 +302,15 @@ impl ShardedWorld {
     fn materialize(&self, id: usize) -> VirtualDevice {
         let mut rng = NebulaRng::seed(mix(self.seed, TAG_DEVICE, id as u64));
         let resources = self.sampler.sample(&mut rng);
-        // Label-skew sub-task: a co-occurrence pair of classes.
-        let a = rng.below(self.num_classes);
-        let classes = if self.num_classes > 1 {
-            let b = (a + 1 + rng.below(self.num_classes - 1)) % self.num_classes;
-            vec![a, b]
-        } else {
-            vec![a]
-        };
-        let context = rng.below(self.num_contexts.max(1));
+        // The label-skew class pair and the sensing context nothing reads
+        // any more: drawn and dropped, so the volume keeps its bits.
+        rng.below(self.num_classes);
+        if self.num_classes > 1 {
+            rng.below(self.num_classes - 1);
+        }
+        rng.below(self.num_contexts.max(1));
         let volume = 50 + rng.below(150);
-        VirtualDevice { id, resources, classes, context, volume }
+        VirtualDevice { resources, volume }
     }
 
     fn profile(dev: &DeviceResources, cost: &CostModel) -> ResourceProfile {
@@ -482,7 +474,6 @@ mod tests {
         let a = w.materialize(137);
         let b = w.materialize(137);
         assert_eq!(a.resources.ram_bytes, b.resources.ram_bytes);
-        assert_eq!(a.classes, b.classes);
         assert_eq!(a.volume, b.volume);
         // Neighbouring ids draw different devices.
         let c = w.materialize(138);
