@@ -64,16 +64,9 @@ impl AdaptiveNet {
         *BRANCH_RATIOS.last().unwrap()
     }
 
-    /// Instantiates a device-side copy running branch `ratio`.
-    pub fn branch_model(&self, ratio: f32) -> DenseModel {
-        let mut m = self.supernet.deep_clone();
-        m.set_width_ratio(ratio);
-        m
-    }
-
-    /// Like [`AdaptiveNet::branch_model`], but the branch's active slice
-    /// travels as a real `nebula-wire` frame on the device's download
-    /// channel. Returns the decoded device model and the measured frame
+    /// Instantiates a device-side copy running branch `ratio`, whose
+    /// active slice travels as a real `nebula-wire` frame on the device's
+    /// download channel. Returns the decoded device model and the measured frame
     /// bytes (AdaptiveNet's only communication: branches never upload).
     pub fn branch_model_wire(
         &self,
@@ -106,6 +99,13 @@ mod tests {
     use super::*;
     use nebula_data::{SynthSpec, Synthesizer, TrainConfig};
 
+    /// A device-side copy of the supernet running branch `ratio`.
+    fn branch_model(an: &AdaptiveNet, ratio: f32) -> DenseModel {
+        let mut m = an.supernet().deep_clone();
+        m.set_width_ratio(ratio);
+        m
+    }
+
     #[test]
     fn sandwich_training_keeps_all_branches_usable() {
         let synth = Synthesizer::new(SynthSpec::toy(), 1);
@@ -117,7 +117,7 @@ mod tests {
         an.pretrain(&proxy, 8, 16, 0.03, &mut rng);
 
         for &r in &BRANCH_RATIOS {
-            let mut branch = an.branch_model(r);
+            let mut branch = branch_model(&an, r);
             let acc = nebula_data::evaluate_accuracy(&mut branch, &test, 64);
             assert!(acc > 0.55, "branch {r} accuracy only {acc}");
         }
@@ -140,7 +140,7 @@ mod tests {
         let an = AdaptiveNet::new(DenseModel::new(16, 24, 1, 16, 4, 3));
         let before = an.supernet().param_vector();
         let local = synth.sample(80, 0, &mut rng);
-        let mut device = an.branch_model(0.5);
+        let mut device = branch_model(&an, 0.5);
         let mut opt = Sgd::with_momentum(0.05, 0.9);
         let cfg = TrainConfig { epochs: 3, batch_size: 16, clip_norm: Some(5.0) };
         nebula_data::train_epochs(&mut device, &mut opt, &local, cfg, &mut rng);

@@ -27,7 +27,7 @@
 //! first `⌈r·H⌉` hidden units — the nested-sub-model structure HeteroFL
 //! and slimmable/branchy networks rely on.
 
-pub mod adaptivenet;
+mod adaptivenet;
 pub mod dense;
 pub mod heterofl;
 pub mod local_adapt;

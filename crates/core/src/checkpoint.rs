@@ -117,10 +117,10 @@ impl From<CheckpointError> for io::Error {
 /// (bit-flip detection). Binary version-1 files had neither and are no
 /// longer decoded; a version-1 [`Checkpoint`] struct (the JSON form) still
 /// restores.
-pub const CHECKPOINT_VERSION: u32 = 2;
+const CHECKPOINT_VERSION: u32 = 2;
 
 /// Oldest [`Checkpoint`] version [`restore`] still accepts.
-pub const MIN_CHECKPOINT_VERSION: u32 = 1;
+const MIN_CHECKPOINT_VERSION: u32 = 1;
 
 /// Snapshots a model into a [`Checkpoint`].
 pub fn snapshot(model: &ModularModel) -> Checkpoint {

@@ -76,9 +76,9 @@ impl From<std::io::Error> for DurabilityError {
 }
 
 /// Current snapshot container format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+const SNAPSHOT_VERSION: u32 = 1;
 /// Current journal format version.
-pub const JOURNAL_VERSION: u32 = 1;
+const JOURNAL_VERSION: u32 = 1;
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"NBRS";
 const JOURNAL_MAGIC: &[u8; 4] = b"NBLJ";
@@ -184,7 +184,7 @@ impl SnapshotStore {
     }
 
     /// Path of the snapshot file for sequence number `seq`.
-    pub fn path_for(&self, seq: u64) -> PathBuf {
+    fn path_for(&self, seq: u64) -> PathBuf {
         self.dir.join(format!("snap-{seq:012}.nbrs"))
     }
 
@@ -273,7 +273,7 @@ pub struct JournalContents {
 /// fails its CRC. Corruption *before* the tail cannot be distinguished
 /// from a torn append by a prefix scan, and both are handled the same
 /// way: the valid prefix wins, the rest is reported via `torn_tail`.
-pub fn parse_journal(data: &[u8]) -> Result<JournalContents, DurabilityError> {
+fn parse_journal(data: &[u8]) -> Result<JournalContents, DurabilityError> {
     if data.len() < JOURNAL_HEADER || &data[..4] != JOURNAL_MAGIC {
         return Err(DurabilityError::NotAJournal);
     }

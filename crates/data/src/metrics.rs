@@ -57,13 +57,13 @@ impl ConfusionMatrix {
     }
 
     /// Precision of class `c` (`None` if it is never predicted).
-    pub fn precision(&self, c: usize) -> Option<f32> {
+    fn precision(&self, c: usize) -> Option<f32> {
         let predicted: usize = (0..self.classes()).map(|a| self.counts[a][c]).sum();
         (predicted > 0).then(|| self.counts[c][c] as f32 / predicted as f32)
     }
 
     /// F1 of class `c` (`None` when undefined).
-    pub fn f1(&self, c: usize) -> Option<f32> {
+    fn f1(&self, c: usize) -> Option<f32> {
         let p = self.precision(c)?;
         let r = self.recall(c)?;
         if p + r == 0.0 {

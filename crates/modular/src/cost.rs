@@ -19,7 +19,7 @@ use crate::submodel::SubModelSpec;
 use serde::{Deserialize, Serialize};
 
 /// Bytes per f32 parameter.
-pub const BYTES_PER_PARAM: u64 = 4;
+const BYTES_PER_PARAM: u64 = 4;
 
 /// Cost of a single component (module or shared part).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]

@@ -25,7 +25,7 @@
 //! Shazeer et al.'s sparely-gated MoE) so sub-models of different sizes
 //! keep a stable output scale.
 
-pub mod blockify;
+mod blockify;
 pub mod config;
 pub mod cost;
 pub mod model;

@@ -177,7 +177,7 @@ impl ModularModel {
     /// Deterministic (noise-free, unmasked) gate probability distributions
     /// per layer for inputs `x`: the `g(x; θ)` of §4.2, used for module
     /// importance scoring and the sub-task load matrix.
-    pub fn gate_probs(&mut self, x: &Tensor) -> Vec<Tensor> {
+    fn gate_probs(&mut self, x: &Tensor) -> Vec<Tensor> {
         self.selector.forward_deterministic(x).into_iter().map(|logits| logits.softmax_rows()).collect()
     }
 

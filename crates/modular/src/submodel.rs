@@ -94,19 +94,6 @@ impl SubModelSpec {
                 .collect(),
         )
     }
-
-    /// Layer-wise intersection. Panics (via [`SubModelSpec::new`]) if some
-    /// layer ends up empty — disjoint sub-models have no common sub-model.
-    pub fn intersection(&self, other: &SubModelSpec) -> SubModelSpec {
-        assert_eq!(self.num_layers(), other.num_layers(), "layer count mismatch");
-        SubModelSpec::new(
-            self.active
-                .iter()
-                .enumerate()
-                .map(|(l, a)| a.iter().copied().filter(|&i| other.contains(l, i)).collect())
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -153,23 +140,12 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection() {
+    fn union_merges_each_layer() {
         let a = SubModelSpec::new(vec![vec![0, 1], vec![2]]);
         let b = SubModelSpec::new(vec![vec![1, 3], vec![2, 0]]);
         let u = a.union(&b);
         assert_eq!(u.layer(0), &[0, 1, 3]);
         assert_eq!(u.layer(1), &[0, 2]);
-        let i = a.intersection(&b);
-        assert_eq!(i.layer(0), &[1]);
-        assert_eq!(i.layer(1), &[2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "no modules")]
-    fn disjoint_intersection_panics() {
-        let a = SubModelSpec::new(vec![vec![0]]);
-        let b = SubModelSpec::new(vec![vec![1]]);
-        a.intersection(&b);
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl Conv1d {
     }
 
     /// Output sequence length.
-    pub fn out_len(&self) -> usize {
+    fn out_len(&self) -> usize {
         (self.in_len + 2 * self.pad - self.kernel) / self.stride + 1
     }
 
@@ -232,7 +232,7 @@ impl MaxPool1d {
         Self { channels, in_len, window, argmax: None, last_batch: 0 }
     }
 
-    pub fn out_len(&self) -> usize {
+    fn out_len(&self) -> usize {
         self.in_len / self.window
     }
 

@@ -23,7 +23,7 @@ impl Linear {
     }
 
     /// Linear layer with an explicit weight-init scheme; bias starts at zero.
-    pub fn with_init(in_features: usize, out_features: usize, init: Init, rng: &mut NebulaRng) -> Self {
+    fn with_init(in_features: usize, out_features: usize, init: Init, rng: &mut NebulaRng) -> Self {
         Self::from_weight(init.weight(out_features, in_features, rng))
     }
 

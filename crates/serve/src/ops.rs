@@ -85,7 +85,7 @@ impl Drop for OpsServer {
 /// One deadline for the whole request, not one per read: the accept loop
 /// is single-threaded, so a client trickling a byte at a time would
 /// otherwise hold `/healthz` away from every other probe.
-pub const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Reads one request (capped at 8 KiB and [`REQUEST_DEADLINE`]), routes
 /// it, writes one response.

@@ -35,7 +35,7 @@ const SLOT_FEATURES: ModuleKey = ModuleKey { layer: 0xFFFC, module: 2 };
 const SLOT_LABELS: ModuleKey = ModuleKey { layer: 0xFFFC, module: 3 };
 
 /// Derives the job-traffic MAC key from a deployment master key.
-pub fn job_key(master: &FrameKey) -> FrameKey {
+fn job_key(master: &FrameKey) -> FrameKey {
     master.derive(JOB_STREAM)
 }
 

@@ -11,7 +11,7 @@
 //! ```
 
 /// The paper's measured slowdown at 3 background processes.
-pub const SLOWDOWN_AT_3_PROCS: f64 = 5.06;
+const SLOWDOWN_AT_3_PROCS: f64 = 5.06;
 
 /// Latency multiplier with `background_procs` co-running processes.
 pub fn contention_multiplier(background_procs: usize) -> f64 {

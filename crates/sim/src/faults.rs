@@ -354,7 +354,7 @@ const NAN_POISON_FRAC: f32 = 0.2;
 /// seeded-random elements of `params`. A nonzero fraction always corrupts
 /// at least one element, even on slices short enough that the product
 /// rounds to zero — a poisoned short tensor must not silently pass clean.
-pub fn corrupt_elements(params: &mut [f32], frac: f32, rng: &mut NebulaRng, mut f: impl FnMut(&mut f32)) {
+fn corrupt_elements(params: &mut [f32], frac: f32, rng: &mut NebulaRng, mut f: impl FnMut(&mut f32)) {
     if params.is_empty() || frac <= 0.0 {
         return;
     }

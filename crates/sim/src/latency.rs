@@ -10,7 +10,7 @@ use crate::contention::contention_multiplier;
 use crate::resources::DeviceResources;
 
 /// Forward-to-training flops multiplier (fwd + two backward GEMMs).
-pub const TRAIN_FLOPS_FACTOR: f64 = 3.0;
+const TRAIN_FLOPS_FACTOR: f64 = 3.0;
 
 /// Per-batch training latency in milliseconds.
 pub fn training_batch_latency_ms(dev: &DeviceResources, forward_flops_per_sample: u64, batch: usize) -> f64 {

@@ -78,13 +78,13 @@ pub fn detect() -> SimdLevel {
 }
 
 /// Register-tile rows of the AVX2 micro-kernel.
-pub const MR_AVX2: usize = 6;
+const MR_AVX2: usize = 6;
 /// Register-tile columns of the AVX2 micro-kernel (two YMM lanes).
-pub const NR_AVX2: usize = 16;
+const NR_AVX2: usize = 16;
 /// Register-tile rows of the AVX-512 micro-kernel.
-pub const MR_AVX512: usize = 8;
+const MR_AVX512: usize = 8;
 /// Register-tile columns of the AVX-512 micro-kernel (two ZMM lanes).
-pub const NR_AVX512: usize = 32;
+const NR_AVX512: usize = 32;
 /// Row-block height for the SIMD engines: a common multiple of both tile
 /// heights; `96×KC` floats ≈ 96 KiB of packed `A` stays L2-resident.
 pub const MC_SIMD: usize = 96;

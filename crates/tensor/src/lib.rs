@@ -36,9 +36,6 @@ pub use init::Init;
 pub use rng::NebulaRng;
 pub use tensor::Tensor;
 
-/// Absolute tolerance used by test helpers throughout the workspace.
-pub const TEST_EPS: f32 = 1e-4;
-
 /// Asserts two `f32` values are close; used across the workspace's tests.
 pub fn assert_close(a: f32, b: f32, eps: f32) {
     assert!((a - b).abs() <= eps.max(eps * a.abs().max(b.abs())), "values differ: {a} vs {b} (eps {eps})");

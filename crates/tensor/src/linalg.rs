@@ -231,7 +231,7 @@ pub mod reference {
     use crate::Tensor;
 
     /// Naive `C = A·B` (`ikj` order, zero-skip branch as pre-blocking).
-    pub fn matmul_slices(out: &mut [f32], m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) {
+    pub(super) fn matmul_slices(out: &mut [f32], m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) {
         for i in 0..m {
             let orow = &mut out[i * n..(i + 1) * n];
             let arow = &a[i * k..(i + 1) * k];
@@ -248,7 +248,7 @@ pub mod reference {
     }
 
     /// Naive `C = A·Bᵀ` (per-element row dots).
-    pub fn matmul_nt_slices(out: &mut [f32], m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) {
+    pub(super) fn matmul_nt_slices(out: &mut [f32], m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) {
         for i in 0..m {
             let orow = &mut out[i * n..(i + 1) * n];
             let arow = &a[i * k..(i + 1) * k];
@@ -259,7 +259,7 @@ pub mod reference {
     }
 
     /// Naive `C = Aᵀ·B` (strided `A` reads, zero-skip branch).
-    pub fn matmul_tn_slices(out: &mut [f32], m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) {
+    pub(super) fn matmul_tn_slices(out: &mut [f32], m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) {
         for i in 0..m {
             let orow = &mut out[i * n..(i + 1) * n];
             for p in 0..k {

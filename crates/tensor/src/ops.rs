@@ -65,30 +65,14 @@ impl Tensor {
     }
 
     /// In-place binary combiner.
-    pub fn zip_assign(&mut self, other: &Tensor, f: impl Fn(&mut f32, f32)) {
+    fn zip_assign(&mut self, other: &Tensor, f: impl Fn(&mut f32, f32)) {
         assert_eq!(self.shape(), other.shape(), "zip_assign shape mismatch");
         for (a, &b) in self.data_mut().iter_mut().zip(other.data().iter()) {
             f(a, b);
         }
     }
 
-    /// Adds a rank-1 `bias` to every row of a rank-2 tensor.
-    pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2, "add_row_broadcast needs a rank-2 receiver");
-        assert_eq!(bias.rank(), 1, "bias must be rank-1");
-        assert_eq!(self.cols(), bias.len(), "bias length must match columns");
-        let mut out = self.clone();
-        let c = out.cols();
-        for row in out.data_mut().chunks_mut(c) {
-            for (v, &b) in row.iter_mut().zip(bias.data()) {
-                *v += b;
-            }
-        }
-        out
-    }
-
-    /// Adds a rank-1 `bias` to every row in place (zero-alloc variant of
-    /// [`Tensor::add_row_broadcast`]).
+    /// Adds a rank-1 `bias` to every row of a rank-2 tensor, in place.
     pub fn add_row_broadcast_assign(&mut self, bias: &Tensor) {
         assert_eq!(self.rank(), 2, "add_row_broadcast_assign needs a rank-2 receiver");
         assert_eq!(bias.rank(), 1, "bias must be rank-1");
@@ -178,14 +162,15 @@ mod tests {
     fn row_broadcasts() {
         let x = Tensor::matrix(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Tensor::vector(&[10.0, 20.0]);
-        let y = x.add_row_broadcast(&b);
+        let mut y = x.clone();
+        y.add_row_broadcast_assign(&b);
         assert_eq!(y.data(), &[11.0, 22.0, 13.0, 24.0]);
     }
 
     #[test]
     #[should_panic(expected = "bias length must match")]
     fn broadcast_rejects_bad_bias() {
-        Tensor::zeros(&[2, 3]).add_row_broadcast(&Tensor::zeros(&[2]));
+        Tensor::zeros(&[2, 3]).add_row_broadcast_assign(&Tensor::zeros(&[2]));
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub fn max_threads() -> usize {
 
 /// RAII guard for a region; created by [`sequential`] and around every
 /// [`map`] job.
-pub struct SequentialScope {
+struct SequentialScope {
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
@@ -102,7 +102,7 @@ pub fn sequential<R>(f: impl FnOnce() -> R) -> R {
 
 /// True while the current thread is inside a [`sequential`] scope or a
 /// [`map`] job.
-pub fn in_sequential_scope() -> bool {
+fn in_sequential_scope() -> bool {
     SEQ_DEPTH.with(|d| d.get() > 0)
 }
 

@@ -7,7 +7,7 @@ use std::fmt;
 
 /// Highest rank a [`Tensor`] can have: its shape is stored inline, so a
 /// tensor is one heap allocation (the values), not two.
-pub const MAX_RANK: usize = 4;
+const MAX_RANK: usize = 4;
 
 /// A shape of rank ≤ [`MAX_RANK`], stored inline. Unused trailing
 /// dimensions are always zero, so derived equality compares shapes.
@@ -224,14 +224,6 @@ impl Tensor {
         out
     }
 
-    /// Extracts a contiguous range of rows as a new tensor.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Tensor {
-        assert_eq!(self.rank(), 2, "slice_rows requires rank-2");
-        assert!(start <= end && end <= self.shape.dims[0], "row range {start}..{end} out of bounds");
-        let c = self.shape.dims[1];
-        Tensor::from_vec(self.data[start * c..end * c].to_vec(), &[end - start, c])
-    }
-
     /// Gives the tensor `shape`, keeping its buffer when the capacity
     /// allows. The contents are unspecified afterwards (whatever the old
     /// buffer held, zeros where it grew): for a buffer the caller is about
@@ -369,9 +361,6 @@ mod tests {
     #[test]
     fn slice_and_gather_rows() {
         let t = Tensor::matrix(&[&[0.0, 1.0], &[2.0, 3.0], &[4.0, 5.0]]);
-        let s = t.slice_rows(1, 3);
-        assert_eq!(s.shape(), &[2, 2]);
-        assert_eq!(s.row(0), &[2.0, 3.0]);
         let g = t.gather_rows(&[2, 0, 2]);
         assert_eq!(g.shape(), &[3, 2]);
         assert_eq!(g.row(0), &[4.0, 5.0]);

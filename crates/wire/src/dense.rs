@@ -16,7 +16,7 @@ use crate::WireError;
 
 /// One logical point-to-point channel carrying a dense f32 blob.
 #[derive(Debug)]
-pub struct DenseChannel {
+struct DenseChannel {
     codec: CodecKind,
     threshold: f32,
     /// Version of `baseline`; bumped on every successful `DeltaFp32`

@@ -44,12 +44,12 @@ use crate::crc32::crc32;
 use crate::siphash::FrameKey;
 use crate::WireError;
 
-pub const MAGIC: [u8; 4] = *b"NBW1";
+const MAGIC: [u8; 4] = *b"NBW1";
 /// Wire version of an unauthenticated frame.
 pub const WIRE_VERSION: u8 = 1;
 /// Wire version of an authenticated frame (the striped MAC; version 1
 /// frames with the auth flag came from a build before it and are refused).
-pub const WIRE_VERSION_AUTHED: u8 = 2;
+const WIRE_VERSION_AUTHED: u8 = 2;
 pub const HEADER_LEN: usize = 16;
 pub const RECORD_HEADER_LEN: usize = 24;
 pub const TRAILER_LEN: usize = 4;

@@ -31,7 +31,7 @@ const SLOT_HELLO: ModuleKey = ModuleKey { layer: 0xFFFC, module: 0 };
 const SLOT_ACK: ModuleKey = ModuleKey { layer: 0xFFFC, module: 1 };
 
 /// Derives the handshake MAC key from a deployment master key.
-pub fn hello_key(master: &FrameKey) -> FrameKey {
+fn hello_key(master: &FrameKey) -> FrameKey {
     master.derive(HELLO_STREAM)
 }
 
