@@ -8,7 +8,7 @@
 //!   the cloud model on its own data ([`mod@local_adapt`]).
 //! * **AdaptiveNet-style (AN)** — a multi-branch supernet pre-trained on
 //!   the cloud; a device picks the widest branch its resources allow and
-//!   adapts it locally ([`adaptivenet`]).
+//!   adapts it locally (`adaptivenet`).
 //! * **FedAvg (FA)** — classic federated averaging of the full dense
 //!   model.
 //! * **HeteroFL (HFL)** — resource-aware federated learning over nested

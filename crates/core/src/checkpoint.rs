@@ -61,7 +61,7 @@ pub enum CheckpointError {
     /// The payload does not start with the `NBLA` magic / is too short
     /// to hold the fixed header.
     NotACheckpoint,
-    /// Format version is not [`CHECKPOINT_VERSION`].
+    /// Format version is not `CHECKPOINT_VERSION`.
     UnsupportedVersion(u32),
     /// The payload ends before the declared header or parameter data.
     Truncated { expected: usize, available: usize },
@@ -184,7 +184,7 @@ pub fn encode_binary(ckpt: &Checkpoint) -> Vec<u8> {
 
 /// Decodes the binary checkpoint format. Any malformed input — wrong
 /// magic, truncation anywhere, flipped bytes, garbage header, a version
-/// other than [`CHECKPOINT_VERSION`] — returns an error; nothing panics
+/// other than `CHECKPOINT_VERSION` — returns an error; nothing panics
 /// and nothing corrupt decodes silently.
 // The mismatch variant carries both configs for diagnostics; decoding is not hot.
 #[allow(clippy::result_large_err)]

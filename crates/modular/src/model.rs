@@ -15,7 +15,7 @@ use std::sync::Mutex;
 /// directly. Internals the framework relies on:
 /// * [`ModularModel::set_submodel`] — restrict routing to a sub-model's
 ///   modules (deriving an edge model is *just this call*);
-/// * [`ModularModel::gate_probs`] — deterministic per-layer gate
+/// * `ModularModel::gate_probs` — deterministic per-layer gate
 ///   distributions, the basis of module importance (§5.1) and the
 ///   sub-task load matrix `H` (§4.3);
 /// * per-module parameter access for module-wise aggregation (§5.2);

@@ -9,7 +9,7 @@
 //!
 //! The parser accepts exactly what `curl`/probes emit: a request line
 //! and headers, no bodies, no keep-alive, all of it inside one
-//! [`REQUEST_DEADLINE`] (else `408`). Anything else gets a 400/404 and
+//! `REQUEST_DEADLINE` (else `408`). Anything else gets a 400/404 and
 //! the connection is closed either way.
 
 use std::io::{ErrorKind, Read, Write};
@@ -87,7 +87,7 @@ impl Drop for OpsServer {
 /// otherwise hold `/healthz` away from every other probe.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Reads one request (capped at 8 KiB and [`REQUEST_DEADLINE`]), routes
+/// Reads one request (capped at 8 KiB and `REQUEST_DEADLINE`), routes
 /// it, writes one response.
 fn serve_one(stream: &mut TcpStream, coordinator: &Coordinator) -> std::io::Result<()> {
     let deadline = Instant::now() + REQUEST_DEADLINE;

@@ -12,7 +12,7 @@
 //! through decimal).
 //!
 //! When the deployment holds a master [`FrameKey`], every message is
-//! MAC'd under a dedicated jobs subkey ([`job_key`]) — distinct from
+//! MAC'd under a dedicated jobs subkey (`job_key`) — distinct from
 //! both the per-device payload keys and the handshake subkey, so no
 //! transcript from one plane replays into another.
 

@@ -275,7 +275,7 @@ pub mod reference {
         }
     }
 
-    /// Tensor-level wrapper over [`matmul_slices`] (tests, benches).
+    /// Tensor-level wrapper over `matmul_slices` (tests, benches).
     pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = (a.shape()[0], a.shape()[1]);
         let n = b.shape()[1];
@@ -285,7 +285,7 @@ pub mod reference {
         out
     }
 
-    /// Tensor-level wrapper over [`matmul_nt_slices`].
+    /// Tensor-level wrapper over `matmul_nt_slices`.
     pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = (a.shape()[0], a.shape()[1]);
         let n = b.shape()[0];
@@ -295,7 +295,7 @@ pub mod reference {
         out
     }
 
-    /// Tensor-level wrapper over [`matmul_tn_slices`].
+    /// Tensor-level wrapper over `matmul_tn_slices`.
     pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
         let (k, m) = (a.shape()[0], a.shape()[1]);
         let n = b.shape()[1];

@@ -1,6 +1,6 @@
 //! The core [`Tensor`] type: row-major dense `f32` storage with a dynamic
 //! shape. Rank-1 and rank-2 tensors cover everything the Nebula training
-//! stack needs; ranks up to [`MAX_RANK`] are supported for storage but
+//! stack needs; ranks up to `MAX_RANK` are supported for storage but
 //! most linear algebra is defined on rank ≤ 2.
 
 use std::fmt;
@@ -9,7 +9,7 @@ use std::fmt;
 /// tensor is one heap allocation (the values), not two.
 const MAX_RANK: usize = 4;
 
-/// A shape of rank ≤ [`MAX_RANK`], stored inline. Unused trailing
+/// A shape of rank ≤ `MAX_RANK`, stored inline. Unused trailing
 /// dimensions are always zero, so derived equality compares shapes.
 #[derive(Clone, Copy, PartialEq)]
 struct Shape {

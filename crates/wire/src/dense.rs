@@ -75,7 +75,7 @@ impl DenseChannel {
 }
 
 /// Per-device channel pool for a server exchanging dense blobs with many
-/// devices: one download and one upload [`DenseChannel`] per device id,
+/// devices: one download and one upload `DenseChannel` per device id,
 /// plus a reusable frame buffer so steady-state transfers do not
 /// allocate. Per device and direction it keeps one model-sized blob
 /// under `DeltaFp32` (the baseline) and under `QuantInt8` (the carry),

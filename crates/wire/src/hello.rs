@@ -8,7 +8,7 @@
 //!
 //! Authentication reuses the per-device MAC machinery: when the
 //! deployment holds a master [`FrameKey`], both hello and ack are
-//! finished under the dedicated handshake subkey ([`hello_key`]), so a
+//! finished under the dedicated handshake subkey (`hello_key`), so a
 //! connecting worker proves knowledge of the shared secret before any
 //! job traffic flows, and [`FrameView::parse_keyed`]'s strict two-way
 //! semantics reject both unauthenticated hellos at a keyed coordinator
