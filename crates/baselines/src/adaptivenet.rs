@@ -66,8 +66,9 @@ impl AdaptiveNet {
 
     /// Instantiates a device-side copy running branch `ratio`, whose
     /// active slice travels as a real `nebula-wire` frame on the device's
-    /// download channel. Returns the decoded device model and the measured frame
-    /// bytes (AdaptiveNet's only communication: branches never upload).
+    /// download channel. Returns the decoded device model and the measured
+    /// frame bytes (AdaptiveNet's only communication: branches never
+    /// upload).
     pub fn branch_model_wire(
         &self,
         ratio: f32,

@@ -302,8 +302,8 @@ impl ShardedWorld {
     fn materialize(&self, id: usize) -> VirtualDevice {
         let mut rng = NebulaRng::seed(mix(self.seed, TAG_DEVICE, id as u64));
         let resources = self.sampler.sample(&mut rng);
-        // The label-skew class pair and the sensing context nothing reads
-        // any more: drawn and dropped, so the volume keeps its bits.
+        // Draws for a label-skew class pair and a sensing context that
+        // nothing reads, kept so the volume keeps its bits.
         rng.below(self.num_classes);
         if self.num_classes > 1 {
             rng.below(self.num_classes - 1);
