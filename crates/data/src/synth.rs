@@ -192,6 +192,7 @@ impl Synthesizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn geometry_is_deterministic_from_seed() {
@@ -301,6 +302,78 @@ mod tests {
         // crude but catches "label_noise ignored".
         let hist = d.class_histogram();
         assert!(hist[0] > 0 && hist[1] > 0);
+    }
+
+    /// Row `i` of the mixing matrix `M`.
+    fn mix_row(s: &Synthesizer, i: usize) -> Vec<f32> {
+        s.mix.row(i).to_vec()
+    }
+
+    /// The serial sampler: every draw and every product in row order, one
+    /// `dot_slices` per output.
+    fn serial_sample(
+        s: &Synthesizer,
+        n: usize,
+        classes: &[usize],
+        weights: &[f32],
+        context: usize,
+        rng: &mut NebulaRng,
+    ) -> (Vec<f32>, Vec<usize>) {
+        let d = s.spec.feature_dim;
+        let (scale, bias) = (&s.ctx_scale[context], &s.ctx_bias[context]);
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        let mut latent = vec![0.0f32; d];
+        for _ in 0..n {
+            let c = classes[rng.weighted_index(weights)];
+            let j = rng.below(s.spec.clusters_per_class);
+            for (i, l) in latent.iter_mut().enumerate() {
+                let z = s.centre(c, j).data()[i] + rng.normal_f32(0.0, s.spec.noise_std);
+                *l = scale[i] * z + bias[i];
+            }
+            x.extend((0..d).map(|i| nebula_tensor::ops::dot_slices(&mix_row(s, i), &latent).tanh()));
+            let noisy = s.spec.label_noise > 0.0 && rng.bernoulli(s.spec.label_noise as f64);
+            y.push(if noisy { *rng.choose(classes) } else { c });
+        }
+        (x, y)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sampling_matches_the_serial_sampler_bit_for_bit(
+            feature_dim in 1usize..19,
+            classes in 1usize..6,
+            noisy in 0usize..2,
+            label_noise in 0usize..2,
+            zeros in 0usize..3,
+            n in 0usize..70,
+            seed in 0u64..1000,
+        ) {
+            let spec = SynthSpec {
+                classes,
+                feature_dim,
+                clusters_per_class: 3,
+                noise_std: if noisy == 1 { 0.7 } else { 0.0 },
+                label_noise: if label_noise == 1 { 0.3 } else { 0.0 },
+                contexts: 3,
+                ..SynthSpec::toy()
+            };
+            let s = Synthesizer::new(spec, seed);
+            let listed: Vec<usize> = (0..classes).collect();
+            // The first `zeros` classes get no weight (one always keeps some).
+            let weights: Vec<f32> =
+                (0..classes).map(|c| if c < zeros.min(classes - 1) { 0.0 } else { 1.0 + c as f32 }).collect();
+            let context = (seed % 3) as usize;
+            let mut rng = NebulaRng::seed(seed ^ 0x5A);
+            let mut reference = rng.clone();
+            let got = s.sample_weighted(n, &listed, &weights, context, &mut rng);
+            let (x, y) = serial_sample(&s, n, &listed, &weights, context, &mut reference);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(got.features().data()), bits(&x));
+            prop_assert_eq!(got.labels(), &y[..]);
+            prop_assert_eq!(rng.state(), reference.state());
+        }
     }
 
     #[test]
