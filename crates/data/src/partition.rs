@@ -83,6 +83,9 @@ pub fn cooccurrence_groups(classes: usize, m: usize, seed: u64) -> Vec<Vec<usize
 /// `group_seed` fixes the co-occurrence groups so that the cloud-side
 /// sub-task definition and the device population agree (the cloud learns
 /// sub-tasks in the offline stage and devices then realise them online).
+///
+/// Every device is planned in order on `rng`, then all of them are filled
+/// in one [`Synthesizer::fill`].
 pub fn partition(
     synth: &Synthesizer,
     spec: &PartitionSpec,
@@ -91,13 +94,16 @@ pub fn partition(
 ) -> Vec<DevicePartition> {
     let n_classes = synth.spec().classes;
     let n_contexts = synth.spec().contexts;
-    let mut out = Vec::with_capacity(spec.devices);
+    let all: Vec<usize> = (0..n_classes).collect();
 
     let groups = match &spec.partitioner {
         Partitioner::LabelSkew { m } => cooccurrence_groups(n_classes, *m, group_seed),
         _ => Vec::new(),
     };
 
+    // (classes, context, subtask) per device, and its sample plan.
+    let mut meta = Vec::with_capacity(spec.devices);
+    let mut plans = Vec::with_capacity(spec.devices);
     for _ in 0..spec.devices {
         let volume = match &spec.partitioner {
             Partitioner::QuantitySkew { shape } => {
@@ -113,41 +119,41 @@ pub fn partition(
             }
             _ => spec.min_samples,
         };
-        let dp = match &spec.partitioner {
-            Partitioner::Iid => {
+        let (classes, context, subtask, plan) = match &spec.partitioner {
+            Partitioner::Iid | Partitioner::QuantitySkew { .. } => {
                 let context = rng.below(n_contexts);
-                let data = synth.sample(volume, context, rng);
-                DevicePartition { data, classes: (0..n_classes).collect(), context, subtask: 0 }
+                (all.clone(), context, 0, synth.plan_classes(volume, &all, context, rng))
             }
             Partitioner::LabelSkew { .. } => {
                 let g = rng.below(groups.len());
                 let classes = groups[g].clone();
                 let context = rng.below(n_contexts);
-                let data = synth.sample_classes(volume, &classes, context, rng);
-                DevicePartition { data, classes, context, subtask: g }
+                let plan = synth.plan_classes(volume, &classes, context, rng);
+                (classes, context, g, plan)
             }
             Partitioner::FeatureSkew => {
                 let context = rng.below(n_contexts);
-                let data = synth.sample(volume, context, rng);
-                DevicePartition { data, classes: (0..n_classes).collect(), context, subtask: context }
+                (all.clone(), context, context, synth.plan_classes(volume, &all, context, rng))
             }
             Partitioner::Dirichlet { alpha } => {
                 let weights = rng.dirichlet(*alpha, n_classes);
-                let classes: Vec<usize> = (0..n_classes).collect();
                 let context = rng.below(n_contexts);
-                let data = synth.sample_weighted(volume, &classes, &weights, context, rng);
-                let present = data.present_classes();
-                DevicePartition { data, classes: present, context, subtask: 0 }
-            }
-            Partitioner::QuantitySkew { .. } => {
-                let context = rng.below(n_contexts);
-                let data = synth.sample(volume, context, rng);
-                DevicePartition { data, classes: (0..n_classes).collect(), context, subtask: 0 }
+                (all.clone(), context, 0, synth.plan_weighted(volume, &all, &weights, context, rng))
             }
         };
-        out.push(dp);
+        meta.push((classes, context, subtask));
+        plans.push(plan);
     }
-    out
+
+    let present_only = matches!(spec.partitioner, Partitioner::Dirichlet { .. });
+    meta.into_iter()
+        .zip(synth.fill(plans))
+        .map(|((classes, context, subtask), data)| {
+            // A Dirichlet device holds the classes its weights drew.
+            let classes = if present_only { data.present_classes() } else { classes };
+            DevicePartition { data, classes, context, subtask }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -17,10 +17,23 @@
 //!
 //! The `tanh(M·)` stage bounds features and makes the task non-linear so
 //! the MLP substrates are actually exercised.
+//!
+//! Sampling is split in two. A *plan* ([`Synthesizer::plan_weighted`])
+//! makes every draw of the call on the caller's stream, in the sampler's
+//! order: per row the class, the cluster, the row's `d` Gaussian noise
+//! draws and the label-noise draws. For the noise it only saves a copy of
+//! the stream where the row's noise starts and skips past it. A *fill*
+//! ([`Synthesizer::fill`]) then replays each row's noise from its copy and
+//! computes the row; it draws from no shared stream, so rows fill on
+//! [`par::map`] in any order at any thread budget with the same bits.
 
 use crate::dataset::Dataset;
-use nebula_tensor::{NebulaRng, Tensor};
+use nebula_tensor::{par, NebulaRng, Tensor};
 
+/// Rows per [`par::map`] job in [`Synthesizer::fill`]. A row costs a few
+/// microseconds (its `d` Box–Muller draws and `d` `tanh`s), so a block
+/// is hundreds of them, well above what handing out a job costs.
+const BLOCK_ROWS: usize = 64;
 /// Parameters of a synthetic classification task.
 #[derive(Clone, Debug)]
 pub struct SynthSpec {
@@ -71,8 +84,28 @@ pub struct Synthesizer {
     ctx_scale: Vec<Vec<f32>>,
     /// Per-context feature bias (latent dim).
     ctx_bias: Vec<Vec<f32>>,
-    /// Fixed mixing matrix `feature_dim × latent_dim`.
-    mix: Tensor,
+    /// The fixed mixing matrix `M` (`feature_dim × latent_dim`), stored
+    /// transposed: entry `k · d + i` is `M[i][k]`, so column `k` of `M`
+    /// is contiguous.
+    mix_t: Vec<f32>,
+}
+
+/// The draws behind one planned row.
+#[derive(Clone, Debug)]
+struct RowDraws {
+    class: usize,
+    cluster: usize,
+    /// The stream where this row's Gaussian noise starts.
+    noise: NebulaRng,
+}
+
+/// Every draw of one sampling call, made without computing a feature;
+/// [`Synthesizer::fill`] turns it into its dataset.
+#[derive(Clone, Debug)]
+pub struct SamplePlan {
+    context: usize,
+    rows: Vec<RowDraws>,
+    labels: Vec<usize>,
 }
 
 impl Synthesizer {
@@ -112,9 +145,11 @@ impl Synthesizer {
         // Mixing matrix with 1/sqrt(d) scaling keeps tanh inputs in a
         // useful range.
         let scale = 1.0 / (d as f32).sqrt();
-        let mix = Tensor::from_vec((0..d * d).map(|_| rng.normal_f32(0.0, scale)).collect(), &[d, d]);
+        // Drawn row by row, stored column by column.
+        let mix: Vec<f32> = (0..d * d).map(|_| rng.normal_f32(0.0, scale)).collect();
+        let mix_t = (0..d * d).map(|t| mix[(t % d) * d + t / d]).collect();
 
-        Self { spec, centres, ctx_scale, ctx_bias, mix }
+        Self { spec, centres, ctx_scale, ctx_bias, mix_t }
     }
 
     /// The task spec this synthesiser realises.
@@ -135,10 +170,7 @@ impl Synthesizer {
         context: usize,
         rng: &mut NebulaRng,
     ) -> Dataset {
-        assert!(!classes.is_empty(), "need at least one class to sample");
-        assert!(classes.iter().all(|&c| c < self.spec.classes), "class out of range");
-        let weights = vec![1.0f32; classes.len()];
-        self.sample_weighted(n, classes, &weights, context, rng)
+        self.fill_one(self.plan_classes(n, classes, context, rng))
     }
 
     /// Samples `n` points over all classes uniformly.
@@ -156,36 +188,140 @@ impl Synthesizer {
         context: usize,
         rng: &mut NebulaRng,
     ) -> Dataset {
+        self.fill_one(self.plan_weighted(n, classes, weights, context, rng))
+    }
+
+    /// The draws of [`Self::sample_classes`], leaving `rng` where that call
+    /// would.
+    pub fn plan_classes(
+        &self,
+        n: usize,
+        classes: &[usize],
+        context: usize,
+        rng: &mut NebulaRng,
+    ) -> SamplePlan {
+        assert!(!classes.is_empty(), "need at least one class to sample");
+        assert!(classes.iter().all(|&c| c < self.spec.classes), "class out of range");
+        let weights = vec![1.0f32; classes.len()];
+        self.plan_weighted(n, classes, &weights, context, rng)
+    }
+
+    /// The draws of [`Self::sample_weighted`], leaving `rng` where that
+    /// call would.
+    pub fn plan_weighted(
+        &self,
+        n: usize,
+        classes: &[usize],
+        weights: &[f32],
+        context: usize,
+        rng: &mut NebulaRng,
+    ) -> SamplePlan {
         assert_eq!(classes.len(), weights.len(), "class/weight length mismatch");
         assert!(context < self.spec.contexts, "context {context} out of range");
-        let d = self.spec.feature_dim;
-        let scale = &self.ctx_scale[context];
-        let bias = &self.ctx_bias[context];
-
-        let mut xdata = Vec::with_capacity(n * d);
-        let mut y = Vec::with_capacity(n);
-        let mut latent = vec![0.0f32; d];
+        let mut rows = Vec::with_capacity(n);
+        let mut labels = Vec::with_capacity(n);
         for _ in 0..n {
-            let c = classes[rng.weighted_index(weights)];
-            let j = rng.below(self.spec.clusters_per_class);
-            let centre = self.centre(c, j);
-            for (i, l) in latent.iter_mut().enumerate() {
-                let z = centre.data()[i] + rng.normal_f32(0.0, self.spec.noise_std);
-                *l = scale[i] * z + bias[i];
+            let class = classes[rng.weighted_index(weights)];
+            let cluster = rng.below(self.spec.clusters_per_class);
+            rows.push(RowDraws { class, cluster, noise: rng.clone() });
+            // `normal_f32` consumes nothing when `std <= 0`.
+            if self.spec.noise_std > 0.0 {
+                (0..self.spec.feature_dim).for_each(|_| rng.skip_normal());
             }
-            // x = tanh(M · z')
-            let lat = Tensor::vector(&latent);
-            let mixed = self.mix.matvec(&lat);
-            xdata.extend(mixed.data().iter().map(|v| v.tanh()));
-
             let label = if self.spec.label_noise > 0.0 && rng.bernoulli(self.spec.label_noise as f64) {
                 *rng.choose(classes)
             } else {
-                c
+                class
             };
-            y.push(label);
+            labels.push(label);
         }
-        Dataset::new(Tensor::from_vec(xdata, &[n, d]), y, self.spec.classes)
+        SamplePlan { context, rows, labels }
+    }
+
+    /// Computes every plan's rows and returns their datasets in plan
+    /// order.
+    ///
+    /// The feature buffers are allocated here, on the calling thread; the
+    /// rows are computed in blocks of [`BLOCK_ROWS`] on [`par::map`]. A
+    /// row's features depend only on its own draws, so the result is the
+    /// same at any thread budget.
+    pub fn fill(&self, plans: Vec<SamplePlan>) -> Vec<Dataset> {
+        let d = self.spec.feature_dim;
+        let mut buffers: Vec<Vec<f32>> = plans.iter().map(|p| vec![0.0; p.rows.len() * d]).collect();
+        let blocks: Vec<(usize, &[RowDraws], &mut [f32])> = plans
+            .iter()
+            .zip(buffers.iter_mut())
+            .flat_map(|(p, x)| {
+                p.rows
+                    .chunks(BLOCK_ROWS)
+                    .zip(x.chunks_mut(BLOCK_ROWS * d))
+                    .map(|(rows, x)| (p.context, rows, x))
+            })
+            .collect();
+        par::map(blocks, |(context, rows, x)| self.fill_rows(context, rows, x));
+        plans
+            .into_iter()
+            .zip(buffers)
+            .map(|(p, x)| Dataset::new(Tensor::from_vec(x, &[p.rows.len(), d]), p.labels, self.spec.classes))
+            .collect()
+    }
+
+    fn fill_one(&self, plan: SamplePlan) -> Dataset {
+        self.fill(vec![plan]).pop().expect("one plan fills one dataset")
+    }
+
+    /// Computes `rows` into `x` (`rows.len() × d`):
+    /// `x = tanh(M · (scale ⊙ (centre + noise) + bias))`.
+    fn fill_rows(&self, context: usize, rows: &[RowDraws], x: &mut [f32]) {
+        let d = self.spec.feature_dim;
+        let (scale, bias) = (&self.ctx_scale[context], &self.ctx_bias[context]);
+        // The latent row, then lanes 1–3 of the product (lane 0 sums in
+        // the output row itself).
+        let mut scratch = vec![0.0f32; 4 * d];
+        let (latent, lanes) = scratch.split_at_mut(d);
+        for (row, out) in rows.iter().zip(x.chunks_exact_mut(d)) {
+            let mut noise = row.noise.clone();
+            let centre = self.centre(row.class, row.cluster).data();
+            for (i, l) in latent.iter_mut().enumerate() {
+                let z = centre[i] + noise.normal_f32(0.0, self.spec.noise_std);
+                *l = scale[i] * z + bias[i];
+            }
+            self.mix_into(latent, lanes, out);
+            out.iter_mut().for_each(|v| *v = v.tanh());
+        }
+    }
+
+    /// `out = M · z`, all `d` outputs at once, each summed exactly as
+    /// `dot_slices(M[i], z)` sums it: four lane chains over ascending
+    /// chunks of four, combined `((a0 + a1) + a2) + a3`, then the tail in
+    /// ascending order, every term a multiply then an add. `lanes` is
+    /// scratch of `3 · d`.
+    fn mix_into(&self, z: &[f32], lanes: &mut [f32], out: &mut [f32]) {
+        let d = z.len();
+        let (a1, rest) = lanes.split_at_mut(d);
+        let (a2, a3) = rest.split_at_mut(d);
+        for acc in [&mut *out, &mut *a1, &mut *a2, &mut *a3] {
+            acc.fill(0.0);
+        }
+        let body = d / 4 * 4;
+        let (cols, tail_cols) = self.mix_t.split_at(body * d);
+        for (zs, cols) in z[..body].chunks_exact(4).zip(cols.chunks_exact(4 * d)) {
+            for (acc, (&zk, col)) in
+                [&mut *out, &mut *a1, &mut *a2, &mut *a3].into_iter().zip(zs.iter().zip(cols.chunks_exact(d)))
+            {
+                for (a, &m) in acc.iter_mut().zip(col) {
+                    *a += m * zk;
+                }
+            }
+        }
+        for (((a, &b1), &b2), &b3) in out.iter_mut().zip(&*a1).zip(&*a2).zip(&*a3) {
+            *a = ((*a + b1) + b2) + b3;
+        }
+        for (&zk, col) in z[body..].iter().zip(tail_cols.chunks_exact(d)) {
+            for (a, &m) in out.iter_mut().zip(col) {
+                *a += m * zk;
+            }
+        }
     }
 }
 
@@ -306,7 +442,8 @@ mod tests {
 
     /// Row `i` of the mixing matrix `M`.
     fn mix_row(s: &Synthesizer, i: usize) -> Vec<f32> {
-        s.mix.row(i).to_vec()
+        let d = s.spec.feature_dim;
+        (0..d).map(|k| s.mix_t[k * d + i]).collect()
     }
 
     /// The serial sampler: every draw and every product in row order, one

@@ -1,10 +1,10 @@
 //! The simulated world: a device population over a synthetic task, plus
 //! the drift process that advances it through time slots.
 
-use crate::device::SimDevice;
+use crate::device::{SimDevice, TEST_SAMPLES_PER_DEVICE};
 use crate::durability::RunError;
 use crate::faults::{DeviceFate, FaultPlan, RoundPolicy};
-use crate::resources::ResourceSampler;
+use crate::resources::{DeviceResources, ResourceSampler};
 use nebula_data::partition::{cooccurrence_groups, partition, PartitionSpec, Partitioner};
 use nebula_data::{Dataset, DriftModel, Synthesizer};
 use nebula_tensor::NebulaRng;
@@ -42,30 +42,9 @@ impl SimWorld {
         sampler: &ResourceSampler,
         seed: u64,
     ) -> Self {
-        let mut rng = NebulaRng::seed(seed);
-        let parts = partition(&synth, &partition_spec, group_seed, &mut rng);
-        let hardware = sampler.sample_population(parts.len(), &mut rng);
-        let devices = parts
-            .into_iter()
-            .zip(hardware)
-            .enumerate()
-            .map(|(id, (p, h))| {
-                let drng = rng.fork(id as u64);
-                SimDevice::new(id, p, h, drng, &synth)
-            })
-            .collect();
-        Self {
-            synth,
-            devices,
-            drift,
-            group_seed,
-            partition_spec,
-            rng,
-            slot: 0,
-            faults: FaultPlan::none(),
-            policy: RoundPolicy::default(),
-            rounds_started: 0,
-        }
+        Self::populate(synth, partition_spec, group_seed, drift, seed, |n, rng| {
+            sampler.sample_population(n, rng)
+        })
     }
 
     /// Builds the paper's real-world testbed population (Fig. 6): 10
@@ -81,15 +60,13 @@ impl SimWorld {
         drift: Option<DriftModel>,
         seed: u64,
     ) -> Result<Self, RunError> {
-        use crate::resources::{DeviceClass, DeviceResources};
+        use crate::resources::DeviceClass;
         if partition_spec.devices != 20 {
             return Err(RunError::InvalidConfig(format!(
                 "the paper's testbed has 20 devices, partition spec describes {}",
                 partition_spec.devices
             )));
         }
-        let mut rng = NebulaRng::seed(seed);
-        let parts = partition(&synth, &partition_spec, group_seed, &mut rng);
         let hw = |class: DeviceClass| match class {
             DeviceClass::MobileSoc => DeviceResources {
                 class,
@@ -108,16 +85,46 @@ impl SimWorld {
                 background_procs: 0,
             },
         };
+        Ok(Self::populate(synth, partition_spec, group_seed, drift, seed, |n, _| {
+            (0..n).map(|id| hw(if id < 10 { DeviceClass::MobileSoc } else { DeviceClass::Iot })).collect()
+        }))
+    }
+
+    /// Partitions the data on the world stream, takes each device's
+    /// hardware from `hardware`, forks each device's stream and plans its
+    /// test set on it, then fills every test set in one
+    /// [`Synthesizer::fill`].
+    fn populate(
+        synth: Synthesizer,
+        partition_spec: PartitionSpec,
+        group_seed: u64,
+        drift: Option<DriftModel>,
+        seed: u64,
+        hardware: impl FnOnce(usize, &mut NebulaRng) -> Vec<DeviceResources>,
+    ) -> Self {
+        let mut rng = NebulaRng::seed(seed);
+        let parts = partition(&synth, &partition_spec, group_seed, &mut rng);
+        let hardware = hardware(parts.len(), &mut rng);
+        let mut streams: Vec<NebulaRng> = (0..parts.len()).map(|id| rng.fork(id as u64)).collect();
+        let plans = parts
+            .iter()
+            .zip(&mut streams)
+            .map(|(p, drng)| synth.plan_classes(TEST_SAMPLES_PER_DEVICE, &p.classes, p.context, drng))
+            .collect();
         let devices = parts
             .into_iter()
+            .zip(hardware)
+            .zip(streams.into_iter().zip(synth.fill(plans)))
             .enumerate()
-            .map(|(id, p)| {
-                let class = if id < 10 { DeviceClass::MobileSoc } else { DeviceClass::Iot };
-                let drng = rng.fork(id as u64);
-                SimDevice::new(id, p, hw(class), drng, &synth)
+            .map(|(id, ((partition, resources), (rng, test)))| SimDevice {
+                id,
+                partition,
+                test,
+                resources,
+                rng,
             })
             .collect();
-        Ok(Self {
+        Self {
             synth,
             devices,
             drift,
@@ -128,7 +135,7 @@ impl SimWorld {
             faults: FaultPlan::none(),
             policy: RoundPolicy::default(),
             rounds_started: 0,
-        })
+        }
     }
 
     /// Installs a fault plan; every strategy run on this world afterwards
@@ -218,27 +225,26 @@ impl SimWorld {
     /// * IID / Dirichlet → per-class-chunk groups as a generic default.
     pub fn subtask_datasets(&mut self, samples_per_task: usize) -> Vec<Dataset> {
         let classes = self.synth.spec().classes;
-        match self.partition_spec.partitioner.clone() {
-            Partitioner::LabelSkew { m } => {
-                let groups = cooccurrence_groups(classes, m, self.group_seed);
-                groups
-                    .iter()
-                    .map(|g| self.synth.sample_classes(samples_per_task, g, 0, &mut self.rng))
-                    .collect()
-            }
+        let plans = match self.partition_spec.partitioner.clone() {
+            Partitioner::LabelSkew { m } => cooccurrence_groups(classes, m, self.group_seed)
+                .iter()
+                .map(|g| self.synth.plan_classes(samples_per_task, g, 0, &mut self.rng))
+                .collect(),
             Partitioner::FeatureSkew => {
-                let contexts = self.synth.spec().contexts;
-                (0..contexts).map(|ctx| self.synth.sample(samples_per_task, ctx, &mut self.rng)).collect()
+                let all: Vec<usize> = (0..classes).collect();
+                (0..self.synth.spec().contexts)
+                    .map(|ctx| self.synth.plan_classes(samples_per_task, &all, ctx, &mut self.rng))
+                    .collect()
             }
             Partitioner::Iid | Partitioner::Dirichlet { .. } | Partitioner::QuantitySkew { .. } => {
                 let m = (classes / 4).max(1);
-                let groups = cooccurrence_groups(classes, m, self.group_seed);
-                groups
+                cooccurrence_groups(classes, m, self.group_seed)
                     .iter()
-                    .map(|g| self.synth.sample_classes(samples_per_task, g, 0, &mut self.rng))
+                    .map(|g| self.synth.plan_classes(samples_per_task, g, 0, &mut self.rng))
                     .collect()
             }
-        }
+        };
+        self.synth.fill(plans)
     }
 }
 
