@@ -11,8 +11,9 @@
 //! * [`DriftKind::ContextShift`] — the sensing context changes: same
 //!   classes, new subject/lighting (feature-level drift).
 
+use crate::dataset::Dataset;
 use crate::partition::{cooccurrence_groups, DevicePartition};
-use crate::synth::Synthesizer;
+use crate::synth::{SamplePlan, Synthesizer};
 use nebula_tensor::NebulaRng;
 
 /// What changes when the environment shifts.
@@ -44,14 +45,30 @@ impl DriftModel {
     /// with samples from the new environment and updates the device's
     /// sub-task metadata.
     pub fn step(&self, device: &mut DevicePartition, synth: &Synthesizer, rng: &mut NebulaRng) {
+        if let Some((step, fresh)) = self.plan_step(device, synth, rng) {
+            let fresh = synth.fill(vec![fresh]).pop().expect("one plan fills one dataset");
+            step.apply(device, fresh);
+        }
+    }
+
+    /// The draws of [`Self::step`], leaving `rng` where it would: the new
+    /// environment, the plan of its fresh samples (to fill with
+    /// [`Synthesizer::fill`]), and which old samples stay. `None` when the
+    /// slot replaces nothing, which draws nothing.
+    pub fn plan_step(
+        &self,
+        device: &DevicePartition,
+        synth: &Synthesizer,
+        rng: &mut NebulaRng,
+    ) -> Option<(DriftStep, SamplePlan)> {
         let n = device.data.len();
         let n_new = ((n as f32) * self.replace_frac).round() as usize;
         if n_new == 0 {
-            return;
+            return None;
         }
 
         // Decide the new environment.
-        let (new_classes, new_context, new_subtask) = match &self.kind {
+        let (classes, context, subtask) = match &self.kind {
             DriftKind::ClassShift { m, group_seed } => {
                 let groups = cooccurrence_groups(synth.spec().classes, *m, *group_seed);
                 let g = rng.below(groups.len());
@@ -63,19 +80,39 @@ impl DriftModel {
             }
         };
 
-        let fresh = synth.sample_classes(n_new, &new_classes, new_context, rng);
+        let fresh = synth.plan_classes(n_new, &classes, context, rng);
 
         // Keep a random (1 − replace_frac) portion of the old data.
-        let keep_idx = rng.sample_indices(n, n - n_new);
-        let kept = device.data.subset(&keep_idx);
-        device.data = kept.concat(&fresh);
+        let keep = rng.sample_indices(n, n - n_new);
+        Some((DriftStep { classes, context, subtask, keep }, fresh))
+    }
+}
+
+/// One slot's drift of one device, planned by [`DriftModel::plan_step`].
+#[derive(Clone, Debug)]
+pub struct DriftStep {
+    /// The device's classes after the slot.
+    pub classes: Vec<usize>,
+    /// The device's sensing context after the slot.
+    pub context: usize,
+    /// The device's sub-task after the slot.
+    pub subtask: usize,
+    /// Indices of the old samples that stay.
+    keep: Vec<usize>,
+}
+
+impl DriftStep {
+    /// Replaces the device's dropped samples with `fresh`, the filled plan
+    /// [`DriftModel::plan_step`] returned with this step.
+    pub fn apply(self, device: &mut DevicePartition, fresh: Dataset) {
+        device.data = device.data.subset(&self.keep).concat(&fresh);
 
         // The device's *current* sub-task is the new environment; old
         // classes may linger in the retained samples, which is exactly the
         // transitional mixture the paper's time slots create.
-        device.classes = new_classes;
-        device.context = new_context;
-        device.subtask = new_subtask;
+        device.classes = self.classes;
+        device.context = self.context;
+        device.subtask = self.subtask;
     }
 }
 

@@ -36,17 +36,6 @@ impl SimDevice {
         Self { id, partition, test, resources, rng }
     }
 
-    /// Regenerates the held-out test set after the device's environment
-    /// changed (drift moved its classes/context).
-    pub fn refresh_test(&mut self, synth: &Synthesizer) {
-        self.test = synth.sample_classes(
-            TEST_SAMPLES_PER_DEVICE,
-            &self.partition.classes,
-            self.partition.context,
-            &mut self.rng,
-        );
-    }
-
     /// The Eq. 2 resource limits this device reports: its budget ratio of
     /// the full model's cost in every dimension. (The simulated mapping
     /// from GB-scale hardware to model-scale budgets; DESIGN.md, Fig. 2
@@ -90,18 +79,6 @@ mod tests {
         assert_eq!(dev.test.len(), TEST_SAMPLES_PER_DEVICE);
         for &label in dev.test.labels() {
             assert!(dev.partition.classes.contains(&label));
-        }
-    }
-
-    #[test]
-    fn refresh_follows_new_classes() {
-        let (mut dev, synth) = device();
-        // Manually shift the device's sub-task.
-        let new_classes = vec![0usize, 3];
-        dev.partition.classes = new_classes.clone();
-        dev.refresh_test(&synth);
-        for &label in dev.test.labels() {
-            assert!(new_classes.contains(&label));
         }
     }
 

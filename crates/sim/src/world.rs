@@ -192,17 +192,36 @@ impl SimWorld {
 
     /// Advances one time slot: applies drift to every device's local data
     /// and refreshes the matching test sets.
+    ///
+    /// Each device draws on its own stream, in order: its drift, its new
+    /// test set, its background load. Every new sample is then filled in
+    /// one [`Synthesizer::fill`].
     pub fn advance_slot(&mut self) {
         self.slot += 1;
-        if let Some(drift) = self.drift.clone() {
-            for dev in &mut self.devices {
-                drift.step(&mut dev.partition, &self.synth, &mut dev.rng);
-                dev.refresh_test(&self.synth);
-            }
-        }
-        // Inner runtime dynamic: background process counts fluctuate.
+        let mut steps = Vec::new();
+        let mut plans = Vec::new();
         for dev in &mut self.devices {
+            if let Some(drift) = &self.drift {
+                let step = drift.plan_step(&dev.partition, &self.synth, &mut dev.rng).map(|(step, fresh)| {
+                    plans.push(fresh);
+                    step
+                });
+                let (classes, context) = match &step {
+                    Some(step) => (&step.classes, step.context),
+                    None => (&dev.partition.classes, dev.partition.context),
+                };
+                plans.push(self.synth.plan_classes(TEST_SAMPLES_PER_DEVICE, classes, context, &mut dev.rng));
+                steps.push(step);
+            }
+            // Inner runtime dynamic: background process counts fluctuate.
             dev.resources.background_procs = dev.rng.below(4);
+        }
+        let mut filled = self.synth.fill(plans).into_iter();
+        for (dev, step) in self.devices.iter_mut().zip(steps) {
+            if let Some(step) = step {
+                step.apply(&mut dev.partition, filled.next().expect("a fresh set per drift step"));
+            }
+            dev.test = filled.next().expect("a test set per device");
         }
     }
 
