@@ -189,19 +189,6 @@ impl Tensor {
         }
     }
 
-    /// Matrix–vector product `self (m×k) · v (k)` → `m`.
-    pub fn matvec(&self, v: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2, "matvec lhs must be rank-2");
-        assert_eq!(v.rank(), 1, "matvec rhs must be rank-1");
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        assert_eq!(k, v.len(), "matvec inner dims differ");
-        let mut out = Tensor::zeros(&[m]);
-        for i in 0..m {
-            out.data_mut()[i] = dot_slices(self.row(i), v.data());
-        }
-        out
-    }
-
     /// Outer product of two rank-1 tensors → `m×n`.
     pub fn outer(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.rank(), 1, "outer lhs must be rank-1");
@@ -510,14 +497,6 @@ mod tests {
     #[should_panic(expected = "inner dims differ")]
     fn matmul_rejects_mismatched_dims() {
         Tensor::zeros(&[2, 3]).matmul(&Tensor::zeros(&[4, 2]));
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Tensor::matrix(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let v = Tensor::vector(&[2.0, -1.0]);
-        let out = a.matvec(&v);
-        assert_eq!(out.data(), &[0.0, 2.0, 4.0]);
     }
 
     #[test]
