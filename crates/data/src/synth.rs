@@ -21,11 +21,12 @@
 //! Sampling is split in two. A *plan* ([`Synthesizer::plan_weighted`])
 //! makes every draw of the call on the caller's stream, in the sampler's
 //! order: per row the class, the cluster, the row's `d` Gaussian noise
-//! draws and the label-noise draws. For the noise it only saves a copy of
-//! the stream where the row's noise starts and skips past it. A *fill*
-//! ([`Synthesizer::fill`]) then replays each row's noise from its copy and
-//! computes the row; it draws from no shared stream, so rows fill on
-//! [`par::map`] in any order at any thread budget with the same bits.
+//! draws and the label-noise draws. It skips past the noise without
+//! computing it, and saves a copy of the stream where each block of
+//! [`BLOCK_ROWS`] rows starts. A *fill* ([`Synthesizer::fill`]) replays
+//! each block from its copy, noise included, and computes its rows. A
+//! block reads no other stream, so blocks fill on [`par::map`] in any
+//! order at any thread budget with the same bits.
 
 use crate::dataset::Dataset;
 use nebula_tensor::{par, NebulaRng, Tensor};
@@ -34,6 +35,7 @@ use nebula_tensor::{par, NebulaRng, Tensor};
 /// microseconds (its `d` Box–Muller draws and `d` `tanh`s), so a block
 /// is hundreds of them, well above what handing out a job costs.
 const BLOCK_ROWS: usize = 64;
+
 /// Parameters of a synthetic classification task.
 #[derive(Clone, Debug)]
 pub struct SynthSpec {
@@ -90,22 +92,25 @@ pub struct Synthesizer {
     mix_t: Vec<f32>,
 }
 
-/// The draws behind one planned row.
-#[derive(Clone, Debug)]
-struct RowDraws {
-    class: usize,
-    cluster: usize,
-    /// The stream where this row's Gaussian noise starts.
-    noise: NebulaRng,
-}
-
-/// Every draw of one sampling call, made without computing a feature;
+/// One sampling call, its draws made but no feature computed;
 /// [`Synthesizer::fill`] turns it into its dataset.
 #[derive(Clone, Debug)]
 pub struct SamplePlan {
+    /// The dataset's feature and label buffers, allocated by the thread
+    /// that planned it.
+    x: Vec<f32>,
+    y: Vec<usize>,
+    draws: Draws,
+}
+
+/// What a fill replays: the call's arguments, and the stream where each
+/// block of [`BLOCK_ROWS`] rows starts.
+#[derive(Clone, Debug)]
+struct Draws {
+    classes: Vec<usize>,
+    weights: Vec<f32>,
     context: usize,
-    rows: Vec<RowDraws>,
-    labels: Vec<usize>,
+    starts: Vec<NebulaRng>,
 }
 
 impl Synthesizer {
@@ -218,51 +223,48 @@ impl Synthesizer {
     ) -> SamplePlan {
         assert_eq!(classes.len(), weights.len(), "class/weight length mismatch");
         assert!(context < self.spec.contexts, "context {context} out of range");
-        let mut rows = Vec::with_capacity(n);
-        let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
-            let class = classes[rng.weighted_index(weights)];
-            let cluster = rng.below(self.spec.clusters_per_class);
-            rows.push(RowDraws { class, cluster, noise: rng.clone() });
-            // `normal_f32` consumes nothing when `std <= 0`.
-            if self.spec.noise_std > 0.0 {
-                (0..self.spec.feature_dim).for_each(|_| rng.skip_normal());
+        let d = self.spec.feature_dim;
+        // The dataset's buffers come from the planning thread, before the
+        // draws: fill jobs only write into them (DESIGN §9).
+        let (x, y) = (vec![0.0; n * d], vec![0; n]);
+        let mut starts = Vec::with_capacity(n.div_ceil(BLOCK_ROWS));
+        for row in 0..n {
+            if row % BLOCK_ROWS == 0 {
+                starts.push(rng.clone());
             }
-            let label = if self.spec.label_noise > 0.0 && rng.bernoulli(self.spec.label_noise as f64) {
-                *rng.choose(classes)
-            } else {
-                class
-            };
-            labels.push(label);
+            self.draw_row(classes, weights, rng, |rng, _| {
+                // `normal_f32` consumes nothing when `std <= 0`.
+                if self.spec.noise_std > 0.0 {
+                    (0..d).for_each(|_| rng.skip_normal());
+                }
+            });
         }
-        SamplePlan { context, rows, labels }
+        let draws = Draws { classes: classes.to_vec(), weights: weights.to_vec(), context, starts };
+        SamplePlan { x, y, draws }
     }
 
     /// Computes every plan's rows and returns their datasets in plan
     /// order.
     ///
-    /// The feature buffers are allocated here, on the calling thread; the
-    /// rows are computed in blocks of [`BLOCK_ROWS`] on [`par::map`]. A
-    /// row's features depend only on its own draws, so the result is the
-    /// same at any thread budget.
-    pub fn fill(&self, plans: Vec<SamplePlan>) -> Vec<Dataset> {
+    /// The blocks of [`BLOCK_ROWS`] rows are computed on [`par::map`],
+    /// into the buffers each plan holds, so nothing a job allocates
+    /// outlives it. A block replays the sampler from the stream its plan
+    /// saved and reads no other, so the result is the same at any thread
+    /// budget.
+    pub fn fill(&self, mut plans: Vec<SamplePlan>) -> Vec<Dataset> {
         let d = self.spec.feature_dim;
-        let mut buffers: Vec<Vec<f32>> = plans.iter().map(|p| vec![0.0; p.rows.len() * d]).collect();
-        let blocks: Vec<(usize, &[RowDraws], &mut [f32])> = plans
-            .iter()
-            .zip(buffers.iter_mut())
-            .flat_map(|(p, x)| {
-                p.rows
-                    .chunks(BLOCK_ROWS)
-                    .zip(x.chunks_mut(BLOCK_ROWS * d))
-                    .map(|(rows, x)| (p.context, rows, x))
+        let blocks: Vec<_> = plans
+            .iter_mut()
+            .flat_map(|p| {
+                let draws = &p.draws;
+                let rows = p.x.chunks_mut(BLOCK_ROWS * d).zip(p.y.chunks_mut(BLOCK_ROWS));
+                draws.starts.iter().zip(rows).map(move |(start, (x, y))| (draws, start, x, y))
             })
             .collect();
-        par::map(blocks, |(context, rows, x)| self.fill_rows(context, rows, x));
+        par::map(blocks, |(draws, start, x, y)| self.fill_block(draws, start, x, y));
         plans
             .into_iter()
-            .zip(buffers)
-            .map(|(p, x)| Dataset::new(Tensor::from_vec(x, &[p.rows.len(), d]), p.labels, self.spec.classes))
+            .map(|p| Dataset::new(Tensor::from_vec(p.x, &[p.y.len(), d]), p.y, self.spec.classes))
             .collect()
     }
 
@@ -270,22 +272,44 @@ impl Synthesizer {
         self.fill(vec![plan]).pop().expect("one plan fills one dataset")
     }
 
-    /// Computes `rows` into `x` (`rows.len() × d`):
+    /// One row's draws, in the sampler's order: the class, the cluster,
+    /// the `d` noise draws (`noise` makes them, given the row's centre),
+    /// then the label noise. Returns the row's label.
+    fn draw_row(
+        &self,
+        classes: &[usize],
+        weights: &[f32],
+        rng: &mut NebulaRng,
+        noise: impl FnOnce(&mut NebulaRng, &[f32]),
+    ) -> usize {
+        let class = classes[rng.weighted_index(weights)];
+        let cluster = rng.below(self.spec.clusters_per_class);
+        noise(rng, self.centre(class, cluster).data());
+        if self.spec.label_noise > 0.0 && rng.bernoulli(self.spec.label_noise as f64) {
+            *rng.choose(classes)
+        } else {
+            class
+        }
+    }
+
+    /// Replays the block of `draws` that starts at `start`, writing its
+    /// rows into `x` (`y.len() × d`) and their labels into `y`:
     /// `x = tanh(M · (scale ⊙ (centre + noise) + bias))`.
-    fn fill_rows(&self, context: usize, rows: &[RowDraws], x: &mut [f32]) {
+    fn fill_block(&self, draws: &Draws, start: &NebulaRng, x: &mut [f32], y: &mut [usize]) {
         let d = self.spec.feature_dim;
-        let (scale, bias) = (&self.ctx_scale[context], &self.ctx_bias[context]);
+        let (scale, bias) = (&self.ctx_scale[draws.context], &self.ctx_bias[draws.context]);
         // The latent row, then lanes 1–3 of the product (lane 0 sums in
         // the output row itself).
         let mut scratch = vec![0.0f32; 4 * d];
         let (latent, lanes) = scratch.split_at_mut(d);
-        for (row, out) in rows.iter().zip(x.chunks_exact_mut(d)) {
-            let mut noise = row.noise.clone();
-            let centre = self.centre(row.class, row.cluster).data();
-            for (i, l) in latent.iter_mut().enumerate() {
-                let z = centre[i] + noise.normal_f32(0.0, self.spec.noise_std);
-                *l = scale[i] * z + bias[i];
-            }
+        let mut rng = start.clone();
+        for (out, label) in x.chunks_exact_mut(d).zip(y.iter_mut()) {
+            *label = self.draw_row(&draws.classes, &draws.weights, &mut rng, |rng, centre| {
+                for ((l, &c), (&s, &b)) in latent.iter_mut().zip(centre).zip(scale.iter().zip(bias)) {
+                    let z = c + rng.normal_f32(0.0, self.spec.noise_std);
+                    *l = s * z + b;
+                }
+            });
             self.mix_into(latent, lanes, out);
             out.iter_mut().for_each(|v| *v = v.tanh());
         }
