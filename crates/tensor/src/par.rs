@@ -1,17 +1,20 @@
 //! The workspace's one threading primitive: an ordered fork-join
 //! [`map`] and the nesting guard it shares a thread-local with.
 //!
-//! The simulator parallelises at the *client* level only: one job per
-//! sampled device inside a collaborative round (the in-process arm of
+//! The simulator parallelises at two levels. In a collaborative round,
+//! one job per sampled device (the in-process arm of
 //! `NebulaStrategy::single_round`, the tracked cohort of its
 //! `adaptation_step`, `core::net::Loopback`, which every dense-baseline
-//! round goes through, and the shard fan-out of `ShardedWorld`). A job is
-//! tens of milliseconds of training, so a region spawns its threads and
-//! joins them again ([`std::thread::scope`]) — one spawn per round is
-//! microseconds against a round of hundreds of milliseconds, and nothing
-//! persistent has to be shut down, sized or shared. The tensor kernels do
-//! not fork: the products a round issues are 10–300 µs each, far below
-//! what a thread spawn costs.
+//! round goes through, and the shard fan-out of `ShardedWorld`). While it
+//! synthesises data, one job per 64-row block of already-planned datasets
+//! (`Synthesizer::fill`; a world build or a drift slot fills the whole
+//! device population in one region). A round's job is tens of
+//! milliseconds of training and a block a few hundred microseconds, so a
+//! region spawns its threads and joins them again
+//! ([`std::thread::scope`]) — one spawn per region is microseconds
+//! against the region's work, and nothing persistent has to be shut
+//! down, sized or shared. The tensor kernels do not fork: the products a
+//! round issues are 10–300 µs each, far below what a thread spawn costs.
 //!
 //! Every job runs inside the same per-thread region flag [`sequential`]
 //! sets, and a `map` called from inside a region (a shard whose devices
@@ -20,13 +23,15 @@
 //!
 //! Determinism: `map` returns results in input order whatever thread ran
 //! which job, and the call sites hand every job its own pre-forked RNG
-//! stream, so a round's outcome is bit-identical for any thread budget —
+//! stream (a synthesis block: a saved copy of the stream where it
+//! starts), so a round's outcome is bit-identical for any thread budget —
 //! the budget is purely a scheduling decision.
 //!
 //! Memory: a worker thread allocates from its own malloc arena, and what
 //! it returns pins that arena after the region. Call sites therefore hand
 //! jobs buffers the calling thread allocated (see
-//! `EdgeClient::make_update_reusing`) rather than returning fresh ones,
+//! `EdgeClient::make_update_reusing`, and the dataset buffers a
+//! `SamplePlan` is made with) rather than returning fresh ones,
 //! and every job in flight is one more live model, so per-model scratch
 //! is per thread where it can be (`nebula_nn`'s `dW` buffer).
 
