@@ -22,11 +22,11 @@
 //! makes every draw of the call on the caller's stream, in the sampler's
 //! order: per row the class, the cluster, the row's `d` Gaussian noise
 //! draws and the label-noise draws. It skips past the noise without
-//! computing it, and saves a copy of the stream where each block of
-//! [`BLOCK_ROWS`] rows starts. A *fill* ([`Synthesizer::fill`]) replays
-//! each block from its copy, noise included, and computes its rows. A
-//! block reads no other stream, so blocks fill on [`par::map`] in any
-//! order at any thread budget with the same bits.
+//! computing it, and saves a copy of the stream where each block of 64
+//! rows starts. A *fill* ([`Synthesizer::fill`]) replays each block from
+//! its copy, noise included, and computes its rows. A block reads no
+//! other stream, so blocks fill on [`par::map`] in any order at any
+//! thread budget with the same bits.
 
 use crate::dataset::Dataset;
 use nebula_tensor::{par, NebulaRng, Tensor};
@@ -246,11 +246,10 @@ impl Synthesizer {
     /// Computes every plan's rows and returns their datasets in plan
     /// order.
     ///
-    /// The blocks of [`BLOCK_ROWS`] rows are computed on [`par::map`],
-    /// into the buffers each plan holds, so nothing a job allocates
-    /// outlives it. A block replays the sampler from the stream its plan
-    /// saved and reads no other, so the result is the same at any thread
-    /// budget.
+    /// The blocks of 64 rows are computed on [`par::map`], into the
+    /// buffers each plan holds, so nothing a job allocates outlives it. A
+    /// block replays the sampler from the stream its plan saved and reads
+    /// no other, so the result is the same at any thread budget.
     pub fn fill(&self, mut plans: Vec<SamplePlan>) -> Vec<Dataset> {
         let d = self.spec.feature_dim;
         let blocks: Vec<_> = plans
