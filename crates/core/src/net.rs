@@ -84,8 +84,8 @@ pub enum JobSpec {
     Modular { frame: Vec<u8> },
     /// A dense-baseline job (FedAvg / HeteroFL): full architecture plus
     /// the already-decoded parameter vector for the device's width
-    /// ratio. Channel state (delta baselines, quantizer residuals)
-    /// stays coordinator-side, which is what keeps every dense codec
+    /// ratio. Channel state (quantizer residuals) stays
+    /// coordinator-side, which is what keeps every dense codec
     /// transport-invariant.
     Dense {
         input: usize,
@@ -148,8 +148,8 @@ pub trait Transport: Send {
 /// worker cannot share the cloud's context, so the executor here uses
 /// the same stateless setup the worker would, and the loopback/socket
 /// bit-identity tests pin that equivalence. It is only sound for the
-/// stateless `Raw` codec (delta and int8 need cloud-side registry or
-/// residual state); [`ModularRunner::new`] enforces that.
+/// stateless `Raw` codec (int8 needs the error-feedback residuals each
+/// sender carries); [`ModularRunner::new`] enforces that.
 pub struct ModularRunner {
     modular: ModularConfig,
     wire: WireConfig,
@@ -344,7 +344,7 @@ mod tests {
             nebula_wire::frame::FrameKind::Payload,
             nebula_wire::CodecKind::Raw,
         );
-        b.record(nebula_wire::frame::ModuleKey::module(1, 0), nebula_wire::CodecKind::Raw, 0, 0, |_| {});
+        b.record(nebula_wire::frame::ModuleKey::module(1, 0), nebula_wire::CodecKind::Raw, 0, |_| {});
         b.finish();
         frames.push(gap);
 
@@ -379,7 +379,7 @@ mod tests {
         };
         assert!(matches!(runner.run(&job), Err(TransportError::Rejected(_))));
         assert!(std::panic::catch_unwind(|| {
-            ModularRunner::new(ModularConfig::toy(16, 4), WireConfig::delta(0.01));
+            ModularRunner::new(ModularConfig::toy(16, 4), WireConfig::int8());
         })
         .is_err());
     }

@@ -5,15 +5,14 @@
 //! `comm_bytes` here is a **planning** input: the budget `derive` charges
 //! candidate modules against at the analytic fp32 size, `4 × params` (an
 //! upper bound on the encoded record payload of every codec: exact under
-//! `Raw`, the cap of `DeltaFp32`'s raw fallback, and above `QuantInt8`'s
-//! `params + 4` — `wire/tests/properties.rs` holds the encoders to it).
-//! The bytes the simulator
-//! *accounts* (`CommTracker::record_download` / `record_upload`) are the
-//! **measured** lengths of the encoded `nebula-wire` frames actually
-//! exchanged, which include framing overhead and, for `DeltaFp32`, are
-//! usually far below plan. Planning stays analytic so derivation is
-//! deterministic and cheap; accounting is measured so reported comm cost
-//! is real.
+//! `Raw` and above `QuantInt8`'s `params + 4` —
+//! `wire/tests/properties.rs` holds the encoders to it). The bytes the
+//! simulator *accounts* (`CommTracker::record_download` /
+//! `record_upload`) are the **measured** lengths of the encoded
+//! `nebula-wire` frames actually exchanged, which include framing
+//! overhead and, under `QuantInt8`, are about a quarter of plan.
+//! Planning stays analytic so derivation is deterministic and cheap;
+//! accounting is measured so reported comm cost is real.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,27 +1,20 @@
 //! Module transport: turning [`SubModelPayload`] / [`ModuleUpdate`]
 //! messages into real `nebula-wire` frames and back.
 //!
-//! The cloud owns one [`WireContext`]. Every download is encoded against
-//! the registry of committed module baselines (so warm devices receive
-//! deltas and cold devices transparently receive raw records), every
-//! upload is decoded against the exact baseline version the device
-//! acknowledged, and the returned frame lengths are the *measured* bytes
-//! the simulator's `CommTracker` records.
+//! The cloud owns one [`WireContext`]. Every download and upload is cut
+//! under the configured codec, and the returned frame lengths are the
+//! *measured* bytes the simulator's `CommTracker` records. A frame
+//! decodes on its own: no record refers to state the receiver keeps.
 //!
-//! Codec semantics per direction:
-//!
-//! * downloads are **lossless** for `Raw`/`DeltaFp32` (delta threshold is
-//!   forced to 0 so a warm download reconstructs the cloud parameters
-//!   bit-exactly) and lossy for `QuantInt8` (per-receiver error feedback);
-//! * uploads apply the configured delta threshold (sparsification) or
-//!   int8 quantization with per-device error feedback.
+//! Codec semantics: `Raw` is **lossless** both ways; `QuantInt8` is
+//! lossy both ways, with error feedback per receiving device for
+//! downloads and per sending device for uploads.
 //!
 //! Frame layout notes: payload frames carry one record per module
 //! (residual modules ship empty payloads), a `SHARED` record, and a
-//! `META` record holding the registry version the payload was cut from —
-//! the version a successful decode acknowledges. Update frames carry
-//! module records, `SHARED`, one importance row per layer, and `META`
-//! holding the device's data volume.
+//! `META` record holding a reserved 0. Update frames carry module
+//! records, `SHARED`, one importance row per layer, and `META` holding
+//! the device's data volume.
 
 use crate::aggregate::ModuleUpdate;
 use crate::cloud::SubModelPayload;
@@ -29,7 +22,7 @@ use nebula_modular::{ModularModel, SubModelSpec};
 use nebula_telemetry::Telemetry;
 use nebula_wire::codec::{self, CodecKind};
 use nebula_wire::frame::{FrameBuilder, FrameKind, FrameView, ModuleKey};
-use nebula_wire::{FrameKey, ModuleRegistry, ResidualStore, WireError};
+use nebula_wire::{FrameKey, ResidualStore, WireError};
 use std::collections::BTreeMap;
 
 /// Transport configuration, chosen per strategy/config.
@@ -37,8 +30,7 @@ use std::collections::BTreeMap;
 pub struct WireConfig {
     /// Codec for module traffic in both directions.
     pub codec: CodecKind,
-    /// Upload sparsification threshold for `DeltaFp32` (|delta| ≤
-    /// threshold is dropped). Downloads always use 0 (exact).
+    /// Unread (no codec sparsifies); kept while `nebula_benchmark` names it.
     pub delta_threshold: f32,
     /// Master key for frame authentication. When set, every frame is cut
     /// with a per-device SipHash-2-4 MAC and every decode verifies it
@@ -57,10 +49,6 @@ impl WireConfig {
         Self::default()
     }
 
-    pub fn delta(threshold: f32) -> Self {
-        WireConfig { codec: CodecKind::DeltaFp32, delta_threshold: threshold, auth_key: None }
-    }
-
     pub fn int8() -> Self {
         WireConfig { codec: CodecKind::QuantInt8, delta_threshold: 0.0, auth_key: None }
     }
@@ -73,11 +61,10 @@ impl WireConfig {
     }
 }
 
-/// Cloud-side transport state: the baseline registry plus error-feedback
-/// residual stores for both directions.
+/// Transport state: the error-feedback residual stores for both
+/// directions and the master MAC key.
 pub struct WireContext {
     cfg: WireConfig,
-    registry: ModuleRegistry,
     /// Upload error feedback, keyed by the sending device.
     up_residuals: ResidualStore,
     /// Download error feedback, keyed by the receiving device.
@@ -89,12 +76,9 @@ pub struct WireContext {
 }
 
 impl WireContext {
-    /// Four retained baseline versions cover the round loop's maximum
-    /// staleness (retry depth + one straggler round) with slack.
     pub fn new(cfg: WireConfig) -> Self {
         WireContext {
             cfg,
-            registry: ModuleRegistry::new(4),
             up_residuals: ResidualStore::new(),
             down_residuals: ResidualStore::new(),
             master_key: cfg.auth_key.as_ref().map(FrameKey::from_bytes),
@@ -117,59 +101,31 @@ impl WireContext {
         self.cfg
     }
 
-    /// Commit the cloud model's current parameters as the baselines for
-    /// this round's traffic. Call once per round, after aggregation (or
-    /// rollback) settles and before the first dispatch. Returns the new
-    /// registry version. `Raw`/`QuantInt8` never read baselines, so the
-    /// commit is skipped entirely for them.
-    pub fn commit_model(&mut self, model: &ModularModel) -> u64 {
-        if self.cfg.codec != CodecKind::DeltaFp32 {
-            return self.registry.version();
-        }
-        let v = self.registry.begin_version();
-        let modules_per_layer = model.config().modules_per_layer;
-        for l in 0..model.num_layers() {
-            for i in 0..modules_per_layer {
-                self.registry.put(ModuleKey::module(l, i), v, &model.module_param_vector(l, i));
-            }
-        }
-        self.registry.put(ModuleKey::SHARED, v, &model.shared_param_vector());
-        v
+    /// Does nothing and returns 0 (no codec reads a baseline); kept while
+    /// `nebula_benchmark` calls it.
+    pub fn commit_model(&self, _model: &ModularModel) -> u64 {
+        0
     }
 
     /// Encode a cloud → device payload into `out` (cleared). Returns the
     /// frame length — the measured download size.
     pub fn encode_payload(&mut self, device: u64, payload: &SubModelPayload, out: &mut Vec<u8>) -> usize {
-        // Registry version this payload was cut from; acked on decode.
-        let version = self.registry.version();
         self.encode_frame(
             FrameKind::Payload,
             device,
             &payload.module_params,
             &payload.shared_params,
             out,
-            |b| {
-                b.record(ModuleKey::META, CodecKind::Raw, 0, 0, |o| {
-                    o.extend_from_slice(&version.to_le_bytes())
-                })
-            },
+            |b| b.record(ModuleKey::META, CodecKind::Raw, 0, |o| o.extend_from_slice(&0u64.to_le_bytes())),
         )
     }
 
-    /// Decode a payload frame on behalf of `device`. On success the
-    /// device's holdings are acknowledged at the payload's registry
-    /// version, so the next download can be a delta. Any error leaves the
-    /// ack state untouched (the sender retries the identical frame).
+    /// Decode a payload frame on behalf of `device`, verifying its MAC
+    /// under the device's derived key when auth is enabled.
     pub fn decode_payload(&mut self, device: u64, bytes: &[u8]) -> Result<SubModelPayload, WireError> {
-        let (payload, _, version) = self
+        let (payload, _, _) = self
             .decode_frame(device, bytes, false)
             .inspect_err(|e| self.note_decode_error("down", device, e))?;
-        if version > 0 {
-            for &(l, i) in payload.module_params.keys() {
-                self.registry.ack(device, ModuleKey::module(l, i), version);
-            }
-            self.registry.ack(device, ModuleKey::SHARED, version);
-        }
         Ok(payload)
     }
 
@@ -179,19 +135,15 @@ impl WireContext {
         self.encode_frame(FrameKind::Update, device, &update.module_params, &update.shared_params, out, |b| {
             // Importance rows and metadata are tiny: always raw.
             for (l, row) in update.importance.iter().enumerate() {
-                b.record(ModuleKey::importance(l), CodecKind::Raw, 0, row.len(), |o| {
-                    codec::encode_raw(row, o)
-                });
+                b.record(ModuleKey::importance(l), CodecKind::Raw, row.len(), |o| codec::encode_raw(row, o));
             }
             let volume = update.data_volume as u64;
-            b.record(ModuleKey::META, CodecKind::Raw, 0, 0, |o| o.extend_from_slice(&volume.to_le_bytes()));
+            b.record(ModuleKey::META, CodecKind::Raw, 0, |o| o.extend_from_slice(&volume.to_le_bytes()));
         })
     }
 
     /// Decode an update frame attributed to `device`, verifying its MAC
-    /// under the device's derived key when auth is enabled. Stale delta
-    /// uploads (baseline version already evicted) surface as
-    /// [`WireError::StaleBaseline`].
+    /// under the device's derived key when auth is enabled.
     pub fn decode_update_from(&mut self, device: u64, bytes: &[u8]) -> Result<ModuleUpdate, WireError> {
         let (payload, importance, volume) = self
             .decode_frame(device, bytes, true)
@@ -201,10 +153,9 @@ impl WireContext {
     }
 
     /// Cut a module frame of `kind` for `device`: the modules in key
-    /// order, then `SHARED`, each under the configured codec against what
-    /// the device acked, then the caller's `tail` records. A payload goes
-    /// down exactly (delta threshold 0) with download residuals, an update
-    /// up under the configured threshold with upload residuals.
+    /// order, then `SHARED`, each under the configured codec, then the
+    /// caller's `tail` records. A payload carries download residuals, an
+    /// update upload residuals.
     fn encode_frame(
         &mut self,
         kind: FrameKind,
@@ -214,20 +165,15 @@ impl WireContext {
         out: &mut Vec<u8>,
         tail: impl FnOnce(&mut FrameBuilder<'_>),
     ) -> usize {
-        let (dir, threshold, residuals) = match kind {
-            FrameKind::Payload => ("down", 0.0, &mut self.down_residuals),
-            _ => ("up", self.cfg.delta_threshold, &mut self.up_residuals),
+        let (dir, residuals) = match kind {
+            FrameKind::Payload => ("down", &mut self.down_residuals),
+            _ => ("up", &mut self.up_residuals),
         };
-        let registry = &self.registry;
         let mut b = FrameBuilder::begin(out, kind, self.cfg.codec);
         let records = modules.iter().map(|(&(l, i), v)| (ModuleKey::module(l, i), v.as_slice()));
         for (key, values) in records.chain([(ModuleKey::SHARED, shared)]) {
-            let acked = registry.acked_version(device, key);
-            let base = acked.and_then(|v| registry.baseline(key, v).ok().map(|base| (v, base)));
             let store = &mut *residuals;
-            b.values(key, self.cfg.codec, values, base, threshold, move || {
-                store.residual(device, key, values.len())
-            });
+            b.values(key, self.cfg.codec, values, move || store.residual(device, key, values.len()));
         }
         tail(&mut b);
         let n = b.finish_keyed(self.key_for(device).as_ref());
@@ -245,7 +191,6 @@ impl WireContext {
         importance: bool,
     ) -> Result<(SubModelPayload, Vec<Vec<f32>>, u64), WireError> {
         let view = FrameView::parse_keyed(bytes, self.key_for(device).as_ref())?;
-        let baseline = |key, version| self.registry.baseline(key, version);
         let mut module_params = BTreeMap::new();
         let mut shared_params = Vec::new();
         let mut rows: Vec<(usize, Vec<f32>)> = Vec::new();
@@ -253,10 +198,10 @@ impl WireContext {
         for rec in view.records() {
             if rec.key.is_module() {
                 let mut values = Vec::new();
-                rec.decode(baseline, &mut values)?;
+                rec.decode(&mut values)?;
                 module_params.insert((rec.key.layer as usize, rec.key.module as usize), values);
             } else if rec.key.is_shared() {
-                rec.decode(baseline, &mut shared_params)?;
+                rec.decode(&mut shared_params)?;
             } else if importance && rec.key.is_importance() {
                 let mut row = Vec::new();
                 codec::decode_raw(rec.payload, rec.elems, &mut row)?;
@@ -293,7 +238,7 @@ impl WireContext {
 
     /// Telemetry for a failed decode, classifying CRC rejects (transit
     /// corruption) and MAC rejects (forgery / downgrade) apart from
-    /// structural/baseline errors.
+    /// structural errors.
     fn note_decode_error(&self, dir: &'static str, device: u64, err: &WireError) {
         if !self.telemetry.enabled() {
             return;
@@ -390,60 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_downloads_shrink_once_warm() {
-        let c = cloud();
-        let mut wire = WireContext::new(WireConfig::delta(0.0));
-        wire.commit_model(c.model());
-        let payload = c.dispatch(&spec());
-        let mut frame = Vec::new();
-        let cold = wire.encode_payload(7, &payload, &mut frame);
-        let back = wire.decode_payload(7, &frame).unwrap();
-        assert_eq!(back.shared_params, payload.shared_params);
-
-        // Same parameters again: every delta is empty.
-        wire.commit_model(c.model());
-        let warm = wire.encode_payload(7, &payload, &mut frame);
-        assert!(warm < cold / 4, "warm {warm} vs cold {cold}");
-        let back = wire.decode_payload(7, &frame).unwrap();
-        assert_eq!(back.shared_params, payload.shared_params);
-        for (k, v) in &payload.module_params {
-            assert_eq!(&back.module_params[k], v, "warm delta download must stay exact");
-        }
-    }
-
-    #[test]
-    fn delta_upload_against_acked_baseline() {
-        let c = cloud();
-        let mut wire = WireContext::new(WireConfig::delta(0.0));
-        wire.commit_model(c.model());
-        let payload = c.dispatch(&spec());
-        let mut frame = Vec::new();
-        wire.encode_payload(7, &payload, &mut frame);
-        wire.decode_payload(7, &frame).unwrap();
-
-        // Device nudges a couple of parameters and uploads.
-        let mut update = ModuleUpdate {
-            spec: payload.spec.clone(),
-            module_params: payload.module_params.clone(),
-            shared_params: payload.shared_params.clone(),
-            importance: vec![vec![0.25; 4]; 2],
-            data_volume: 12,
-        };
-        update.shared_params[0] += 1.0;
-        if let Some(m) = update.module_params.get_mut(&(0, 0)) {
-            m[0] += 0.5;
-        }
-        let raw_size: usize =
-            4 * (update.shared_params.len() + update.module_params.values().map(Vec::len).sum::<usize>());
-        let n = wire.encode_update(7, &update, &mut frame);
-        assert!(n < raw_size / 2, "delta upload {n} not smaller than raw {raw_size}");
-        let back = wire.decode_update_from(7, &frame).unwrap();
-        assert_eq!(back.shared_params, update.shared_params);
-        assert_eq!(back.module_params[&(0, 0)], update.module_params[&(0, 0)]);
-        assert_eq!(back.data_volume, 12);
-    }
-
-    #[test]
     fn q8_round_trip_is_bounded_and_small() {
         let c = cloud();
         let mut wire = WireContext::new(WireConfig::int8());
@@ -465,17 +356,16 @@ mod tests {
 
     /// After two devices' three-round session each codec's context holds
     /// only what that codec reads: `Raw` nothing, `QuantInt8` its
-    /// error-feedback carries, `DeltaFp32` committed baselines and acks.
+    /// error-feedback carries.
     #[test]
     fn wire_contexts_hold_only_what_their_codec_reads() {
         let holds_residuals =
             |store: &ResidualStore| format!("{store:?}") != format!("{:?}", ResidualStore::new());
         let c = cloud();
-        for cfg in [WireConfig::raw(), WireConfig::int8(), WireConfig::delta(0.0)] {
+        for cfg in [WireConfig::raw(), WireConfig::int8()] {
             let mut wire = WireContext::new(cfg);
             let mut frame = Vec::new();
             for round in 0..3 {
-                wire.commit_model(c.model());
                 for device in [3, 9] {
                     wire.encode_payload(device, &c.dispatch(&spec()), &mut frame);
                     let payload = wire.decode_payload(device, &frame).unwrap();
@@ -491,17 +381,9 @@ mod tests {
                     wire.decode_update_from(device, &frame).unwrap();
                 }
             }
-            let (int8, delta) = (cfg.codec == CodecKind::QuantInt8, cfg.codec == CodecKind::DeltaFp32);
+            let int8 = cfg.codec == CodecKind::QuantInt8;
             assert_eq!(holds_residuals(&wire.down_residuals), int8, "{:?}", cfg.codec);
             assert_eq!(holds_residuals(&wire.up_residuals), int8, "{:?}", cfg.codec);
-            assert_eq!(wire.registry.version(), if delta { 3 } else { 0 }, "{:?}", cfg.codec);
-            assert_eq!(wire.registry.baseline(ModuleKey::SHARED, 3).is_ok(), delta, "{:?}", cfg.codec);
-            for device in [3, 9] {
-                for key in [ModuleKey::SHARED, ModuleKey::module(0, 0), ModuleKey::module(1, 1)] {
-                    let acked = wire.registry.acked_version(device, key);
-                    assert_eq!(acked, delta.then_some(3), "{:?} {key:?}", cfg.codec);
-                }
-            }
         }
     }
 

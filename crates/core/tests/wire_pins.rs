@@ -17,11 +17,10 @@
 //! the new bytes have `_V2` pins of their own.
 //!
 //! The session pins run two devices on different specs through several
-//! rounds of downloads and uploads under every codec: cold raw frames,
-//! warm deltas at thresholds 0 and 0.01, a round that moves every value
-//! so deltas fall back to raw, int8 error feedback carried across rounds
-//! with and without auth, and a residual module shipped as an empty raw
-//! record. The dense pins do the same through a `DensePool`, whose down
+//! rounds of downloads and uploads under every codec: raw frames, a
+//! round that moves every value, int8 error feedback carried across
+//! rounds with and without auth, and a residual module shipped as an
+//! empty raw record. The dense pins do the same through a `DensePool`, whose down
 //! and up blobs differ in length and whose down blob changes length once.
 
 use nebula_core::checkpoint::{decode_binary, encode_binary, Checkpoint, CheckpointConfig};
@@ -217,21 +216,15 @@ fn snapshot_journal_and_checkpoint_keep_their_bytes() {
 /// and update frame cut, and every value, importance row and volume
 /// they decode to.
 const PINNED_SESSION_RAW: (u64, u64) = (0x0c32_d66d_7b3e_1622, 0xd2fa_93df_e504_2677);
-const PINNED_SESSION_DELTA_0: (u64, u64) = (0xf7d7_4bc2_0799_18a7, 0xd2fa_93df_e504_2677);
-const PINNED_SESSION_DELTA_001: (u64, u64) = (0x0b49_b6ec_c467_c190, 0x284c_8e5f_1881_3f69);
-const PINNED_SESSION_DELTA_001_AUTHED: (u64, u64) = (0x39eb_060a_612e_ba8d, 0x284c_8e5f_1881_3f69);
 const PINNED_SESSION_INT8: (u64, u64) = (0x1984_afc8_c4ed_2b77, 0x7a72_2968_b58f_c614);
 const PINNED_SESSION_INT8_AUTHED: (u64, u64) = (0x0bbc_af7d_5223_0b54, 0x7a72_2968_b58f_c614);
 /// `(bytes, decoded)` digests of [`dense_session`] per codec.
 const PINNED_DENSE_RAW: (u64, u64) = (0x97ef_dc4a_392b_a3dd, 0xc6b3_93fc_7976_ebbb);
-const PINNED_DENSE_DELTA_0: (u64, u64) = (0xf0e7_a5f2_23a2_9cf5, 0xc6b3_93fc_7976_ebbb);
-const PINNED_DENSE_DELTA_001: (u64, u64) = (0x8d96_6dc6_27d6_7395, 0x8ad9_afe4_9318_1a3a);
 const PINNED_DENSE_INT8: (u64, u64) = (0xfe33_1c01_68d2_4a55, 0xb237_ff74_8518_231c);
 
 const ROUNDS: usize = 5;
-/// The round before which the model moves in every coordinate, so each
-/// warm delta download of that round comes out dense and falls back to
-/// raw; device uploads of the same round move densely too.
+/// The round before which the model moves in every coordinate; device
+/// uploads of the same round move densely too.
 const DENSE_ROUND: usize = 3;
 
 /// Running FNV-1a over a sequence of byte strings.
@@ -255,8 +248,7 @@ impl Fold {
 }
 
 /// Moves every `stride`-th value of `v` from `offset` on, alternating
-/// steps below and above 0.01 (the sparsifying threshold pinned here);
-/// `stride` 1 moves every value.
+/// steps of 0.004 and -0.06; `stride` 1 moves every value.
 fn nudge(v: &mut [f32], offset: usize, stride: usize) {
     for (n, x) in v.iter_mut().skip(offset % stride.max(1)).step_by(stride).enumerate() {
         *x += if n % 2 == 0 { 0.004 } else { -0.06 };
@@ -264,8 +256,8 @@ fn nudge(v: &mut [f32], offset: usize, stride: usize) {
 }
 
 /// Codec id and element count of each module and `SHARED` record of a
-/// frame, in frame order: what the pins below assert about cold, warm
-/// and fallback frames.
+/// frame, in frame order: what the pins below assert about each frame's
+/// records.
 fn record_codecs(frame: &[u8], key: Option<&FrameKey>) -> Vec<(u8, usize)> {
     let view = FrameView::parse_keyed(frame, key).expect("session frame parses");
     view.records()
@@ -280,8 +272,8 @@ fn assert_codecs(codecs: &[(u8, usize)], want: u8, what: &str) {
 }
 
 /// Two devices on different specs (device 9's holds the residual
-/// module) over [`ROUNDS`] rounds against a committed toy model that is
-/// nudged sparsely between rounds and densely before [`DENSE_ROUND`].
+/// module) over [`ROUNDS`] rounds against a toy model that is nudged
+/// sparsely between rounds and densely before [`DENSE_ROUND`].
 /// Each round every device downloads its sub-model, moves a few of the
 /// values it decoded and uploads them. Returns the `(frames, decoded)`
 /// digests.
@@ -299,7 +291,6 @@ fn session(cfg: WireConfig) -> (u64, u64) {
     let (mut frames, mut decoded) = (Fold::new(), Fold::new());
     let mut frame = Vec::new();
     for round in 0..ROUNDS {
-        wire.commit_model(&model);
         for (device, spec, residuals) in &devices {
             let key = keyed.as_ref().map(|k| k.derive(*device));
             let mut module_params = BTreeMap::new();
@@ -316,14 +307,9 @@ fn session(cfg: WireConfig) -> (u64, u64) {
             wire.encode_payload(*device, &payload, &mut frame);
             frames.bytes(&frame);
             let codecs = record_codecs(&frame, key.as_ref());
-            match (cfg.codec, round) {
-                (CodecKind::Raw, _) => assert_codecs(&codecs, 0, "raw payload"),
-                (CodecKind::DeltaFp32, 0) => assert_codecs(&codecs, 0, "cold payload"),
-                (CodecKind::DeltaFp32, DENSE_ROUND) => {
-                    assert_codecs(&codecs, 0, "dense move falls back to raw")
-                }
-                (CodecKind::DeltaFp32, _) => assert_codecs(&codecs, 1, "warm payload"),
-                (CodecKind::QuantInt8, _) => {
+            match cfg.codec {
+                CodecKind::Raw => assert_codecs(&codecs, 0, "raw payload"),
+                CodecKind::QuantInt8 => {
                     assert_codecs(&codecs, 2, "int8 payload");
                     // Each residual module ships as an empty raw record.
                     assert_eq!(codecs.iter().filter(|&&r| r == (0, 0)).count(), *residuals);
@@ -356,20 +342,12 @@ fn session(cfg: WireConfig) -> (u64, u64) {
             nudge(&mut update.shared_params, round, stride);
             wire.encode_update(*device, &update, &mut frame);
             frames.bytes(&frame);
-            let codecs = record_codecs(&frame, key.as_ref());
-            match (cfg.codec, round) {
-                (CodecKind::DeltaFp32, DENSE_ROUND) if cfg.delta_threshold == 0.0 => {
-                    assert_codecs(&codecs, 0, "dense upload falls back to raw")
-                }
-                (CodecKind::DeltaFp32, DENSE_ROUND) => {}
-                (CodecKind::DeltaFp32, _) => assert_codecs(&codecs, 1, "warm upload"),
-                (codec, _) => assert_codecs(&codecs, codec.id(), "upload"),
-            }
+            assert_codecs(&record_codecs(&frame, key.as_ref()), cfg.codec.id(), "upload");
             let back = wire.decode_update_from(*device, &frame).expect("session update decodes");
             assert_eq!(back.spec, update.spec);
             assert_eq!(back.importance, update.importance);
             assert_eq!(back.data_volume, update.data_volume);
-            if cfg.codec == CodecKind::Raw || cfg == WireConfig::delta(0.0) {
+            if cfg.codec == CodecKind::Raw {
                 assert_eq!(back.module_params, update.module_params, "lossless upload");
                 assert_eq!(back.shared_params, update.shared_params, "lossless upload");
             }
@@ -401,9 +379,6 @@ fn session(cfg: WireConfig) -> (u64, u64) {
 fn session_frames_keep_their_bytes_and_values() {
     let cases = [
         ("raw", WireConfig::raw(), PINNED_SESSION_RAW),
-        ("delta 0", WireConfig::delta(0.0), PINNED_SESSION_DELTA_0),
-        ("delta 0.01", WireConfig::delta(0.01), PINNED_SESSION_DELTA_001),
-        ("delta 0.01 authed", WireConfig::delta(0.01).with_auth(KEY), PINNED_SESSION_DELTA_001_AUTHED),
         ("int8", WireConfig::int8(), PINNED_SESSION_INT8),
         ("int8 authed", WireConfig::int8().with_auth(KEY), PINNED_SESSION_INT8_AUTHED),
     ];
@@ -417,8 +392,8 @@ fn session_frames_keep_their_bytes_and_values() {
 /// in every value before [`DENSE_ROUND`]; in the last round the down blob
 /// shrinks, so a warm channel meets a new shape. A second device joins
 /// cold in round 2. Returns the `(bytes, decoded)` digests.
-fn dense_session(codec: CodecKind, threshold: f32) -> (u64, u64) {
-    let mut pool = DensePool::new(codec, threshold);
+fn dense_session(codec: CodecKind) -> (u64, u64) {
+    let mut pool = DensePool::new(codec, 0.0);
     let (mut down, mut up) = (floats(200, 600), floats(201, 450));
     let (mut sizes, mut decoded) = (Fold::new(), Fold::new());
     let mut out = Vec::new();
@@ -436,7 +411,7 @@ fn dense_session(codec: CodecKind, threshold: f32) -> (u64, u64) {
             let n = pool.send_up(device, &up, &mut out).expect("dense upload decodes");
             sizes.bytes(&n.to_le_bytes());
             decoded.floats(&out);
-            if codec == CodecKind::Raw || threshold == 0.0 && codec == CodecKind::DeltaFp32 {
+            if codec == CodecKind::Raw {
                 assert_eq!(out, up, "lossless dense upload");
             }
         }
@@ -446,14 +421,9 @@ fn dense_session(codec: CodecKind, threshold: f32) -> (u64, u64) {
 
 #[test]
 fn dense_pool_keeps_its_sizes_and_values() {
-    let cases = [
-        ("raw", CodecKind::Raw, 0.0, PINNED_DENSE_RAW),
-        ("delta 0", CodecKind::DeltaFp32, 0.0, PINNED_DENSE_DELTA_0),
-        ("delta 0.01", CodecKind::DeltaFp32, 0.01, PINNED_DENSE_DELTA_001),
-        ("int8", CodecKind::QuantInt8, 0.0, PINNED_DENSE_INT8),
-    ];
-    let got: Vec<_> =
-        cases.iter().map(|&(name, codec, threshold, _)| (name, dense_session(codec, threshold))).collect();
-    let pinned: Vec<_> = cases.iter().map(|&(name, _, _, pinned)| (name, pinned)).collect();
+    let cases =
+        [("raw", CodecKind::Raw, PINNED_DENSE_RAW), ("int8", CodecKind::QuantInt8, PINNED_DENSE_INT8)];
+    let got: Vec<_> = cases.iter().map(|&(name, codec, _)| (name, dense_session(codec))).collect();
+    let pinned: Vec<_> = cases.iter().map(|&(name, _, pinned)| (name, pinned)).collect();
     assert_eq!(got, pinned, "dense sessions changed: {got:#018x?}");
 }

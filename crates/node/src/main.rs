@@ -188,8 +188,8 @@ fn coordinator_cmd(args: &[String]) -> Result<ExitCode, String> {
     }
     let worker_config = WorkerRunConfig {
         modular: Some(strategy_cfg.modular.clone()),
-        delta_threshold: strategy_cfg.wire.delta_threshold,
         payload_auth: auth.is_some(),
+        ..WorkerRunConfig::default()
     };
     let mut cfg = ServeConfig::new(worker_config);
     cfg.tcp = flags.get("tcp").map(String::from);

@@ -96,8 +96,7 @@ pub struct WorkerRunConfig {
     /// Architecture of the modular model, when the run dispatches
     /// Nebula jobs. `None` leaves the worker dense-only.
     pub modular: Option<ModularConfig>,
-    /// Upload sparsification threshold (unused under `Raw`; carried so
-    /// a future delta-capable plane needs no schema change).
+    /// Unread (no codec sparsifies); kept while `nebula_benchmark` names it.
     pub delta_threshold: f32,
     /// Whether the *inner* payload/update frames are device-MAC'd (the
     /// strategy's `WireConfig::auth_key` is set coordinator-side). The

@@ -122,12 +122,12 @@ fn finish(b: FrameBuilder<'_>, key: Option<&FrameKey>) -> usize {
 
 fn push_header(b: &mut FrameBuilder<'_>, header: &Header) -> Result<(), ServeError> {
     let json = serde_json::to_string(header).map_err(|e| ServeError::Proto(e.to_string()))?;
-    b.record(SLOT_HEADER, CodecKind::Raw, 0, 0, |o| o.extend_from_slice(json.as_bytes()));
+    b.record(SLOT_HEADER, CodecKind::Raw, 0, |o| o.extend_from_slice(json.as_bytes()));
     Ok(())
 }
 
 fn push_f32s(b: &mut FrameBuilder<'_>, slot: ModuleKey, xs: &[f32]) {
-    b.record(slot, CodecKind::Raw, 0, xs.len(), |o| codec::encode_raw(xs, o));
+    b.record(slot, CodecKind::Raw, xs.len(), |o| codec::encode_raw(xs, o));
 }
 
 fn parse_f32s(payload: &[u8]) -> Result<Vec<f32>, ServeError> {
@@ -164,7 +164,7 @@ pub fn encode_job(
         JobSpec::Modular { frame } => {
             header.spec = "modular".into();
             push_header(&mut b, &header)?;
-            b.record(SLOT_MODEL, CodecKind::Raw, 0, 0, |o| o.extend_from_slice(frame));
+            b.record(SLOT_MODEL, CodecKind::Raw, 0, |o| o.extend_from_slice(frame));
         }
         JobSpec::Dense { input, width, blocks, block_hidden, classes, ratio, params } => {
             header.spec = "dense".into();
@@ -180,7 +180,7 @@ pub fn encode_job(
     }
     push_f32s(&mut b, SLOT_FEATURES, job.data.features().data());
     let labels = job.data.labels();
-    b.record(SLOT_LABELS, CodecKind::Raw, 0, labels.len(), |o| {
+    b.record(SLOT_LABELS, CodecKind::Raw, labels.len(), |o| {
         for &y in labels {
             o.extend_from_slice(&(y as u32).to_le_bytes());
         }
@@ -209,7 +209,7 @@ pub fn encode_result(
             header.spec = "modular".into();
             header.ok = true;
             push_header(&mut b, &header)?;
-            b.record(SLOT_MODEL, CodecKind::Raw, 0, 0, |o| o.extend_from_slice(frame));
+            b.record(SLOT_MODEL, CodecKind::Raw, 0, |o| o.extend_from_slice(frame));
         }
         Ok(JobResult::Params(params)) => {
             header.spec = "dense".into();
@@ -472,9 +472,9 @@ mod tests {
         let mut buf = Vec::new();
         let mut b = begin(&mut buf);
         push_header(&mut b, header).unwrap();
-        b.record(SLOT_MODEL, CodecKind::Raw, 0, 0, |o| o.extend_from_slice(&[9, 8, 7]));
+        b.record(SLOT_MODEL, CodecKind::Raw, 0, |o| o.extend_from_slice(&[9, 8, 7]));
         push_f32s(&mut b, SLOT_FEATURES, features);
-        b.record(SLOT_LABELS, CodecKind::Raw, 0, labels.len(), |o| {
+        b.record(SLOT_LABELS, CodecKind::Raw, labels.len(), |o| {
             labels.iter().for_each(|y| o.extend_from_slice(&y.to_le_bytes()))
         });
         finish(b, key);

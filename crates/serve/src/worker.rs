@@ -248,11 +248,8 @@ fn run_session(
         }
     }
 
-    let wire = WireConfig {
-        codec: CodecKind::Raw,
-        delta_threshold: run_cfg.delta_threshold,
-        auth_key: if run_cfg.payload_auth { cfg.auth_key } else { None },
-    };
+    let wire =
+        WireConfig { auth_key: if run_cfg.payload_auth { cfg.auth_key } else { None }, ..WireConfig::raw() };
     let runner = Arc::new(CompositeRunner {
         modular: run_cfg.modular.map(|m| ModularRunner::new(m, wire)),
         dense: DenseJobRunner,

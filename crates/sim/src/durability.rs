@@ -29,7 +29,7 @@
 //! point to replay. The snapshot therefore captures the harness RNG, the
 //! world RNG, the fault-plan round cursor, all outcome accumulators, and
 //! the full strategy state ([`StrategyState`]). Strategies whose wire
-//! codec keeps cross-round compression state (delta / int8 baselines)
+//! codec keeps cross-round compression state (int8 residuals)
 //! refuse to export ([`AdaptStrategy::export_state`] returns `None`) and
 //! the durable drivers report [`RunError::UnsupportedStrategy`] up front
 //! rather than silently producing a divergent resume.
@@ -262,15 +262,9 @@ impl DurabilityConfig {
 
 /// Durable-driver options: persistence knobs plus chaos hooks.
 #[derive(Clone, Debug)]
-pub struct DurableOptions {
+pub(crate) struct DurableOptions {
     pub durability: DurabilityConfig,
     pub chaos: ChaosControl,
-}
-
-impl DurableOptions {
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self { durability: DurabilityConfig::new(dir), chaos: ChaosControl::default() }
-    }
 }
 
 /// One write-ahead journal record: what a single completed round produced.

@@ -16,10 +16,6 @@ use crate::world::SimWorld;
 use nebula_tensor::NebulaRng;
 use serde::Serialize;
 
-pub use crate::durability::{
-    ChaosControl, DurabilityConfig, DurableOptions, KillSpot, RoundRecord, RunError, RunState,
-};
-
 /// Shared experiment-scale knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ExperimentConfig {
@@ -113,6 +109,7 @@ pub fn mean_accuracy(strategy: &mut dyn AdaptStrategy, world: &mut SimWorld, ids
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durability::RunError;
     use crate::resources::ResourceSampler;
     use crate::runner::Runner;
     use crate::strategy::{NebulaStrategy, NoAdaptStrategy, StrategyConfig};

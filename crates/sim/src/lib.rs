@@ -51,9 +51,7 @@ pub mod world;
 
 pub use contention::contention_multiplier;
 pub use device::SimDevice;
-pub use durability::{
-    ChaosControl, DurabilityConfig, DurableOptions, KillSpot, RoundRecord, RunError, RunState,
-};
+pub use durability::{ChaosControl, DurabilityConfig, KillSpot, RoundRecord, RunError, RunState};
 pub use experiment::{AdaptationOutcome, ExperimentConfig};
 pub use faults::{
     AdversaryPlan, AttackPersona, CorruptionKind, DeviceFate, FaultPlan, RoundPolicy, RoundReport,

@@ -34,7 +34,7 @@ use crate::experiment::{mean_accuracy, pick_eval_ids, ExperimentConfig};
 use crate::strategy::AdaptStrategy;
 use crate::world::SimWorld;
 use nebula_core::stats::RoundStats;
-use nebula_core::{RobustAggregator, SanitizePolicy, SnapshotStore};
+use nebula_core::SnapshotStore;
 use nebula_telemetry::{Span, Telemetry};
 use nebula_tensor::NebulaRng;
 use serde::Serialize;
@@ -79,8 +79,6 @@ pub struct Runner<'a> {
     chaos: ChaosControl,
     resume: bool,
     telemetry: Telemetry,
-    sanitize: Option<SanitizePolicy>,
-    aggregator: Option<RobustAggregator>,
     transport: Option<Box<dyn nebula_core::Transport>>,
 }
 
@@ -99,8 +97,6 @@ impl<'a> Runner<'a> {
             chaos: ChaosControl::default(),
             resume: false,
             telemetry: Telemetry::off(),
-            sanitize: None,
-            aggregator: None,
             transport: None,
         }
     }
@@ -146,22 +142,6 @@ impl<'a> Runner<'a> {
         self
     }
 
-    /// Replace the sanitize gate the strategy's cloud applies before
-    /// aggregation. Applied via [`AdaptStrategy::set_sanitize_policy`];
-    /// strategies without a gate ignore it.
-    pub fn sanitize(mut self, policy: SanitizePolicy) -> Self {
-        self.sanitize = Some(policy);
-        self
-    }
-
-    /// Select the module-wise combine rule used at aggregation. Applied
-    /// via [`AdaptStrategy::set_aggregator`]; strategies without
-    /// module-wise aggregation ignore it.
-    pub fn aggregator(mut self, aggregator: RobustAggregator) -> Self {
-        self.aggregator = Some(aggregator);
-        self
-    }
-
     /// Route the strategy's training dispatch through a
     /// [`nebula_core::Transport`] (e.g. [`nebula_core::Loopback`] or a
     /// serving-plane socket transport) instead of the in-process path.
@@ -194,31 +174,13 @@ impl<'a> Runner<'a> {
             }
         }
         mode.validate(self.world, &self.cfg)?;
-        let Runner {
-            world,
-            strategy,
-            cfg,
-            durability,
-            chaos,
-            resume,
-            telemetry,
-            sanitize,
-            aggregator,
-            transport,
-            ..
-        } = self;
+        let Runner { world, strategy, cfg, durability, chaos, resume, telemetry, transport, .. } = self;
         if let Some(d) = &durability {
             d.validate()?;
         }
         let opts = durability.map(|d| DurableOptions { durability: d, chaos });
 
         strategy.set_telemetry(telemetry.clone());
-        if let Some(policy) = sanitize {
-            strategy.set_sanitize_policy(policy);
-        }
-        if let Some(agg) = aggregator {
-            strategy.set_aggregator(agg);
-        }
         if let Some(t) = transport {
             strategy.set_transport(t);
         }

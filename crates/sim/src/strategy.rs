@@ -116,8 +116,8 @@ pub struct StrategyConfig {
     /// Proxy dataset size.
     pub proxy_samples: usize,
     /// Wire transport configuration for all module/model traffic. The
-    /// default (`Raw`) is bit-identical to the analytic exchange; delta
-    /// and int8 codecs shrink the *measured* bytes.
+    /// default (`Raw`) is bit-identical to the analytic exchange; the
+    /// int8 codec shrinks the *measured* bytes.
     pub wire: WireConfig,
     /// Module-wise combine rule applied behind the sanitize gate (Nebula
     /// only). The default `WeightedMean` is the paper's importance-weighted
@@ -171,7 +171,7 @@ impl StrategyConfig {
     /// Per-device dense channel pool matching the configured wire codec
     /// (used by the flat-model baselines).
     fn dense_pool(&self) -> DensePool {
-        DensePool::new(self.wire.codec, self.wire.delta_threshold)
+        DensePool::new(self.wire.codec, 0.0)
     }
 
     /// Dense model matching the full modular capacity: each block's hidden
@@ -526,9 +526,8 @@ impl<const HETERO: bool> AdaptStrategy for DenseFlStrategy<HETERO> {
     }
 
     fn export_state(&self) -> Option<StrategyState> {
-        // Delta/int8 dense channels carry baseline and error-feedback
-        // history that a snapshot does not capture; only Raw resumes
-        // bit-identically.
+        // Int8 dense channels carry error-feedback history that a
+        // snapshot does not capture; only Raw resumes bit-identically.
         (self.cfg.wire.codec == CodecKind::Raw).then(|| dense_export(self.name(), &self.server))
     }
 
@@ -633,7 +632,7 @@ pub struct NebulaStrategy {
     /// Checkpoint-rollback guard: probe dataset + max tolerated accuracy
     /// drop per aggregation. Off by default.
     rollback: Option<(Dataset, f32)>,
-    /// Module transport: registry, codecs and per-device residual state.
+    /// Module transport: codecs and per-device residual state.
     wire: WireContext,
     /// Reusable frame buffer for all encode/decode round trips.
     frame_buf: Vec<u8>,
@@ -706,9 +705,6 @@ impl NebulaStrategy {
         let mut round = Round::begin(&self.telemetry, world, self.cfg.devices_per_round);
         // Read-only from here on: the jobs borrow their devices' data.
         let world = &*world;
-        // Baselines for this round's wire traffic (no-op for non-delta
-        // codecs).
-        self.wire.commit_model(self.cloud.model());
         let mut devices = self.derive_and_frame(&mut round, world, rng);
         let round_time_ms = gate(&round.policy, &mut devices, &mut round.report);
         let devices = self.train(&round, devices);
@@ -1194,8 +1190,7 @@ impl AdaptStrategy for NebulaStrategy {
 
         // Tracked devices: refresh sub-model from the cloud and/or adapt
         // locally, per variant. Refresh downloads are wire frames cut from
-        // the post-aggregation model, so commit fresh baselines first.
-        self.wire.commit_model(self.cloud.model());
+        // the post-aggregation model.
         let mut comm = stats.comm;
         let mut time_ms = 0.0;
         let local_training = self.variant != NebulaVariant::NoLocalTraining;
@@ -1275,8 +1270,8 @@ impl AdaptStrategy for NebulaStrategy {
     }
 
     fn export_state(&self) -> Option<StrategyState> {
-        // Delta/int8 wire traffic depends on registry/residual history
-        // that a snapshot does not capture; only Raw resumes
+        // Int8 wire traffic depends on residual history that a snapshot
+        // does not capture; only Raw resumes
         // bit-identically (DESIGN.md §11).
         if self.cfg.wire.codec != CodecKind::Raw {
             return None;

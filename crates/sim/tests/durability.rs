@@ -16,8 +16,8 @@ use nebula_modular::ModularConfig;
 use nebula_sim::resources::ResourceSampler;
 use nebula_sim::strategy::{NebulaStrategy, StrategyConfig};
 use nebula_sim::{
-    ChaosControl, CommTracker, DurableOptions, ExperimentConfig, FaultPlan, KillSpot, RoundRecord, RunError,
-    RunOutcome, Runner, SimWorld,
+    ChaosControl, CommTracker, DurabilityConfig, ExperimentConfig, FaultPlan, KillSpot, RoundRecord,
+    RunError, RunOutcome, Runner, SimWorld,
 };
 
 const TARGET: f32 = 1.01; // unreachable → runs always go to max_rounds
@@ -62,11 +62,17 @@ fn build(drift: bool) -> (NebulaStrategy, SimWorld) {
     (NebulaStrategy::new(toy_cfg(), 1), toy_world(drift))
 }
 
-fn opts(dir: &Path) -> DurableOptions {
-    let mut o = DurableOptions::new(dir);
-    o.durability.snapshot_every = 2;
-    o.durability.keep_snapshots = 2;
-    o
+/// What one durable run persists, and where it is killed.
+struct Opts {
+    durability: DurabilityConfig,
+    chaos: ChaosControl,
+}
+
+fn opts(dir: &Path) -> Opts {
+    let mut durability = DurabilityConfig::new(dir);
+    durability.snapshot_every = 2;
+    durability.keep_snapshots = 2;
+    Opts { durability, chaos: ChaosControl::default() }
 }
 
 /// One durable rounds-to-target run through the `Runner` builder.
@@ -77,7 +83,7 @@ fn run_target_durable(
     target: f32,
     max_rounds: usize,
     probe_every: usize,
-    o: &DurableOptions,
+    o: &Opts,
 ) -> Result<RunOutcome, RunError> {
     Runner::new(world, strategy)
         .config(*cfg)
@@ -95,7 +101,7 @@ fn resume_target_durable(
     target: f32,
     max_rounds: usize,
     probe_every: usize,
-    o: &DurableOptions,
+    o: &Opts,
 ) -> Result<RunOutcome, RunError> {
     Runner::new(world, strategy)
         .config(*cfg)
@@ -112,7 +118,7 @@ fn run_cont_durable(
     world: &mut SimWorld,
     cfg: &ExperimentConfig,
     slots: usize,
-    o: &DurableOptions,
+    o: &Opts,
 ) -> Result<RunOutcome, RunError> {
     Runner::new(world, strategy)
         .config(*cfg)
@@ -128,7 +134,7 @@ fn resume_cont_durable(
     world: &mut SimWorld,
     cfg: &ExperimentConfig,
     slots: usize,
-    o: &DurableOptions,
+    o: &Opts,
 ) -> Result<RunOutcome, RunError> {
     Runner::new(world, strategy)
         .config(*cfg)
@@ -362,12 +368,12 @@ fn resume_with_wrong_seed_is_a_state_mismatch() {
 fn durable_run_refuses_lossy_wire_codec() {
     let dir = tmp_dir("lossy-codec");
     let mut cfg_s = toy_cfg();
-    cfg_s.wire = WireConfig::delta(0.0);
+    cfg_s.wire = WireConfig::int8();
     let mut s = NebulaStrategy::new(cfg_s, 1);
     let mut world = toy_world(false);
     let cfg = ExperimentConfig { eval_devices: 3, seed: 36 };
     let err = run_target_durable(&mut s, &mut world, &cfg, TARGET, 2, 1, &opts(&dir))
-        .expect_err("delta codec has unexportable cross-round state");
+        .expect_err("int8 codec has unexportable cross-round state");
     assert!(matches!(err, RunError::UnsupportedStrategy(_)), "unexpected error: {err}");
     let _ = fs::remove_dir_all(&dir);
 }

@@ -385,11 +385,6 @@ fn run_case(name: &str) -> u64 {
             dense_plan,
             HeteroFlStrategy::single_round,
         ),
-        "hfl_delta_faulty" => dense_case(
-            HeteroFlStrategy::new(toy_cfg(WireConfig::delta(1e-3)), 1),
-            dense_plan,
-            HeteroFlStrategy::single_round,
-        ),
         "nebula_raw_clean" => nebula_case(NebulaStrategy::new(toy_cfg(WireConfig::raw()), 1), None),
         "nebula_raw_auth_faulty_loopback" => {
             // Authenticated frames, so the transit tamper is the
@@ -441,19 +436,18 @@ fn run_case(name: &str) -> u64 {
     }
 }
 
-/// The first seven were captured at the parent of the one-dense-round
-/// refactor; the hierarchy and `runner_*` cases at the parent of the
+/// The first seven but `hfl_raw_faulty` were captured at the parent of
+/// the one-dense-round refactor; the hierarchy and `runner_*` cases at the parent of the
 /// one-Runner-loop / one-guarded-aggregation refactor; the tracked-cohort
 /// case at the parent of the change that trains a round's devices on
 /// real threads; the ordered-trace case at the parent of the change that
 /// gates a Nebula round's cohort before training it; `hfl_raw_faulty`
 /// before the delta codec was deleted, so HeteroFL stays pinned under a
 /// fault plan without it.
-const GOLDEN: [(&str, u64); 15] = [
+const GOLDEN: [(&str, u64); 14] = [
     ("fa_raw_clean", 0xf449_a4ce_cd01_c038),
     ("fa_int8_faulty", 0xde47_9568_83e0_4859),
     ("hfl_raw_clean", 0x222f_cb4c_6cb6_e831),
-    ("hfl_delta_faulty", 0xdbb9_8555_87e4_7688),
     ("hfl_raw_faulty", 0xf47b_4729_a229_f509),
     ("nebula_raw_clean", 0xbbe2_647a_0792_5916),
     ("nebula_raw_auth_faulty_loopback", 0x652b_6d5b_05de_75c3),

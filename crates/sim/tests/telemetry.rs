@@ -20,7 +20,7 @@ use nebula_data::{DriftModel, PartitionSpec, Partitioner, SynthSpec, Synthesizer
 use nebula_modular::ModularConfig;
 use nebula_sim::resources::ResourceSampler;
 use nebula_sim::strategy::{NebulaStrategy, StrategyConfig};
-use nebula_sim::{DurableOptions, ExperimentConfig, Runner, SimWorld};
+use nebula_sim::{DurabilityConfig, ExperimentConfig, Runner, SimWorld};
 use nebula_telemetry::{Event, JsonlSink, MemorySink};
 
 const TARGET: f32 = 1.01; // unreachable → runs go to max_rounds
@@ -201,7 +201,7 @@ fn durable_run_is_bit_identical_to_plain_run() {
     let durable = Runner::new(&mut w, &mut s)
         .config(cfg)
         .target(TARGET, MAX_ROUNDS, PROBE_EVERY)
-        .durable(DurableOptions::new(&dir).durability)
+        .durable(DurabilityConfig::new(&dir))
         .run()
         .expect("durable run");
     let _ = fs::remove_dir_all(&dir);

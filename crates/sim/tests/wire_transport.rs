@@ -6,7 +6,7 @@ use nebula_core::WireConfig;
 use nebula_data::{PartitionSpec, Partitioner, SynthSpec, Synthesizer};
 use nebula_modular::ModularConfig;
 use nebula_sim::strategy::StrategyConfig;
-use nebula_sim::{AdaptStrategy, NebulaStrategy, NebulaVariant, ResourceSampler, SimWorld};
+use nebula_sim::{NebulaStrategy, ResourceSampler, SimWorld};
 use nebula_tensor::NebulaRng;
 
 fn toy_world(devices: usize, seed: u64) -> SimWorld {
@@ -50,21 +50,4 @@ fn int8_rounds_halve_measured_bytes() {
     let q8 = round_bytes(WireConfig::int8());
     assert!(raw > 0 && q8 > 0);
     assert!(q8 * 2 < raw, "int8 rounds not <=1/2 of raw: {q8} vs {raw}");
-}
-
-/// Delta encoding pays off when the cloud model barely moves between
-/// refreshes: with no rounds and no local training the second refresh of
-/// the same devices ships near-empty deltas.
-#[test]
-fn delta_refresh_shrinks_when_model_is_static() {
-    let mut world = toy_world(8, 5);
-    let mut cfg = toy_cfg(WireConfig::delta(0.0));
-    cfg.rounds_per_step = 0;
-    let mut s = NebulaStrategy::with_variant(cfg, 1, NebulaVariant::NoLocalTraining);
-    let mut rng = NebulaRng::seed(3);
-    s.track(&[0, 1]);
-    let cold = s.adaptation_step(&mut world, &mut rng).comm.down_bytes;
-    let warm = s.adaptation_step(&mut world, &mut rng).comm.down_bytes;
-    assert!(cold > 0);
-    assert!(warm * 4 < cold, "warm delta refresh not <1/4 of cold: {warm} vs {cold}");
 }

@@ -2,15 +2,10 @@
 //!
 //! Codecs are deliberately frame-agnostic — they turn a `&[f32]` into
 //! bytes appended to a caller-owned buffer and back, so the frame layer
-//! can mix codecs per record (e.g. a delta frame that falls back to raw
-//! for modules the receiver has no baseline for).
+//! can mix codecs per record (e.g. an int8 frame ships an empty tensor
+//! as a raw record).
 //!
 //! * `Raw` — little-endian f32, bit-exact round trip.
-//! * `DeltaFp32` — sparse `(u32 index, f32 delta)` pairs versus a
-//!   versioned baseline both ends hold; entries with `|delta| <=
-//!   threshold` are dropped. The encoder falls back to `Raw` whenever the
-//!   sparse form would not actually be smaller, so `DeltaFp32` is never
-//!   worse than `Raw` on the wire.
 //! * `QuantInt8` — per-tensor symmetric int8: one f32 scale followed by
 //!   one signed byte per element. The sender carries an error-feedback
 //!   residual so quantization error is re-injected into the next encode
@@ -25,13 +20,13 @@ use crate::frame::ModuleKey;
 use crate::WireError;
 use std::collections::HashMap;
 
-/// Wire codec identifiers. The `u8` values are the on-wire ids.
+/// Wire codec identifiers. The `u8` values are the on-wire ids. Id 1 is
+/// reserved (it named a sparse delta codec) and parses as
+/// [`WireError::UnknownCodec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodecKind {
     /// Little-endian f32, bit-exact.
     Raw,
-    /// Sparse delta vs a versioned baseline; raw fallback when dense.
-    DeltaFp32,
     /// Symmetric per-tensor int8 with sender-side error feedback.
     QuantInt8,
 }
@@ -41,7 +36,6 @@ impl CodecKind {
     pub fn id(self) -> u8 {
         match self {
             CodecKind::Raw => 0,
-            CodecKind::DeltaFp32 => 1,
             CodecKind::QuantInt8 => 2,
         }
     }
@@ -50,7 +44,6 @@ impl CodecKind {
     pub fn from_id(id: u8) -> Result<Self, WireError> {
         match id {
             0 => Ok(CodecKind::Raw),
-            1 => Ok(CodecKind::DeltaFp32),
             2 => Ok(CodecKind::QuantInt8),
             other => Err(WireError::UnknownCodec(other)),
         }
@@ -60,7 +53,6 @@ impl CodecKind {
     pub fn name(self) -> &'static str {
         match self {
             CodecKind::Raw => "raw",
-            CodecKind::DeltaFp32 => "delta_fp32",
             CodecKind::QuantInt8 => "quant_int8",
         }
     }
@@ -88,74 +80,6 @@ pub fn decode_raw(payload: &[u8], elems: usize, out: &mut Vec<f32>) -> Result<()
     out.resize(elems, 0.0);
     for (dst, chunk) in out.iter_mut().zip(payload.chunks_exact(4)) {
         *dst = f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-    }
-    Ok(())
-}
-
-/// Encode `values` as a sparse delta against `baseline`, dropping entries
-/// with `|delta| <= threshold`. Returns the codec actually written:
-/// `DeltaFp32` when the sparse form is smaller, `Raw` otherwise (including
-/// a baseline length mismatch, which should not happen with a correct
-/// registry but must not corrupt the stream if it does).
-pub fn encode_delta(values: &[f32], baseline: &[f32], threshold: f32, out: &mut Vec<u8>) -> CodecKind {
-    if delta_pays(values, baseline, threshold) {
-        write_delta(values, baseline, threshold, out);
-        CodecKind::DeltaFp32
-    } else {
-        encode_raw(values, out);
-        CodecKind::Raw
-    }
-}
-
-/// Whether the sparse delta of `values` against `baseline` (entries with
-/// `|delta| > threshold`) is smaller than the raw form: the size test of
-/// [`encode_delta`], made before anything is written. `false` when the
-/// lengths differ.
-pub(crate) fn delta_pays(values: &[f32], baseline: &[f32], threshold: f32) -> bool {
-    if baseline.len() != values.len() {
-        return false;
-    }
-    let nnz = values.iter().zip(baseline).filter(|(v, b)| !(**v - **b).abs().le(&threshold)).count();
-    // 8 bytes per pair vs 4 bytes per dense element.
-    8 * nnz < 4 * values.len()
-}
-
-/// Append the `(u32 index, f32 delta)` pairs of `values` against
-/// `baseline` whose `|delta| > threshold`: the write of [`encode_delta`].
-pub(crate) fn write_delta(values: &[f32], baseline: &[f32], threshold: f32, out: &mut Vec<u8>) {
-    for (i, (v, b)) in values.iter().zip(baseline).enumerate() {
-        let d = v - b;
-        if !d.abs().le(&threshold) {
-            out.extend_from_slice(&(i as u32).to_le_bytes());
-            out.extend_from_slice(&d.to_le_bytes());
-        }
-    }
-}
-
-/// Decode a sparse delta payload by applying it to `baseline` into `out`.
-/// With the threshold the encoder used, every coordinate of the result is
-/// within that threshold of the sender's values (exact when threshold 0).
-pub fn decode_delta(
-    payload: &[u8],
-    elems: usize,
-    baseline: &[f32],
-    out: &mut Vec<f32>,
-) -> Result<(), WireError> {
-    if baseline.len() != elems {
-        return Err(WireError::LengthMismatch { expected: elems, got: baseline.len() });
-    }
-    if !payload.len().is_multiple_of(8) {
-        return Err(WireError::LengthMismatch { expected: payload.len() / 8 * 8, got: payload.len() });
-    }
-    out.clear();
-    out.extend_from_slice(baseline);
-    for pair in payload.chunks_exact(8) {
-        let idx = u32::from_le_bytes([pair[0], pair[1], pair[2], pair[3]]) as usize;
-        let delta = f32::from_le_bytes([pair[4], pair[5], pair[6], pair[7]]);
-        if idx >= elems {
-            return Err(WireError::LengthMismatch { expected: elems, got: idx });
-        }
-        out[idx] += delta;
     }
     Ok(())
 }

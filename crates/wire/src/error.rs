@@ -1,6 +1,5 @@
-//! Error type shared by framing, codecs, and the baseline registry.
+//! Error type shared by framing and codecs.
 
-use crate::frame::ModuleKey;
 use std::fmt;
 
 /// Everything that can go wrong while parsing or decoding a frame.
@@ -35,12 +34,6 @@ pub enum WireError {
     /// receiver requires authentication and the frame carries none
     /// (downgrade-stripping protection).
     AuthMissing,
-    /// A delta record references a baseline version the decoder no longer
-    /// (or does not yet) hold for this module.
-    StaleBaseline { key: ModuleKey, version: u64 },
-    /// A delta record references a module the decoder has no baseline for
-    /// at all.
-    MissingBaseline { key: ModuleKey },
     /// A payload or update frame carries module records above `layer` but
     /// none for it, so its records do not describe a sub-model.
     EmptyLayer { layer: usize },
@@ -67,16 +60,6 @@ impl fmt::Display for WireError {
             }
             WireError::AuthMissing => {
                 write!(f, "authentication required but frame and key disagree")
-            }
-            WireError::StaleBaseline { key, version } => {
-                write!(
-                    f,
-                    "stale baseline: module ({}, {}) at version {version} is not retained",
-                    key.layer, key.module
-                )
-            }
-            WireError::MissingBaseline { key } => {
-                write!(f, "missing baseline for module ({}, {})", key.layer, key.module)
             }
             WireError::EmptyLayer { layer } => write!(f, "no module record for layer {layer}"),
         }

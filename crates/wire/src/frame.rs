@@ -26,8 +26,7 @@
 //!      0     2  layer   u16 LE   (0xFFFC..=0xFFFF are sentinels)
 //!      2     2  module  u16 LE
 //!      4     1  codec id for this record
-//!      5     3  reserved (0)
-//!      8     8  base version  u64 LE  (0 when codec needs no baseline)
+//!      5    11  reserved (0)
 //!     16     4  element count u32 LE  (f32 elements after decode)
 //!     20     4  encoded payload length u32 LE
 //!     24   ...  encoded payload
@@ -149,27 +148,16 @@ impl ModuleKey {
 pub struct Record<'a> {
     pub key: ModuleKey,
     pub codec: CodecKind,
-    pub base_version: u64,
     pub elems: usize,
     pub payload: &'a [u8],
 }
 
 impl Record<'_> {
     /// Decode the record's values into `out` under its own codec, the
-    /// inverse of [`FrameBuilder::values`]. A delta asks `baseline` for
-    /// the values its key held at its base version; the receiver's error
-    /// (missing, stale) is the decode's.
-    pub fn decode<'b>(
-        &self,
-        baseline: impl FnOnce(ModuleKey, u64) -> Result<&'b [f32], WireError>,
-        out: &mut Vec<f32>,
-    ) -> Result<(), WireError> {
+    /// inverse of [`FrameBuilder::values`].
+    pub fn decode(&self, out: &mut Vec<f32>) -> Result<(), WireError> {
         match self.codec {
             CodecKind::Raw => codec::decode_raw(self.payload, self.elems, out),
-            CodecKind::DeltaFp32 => {
-                let base = baseline(self.key, self.base_version)?;
-                codec::decode_delta(self.payload, self.elems, base, out)
-            }
             CodecKind::QuantInt8 => codec::decode_q8(self.payload, self.elems, out),
         }
     }
@@ -202,21 +190,19 @@ impl<'a> FrameBuilder<'a> {
     }
 
     /// Append one record. `write` appends the encoded payload to the
-    /// buffer; its length is measured and backpatched, so codecs whose
-    /// output size is data-dependent (delta) need no pre-pass.
+    /// buffer; its length is measured and backpatched, so a writer need
+    /// not know its encoded size up front.
     pub fn record(
         &mut self,
         key: ModuleKey,
         codec: CodecKind,
-        base_version: u64,
         elems: usize,
         write: impl FnOnce(&mut Vec<u8>),
     ) {
         self.buf.extend_from_slice(&key.layer.to_le_bytes());
         self.buf.extend_from_slice(&key.module.to_le_bytes());
         self.buf.push(codec.id());
-        self.buf.extend_from_slice(&[0u8; 3]);
-        self.buf.extend_from_slice(&base_version.to_le_bytes());
+        self.buf.extend_from_slice(&[0u8; 11]); // reserved
         self.buf.extend_from_slice(&(elems as u32).to_le_bytes());
         let len_at = self.buf.len();
         self.buf.extend_from_slice(&0u32.to_le_bytes()); // enc_len, backpatched
@@ -228,36 +214,24 @@ impl<'a> FrameBuilder<'a> {
     }
 
     /// Append `values` as one record under the sender's `codec`, the one
-    /// place a record's codec is chosen:
-    ///
-    /// * `DeltaFp32` writes a delta against `base` (the version and values
-    ///   the receiver holds) when `base` has the same length and the
-    ///   sparse form is smaller, a test made before anything is written;
-    /// * `QuantInt8` writes int8 for a non-empty tensor, asking for its
-    ///   error-feedback carry only then;
-    /// * everything else is a raw record, base version 0: a cold or
-    ///   reshaped delta, a dense delta, an empty int8 tensor.
+    /// place a record's codec is chosen: `QuantInt8` writes int8 for a
+    /// non-empty tensor, asking for its error-feedback carry only then;
+    /// everything else, an empty int8 tensor included, is a raw record.
     pub fn values<'r>(
         &mut self,
         key: ModuleKey,
         codec: CodecKind,
         values: &[f32],
-        base: Option<(u64, &[f32])>,
-        threshold: f32,
         residual: impl FnOnce() -> &'r mut Vec<f32>,
     ) {
         let n = values.len();
-        match (codec, base) {
-            (CodecKind::DeltaFp32, Some((version, base))) if codec::delta_pays(values, base, threshold) => {
-                self.record(key, codec, version, n, |o| codec::write_delta(values, base, threshold, o))
-            }
-            (CodecKind::QuantInt8, _) if n > 0 => {
-                let r = residual();
-                self.record(key, codec, 0, n, |o| {
-                    codec::encode_q8(values, r, o);
-                })
-            }
-            _ => self.record(key, CodecKind::Raw, 0, n, |o| codec::encode_raw(values, o)),
+        if codec == CodecKind::QuantInt8 && n > 0 {
+            let r = residual();
+            self.record(key, codec, n, |o| {
+                codec::encode_q8(values, r, o);
+            })
+        } else {
+            self.record(key, CodecKind::Raw, n, |o| codec::encode_raw(values, o))
         }
     }
 
@@ -383,20 +357,13 @@ impl<'a> FrameView<'a> {
                 module: u16::from_le_bytes([h[2], h[3]]),
             };
             let rec_codec = CodecKind::from_id(h[4])?;
-            let base_version = u64::from_le_bytes([h[8], h[9], h[10], h[11], h[12], h[13], h[14], h[15]]);
             let elems = u32::from_le_bytes([h[16], h[17], h[18], h[19]]) as usize;
             let enc_len = u32::from_le_bytes([h[20], h[21], h[22], h[23]]) as usize;
             at += RECORD_HEADER_LEN;
             if crc_at - at < enc_len {
                 return Err(WireError::Truncated { needed: enc_len, have: crc_at - at });
             }
-            records.push(Record {
-                key,
-                codec: rec_codec,
-                base_version,
-                elems,
-                payload: &bytes[at..at + enc_len],
-            });
+            records.push(Record { key, codec: rec_codec, elems, payload: &bytes[at..at + enc_len] });
             at += enc_len;
         }
         if at != crc_at {
@@ -425,8 +392,8 @@ mod tests {
         let mut buf = Vec::new();
         let mut b = FrameBuilder::begin(&mut buf, FrameKind::Update, CodecKind::Raw);
         let vals = [1.0f32, -2.5, 3.25];
-        b.record(ModuleKey::module(0, 3), CodecKind::Raw, 0, vals.len(), |out| codec::encode_raw(&vals, out));
-        b.record(ModuleKey::META, CodecKind::Raw, 0, 0, |out| out.extend_from_slice(&42u64.to_le_bytes()));
+        b.record(ModuleKey::module(0, 3), CodecKind::Raw, vals.len(), |out| codec::encode_raw(&vals, out));
+        b.record(ModuleKey::META, CodecKind::Raw, 0, |out| out.extend_from_slice(&42u64.to_le_bytes()));
         let total = b.finish();
         assert_eq!(total, buf.len());
 
@@ -447,7 +414,7 @@ mod tests {
         let mut buf = Vec::new();
         let mut b = FrameBuilder::begin(&mut buf, FrameKind::Dense, CodecKind::Raw);
         let vals: Vec<f32> = (0..17).map(|i| i as f32 * 0.5).collect();
-        b.record(ModuleKey::SHARED, CodecKind::Raw, 0, vals.len(), |out| codec::encode_raw(&vals, out));
+        b.record(ModuleKey::SHARED, CodecKind::Raw, vals.len(), |out| codec::encode_raw(&vals, out));
         b.finish();
         assert!(FrameView::parse(&buf).is_ok());
         for i in 0..buf.len() {
@@ -461,7 +428,7 @@ mod tests {
     fn truncation_is_rejected() {
         let mut buf = Vec::new();
         let mut b = FrameBuilder::begin(&mut buf, FrameKind::Dense, CodecKind::Raw);
-        b.record(ModuleKey::SHARED, CodecKind::Raw, 0, 2, |out| codec::encode_raw(&[1.0, 2.0], out));
+        b.record(ModuleKey::SHARED, CodecKind::Raw, 2, |out| codec::encode_raw(&[1.0, 2.0], out));
         b.finish();
         for cut in 0..buf.len() {
             assert!(FrameView::parse(&buf[..cut]).is_err(), "truncation to {cut} accepted");
@@ -476,7 +443,7 @@ mod tests {
         let mut buf = Vec::new();
         let mut b = FrameBuilder::begin(&mut buf, FrameKind::Update, CodecKind::Raw);
         let vals: Vec<f32> = (0..9).map(|i| i as f32 - 4.0).collect();
-        b.record(ModuleKey::module(1, 2), CodecKind::Raw, 0, vals.len(), |out| codec::encode_raw(&vals, out));
+        b.record(ModuleKey::module(1, 2), CodecKind::Raw, vals.len(), |out| codec::encode_raw(&vals, out));
         b.finish_keyed(Some(&test_key()));
         buf
     }
@@ -521,7 +488,7 @@ mod tests {
         // recompute the CRC. An unauthenticated frame decodes silently.
         let mut buf = Vec::new();
         let mut b = FrameBuilder::begin(&mut buf, FrameKind::Update, CodecKind::Raw);
-        b.record(ModuleKey::SHARED, CodecKind::Raw, 0, 2, |out| codec::encode_raw(&[1.0, 2.0], out));
+        b.record(ModuleKey::SHARED, CodecKind::Raw, 2, |out| codec::encode_raw(&[1.0, 2.0], out));
         b.finish();
         let mut forged = buf.clone();
         forged[HEADER_LEN + RECORD_HEADER_LEN] ^= 0x80; // flip a payload sign bit
@@ -533,7 +500,7 @@ mod tests {
         // The same forgery against an authenticated frame is rejected.
         let mut abuf = Vec::new();
         let mut b = FrameBuilder::begin(&mut abuf, FrameKind::Update, CodecKind::Raw);
-        b.record(ModuleKey::SHARED, CodecKind::Raw, 0, 2, |out| codec::encode_raw(&[1.0, 2.0], out));
+        b.record(ModuleKey::SHARED, CodecKind::Raw, 2, |out| codec::encode_raw(&[1.0, 2.0], out));
         b.finish_keyed(Some(&test_key()));
         let mut forged = abuf.clone();
         forged[HEADER_LEN + RECORD_HEADER_LEN] ^= 0x80;
@@ -582,13 +549,30 @@ mod tests {
     fn control_frame_round_trip() {
         let mut buf = Vec::new();
         let mut b = FrameBuilder::begin(&mut buf, FrameKind::Control, CodecKind::Raw);
-        b.record(ModuleKey::control(0), CodecKind::Raw, 0, 0, |o| o.extend_from_slice(b"{\"k\":1}"));
-        b.record(ModuleKey::control(1), CodecKind::Raw, 0, 0, |o| o.extend_from_slice(&[9, 8, 7]));
+        b.record(ModuleKey::control(0), CodecKind::Raw, 0, |o| o.extend_from_slice(b"{\"k\":1}"));
+        b.record(ModuleKey::control(1), CodecKind::Raw, 0, |o| o.extend_from_slice(&[9, 8, 7]));
         b.finish();
         let view = FrameView::parse(&buf).unwrap();
         assert_eq!(view.kind, FrameKind::Control);
         assert_eq!(view.find(ModuleKey::control(0)).unwrap().payload, b"{\"k\":1}");
         assert_eq!(view.find(ModuleKey::control(1)).unwrap().payload, &[9, 8, 7]);
+    }
+
+    /// Codec id 1 is reserved: a CRC-clean frame naming it in its header
+    /// or in a record is refused, not decoded.
+    #[test]
+    fn reserved_codec_id_is_refused() {
+        for at in [6, HEADER_LEN + 4] {
+            let mut buf = Vec::new();
+            let mut b = FrameBuilder::begin(&mut buf, FrameKind::Dense, CodecKind::Raw);
+            b.record(ModuleKey::SHARED, CodecKind::Raw, 2, |out| codec::encode_raw(&[1.0, 2.0], out));
+            b.finish();
+            buf[at] = 1;
+            let crc_at = buf.len() - TRAILER_LEN;
+            let crc = crc32(&buf[..crc_at]);
+            buf[crc_at..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(FrameView::parse(&buf).err(), Some(WireError::UnknownCodec(1)), "codec byte at {at}");
+        }
     }
 
     /// Regression: a crafted frame declaring ~4 billion records over a

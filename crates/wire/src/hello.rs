@@ -71,7 +71,7 @@ pub struct HelloAck {
 /// control frame. Returns the frame length.
 pub fn encode_hello(buf: &mut Vec<u8>, hello: &Hello, key: Option<&FrameKey>) -> usize {
     let mut b = FrameBuilder::begin(buf, FrameKind::Control, hello.codec);
-    b.record(SLOT_HELLO, CodecKind::Raw, 0, 0, |o| {
+    b.record(SLOT_HELLO, CodecKind::Raw, 0, |o| {
         o.push(hello.proto);
         o.push(hello.codec.id());
         o.extend_from_slice(&hello.threads.to_le_bytes());
@@ -109,7 +109,7 @@ pub fn decode_hello(bytes: &[u8], key: Option<&FrameKey>) -> Result<Hello, WireE
 /// Encodes `ack` into `buf` (cleared). Returns the frame length.
 pub fn encode_hello_ack(buf: &mut Vec<u8>, ack: &HelloAck, key: Option<&FrameKey>) -> usize {
     let mut b = FrameBuilder::begin(buf, FrameKind::Control, ack.codec);
-    b.record(SLOT_ACK, CodecKind::Raw, 0, 0, |o| {
+    b.record(SLOT_ACK, CodecKind::Raw, 0, |o| {
         o.push(ack.accepted as u8);
         o.push(ack.codec.id());
         o.extend_from_slice(&ack.worker_id.to_le_bytes());

@@ -16,14 +16,14 @@
 //!   bytes or more are folded with carry-less multiplies on x86-64 CPUs
 //!   that have `pclmulqdq`, everything else walks slicing-by-8 tables;
 //!   same value either way.
-//! * [`codec`] — `Raw` / `DeltaFp32` / `QuantInt8` payload codecs plus
-//!   the sender-side [`codec::ResidualStore`] for error feedback.
+//! * [`codec`] — `Raw` / `QuantInt8` payload codecs plus the sender-side
+//!   [`codec::ResidualStore`] for error feedback.
 //! * [`frame`] — the framed format: header, per-module records keyed by
 //!   (layer, module), CRC trailer; [`frame::FrameBuilder`] writes into
 //!   reusable buffers, [`frame::FrameView`] parses zero-copy. It holds
 //!   the one record path every f32 tensor takes:
-//!   [`frame::FrameBuilder::values`] picks a record's codec (delta when it
-//!   pays, int8 for a non-empty tensor, raw otherwise),
+//!   [`frame::FrameBuilder::values`] picks a record's codec (int8 for a
+//!   non-empty tensor under `QuantInt8`, raw otherwise),
 //!   [`frame::Record::decode`] inverts it, and
 //!   [`frame::FrameBuilder::finish_keyed`] terminates every frame, with a
 //!   MAC when keyed.
@@ -32,9 +32,6 @@
 //!   SipHash-2-4 lanes side by side, tied by a ninth) of the optional MAC
 //!   trailer, so forged frames (tampering plus a recomputed CRC) are
 //!   rejected before decode.
-//! * [`registry`] — cloud-side versioned baselines with bounded history
-//!   and per-device ack tracking, so deltas decode deterministically and
-//!   stale uploads are detected by version.
 //! * [`dense`] — per-device point-to-point channels for the flat-model
 //!   baselines' blobs, one record per frame through the same record
 //!   path as module frames.
@@ -49,7 +46,6 @@ pub mod dense;
 mod error;
 pub mod frame;
 pub mod hello;
-pub mod registry;
 pub mod siphash;
 pub mod stream;
 
@@ -59,6 +55,5 @@ pub use dense::DensePool;
 pub use error::WireError;
 pub use frame::{FrameBuilder, FrameKind, FrameView, ModuleKey, Record};
 pub use hello::{Hello, HelloAck};
-pub use registry::ModuleRegistry;
 pub use siphash::{siphash24, FrameKey};
 pub use stream::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN};

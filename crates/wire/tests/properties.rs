@@ -19,27 +19,15 @@ fn arb_values(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
 
 /// Encode one record through a full frame and hand back (frame bytes,
 /// decoded payload) — exercises builder, parser, and codec together.
-fn frame_round_trip(
-    vals: &[f32],
-    codec_kind: CodecKind,
-    baseline: Option<&[f32]>,
-    threshold: f32,
-) -> (Vec<u8>, Vec<f32>) {
+fn frame_round_trip(vals: &[f32], codec_kind: CodecKind) -> (Vec<u8>, Vec<f32>) {
     let mut buf = Vec::new();
     let mut b = FrameBuilder::begin(&mut buf, FrameKind::Update, codec_kind);
     let key = ModuleKey::module(1, 2);
-    let mut used = codec_kind;
     match codec_kind {
-        CodecKind::Raw => b.record(key, CodecKind::Raw, 0, vals.len(), |o| codec::encode_raw(vals, o)),
-        CodecKind::DeltaFp32 => {
-            let base = baseline.expect("delta needs a baseline");
-            b.record(key, CodecKind::DeltaFp32, 7, vals.len(), |o| {
-                used = codec::encode_delta(vals, base, threshold, o);
-            });
-        }
+        CodecKind::Raw => b.record(key, CodecKind::Raw, vals.len(), |o| codec::encode_raw(vals, o)),
         CodecKind::QuantInt8 => {
             let mut residual = Vec::new();
-            b.record(key, CodecKind::QuantInt8, 0, vals.len(), |o| {
+            b.record(key, CodecKind::QuantInt8, vals.len(), |o| {
                 codec::encode_q8(vals, &mut residual, o);
             });
         }
@@ -49,11 +37,8 @@ fn frame_round_trip(
     let view = FrameView::parse(&buf).expect("pristine frame must parse");
     let rec = *view.find(key).expect("record present");
     let mut out = Vec::new();
-    match used {
+    match codec_kind {
         CodecKind::Raw => codec::decode_raw(rec.payload, rec.elems, &mut out).unwrap(),
-        CodecKind::DeltaFp32 => {
-            codec::decode_delta(rec.payload, rec.elems, baseline.unwrap(), &mut out).unwrap()
-        }
         CodecKind::QuantInt8 => codec::decode_q8(rec.payload, rec.elems, &mut out).unwrap(),
     }
     drop(view);
@@ -64,7 +49,7 @@ fn frame_round_trip(
 fn authed_frame(vals: &[f32], key: &FrameKey) -> Vec<u8> {
     let mut buf = Vec::new();
     let mut b = FrameBuilder::begin(&mut buf, FrameKind::Update, CodecKind::Raw);
-    b.record(ModuleKey::module(0, 0), CodecKind::Raw, 0, vals.len(), |o| codec::encode_raw(vals, o));
+    b.record(ModuleKey::module(0, 0), CodecKind::Raw, vals.len(), |o| codec::encode_raw(vals, o));
     b.finish_keyed(Some(key));
     buf
 }
@@ -111,7 +96,7 @@ proptest! {
 
     #[test]
     fn raw_round_trip_is_bit_exact(vals in arb_values(512)) {
-        let (_, out) = frame_round_trip(&vals, CodecKind::Raw, None, 0.0);
+        let (_, out) = frame_round_trip(&vals, CodecKind::Raw);
         prop_assert_eq!(out.len(), vals.len());
         for (a, b) in vals.iter().zip(&out) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "raw codec must be bit-exact");
@@ -119,52 +104,10 @@ proptest! {
     }
 
     #[test]
-    fn delta_round_trip_is_exact_at_zero_threshold(
-        base in arb_values(512),
-        noise in arb_values(512),
-    ) {
-        let n = base.len().min(noise.len());
-        let base = &base[..n];
-        let vals: Vec<f32> = base.iter().zip(&noise[..n]).map(|(b, d)| b + d * 0.01).collect();
-        let (_, out) = frame_round_trip(&vals, CodecKind::DeltaFp32, Some(base), 0.0);
-        prop_assert_eq!(out.len(), vals.len());
-        for (v, o) in vals.iter().zip(&out) {
-            // baseline + (v - baseline) in f32: exact because decode adds
-            // back the identical f32 difference.
-            prop_assert_eq!(v.to_bits(), o.to_bits(), "delta apply must reproduce values");
-        }
-    }
-
-    #[test]
-    fn delta_threshold_bounds_per_coordinate_error(
-        base in arb_values(256),
-        threshold in 0.0f32..0.5,
-    ) {
-        let vals: Vec<f32> = base.iter().map(|b| b * 1.01 + 0.1).collect();
-        let (_, out) = frame_round_trip(&vals, CodecKind::DeltaFp32, Some(&base), threshold);
-        for (v, o) in vals.iter().zip(&out) {
-            prop_assert!((v - o).abs() <= threshold + 1e-6,
-                "dropped delta exceeded threshold: |{} - {}| > {}", v, o, threshold);
-        }
-    }
-
-    #[test]
-    fn delta_never_beats_raw_on_size(vals in arb_values(256), base in arb_values(256)) {
-        let n = vals.len().min(base.len());
-        let mut enc = Vec::new();
-        let used = codec::encode_delta(&vals[..n], &base[..n], 0.0, &mut enc);
-        // Raw fallback guarantees the payload is at most the raw size.
-        prop_assert!(enc.len() <= 4 * n, "payload {} > raw {}", enc.len(), 4 * n);
-        if used == CodecKind::DeltaFp32 {
-            prop_assert!(enc.len() < 4 * n);
-        }
-    }
-
-    #[test]
     fn q8_round_trip_respects_quantization_bound(vals in arb_values(512)) {
         let max_abs = vals.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let scale = max_abs / 127.0;
-        let (_, out) = frame_round_trip(&vals, CodecKind::QuantInt8, None, 0.0);
+        let (_, out) = frame_round_trip(&vals, CodecKind::QuantInt8);
         prop_assert_eq!(out.len(), vals.len());
         for (v, o) in vals.iter().zip(&out) {
             // Fresh residual (zero carry): error ≤ scale/2 plus rounding.
@@ -216,7 +159,7 @@ proptest! {
 
     #[test]
     fn any_corruption_is_rejected(vals in arb_values(256), at in 0usize..10_000, bit in 0u8..8) {
-        let (frame, _) = frame_round_trip(&vals, CodecKind::Raw, None, 0.0);
+        let (frame, _) = frame_round_trip(&vals, CodecKind::Raw);
         let mut corrupted = frame.clone();
         let idx = at % corrupted.len();
         corrupted[idx] ^= 1 << bit;
@@ -237,7 +180,7 @@ proptest! {
         let mut buf = Vec::new();
         let mut b = FrameBuilder::begin(&mut buf, FrameKind::Update, CodecKind::Raw);
         let mk = ModuleKey::module(1, 2);
-        b.record(mk, CodecKind::Raw, 0, vals.len(), |o| codec::encode_raw(vals.as_slice(), o));
+        b.record(mk, CodecKind::Raw, vals.len(), |o| codec::encode_raw(vals.as_slice(), o));
         b.finish_keyed(Some(&key));
 
         let view = FrameView::parse_keyed(&buf, Some(&key)).expect("authed frame must parse with its key");
@@ -268,7 +211,7 @@ proptest! {
         let mut buf = Vec::new();
         let mut b = FrameBuilder::begin(&mut buf, FrameKind::Update, CodecKind::Raw);
         let mk = ModuleKey::module(0, 0);
-        b.record(mk, CodecKind::Raw, 0, vals.len(), |o| codec::encode_raw(vals.as_slice(), o));
+        b.record(mk, CodecKind::Raw, vals.len(), |o| codec::encode_raw(vals.as_slice(), o));
         b.finish_keyed(Some(&key));
 
         // Forge: flip one covered byte, then recompute the CRC so only the
@@ -289,7 +232,7 @@ proptest! {
     fn v1_frames_still_decode_without_a_key(vals in arb_values(256)) {
         // Backward compatibility: unauthenticated frames keep parsing via
         // both entry points when no key is supplied.
-        let (frame, _) = frame_round_trip(&vals, CodecKind::Raw, None, 0.0);
+        let (frame, _) = frame_round_trip(&vals, CodecKind::Raw);
         prop_assert!(FrameView::parse(&frame).is_ok());
         prop_assert!(FrameView::parse_keyed(&frame, None).is_ok());
         // But a keyed receiver refuses them (downgrade protection).
@@ -298,8 +241,8 @@ proptest! {
     }
 
     /// A record's payload never exceeds what the planner charges for it:
-    /// `4 × n` bytes raw (exact; a delta's raw fallback caps it there
-    /// too), one byte per element plus the f32 scale under int8.
+    /// `4 × n` bytes raw (exact), one byte per element plus the f32 scale
+    /// under int8.
     #[test]
     fn payload_stays_under_its_codec_bound(vals in arb_values(256)) {
         let mut enc = Vec::new();
