@@ -24,7 +24,6 @@
 //! experiment must run in a process of its own, smallest population first.
 
 use crate::Ctx;
-use nebula_core::RobustAggregator;
 use nebula_modular::ModularConfig;
 use nebula_sim::{ShardConfig, ShardedWorld};
 use serde_json::Value;
@@ -53,7 +52,6 @@ fn world(population: usize, k: usize, shards: usize, seed: u64) -> ShardedWorld 
     // a per-tier constant, so S=1 vs S=8 at a tier stays comparable (and
     // per-cell partials keep them bit-identical).
     cfg.spec.cell_size = (population / 128).clamp(32, 8192);
-    cfg.aggregator = RobustAggregator::WeightedMean;
     ShardedWorld::new(modular, cfg, seed).expect("sweep config is valid")
 }
 

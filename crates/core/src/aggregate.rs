@@ -252,17 +252,12 @@ impl StreamingAccumulator {
 }
 
 /// One edge server's contribution to a hierarchical round: the weighted
-/// sums of the updates it folded (WeightedMean) or the updates a robust
-/// combine rule needs buffered, plus the edge-side sanitize accounting.
+/// sums of the updates it folded, plus the edge-side sanitize accounting.
 #[derive(Clone, Debug)]
 pub struct EdgePartial {
-    /// Importance-weighted sums of the folded updates (empty when the
-    /// edge buffers).
+    /// Importance-weighted sums of the folded updates.
     pub sums: StreamingAccumulator,
-    /// Updates buffered for a robust combine rule (empty when streaming).
-    pub buffered: Vec<ModuleUpdate>,
-    /// Edge-side sanitize accounting (streaming mode only; buffered
-    /// updates run the full gate at the cloud).
+    /// Edge-side sanitize accounting.
     pub report: SanitizeReport,
     /// Devices that reported to this edge.
     pub devices: usize,
@@ -272,37 +267,22 @@ impl EdgePartial {
     /// The aggregation half of an edge server: takes its devices' updates
     /// in arrival order and emits the partial for the cloud.
     ///
-    /// Under `WeightedMean` each update is folded at once (constant
-    /// memory), after the sanitize gate's finiteness check. The
-    /// cross-cohort norm-outlier check cannot run here — it needs the
-    /// whole cohort's norms *before* any fold, and a fold cannot be undone
-    /// bit-exactly — so every accept it would have judged is counted in
-    /// [`SanitizeReport::outlier_check_skipped`]. Robust rules
-    /// (median/trimmed-mean/Krum) buffer the updates instead and leave the
-    /// full sanitize gate to the cloud: that is the documented
-    /// memory/robustness trade-off.
-    pub fn fold(
-        updates: impl IntoIterator<Item = ModuleUpdate>,
-        aggregator: RobustAggregator,
-        policy: &SanitizePolicy,
-    ) -> Self {
-        let mut partial = Self {
-            sums: StreamingAccumulator::new(true),
-            buffered: Vec::new(),
-            report: SanitizeReport::default(),
-            devices: 0,
-        };
+    /// Each update is folded at once (constant memory), after the sanitize
+    /// gate's finiteness check. The cross-cohort norm-outlier check cannot
+    /// run here — it needs the whole cohort's norms *before* any fold, and
+    /// a fold cannot be undone bit-exactly — so every accept is counted in
+    /// [`SanitizeReport::outlier_check_skipped`], as the default policy
+    /// enables that check.
+    pub fn fold(updates: impl IntoIterator<Item = ModuleUpdate>) -> Self {
+        let mut partial =
+            Self { sums: StreamingAccumulator::new(true), report: SanitizeReport::default(), devices: 0 };
         for u in updates {
             partial.devices += 1;
-            if aggregator != RobustAggregator::WeightedMean {
-                partial.buffered.push(u);
-            } else if !update_is_finite(&u) {
+            if !update_is_finite(&u) {
                 partial.report.rejected_non_finite += 1;
             } else {
                 partial.report.accepted += 1;
-                if policy.norm_outlier_ratio.is_finite() {
-                    partial.report.outlier_check_skipped += 1;
-                }
+                partial.report.outlier_check_skipped += 1;
                 partial.sums.fold(&u);
             }
         }
@@ -311,8 +291,7 @@ impl EdgePartial {
 
     /// Bytes the edge→cloud upload costs.
     pub fn wire_bytes(&self) -> u64 {
-        let buffered: u64 = self.buffered.iter().map(crate::edge::update_bytes).sum();
-        self.sums.wire_bytes() + buffered
+        self.sums.wire_bytes()
     }
 }
 
@@ -328,9 +307,9 @@ pub struct SanitizePolicy {
     /// trustworthy median). RMS — not raw L2 — so devices with different
     /// sub-model sizes are comparable.
     ///
-    /// The check needs every cohort norm *before* any fold, so streaming
-    /// paths ([`EdgePartial::fold`] under `WeightedMean` — `edge_groups`,
-    /// `ShardedWorld`) cannot run it: finite updates fold in unchecked.
+    /// The check needs every cohort norm *before* any fold, so the
+    /// streaming edge of `ShardedWorld` ([`EdgePartial::fold`]) cannot run
+    /// it: finite updates fold in unchecked.
     /// That is not silent — every accept that bypassed an enabled check
     /// is counted in [`SanitizeReport::outlier_check_skipped`].
     pub norm_outlier_ratio: f32,
@@ -912,19 +891,14 @@ mod tests {
         let spec = SubModelSpec::new(vec![vec![0], vec![0]]);
         let good = update_for(&c, spec.clone(), vec![vec![1.0; 4]; 2], 1.0, 10);
         let bad = poisoned(&c, 1.0);
-        let partial = EdgePartial::fold(
-            [good.clone(), bad],
-            RobustAggregator::WeightedMean,
-            &SanitizePolicy::default(),
-        );
+        let partial = EdgePartial::fold([good.clone(), bad]);
         assert_eq!(partial.devices, 2);
         assert_eq!(partial.report.rejected_non_finite, 1);
         assert_eq!(partial.report.accepted, 1);
-        // Default policy enables the norm-outlier check, which a
+        // The default policy enables the norm-outlier check, which a
         // streaming fold cannot run — the accept must count as skipped.
         assert_eq!(partial.report.outlier_check_skipped, 1);
         assert_eq!(partial.sums.folded(), 1);
-        assert!(partial.buffered.is_empty());
         assert!(partial.wire_bytes() > 0);
 
         // The streamed partial equals aggregating the surviving update.
@@ -933,16 +907,6 @@ mod tests {
         let mut streamed = cloud();
         partial.sums.apply(&mut streamed);
         assert_eq!(reference.param_vector(), streamed.param_vector());
-    }
-
-    #[test]
-    fn edge_accumulator_buffers_for_robust_rules() {
-        let c = cloud();
-        let ups = attacked_round(&c);
-        let partial =
-            EdgePartial::fold(ups.clone(), RobustAggregator::CoordinateMedian, &SanitizePolicy::default());
-        assert_eq!(partial.buffered.len(), ups.len());
-        assert!(partial.sums.is_empty(), "robust mode must not fold");
     }
 
     #[test]

@@ -10,13 +10,13 @@ use crate::aggregate::{
     aggregate_module_wise, aggregate_module_wise_robust, sanitize_updates, EdgePartial, ModuleUpdate,
     RobustAggregator, SanitizePolicy, SanitizeReport, StreamingAccumulator,
 };
-use crate::checkpoint;
 use crate::derive::{derive_submodel, DeriveOutcome};
 use crate::offline::{enhance_module_abilities, pretrain, EnhanceConfig, EnhanceOutcome, PretrainConfig};
 use crate::profile::ResourceProfile;
 use nebula_data::Dataset;
 use nebula_modular::cost::CostModel;
 use nebula_modular::{ModularConfig, ModularModel, SubModelSpec};
+use nebula_nn::Layer;
 use nebula_tensor::NebulaRng;
 use std::collections::BTreeMap;
 
@@ -239,20 +239,11 @@ impl NebulaCloud {
     }
 
     /// Hierarchical aggregation: merges edge partials into the cloud
-    /// model, in the order given.
-    ///
-    /// Streamed sums (WeightedMean) are merged left-to-right across all
-    /// partials — `ShardedWorld` passes one partial per cell in cell
-    /// order, so the result does not depend on how cells were assigned to
-    /// shards. Buffered updates (robust combine rules) are concatenated in
-    /// the same order and pushed through the full sanitize gate + robust
-    /// rule, exactly as a flat round would.
-    pub fn absorb_partials(
-        &mut self,
-        partials: &[EdgePartial],
-        policy: &SanitizePolicy,
-        aggregator: RobustAggregator,
-    ) -> AggregateOutcome {
+    /// model, in the order given. The streamed sums are merged
+    /// left-to-right across all partials — `ShardedWorld` passes one
+    /// partial per cell in cell order, so the result does not depend on
+    /// how cells were assigned to shards.
+    pub fn absorb_partials(&mut self, partials: &[EdgePartial]) -> AggregateOutcome {
         let mut sanitize = SanitizeReport::default();
         let mut merged = StreamingAccumulator::new(true);
         for p in partials {
@@ -262,25 +253,14 @@ impl NebulaCloud {
             sanitize.outlier_check_skipped += p.report.outlier_check_skipped;
             merged.merge(&p.sums);
         }
-        let mut touched = merged.apply(&mut self.model);
-        let buffered: Vec<&ModuleUpdate> = partials.iter().flat_map(|p| p.buffered.iter()).collect();
-        if !buffered.is_empty() {
-            let (kept, report) = sanitize_updates(&buffered, policy);
-            let refs: Vec<&ModuleUpdate> = kept.iter().map(|&i| buffered[i]).collect();
-            touched += aggregate_module_wise_robust(&mut self.model, &refs, aggregator, true);
-            sanitize.accepted += report.accepted;
-            sanitize.rejected_non_finite += report.rejected_non_finite;
-            sanitize.rejected_outlier += report.rejected_outlier;
-            sanitize.outlier_check_skipped += report.outlier_check_skipped;
-        }
-        AggregateOutcome { touched, sanitize }
+        AggregateOutcome { touched: merged.apply(&mut self.model), sanitize }
     }
 
     /// Runs `aggregate` — any of the entry points above — under the
-    /// checkpoint guard: the model is snapshotted, `probe` measures
+    /// rollback guard: the model's parameters are copied, `probe` measures
     /// accuracy before and after, and if the drop exceeds `max_drop` (or
-    /// the model stopped producing finite accuracy) the aggregation is
-    /// rolled back: updates that slipped past the sanitize gate but still
+    /// the model stopped producing finite accuracy) the copy is loaded
+    /// back: updates that slipped past the sanitize gate but still
     /// wrecked the model. `probe` takes `&mut` because evaluation uses the
     /// model's forward caches.
     pub fn guarded(
@@ -289,14 +269,13 @@ impl NebulaCloud {
         max_drop: f32,
         aggregate: impl FnOnce(&mut Self) -> AggregateOutcome,
     ) -> GuardedOutcome {
-        let ckpt = checkpoint::snapshot(&self.model);
+        let saved = self.model.param_vector();
         let acc_before = probe(&mut self.model);
         let out = aggregate(self);
         let acc_after = probe(&mut self.model);
         let rolled_back = !acc_after.is_finite() || acc_after < acc_before - max_drop;
         if rolled_back {
-            checkpoint::restore(&mut self.model, &ckpt)
-                .expect("a snapshot of the same model always restores");
+            self.model.load_param_vector(&saved);
         }
         GuardedOutcome { touched: out.touched, sanitize: out.sanitize, rolled_back, acc_before, acc_after }
     }
@@ -327,7 +306,6 @@ pub struct GuardedOutcome {
 mod tests {
     use super::*;
     use nebula_data::{SynthSpec, Synthesizer};
-    use nebula_nn::Layer;
 
     fn cloud() -> NebulaCloud {
         let mut cfg = nebula_modular::ModularConfig::toy(16, 4);

@@ -25,7 +25,6 @@
 //!   VGG16/ResNet34).
 
 pub mod aggregate;
-pub mod checkpoint;
 pub mod cloud;
 pub mod derive;
 pub mod edge;
@@ -43,7 +42,6 @@ pub use aggregate::{
     update_is_finite, EdgePartial, ModuleUpdate, RobustAggregator, SanitizePolicy, SanitizeReport,
     StreamingAccumulator,
 };
-pub use checkpoint::{restore, snapshot, Checkpoint, CheckpointError};
 pub use cloud::{AggregateOutcome, GuardedOutcome, NebulaCloud, NebulaParams, SubModelPayload};
 pub use derive::{derive_submodel, DeriveOutcome};
 pub use edge::{EdgeClient, EdgeClientState, EdgeUpdate};

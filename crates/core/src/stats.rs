@@ -104,7 +104,7 @@ pub struct RoundReport {
     pub retried: u64,
     /// Late arrivals accepted with discounted importance.
     pub stale: u64,
-    /// Aggregations undone by the checkpoint guard.
+    /// Aggregations undone by the rollback guard.
     pub rolled_back: u64,
     /// Frames rejected by the wire CRC check (transit corruption).
     pub corrupt_frames: u64,

@@ -2,13 +2,13 @@
 //!
 //! FNV-1a digests of one payload frame and one update frame cut by
 //! [`WireContext`] from fixed inputs (with and without
-//! [`WireConfig::with_auth`]), of a snapshot container, of a two-record
-//! journal file and of a binary checkpoint. The constants were captured
-//! before `crc32` had a second formulation and before the frame encoders
-//! stopped sorting a copy of the module keys: record order, trailer
-//! values and therefore compatibility with every frame, journal,
-//! snapshot and checkpoint already written are held by numbers, not by
-//! an encoder agreeing with the decoder compiled beside it. Every pinned
+//! [`WireConfig::with_auth`]), of a snapshot container and of a
+//! two-record journal file. The constants were captured before `crc32`
+//! had a second formulation and before the frame encoders stopped
+//! sorting a copy of the module keys: record order, trailer values and
+//! therefore compatibility with every frame, journal and snapshot
+//! already written are held by numbers, not by an encoder agreeing with
+//! the decoder compiled beside it. Every pinned
 //! buffer is also decoded back. A third digest per authenticated frame
 //! skips its version/kind/codec/flag bytes and its CRC + MAC trailer, so
 //! it pins the records whatever authenticates them. Since authenticated
@@ -23,7 +23,6 @@
 //! empty raw record. The dense pins do the same through a `DensePool`, whose down
 //! and up blobs differ in length and whose down blob changes length once.
 
-use nebula_core::checkpoint::{decode_binary, encode_binary, Checkpoint, CheckpointConfig};
 use nebula_core::journal::{decode_snapshot, encode_snapshot, read_journal, JournalWriter};
 use nebula_core::{ModuleUpdate, SubModelPayload, WireConfig, WireContext};
 use nebula_modular::{ModularConfig, ModularModel, SubModelSpec};
@@ -81,7 +80,6 @@ const PINNED_PAYLOAD_V2: u64 = 0xe3af_5319_5220_d5a7;
 const PINNED_UPDATE_V2: u64 = 0x3fa2_cd0e_bb4d_7c60;
 const PINNED_SNAPSHOT: u64 = 0x360e_d4ed_3059_4b41;
 const PINNED_JOURNAL: u64 = 0x8d60_7148_7ea5_2820;
-const PINNED_CHECKPOINT: u64 = 0x7621_edec_d6f7_37fc;
 
 /// The fixture payload and update frames cut under `cfg`, each checked to
 /// decode back to its input.
@@ -164,7 +162,7 @@ fn authenticated_frames_keep_their_covered_bytes() {
 }
 
 #[test]
-fn snapshot_journal_and_checkpoint_keep_their_bytes() {
+fn snapshot_and_journal_keep_their_bytes() {
     let state: Vec<u8> = floats(7, 700).iter().flat_map(|v| v.to_le_bytes()).collect();
 
     let snapshot = encode_snapshot(12, &state);
@@ -183,32 +181,12 @@ fn snapshot_journal_and_checkpoint_keep_their_bytes() {
     assert_eq!(contents.records, vec![state[..333].to_vec(), b"short".to_vec()]);
     assert!(!contents.torn_tail);
 
-    let ckpt = Checkpoint {
-        version: 2,
-        config: CheckpointConfig {
-            input_dim: 48,
-            classes: 10,
-            width: 24,
-            num_layers: 3,
-            modules_per_layer: 8,
-            module_hidden: 96,
-            residual_module: true,
-            selector_embed: 16,
-        },
-        params: floats(8, 5_003),
-    };
-    let checkpoint = encode_binary(&ckpt);
-    let back = decode_binary(&checkpoint).expect("pinned checkpoint decodes");
-    assert_eq!(back.config, ckpt.config);
-    assert_eq!(back.params, ckpt.params);
-
     assert_eq!(
-        (fnv(&snapshot), fnv(&journal), fnv(&checkpoint)),
-        (PINNED_SNAPSHOT, PINNED_JOURNAL, PINNED_CHECKPOINT),
-        "container bytes changed: snapshot {:#018x}, journal {:#018x}, checkpoint {:#018x}",
+        (fnv(&snapshot), fnv(&journal)),
+        (PINNED_SNAPSHOT, PINNED_JOURNAL),
+        "container bytes changed: snapshot {:#018x}, journal {:#018x}",
         fnv(&snapshot),
-        fnv(&journal),
-        fnv(&checkpoint)
+        fnv(&journal)
     );
 }
 

@@ -60,7 +60,7 @@ pub use nebula_core::stats::RoundStats;
 pub use network::CommTracker;
 pub use resources::{DeviceClass, DeviceResources, ResourceSampler};
 pub use runner::{RunOutcome, Runner};
-pub use shard::{LinkModel, ShardConfig, ShardRound, ShardSpec, ShardedWorld};
+pub use shard::{ShardConfig, ShardRound, ShardSpec, ShardedWorld};
 pub use strategy::{
     AdaptStrategy, AdaptiveNetStrategy, FedAvgStrategy, HeteroFlStrategy, LocalAdaptStrategy, NebulaStrategy,
     NebulaVariant, NoAdaptStrategy,

@@ -53,9 +53,7 @@ use crate::latency::adaptation_latency_ms;
 use crate::network::transfer_time_ms;
 use crate::resources::{DeviceResources, ResourceSampler};
 use nebula_core::edge::update_bytes;
-use nebula_core::{
-    EdgePartial, EdgeUpdate, NebulaCloud, NebulaParams, ResourceProfile, RobustAggregator, SanitizePolicy,
-};
+use nebula_core::{EdgePartial, EdgeUpdate, NebulaCloud, NebulaParams, ResourceProfile};
 use nebula_data::SynthSpec;
 use nebula_modular::cost::CostModel;
 use nebula_modular::ModularConfig;
@@ -83,24 +81,18 @@ impl ShardSpec {
     }
 }
 
-/// Bandwidths of the simulated aggregation network.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct LinkModel {
-    /// Device-facing ingress of one aggregation point (flat cloud or one
-    /// edge server), bits/sec. 100 Mbps — WiFi-AP/MEC class, the shared
-    /// hop above the paper's ~20 Mbps per-device WiFi links.
-    pub ingress_bps: f64,
-    /// Dedicated per-edge backhaul to the cloud, bits/sec (1 Gbps).
-    pub backhaul_bps: f64,
-    /// Cloud ingress absorbing edge partials, bits/sec (10 Gbps).
-    pub cloud_ingress_bps: f64,
-}
-
-impl Default for LinkModel {
-    fn default() -> Self {
-        Self { ingress_bps: 100e6, backhaul_bps: 1e9, cloud_ingress_bps: 10e9 }
-    }
-}
+/// Device-facing ingress of one aggregation point (flat cloud or one edge
+/// server), bits/sec. 100 Mbps — WiFi-AP/MEC class, the shared hop above
+/// the paper's ~20 Mbps per-device WiFi links.
+const INGRESS_BPS: f64 = 100e6;
+/// Dedicated per-edge backhaul to the cloud, bits/sec (1 Gbps).
+const BACKHAUL_BPS: f64 = 1e9;
+/// Cloud ingress absorbing edge partials, bits/sec (10 Gbps).
+const CLOUD_INGRESS_BPS: f64 = 10e9;
+/// Local epochs and batch size each virtual device's compute is billed
+/// for.
+const LOCAL_EPOCHS: usize = 1;
+const BATCH_SIZE: usize = 16;
 
 /// Configuration of a sharded population run.
 #[derive(Clone, Debug)]
@@ -110,29 +102,13 @@ pub struct ShardConfig {
     /// Devices sampled per round (spread over cells).
     pub devices_per_round: usize,
     pub spec: ShardSpec,
-    /// Combine rule. `WeightedMean` streams in constant memory; robust
-    /// rules buffer per cell and re-run the full gate at the cloud.
-    pub aggregator: RobustAggregator,
-    pub sanitize: SanitizePolicy,
-    pub links: LinkModel,
-    pub local_epochs: usize,
-    pub batch_size: usize,
 }
 
 impl ShardConfig {
-    /// Defaults for a population of `population` devices sampled
-    /// `devices_per_round` at a time across `shards` edges.
+    /// A population of `population` devices sampled `devices_per_round`
+    /// at a time across `shards` edges.
     pub fn new(population: usize, devices_per_round: usize, shards: usize) -> Self {
-        Self {
-            population,
-            devices_per_round,
-            spec: ShardSpec::new(shards),
-            aggregator: RobustAggregator::WeightedMean,
-            sanitize: SanitizePolicy::default(),
-            links: LinkModel::default(),
-            local_epochs: 1,
-            batch_size: 16,
-        }
+        Self { population, devices_per_round, spec: ShardSpec::new(shards) }
     }
 }
 
@@ -157,10 +133,11 @@ pub struct ShardRound {
     pub accepted: usize,
     /// Updates it rejected (non-finite or norm outlier).
     pub rejected: usize,
-    /// Accepted updates that bypassed an enabled norm-outlier check —
-    /// streaming folds cannot run it (see
-    /// [`SanitizePolicy::norm_outlier_ratio`]), so a zero `rejected`
-    /// with this non-zero is absence of evidence, not a clean round.
+    /// Accepted updates that bypassed the norm-outlier check — streaming
+    /// folds cannot run it (see
+    /// [`nebula_core::SanitizePolicy::norm_outlier_ratio`]), so a zero
+    /// `rejected` with this non-zero is absence of evidence, not a clean
+    /// round.
     pub outlier_check_skipped: usize,
     /// Modules that received at least one accepted contribution.
     pub touched: usize,
@@ -357,13 +334,8 @@ impl ShardedWorld {
         // Down + up: the dispatched sub-model and the update are the same
         // tensors, so the exchange is twice the update's wire size.
         let exchange = 2 * update_bytes(&update);
-        let device_ms = adaptation_latency_ms(
-            &dev.resources,
-            flops,
-            dev.volume,
-            self.cfg.local_epochs,
-            self.cfg.batch_size,
-        ) + transfer_time_ms(exchange, dev.resources.bandwidth_bps);
+        let device_ms = adaptation_latency_ms(&dev.resources, flops, dev.volume, LOCAL_EPOCHS, BATCH_SIZE)
+            + transfer_time_ms(exchange, dev.resources.bandwidth_bps);
         (update, device_ms)
     }
 
@@ -392,7 +364,7 @@ impl ShardedWorld {
                 ingress_bytes += update_bytes(&update);
                 update
             });
-            partials.push(EdgePartial::fold(updates, self.cfg.aggregator, &self.cfg.sanitize));
+            partials.push(EdgePartial::fold(updates));
         }
         ShardResult { partials, max_device_ms, ingress_bytes }
     }
@@ -409,7 +381,6 @@ impl ShardedWorld {
         let results: Vec<ShardResult> =
             nebula_tensor::par::map((0..shards).collect(), |s| self.run_shard(s, round, cells_per_shard));
 
-        let links = self.cfg.links;
         let sampled: usize = results.iter().flat_map(|r| &r.partials).map(|p| p.devices).sum();
         let device_upload_bytes: u64 = results.iter().map(|r| r.ingress_bytes).sum();
         let max_device_ms = results.iter().map(|r| r.max_device_ms).fold(0.0f64, f64::max);
@@ -417,25 +388,23 @@ impl ShardedWorld {
         if shards == 1 {
             // Flat: every sampled upload crosses the cloud's device-facing
             // ingress; there is no backhaul hop.
-            sim_ingress_ms = transfer_time_ms(device_upload_bytes, links.ingress_bps);
+            sim_ingress_ms = transfer_time_ms(device_upload_bytes, INGRESS_BPS);
             sim_backhaul_ms = 0.0;
             partial_upload_bytes = 0;
         } else {
-            sim_ingress_ms = results
-                .iter()
-                .map(|r| transfer_time_ms(r.ingress_bytes, links.ingress_bps))
-                .fold(0.0f64, f64::max);
+            sim_ingress_ms =
+                results.iter().map(|r| transfer_time_ms(r.ingress_bytes, INGRESS_BPS)).fold(0.0f64, f64::max);
             let shard_bytes: Vec<u64> =
                 results.iter().map(|r| r.partials.iter().map(EdgePartial::wire_bytes).sum()).collect();
             let max_backhaul =
-                shard_bytes.iter().map(|&b| transfer_time_ms(b, links.backhaul_bps)).fold(0.0f64, f64::max);
+                shard_bytes.iter().map(|&b| transfer_time_ms(b, BACKHAUL_BPS)).fold(0.0f64, f64::max);
             partial_upload_bytes = shard_bytes.iter().sum();
-            sim_backhaul_ms = max_backhaul + transfer_time_ms(partial_upload_bytes, links.cloud_ingress_bps);
+            sim_backhaul_ms = max_backhaul + transfer_time_ms(partial_upload_bytes, CLOUD_INGRESS_BPS);
         }
         let sim_round_ms = max_device_ms + sim_ingress_ms + sim_backhaul_ms;
 
         let partials: Vec<EdgePartial> = results.into_iter().flat_map(|r| r.partials).collect();
-        let outcome = self.cloud.absorb_partials(&partials, &self.cfg.sanitize, self.cfg.aggregator);
+        let outcome = self.cloud.absorb_partials(&partials);
         ShardRound {
             round,
             population: self.cfg.population,

@@ -57,9 +57,9 @@ use crate::round::{gate, predicted_time_ms, Device, Exit, Round};
 use crate::world::SimWorld;
 use nebula_baselines::{dense_round, local_adapt, ratio_for_budget, DenseJobRunner, DenseModel};
 use nebula_core::{
-    discount_staleness, plan_corrupt_resend, DispatchJob, EdgeClient, EdgeClientState, EdgePartial,
-    EdgeUpdate, JobResult, JobSpec, Loopback, NebulaCloud, NebulaParams, RobustAggregator, RoundStats,
-    SanitizePolicy, SubModelPayload, TrainParams, Transport, WireConfig, WireContext,
+    discount_staleness, plan_corrupt_resend, DispatchJob, EdgeClient, EdgeClientState, EdgeUpdate, JobResult,
+    JobSpec, Loopback, NebulaCloud, NebulaParams, RobustAggregator, RoundStats, SanitizePolicy,
+    SubModelPayload, TrainParams, Transport, WireConfig, WireContext,
 };
 use nebula_data::Dataset;
 use nebula_modular::ModularConfig;
@@ -124,24 +124,6 @@ pub struct StrategyConfig {
     /// aggregation, bit-identical to the unparameterized path; the robust
     /// rules trade clean-run fidelity for Byzantine tolerance.
     pub aggregator: RobustAggregator,
-    /// Hierarchical cloud→edge→device fan-out (DESIGN.md §14): the
-    /// accepted cohort is folded at this many simulated edge servers
-    /// (contiguous chunks in cohort order) and the cloud merges one
-    /// partial per edge, in edge order. `None` keeps the flat
-    /// direct-to-cloud path. Under `WeightedMean` each edge streams its
-    /// chunk into a constant-memory accumulator, so the cloud-side cost
-    /// is O(edges), not O(devices); robust rules buffer per edge and run
-    /// the full sanitize gate + combine rule at the cloud, matching the
-    /// flat trajectory exactly.
-    ///
-    /// Caveat: under `WeightedMean` the fold-time gate runs only the
-    /// non-finite check — the cross-cohort norm-outlier rejection of
-    /// [`SanitizePolicy::norm_outlier_ratio`] cannot run on a stream, so
-    /// enabling the hierarchy weakens that defense relative to the flat
-    /// path. Each bypassed accept is counted in
-    /// `SanitizeReport::outlier_check_skipped` (telemetry counter
-    /// `sanitize.outlier_check_skipped`).
-    pub edge_groups: Option<usize>,
 }
 
 impl StrategyConfig {
@@ -159,7 +141,6 @@ impl StrategyConfig {
             proxy_samples: 3000,
             wire: WireConfig::raw(),
             aggregator: RobustAggregator::WeightedMean,
-            edge_groups: None,
         }
     }
 
@@ -629,7 +610,7 @@ pub struct NebulaStrategy {
     sanitize: SanitizePolicy,
     /// Module-wise combine rule applied behind the gate.
     aggregator: RobustAggregator,
-    /// Checkpoint-rollback guard: probe dataset + max tolerated accuracy
+    /// Rollback guard: probe dataset + max tolerated accuracy
     /// drop per aggregation. Off by default.
     rollback: Option<(Dataset, f32)>,
     /// Module transport: codecs and per-device residual state.
@@ -683,7 +664,7 @@ impl NebulaStrategy {
         &mut self.cloud
     }
 
-    /// Arms the checkpoint-rollback guard: every aggregation is probed on
+    /// Arms the rollback guard: every aggregation is probed on
     /// `probe` and undone if accuracy regresses by more than `max_drop`.
     pub fn enable_rollback(&mut self, probe: Dataset, max_drop: f32) {
         self.rollback = Some((probe, max_drop));
@@ -964,24 +945,13 @@ impl NebulaStrategy {
     }
 
     /// Aggregates the accepted updates behind the sanitize gate,
-    /// optionally under the checkpoint-rollback guard.
+    /// optionally under the rollback guard.
     fn aggregate(&mut self, round: &mut Round, accepted: &[EdgeUpdate]) {
         let telemetry = &round.telemetry;
         let mut agg_span = telemetry.span("aggregate");
         agg_span.int("accepted", accepted.len() as u64);
-        // Hierarchical fan-out: the cloud only ever sees one partial per
-        // edge group. (Edge→cloud backhaul byte/latency accounting lives
-        // in the sharded engine; `comm` here stays the device-side
-        // traffic, identical to the flat path.)
-        let partials = self.edge_partials(accepted);
-        if let Some(partials) = &partials {
-            agg_span.int("edge_partials", partials.len() as u64);
-        }
         let (sanitize, rule) = (self.sanitize, self.aggregator);
-        let combine = |cloud: &mut NebulaCloud| match &partials {
-            Some(partials) => cloud.absorb_partials(partials, &sanitize, rule),
-            None => cloud.aggregate_robust_with(accepted, &sanitize, rule),
-        };
+        let combine = |cloud: &mut NebulaCloud| cloud.aggregate_robust_with(accepted, &sanitize, rule);
         let s = match &self.rollback {
             Some((probe, max_drop)) => {
                 let out =
@@ -1004,31 +974,6 @@ impl NebulaStrategy {
                 e.ints.insert("outlier_skipped".into(), s.outlier_check_skipped as u64);
             });
         }
-    }
-
-    /// Folds the accepted cohort at `cfg.edge_groups` simulated edge
-    /// servers — contiguous chunks in cohort order — and returns their
-    /// partials in edge order. `None` when the hierarchy is disabled (or
-    /// configured with zero edges), which keeps the flat path.
-    fn edge_partials(&self, accepted: &[EdgeUpdate]) -> Option<Vec<EdgePartial>> {
-        let groups = self.cfg.edge_groups?;
-        if groups == 0 {
-            return None;
-        }
-        // A dead round — every sampled device crashed, missed the
-        // deadline, or dropped its link — has nothing to fold.
-        // `absorb_partials` of an empty list is a no-op, so the round
-        // records zeros instead of the whole experiment crashing.
-        if accepted.is_empty() {
-            return Some(Vec::new());
-        }
-        let chunk = accepted.len().div_ceil(groups.min(accepted.len()));
-        Some(
-            accepted
-                .chunks(chunk)
-                .map(|block| EdgePartial::fold(block.iter().cloned(), self.aggregator, &self.sanitize))
-                .collect(),
-        )
     }
 
     /// The cloud → device half of an exchange: derive a sub-model for the

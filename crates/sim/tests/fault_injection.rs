@@ -203,30 +203,6 @@ fn frame_corruption_without_retries_drops_devices() {
     }
 }
 
-/// A dead round — every frame corrupted, no retry budget — with the edge
-/// hierarchy enabled must record zeros like the flat path does, not
-/// panic. Regression test: the edge fold divided by the (empty) accepted
-/// cohort's size.
-#[test]
-fn dead_round_with_edge_hierarchy_records_zeros() {
-    let mut world = toy_world(12, 5);
-    world.set_fault_plan(FaultPlan { seed: 19, frame_corrupt_prob: 1.0, ..FaultPlan::none() });
-    world.set_round_policy(RoundPolicy { max_retries: 0, ..RoundPolicy::default() });
-    let mut cfg = toy_cfg(6);
-    cfg.edge_groups = Some(2);
-    let mut s = NebulaStrategy::new(cfg, 1);
-    let mut rng = NebulaRng::seed(3);
-    let before = s.cloud().model().param_vector();
-    let out = s.single_round(&mut world, &mut rng);
-    assert_conserved(&out.stats.faults);
-    assert_eq!(out.stats.faults.participated, 0, "{:?}", out.stats.faults);
-    let after = s.cloud().model().param_vector();
-    assert_eq!(before.len(), after.len());
-    for (a, b) in before.iter().zip(&after) {
-        assert_eq!(a.to_bits(), b.to_bits(), "a dead round must leave the cloud untouched");
-    }
-}
-
 /// The dense baselines account frame corruption through the same
 /// retry/link-drop bookkeeping.
 #[test]

@@ -400,17 +400,6 @@ fn run_case(name: &str) -> u64 {
             cfg.aggregator = RobustAggregator::TrimmedMean { frac: 0.2 };
             nebula_case(NebulaStrategy::new(cfg, 1), nebula_plan)
         }
-        "nebula_edges3_raw_clean" => {
-            let mut cfg = toy_cfg(WireConfig::raw());
-            cfg.edge_groups = Some(3);
-            nebula_case(NebulaStrategy::new(cfg, 1), None)
-        }
-        "nebula_edges3_int8_trimmed_faulty" => {
-            let mut cfg = toy_cfg(WireConfig::int8());
-            cfg.aggregator = RobustAggregator::TrimmedMean { frac: 0.2 };
-            cfg.edge_groups = Some(3);
-            nebula_case(NebulaStrategy::new(cfg, 1), nebula_plan)
-        }
         "nebula_tracked_raw_clean" => tracked_case(),
         "nebula_events_faulty" => events_case(),
         // The target is out of reach, so the run probes on the cadence
@@ -437,14 +426,14 @@ fn run_case(name: &str) -> u64 {
 }
 
 /// The first seven but `hfl_raw_faulty` were captured at the parent of
-/// the one-dense-round refactor; the hierarchy and `runner_*` cases at the parent of the
+/// the one-dense-round refactor; the `runner_*` cases at the parent of the
 /// one-Runner-loop / one-guarded-aggregation refactor; the tracked-cohort
 /// case at the parent of the change that trains a round's devices on
 /// real threads; the ordered-trace case at the parent of the change that
 /// gates a Nebula round's cohort before training it; `hfl_raw_faulty`
 /// before the delta codec was deleted, so HeteroFL stays pinned under a
 /// fault plan without it.
-const GOLDEN: [(&str, u64); 14] = [
+const GOLDEN: [(&str, u64); 12] = [
     ("fa_raw_clean", 0xf449_a4ce_cd01_c038),
     ("fa_int8_faulty", 0xde47_9568_83e0_4859),
     ("hfl_raw_clean", 0x222f_cb4c_6cb6_e831),
@@ -452,11 +441,6 @@ const GOLDEN: [(&str, u64); 14] = [
     ("nebula_raw_clean", 0xbbe2_647a_0792_5916),
     ("nebula_raw_auth_faulty_loopback", 0x652b_6d5b_05de_75c3),
     ("nebula_int8_trimmed_faulty", 0xd9cb_e91a_1238_dc6a),
-    ("nebula_edges3_raw_clean", 0xdba1_8c1b_436e_7509),
-    // Equal to the flat case above by design: a robust rule buffers at
-    // the edges and the cloud runs the full gate + rule over the same
-    // updates in the same order.
-    ("nebula_edges3_int8_trimmed_faulty", 0xd9cb_e91a_1238_dc6a),
     ("nebula_tracked_raw_clean", 0x8873_3294_aafa_bc11),
     ("nebula_events_faulty", 0xa0f3_5a26_b69b_c837),
     ("runner_target_fa", 0x9997_d0da_d51a_458b),

@@ -1,7 +1,7 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 //!
-//! The checksum of every frame trailer, journal record, snapshot container
-//! and binary checkpoint. One function, [`crc32`], two formulations of the
+//! The checksum of every frame trailer, journal record and snapshot
+//! container. One function, [`crc32`], two formulations of the
 //! same polynomial division, chosen from the CPU and the buffer length
 //! alone; they return the same value for every input (`tests/crc_pins.rs`
 //! holds values computed before the second one existed).

@@ -37,6 +37,9 @@ pub enum WireError {
     /// A payload or update frame carries module records above `layer` but
     /// none for it, so its records do not describe a sub-model.
     EmptyLayer { layer: usize },
+    /// A byte the format reserves — header flag bits 1–7, or a record's
+    /// eleven reserved bytes — is not zero at this frame offset.
+    ReservedNonZero { offset: usize },
 }
 
 impl fmt::Display for WireError {
@@ -62,6 +65,7 @@ impl fmt::Display for WireError {
                 write!(f, "authentication required but frame and key disagree")
             }
             WireError::EmptyLayer { layer } => write!(f, "no module record for layer {layer}"),
+            WireError::ReservedNonZero { offset } => write!(f, "reserved byte {offset} is not zero"),
         }
     }
 }

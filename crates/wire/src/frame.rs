@@ -285,9 +285,12 @@ impl<'a> FrameView<'a> {
     /// Validate and index `bytes` as one frame. Checks, in order: minimum
     /// length, magic, version (2 with the auth flag, 1 without), kind,
     /// codec ids, declared body length vs actual, MAC (authenticated
-    /// frames only), CRC, then walks every record checking bounds. Any
-    /// byte flip that survives all structural checks is caught by the
-    /// CRC; any rewrite with a fixed-up CRC is caught by the MAC.
+    /// frames only), CRC, reserved flag bits, then walks every record
+    /// checking bounds and that its reserved bytes are zero. Any byte flip
+    /// that survives all structural checks is caught by the CRC; any
+    /// rewrite with a fixed-up CRC is caught by the MAC. Reserved bytes
+    /// are checked after both, so a transit flip there still reads as
+    /// [`WireError::CrcMismatch`].
     ///
     /// Key semantics are strict in both directions: a key-holding
     /// receiver rejects unauthenticated frames (stripping the flag is not
@@ -335,6 +338,9 @@ impl<'a> FrameView<'a> {
         if stored != actual {
             return Err(WireError::CrcMismatch { expected: stored, got: actual });
         }
+        if bytes[7] & !FLAG_AUTH != 0 {
+            return Err(WireError::ReservedNonZero { offset: 7 });
+        }
         // Bound the record-index allocation by what the body can actually
         // hold: a hostile count field (u32) with a small body would
         // otherwise reserve gigabytes before the per-record bounds checks
@@ -357,6 +363,9 @@ impl<'a> FrameView<'a> {
                 module: u16::from_le_bytes([h[2], h[3]]),
             };
             let rec_codec = CodecKind::from_id(h[4])?;
+            if let Some(i) = h[5..16].iter().position(|&b| b != 0) {
+                return Err(WireError::ReservedNonZero { offset: at + 5 + i });
+            }
             let elems = u32::from_le_bytes([h[16], h[17], h[18], h[19]]) as usize;
             let enc_len = u32::from_le_bytes([h[20], h[21], h[22], h[23]]) as usize;
             at += RECORD_HEADER_LEN;
@@ -572,6 +581,59 @@ mod tests {
             let crc = crc32(&buf[..crc_at]);
             buf[crc_at..].copy_from_slice(&crc.to_le_bytes());
             assert_eq!(FrameView::parse(&buf).err(), Some(WireError::UnknownCodec(1)), "codec byte at {at}");
+        }
+    }
+
+    /// A frame whose reserved header flag bits or record bytes are set is
+    /// refused once its CRC (and MAC) verify — every writer leaves them
+    /// zero, so a non-zero one is a peer speaking another format.
+    #[test]
+    fn reserved_bytes_are_refused() {
+        let key = test_key();
+        let payload = {
+            let mut buf = Vec::new();
+            let mut b = FrameBuilder::begin(&mut buf, FrameKind::Payload, CodecKind::Raw);
+            b.record(ModuleKey::module(0, 1), CodecKind::Raw, 3, |o| codec::encode_raw(&[1.0, 2.0, 3.0], o));
+            b.finish();
+            buf
+        };
+        let dense = {
+            let mut buf = Vec::new();
+            let mut b = FrameBuilder::begin(&mut buf, FrameKind::Dense, CodecKind::Raw);
+            b.record(ModuleKey::SHARED, CodecKind::Raw, 2, |o| codec::encode_raw(&[1.0, 2.0], o));
+            b.finish();
+            buf
+        };
+        let hello = {
+            let mut buf = Vec::new();
+            let hello =
+                crate::hello::Hello { proto: 1, codec: CodecKind::Raw, threads: 2, name: "w0".into() };
+            crate::hello::encode_hello(&mut buf, &hello, None);
+            buf
+        };
+        for (what, frame, key) in [
+            ("payload", payload, None),
+            ("authed update", authed_frame(), Some(&key)),
+            ("dense", dense, None),
+            ("hello", hello, None),
+        ] {
+            assert!(FrameView::parse_keyed(&frame, key).is_ok(), "{what}: the clean frame parses");
+            for at in [7, 21, 28] {
+                let mut bad = frame.clone();
+                bad[at] |= 0x5A;
+                let crc_at = HEADER_LEN + u32::from_le_bytes(bad[12..16].try_into().unwrap()) as usize;
+                if let Some(key) = key {
+                    let mac = key.mac(&bad[..crc_at]);
+                    bad[crc_at + TRAILER_LEN..].copy_from_slice(&mac.to_le_bytes());
+                }
+                let crc = crc32(&bad[..crc_at]);
+                bad[crc_at..crc_at + TRAILER_LEN].copy_from_slice(&crc.to_le_bytes());
+                assert_eq!(
+                    FrameView::parse_keyed(&bad, key).err(),
+                    Some(WireError::ReservedNonZero { offset: at }),
+                    "{what}: byte {at}"
+                );
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 //! leaf crate):
 //!
 //! * [`crc32`] — IEEE CRC32 for the frame trailer (and, through the one
-//!   function, journal records, snapshots and checkpoints): buffers of 64
+//!   function, journal records and snapshots): buffers of 64
 //!   bytes or more are folded with carry-less multiplies on x86-64 CPUs
 //!   that have `pclmulqdq`, everything else walks slicing-by-8 tables;
 //!   same value either way.

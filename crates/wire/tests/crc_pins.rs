@@ -1,7 +1,7 @@
 //! Pinned CRC-32 values.
 //!
-//! Every frame trailer, journal record, snapshot container and binary
-//! checkpoint written so far carries `nebula_wire::crc32` of its body, so
+//! Every frame trailer, journal record and snapshot container written so
+//! far carries `nebula_wire::crc32` of its body, so
 //! the function's value for a given input is a file and wire format, not
 //! an implementation detail. The table below was captured from the
 //! slicing-by-8 implementation before any other formulation existed: a

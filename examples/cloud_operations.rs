@@ -1,15 +1,14 @@
-//! Cloud operations: checkpointing and rolling back a bad aggregation.
+//! Cloud operations: guarded aggregation and rollback.
 //!
-//! A production Nebula cloud snapshots its modularized model before each
-//! aggregation window. If a round of updates degrades the model (bad
-//! devices, poisoned labels, a buggy client), the operator rolls back and
-//! keeps serving. This example walks that loop with the compact binary
-//! checkpoint format.
+//! A production Nebula cloud probes its modularized model around each
+//! aggregation. If a round of updates degrades the model (bad devices,
+//! poisoned labels, a buggy client), the aggregation is rolled back and
+//! the cloud keeps serving. This example walks that loop with
+//! `NebulaCloud::guarded`.
 //!
 //! Run: `cargo run --release --example cloud_operations`
 
-use nebula::core::checkpoint::{load_binary, save_binary};
-use nebula::core::{EdgeClient, NebulaCloud, NebulaParams, ResourceProfile};
+use nebula::core::{AggregateOutcome, EdgeClient, NebulaCloud, NebulaParams, ResourceProfile};
 use nebula::data::{evaluate_accuracy, Dataset, Synthesizer, TaskPreset};
 use nebula::tensor::NebulaRng;
 
@@ -27,15 +26,6 @@ fn main() {
     let healthy = evaluate_accuracy(cloud.model_mut(), &probe, 64);
     println!("healthy cloud accuracy: {:.1}%", healthy * 100.0);
 
-    // Snapshot before the aggregation window.
-    let ckpt_path = std::env::temp_dir().join("nebula-cloud.nbla");
-    save_binary(cloud.model(), &ckpt_path).expect("snapshot");
-    println!(
-        "checkpoint written: {} ({} KiB)",
-        ckpt_path.display(),
-        std::fs::metadata(&ckpt_path).map(|m| m.len() / 1024).unwrap_or(0)
-    );
-
     // A compromised device pushes an update trained on mislabelled data.
     let clean = synth.sample_classes(150, &[0, 1], 0, &mut rng);
     let poisoned =
@@ -44,19 +34,21 @@ fn main() {
     let payload = cloud.dispatch(&outcome.spec);
     let mut bad_client = EdgeClient::from_payload(cloud.model().config().clone(), &payload);
     bad_client.adapt(&poisoned, 10, 16, 0.1, &mut rng);
-    cloud.aggregate(&[bad_client.make_update(&poisoned)]);
+    let update = bad_client.make_update(&poisoned);
 
-    let after_poison = evaluate_accuracy(cloud.model_mut(), &probe, 64);
-    println!("after poisoned round:   {:.1}%", after_poison * 100.0);
-
-    // The monitoring gate trips; roll back.
-    if after_poison < healthy - 0.02 {
-        load_binary(cloud.model_mut(), &ckpt_path).expect("rollback");
+    // The guard probes before and after the aggregation and rolls it back
+    // when accuracy drops by more than two points.
+    let out = cloud.guarded(
+        |m| evaluate_accuracy(m, &probe, 64),
+        0.02,
+        |c| AggregateOutcome { touched: c.aggregate(&[update]), ..AggregateOutcome::default() },
+    );
+    println!("after poisoned round:   {:.1}%", out.acc_after * 100.0);
+    if out.rolled_back {
         let restored = evaluate_accuracy(cloud.model_mut(), &probe, 64);
         println!("rolled back:            {:.1}%", restored * 100.0);
         assert!((restored - healthy).abs() < 1e-6, "rollback must be exact");
     } else {
         println!("(poison was absorbed — no rollback needed this time)");
     }
-    std::fs::remove_file(&ckpt_path).ok();
 }

@@ -1,9 +1,8 @@
-//! Cross-crate integration: cloud-model checkpointing across the
-//! adaptation lifecycle (snapshot → bad round → rollback).
+//! Cross-crate integration: rolling back a bad aggregation round with
+//! [`NebulaCloud::guarded`] across the adaptation lifecycle.
 
-use nebula::core::checkpoint::{restore, snapshot};
-use nebula::core::{EdgeClient, NebulaCloud, NebulaParams, ResourceProfile};
-use nebula::data::{SynthSpec, Synthesizer};
+use nebula::core::{AggregateOutcome, EdgeClient, NebulaCloud, NebulaParams, ResourceProfile};
+use nebula::data::{evaluate_accuracy, SynthSpec, Synthesizer};
 use nebula::modular::ModularConfig;
 use nebula::nn::Layer;
 use nebula::tensor::NebulaRng;
@@ -22,8 +21,7 @@ fn rollback_restores_pre_aggregation_state() {
     let mut rng = NebulaRng::seed(3);
     let mut c = cloud();
     c.pretrain(&synth.sample(300, 0, &mut rng), &mut rng);
-
-    let ckpt = snapshot(c.model());
+    let probe = synth.sample(100, 0, &mut rng);
     let before = c.model().param_vector();
 
     // A "bad" round: a device trains on label-noise garbage and pushes
@@ -37,31 +35,18 @@ fn rollback_restores_pre_aggregation_state() {
     let payload = c.dispatch(&outcome.spec);
     let mut client = EdgeClient::from_payload(c.model().config().clone(), &payload);
     client.adapt(&garbage, 5, 16, 0.1, &mut rng);
-    c.aggregate(&[client.make_update(&garbage)]);
-    assert_ne!(c.model().param_vector(), before, "bad round had no effect");
+    let update = client.make_update(&garbage);
 
-    // Roll back.
-    restore(c.model_mut(), &ckpt).unwrap();
+    // No accuracy clears a negative tolerance, so the guard rolls back.
+    let out = c.guarded(
+        |m| evaluate_accuracy(m, &probe, 64),
+        -1.0,
+        |c| {
+            let touched = c.aggregate(&[update]);
+            assert_ne!(c.model().param_vector(), before, "bad round had no effect");
+            AggregateOutcome { touched, ..AggregateOutcome::default() }
+        },
+    );
+    assert!(out.rolled_back);
     assert_eq!(c.model().param_vector(), before, "rollback incomplete");
-}
-
-#[test]
-fn checkpoint_survives_binary_round_trip_through_disk() {
-    let synth = Synthesizer::new(SynthSpec::toy(), 1);
-    let mut rng = NebulaRng::seed(5);
-    let mut c = cloud();
-    c.pretrain(&synth.sample(200, 0, &mut rng), &mut rng);
-
-    let dir = std::env::temp_dir().join("nebula-integration-ckpt");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cloud.ckpt");
-    nebula::core::checkpoint::save_binary(c.model(), &path).unwrap();
-
-    let mut c2 = cloud();
-    nebula::core::checkpoint::load_binary(c2.model_mut(), &path).unwrap();
-    let test = synth.sample(100, 0, &mut rng);
-    let a = nebula::data::evaluate_accuracy(c.model_mut(), &test, 64);
-    let b = nebula::data::evaluate_accuracy(c2.model_mut(), &test, 64);
-    assert_eq!(a, b, "restored cloud behaves differently");
-    std::fs::remove_file(&path).ok();
 }
