@@ -11,7 +11,7 @@ use crate::aggregate::{
     RobustAggregator, SanitizePolicy, SanitizeReport, StreamingAccumulator,
 };
 use crate::derive::{derive_submodel, DeriveOutcome};
-use crate::offline::{enhance_module_abilities, pretrain, EnhanceConfig, EnhanceOutcome, PretrainConfig};
+use crate::offline::{enhance_module_abilities, pretrain, EnhanceOutcome, PretrainConfig};
 use crate::profile::ResourceProfile;
 use nebula_data::Dataset;
 use nebula_modular::cost::CostModel;
@@ -24,24 +24,20 @@ use std::collections::BTreeMap;
 #[derive(Clone, Copy, Debug)]
 pub struct NebulaParams {
     pub pretrain: PretrainConfig,
-    pub enhance: EnhanceConfig,
     /// Local epochs per collaborative round (paper: 3).
+    /// Unread; kept while `nebula_benchmark` names it.
     pub local_epochs: usize,
     /// Local batch size (paper: 16).
+    /// Unread; kept while `nebula_benchmark` names it.
     pub batch_size: usize,
     /// Local learning rate.
+    /// Unread; kept while `nebula_benchmark` names it.
     pub local_lr: f32,
 }
 
 impl Default for NebulaParams {
     fn default() -> Self {
-        Self {
-            pretrain: PretrainConfig::default(),
-            enhance: EnhanceConfig::default(),
-            local_epochs: 3,
-            batch_size: 16,
-            local_lr: 0.02,
-        }
+        Self { pretrain: PretrainConfig::default(), local_epochs: 3, batch_size: 16, local_lr: 0.02 }
     }
 }
 
@@ -148,11 +144,6 @@ impl NebulaCloud {
         Self { model: ModularModel::new(cfg, seed), cost, params }
     }
 
-    /// Framework hyper-parameters.
-    pub fn params(&self) -> &NebulaParams {
-        &self.params
-    }
-
     /// The cloud model (read access).
     pub fn model(&self) -> &ModularModel {
         &self.model
@@ -177,7 +168,7 @@ impl NebulaCloud {
     /// Offline stage step 2: module ability-enhancing training over the
     /// application-defined sub-tasks.
     pub fn enhance(&mut self, subtasks: &[Dataset], rng: &mut NebulaRng) -> EnhanceOutcome {
-        enhance_module_abilities(&mut self.model, subtasks, self.params.enhance, rng)
+        enhance_module_abilities(&mut self.model, subtasks, rng)
     }
 
     /// Online: derive a personalized sub-model for a device from its local
@@ -502,7 +493,6 @@ mod tests {
             synth.sample_classes(80, &[0, 1], 0, &mut rng),
             synth.sample_classes(80, &[2, 3], 0, &mut rng),
         ];
-        c.params.enhance.epochs = 2;
         let out = c.enhance(&subtasks, &mut rng);
         assert!(out.final_loss.is_finite());
     }

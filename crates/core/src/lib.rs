@@ -53,7 +53,7 @@ pub use net::{
     DispatchJob, JobResult, JobRunner, JobSpec, Loopback, ModularRunner, TrainParams, Transport,
     TransportError,
 };
-pub use offline::{enhance_module_abilities, pretrain, subtask_load_matrices, EnhanceConfig, PretrainConfig};
+pub use offline::{enhance_module_abilities, pretrain, subtask_load_matrices, PretrainConfig};
 pub use presets::{modular_config_for, modular_config_for_sequence};
 pub use profile::ResourceProfile;
 pub use retry::{backoff_ms, plan_corrupt_resend, plan_upload, round_deadline_ms, RetryPolicy, UploadPlan};

@@ -20,31 +20,40 @@ use nebula_nn::{cross_entropy, Layer, Mode, Optimizer, Sgd};
 use nebula_opt::{solve_assignment, AssignmentProblem};
 use nebula_tensor::{NebulaRng, Tensor};
 
+/// Pre-training mini-batch size.
+const PRETRAIN_BATCH_SIZE: usize = 32;
+/// Pre-training SGD learning rate.
+const PRETRAIN_LR: f32 = 0.05;
+/// Pre-training SGD momentum.
+const PRETRAIN_MOMENTUM: f32 = 0.9;
+/// Pre-training gradient-norm clip.
+const PRETRAIN_CLIP_NORM: f32 = 5.0;
+
 /// Hyper-parameters of the end-to-end pre-training stage.
 #[derive(Clone, Copy, Debug)]
 pub struct PretrainConfig {
     pub epochs: usize,
-    pub batch_size: usize,
-    pub lr: f32,
-    pub momentum: f32,
-    pub clip_norm: f32,
 }
 
 impl Default for PretrainConfig {
     fn default() -> Self {
-        Self { epochs: 20, batch_size: 32, lr: 0.05, momentum: 0.9, clip_norm: 5.0 }
+        Self { epochs: 20 }
     }
 }
 
 /// End-to-end pre-training on the cloud's proxy dataset. Returns the mean
 /// loss of the final epoch.
 pub fn pretrain(model: &mut ModularModel, proxy: &Dataset, cfg: PretrainConfig, rng: &mut NebulaRng) -> f32 {
-    let mut opt = Sgd::with_momentum(cfg.lr, cfg.momentum);
+    let mut opt = Sgd::with_momentum(PRETRAIN_LR, PRETRAIN_MOMENTUM);
     nebula_data::train_epochs(
         model,
         &mut opt,
         proxy,
-        TrainConfig { epochs: cfg.epochs, batch_size: cfg.batch_size, clip_norm: Some(cfg.clip_norm) },
+        TrainConfig {
+            epochs: cfg.epochs,
+            batch_size: PRETRAIN_BATCH_SIZE,
+            clip_norm: Some(PRETRAIN_CLIP_NORM),
+        },
         rng,
     )
 }
@@ -66,33 +75,18 @@ pub fn subtask_load_matrices(model: &mut ModularModel, subtasks: &[Dataset]) -> 
     h
 }
 
-/// Hyper-parameters of the ability-enhancing fine-tuning stage.
-#[derive(Clone, Copy, Debug)]
-pub struct EnhanceConfig {
-    /// κ₁ — max sub-tasks per module (Eq. 1, first constraint).
-    pub max_tasks_per_module: usize,
-    /// κ₂ — max modules per sub-task (Eq. 1, second constraint).
-    pub max_modules_per_task: usize,
-    /// Fine-tuning epochs.
-    pub epochs: usize,
-    pub batch_size: usize,
-    pub lr: f32,
-    /// λ of the KL term.
-    pub kl_weight: f32,
-}
-
-impl Default for EnhanceConfig {
-    fn default() -> Self {
-        Self {
-            max_tasks_per_module: 2,
-            max_modules_per_task: 4,
-            epochs: 5,
-            batch_size: 32,
-            lr: 0.02,
-            kl_weight: 1.0,
-        }
-    }
-}
+/// κ₁ — max sub-tasks per module (Eq. 1, first constraint).
+const MAX_TASKS_PER_MODULE: usize = 2;
+/// κ₂ — max modules per sub-task (Eq. 1, second constraint).
+const MAX_MODULES_PER_TASK: usize = 4;
+/// Ability-enhancing fine-tuning epochs.
+const ENHANCE_EPOCHS: usize = 5;
+/// Ability-enhancing mini-batch size.
+const ENHANCE_BATCH_SIZE: usize = 32;
+/// Ability-enhancing SGD learning rate.
+const ENHANCE_LR: f32 = 0.02;
+/// λ of the KL term.
+const KL_WEIGHT: f32 = 1.0;
 
 /// Result of the ability-enhancing stage: the target mapping `P_l[t][n]`
 /// per layer (row-normalised `H ⊙ M`).
@@ -111,7 +105,6 @@ pub struct EnhanceOutcome {
 pub fn enhance_module_abilities(
     model: &mut ModularModel,
     subtasks: &[Dataset],
-    cfg: EnhanceConfig,
     rng: &mut NebulaRng,
 ) -> EnhanceOutcome {
     let layers = model.num_layers();
@@ -124,8 +117,8 @@ pub fn enhance_module_abilities(
     for h_l in &h {
         let problem = AssignmentProblem {
             load: h_l.clone(),
-            max_tasks_per_module: cfg.max_tasks_per_module,
-            max_modules_per_task: cfg.max_modules_per_task,
+            max_tasks_per_module: MAX_TASKS_PER_MODULE,
+            max_modules_per_task: MAX_MODULES_PER_TASK,
         };
         let mask = solve_assignment(&problem);
         // P = row-normalised H ⊙ M.
@@ -160,14 +153,14 @@ pub fn enhance_module_abilities(
     }
     let pooled = pooled.expect("non-empty subtasks");
 
-    let mut opt = Sgd::with_momentum(cfg.lr, 0.9);
+    let mut opt = Sgd::with_momentum(ENHANCE_LR, 0.9);
     let mut final_loss = 0.0;
-    for _ in 0..cfg.epochs {
+    for _ in 0..ENHANCE_EPOCHS {
         let mut order: Vec<usize> = (0..pooled.len()).collect();
         rng.shuffle(&mut order);
         let mut epoch_loss = 0.0f64;
         let mut seen = 0usize;
-        for chunk in order.chunks(cfg.batch_size) {
+        for chunk in order.chunks(ENHANCE_BATCH_SIZE) {
             let batch = pooled.subset(chunk);
             // Per-sample KL targets from each sample's sub-task.
             let targets: Vec<Tensor> = (0..layers)
@@ -183,7 +176,7 @@ pub fn enhance_module_abilities(
                 .collect();
 
             model.zero_grad();
-            model.set_gate_kl_target(Some((targets, cfg.kl_weight)));
+            model.set_gate_kl_target(Some((targets, KL_WEIGHT)));
             let logits = model.forward(batch.features(), Mode::Train);
             let (loss, grad) = cross_entropy(&logits, batch.labels());
             model.backward(&grad);
@@ -207,7 +200,9 @@ mod tests {
 
     fn setup() -> (ModularModel, Synthesizer, NebulaRng) {
         let synth = Synthesizer::new(SynthSpec::toy(), 1);
+        // Eight modules per layer, so that κ₂ = 4 binds.
         let mut cfg = ModularConfig::toy(16, 4);
+        cfg.modules_per_layer = 8;
         cfg.gate_noise_std = 0.3;
         let model = ModularModel::new(cfg, 5);
         (model, synth, NebulaRng::seed(7))
@@ -223,8 +218,7 @@ mod tests {
         let (mut model, synth, mut rng) = setup();
         let proxy = synth.sample(400, 0, &mut rng);
         let test = synth.sample(200, 0, &mut rng);
-        let cfg = PretrainConfig { epochs: 15, batch_size: 16, lr: 0.05, momentum: 0.9, clip_norm: 5.0 };
-        pretrain(&mut model, &proxy, cfg, &mut rng);
+        pretrain(&mut model, &proxy, PretrainConfig { epochs: 15 }, &mut rng);
         let acc = nebula_data::evaluate_accuracy(&mut model, &test, 64);
         assert!(acc > 0.65, "pre-trained accuracy only {acc}");
     }
@@ -238,7 +232,7 @@ mod tests {
         for h_l in &h {
             assert_eq!(h_l.len(), 2); // sub-tasks
             for row in h_l {
-                assert_eq!(row.len(), 4); // modules
+                assert_eq!(row.len(), 8); // modules
                 nebula_tensor::assert_close(row.iter().sum::<f32>(), 1.0, 1e-4);
             }
         }
@@ -248,14 +242,13 @@ mod tests {
     fn enhance_produces_sparse_normalised_targets() {
         let (mut model, synth, mut rng) = setup();
         let proxy = synth.sample(300, 0, &mut rng);
-        pretrain(&mut model, &proxy, PretrainConfig { epochs: 5, ..Default::default() }, &mut rng);
+        pretrain(&mut model, &proxy, PretrainConfig { epochs: 5 }, &mut rng);
         let subtasks = subtask_datasets(&synth, &mut rng);
-        let cfg = EnhanceConfig { max_modules_per_task: 2, epochs: 2, ..Default::default() };
-        let out = enhance_module_abilities(&mut model, &subtasks, cfg, &mut rng);
+        let out = enhance_module_abilities(&mut model, &subtasks, &mut rng);
         for layer_map in &out.target_mapping {
             for row in layer_map {
                 let nonzero = row.iter().filter(|&&v| v > 0.0).count();
-                assert!((1..=2).contains(&nonzero), "target row violates κ2: {row:?}");
+                assert!((1..=MAX_MODULES_PER_TASK).contains(&nonzero), "target row violates κ2: {row:?}");
                 nebula_tensor::assert_close(row.iter().sum::<f32>(), 1.0, 1e-4);
             }
         }
@@ -265,10 +258,9 @@ mod tests {
     fn enhance_concentrates_gate_on_recommended_modules() {
         let (mut model, synth, mut rng) = setup();
         let proxy = synth.sample(300, 0, &mut rng);
-        pretrain(&mut model, &proxy, PretrainConfig { epochs: 8, ..Default::default() }, &mut rng);
+        pretrain(&mut model, &proxy, PretrainConfig { epochs: 8 }, &mut rng);
         let subtasks = subtask_datasets(&synth, &mut rng);
-        let cfg = EnhanceConfig { max_modules_per_task: 2, epochs: 6, kl_weight: 2.0, ..Default::default() };
-        let out = enhance_module_abilities(&mut model, &subtasks, cfg, &mut rng);
+        let out = enhance_module_abilities(&mut model, &subtasks, &mut rng);
 
         // After fine-tuning, sub-task 0's gate mass on its recommended
         // modules should dominate.

@@ -13,7 +13,7 @@
 //!
 //! The pool is intentionally dumb: layers cycle through a fixed, small
 //! set of shapes (batch sizes change only between pretraining and round
-//! phases), so best-fit scanning over ≤ [`MAX_POOLED`] buffers is cheaper
+//! phases), so best-fit scanning over ≤ `MAX_POOLED` buffers is cheaper
 //! than any keyed map.
 
 use nebula_tensor::Tensor;

@@ -23,7 +23,7 @@
 //! live workers and blocks on a condvar until every slot is resolved or
 //! the wall-clock deadline passes. A worker that dies mid-round is dropped
 //! from the registry and its jobs are reassigned under the retry budget
-//! ([`nebula_core::RetryPolicy`]); a job out of budget or out of workers
+//! ([`ServeConfig::max_retries`]); a job out of budget or out of workers
 //! resolves [`TransportError::Closed`], one still open at the deadline
 //! [`TransportError::Timeout`]. The strategy above maps every error onto
 //! its `link_dropped` fate, so a dying or straggling worker degrades the
@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use nebula_core::{DispatchJob, JobResult, RetryPolicy, Transport, TransportError};
 use nebula_telemetry::Telemetry;
 use nebula_wire::hello::{decode_hello, encode_hello_ack, HelloAck, HELLO_PROTO};
-use nebula_wire::stream::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN};
+use nebula_wire::stream::{read_frame, write_frame};
 use nebula_wire::{CodecKind, FrameKey};
 
 use crate::netio::Conn;
@@ -63,10 +63,9 @@ pub struct ServeConfig {
     pub worker_config: WorkerRunConfig,
     /// Round barrier wall-clock deadline.
     pub deadline_ms: u64,
-    /// Reassignment budget for jobs on dying workers.
-    pub retry: RetryPolicy,
-    /// Hostile-length cap for inbound frames.
-    pub max_frame_len: usize,
+    /// Reassignment budget for jobs on dying workers: re-sends before a
+    /// job resolves [`TransportError::Closed`].
+    pub max_retries: u32,
     /// Evict a worker that has been silent (no result, no pong) for this
     /// long. `0` disables liveness: a half-open connection then costs the
     /// full `deadline_ms`, as it did before liveness existed. When on,
@@ -93,8 +92,7 @@ impl ServeConfig {
             auth_key: None,
             worker_config,
             deadline_ms: 60_000,
-            retry: RetryPolicy::default(),
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
+            max_retries: RetryPolicy::default().max_retries,
             liveness_timeout_ms: 0,
             hedge_after_ms: 0,
             telemetry: Telemetry::off(),
@@ -121,7 +119,6 @@ struct Shared {
     key: Option<FrameKey>,
     config_json: String,
     deadline_ms: u64,
-    max_frame_len: usize,
     telemetry: Telemetry,
     workers: Mutex<BTreeMap<u64, WorkerHandle>>,
     /// The round machine (it holds the retry budget, the hedge trigger and
@@ -295,10 +292,9 @@ impl Coordinator {
             key: cfg.auth_key.map(|k| FrameKey::from_bytes(&k)),
             config_json,
             deadline_ms: cfg.deadline_ms,
-            max_frame_len: cfg.max_frame_len,
             telemetry: cfg.telemetry,
             workers: Mutex::new(BTreeMap::new()),
-            round: Mutex::new(Machine::new(cfg.retry.max_retries, cfg.hedge_after_ms)),
+            round: Mutex::new(Machine::new(cfg.max_retries, cfg.hedge_after_ms)),
             round_done: Condvar::new(),
             next_worker_id: AtomicU64::new(1),
             rounds_completed: AtomicU64::new(0),
@@ -453,7 +449,7 @@ fn spawn_conn(conn: Conn, shared: Arc<Shared>) {
 fn handshake_and_serve(mut conn: Conn, shared: &Arc<Shared>) -> Result<(), ServeError> {
     conn.set_read_timeout(Some(Duration::from_secs(10)))?;
     let mut buf = Vec::new();
-    if !read_frame(&mut conn, shared.max_frame_len, &mut buf)? {
+    if !read_frame(&mut conn, &mut buf)? {
         return Err(ServeError::Handshake("closed before hello".into()));
     }
     let hello = decode_hello(&buf, shared.key.as_ref())
@@ -496,7 +492,7 @@ fn handshake_and_serve(mut conn: Conn, shared: &Arc<Shared>) -> Result<(), Serve
         e.text.insert("name".into(), hello.name.clone());
     });
 
-    while let Ok(true) = read_frame(&mut conn, shared.max_frame_len, &mut buf) {
+    while let Ok(true) = read_frame(&mut conn, &mut buf) {
         // Any well-framed inbound traffic — results, pongs — proves the
         // worker's reader loop is alive.
         last_seen.store(shared.now_ms(), Ordering::SeqCst);
@@ -599,7 +595,6 @@ mod tests {
             key: None,
             config_json: String::new(),
             deadline_ms,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             telemetry: Telemetry::off(),
             workers: Mutex::new(BTreeMap::new()),
             round: Mutex::new(Machine::new(max_retries, hedge_after_ms)),
@@ -695,7 +690,7 @@ mod tests {
     /// The tag of the next job frame the coordinator wrote to this worker.
     fn read_job_tag(far: &mut Conn) -> JobTag {
         let mut buf = Vec::new();
-        assert!(read_frame(far, DEFAULT_MAX_FRAME_LEN, &mut buf).expect("a job frame"), "worker link closed");
+        assert!(read_frame(far, &mut buf).expect("a job frame"), "worker link closed");
         match proto::decode_message(&buf, None).expect("frame decodes") {
             Message::Job(_, tag) => tag,
             _ => panic!("expected a job frame"),

@@ -366,7 +366,7 @@ mod tests {
         use nebula_wire::stream::read_frame;
         let mut out = Vec::new();
         let mut buf = Vec::new();
-        while let Ok(true) = read_frame(conn, 1 << 20, &mut buf) {
+        while let Ok(true) = read_frame(conn, &mut buf) {
             out.push(buf.clone());
         }
         out

@@ -22,7 +22,7 @@ use nebula_baselines::DenseJobRunner;
 use nebula_core::{backoff_ms, DispatchJob, JobRunner, JobSpec, ModularRunner, TransportError, WireConfig};
 use nebula_telemetry::Telemetry;
 use nebula_wire::hello::{decode_hello_ack, encode_hello, Hello, HELLO_PROTO};
-use nebula_wire::stream::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN};
+use nebula_wire::stream::{read_frame, write_frame};
 use nebula_wire::{CodecKind, FrameKey};
 
 use crate::netio::{Conn, Endpoint, NetFaultPlan};
@@ -39,8 +39,6 @@ pub struct WorkerConfig {
     pub name: String,
     /// Executor threads (0 = 2).
     pub threads: usize,
-    /// Hostile-length cap for inbound frames.
-    pub max_frame_len: usize,
     /// Dial attempts before giving up (the coordinator may start late).
     pub connect_attempts: u32,
     /// Re-dial and re-handshake after a lost session instead of exiting.
@@ -62,7 +60,6 @@ impl WorkerConfig {
             auth_key: None,
             name: "worker".into(),
             threads: 2,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             connect_attempts: 20,
             rejoin: true,
             chaos: None,
@@ -152,7 +149,7 @@ fn connect(endpoint: &Endpoint, attempts: u32) -> Result<Conn, ServeError> {
 /// * [`ServeError::Rejected`] — permanent; exit immediately with the
 ///   coordinator's reason. The same hello would be refused forever.
 /// * [`ServeError::Handshake`] — ambiguous; retried up to
-///   [`HANDSHAKE_STRIKES`] consecutive times, then surfaced.
+///   `HANDSHAKE_STRIKES` consecutive times, then surfaced.
 /// * [`ServeError::Io`] / [`ServeError::Proto`] — a dial budget already
 ///   exhausted by capped backoff, or a corrupt stream this worker
 ///   cannot answer; exit immediately.
@@ -220,7 +217,7 @@ fn run_session(
     // be retriable rather than fatal.
     write_frame(&mut conn, &buf).map_err(|e| ServeError::Handshake(format!("hello write: {e}")))?;
     conn.set_read_timeout(Some(Duration::from_secs(10)))?;
-    match read_frame(&mut conn, cfg.max_frame_len, &mut buf) {
+    match read_frame(&mut conn, &mut buf) {
         Ok(true) => {}
         Ok(false) => return Err(ServeError::Handshake("coordinator closed before ack".into())),
         Err(e) => return Err(ServeError::Handshake(format!("ack read: {e}"))),
@@ -310,7 +307,7 @@ fn run_session(
     let mut fail: Option<ServeError> = None;
     let mut pong = Vec::new();
     loop {
-        match read_frame(&mut conn, cfg.max_frame_len, &mut buf) {
+        match read_frame(&mut conn, &mut buf) {
             Ok(true) => match proto::decode_message(&buf, master) {
                 Ok(Message::Job(job, tag)) => {
                     if tx.send((job, tag)).is_err() {

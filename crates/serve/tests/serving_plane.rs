@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use nebula_core::{Loopback, ModularRunner, RetryPolicy, Transport};
+use nebula_core::{Loopback, ModularRunner, Transport};
 use nebula_data::{PartitionSpec, Partitioner, SynthSpec, Synthesizer};
 use nebula_modular::ModularConfig;
 use nebula_nn::Layer;
@@ -204,7 +204,7 @@ fn worker_crash_mid_round_degrades_to_dropout_fates() {
     let path = uds_path("crash");
     cfg.uds = Some(path.clone());
     cfg.deadline_ms = 30_000;
-    cfg.retry = RetryPolicy { max_retries: 1, ..RetryPolicy::default() };
+    cfg.max_retries = 1;
     let coordinator = Coordinator::bind(cfg).expect("bind coordinator");
 
     // A saboteur worker: handshakes, then slams the connection shut the
@@ -212,17 +212,17 @@ fn worker_crash_mid_round_degrades_to_dropout_fates() {
     let ep = Endpoint::Uds(path);
     let saboteur = thread::spawn(move || {
         use nebula_wire::hello::{decode_hello_ack, encode_hello, Hello, HELLO_PROTO};
-        use nebula_wire::stream::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN};
+        use nebula_wire::stream::{read_frame, write_frame};
         use nebula_wire::CodecKind;
         let mut conn = nebula_serve::Conn::connect(&ep).expect("dial");
         let mut buf = Vec::new();
         let hello = Hello { proto: HELLO_PROTO, codec: CodecKind::Raw, threads: 1, name: "bad".into() };
         encode_hello(&mut buf, &hello, None);
         write_frame(&mut conn, &buf).expect("hello");
-        assert!(read_frame(&mut conn, DEFAULT_MAX_FRAME_LEN, &mut buf).expect("ack"));
+        assert!(read_frame(&mut conn, &mut buf).expect("ack"));
         decode_hello_ack(&buf, None).expect("ack decodes");
         // Wait for the first job, then die without answering.
-        let _ = read_frame(&mut conn, DEFAULT_MAX_FRAME_LEN, &mut buf);
+        let _ = read_frame(&mut conn, &mut buf);
         conn.shutdown();
     });
     assert!(coordinator.wait_for_workers(1, Duration::from_secs(20)));
@@ -276,16 +276,16 @@ fn crash_with_survivor_reassigns_and_stays_bit_identical() {
     let ep = Endpoint::Uds(path);
     let saboteur = thread::spawn(move || {
         use nebula_wire::hello::{decode_hello_ack, encode_hello, Hello, HELLO_PROTO};
-        use nebula_wire::stream::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN};
+        use nebula_wire::stream::{read_frame, write_frame};
         use nebula_wire::CodecKind;
         let mut conn = nebula_serve::Conn::connect(&ep).expect("dial");
         let mut buf = Vec::new();
         let hello = Hello { proto: HELLO_PROTO, codec: CodecKind::Raw, threads: 1, name: "bad".into() };
         encode_hello(&mut buf, &hello, None);
         write_frame(&mut conn, &buf).expect("hello");
-        assert!(read_frame(&mut conn, DEFAULT_MAX_FRAME_LEN, &mut buf).expect("ack"));
+        assert!(read_frame(&mut conn, &mut buf).expect("ack"));
         decode_hello_ack(&buf, None).expect("ack decodes");
-        let _ = read_frame(&mut conn, DEFAULT_MAX_FRAME_LEN, &mut buf);
+        let _ = read_frame(&mut conn, &mut buf);
         conn.shutdown();
     });
     assert!(coordinator.wait_for_workers(2, Duration::from_secs(20)));
@@ -325,7 +325,7 @@ fn crash_with_survivor_reassigns_and_stays_bit_identical() {
 #[test]
 fn worker_fails_fast_on_corrupt_job_frame() {
     use nebula_wire::hello::{decode_hello, encode_hello_ack, HelloAck};
-    use nebula_wire::stream::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN};
+    use nebula_wire::stream::{read_frame, write_frame};
     use nebula_wire::CodecKind;
     use std::os::unix::net::UnixListener;
 
@@ -337,7 +337,7 @@ fn worker_fails_fast_on_corrupt_job_frame() {
     let fake = thread::spawn(move || {
         let (mut conn, _) = listener.accept().expect("accept");
         let mut buf = Vec::new();
-        assert!(read_frame(&mut conn, DEFAULT_MAX_FRAME_LEN, &mut buf).expect("hello"));
+        assert!(read_frame(&mut conn, &mut buf).expect("hello"));
         decode_hello(&buf, None).expect("hello decodes");
         let ack = HelloAck {
             accepted: true,
@@ -351,7 +351,7 @@ fn worker_fails_fast_on_corrupt_job_frame() {
         // A well-delimited frame whose body is garbage: the worker's
         // decode_message must reject it and hang up on us.
         write_frame(&mut conn, b"not a nebula-wire frame").expect("garbage frame");
-        let closed = matches!(read_frame(&mut conn, DEFAULT_MAX_FRAME_LEN, &mut buf), Ok(false) | Err(_));
+        let closed = matches!(read_frame(&mut conn, &mut buf), Ok(false) | Err(_));
         assert!(closed, "worker must close the connection after the bad frame");
     });
 
@@ -361,6 +361,45 @@ fn worker_fails_fast_on_corrupt_job_frame() {
     assert!(t0.elapsed() < Duration::from_secs(10), "must fail fast, not sit out a round deadline");
     fake.join().expect("fake coordinator thread");
     let _ = std::fs::remove_file(&path);
+}
+
+/// The frame cap at the coordinator's door: a connection whose first
+/// length prefix claims `MAX_FRAME_LEN + 1` bytes where its hello should
+/// be is closed at once — well inside the 10 s handshake read timeout
+/// that a body wait would sit out — and admits no worker; an honest
+/// worker still joins afterwards.
+#[test]
+fn over_cap_hello_prefix_is_closed_and_admits_no_worker() {
+    use nebula_wire::stream::{read_frame, MAX_FRAME_LEN};
+    use std::io::Write;
+
+    let worker_cfg = WorkerRunConfig { modular: Some(toy_cfg().modular), ..WorkerRunConfig::default() };
+    let mut cfg = ServeConfig::new(worker_cfg);
+    let path = uds_path("overcap");
+    cfg.uds = Some(path.clone());
+    let coordinator = Coordinator::bind(cfg).expect("bind coordinator");
+    let ep = Endpoint::Uds(path);
+
+    let mut conn = nebula_serve::Conn::connect(&ep).expect("dial");
+    conn.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    let prefix = u32::try_from(MAX_FRAME_LEN + 1).expect("the cap fits a u32 prefix");
+    let t0 = std::time::Instant::now();
+    conn.write_all(&prefix.to_le_bytes()).expect("send the over-cap prefix");
+    let mut buf = Vec::new();
+    let closed = matches!(read_frame(&mut conn, &mut buf), Ok(false) | Err(_));
+    assert!(closed, "the coordinator must close an over-cap connection");
+    assert!(t0.elapsed() < Duration::from_secs(5), "refused at the prefix, not after a body wait");
+    assert_eq!(coordinator.worker_count(), 0, "an over-cap hello must admit no worker");
+
+    let worker = thread::spawn(move || {
+        let mut wc = WorkerConfig::new(ep);
+        wc.name = "honest".into();
+        run_worker(wc).expect("worker runs to clean shutdown");
+    });
+    assert!(coordinator.wait_for_workers(1, Duration::from_secs(20)), "an honest worker must still join");
+    assert_eq!(coordinator.worker_names(), vec!["honest".to_string()]);
+    coordinator.shutdown();
+    worker.join().expect("worker thread");
 }
 
 /// Liveness, the tentpole's first leg: a half-open worker — connected,
@@ -397,17 +436,17 @@ fn silent_worker_is_evicted_within_liveness_timeout() {
     let ep = Endpoint::Uds(path);
     let silent = thread::spawn(move || {
         use nebula_wire::hello::{decode_hello_ack, encode_hello, Hello, HELLO_PROTO};
-        use nebula_wire::stream::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN};
+        use nebula_wire::stream::{read_frame, write_frame};
         use nebula_wire::CodecKind;
         let mut conn = nebula_serve::Conn::connect(&ep).expect("dial");
         let mut buf = Vec::new();
         let hello = Hello { proto: HELLO_PROTO, codec: CodecKind::Raw, threads: 1, name: "mute".into() };
         encode_hello(&mut buf, &hello, None);
         write_frame(&mut conn, &buf).expect("hello");
-        assert!(read_frame(&mut conn, DEFAULT_MAX_FRAME_LEN, &mut buf).expect("ack"));
+        assert!(read_frame(&mut conn, &mut buf).expect("ack"));
         decode_hello_ack(&buf, None).expect("ack decodes");
         // Swallow jobs and pings until the coordinator cuts us off.
-        while let Ok(true) = read_frame(&mut conn, DEFAULT_MAX_FRAME_LEN, &mut buf) {}
+        while let Ok(true) = read_frame(&mut conn, &mut buf) {}
     });
     assert!(coordinator.wait_for_workers(2, Duration::from_secs(20)));
 
@@ -510,7 +549,7 @@ fn result_write_failure_poisons_the_session_and_fails_fast() {
     use nebula_serve::proto::{encode_job, JobTag};
     use nebula_tensor::Tensor;
     use nebula_wire::hello::{decode_hello, encode_hello_ack, HelloAck};
-    use nebula_wire::stream::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN};
+    use nebula_wire::stream::{read_frame, write_frame};
     use nebula_wire::CodecKind;
     use std::os::unix::net::UnixListener;
 
@@ -523,7 +562,7 @@ fn result_write_failure_poisons_the_session_and_fails_fast() {
     let fake = thread::spawn(move || {
         let (mut conn, _) = listener.accept().expect("accept");
         let mut buf = Vec::new();
-        assert!(read_frame(&mut conn, DEFAULT_MAX_FRAME_LEN, &mut buf).expect("hello"));
+        assert!(read_frame(&mut conn, &mut buf).expect("hello"));
         decode_hello(&buf, None).expect("hello decodes");
         let ack = HelloAck {
             accepted: true,

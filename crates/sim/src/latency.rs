@@ -36,36 +36,6 @@ pub fn adaptation_latency_ms(
     training_batch_latency_ms(dev, forward_flops_per_sample, batch) * (batches_per_epoch * epochs) as f64
 }
 
-/// One participant's share of a synchronous communication round.
-#[derive(Clone, Copy, Debug)]
-pub struct RoundParticipant {
-    /// Forward MACs per sample of the model this device trains.
-    pub forward_flops_per_sample: u64,
-    /// Bytes exchanged with the cloud (download + upload).
-    pub exchange_bytes: u64,
-    /// Local samples and epochs.
-    pub samples: usize,
-    pub epochs: usize,
-    pub batch: usize,
-}
-
-/// Wall-clock of a synchronous round: the server waits for the **slowest**
-/// participant (straggler effect), each of whom pays transfer + local
-/// training. Returns `(round_ms, straggler_index)`.
-pub fn synchronous_round_ms(devices: &[&DeviceResources], work: &[RoundParticipant]) -> (f64, usize) {
-    assert_eq!(devices.len(), work.len(), "device/work length mismatch");
-    assert!(!devices.is_empty(), "round with no participants");
-    let mut worst = (0.0f64, 0usize);
-    for (i, (dev, w)) in devices.iter().zip(work).enumerate() {
-        let t = adaptation_latency_ms(dev, w.forward_flops_per_sample, w.samples, w.epochs, w.batch)
-            + crate::network::transfer_time_ms(w.exchange_bytes, dev.bandwidth_bps);
-        if t > worst.0 {
-            worst = (t, i);
-        }
-    }
-    (worst.0, worst.1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,29 +82,5 @@ mod tests {
         let slow = training_batch_latency_ms(&dev(1e8, 0), 1_000_000, 16);
         let fast = training_batch_latency_ms(&dev(1e10, 0), 1_000_000, 16);
         assert!(fast < slow / 50.0);
-    }
-
-    #[test]
-    fn synchronous_round_waits_for_the_straggler() {
-        let fast = dev(1e10, 0);
-        let slow = dev(1e8, 3); // slow hardware + contention
-        let work = RoundParticipant {
-            forward_flops_per_sample: 1_000_000,
-            exchange_bytes: 1_000_000,
-            samples: 100,
-            epochs: 3,
-            batch: 16,
-        };
-        let (round_ms, straggler) = synchronous_round_ms(&[&fast, &slow], &[work, work]);
-        assert_eq!(straggler, 1, "the slow device must be the straggler");
-        let slow_alone = adaptation_latency_ms(&slow, 1_000_000, 100, 3, 16)
-            + crate::network::transfer_time_ms(1_000_000, slow.bandwidth_bps);
-        assert!((round_ms - slow_alone).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "no participants")]
-    fn synchronous_round_rejects_empty() {
-        synchronous_round_ms(&[], &[]);
     }
 }

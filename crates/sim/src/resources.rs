@@ -46,24 +46,17 @@ pub struct DeviceResources {
 const RAM_BUCKETS_GB: [(f32, f32); 7] =
     [(2.0, 0.05), (4.0, 0.30), (6.0, 0.30), (8.0, 0.15), (10.0, 0.10), (12.0, 0.07), (16.0, 0.03)];
 
-/// Samples device populations with Fig. 2-shaped marginals.
-#[derive(Clone, Debug)]
-pub struct ResourceSampler {
-    /// Probability a device is a mobile SoC (vs IoT board).
-    pub mobile_fraction: f64,
-}
+/// Probability a device is a mobile SoC (vs IoT board).
+const MOBILE_FRACTION: f64 = 0.5;
 
-impl Default for ResourceSampler {
-    fn default() -> Self {
-        Self { mobile_fraction: 0.5 }
-    }
-}
+/// Samples device populations with Fig. 2-shaped marginals.
+#[derive(Clone, Debug, Default)]
+pub struct ResourceSampler {}
 
 impl ResourceSampler {
     /// Draws one device.
     pub fn sample(&self, rng: &mut NebulaRng) -> DeviceResources {
-        let class =
-            if rng.bernoulli(self.mobile_fraction) { DeviceClass::MobileSoc } else { DeviceClass::Iot };
+        let class = if rng.bernoulli(MOBILE_FRACTION) { DeviceClass::MobileSoc } else { DeviceClass::Iot };
 
         // RAM bucket, uniform within the bucket.
         let weights: Vec<f32> = RAM_BUCKETS_GB.iter().map(|&(_, p)| p).collect();
@@ -97,13 +90,6 @@ impl ResourceSampler {
     pub fn sample_population(&self, n: usize, rng: &mut NebulaRng) -> Vec<DeviceResources> {
         (0..n).map(|_| self.sample(rng)).collect()
     }
-}
-
-/// Inference latency in milliseconds for a model of `flops` MACs on `dev`,
-/// including contention.
-pub fn inference_latency_ms(dev: &DeviceResources, flops: u64) -> f64 {
-    let base = flops as f64 / dev.flops_per_sec * 1e3;
-    base * crate::contention::contention_multiplier(dev.background_procs)
 }
 
 #[cfg(test)]
@@ -155,6 +141,7 @@ mod tests {
 
     #[test]
     fn latency_scales_with_contention() {
+        use crate::latency::inference_latency_ms;
         let mut d = population(1)[0];
         d.background_procs = 0;
         let base = inference_latency_ms(&d, 1_000_000);

@@ -631,9 +631,6 @@ impl NebulaStrategy {
     pub fn with_variant(cfg: StrategyConfig, seed: u64, variant: NebulaVariant) -> Self {
         let mut params = NebulaParams::default();
         params.pretrain.epochs = cfg.pretrain_epochs;
-        params.local_epochs = cfg.local_epochs;
-        params.batch_size = cfg.batch_size;
-        params.local_lr = cfg.local_lr;
         let cloud = NebulaCloud::new(cfg.modular.clone(), params, seed);
         let wire = WireContext::new(cfg.wire);
         let aggregator = cfg.aggregator;

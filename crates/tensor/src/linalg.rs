@@ -31,7 +31,7 @@
 //! than a fork costs, so the row-split this engine once had was deleted
 //! as a measured loss.
 //!
-//! The pre-blocking kernels are retained under [`reference`] — they anchor
+//! The pre-blocking kernels are retained under [`reference`](mod@reference) — they anchor
 //! the equivalence proptests ([`KernelBackend::Reference`]).
 
 use crate::backend::{self, KernelBackend};

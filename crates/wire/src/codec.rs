@@ -93,8 +93,8 @@ const Q8_LANES: usize = 16;
 /// match `values` (zero-filled) and updated in place with the new
 /// quantization error. Layout: 4-byte f32 scale, then one i8 per element.
 ///
-/// Both passes are loops the compiler vectorises ([`q8_max_abs`],
-/// [`q8_quantise`]). Each element goes through the same IEEE operations
+/// Both passes are loops the compiler vectorises (`q8_max_abs`,
+/// `q8_quantise`). Each element goes through the same IEEE operations
 /// as a serial loop would, so bytes and residuals do not depend on the
 /// vector width. Written the obvious way, pushing each byte through a
 /// capacity check and converting through a saturating `as i8`, the loop

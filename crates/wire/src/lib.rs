@@ -11,7 +11,7 @@
 //! Layering (no dependencies on the rest of the workspace — this is a
 //! leaf crate):
 //!
-//! * [`crc32`] — IEEE CRC32 for the frame trailer (and, through the one
+//! * [`crc32`](mod@crc32) — IEEE CRC32 for the frame trailer (and, through the one
 //!   function, journal records and snapshots): buffers of 64
 //!   bytes or more are folded with carry-less multiplies on x86-64 CPUs
 //!   that have `pclmulqdq`, everything else walks slicing-by-8 tables;
@@ -56,4 +56,4 @@ pub use error::WireError;
 pub use frame::{FrameBuilder, FrameKind, FrameView, ModuleKey, Record};
 pub use hello::{Hello, HelloAck};
 pub use siphash::{siphash24, FrameKey};
-pub use stream::{read_frame, write_frame, DEFAULT_MAX_FRAME_LEN};
+pub use stream::{read_frame, write_frame, MAX_FRAME_LEN};

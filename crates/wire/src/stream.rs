@@ -11,7 +11,7 @@
 //!      4     n  one complete wire frame
 //! ```
 //!
-//! The reader enforces a configurable maximum *before* any allocation:
+//! The reader enforces one maximum, [`MAX_FRAME_LEN`], *before* any allocation:
 //! a hostile or corrupt length prefix (the stream equivalent of a frame
 //! whose declared payload length lies) is rejected with
 //! `InvalidData` instead of driving an unbounded `Vec` reservation. The
@@ -20,10 +20,10 @@
 
 use std::io::{self, Read, Write};
 
-/// Default cap on one length-delimited frame: 64 MiB. Generous for
-/// module traffic (full VGG16-class payloads are ~50 MB raw) while
-/// keeping a lying length prefix from reserving gigabytes.
-pub const DEFAULT_MAX_FRAME_LEN: usize = 64 << 20;
+/// Cap on one length-delimited frame: 64 MiB. Generous for module
+/// traffic (full VGG16-class payloads are ~50 MB raw) while keeping a
+/// lying length prefix from reserving gigabytes.
+pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// Writes `frame` to `w` with a `u32` little-endian length prefix and
 /// flushes. Frames longer than `u32::MAX` are refused (they cannot be
@@ -40,9 +40,10 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
 ///
 /// Returns `Ok(true)` when a frame was read, `Ok(false)` on a clean EOF
 /// at a frame boundary (the peer closed between frames). An EOF inside a
-/// prefix or body is `UnexpectedEof`; a declared length above `max_len`
-/// is `InvalidData` and nothing is allocated or consumed past the prefix.
-pub fn read_frame(r: &mut impl Read, max_len: usize, buf: &mut Vec<u8>) -> io::Result<bool> {
+/// prefix or body is `UnexpectedEof`; a declared length above
+/// [`MAX_FRAME_LEN`] is `InvalidData` and nothing is allocated or
+/// consumed past the prefix.
+pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {
     let mut prefix = [0u8; 4];
     let mut at = 0;
     while at < prefix.len() {
@@ -59,10 +60,10 @@ pub fn read_frame(r: &mut impl Read, max_len: usize, buf: &mut Vec<u8>) -> io::R
         }
     }
     let len = u32::from_le_bytes(prefix) as usize;
-    if len > max_len {
+    if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("declared frame length {len} exceeds cap {max_len}"),
+            format!("declared frame length {len} exceeds cap {MAX_FRAME_LEN}"),
         ));
     }
     buf.clear();
@@ -86,10 +87,10 @@ mod tests {
         let mut r = Cursor::new(wire);
         let mut buf = Vec::new();
         for f in frames {
-            assert!(read_frame(&mut r, DEFAULT_MAX_FRAME_LEN, &mut buf).unwrap());
+            assert!(read_frame(&mut r, &mut buf).unwrap());
             assert_eq!(buf, f);
         }
-        assert!(!read_frame(&mut r, DEFAULT_MAX_FRAME_LEN, &mut buf).unwrap(), "clean EOF expected");
+        assert!(!read_frame(&mut r, &mut buf).unwrap(), "clean EOF expected");
     }
 
     /// Regression: a hostile length prefix must be rejected before any
@@ -101,7 +102,7 @@ mod tests {
         wire.extend_from_slice(&u32::MAX.to_le_bytes());
         wire.extend_from_slice(b"tiny");
         let mut buf = Vec::new();
-        let err = read_frame(&mut Cursor::new(wire), 1 << 20, &mut buf).unwrap_err();
+        let err = read_frame(&mut Cursor::new(wire), &mut buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(buf.capacity(), 0, "no allocation may happen for a rejected length");
     }
@@ -112,14 +113,14 @@ mod tests {
         write_frame(&mut wire, b"full frame").unwrap();
         wire.truncate(wire.len() - 3);
         let mut buf = Vec::new();
-        let err = read_frame(&mut Cursor::new(wire), 1 << 20, &mut buf).unwrap_err();
+        let err = read_frame(&mut Cursor::new(wire), &mut buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
     fn truncated_prefix_is_unexpected_eof() {
         let mut buf = Vec::new();
-        let err = read_frame(&mut Cursor::new(vec![1u8, 0]), 1 << 20, &mut buf).unwrap_err();
+        let err = read_frame(&mut Cursor::new(vec![1u8, 0]), &mut buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 }

@@ -12,7 +12,8 @@
 use nebula::core::{EdgeClient, NebulaCloud, NebulaParams};
 use nebula::data::{Synthesizer, TaskPreset};
 use nebula::sim::device::TEST_SAMPLES_PER_DEVICE;
-use nebula::sim::latency::{synchronous_round_ms, training_batch_latency_ms, RoundParticipant};
+use nebula::sim::latency::{adaptation_latency_ms, training_batch_latency_ms};
+use nebula::sim::network::transfer_time_ms;
 use nebula::sim::{DeviceClass, ResourceSampler, SimDevice};
 use nebula::tensor::NebulaRng;
 
@@ -40,8 +41,9 @@ fn main() {
     let pspec = PartitionSpec::new(8, Partitioner::LabelSkew { m: 5 });
     let parts = partition(&synth, &pspec, 9, &mut rng);
     let sampler = ResourceSampler::default();
-    let mut fleet_devices = Vec::new();
-    let mut fleet_work = Vec::new();
+    // A synchronous collaborative round waits for the slowest device:
+    // (its transfer + local training ms, its index, its class).
+    let mut straggler = (0.0f64, 0usize, DeviceClass::MobileSoc);
 
     for (i, part) in parts.into_iter().enumerate() {
         let hw = sampler.sample(&mut rng);
@@ -66,14 +68,11 @@ fn main() {
             calm,
             busy
         );
-        fleet_devices.push(dev.resources);
-        fleet_work.push(RoundParticipant {
-            forward_flops_per_sample: cost.flops,
-            exchange_bytes: 2 * cost.comm_bytes,
-            samples: dev.partition.data.len(),
-            epochs: 3,
-            batch: 16,
-        });
+        let round_ms = adaptation_latency_ms(&dev.resources, cost.flops, dev.partition.data.len(), 3, 16)
+            + transfer_time_ms(2 * cost.comm_bytes, dev.resources.bandwidth_bps);
+        if round_ms > straggler.0 {
+            straggler = (round_ms, i, dev.resources.class);
+        }
 
         // When contention spikes, the device shrinks its sub-model locally
         // (module scheduling) instead of querying the cloud.
@@ -94,14 +93,9 @@ fn main() {
         }
     }
 
-    // A synchronous collaborative round waits for the slowest device —
-    // show who the straggler is and what the round costs end to end.
-    let refs: Vec<&nebula::sim::DeviceResources> = fleet_devices.iter().collect();
-    let (round_ms, straggler) = synchronous_round_ms(&refs, &fleet_work);
+    let (round_ms, i, class) = straggler;
     println!(
-        "\nsynchronous round over the fleet: {:.0} ms, bounded by device {} ({})",
-        round_ms,
-        straggler,
-        fleet_devices[straggler].class.name()
+        "\nsynchronous round over the fleet: {round_ms:.0} ms, bounded by device {i} ({})",
+        class.name()
     );
 }
