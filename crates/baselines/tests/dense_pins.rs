@@ -12,7 +12,11 @@
 //!   in the wrong state after a step shows in the second — and the logits
 //!   of an Eval forward over 33 rows (more than a train batch holds);
 //! * the parameters a [`DenseJobRunner`] returns for a full-width job over
-//!   70 samples, so every epoch ends on a 6-row batch.
+//!   70 samples, so every epoch ends on a 6-row batch;
+//! * one runner running jobs at ratios 1.0, 0.5, 0.125 and 1.0 again, each
+//!   ending its epochs on a ragged batch: every result must digest as the
+//!   same job's on a fresh runner, so nothing a job leaves in a runner
+//!   reaches the next one.
 //!
 //! Every constant was computed by the code these pins were first committed
 //! against, once per kernel engine (the engines differ by FMA contraction
@@ -69,10 +73,10 @@ fn step_digests() -> [[u64; 3]; 3] {
     })
 }
 
-/// The parameters a full-width dense job comes back with.
-fn job_digest() -> u64 {
-    let params = har_model(0x10B).param_vector();
-    let job = DispatchJob {
+/// A HAR-shaped dense job at width `ratio` over `samples` samples; `salt`
+/// varies its model, stream and data seeds (0 is the pinned job's).
+fn har_job(ratio: f32, samples: usize, salt: u64) -> DispatchJob {
+    DispatchJob {
         round: 3,
         device: 7,
         spec: JobSpec::Dense {
@@ -81,17 +85,40 @@ fn job_digest() -> u64 {
             blocks: 1,
             block_hidden: 360,
             classes: 6,
-            ratio: 1.0,
-            params,
+            ratio,
+            params: har_model(0x10B ^ salt).param_vector(),
         },
-        rng_state: NebulaRng::seed(0xF0CC).state(),
+        rng_state: NebulaRng::seed(0xF0CC ^ salt).state(),
         train: TrainParams { epochs: 2, batch_size: BATCH, lr: LR },
-        data: har_data(70, 0x70),
-    };
-    match DenseJobRunner.run(&job) {
+        data: har_data(samples, 0x70 ^ salt),
+    }
+}
+
+/// The digest of the parameters `job` comes back with from `runner`.
+fn run_digest(runner: &DenseJobRunner, job: DispatchJob) -> u64 {
+    match runner.run(&job) {
         Ok(JobResult::Params(trained)) => digest(&trained),
         other => panic!("a dense job must return parameters, got {:?}", other.map(|_| ())),
     }
+}
+
+/// The parameters a full-width dense job comes back with.
+fn job_digest() -> u64 {
+    run_digest(&DenseJobRunner, har_job(1.0, 70, 0))
+}
+
+/// `(ratio, samples)` of the jobs one runner runs in turn: every width,
+/// then full width again, and no sample count a multiple of the batch.
+const WARM_JOBS: [(f32, usize); 4] = [(1.0, 70), (0.5, 53), (0.125, 37), (1.0, 41)];
+
+/// The jobs of [`WARM_JOBS`] whose result on one runner, run in turn,
+/// differs from the same job's on a fresh runner.
+fn warm_runner_mismatches() -> Vec<usize> {
+    let warm = DenseJobRunner;
+    let jobs = || WARM_JOBS.iter().enumerate().map(|(k, &(r, n))| har_job(r, n, 1 + k as u64));
+    let fresh: Vec<u64> = jobs().map(|job| run_digest(&DenseJobRunner, job)).collect();
+    let on_warm: Vec<u64> = jobs().map(|job| run_digest(&warm, job)).collect();
+    (0..WARM_JOBS.len()).filter(|&k| on_warm[k] != fresh[k]).collect()
 }
 
 /// `(engine, per-ratio step digests, job digest)` as the parent code
@@ -155,6 +182,12 @@ fn a_dense_train_step_keeps_its_bits_on_every_engine() {
         }
         if job_got != job_want {
             moved.push(format!("{backend}: dense job result"));
+        }
+        for k in warm_runner_mismatches() {
+            moved.push(format!(
+                "{backend}: warm runner job {k} {:?} differs from a fresh runner's",
+                WARM_JOBS[k]
+            ));
         }
         checked += 1;
     }
