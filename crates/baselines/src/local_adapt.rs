@@ -7,6 +7,9 @@ use nebula_data::{Dataset, TrainConfig};
 use nebula_nn::Sgd;
 use nebula_tensor::NebulaRng;
 
+/// The momentum of every dense baseline's local SGD.
+pub(crate) const MOMENTUM: f32 = 0.9;
+
 /// Fine-tunes `model` in place on `data`; returns the final mean loss.
 pub fn local_adapt(
     model: &mut DenseModel,
@@ -16,14 +19,20 @@ pub fn local_adapt(
     lr: f32,
     rng: &mut NebulaRng,
 ) -> f32 {
-    let mut opt = Sgd::with_momentum(lr, 0.9);
-    nebula_data::train_epochs(
-        model,
-        &mut opt,
-        data,
-        TrainConfig { epochs, batch_size, clip_norm: Some(5.0) },
-        rng,
-    )
+    adapt_with(model, &mut Sgd::with_momentum(lr, MOMENTUM), data, epochs, batch_size, rng)
+}
+
+/// [`local_adapt`] with the optimiser passed in: the same steps, for a
+/// caller that keeps its optimiser between models.
+pub(crate) fn adapt_with(
+    model: &mut DenseModel,
+    opt: &mut Sgd,
+    data: &Dataset,
+    epochs: usize,
+    batch_size: usize,
+    rng: &mut NebulaRng,
+) -> f32 {
+    nebula_data::train_epochs(model, opt, data, TrainConfig { epochs, batch_size, clip_norm: Some(5.0) }, rng)
 }
 
 #[cfg(test)]

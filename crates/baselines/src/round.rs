@@ -19,46 +19,88 @@
 //! [`Loopback`]: nebula_core::net::Loopback
 
 use crate::dense::{active_slice, splice_active, DenseDims, DenseModel};
-use crate::local_adapt::local_adapt;
+use crate::local_adapt::{adapt_with, MOMENTUM};
 use nebula_core::net::{DispatchJob, JobResult, JobRunner, JobSpec, TrainParams, Transport, TransportError};
 use nebula_core::stats::CommTracker;
 use nebula_data::Dataset;
-use nebula_nn::Layer;
+use nebula_nn::{Layer, Sgd};
 use nebula_tensor::NebulaRng;
 use nebula_wire::DensePool;
+use std::sync::Mutex;
 
-/// Executes [`JobSpec::Dense`] jobs: rebuild the model from its shipped
-/// dimensions, load the decoded parameters, train at the job's width
-/// ratio, return the trained vector.
-pub struct DenseJobRunner;
+/// Executes [`JobSpec::Dense`] jobs: load the shipped parameters into a
+/// model of the shipped dimensions, train at the job's width ratio, and
+/// write the trained vector over the shipped one.
+///
+/// Jobs train in models the runner keeps: a free list of `(model,
+/// optimiser)` pairs, at most one per job that has run at once. A job
+/// takes a pair of its dimensions (or builds one), trains and hands it
+/// back, so a round neither builds a model per participant nor returns a
+/// vector its executor thread allocated. Nothing a job leaves in a pair
+/// reaches the next one: every parameter is loaded, the width ratio set,
+/// the optimiser restarted from zero momentum, and every train step
+/// zeroes the gradients and overwrites the caches it reads
+/// (`dense_pins` holds a warm runner's results to a fresh one's bits).
+#[derive(Default)]
+pub struct DenseJobRunner {
+    idle: Mutex<Vec<(DenseModel, Sgd)>>,
+}
+
+impl DenseJobRunner {
+    /// A kept pair of shape `dims`, or a new one. A miss drops a kept pair
+    /// of another shape, so the list never outgrows the jobs run at once.
+    fn take(&self, dims: DenseDims, lr: f32) -> (DenseModel, Sgd) {
+        let mut idle = self.idle.lock().expect("no job holds the free list while it trains");
+        if let Some(at) = idle.iter().position(|(model, _)| model.dims() == dims) {
+            return idle.swap_remove(at);
+        }
+        idle.pop();
+        (dims.build(), Sgd::with_momentum(lr, MOMENTUM))
+    }
+}
 
 impl JobRunner for DenseJobRunner {
-    fn run(&self, job: &DispatchJob) -> Result<JobResult, TransportError> {
-        let JobSpec::Dense { input, width, blocks, block_hidden, classes, ratio, params } = &job.spec else {
+    fn run(&self, job: DispatchJob) -> Result<JobResult, TransportError> {
+        let JobSpec::Dense { input, width, blocks, block_hidden, classes, ratio, mut params } = job.spec
+        else {
             return Err(TransportError::Rejected("dense runner cannot execute modular jobs".into()));
         };
-        let dims = DenseDims {
-            input: *input,
-            width: *width,
-            blocks: *blocks,
-            block_hidden: *block_hidden,
-            classes: *classes,
-        };
-        let mut local = dims.build();
-        if params.len() != local.param_count() {
-            return Err(TransportError::Rejected(format!(
-                "dense job ships {} params, model wants {}",
-                params.len(),
-                local.param_count()
-            )));
-        }
-        let mut rng = NebulaRng::from_state(job.rng_state)
-            .ok_or_else(|| TransportError::Rejected("degenerate rng state".into()))?;
-        local.load_param_vector(params);
-        local.set_width_ratio(*ratio);
-        local_adapt(&mut local, &job.data, job.train.epochs, job.train.batch_size, job.train.lr, &mut rng);
-        Ok(JobResult::Params(local.param_vector()))
+        let mut pair = self.take(DenseDims { input, width, blocks, block_hidden, classes }, job.train.lr);
+        let trained = train_in(&mut pair, &mut params, ratio, &job.data, job.train, job.rng_state);
+        self.idle.lock().expect("no job holds the free list while it trains").push(pair);
+        trained.map(|()| JobResult::Params(params))
     }
+}
+
+/// A dense job's work once it has a model: trains `params` in place at
+/// width `ratio` on `data`, from the stream saved in `rng_state`.
+fn train_in(
+    (model, opt): &mut (DenseModel, Sgd),
+    params: &mut Vec<f32>,
+    ratio: f32,
+    data: &Dataset,
+    train: TrainParams,
+    rng_state: [u64; 4],
+) -> Result<(), TransportError> {
+    if params.len() != model.param_count() {
+        return Err(TransportError::Rejected(format!(
+            "dense job ships {} params, model wants {}",
+            params.len(),
+            model.param_count()
+        )));
+    }
+    if !(ratio > 0.0 && ratio <= 1.0) {
+        return Err(TransportError::Rejected(format!("dense job width ratio {ratio} out of (0, 1]")));
+    }
+    let mut rng = NebulaRng::from_state(rng_state)
+        .ok_or_else(|| TransportError::Rejected("degenerate rng state".into()))?;
+    model.load_param_vector(params);
+    model.set_width_ratio(ratio);
+    opt.restart(train.lr);
+    adapt_with(model, opt, data, train.epochs, train.batch_size, &mut rng);
+    params.clear();
+    model.visit_params_ref(&mut |p| params.extend_from_slice(p.data()));
+    Ok(())
 }
 
 /// FedAvg's combine step, one upload at a time: `acc += (vᵢ/V)·pᵢ`.
@@ -235,6 +277,7 @@ pub fn dense_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::local_adapt;
     use nebula_core::net::Loopback;
     use nebula_data::{SynthSpec, Synthesizer};
     use nebula_wire::CodecKind;
@@ -327,7 +370,7 @@ mod tests {
             s.cohort.iter().zip(&data).enumerate().map(|(k, (c, d))| (k as u64, d, c.0)).collect();
         let mut transport: Box<dyn Transport> = match &s.script {
             Some(script) => Box::new(Scripted(script.clone())),
-            None => Box::new(Loopback::new(Arc::new(DenseJobRunner))),
+            None => Box::new(Loopback::new(Arc::new(DenseJobRunner::default()))),
         };
         let mut server = server();
         let mut pool = DensePool::new(s.codec, 0.0);
@@ -457,5 +500,37 @@ mod tests {
             eprintln!("dense_round: {name}");
             check(&run(&setup));
         }
+    }
+
+    #[test]
+    fn the_runner_keeps_a_pair_per_job_at_once_and_refuses_malformed_jobs() {
+        let runner = DenseJobRunner::default();
+        let data = Synthesizer::new(SynthSpec::toy(), 1).sample(20, 0, &mut NebulaRng::seed(2));
+        let job = |model: DenseModel, ratio: f32, cut: usize| {
+            let DenseDims { input, width, blocks, block_hidden, classes } = model.dims();
+            let mut params = model.param_vector();
+            params.truncate(params.len() - cut);
+            DispatchJob {
+                round: 0,
+                device: 1,
+                spec: JobSpec::Dense { input, width, blocks, block_hidden, classes, ratio, params },
+                rng_state: NebulaRng::seed(3).state(),
+                train: TrainParams { epochs: 1, batch_size: 8, lr: 0.03 },
+                data: data.clone(),
+            }
+        };
+        let kept = || runner.idle.lock().unwrap().iter().map(|(m, _)| m.dims()).collect::<Vec<_>>();
+        // One job at a time keeps one pair, of the last job's shape.
+        let narrow = DenseModel::new(16, 12, 1, 8, 4, 1);
+        for model in [server(), narrow, server()] {
+            let dims = model.dims();
+            assert!(matches!(runner.run(job(model, 0.5, 0)), Ok(JobResult::Params(_))));
+            assert_eq!(kept(), vec![dims]);
+        }
+        for (ratio, cut) in [(1.0, 1), (0.0, 0), (1.5, 0), (f32::NAN, 0)] {
+            let got = runner.run(job(server(), ratio, cut));
+            assert!(matches!(got, Err(TransportError::Rejected(_))), "ratio {ratio}, {cut} short: {got:?}");
+        }
+        assert_eq!(kept(), vec![server().dims()], "a refused job hands its pair back");
     }
 }

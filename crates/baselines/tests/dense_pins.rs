@@ -96,7 +96,7 @@ fn har_job(ratio: f32, samples: usize, salt: u64) -> DispatchJob {
 
 /// The digest of the parameters `job` comes back with from `runner`.
 fn run_digest(runner: &DenseJobRunner, job: DispatchJob) -> u64 {
-    match runner.run(&job) {
+    match runner.run(job) {
         Ok(JobResult::Params(trained)) => digest(&trained),
         other => panic!("a dense job must return parameters, got {:?}", other.map(|_| ())),
     }
@@ -104,7 +104,7 @@ fn run_digest(runner: &DenseJobRunner, job: DispatchJob) -> u64 {
 
 /// The parameters a full-width dense job comes back with.
 fn job_digest() -> u64 {
-    run_digest(&DenseJobRunner, har_job(1.0, 70, 0))
+    run_digest(&DenseJobRunner::default(), har_job(1.0, 70, 0))
 }
 
 /// `(ratio, samples)` of the jobs one runner runs in turn: every width,
@@ -114,9 +114,9 @@ const WARM_JOBS: [(f32, usize); 4] = [(1.0, 70), (0.5, 53), (0.125, 37), (1.0, 4
 /// The jobs of [`WARM_JOBS`] whose result on one runner, run in turn,
 /// differs from the same job's on a fresh runner.
 fn warm_runner_mismatches() -> Vec<usize> {
-    let warm = DenseJobRunner;
+    let warm = DenseJobRunner::default();
     let jobs = || WARM_JOBS.iter().enumerate().map(|(k, &(r, n))| har_job(r, n, 1 + k as u64));
-    let fresh: Vec<u64> = jobs().map(|job| run_digest(&DenseJobRunner, job)).collect();
+    let fresh: Vec<u64> = jobs().map(|job| run_digest(&DenseJobRunner::default(), job)).collect();
     let on_warm: Vec<u64> = jobs().map(|job| run_digest(&warm, job)).collect();
     (0..WARM_JOBS.len()).filter(|&k| on_warm[k] != fresh[k]).collect()
 }

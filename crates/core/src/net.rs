@@ -126,8 +126,14 @@ pub enum JobResult {
 
 /// Executes one job. Implementations must be callable from many threads
 /// at once — both [`Loopback`] and the serve worker pool fan jobs out.
+///
+/// The job comes by value and its result goes back in the job's own
+/// buffer: a dense job's trained parameters over its shipped `params`, a
+/// modular job's update frame over its spent payload `frame`. The caller
+/// allocated those, so nothing an executor thread allocates outlives the
+/// job (DESIGN §9's recycling rule).
 pub trait JobRunner: Send + Sync {
-    fn run(&self, job: &DispatchJob) -> Result<JobResult, TransportError>;
+    fn run(&self, job: DispatchJob) -> Result<JobResult, TransportError>;
 }
 
 /// Moves a round's jobs to executors and returns their results in job
@@ -169,16 +175,13 @@ impl ModularRunner {
 }
 
 impl JobRunner for ModularRunner {
-    fn run(&self, job: &DispatchJob) -> Result<JobResult, TransportError> {
-        let frame = match &job.spec {
-            JobSpec::Modular { frame } => frame,
-            JobSpec::Dense { .. } => {
-                return Err(TransportError::Rejected("modular runner cannot execute dense jobs".into()))
-            }
+    fn run(&self, job: DispatchJob) -> Result<JobResult, TransportError> {
+        let JobSpec::Modular { mut frame } = job.spec else {
+            return Err(TransportError::Rejected("modular runner cannot execute dense jobs".into()));
         };
         let mut wire = WireContext::new(self.wire);
         let payload =
-            wire.decode_payload(job.device, frame).map_err(|e| TransportError::Wire(e.to_string()))?;
+            wire.decode_payload(job.device, &frame).map_err(|e| TransportError::Wire(e.to_string()))?;
         // A CRC-clean frame is only well-formed: it may still describe a
         // sub-model of some other architecture.
         payload.validate(&self.modular).map_err(TransportError::Rejected)?;
@@ -187,14 +190,14 @@ impl JobRunner for ModularRunner {
         let mut client = EdgeClient::from_payload(self.modular.clone(), &payload);
         client.adapt(&job.data, job.train.epochs, job.train.batch_size, job.train.lr, &mut rng);
         let update: EdgeUpdate = client.make_update_reusing(&job.data, payload);
-        let mut out = Vec::new();
-        wire.encode_update(job.device, &update, &mut out);
-        Ok(JobResult::Frame(out))
+        wire.encode_update(job.device, &update, &mut frame);
+        Ok(JobResult::Frame(frame))
     }
 }
 
-/// In-process transport: run the round's jobs on this process's threads
-/// ([`nebula_tensor::par::map`]), results in job order.
+/// In-process transport: run the round's jobs on this process's threads,
+/// longest first ([`nebula_tensor::par::map_longest_first`]), results in
+/// job order.
 pub struct Loopback {
     runner: Arc<dyn JobRunner>,
 }
@@ -212,8 +215,19 @@ impl Transport for Loopback {
 
     fn round_trip(&mut self, jobs: Vec<DispatchJob>) -> Vec<Result<JobResult, TransportError>> {
         let runner = &self.runner;
-        nebula_tensor::par::map(jobs, |job| runner.run(&job))
+        nebula_tensor::par::map_longest_first(jobs, job_cost, |job| runner.run(job))
     }
+}
+
+/// A job's length grows with the model it trains — the frame it ships, or
+/// the dense parameters its width ratio makes active — and with the data
+/// it trains on.
+fn job_cost(job: &DispatchJob) -> u64 {
+    let model = match &job.spec {
+        JobSpec::Modular { frame } => frame.len() as f64,
+        JobSpec::Dense { params, ratio, .. } => params.len() as f64 * f64::from(*ratio),
+    };
+    (model * job.data.len() as f64) as u64
 }
 
 #[cfg(test)]
@@ -281,6 +295,49 @@ mod tests {
     }
 
     #[test]
+    fn loopback_runs_the_longest_job_first_and_answers_in_job_order() {
+        /// Answers each job with its device id and notes the run order.
+        struct Echo(std::sync::Mutex<Vec<u64>>);
+        impl JobRunner for Echo {
+            fn run(&self, job: DispatchJob) -> Result<JobResult, TransportError> {
+                self.0.lock().unwrap().push(job.device);
+                Ok(JobResult::Params(vec![job.device as f32]))
+            }
+        }
+        let c = cloud();
+        // Every job trains on 24 samples. Costs: 3, 9, 30 at half width (so
+        // 15, not 30: behind the 27 full-width floats), 27 floats, and a
+        // 40-byte frame.
+        let specs = [(3, 1.0), (9, 1.0), (30, 0.5), (27, 1.0)].map(|(n, ratio)| JobSpec::Dense {
+            input: 1,
+            width: 1,
+            blocks: 0,
+            block_hidden: 0,
+            classes: 1,
+            ratio,
+            params: vec![0.0; n],
+        });
+        let mut jobs: Vec<DispatchJob> = specs
+            .into_iter()
+            .chain([JobSpec::Modular { frame: vec![0; 40] }])
+            .enumerate()
+            .map(|(d, spec)| DispatchJob { device: d as u64, spec, ..job_for(&c, WireConfig::raw(), 0) })
+            .collect();
+        jobs.iter_mut().for_each(|j| j.data = tiny_dataset(1));
+        let echo = Arc::new(Echo(Default::default()));
+        let results = nebula_tensor::par::sequential(|| Loopback::new(echo.clone()).round_trip(jobs));
+        assert_eq!(*echo.0.lock().unwrap(), [4, 3, 2, 1, 0], "longest first");
+        let answered: Vec<f32> = results
+            .into_iter()
+            .map(|r| match r {
+                Ok(JobResult::Params(p)) => p[0],
+                other => panic!("echo answers every job, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(answered, [0.0, 1.0, 2.0, 3.0, 4.0], "results come back in job order");
+    }
+
+    #[test]
     fn fresh_context_matches_shared_context_under_raw() {
         // The invariant the whole remote path rests on: decoding and
         // re-encoding through a fresh WireContext yields the exact bytes
@@ -290,7 +347,7 @@ mod tests {
             let cfg = c.model().config().clone();
             let job = job_for(&c, wire_cfg, 5);
             let runner = ModularRunner::new(cfg.clone(), wire_cfg);
-            let remote = frame_of(runner.run(&job));
+            let remote = frame_of(runner.run(job.clone()));
 
             // Shared-context path: same decode/train/encode through one
             // long-lived context.
@@ -377,7 +434,7 @@ mod tests {
             ratio: 1.0,
             params: vec![0.0; 8],
         };
-        assert!(matches!(runner.run(&job), Err(TransportError::Rejected(_))));
+        assert!(matches!(runner.run(job), Err(TransportError::Rejected(_))));
         assert!(std::panic::catch_unwind(|| {
             ModularRunner::new(ModularConfig::toy(16, 4), WireConfig::int8());
         })

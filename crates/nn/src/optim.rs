@@ -33,6 +33,17 @@ impl Sgd {
     pub fn with_momentum(lr: f32, momentum: f32) -> Self {
         Self { lr, momentum, velocity: Vec::new() }
     }
+
+    /// Makes this optimiser the one `with_momentum(lr, momentum)` builds,
+    /// at its own momentum, for a model of the shape it has stepped so
+    /// far: the velocity buffers it holds are zeroed where it would have
+    /// allocated zeroed ones, so the steps after carry the same bits.
+    pub fn restart(&mut self, lr: f32) {
+        self.lr = lr;
+        for v in &mut self.velocity {
+            v.zero_();
+        }
+    }
 }
 
 impl Optimizer for Sgd {
@@ -105,6 +116,15 @@ mod tests {
         let loss_plain = train_scalar(&mut plain, 50);
         let loss_mom = train_scalar(&mut mom, 50);
         assert!(loss_mom < loss_plain, "momentum {loss_mom} vs plain {loss_plain}");
+    }
+
+    #[test]
+    fn a_restarted_optimiser_steps_with_a_fresh_ones_bits() {
+        let mut warm = Sgd::with_momentum(0.5, 0.9);
+        train_scalar(&mut warm, 20);
+        warm.restart(0.02);
+        let mut fresh = Sgd::with_momentum(0.02, 0.9);
+        assert_eq!(train_scalar(&mut warm, 30).to_bits(), train_scalar(&mut fresh, 30).to_bits());
     }
 
     #[test]

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use nebula_core::{DispatchJob, JobResult, RetryPolicy, Transport, TransportError};
 use nebula_telemetry::Telemetry;
-use nebula_wire::hello::{decode_hello, encode_hello_ack, HelloAck, HELLO_PROTO};
+use nebula_wire::hello::{decode_hello, encode_hello_ack, read_hello, HelloAck, HELLO_PROTO};
 use nebula_wire::stream::{read_frame, write_frame};
 use nebula_wire::{CodecKind, FrameKey};
 
@@ -449,7 +449,9 @@ fn spawn_conn(conn: Conn, shared: Arc<Shared>) {
 fn handshake_and_serve(mut conn: Conn, shared: &Arc<Shared>) -> Result<(), ServeError> {
     conn.set_read_timeout(Some(Duration::from_secs(10)))?;
     let mut buf = Vec::new();
-    if !read_frame(&mut conn, &mut buf)? {
+    // Held to a hello's size, not the stream's cap, until the peer has
+    // proven anything.
+    if !read_hello(&mut conn, &mut buf)? {
         return Err(ServeError::Handshake("closed before hello".into()));
     }
     let hello = decode_hello(&buf, shared.key.as_ref())

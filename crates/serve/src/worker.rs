@@ -95,7 +95,7 @@ struct CompositeRunner {
 }
 
 impl JobRunner for CompositeRunner {
-    fn run(&self, job: &DispatchJob) -> Result<nebula_core::JobResult, TransportError> {
+    fn run(&self, job: DispatchJob) -> Result<nebula_core::JobResult, TransportError> {
         match &job.spec {
             JobSpec::Modular { .. } => match &self.modular {
                 Some(r) => r.run(job),
@@ -249,7 +249,7 @@ fn run_session(
         WireConfig { auth_key: if run_cfg.payload_auth { cfg.auth_key } else { None }, ..WireConfig::raw() };
     let runner = Arc::new(CompositeRunner {
         modular: run_cfg.modular.map(|m| ModularRunner::new(m, wire)),
-        dense: DenseJobRunner,
+        dense: DenseJobRunner::default(),
     });
 
     // Pool: the connection reader feeds a channel; each executor thread
@@ -280,7 +280,7 @@ fn run_session(
                 let Ok((job, tag)) = msg else { break };
                 let mut span = telemetry.span("serve.job");
                 span.int("device", job.device);
-                let outcome = runner.run(&job);
+                let outcome = runner.run(*job);
                 drop(span);
                 jobs_run.fetch_add(1, Ordering::SeqCst);
                 let mut out = Vec::new();

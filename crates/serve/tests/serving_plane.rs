@@ -363,13 +363,15 @@ fn worker_fails_fast_on_corrupt_job_frame() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The frame cap at the coordinator's door: a connection whose first
-/// length prefix claims `MAX_FRAME_LEN + 1` bytes where its hello should
-/// be is closed at once — well inside the 10 s handshake read timeout
-/// that a body wait would sit out — and admits no worker; an honest
-/// worker still joins afterwards.
+/// The hello cap at the coordinator's door: a connection whose first
+/// length prefix claims more than a hello can hold — `MAX_FRAME_LEN + 1`,
+/// over every cap, or `MAX_FRAME_LEN − 1`, under the stream's cap but far
+/// over `MAX_HELLO_LEN` — is closed at once, well inside the 10 s
+/// handshake read timeout that a body wait would sit out, and admits no
+/// worker; an honest worker still joins afterwards.
 #[test]
 fn over_cap_hello_prefix_is_closed_and_admits_no_worker() {
+    use nebula_wire::hello::MAX_HELLO_LEN;
     use nebula_wire::stream::{read_frame, MAX_FRAME_LEN};
     use std::io::Write;
 
@@ -380,16 +382,25 @@ fn over_cap_hello_prefix_is_closed_and_admits_no_worker() {
     let coordinator = Coordinator::bind(cfg).expect("bind coordinator");
     let ep = Endpoint::Uds(path);
 
-    let mut conn = nebula_serve::Conn::connect(&ep).expect("dial");
-    conn.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
-    let prefix = u32::try_from(MAX_FRAME_LEN + 1).expect("the cap fits a u32 prefix");
-    let t0 = std::time::Instant::now();
-    conn.write_all(&prefix.to_le_bytes()).expect("send the over-cap prefix");
-    let mut buf = Vec::new();
-    let closed = matches!(read_frame(&mut conn, &mut buf), Ok(false) | Err(_));
-    assert!(closed, "the coordinator must close an over-cap connection");
-    assert!(t0.elapsed() < Duration::from_secs(5), "refused at the prefix, not after a body wait");
-    assert_eq!(coordinator.worker_count(), 0, "an over-cap hello must admit no worker");
+    for declared in [MAX_FRAME_LEN + 1, MAX_FRAME_LEN - 1, MAX_HELLO_LEN + 1] {
+        let mut conn = nebula_serve::Conn::connect(&ep).expect("dial");
+        conn.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+        let prefix = u32::try_from(declared).expect("the prefix fits a u32");
+        let t0 = std::time::Instant::now();
+        conn.write_all(&prefix.to_le_bytes()).expect("send the over-cap prefix");
+        let mut buf = Vec::new();
+        let closed = matches!(read_frame(&mut conn, &mut buf), Ok(false) | Err(_));
+        assert!(closed, "declared {declared}: the coordinator must close the connection");
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "declared {declared}: refused at the prefix, not after a body wait"
+        );
+        assert_eq!(
+            coordinator.worker_count(),
+            0,
+            "declared {declared}: an over-cap hello must admit no worker"
+        );
+    }
 
     let worker = thread::spawn(move || {
         let mut wc = WorkerConfig::new(ep);

@@ -282,7 +282,7 @@ impl<const HETERO: bool> DenseFlStrategy<HETERO> {
     pub fn new(cfg: StrategyConfig, seed: u64) -> Self {
         let server = cfg.dense_model(seed);
         let pool = cfg.dense_pool();
-        let transport = Box::new(Loopback::new(Arc::new(DenseJobRunner)));
+        let transport = Box::new(Loopback::new(Arc::new(DenseJobRunner::default())));
         Self { cfg, server, pool, transport, telemetry: Telemetry::off() }
     }
 

@@ -233,7 +233,10 @@ fn dense_case<S: AdaptStrategy>(
         }
     }
     let seen = Arc::new(Mutex::new(Fnv::new()));
-    s.set_transport(Box::new(Tap { inner: Loopback::new(Arc::new(DenseJobRunner)), seen: seen.clone() }));
+    s.set_transport(Box::new(Tap {
+        inner: Loopback::new(Arc::new(DenseJobRunner::default())),
+        seen: seen.clone(),
+    }));
     h.outcome(&round(&mut s, &mut world, &mut rng));
     let tapped = seen.lock().expect("tap digest lock").0;
     assert_ne!(tapped, Fnv::new().0, "{}: the tapped round dispatched no job", s.name());

@@ -15,12 +15,27 @@
 //! and keyed hellos at an open one.
 
 use crate::codec::CodecKind;
-use crate::frame::{FrameBuilder, FrameKind, FrameView, ModuleKey};
+use crate::frame::{
+    FrameBuilder, FrameKind, FrameView, ModuleKey, HEADER_LEN, MAC_LEN, RECORD_HEADER_LEN, TRAILER_LEN,
+};
 use crate::siphash::FrameKey;
+use crate::stream::read_frame_within;
 use crate::WireError;
+use std::io::{self, Read};
 
 /// Handshake protocol revision carried in every [`Hello`].
 pub const HELLO_PROTO: u8 = 1;
+
+/// Cap on a connection's first frame, where its [`Hello`] belongs: the
+/// longest hello [`encode_hello`] cuts (a `u16::MAX`-byte name, MAC'd),
+/// 64 KiB and change. A peer that has proven nothing yet is held to this,
+/// not to the stream's 64 MiB [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN).
+pub const MAX_HELLO_LEN: usize =
+    HEADER_LEN + RECORD_HEADER_LEN + HELLO_FIXED_LEN + u16::MAX as usize + TRAILER_LEN + MAC_LEN;
+
+/// A hello record's bytes before its name: proto, codec, threads, name
+/// length.
+const HELLO_FIXED_LEN: usize = 6;
 
 /// Domain-separation label of the handshake subkey; outside the device
 /// id space the simulator uses, so no device key collides with it.
@@ -82,6 +97,14 @@ pub fn encode_hello(buf: &mut Vec<u8>, hello: &Hello, key: Option<&FrameKey>) ->
     b.finish_keyed(key.map(hello_key).as_ref())
 }
 
+/// Reads a connection's first frame into `buf` as
+/// [`read_frame`](crate::read_frame) does, under [`MAX_HELLO_LEN`]: a
+/// longer declared length is `InvalidData` before any of its body is read
+/// or allocated.
+pub fn read_hello(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {
+    read_frame_within(r, buf, MAX_HELLO_LEN)
+}
+
 /// Decodes a [`Hello`] frame, verifying its MAC when `key` is set
 /// (strict in both directions, like all keyed parsing).
 pub fn decode_hello(bytes: &[u8], key: Option<&FrameKey>) -> Result<Hello, WireError> {
@@ -92,17 +115,18 @@ pub fn decode_hello(bytes: &[u8], key: Option<&FrameKey>) -> Result<Hello, WireE
     }
     let rec = view.find(SLOT_HELLO).ok_or(WireError::Truncated { needed: 1, have: 0 })?;
     let p = rec.payload;
-    if p.len() < 6 {
-        return Err(WireError::Truncated { needed: 6, have: p.len() });
+    if p.len() < HELLO_FIXED_LEN {
+        return Err(WireError::Truncated { needed: HELLO_FIXED_LEN, have: p.len() });
     }
     let proto = p[0];
     let codec = CodecKind::from_id(p[1])?;
     let threads = u16::from_le_bytes([p[2], p[3]]);
     let name_len = u16::from_le_bytes([p[4], p[5]]) as usize;
-    if p.len() < 6 + name_len {
-        return Err(WireError::Truncated { needed: 6 + name_len, have: p.len() });
+    let end = HELLO_FIXED_LEN + name_len;
+    if p.len() < end {
+        return Err(WireError::Truncated { needed: end, have: p.len() });
     }
-    let name = String::from_utf8_lossy(&p[6..6 + name_len]).into_owned();
+    let name = String::from_utf8_lossy(&p[HELLO_FIXED_LEN..end]).into_owned();
     Ok(Hello { proto, codec, threads, name })
 }
 
@@ -178,6 +202,32 @@ mod tests {
         let mut buf = Vec::new();
         encode_hello_ack(&mut buf, &ack(), None);
         assert_eq!(decode_hello_ack(&buf, None).unwrap(), ack());
+    }
+
+    #[test]
+    fn the_longest_hello_fits_the_first_frame_cap_exactly() {
+        let master = FrameKey::from_bytes(&[0x3C; 16]);
+        let longest = Hello { name: "n".repeat(70_000), ..hello() };
+        let mut frame = Vec::new();
+        assert_eq!(encode_hello(&mut frame, &longest, Some(&master)), MAX_HELLO_LEN);
+        let mut wire = Vec::new();
+        crate::write_frame(&mut wire, &frame).unwrap();
+        let mut buf = Vec::new();
+        assert!(read_hello(&mut io::Cursor::new(wire), &mut buf).unwrap());
+        assert_eq!(decode_hello(&buf, Some(&master)).unwrap().name.len(), u16::MAX as usize);
+    }
+
+    #[test]
+    fn a_first_frame_over_the_hello_cap_is_refused_before_its_body() {
+        for len in [MAX_HELLO_LEN + 1, crate::MAX_FRAME_LEN - 1] {
+            let mut wire = u32::try_from(len).unwrap().to_le_bytes().to_vec();
+            wire.extend_from_slice(b"body");
+            let mut r = io::Cursor::new(wire);
+            let mut buf = Vec::new();
+            let err = read_hello(&mut r, &mut buf).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "declared {len}");
+            assert_eq!((buf.capacity(), r.position()), (0, 4), "declared {len}: nothing past the prefix");
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!      4     n  one complete wire frame
 //! ```
 //!
-//! The reader enforces one maximum, [`MAX_FRAME_LEN`], *before* any allocation:
+//! The reader enforces one maximum, [`MAX_FRAME_LEN`], *before* any allocation
+//! (a connection's first frame, its hello, is held to the far smaller
+//! [`MAX_HELLO_LEN`](crate::hello::MAX_HELLO_LEN)):
 //! a hostile or corrupt length prefix (the stream equivalent of a frame
 //! whose declared payload length lies) is rejected with
 //! `InvalidData` instead of driving an unbounded `Vec` reservation. The
@@ -44,6 +46,11 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
 /// [`MAX_FRAME_LEN`] is `InvalidData` and nothing is allocated or
 /// consumed past the prefix.
 pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {
+    read_frame_within(r, buf, MAX_FRAME_LEN)
+}
+
+/// [`read_frame`] under the cap `max_len` (at most [`MAX_FRAME_LEN`]).
+pub(crate) fn read_frame_within(r: &mut impl Read, buf: &mut Vec<u8>, max_len: usize) -> io::Result<bool> {
     let mut prefix = [0u8; 4];
     let mut at = 0;
     while at < prefix.len() {
@@ -60,10 +67,10 @@ pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {
         }
     }
     let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_FRAME_LEN {
+    if len > max_len {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("declared frame length {len} exceeds cap {MAX_FRAME_LEN}"),
+            format!("declared frame length {len} exceeds cap {max_len}"),
         ));
     }
     buf.clear();
