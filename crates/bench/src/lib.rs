@@ -273,7 +273,7 @@ mod tests {
         let row = TaskRow::table1_rows()[1];
         let cfg = row.strategy_config(Scale::quick());
         assert_eq!(cfg.rounds_per_step, Scale::quick().rounds_per_step);
-        cfg.modular.validate();
+        cfg.modular.validate().unwrap();
     }
 
     #[test]

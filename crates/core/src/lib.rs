@@ -54,7 +54,7 @@ pub use net::{
     TransportError,
 };
 pub use offline::{enhance_module_abilities, pretrain, subtask_load_matrices, PretrainConfig};
-pub use presets::{modular_config_for, modular_config_for_sequence};
+pub use presets::modular_config_for;
 pub use profile::ResourceProfile;
 pub use retry::{backoff_ms, plan_corrupt_resend, plan_upload, round_deadline_ms, RetryPolicy, UploadPlan};
 pub use stats::{CommTracker, RoundReport, RoundStats};

@@ -1,7 +1,6 @@
 //! Per-task modular configurations mirroring the paper's §6.1 settings.
 
 use nebula_data::TaskPreset;
-use nebula_modular::config::ConvStemConfig;
 use nebula_modular::ModularConfig;
 
 /// The paper's modularization settings for each task/model pair:
@@ -31,7 +30,6 @@ pub fn modular_config_for(task: TaskPreset) -> ModularConfig {
             selector_embed: 32,
             gate_noise_std: 0.3,
             load_balance_weight: 0.02,
-            conv_stem: None,
         },
         TaskPreset::Cifar10 => ModularConfig {
             input_dim: spec.feature_dim,
@@ -45,7 +43,6 @@ pub fn modular_config_for(task: TaskPreset) -> ModularConfig {
             selector_embed: 48,
             gate_noise_std: 0.3,
             load_balance_weight: 0.02,
-            conv_stem: None,
         },
         TaskPreset::Cifar100 => ModularConfig {
             input_dim: spec.feature_dim,
@@ -59,7 +56,6 @@ pub fn modular_config_for(task: TaskPreset) -> ModularConfig {
             selector_embed: 64,
             gate_noise_std: 0.3,
             load_balance_weight: 0.02,
-            conv_stem: None,
         },
         TaskPreset::SpeechCommands => ModularConfig {
             input_dim: spec.feature_dim,
@@ -73,29 +69,8 @@ pub fn modular_config_for(task: TaskPreset) -> ModularConfig {
             selector_embed: 48,
             gate_noise_std: 0.3,
             load_balance_weight: 0.02,
-            conv_stem: None,
         },
     }
-}
-
-/// Sequence-native variant of [`modular_config_for`] for the two tasks
-/// whose raw inputs are time series (HAR accelerometer windows, speech
-/// frames): the dense stem is replaced by a convolutional one
-/// (`Conv1d → ReLU → MaxPool1d → Linear`), treating the synthetic feature
-/// vector as `channels × length`. Returns `None` for the image tasks.
-pub fn modular_config_for_sequence(task: TaskPreset) -> Option<ModularConfig> {
-    let mut cfg = modular_config_for(task);
-    let conv = match task {
-        // HAR: 64 features as 4 sensor channels × 16 time steps.
-        TaskPreset::Har => ConvStemConfig { in_channels: 4, in_len: 16, out_channels: 8, kernel: 3, pool: 2 },
-        // Speech: 128 features as 4 frequency bands × 32 frames.
-        TaskPreset::SpeechCommands => {
-            ConvStemConfig { in_channels: 4, in_len: 32, out_channels: 8, kernel: 5, pool: 2 }
-        }
-        TaskPreset::Cifar10 | TaskPreset::Cifar100 => return None,
-    };
-    cfg.conv_stem = Some(conv);
-    Some(cfg)
 }
 
 #[cfg(test)]
@@ -105,7 +80,7 @@ mod tests {
     #[test]
     fn all_presets_validate() {
         for t in TaskPreset::all() {
-            modular_config_for(t).validate();
+            assert_eq!(modular_config_for(t).validate(), Ok(()), "{t:?}");
         }
     }
 
@@ -119,33 +94,6 @@ mod tests {
         assert_eq!((c100.num_layers, c100.modules_per_layer), (3, 32));
         let sp = modular_config_for(TaskPreset::SpeechCommands);
         assert_eq!((sp.num_layers, sp.modules_per_layer), (3, 32));
-    }
-
-    #[test]
-    fn sequence_presets_validate_and_train() {
-        use nebula_data::Synthesizer;
-        use nebula_modular::ModularModel;
-        use nebula_tensor::NebulaRng;
-
-        for task in [TaskPreset::Har, TaskPreset::SpeechCommands] {
-            let cfg = modular_config_for_sequence(task).expect("sequence task");
-            cfg.validate();
-            // A couple of training steps must run and stay finite.
-            let mut model = ModularModel::new(cfg, 3);
-            let synth = Synthesizer::new(task.synth_spec(), 1);
-            let mut rng = NebulaRng::seed(2);
-            let data = synth.sample(64, 0, &mut rng);
-            let mut opt = nebula_nn::Sgd::with_momentum(0.05, 0.9);
-            let loss = nebula_data::train_epochs(
-                &mut model,
-                &mut opt,
-                &data,
-                nebula_data::TrainConfig { epochs: 2, batch_size: 16, clip_norm: Some(5.0) },
-                &mut rng,
-            );
-            assert!(loss.is_finite(), "{task:?} conv-stem training diverged");
-        }
-        assert!(modular_config_for_sequence(TaskPreset::Cifar10).is_none());
     }
 
     #[test]

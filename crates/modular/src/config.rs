@@ -2,29 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Optional convolutional stem for sequence tasks (speech/HAR): the raw
-/// input is interpreted as `in_channels × in_len` (so
-/// `in_channels · in_len` must equal [`ModularConfig::input_dim`]) and
-/// passes through `Conv1d → ReLU → MaxPool1d → Linear → ReLU` before the
-/// module layers. `None` uses the dense `Linear → ReLU` stem.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConvStemConfig {
-    pub in_channels: usize,
-    pub in_len: usize,
-    pub out_channels: usize,
-    /// Odd kernel; the stem uses same-padding with stride 1.
-    pub kernel: usize,
-    /// Non-overlapping pooling window over the sequence axis.
-    pub pool: usize,
-}
-
-impl ConvStemConfig {
-    /// Flattened width after conv + pooling (the stem Linear's input).
-    pub fn pooled_features(&self) -> usize {
-        self.out_channels * (self.in_len / self.pool)
-    }
-}
-
 /// Hyper-parameters of a [`crate::ModularModel`].
 ///
 /// The paper's configurations (§6.1 "Parameter settings"):
@@ -60,8 +37,6 @@ pub struct ModularConfig {
     pub gate_noise_std: f32,
     /// Weight λ of the load-balancing loss added during end-to-end training.
     pub load_balance_weight: f32,
-    /// Optional convolutional stem for sequence inputs (`None` = dense).
-    pub conv_stem: Option<ConvStemConfig>,
 }
 
 impl ModularConfig {
@@ -79,37 +54,30 @@ impl ModularConfig {
             selector_embed: 16,
             gate_noise_std: 0.5,
             load_balance_weight: 0.01,
-            conv_stem: None,
         }
     }
 
-    /// Validates internal consistency; panics with a message on error.
-    pub fn validate(&self) {
-        assert!(self.input_dim > 0, "input_dim must be positive");
-        assert!(self.classes > 1, "need at least two classes");
-        assert!(self.width > 0, "width must be positive");
-        assert!(self.num_layers > 0, "need at least one module layer");
-        assert!(self.modules_per_layer >= 1, "need at least one module per layer");
-        assert!(
-            self.top_k >= 1 && self.top_k <= self.modules_per_layer,
-            "top_k {} must be in [1, {}]",
-            self.top_k,
-            self.modules_per_layer
-        );
-        assert!(self.module_hidden > 0, "module_hidden must be positive");
-        assert!(self.selector_embed > 0, "selector_embed must be positive");
-        assert!(self.gate_noise_std >= 0.0, "gate_noise_std must be non-negative");
-        assert!(self.load_balance_weight >= 0.0, "load_balance_weight must be non-negative");
-        if let Some(cs) = &self.conv_stem {
-            assert_eq!(
-                cs.in_channels * cs.in_len,
-                self.input_dim,
-                "conv stem channels·length must equal input_dim"
-            );
-            assert!(cs.kernel % 2 == 1, "conv stem kernel must be odd (same padding)");
-            assert!(cs.pool >= 1 && cs.in_len % cs.pool == 0, "pool must divide in_len");
-            assert!(cs.out_channels >= 1);
+    /// Validates internal consistency; the error names the first rule
+    /// broken.
+    pub fn validate(&self) -> Result<(), String> {
+        let rules = [
+            (self.input_dim > 0, "input_dim must be positive"),
+            (self.classes > 1, "need at least two classes"),
+            (self.width > 0, "width must be positive"),
+            (self.num_layers > 0, "need at least one module layer"),
+            (self.modules_per_layer >= 1, "need at least one module per layer"),
+            (self.module_hidden > 0, "module_hidden must be positive"),
+            (self.selector_embed > 0, "selector_embed must be positive"),
+            (self.gate_noise_std >= 0.0, "gate_noise_std must be non-negative"),
+            (self.load_balance_weight >= 0.0, "load_balance_weight must be non-negative"),
+        ];
+        if let Some((_, broken)) = rules.iter().find(|(ok, _)| !ok) {
+            return Err(broken.to_string());
         }
+        if self.top_k < 1 || self.top_k > self.modules_per_layer {
+            return Err(format!("top_k {} must be in [1, {}]", self.top_k, self.modules_per_layer));
+        }
+        Ok(())
     }
 
     /// Total number of modules across all layers.
@@ -124,37 +92,21 @@ mod tests {
 
     #[test]
     fn toy_config_is_valid() {
-        ModularConfig::toy(16, 4).validate();
+        assert_eq!(ModularConfig::toy(16, 4).validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "top_k")]
     fn rejects_top_k_larger_than_modules() {
         let mut cfg = ModularConfig::toy(16, 4);
         cfg.top_k = 100;
-        cfg.validate();
+        assert_eq!(cfg.validate(), Err("top_k 100 must be in [1, 4]".to_string()));
     }
 
     #[test]
-    #[should_panic(expected = "two classes")]
     fn rejects_single_class() {
         let mut cfg = ModularConfig::toy(16, 4);
         cfg.classes = 1;
-        cfg.validate();
-    }
-
-    #[test]
-    fn conv_stem_validation() {
-        let mut cfg = ModularConfig::toy(16, 4);
-        cfg.conv_stem =
-            Some(ConvStemConfig { in_channels: 2, in_len: 8, out_channels: 4, kernel: 3, pool: 2 });
-        cfg.validate();
-        assert_eq!(cfg.conv_stem.unwrap().pooled_features(), 16);
-
-        cfg.conv_stem =
-            Some(ConvStemConfig { in_channels: 3, in_len: 8, out_channels: 4, kernel: 3, pool: 2 });
-        let result = std::panic::catch_unwind(|| cfg.validate());
-        assert!(result.is_err(), "mismatched channels·length must be rejected");
+        assert_eq!(cfg.validate(), Err("need at least two classes".to_string()));
     }
 
     #[test]

@@ -109,17 +109,7 @@ impl CostModel {
 
     /// Cost of the shared parts: stem + head + selector.
     pub fn shared(&self) -> ModuleCost {
-        let stem = match &self.cfg.conv_stem {
-            None => ModuleCost::linear(self.cfg.input_dim, self.cfg.width),
-            Some(cs) => {
-                // Conv1d (same padding, stride 1) + projection Linear.
-                let conv = ModuleCost {
-                    params: (cs.out_channels * cs.in_channels * cs.kernel + cs.out_channels) as u64,
-                    flops: (cs.out_channels * cs.in_channels * cs.kernel * cs.in_len) as u64,
-                };
-                conv + ModuleCost::linear(cs.pooled_features(), self.cfg.width)
-            }
-        };
+        let stem = ModuleCost::linear(self.cfg.input_dim, self.cfg.width);
         let head = ModuleCost::linear(self.cfg.width, self.cfg.classes);
         let embed = ModuleCost::linear(self.cfg.input_dim, self.cfg.selector_embed);
         let gates = ModuleCost {

@@ -25,7 +25,6 @@
 //! Shazeer et al.'s sparely-gated MoE) so sub-models of different sizes
 //! keep a stable output scale.
 
-mod blockify;
 pub mod config;
 pub mod cost;
 pub mod model;
@@ -35,7 +34,6 @@ pub mod selector;
 pub mod stats;
 pub mod submodel;
 
-pub use blockify::{identify_blocks, Block, BlockPlan, LayerDesc};
 pub use config::ModularConfig;
 pub use cost::{ModuleCost, SubModelCost};
 pub use model::ModularModel;

@@ -1,11 +1,11 @@
 //! The modularized cloud model (§4.1): stem → L module layers → head,
 //! routed by the unified selector, with sub-model masking.
 
-use crate::config::{ConvStemConfig, ModularConfig};
+use crate::config::ModularConfig;
 use crate::moe_layer::MoeLayer;
 use crate::selector::UnifiedSelector;
 use crate::submodel::SubModelSpec;
-use nebula_nn::{Activation, Conv1d, Layer, Linear, MaxPool1d, Mode, Sequential};
+use nebula_nn::{Activation, Layer, Linear, Mode, Sequential};
 use nebula_tensor::{NebulaRng, Tensor};
 use std::sync::Mutex;
 
@@ -30,9 +30,7 @@ use std::sync::Mutex;
 /// touches only those.
 pub struct ModularModel {
     cfg: ModularConfig,
-    /// Dense (`Linear → ReLU`) or convolutional
-    /// (`Conv1d → ReLU → MaxPool1d → Linear → ReLU`) stem, per
-    /// `cfg.conv_stem`.
+    /// The dense `Linear → ReLU` stem.
     stem: Sequential,
     layers: Vec<MoeLayer>,
     head: Linear,
@@ -49,7 +47,7 @@ pub struct ModularModel {
 impl ModularModel {
     /// Builds a freshly-initialised modularized model holding every module.
     pub fn new(cfg: ModularConfig, seed: u64) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|broken| panic!("{broken}"));
         let mut rng = NebulaRng::seed(seed);
         let stem = build_stem(&cfg, Some(&mut rng));
         let layers: Vec<MoeLayer> = (0..cfg.num_layers)
@@ -81,7 +79,7 @@ impl ModularModel {
     /// it costs a few allocations rather than a full initialisation: this
     /// is how an edge client, a replica or a restored snapshot is built.
     pub fn for_submodel(cfg: ModularConfig, spec: &SubModelSpec) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|broken| panic!("{broken}"));
         spec.validate(cfg.num_layers, cfg.modules_per_layer);
         let noise_rng = seed0_gate_noise_rng(&cfg);
         let stem = build_stem(&cfg, None);
@@ -270,40 +268,17 @@ impl ModularModel {
 /// The stem of `cfg`, Kaiming-initialised from `rng` or all-zero without
 /// one.
 fn build_stem(cfg: &ModularConfig, rng: Option<&mut NebulaRng>) -> Sequential {
-    match &cfg.conv_stem {
-        None => {
-            let project = match rng {
-                Some(rng) => Linear::new(cfg.input_dim, cfg.width, rng),
-                None => Linear::zeros(cfg.input_dim, cfg.width),
-            };
-            Sequential::new().with(project).with(Activation::relu())
-        }
-        Some(cs) => {
-            let pad = cs.kernel / 2;
-            let (conv, project) = match rng {
-                Some(rng) => (
-                    Conv1d::new(cs.in_channels, cs.out_channels, cs.kernel, 1, pad, cs.in_len, rng),
-                    Linear::new(cs.pooled_features(), cfg.width, rng),
-                ),
-                None => (
-                    Conv1d::zeros(cs.in_channels, cs.out_channels, cs.kernel, 1, pad, cs.in_len),
-                    Linear::zeros(cs.pooled_features(), cfg.width),
-                ),
-            };
-            Sequential::new()
-                .with(conv)
-                .with(Activation::relu())
-                .with(MaxPool1d::new(cs.out_channels, cs.in_len, cs.pool))
-                .with(project)
-                .with(Activation::relu())
-        }
-    }
+    let project = match rng {
+        Some(rng) => Linear::new(cfg.input_dim, cfg.width, rng),
+        None => Linear::zeros(cfg.input_dim, cfg.width),
+    };
+    Sequential::new().with(project).with(Activation::relu())
 }
 
 /// The [`ModularConfig`] fields that size tensors, and therefore fix how
 /// many draws [`ModularModel::new`] makes before it forks the selector's
 /// gate-noise stream.
-type ArchKey = ([usize; 7], bool, Option<ConvStemConfig>);
+type ArchKey = ([usize; 7], bool);
 
 /// The gate-noise stream of `ModularModel::new(cfg, 0)`.
 ///
@@ -330,7 +305,6 @@ fn seed0_gate_noise_rng(cfg: &ModularConfig) -> NebulaRng {
             cfg.selector_embed,
         ],
         cfg.residual_module,
-        cfg.conv_stem,
     );
     let mut memo = MEMO.lock().expect("a validated config cannot panic ModularModel::new under the lock");
     if let Some((_, rng)) = memo.iter().find(|(k, _)| *k == key) {
@@ -564,51 +538,5 @@ mod tests {
         m.set_gate_kl_target(None);
         let after = m.gate_probs(&x)[0].mean_rows().data()[2];
         assert!(after > before + 0.1, "gate did not follow KL target: {before} -> {after}");
-    }
-
-    #[test]
-    fn conv_stem_model_works_end_to_end() {
-        use crate::config::ConvStemConfig;
-        let mut cfg = ModularConfig::toy(16, 4); // 16 = 2 channels × 8 samples
-        cfg.gate_noise_std = 0.0;
-        cfg.conv_stem =
-            Some(ConvStemConfig { in_channels: 2, in_len: 8, out_channels: 4, kernel: 3, pool: 2 });
-        let mut m = ModularModel::new(cfg.clone(), 5);
-        let x = Tensor::ones(&[3, 16]);
-        let y = m.forward(&x, Mode::Eval);
-        assert_eq!(y.shape(), &[3, 4]);
-        assert!(y.all_finite());
-
-        // Trainable end to end.
-        m.zero_grad();
-        let y = m.forward(&x, Mode::Train);
-        let dx = m.backward(&Tensor::ones(y.shape()));
-        assert!(dx.all_finite());
-
-        // deep_clone reconstructs the conv stem from the config.
-        let mut c = m.deep_clone();
-        nebula_tensor::assert_tensor_close(&m.forward(&x, Mode::Eval), &c.forward(&x, Mode::Eval), 1e-6);
-
-        // Cost model's shared() matches the actual shared parameter count.
-        let cm = crate::cost::CostModel::new(cfg);
-        let shared_expected = cm.shared().params as usize;
-        assert_eq!(m.shared_param_vector().len(), shared_expected);
-    }
-
-    #[test]
-    fn conv_stem_gradcheck() {
-        use crate::config::ConvStemConfig;
-        let mut cfg = ModularConfig::toy(12, 3);
-        cfg.gate_noise_std = 0.0;
-        cfg.load_balance_weight = 0.0;
-        cfg.width = 8;
-        cfg.module_hidden = 4;
-        cfg.modules_per_layer = 3;
-        cfg.top_k = 3;
-        cfg.selector_embed = 6;
-        cfg.conv_stem =
-            Some(ConvStemConfig { in_channels: 2, in_len: 6, out_channels: 3, kernel: 3, pool: 2 });
-        let m = ModularModel::new(cfg, 3);
-        nebula_nn::gradcheck::check_layer_gradients_with(Box::new(m), 12, 2, 32, 1e-3, 6e-2);
     }
 }

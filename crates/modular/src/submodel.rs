@@ -76,24 +76,6 @@ impl SubModelSpec {
             }
         }
     }
-
-    /// Layer-wise union: the modules either sub-model uses. Useful for
-    /// sizing a payload that must serve both of a device's recent
-    /// environments.
-    pub fn union(&self, other: &SubModelSpec) -> SubModelSpec {
-        assert_eq!(self.num_layers(), other.num_layers(), "layer count mismatch");
-        SubModelSpec::new(
-            self.active
-                .iter()
-                .zip(&other.active)
-                .map(|(a, b)| {
-                    let mut m = a.clone();
-                    m.extend_from_slice(b);
-                    m
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -137,31 +119,5 @@ mod tests {
         let s = SubModelSpec::new(vec![vec![5, 1, 9]]);
         assert!(s.contains(0, 5));
         assert!(!s.contains(0, 2));
-    }
-
-    #[test]
-    fn union_merges_each_layer() {
-        let a = SubModelSpec::new(vec![vec![0, 1], vec![2]]);
-        let b = SubModelSpec::new(vec![vec![1, 3], vec![2, 0]]);
-        let u = a.union(&b);
-        assert_eq!(u.layer(0), &[0, 1, 3]);
-        assert_eq!(u.layer(1), &[0, 2]);
-    }
-
-    #[test]
-    fn union_contains_both_operands() {
-        let a = SubModelSpec::new(vec![vec![0], vec![1, 2]]);
-        let b = SubModelSpec::new(vec![vec![3], vec![1]]);
-        let u = a.union(&b);
-        for (l, layer) in a.layers().iter().enumerate() {
-            for &i in layer {
-                assert!(u.contains(l, i));
-            }
-        }
-        for (l, layer) in b.layers().iter().enumerate() {
-            for &i in layer {
-                assert!(u.contains(l, i));
-            }
-        }
     }
 }

@@ -83,7 +83,6 @@ fn c10_config() -> ModularConfig {
         selector_embed: 48,
         gate_noise_std: 0.3,
         load_balance_weight: 0.02,
-        conv_stem: None,
     }
 }
 

@@ -1,77 +1,26 @@
-//! Parameter-free activation layers.
+//! The parameter-free activation layer.
 
 use crate::layer::{refill_cache, Layer, Mode};
 use nebula_tensor::Tensor;
 
-/// Which nonlinearity an [`Activation`] layer applies.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ActivationKind {
-    Relu,
-    Tanh,
-}
-
-impl ActivationKind {
-    fn apply(self, v: f32) -> f32 {
-        match self {
-            ActivationKind::Relu => v.max(0.0),
-            ActivationKind::Tanh => v.tanh(),
-        }
-    }
-
-    /// Whether the derivative is a function of the output `y = f(x)`
-    /// (tanh) rather than of the input `x` (ReLU).
-    fn derivative_uses_output(self) -> bool {
-        matches!(self, ActivationKind::Tanh)
-    }
-
-    /// Derivative in terms of the value [`Activation`] caches: the input
-    /// for ReLU, the output for tanh.
-    fn derivative(self, cached: f32) -> f32 {
-        match self {
-            ActivationKind::Relu => {
-                if cached > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            ActivationKind::Tanh => 1.0 - cached * cached,
-        }
-    }
-}
-
-/// Element-wise activation layer caching whichever of its input and
-/// output the derivative is written in.
+/// Element-wise ReLU layer caching its input, which the derivative is
+/// written in.
 #[derive(Clone, Debug)]
 pub struct Activation {
-    kind: ActivationKind,
     cached: Option<Tensor>,
 }
 
 impl Activation {
-    pub fn new(kind: ActivationKind) -> Self {
-        Self { kind, cached: None }
-    }
-
     pub fn relu() -> Self {
-        Self::new(ActivationKind::Relu)
-    }
-
-    pub fn tanh() -> Self {
-        Self::new(ActivationKind::Tanh)
+        Self { cached: None }
     }
 
     /// [`Layer::forward`] applied to `x` where it lies; the cache is
     /// refilled as [`crate::Linear::forward_into`]'s is.
     pub fn forward_in_place(&mut self, x: &mut Tensor, mode: Mode) {
-        if !self.kind.derivative_uses_output() {
-            refill_cache(&mut self.cached, x, mode);
-        }
+        refill_cache(&mut self.cached, x, mode);
         for v in x.data_mut() {
-            *v = self.kind.apply(*v);
-        }
-        if self.kind.derivative_uses_output() {
-            refill_cache(&mut self.cached, x, mode);
+            *v = v.max(0.0);
         }
     }
 
@@ -80,7 +29,7 @@ impl Activation {
         let cached = self.cached.as_ref().expect("Activation::backward before forward");
         assert_eq!(grad.shape(), cached.shape(), "Activation grad shape mismatch");
         for (g, &c) in grad.data_mut().iter_mut().zip(cached.data()) {
-            *g *= self.kind.derivative(c);
+            *g *= if c > 0.0 { 1.0 } else { 0.0 };
         }
     }
 }
@@ -106,7 +55,6 @@ impl Layer for Activation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nebula_tensor::assert_close;
 
     #[test]
     fn relu_forward_backward() {
@@ -116,15 +64,6 @@ mod tests {
         assert_eq!(y.data(), &[0.0, 0.5, 2.0]);
         let dx = a.backward(&Tensor::ones(&[1, 3]));
         assert_eq!(dx.data(), &[0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn tanh_derivative_matches_identity() {
-        let mut a = Activation::tanh();
-        let x = Tensor::vector(&[0.7]).reshape(&[1, 1]);
-        let y = a.forward(&x, Mode::Eval);
-        let dx = a.backward(&Tensor::ones(&[1, 1]));
-        assert_close(dx.data()[0], 1.0 - y.data()[0] * y.data()[0], 1e-6);
     }
 
     #[test]

@@ -14,16 +14,15 @@
 //! * [`layer`] — the `Layer` trait, parameter visitors, flat (de)serialisation
 //!   of parameters (needed by federated aggregation).
 //! * [`linear`] — fully-connected layer (`out×in` row-major weights).
-//! * [`activation`] — ReLU / Tanh.
+//! * [`activation`] — ReLU.
 //! * [`sequential`] — ordered container of boxed layers.
-//! * [`loss`] — softmax cross-entropy, KL-to-target (gate distillation), MSE.
+//! * [`loss`] — softmax cross-entropy.
 //! * [`optim`] — SGD (+momentum).
 //! * [`gradcheck`] — finite-difference gradient checking used by tests.
 //! * [`workspace`] — reusable scratch-buffer pool backing the zero-alloc
-//!   forward/backward hot paths of the conv and MoE layers.
+//!   forward/backward hot paths of the MoE layers.
 
 pub mod activation;
-pub mod conv;
 pub mod gradcheck;
 pub mod layer;
 pub mod linear;
@@ -32,11 +31,10 @@ pub mod optim;
 pub mod sequential;
 pub mod workspace;
 
-pub use activation::{Activation, ActivationKind};
-pub use conv::{Conv1d, MaxPool1d};
+pub use activation::Activation;
 pub use layer::{Layer, Mode};
 pub use linear::Linear;
-pub use loss::{cross_entropy, mse};
+pub use loss::cross_entropy;
 pub use optim::{Optimizer, Sgd};
 pub use sequential::Sequential;
 pub use workspace::Workspace;

@@ -32,16 +32,6 @@ pub fn cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
     (loss * scale, grad)
 }
 
-/// Mean squared error and its gradient w.r.t. predictions.
-pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    let n = pred.len().max(1) as f32;
-    let diff = pred.sub(target);
-    let loss = diff.norm_sq() / n;
-    let grad = diff.scale(2.0 / n);
-    (loss, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,14 +86,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn cross_entropy_rejects_bad_label() {
         cross_entropy(&Tensor::zeros(&[1, 3]), &[5]);
-    }
-
-    #[test]
-    fn mse_basics() {
-        let pred = Tensor::vector(&[1.0, 2.0]);
-        let target = Tensor::vector(&[0.0, 0.0]);
-        let (loss, grad) = mse(&pred, &target);
-        assert_close(loss, 2.5, 1e-6);
-        assert_eq!(grad.data(), &[1.0, 2.0]);
     }
 }

@@ -89,7 +89,7 @@ mod tests {
         let mut rng = NebulaRng::seed(1);
         let mlp = Sequential::new()
             .with(Linear::new(4, 8, &mut rng))
-            .with(Activation::tanh())
+            .with(Activation::relu())
             .with(Linear::new(8, 3, &mut rng));
         check_layer_gradients(Box::new(mlp), 4, 2, 99);
     }

@@ -1,15 +1,15 @@
 //! Reusable scratch buffers for layer hot paths.
 //!
-//! Every forward/backward through a conv or MoE layer needs short-lived
-//! rank-2 temporaries (im2col matrices, GEMM products, gathered row
-//! batches, gradient scratch). Allocating them per call puts the
-//! allocator on the per-sample critical path of the simulated round loop
-//! — hundreds of thousands of calls per experiment. A [`Workspace`] is a
-//! small free-list of `Vec<f32>` buffers owned by the layer itself:
-//! [`Workspace::zeroed`] hands out a tensor backed by a recycled buffer
-//! (or a fresh one on first use), and [`Workspace::recycle`] returns the
-//! buffer once the temporary dies. After layer warm-up the hot path
-//! performs no heap allocation for scratch.
+//! Every forward/backward through a MoE layer needs short-lived rank-2
+//! temporaries (GEMM products, gathered row batches, gradient scratch).
+//! Allocating them per call puts the allocator on the per-sample critical
+//! path of the simulated round loop — hundreds of thousands of calls per
+//! experiment. A [`Workspace`] is a small free-list of `Vec<f32>` buffers
+//! owned by the layer itself: [`Workspace::zeroed`] hands out a tensor
+//! backed by a recycled buffer (or a fresh one on first use), and
+//! [`Workspace::recycle`] returns the buffer once the temporary dies.
+//! After layer warm-up the hot path performs no heap allocation for
+//! scratch.
 //!
 //! The pool is intentionally dumb: layers cycle through a fixed, small
 //! set of shapes (batch sizes change only between pretraining and round

@@ -181,9 +181,10 @@ pub fn solve_assignment(p: &AssignmentProblem) -> Vec<Vec<bool>> {
     mask
 }
 
-/// Exact solver by depth-first branch-and-bound over entries. Exponential —
-/// only for verification on instances with `T·N ≤ ~20`.
-pub fn solve_assignment_exact(p: &AssignmentProblem) -> Vec<Vec<bool>> {
+/// Exact solver by depth-first branch-and-bound over entries: the reference
+/// the greedy solver is tested against. Exponential — only for `T·N ≤ ~20`.
+#[cfg(test)]
+fn solve_assignment_exact(p: &AssignmentProblem) -> Vec<Vec<bool>> {
     let (t, n) = p.dims();
     assert!(t * n <= 24, "exact solver limited to tiny instances");
     let mut best_mask = vec![vec![false; n]; t];

@@ -15,5 +15,5 @@
 pub mod assignment;
 pub mod knapsack;
 
-pub use assignment::{solve_assignment, solve_assignment_exact, AssignmentProblem};
+pub use assignment::{solve_assignment, AssignmentProblem};
 pub use knapsack::{solve_mdkp_exact, solve_mdkp_greedy, MdkpInstance};

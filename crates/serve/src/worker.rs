@@ -151,8 +151,8 @@ fn connect(endpoint: &Endpoint, attempts: u32) -> Result<Conn, ServeError> {
 /// * [`ServeError::Handshake`] — ambiguous; retried up to
 ///   `HANDSHAKE_STRIKES` consecutive times, then surfaced.
 /// * [`ServeError::Io`] / [`ServeError::Proto`] — a dial budget already
-///   exhausted by capped backoff, or a corrupt stream this worker
-///   cannot answer; exit immediately.
+///   exhausted by capped backoff, or a corrupt stream or run config
+///   this worker cannot answer; exit immediately.
 /// * A *lost session* (connection died after admission) is not an error
 ///   while `rejoin` is set: the worker re-dials, re-handshakes, and is
 ///   assigned a fresh id.
@@ -227,8 +227,13 @@ fn run_session(
         return Err(ServeError::Rejected(ack.reason));
     }
     conn.set_read_timeout(None)?;
+    // A config that does not validate would panic an executor at its
+    // first job, so it is refused here, as malformed JSON is.
     let run_cfg: WorkerRunConfig =
         serde_json::from_str(&ack.config_json).map_err(|e| ServeError::Proto(format!("run config: {e}")))?;
+    if let Some(Err(broken)) = run_cfg.modular.as_ref().map(|m| m.validate()) {
+        return Err(ServeError::Proto(format!("run config: {broken}")));
+    }
     if run_cfg.payload_auth && cfg.auth_key.is_none() {
         return Err(ServeError::Rejected(
             "run requires device-MAC'd payload frames but this worker holds no key".into(),
@@ -343,20 +348,16 @@ fn run_session(
                     break;
                 }
             },
+            Ok(false) | Err(_) if poisoned.load(Ordering::SeqCst) => {
+                end = Some(SessionEnd::Lost("result write failed; session poisoned".into()));
+                break;
+            }
             Ok(false) => {
-                end = Some(SessionEnd::Lost(if poisoned.load(Ordering::SeqCst) {
-                    "result write failed; session poisoned".into()
-                } else {
-                    "connection closed without shutdown notice".into()
-                }));
+                end = Some(SessionEnd::Lost("connection closed without shutdown notice".into()));
                 break;
             }
             Err(e) => {
-                end = Some(SessionEnd::Lost(if poisoned.load(Ordering::SeqCst) {
-                    "result write failed; session poisoned".into()
-                } else {
-                    format!("connection lost: {e}")
-                }));
+                end = Some(SessionEnd::Lost(format!("connection lost: {e}")));
                 break;
             }
         }

@@ -363,6 +363,54 @@ fn worker_fails_fast_on_corrupt_job_frame() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A run config that does not validate is refused at the handshake with
+/// a protocol error naming the broken rule. Accepted, it would panic the
+/// executor thread that takes the first job: that job's result would
+/// never come back while the reader kept answering pings.
+#[test]
+fn worker_refuses_a_run_config_that_does_not_validate() {
+    use nebula_wire::hello::{decode_hello, encode_hello_ack, HelloAck};
+    use nebula_wire::stream::{read_frame, write_frame};
+    use nebula_wire::CodecKind;
+    use std::os::unix::net::UnixListener;
+
+    let path = uds_path("badconfig");
+    let _ = std::fs::remove_file(&path);
+    let listener = UnixListener::bind(&path).expect("bind fake coordinator");
+    let ep = Endpoint::Uds(path.clone());
+
+    let fake = thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        let mut buf = Vec::new();
+        assert!(read_frame(&mut conn, &mut buf).expect("hello"));
+        decode_hello(&buf, None).expect("hello decodes");
+        let mut modular = ModularConfig::toy(16, 4);
+        modular.top_k = 0;
+        let run_cfg = WorkerRunConfig { modular: Some(modular), ..WorkerRunConfig::default() };
+        let ack = HelloAck {
+            accepted: true,
+            codec: CodecKind::Raw,
+            worker_id: 1,
+            reason: String::new(),
+            config_json: serde_json::to_string(&run_cfg).expect("config json"),
+        };
+        encode_hello_ack(&mut buf, &ack, None);
+        write_frame(&mut conn, &buf).expect("ack");
+        // A worker that took the config would end its session cleanly
+        // here; one that refused it has hung up already.
+        nebula_serve::proto::encode_shutdown(&mut buf, None).expect("shutdown notice");
+        let _ = write_frame(&mut conn, &buf);
+    });
+
+    let err = run_worker(WorkerConfig::new(ep)).expect_err("an invalid run config must fail the worker");
+    match err {
+        nebula_serve::ServeError::Proto(why) => assert!(why.contains("top_k"), "got {why}"),
+        other => panic!("got {other:?}"),
+    }
+    fake.join().expect("fake coordinator thread");
+    let _ = std::fs::remove_file(&path);
+}
+
 /// The hello cap at the coordinator's door: a connection whose first
 /// length prefix claims more than a hello can hold — `MAX_FRAME_LEN + 1`,
 /// over every cap, or `MAX_FRAME_LEN − 1`, under the stream's cap but far
