@@ -96,17 +96,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "top_k 100 must be in [1, 4]")]
     fn rejects_top_k_larger_than_modules() {
         let mut cfg = ModularConfig::toy(16, 4);
         cfg.top_k = 100;
-        assert_eq!(cfg.validate(), Err("top_k 100 must be in [1, 4]".to_string()));
+        cfg.validate().unwrap();
     }
 
     #[test]
+    #[should_panic(expected = "need at least two classes")]
     fn rejects_single_class() {
         let mut cfg = ModularConfig::toy(16, 4);
         cfg.classes = 1;
-        assert_eq!(cfg.validate(), Err("need at least two classes".to_string()));
+        cfg.validate().unwrap();
     }
 
     #[test]
