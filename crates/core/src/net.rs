@@ -115,6 +115,20 @@ pub struct DispatchJob {
     pub data: Dataset,
 }
 
+impl DispatchJob {
+    /// A job's length grows with the model it trains — the frame it ships,
+    /// or the dense parameters its width ratio makes active — and with the
+    /// data it trains on. Both transports queue a round's jobs by it,
+    /// longest first.
+    pub fn cost(&self) -> u64 {
+        let model = match &self.spec {
+            JobSpec::Modular { frame } => frame.len() as f64,
+            JobSpec::Dense { params, ratio, .. } => params.len() as f64 * f64::from(*ratio),
+        };
+        (model * self.data.len() as f64) as u64
+    }
+}
+
 /// What comes back from an executor.
 #[derive(Clone, Debug)]
 pub enum JobResult {
@@ -215,19 +229,8 @@ impl Transport for Loopback {
 
     fn round_trip(&mut self, jobs: Vec<DispatchJob>) -> Vec<Result<JobResult, TransportError>> {
         let runner = &self.runner;
-        nebula_tensor::par::map_longest_first(jobs, job_cost, |job| runner.run(job))
+        nebula_tensor::par::map_longest_first(jobs, DispatchJob::cost, |job| runner.run(job))
     }
-}
-
-/// A job's length grows with the model it trains — the frame it ships, or
-/// the dense parameters its width ratio makes active — and with the data
-/// it trains on.
-fn job_cost(job: &DispatchJob) -> u64 {
-    let model = match &job.spec {
-        JobSpec::Modular { frame } => frame.len() as f64,
-        JobSpec::Dense { params, ratio, .. } => params.len() as f64 * f64::from(*ratio),
-    };
-    (model * job.data.len() as f64) as u64
 }
 
 #[cfg(test)]

@@ -10,20 +10,33 @@
 //! [`SocketTransport::round_trip`] (`start`, `on_tick`, `on_deadline`),
 //! each connection's reader thread (`on_result`, and `on_worker_lost` at
 //! EOF), and the liveness monitor (`on_worker_lost` for a silent worker).
-//! A driver snapshots the live worker ids, locks the machine, feeds **one
-//! event**, bumps the counters the event returned, unlocks, and writes the
-//! sends it returned (`Shared::feed`, `Shared::perform`). A write that
-//! fails loses its worker, which is one more event; its sends join the
-//! same queue, so nothing recurses. The registry lock and the machine
-//! lock are never held together.
+//! A driver snapshots the live workers with their credit, locks the
+//! machine, feeds **one event**, bumps the counters the event returned,
+//! unlocks, and frames the sends it returned (`Shared::feed`,
+//! `Shared::perform`). A frame goes to its connection's writer thread, the
+//! only thread that writes to that socket, so no driver ever blocks on a
+//! worker that is slow to read. A send to a worker that is gone loses it,
+//! which is one more event; its sends join the same queue, so nothing
+//! recurses. The registry lock and the machine lock are never held
+//! together.
+//!
+//! ## Placement
+//!
+//! A worker's *credit* is the executor count its hello announced plus one:
+//! every executor busy and one job frame queued behind them. `round_trip`
+//! opens the round, which queues the jobs longest first and sends each
+//! live worker its credit's worth; from then on the reader thread that
+//! delivers a result sends that worker its next job. A worker that
+//! finishes early takes more of the round, and no worker holds a backlog
+//! another could be running.
 //!
 //! ## Round barrier and failure semantics
 //!
-//! `round_trip` opens the round, spreads the jobs round-robin over the
-//! live workers and blocks on a condvar until every slot is resolved or
-//! the wall-clock deadline passes. A worker that dies mid-round is dropped
-//! from the registry and its jobs are reassigned under the retry budget
-//! ([`ServeConfig::max_retries`]); a job out of budget or out of workers
+//! After the first writes, `round_trip` blocks on a condvar until every
+//! slot is resolved or the wall-clock deadline passes. A worker that dies
+//! mid-round is dropped from the registry and its jobs are reassigned
+//! under the retry budget ([`ServeConfig::max_retries`]), ahead of the
+//! jobs still queued; a job out of budget or out of workers
 //! resolves [`TransportError::Closed`], one still open at the deadline
 //! [`TransportError::Timeout`]. The strategy above maps every error onto
 //! its `link_dropped` fate, so a dying or straggling worker degrades the
@@ -35,7 +48,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -103,16 +116,49 @@ impl ServeConfig {
 /// One admitted worker connection.
 struct WorkerHandle {
     name: String,
-    /// Write half; reads happen on the connection's own reader thread.
-    writer: Arc<Mutex<Conn>>,
-    /// Unguarded shutdown handle: severing a connection must not wait
-    /// on the writer mutex — a writer blocked mid-write on a half-open
-    /// socket's full buffer is exactly what eviction needs to unblock.
+    /// Unresolved copies the round machine may give this worker at once:
+    /// its hello's executor count plus one, at least 1.
+    credit: u32,
+    /// Frames for the connection's writer thread ([`writer_loop`]).
+    outbox: mpsc::Sender<Vec<u8>>,
+    /// Severing a connection wakes its reader thread, and a writer thread
+    /// blocked mid-write on a half-open socket's full buffer — exactly what
+    /// eviction needs to unblock.
     closer: Conn,
     /// Milliseconds (on the coordinator's clock, [`Shared::now_ms`]) of
     /// the last inbound frame from this worker. Shared with the reader
     /// thread, which stamps it without touching the registry lock.
     last_seen: Arc<AtomicU64>,
+}
+
+impl WorkerHandle {
+    /// A handle on `conn` with its writer thread started.
+    fn new(
+        name: String,
+        credit: u32,
+        conn: &Conn,
+        last_seen: Arc<AtomicU64>,
+    ) -> std::io::Result<WorkerHandle> {
+        let (outbox, frames) = mpsc::channel();
+        let writer = conn.try_clone()?;
+        thread::spawn(move || writer_loop(writer, frames));
+        Ok(WorkerHandle { name, credit, outbox, closer: conn.try_clone()?, last_seen })
+    }
+}
+
+/// A connection's writer thread, the only thread that writes to its
+/// socket: it writes the queued frames in order until the worker leaves
+/// the registry. So no other thread ever waits on a worker that is not
+/// reading — least of all the reader thread that refills a worker, which
+/// must go on reading the results the worker is writing. A failed write
+/// severs the link; the reader thread then drops the worker.
+fn writer_loop(mut conn: Conn, frames: mpsc::Receiver<Vec<u8>>) {
+    for frame in frames {
+        if write_frame(&mut conn, &frame).is_err() {
+            conn.shutdown();
+            return;
+        }
+    }
 }
 
 struct Shared {
@@ -142,25 +188,24 @@ impl Shared {
         self.started_at.elapsed().as_millis() as u64
     }
 
-    /// Live worker ids, in id order.
-    fn live_ids(&self) -> Vec<u64> {
-        self.workers.lock().unwrap().keys().copied().collect()
+    /// Live workers with their credit, in id order.
+    fn live(&self) -> Vec<(u64, u32)> {
+        self.workers.lock().unwrap().iter().map(|(&id, w)| (id, w.credit)).collect()
     }
 
-    /// Writes one already-encoded frame to a worker; false when the worker
-    /// is gone or the write failed.
-    fn write_to(&self, worker: u64, frame: &[u8]) -> bool {
-        let writer = self.workers.lock().unwrap().get(&worker).map(|w| Arc::clone(&w.writer));
-        writer.is_some_and(|w| write_frame(&mut *w.lock().unwrap(), frame).is_ok())
+    /// Queues one encoded frame for a worker's writer thread; false when
+    /// the worker is gone or its link failed.
+    fn write_to(&self, worker: u64, frame: Vec<u8>) -> bool {
+        self.workers.lock().unwrap().get(&worker).is_some_and(|w| w.outbox.send(frame).is_ok())
     }
 
-    /// Feeds the machine one event — given the live worker ids — bumps
+    /// Feeds the machine one event — given the live workers — bumps
     /// the counters it returns, wakes the barrier when it resolved the
     /// last slot, and hands back the sends it asks for. The counters are
     /// bumped before the lock is released, so whoever sees a slot resolved
     /// (the barrier, then `round_trip`'s caller) also sees it counted.
-    fn feed(&self, event: impl FnOnce(&mut Machine, &[u64]) -> Step) -> Vec<round::Send> {
-        let live = self.live_ids();
+    fn feed(&self, event: impl FnOnce(&mut Machine, &[(u64, u32)]) -> Step) -> Vec<round::Send> {
+        let live = self.live();
         let mut machine = self.round.lock().unwrap();
         let step = event(&mut machine, &live);
         for name in step.counters {
@@ -172,43 +217,45 @@ impl Shared {
         step.sends
     }
 
-    /// Performs `sends` in order. A failed write loses its worker — one
-    /// more event, whose sends join the queue.
+    /// Performs `sends` in order. A send that causes an event — a send to
+    /// a worker that is gone loses it, a job that will not frame resolves —
+    /// adds that event's sends to the queue.
     fn perform(&self, sends: Vec<round::Send>) {
         let mut queue = VecDeque::from(sends);
         while let Some(send) = queue.pop_front() {
-            if !self.write_job(&send) {
-                queue.extend(self.lose_worker(send.worker));
-            }
+            queue.extend(self.write_job(&send));
         }
     }
 
     /// Asks the machine whether `send` is still wanted, frames the job
-    /// under the machine lock and writes outside it. False when the write
-    /// failed (the caller loses the target worker).
-    fn write_job(&self, send: &round::Send) -> bool {
+    /// under the machine lock and queues it for the worker's writer
+    /// outside it. Returns the sends of the event a failure feeds: the lost
+    /// worker's when it is gone, the refill when the job would not frame.
+    fn write_job(&self, send: &round::Send) -> Vec<round::Send> {
         let mut buf = Vec::new();
         let framed = {
             let mut machine = self.round.lock().unwrap();
-            let Some(job) = machine.on_send(send, self.now_ms()) else { return true };
+            let Some(job) = machine.on_send(send, self.now_ms()) else { return Vec::new() };
             proto::encode_job(&mut buf, job, send.tag, self.key.as_ref())
         };
         if let Err(e) = framed {
-            self.feed(|machine, _| machine.on_result(send.tag, Err(TransportError::Wire(e.to_string()))));
-            return true;
+            let failed = Err(TransportError::Wire(e.to_string()));
+            return self.feed(|machine, live| machine.on_result(send.tag, failed, live));
         }
-        let ok = self.write_to(send.worker, &buf);
-        if ok {
-            self.telemetry.counter_add("serve.jobs_sent", 1);
+        if !self.write_to(send.worker, buf) {
+            return self.lose_worker(send.worker);
         }
-        ok
+        self.telemetry.counter_add("serve.jobs_sent", 1);
+        Vec::new()
     }
 
-    /// A result frame arrived from a worker. A worker-side rejection is
-    /// deterministic — re-running it elsewhere returns the same refusal,
-    /// so it resolves the slot like any other outcome, no retry.
+    /// A result frame arrived from a worker; the credit it frees is
+    /// refilled at once. A worker-side rejection is deterministic —
+    /// re-running it elsewhere returns the same refusal, so it resolves
+    /// the slot like any other outcome, no retry.
     fn deliver(&self, tag: JobTag, outcome: Result<JobResult, String>) {
-        self.feed(|machine, _| machine.on_result(tag, outcome.map_err(TransportError::Rejected)));
+        let outcome = outcome.map_err(TransportError::Rejected);
+        self.perform(self.feed(|machine, live| machine.on_result(tag, outcome, live)));
     }
 
     /// Drops `dead` from the registry, severs its socket (so both the
@@ -265,7 +312,7 @@ fn liveness_monitor(shared: Arc<Shared>, timeout: u64) {
                 // into the same drop path.
                 shared.telemetry.counter_add("serve.workers_evicted", 1);
                 shared.drop_worker(id);
-            } else if shared.write_to(id, &buf) {
+            } else if shared.write_to(id, buf.clone()) {
                 shared.telemetry.counter_add("serve.pings_sent", 1);
             } else {
                 shared.drop_worker(id);
@@ -382,13 +429,13 @@ impl Coordinator {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         let mut buf = Vec::new();
         if proto::encode_shutdown(&mut buf, self.shared.key.as_ref()).is_ok() {
-            for id in self.shared.live_ids() {
+            for (id, _) in self.shared.live() {
                 // The notice alone ends a conforming worker (it severs
                 // its own side); severing here could discard the frame
                 // from the socket buffer, and a worker that misses it
                 // reads the close as a crash and tries to rejoin. Only
                 // an unwritable connection is cut outright.
-                if !self.shared.write_to(id, &buf) {
+                if !self.shared.write_to(id, buf.clone()) {
                     self.shared.drop_worker(id);
                 }
             }
@@ -481,13 +528,10 @@ fn handshake_and_serve(mut conn: Conn, shared: &Arc<Shared>) -> Result<(), Serve
     conn.set_read_timeout(None)?;
 
     let id = ack.worker_id;
-    let writer = Arc::new(Mutex::new(conn.try_clone()?));
-    let closer = conn.try_clone()?;
+    let credit = u32::from(hello.threads) + 1;
     let last_seen = Arc::new(AtomicU64::new(shared.now_ms()));
-    shared.workers.lock().unwrap().insert(
-        id,
-        WorkerHandle { name: hello.name.clone(), writer, closer, last_seen: Arc::clone(&last_seen) },
-    );
+    let handle = WorkerHandle::new(hello.name.clone(), credit, &conn, Arc::clone(&last_seen))?;
+    shared.workers.lock().unwrap().insert(id, handle);
     shared.telemetry.counter_add("serve.workers_joined", 1);
     shared.telemetry.emit("serve_worker", |e| {
         e.ints.insert("worker".into(), id);
@@ -545,13 +589,13 @@ impl Transport for SocketTransport {
         let shared = &*self.shared;
         let mut span = shared.telemetry.span("serve.round_trip");
         span.int("jobs", n as u64);
-        if shared.live_ids().is_empty() {
+        if shared.live().is_empty() {
             shared.telemetry.counter_add("serve.rounds_unserved", 1);
             return (0..n).map(|_| Err(TransportError::Closed("no workers connected".into()))).collect();
         }
         let started = shared.now_ms();
         let deadline = started + shared.deadline_ms;
-        shared.perform(shared.feed(|machine, live| machine.start(jobs, live, started)));
+        shared.perform(shared.feed(|machine, live| machine.start(jobs, live)));
 
         // The barrier: one tick (or the deadline) per wake-up, then a wait
         // that re-checks the machine under its lock, so a result landing
@@ -656,7 +700,7 @@ mod tests {
 
     /// The slot's primary copy: `(worker, attempt)`.
     fn assigned_of(s: &Shared, j: usize) -> (u64, u32) {
-        let primary = s.round.lock().unwrap().slots()[j].primary;
+        let primary = s.round.lock().unwrap().slots()[j].primary.expect("a placed slot");
         (primary.worker, primary.attempt)
     }
 
@@ -673,19 +717,14 @@ mod tests {
         s.round.lock().unwrap().slots().get(j).and_then(|slot| slot.result.clone())
     }
 
-    /// Registers worker `id` over a socket pair and returns the far end:
-    /// what the coordinator writes to the worker is read there.
-    fn add_worker(s: &Shared, id: u64) -> Conn {
+    /// Registers worker `id` with `credit` over a socket pair and returns
+    /// the far end: what the coordinator writes to the worker is read there.
+    fn add_worker(s: &Shared, id: u64, credit: u32) -> Conn {
         let (near, far) = UnixStream::pair().expect("socket pair");
         far.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
         let near = Conn::Uds(near);
-        let handle = WorkerHandle {
-            name: format!("w{id}"),
-            closer: near.try_clone().expect("clone"),
-            writer: Arc::new(Mutex::new(near)),
-            last_seen: Arc::new(AtomicU64::new(0)),
-        };
-        s.workers.lock().unwrap().insert(id, handle);
+        let handle = WorkerHandle::new(format!("w{id}"), credit, &near, Arc::new(AtomicU64::new(0)));
+        s.workers.lock().unwrap().insert(id, handle.expect("clone"));
         Conn::Uds(far)
     }
 
@@ -801,12 +840,13 @@ mod tests {
     #[test]
     fn budget_exhaustion_closes_one_slot_while_its_sibling_reassigns() {
         let s = shared_with(1, 0, 1_000);
-        let _w2 = add_worker(&s, 2);
-        let _w3 = add_worker(&s, 3);
+        let _w2 = add_worker(&s, 2, 3);
+        let _w3 = add_worker(&s, 3, 1);
         install_round(&s, 4, &[7, 8]);
         install_hedge(&s, 1, 2, 1);
-        // Worker 1 dies: job 0 is reassigned to worker 2 (one retry), job
-        // 1 is promoted onto its hedge on worker 2 (free).
+        // Worker 1 dies: job 0 is reassigned to worker 2, the one with
+        // more credit to spare (one retry); job 1 is promoted onto its
+        // hedge on worker 2 (free).
         s.drop_worker(1);
         assert_eq!((assigned_of(&s, 0), retries_of(&s, 0)), ((2, 1), 1));
         assert_eq!((assigned_of(&s, 1), retries_of(&s, 1)), ((2, 1), 0));
@@ -834,7 +874,7 @@ mod tests {
         let ok: Result<JobResult, String> = Ok(JobResult::Params(vec![1.0]));
         // The hedge fires first, then both copies lose their worker.
         let s = Arc::new(shared_with(2, 20, 10_000));
-        let (mut w1, mut w2, mut w3) = (add_worker(&s, 1), add_worker(&s, 2), add_worker(&s, 3));
+        let (mut w1, mut w2, mut w3) = (add_worker(&s, 1, 3), add_worker(&s, 2, 3), add_worker(&s, 3, 3));
         let barrier = run_round(&s, &[7]);
         let first = read_job_tag(&mut w1);
         let hedge = read_job_tag(&mut w2);
@@ -853,7 +893,7 @@ mod tests {
         // The worker is lost first; the hedge timer restarts from the
         // re-dispatch and races the moved copy.
         let s = Arc::new(shared_with(2, 400, 10_000));
-        let (mut w1, mut w2, mut w3) = (add_worker(&s, 1), add_worker(&s, 2), add_worker(&s, 3));
+        let (mut w1, mut w2, mut w3) = (add_worker(&s, 1, 3), add_worker(&s, 2, 3), add_worker(&s, 3, 3));
         let barrier = run_round(&s, &[7]);
         let first = read_job_tag(&mut w1);
         s.drop_worker(1);
@@ -870,7 +910,7 @@ mod tests {
     #[test]
     fn deadline_times_out_exactly_the_unresolved_slots() {
         let s = Arc::new(shared_with(2, 0, 300));
-        let mut w1 = add_worker(&s, 1);
+        let mut w1 = add_worker(&s, 1, 3);
         let barrier = run_round(&s, &[7, 8, 9]);
         let tags = [read_job_tag(&mut w1), read_job_tag(&mut w1), read_job_tag(&mut w1)];
         s.deliver(tags[1], Ok(JobResult::Params(vec![1.0])));

@@ -10,7 +10,8 @@
 //!
 //! * [`round`] — the served round as one pure state machine: a `Slot`
 //!   per job; events in (start, send, result, worker lost, hedge tick,
-//!   deadline), sends and counter bumps out. It decides reassignment
+//!   deadline), sends and counter bumps out. It decides placement (one
+//!   longest-first queue, each worker up to its credit), reassignment
 //!   under the shared retry budget, hedging, and which result may land
 //!   (the `JobTag` guard); it touches no socket, lock, clock or thread.
 //! * [`coordinator`] — the machine's drivers: listeners, the worker

@@ -37,7 +37,7 @@ pub struct WorkerConfig {
     pub auth_key: Option<[u8; 16]>,
     /// Name announced in the hello (logs/telemetry only).
     pub name: String,
-    /// Executor threads (0 = 2).
+    /// Executor threads (0 = 1), announced in the hello.
     pub threads: usize,
     /// Dial attempts before giving up (the coordinator may start late).
     pub connect_attempts: u32,

@@ -787,6 +787,133 @@ fn hedged_dispatch_rescues_a_round_from_a_slow_worker() {
     slow.join().expect("slow worker thread");
 }
 
+/// A worker that announces `threads` executors but answers each job on
+/// its reader thread, one at a time, until the shutdown notice; it
+/// returns how many jobs it answered.
+fn single_threaded_worker(
+    ep: Endpoint,
+    threads: u16,
+    answer: impl Fn(nebula_core::DispatchJob) -> Result<nebula_core::JobResult, nebula_core::TransportError>
+        + Send
+        + 'static,
+) -> thread::JoinHandle<u64> {
+    use nebula_serve::proto::{self, Message};
+    use nebula_wire::hello::{decode_hello_ack, encode_hello, Hello, HELLO_PROTO};
+    use nebula_wire::stream::{read_frame, write_frame};
+    use nebula_wire::CodecKind;
+
+    thread::spawn(move || {
+        let mut conn = nebula_serve::Conn::connect(&ep).expect("dial");
+        let mut buf = Vec::new();
+        let hello = Hello { proto: HELLO_PROTO, codec: CodecKind::Raw, threads, name: "single".into() };
+        encode_hello(&mut buf, &hello, None);
+        write_frame(&mut conn, &buf).expect("hello");
+        assert!(read_frame(&mut conn, &mut buf).expect("ack"));
+        assert!(decode_hello_ack(&buf, None).expect("ack decodes").accepted);
+        let (mut out, mut jobs) = (Vec::new(), 0u64);
+        while read_frame(&mut conn, &mut buf).expect("a frame") {
+            match proto::decode_message(&buf, None).expect("frame decodes") {
+                Message::Job(job, tag) => {
+                    proto::encode_result(&mut out, tag, &answer(*job), None).expect("result encodes");
+                    write_frame(&mut conn, &out).expect("result write");
+                    jobs += 1;
+                }
+                Message::Shutdown => break,
+                _ => {}
+            }
+        }
+        jobs
+    })
+}
+
+/// A hello's `threads` sizes the worker's credit: its executors plus one
+/// queued frame. A worker that announces none still gets one job at a
+/// time, so two of them serve whole rounds, on the in-process bits.
+#[test]
+fn workers_announcing_zero_threads_still_get_work() {
+    use nebula_core::JobRunner;
+
+    let (base_params, base_trail) = run_rounds(None, 2);
+
+    let worker_cfg = WorkerRunConfig { modular: Some(toy_cfg().modular), ..WorkerRunConfig::default() };
+    let mut cfg = ServeConfig::new(worker_cfg);
+    let path = uds_path("zero-threads");
+    cfg.uds = Some(path.clone());
+    cfg.deadline_ms = 20_000;
+    let coordinator = Coordinator::bind(cfg).expect("bind coordinator");
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let cfg = toy_cfg();
+            let runner = ModularRunner::new(cfg.modular, cfg.wire);
+            single_threaded_worker(Endpoint::Uds(path.clone()), 0, move |job| runner.run(job))
+        })
+        .collect();
+    assert!(coordinator.wait_for_workers(2, Duration::from_secs(20)));
+
+    let (params, trail) = run_rounds(Some(Box::new(coordinator.transport())), 2);
+    assert_eq!(coordinator.rounds_completed(), 2);
+    coordinator.shutdown();
+    let jobs: Vec<u64> = workers.into_iter().map(|w| w.join().expect("worker thread")).collect();
+    assert!(jobs.iter().all(|&n| n > 0), "both workers must get work: {jobs:?}");
+    assert_eq!(base_trail, trail, "comm/fault accounting must match");
+    assert_eq!(base_params, params, "cloud parameters must be bit-identical");
+}
+
+/// A single-threaded worker does not read while it writes. With frames
+/// larger than the socket buffers, a coordinator reader thread that wrote
+/// the refill for one result itself would wait for the worker to read it,
+/// while the worker waits for the coordinator to read its next result:
+/// the round would sit out its deadline. Only a connection's writer
+/// thread writes to it, so every reader keeps reading.
+#[test]
+fn refills_never_stall_a_worker_that_writes_before_it_reads() {
+    use nebula_core::{DispatchJob, JobResult, JobSpec, TrainParams};
+    use nebula_data::Dataset;
+    use nebula_tensor::Tensor;
+
+    // 2.4 MB each way, far beyond a socket's buffer.
+    let params = vec![0.5f32; 600_000];
+    let mut cfg = ServeConfig::new(WorkerRunConfig::default());
+    let path = uds_path("big-frames");
+    cfg.uds = Some(path.clone());
+    cfg.deadline_ms = 20_000;
+    let coordinator = Coordinator::bind(cfg).expect("bind coordinator");
+    // One executor announced, so two jobs in flight; each answer echoes
+    // the job's parameters.
+    let worker = single_threaded_worker(Endpoint::Uds(path), 1, |job| match job.spec {
+        JobSpec::Dense { params, .. } => Ok(JobResult::Params(params)),
+        JobSpec::Modular { .. } => panic!("a dense job"),
+    });
+    assert!(coordinator.wait_for_workers(1, Duration::from_secs(20)));
+
+    let job = |device| DispatchJob {
+        round: 0,
+        device,
+        spec: JobSpec::Dense {
+            input: 4,
+            width: 4,
+            blocks: 1,
+            block_hidden: 4,
+            classes: 2,
+            ratio: 1.0,
+            params: params.clone(),
+        },
+        rng_state: [1, 2, 3, 4],
+        train: TrainParams { epochs: 1, batch_size: 1, lr: 0.1 },
+        data: Dataset::new(Tensor::from_vec(vec![0.0; 4], &[1, 4]), vec![0], 2),
+    };
+    let mut transport = coordinator.transport();
+    for round in 0..2 {
+        let results = transport.round_trip((0..4).map(job).collect());
+        let echoed =
+            |r: &Result<JobResult, _>| matches!(r, Ok(JobResult::Params(p)) if p.len() == params.len());
+        let oks: Vec<bool> = results.iter().map(|r| r.is_ok()).collect();
+        assert!(results.iter().all(echoed), "round {round} lost jobs: {oks:?}");
+    }
+    coordinator.shutdown();
+    assert_eq!(worker.join().expect("worker thread"), 8);
+}
+
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     use std::io::{Read, Write};
     let mut s = std::net::TcpStream::connect(addr).expect("ops connect");

@@ -702,11 +702,12 @@ impl NebulaStrategy {
 
     /// Plan → derive + frame, sequentially in sampling order: fate and
     /// link plan, derivation, dispatch, download. Each download is encoded
-    /// into a real frame and the *decoded* payload is what the device
-    /// trains from; the tracker records the measured frame length, while
-    /// the latency model keeps the analytic planning size (so `Raw` rounds
-    /// stay bit-identical). Returns a record per device whose download
-    /// landed, its training stream already forked.
+    /// into a real frame; in process the *decoded* payload is what the
+    /// device trains from, and a transport ships the frame itself to the
+    /// worker that decodes it. The tracker records the measured frame
+    /// length, while the latency model keeps the analytic planning size (so
+    /// `Raw` rounds stay bit-identical). Returns a record per device whose
+    /// download landed, its training stream already forked.
     fn derive_and_frame<'w>(
         &mut self,
         round: &mut Round,
@@ -724,7 +725,8 @@ impl NebulaStrategy {
                 round.note_client(id, "dropped", None);
                 continue;
             };
-            let dl = self.download(world, id, up.delivered, &round.telemetry);
+            let remote = self.transport.is_some();
+            let dl = self.download(world, id, up.delivered, !remote, &round.telemetry);
             if !up.delivered {
                 // Retries exhausted: the device never joins the round (and
                 // never receives a frame, so its wire state stays cold).
@@ -737,12 +739,12 @@ impl NebulaStrategy {
                 continue;
             }
             round.comm.record_download(dl.wire_bytes);
-            let Some(payload) = dl.payload else {
+            if !remote && dl.payload.is_none() {
                 // Defensive: a pristine in-process frame always decodes.
                 round.report.link_dropped += 1;
                 round.note_client(id, "link_dropped", None);
                 continue;
-            };
+            }
             for _ in 0..up.resends {
                 round.comm.record_retry(dl.wire_bytes);
             }
@@ -751,7 +753,7 @@ impl NebulaStrategy {
                 &self.cfg,
                 &world.devices[id],
                 &fate,
-                self.cloud.cost_model().submodel(&payload.spec).flops,
+                dl.flops,
                 dl.plan_bytes,
                 up.resends as u64,
                 up.backoff_ms,
@@ -759,8 +761,8 @@ impl NebulaStrategy {
             // Remote dispatch ships the encoded payload frame; the fork
             // happens here either way, so both modes — and a device the
             // gate later turns away — consume the same RNG sequence.
-            let frame = self.transport.is_some().then(|| self.frame_buf.clone());
-            let job = Job { payload, frame, data: dl.local, rng: rng.fork(id as u64 ^ 0xEB) };
+            let frame = remote.then(|| self.frame_buf.clone());
+            let job = Job { payload: dl.payload, frame, data: dl.local, rng: rng.fork(id as u64 ^ 0xEB) };
             devices.push(Device::new(id, fate, time_ms, job));
         }
         devices
@@ -778,15 +780,13 @@ impl NebulaStrategy {
             train_span.int("clients", reporting as u64);
             // A job's length grows with the sub-model it trains and the
             // data it trains on; a gated device is no job at all.
-            let cost = |d: &Device<Job<'_>>| {
-                if d.reports() {
-                    d.work.payload.bytes() * d.work.data.len() as u64
-                } else {
-                    0
-                }
+            let cost = |d: &Device<Job<'_>>| match &d.work.payload {
+                Some(payload) if d.reports() => payload.bytes() * d.work.data.len() as u64,
+                _ => 0,
             };
             return nebula_tensor::par::map_longest_first(devices, cost, |d| {
                 d.advance(|Job { payload, data, mut rng, .. }| {
+                    let payload = payload.expect("in-process jobs carry their decoded payload");
                     let mut client = EdgeClient::from_payload(cfg.modular.clone(), &payload);
                     client.adapt(data, cfg.local_epochs, cfg.batch_size, cfg.local_lr, &mut rng);
                     // The update goes into the download's buffers, which
@@ -975,25 +975,29 @@ impl NebulaStrategy {
 
     /// The cloud → device half of an exchange: derive a sub-model for the
     /// device's current data and budget, package it, and — unless the
-    /// link never `delivers` — cut the frame (left in `frame_buf`) and
-    /// decode it as the device would. The crossing is spanned as
-    /// `wire_tx` under `trace`.
+    /// link never `delivers` — cut the frame (left in `frame_buf`) and,
+    /// when asked to `decode`, decode it as the device would. The crossing
+    /// is spanned as `wire_tx` under `trace`.
     fn download<'w>(
         &mut self,
         world: &'w SimWorld,
         id: usize,
         delivers: bool,
+        decode: bool,
         trace: &Telemetry,
     ) -> Download<'w> {
         let dev = &world.devices[id];
         let local = &dev.partition.data;
         let outcome = self.cloud.derive_for_data(local, &dev.profile(self.cloud.cost_model()), None);
         let sent = self.cloud.dispatch(&outcome.spec);
-        let mut dl = Download { local, plan_bytes: sent.bytes(), wire_bytes: 0, payload: None };
+        let flops = self.cloud.cost_model().submodel(&sent.spec).flops;
+        let mut dl = Download { local, plan_bytes: sent.bytes(), flops, wire_bytes: 0, payload: None };
         if delivers {
             let _span = trace.span("wire_tx");
             dl.wire_bytes = self.wire.encode_payload(id as u64, &sent, &mut self.frame_buf) as u64;
-            dl.payload = self.wire.decode_payload(id as u64, &self.frame_buf).ok();
+            if decode {
+                dl.payload = self.wire.decode_payload(id as u64, &self.frame_buf).ok();
+            }
         }
         dl
     }
@@ -1003,7 +1007,7 @@ impl NebulaStrategy {
     /// client installs what it decoded. Not part of any round, so not in
     /// a round's trace.
     fn refresh_client(&mut self, world: &SimWorld, id: usize) -> u64 {
-        let dl = self.download(world, id, true, &Telemetry::off());
+        let dl = self.download(world, id, true, true, &Telemetry::off());
         let payload = dl.payload.expect("pristine in-process frame must decode");
         match self.clients.get_mut(&id) {
             Some(client) => client.install(&payload),
@@ -1023,18 +1027,20 @@ struct Download<'w> {
     /// (so `Raw` rounds stay bit-identical) and what an undelivered
     /// transfer's retries are billed at.
     plan_bytes: u64,
+    /// The sub-model's training cost, the latency model's compute input.
+    flops: u64,
     /// Measured frame length (0 when no frame was cut).
     wire_bytes: u64,
-    /// The payload as the device decoded it.
+    /// The payload as the device decoded it; only decoded when asked.
     payload: Option<SubModelPayload>,
 }
 
 /// What a Nebula round attaches to a device's record between its
 /// download and its training.
 struct Job<'w> {
-    /// The sub-model as the device decoded it; its buffers come back as
-    /// the update's.
-    payload: SubModelPayload,
+    /// In process: the sub-model as the device decoded it; its buffers
+    /// come back as the update's.
+    payload: Option<SubModelPayload>,
     /// The encoded payload frame, when a transport ships the job.
     frame: Option<Vec<u8>>,
     /// The device's local data.

@@ -58,7 +58,9 @@ pub struct Hello {
     pub proto: u8,
     /// Codec the worker proposes for job traffic.
     pub codec: CodecKind,
-    /// Executor threads the worker offers (scheduling hint).
+    /// Executor threads the worker runs. The coordinator gives the worker
+    /// up to this many jobs plus one at a time (at least one, so a worker
+    /// that announces 0 still gets work).
     pub threads: u16,
     /// Human-readable worker name (logs/telemetry only).
     pub name: String,
