@@ -45,7 +45,7 @@ impl AdaptiveNet {
                     self.supernet.zero_grad();
                     let logits = self.supernet.forward(&x, Mode::Train);
                     let (_, grad) = cross_entropy(&logits, &y);
-                    self.supernet.backward(&grad);
+                    self.supernet.backward_params(&grad);
                     self.supernet.clip_grad_norm(5.0);
                     opt.step(&mut self.supernet);
                 }

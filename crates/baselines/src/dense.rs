@@ -398,6 +398,22 @@ fn stage_output<'a>(
     }
 }
 
+impl DenseModel {
+    /// Back-propagates `grad` through the head and the blocks, leaving the
+    /// gradient at the stem's output, ReLU applied, in `du`.
+    fn backward_to_stem(&mut self, grad: &Tensor) {
+        let shape = [grad.rows(), self.stem.out_features()];
+        self.du.resize_for_overwrite(&shape);
+        self.head.backward_into(grad, &mut self.du);
+        for b in self.blocks.iter_mut().rev() {
+            self.dx.resize_for_overwrite(&shape);
+            b.backward(&self.du, &mut self.dx);
+            std::mem::swap(&mut self.du, &mut self.dx);
+        }
+        mask_by_relu(&mut self.du, &self.stem_pre);
+    }
+}
+
 impl Layer for DenseModel {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let shape = [x.rows(), self.stem.out_features()];
@@ -417,18 +433,17 @@ impl Layer for DenseModel {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let shape = [grad.rows(), self.stem.out_features()];
-        self.du.resize_for_overwrite(&shape);
-        self.head.backward_into(grad, &mut self.du);
-        for b in self.blocks.iter_mut().rev() {
-            self.dx.resize_for_overwrite(&shape);
-            b.backward(&self.du, &mut self.dx);
-            std::mem::swap(&mut self.du, &mut self.dx);
-        }
-        mask_by_relu(&mut self.du, &self.stem_pre);
-        let mut dx = Tensor::zeros(&[shape[0], self.stem.in_features()]);
+        self.backward_to_stem(grad);
+        let mut dx = Tensor::zeros(&[grad.rows(), self.stem.in_features()]);
         self.stem.backward_into(&self.du, &mut dx);
         dx
+    }
+
+    /// The stem accumulates its parameter gradients only: no product back
+    /// to the input and no buffer for it.
+    fn backward_params(&mut self, grad: &Tensor) {
+        self.backward_to_stem(grad);
+        self.stem.backward_params(&self.du);
     }
 
     fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {
@@ -519,6 +534,30 @@ mod tests {
         let mut c = m.deep_clone();
         let x = Tensor::ones(&[3, 16]);
         nebula_tensor::assert_tensor_close(&m.forward(&x, Mode::Eval), &c.forward(&x, Mode::Eval), 1e-6);
+    }
+
+    #[test]
+    fn backward_params_accumulates_the_bits_of_backward() {
+        let mut rng = NebulaRng::seed(6);
+        let x = Tensor::from_vec((0..5 * 16).map(|_| rng.normal_f32(0.0, 1.0)).collect(), &[5, 16]);
+        let labels: Vec<usize> = (0..5).map(|i| i % 4).collect();
+        for ratio in [1.0, 0.5] {
+            let (mut full, mut params_only) = (model(), model());
+            // Two steps, so the second accumulates onto the first.
+            for _ in 0..2 {
+                for (m, input_grad) in [(&mut full, true), (&mut params_only, false)] {
+                    m.set_width_ratio(ratio);
+                    let (_, grad) = nebula_nn::cross_entropy(&m.forward(&x, Mode::Train), &labels);
+                    if input_grad {
+                        m.backward(&grad);
+                    } else {
+                        m.backward_params(&grad);
+                    }
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(&full.grad_vector()), bits(&params_only.grad_vector()), "ratio {ratio}");
+        }
     }
 
     #[test]

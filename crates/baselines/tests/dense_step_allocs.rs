@@ -150,10 +150,11 @@ fn a_warm_dense_step_stays_under_its_allocation_ceiling() {
 /// Allocations per full-width step. The code this test was first
 /// committed against spent 39 at width 1.0 and at 0.5; with every cache
 /// and gradient buffer refilled in place and each activation written
-/// where backward reads it, it is 8 at both (the same on every kernel
-/// backend, debug and release): the batch, the logits and ∂loss/∂input
-/// `Layer::forward` / `backward` return by value, the loss's
-/// log-probabilities and gradient, clipping's list of gradients, and the
-/// per-epoch shuffle and a fresh optimiser's momentum buffers spread over
-/// the steps.
+/// where backward reads it, it was 8 at both (the same on every kernel
+/// backend, debug and release). Since the train loop computes no
+/// ∂loss/∂input and clipping collects its list of gradients only when its
+/// bound cannot rule a clip out, it is 6: the batch, the logits
+/// `Layer::forward` returns by value, the loss's log-probabilities and
+/// gradient, and the per-epoch shuffle and a fresh optimiser's momentum
+/// buffers spread over the steps.
 const CEILING: u64 = 8;

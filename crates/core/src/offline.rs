@@ -179,7 +179,7 @@ pub fn enhance_module_abilities(
             model.set_gate_kl_target(Some((targets, KL_WEIGHT)));
             let logits = model.forward(batch.features(), Mode::Train);
             let (loss, grad) = cross_entropy(&logits, batch.labels());
-            model.backward(&grad);
+            model.backward_params(&grad);
             model.clip_grad_norm(5.0);
             opt.step(model);
             epoch_loss += loss as f64 * chunk.len() as f64;

@@ -1,8 +1,10 @@
-//! `Layer::clip_grad_norm` sums several gradient tensors at a time and
-//! scales through the list it collected. It must return the norm, and
-//! leave the gradients, of the expression it replaced — one
+//! `Layer::clip_grad_norm` first bounds the norm through a reassociated
+//! `f64` sum, and when the bound cannot rule clipping out sums several
+//! gradient tensors at a time and scales through the list it collected.
+//! It must leave the gradients of the expression it replaced — one
 //! `Tensor::norm_sq` per tensor added in visit order, then a second visit
-//! that calls `Tensor::scale_assign` — bit for bit, on the models a round
+//! that calls `Tensor::scale_assign` — bit for bit, and return that
+//! expression's norm whenever it returns one, on the models a round
 //! trains: the cloud's full CIFAR-10 model (64 modules, ~270 tensors) and
 //! a device's six-modules-per-layer sub-model.
 
@@ -44,7 +46,6 @@ fn clip_grad_norm_keeps_the_bits_of_the_two_visit_form() {
     let x = Tensor::from_vec(x, &[16, cfg.input_dim]);
     let labels: Vec<usize> = (0..16).map(|i| i % cfg.classes).collect();
 
-    let clips: [fn(&mut dyn Layer, f32) -> f32; 2] = [two_visit_clip, |m, c| m.clip_grad_norm(c)];
     for (name, model) in [("full", &mut full), ("client", &mut client)] {
         model.zero_grad();
         let logits = model.forward(&x, Mode::Train);
@@ -54,20 +55,36 @@ fn clip_grad_norm_keeps_the_bits_of_the_two_visit_form() {
         let norm = two_visit_clip(model, f32::INFINITY);
         assert!(norm > 0.0 && norm.is_finite(), "{name}: the comparison needs real gradients");
 
-        // A bound above the norm (nothing is scaled) and two below it.
-        for max_norm in [norm * 2.0, norm * 0.37, 0.5] {
-            let mut clipped = Vec::new();
-            for clip in clips {
-                let mut at = 0;
-                model.visit_params(&mut |_, g| {
-                    let next = at + g.len();
-                    g.data_mut().copy_from_slice(&grads[at..next]);
-                    at = next;
-                });
-                let norm = clip(&mut *model, max_norm);
-                clipped.push((norm.to_bits(), bits(&model.grad_vector())));
+        let reset = |model: &mut ModularModel| {
+            let mut at = 0;
+            model.visit_params(&mut |_, g| {
+                let next = at + g.len();
+                g.data_mut().copy_from_slice(&grads[at..next]);
+                at = next;
+            });
+        };
+        // A bound above the norm (nothing is scaled), one at it, and two
+        // below it.
+        for max_norm in [norm * 2.0, norm, norm * 0.37, 0.5] {
+            reset(model);
+            let reference = two_visit_clip(model, max_norm);
+            let reference_grads = bits(&model.grad_vector());
+            reset(model);
+            let returned = model.clip_grad_norm(max_norm);
+            assert!(
+                bits(&model.grad_vector()) == reference_grads,
+                "{name} model, max_norm {max_norm}: gradients differ"
+            );
+            if let Some(returned) = returned {
+                assert_eq!(
+                    returned.to_bits(),
+                    reference.to_bits(),
+                    "{name} model, max_norm {max_norm}: norms differ"
+                );
             }
-            assert!(clipped[0] == clipped[1], "{name} model, max_norm {max_norm}: norm or gradients differ");
+            if max_norm == norm * 2.0 {
+                assert_eq!(returned, None, "{name} model: twice the norm must be ruled out by the bound");
+            }
         }
     }
 }

@@ -20,8 +20,8 @@ fn train_step(model: &mut ModularModel, opt: &mut Sgd, batch: &Dataset) -> (Vec<
     let logits = model.forward(batch.features(), Mode::Train);
     let (_, grad) = cross_entropy(&logits, batch.labels());
     model.backward(&grad);
-    // Small enough that the clip actually rescales.
-    let norm = model.clip_grad_norm(0.5);
+    // Small enough that the clip actually rescales, so the norm is computed.
+    let norm = model.clip_grad_norm(0.5).expect("a clip at 0.5 computes the norm");
     opt.step(model);
     (bits(logits.data()), norm.to_bits())
 }

@@ -87,8 +87,10 @@ fn a_warm_train_step_stays_under_its_allocation_ceiling() {
 /// Allocations per step at 6 modules per layer. The code this test was
 /// first committed against spent 262 / 723 / 1332 at 2 / 6 / 12 modules;
 /// with one allocation per tensor, caches refilled in place and module
-/// temporaries drawn from each layer's workspace it is 31 / 36 / 44 (the
-/// same on every kernel backend, debug and release): the batch, the
-/// tensors `Layer::forward` / `backward` return by value, and a fresh
-/// optimiser's momentum buffers spread over the steps.
+/// temporaries drawn from each layer's workspace it was 31 / 36 / 44 (the
+/// same on every kernel backend, debug and release), and 29 / 34 / 42
+/// since the train loop computes no ∂loss/∂input and clipping collects
+/// its list of gradients only when its bound cannot rule a clip out: the
+/// batch, the tensors `Layer::forward` / `backward` return by value, and
+/// a fresh optimiser's momentum buffers spread over the steps.
 const CEILING: u64 = 40;

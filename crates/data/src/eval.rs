@@ -42,7 +42,7 @@ pub fn train_epochs(
             model.zero_grad();
             let logits = model.forward(&x, Mode::Train);
             let (loss, grad) = cross_entropy(&logits, &y);
-            model.backward(&grad);
+            model.backward_params(&grad);
             if let Some(c) = cfg.clip_norm {
                 model.clip_grad_norm(c);
             }

@@ -331,35 +331,13 @@ impl Layer for ModularModel {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let mut du = self.head.backward(grad);
-        // Per-layer gate gradients, last layer first until reversed.
-        let mut dlogits: Vec<Tensor> = Vec::with_capacity(self.layers.len());
-        for layer in self.layers.iter_mut().rev() {
-            let (dx, dl) = layer.backward(&du);
-            dlogits.push(dl);
-            du = dx;
-        }
-        dlogits.reverse();
-        let mut dx = self.stem.backward(&du);
+        self.backward_impl(grad, true).expect("an input gradient was asked for")
+    }
 
-        // Assemble selector gradients: task path + load-balancing path
-        // (+ optional KL-to-recommended-gate path during fine-tuning).
-        let lambda = self.cfg.load_balance_weight;
-        for (l, (layer, dl)) in self.layers.iter().zip(&mut dlogits).enumerate() {
-            if lambda > 0.0 {
-                layer.add_load_balance_logit_grad(lambda, dl);
-            }
-            if let Some((targets, kl_w)) = &self.gate_kl_target {
-                // ∂KL(t ‖ softmax(logits))/∂logits = softmax(logits) − t,
-                // averaged over the batch.
-                let probs = self.cached_logits[l].softmax_rows();
-                let mut kl_grad = probs.sub(&targets[l]);
-                kl_grad.scale_assign(kl_w / grad.rows().max(1) as f32);
-                dl.add_assign(&kl_grad);
-            }
-        }
-        dx.add_assign(&self.selector.backward(&dlogits));
-        dx
+    /// The stem's first `Linear` and the selector's embedding accumulate
+    /// their parameter gradients only: neither multiplies back to the input.
+    fn backward_params(&mut self, grad: &Tensor) {
+        self.backward_impl(grad, false);
     }
 
     fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {
@@ -378,6 +356,50 @@ impl Layer for ModularModel {
         }
         self.head.visit_params_ref(f);
         self.selector.visit_params_ref(f);
+    }
+}
+
+impl ModularModel {
+    /// The one body of [`Layer::backward`] and [`Layer::backward_params`];
+    /// ∂loss/∂input only if `input_grad`.
+    fn backward_impl(&mut self, grad: &Tensor, input_grad: bool) -> Option<Tensor> {
+        let mut du = self.head.backward(grad);
+        // Per-layer gate gradients, last layer first until reversed.
+        let mut dlogits: Vec<Tensor> = Vec::with_capacity(self.layers.len());
+        for layer in self.layers.iter_mut().rev() {
+            let (dx, dl) = layer.backward(&du);
+            dlogits.push(dl);
+            du = dx;
+        }
+        dlogits.reverse();
+        let mut dx = if input_grad {
+            Some(self.stem.backward(&du))
+        } else {
+            self.stem.backward_params(&du);
+            None
+        };
+
+        // Assemble selector gradients: task path + load-balancing path
+        // (+ optional KL-to-recommended-gate path during fine-tuning).
+        let lambda = self.cfg.load_balance_weight;
+        for (l, (layer, dl)) in self.layers.iter().zip(&mut dlogits).enumerate() {
+            if lambda > 0.0 {
+                layer.add_load_balance_logit_grad(lambda, dl);
+            }
+            if let Some((targets, kl_w)) = &self.gate_kl_target {
+                // ∂KL(t ‖ softmax(logits))/∂logits = softmax(logits) − t,
+                // averaged over the batch.
+                let probs = self.cached_logits[l].softmax_rows();
+                let mut kl_grad = probs.sub(&targets[l]);
+                kl_grad.scale_assign(kl_w / grad.rows().max(1) as f32);
+                dl.add_assign(&kl_grad);
+            }
+        }
+        match &mut dx {
+            Some(dx) => dx.add_assign(&self.selector.backward(&dlogits)),
+            None => self.selector.backward_params(&dlogits),
+        }
+        dx
     }
 }
 
@@ -504,6 +526,49 @@ mod tests {
         let after = nebula_data::evaluate_accuracy(&mut m, &test, 64);
         assert!(after > before + 0.2, "modular model failed to learn: {before} -> {after}");
         assert!(after > 0.6, "accuracy only {after}");
+    }
+
+    #[test]
+    fn backward_params_accumulates_the_bits_of_backward() {
+        use nebula_nn::cross_entropy;
+
+        // CIFAR-10's shape: 4 layers of 16 modules.
+        let mut cfg = ModularConfig::toy(20, 10);
+        (cfg.num_layers, cfg.modules_per_layer, cfg.width, cfg.selector_embed) = (4, 16, 24, 12);
+        let mut rng = NebulaRng::seed(5);
+        let x = Tensor::from_vec((0..8 * 20).map(|_| rng.normal_f32(0.0, 1.0)).collect(), &[8, 20]);
+        let labels: Vec<usize> = (0..8).map(|i| i % 10).collect();
+        let targets: Vec<Tensor> = (0..4).map(|_| Tensor::full(&[8, 16], 1.0 / 16.0)).collect();
+        let client_spec = SubModelSpec::new(vec![vec![0, 2, 5, 7, 11, 15]; 4]);
+        let params = ModularModel::new(cfg.clone(), 8).param_vector();
+        let full_model = || {
+            let mut m = ModularModel::new(cfg.clone(), 3);
+            m.set_gate_kl_target(Some((targets.clone(), 0.5)));
+            m
+        };
+        let client = || {
+            let mut m = ModularModel::for_submodel(cfg.clone(), &client_spec);
+            m.load_param_vector(&params[..m.param_count()]);
+            m
+        };
+        for (name, build) in
+            [("full, gate-KL target", &full_model as &dyn Fn() -> ModularModel), ("6-of-16 client", &client)]
+        {
+            let (mut full, mut params_only) = (build(), build());
+            // Two steps, so the second accumulates onto the first.
+            for _ in 0..2 {
+                for (m, input_grad) in [(&mut full, true), (&mut params_only, false)] {
+                    let (_, grad) = cross_entropy(&m.forward(&x, Mode::Train), &labels);
+                    if input_grad {
+                        m.backward(&grad);
+                    } else {
+                        m.backward_params(&grad);
+                    }
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(bits(&full.grad_vector()), bits(&params_only.grad_vector()), "{name}");
+        }
     }
 
     #[test]

@@ -152,6 +152,17 @@ impl UnifiedSelector {
     /// Backward pass: one gradient tensor per layer's logits, in layer
     /// order. Accumulates parameter gradients; returns ∂loss/∂x.
     pub fn backward(&mut self, dlogits: &[Tensor]) -> Tensor {
+        self.backward_impl(dlogits, true).expect("an input gradient was asked for")
+    }
+
+    /// [`UnifiedSelector::backward`] without ∂loss/∂x: the same parameter
+    /// gradients, and no product through the embedding's weight.
+    pub fn backward_params(&mut self, dlogits: &[Tensor]) {
+        self.backward_impl(dlogits, false);
+    }
+
+    /// The one body of both backward passes; ∂loss/∂x only if `input_grad`.
+    fn backward_impl(&mut self, dlogits: &[Tensor], input_grad: bool) -> Option<Tensor> {
         assert_eq!(dlogits.len(), self.gates.len(), "dlogits per layer mismatch");
         let rows = self.cached_rows.expect("selector backward before forward");
         let shape = [rows, self.embed.out_features()];
@@ -163,7 +174,12 @@ impl UnifiedSelector {
         }
         self.ws.recycle(from_gate);
         self.act.backward_in_place(&mut dh);
-        let dx = self.embed.backward(&dh);
+        let dx = if input_grad {
+            Some(self.embed.backward(&dh))
+        } else {
+            self.embed.backward_params(&dh);
+            None
+        };
         self.ws.recycle(dh);
         dx
     }

@@ -22,6 +22,9 @@ pub enum Mode {
 ///   the backward pass needs.
 /// * `backward` **accumulates** into parameter gradients (callers zero them
 ///   via [`Layer::zero_grad`] between steps) and returns ∂loss/∂input.
+/// * `backward_params` accumulates the same parameter gradients, bit for
+///   bit, and computes no ∂loss/∂input: what a train loop calls, since
+///   nothing reads the gradient at the model's input.
 /// * `visit_params` yields `(parameter, gradient)` pairs in a fixed,
 ///   deterministic order — optimiser state is keyed by this order.
 /// * `Send + Sync`: a round trains its devices' models on separate
@@ -34,6 +37,13 @@ pub trait Layer: Send + Sync {
     /// Back-propagates `grad` (∂loss/∂output), accumulating parameter
     /// gradients and returning ∂loss/∂input.
     fn backward(&mut self, grad: &Tensor) -> Tensor;
+
+    /// [`Layer::backward`] without ∂loss/∂input: accumulates the parameter
+    /// gradients `backward` would, with the same bits. A layer whose input
+    /// gradient costs work of its own overrides this to skip it.
+    fn backward_params(&mut self, grad: &Tensor) {
+        self.backward(grad);
+    }
 
     /// Visits `(param, grad)` pairs in a fixed order.
     fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor));
@@ -84,19 +94,33 @@ pub trait Layer: Send + Sync {
         out
     }
 
-    /// Global L2 gradient-norm clipping; returns the pre-clip norm.
+    /// Global L2 gradient-norm clipping. Returns the pre-clip norm when it
+    /// had to be computed, `None` when a cheaper bound proved that no
+    /// gradient is scaled.
     ///
     /// The norm is `sqrt(Σ g.norm_sq())` with the tensors' sums added in
     /// visit order, and a clipped gradient is `g.scale_assign(max_norm /
-    /// norm)` — those bits exactly. Only the schedule differs from that
-    /// expression: one visit collects the gradients,
-    /// [`reduce::sum_sq_each`] advances several tensors' sums at a time
-    /// (each tensor's own sum keeps its order), and the scaling runs over
-    /// the collected list instead of a second visit.
-    fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
-        let mut tensors = 0;
-        self.visit_params_ref(&mut |_| tensors += 1);
-        let mut grads: Vec<&mut [f32]> = Vec::with_capacity(tensors);
+    /// norm)` — those bits exactly. A clip scales only when that norm
+    /// exceeds `max_norm`, so one visit first bounds the exact `f32` sum
+    /// from above through a reassociated `f64` sum of squares
+    /// (see `ClipBound`). When the bound is below `max_norm²` the gradients
+    /// are left as they are and `None` is returned; otherwise — including
+    /// NaN or ∞ anywhere, `max_norm ≤ 0` and norms near the threshold —
+    /// the exact norm is computed and applied, and returned as `Some`.
+    ///
+    /// The exact norm's schedule differs from the expression above, not its
+    /// bits: one visit collects the gradients, [`reduce::sum_sq_each`]
+    /// advances several tensors' sums at a time (each tensor's own sum keeps
+    /// its order), and the scaling runs over the collected list instead of
+    /// a second visit.
+    fn clip_grad_norm(&mut self, max_norm: f32) -> Option<f32> {
+        let mut bound = ClipBound::default();
+        self.visit_params(&mut |_, g| bound.add(g.data()));
+        if bound.rules_out(max_norm) {
+            return None;
+        }
+
+        let mut grads: Vec<&mut [f32]> = Vec::with_capacity(bound.tensors);
         self.visit_params(&mut |_, g| grads.push(g.data_mut()));
 
         // A stack-sized run of tensors at a time.
@@ -117,7 +141,76 @@ pub trait Layer: Send + Sync {
                 g.iter_mut().for_each(|v| *v *= scale);
             }
         }
-        norm
+        Some(norm)
+    }
+}
+
+/// An upper bound on the `f32` sum of squares [`Layer::clip_grad_norm`]
+/// computes, from one pass over the gradients that is free to reassociate.
+///
+/// `s64` is Σ g² in `f64`, summed in lanes. Each `(g as f64)²` is exact (a
+/// 24-bit significand squared fits in 53 bits, and no `f32` square leaves
+/// `f64`'s normal range), and `n` additions of non-negative terms each err
+/// by at most 2⁻⁵³ relative, so the exact sum S ≤ `s64`·(1 + n·2⁻⁵²).
+///
+/// The clip's `f32` sum is recursive summation of non-negative terms
+/// (Higham, *Accuracy and Stability of Numerical Algorithms*, §4.2): every
+/// square is rounded once, then passes through at most `len − 1` adds of
+/// its tensor's chain and `tensors − 1` adds of the visit-order total. With
+/// `k` = longest tensor + tensor count + 1 and u = 2⁻²⁴, each term carries
+/// a factor below (1 + u)^(k − 2) < 1 + γ with γ = k·u / (1 − k·u). A
+/// square below `f32`'s normal range errs by an absolute 2⁻¹⁵⁰ instead,
+/// at most doubled by the same factor (k·u < ½ is required), hence n·2⁻¹⁴⁹.
+/// So the clip's sum is at most
+///
+/// `s64`·(1 + γ)·(1 + n·2⁻⁵²) + n·2⁻¹⁴⁹,
+///
+/// provided no `f32` step overflows — which holds when that bound is
+/// below `f32::MAX`. The slack between (1 + u)^(k − 2) and 1 + γ, at
+/// least 2u relative, covers the few `f64` roundings of evaluating it.
+#[derive(Default)]
+struct ClipBound {
+    s64: f64,
+    elements: usize,
+    longest: usize,
+    tensors: usize,
+}
+
+impl ClipBound {
+    /// Folds in one gradient tensor.
+    fn add(&mut self, g: &[f32]) {
+        // Independent accumulators, so the adds pipeline and the loop
+        // vectorises to whatever width the build targets.
+        const LANES: usize = 8;
+        let mut acc = [0.0f64; LANES];
+        let mut chunks = g.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            for (a, &v) in acc.iter_mut().zip(chunk) {
+                *a += v as f64 * v as f64;
+            }
+        }
+        for (a, &v) in acc.iter_mut().zip(chunks.remainder()) {
+            *a += v as f64 * v as f64;
+        }
+        self.s64 += acc.iter().sum::<f64>();
+        self.elements += g.len();
+        self.longest = self.longest.max(g.len());
+        self.tensors += 1;
+    }
+
+    /// True when the exact clip provably scales nothing at `max_norm`:
+    /// its `f32` sum of squares is below `max_norm²`, so the norm, a
+    /// correctly rounded square root, is at most `max_norm`.
+    fn rules_out(&self, max_norm: f32) -> bool {
+        const U: f64 = f32::EPSILON as f64 / 2.0;
+        // 2⁻¹⁴⁹, the least positive `f32`.
+        let subnormal = f32::from_bits(1) as f64;
+        let n = self.elements as f64;
+        let ku = (self.longest + self.tensors + 1) as f64 * U;
+        let gamma = ku / (1.0 - ku);
+        let bound = self.s64 * (1.0 + gamma) * (1.0 + n * f64::EPSILON) + n * subnormal;
+        let limit = (max_norm as f64 * max_norm as f64).min(f32::MAX as f64);
+        max_norm > 0.0 && self.s64.is_finite() && ku < 0.5 && bound < limit
     }
 }
 
@@ -161,6 +254,9 @@ impl Layer for Box<dyn Layer> {
     }
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         (**self).backward(grad)
+    }
+    fn backward_params(&mut self, grad: &Tensor) {
+        (**self).backward_params(grad)
     }
     fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {
         (**self).visit_params(f)
@@ -215,10 +311,14 @@ mod tests {
         let x = Tensor::full(&[2, 3], 10.0);
         let y = l.forward(&x, Mode::Train);
         l.backward(&Tensor::full(y.shape(), 10.0));
-        let pre = l.clip_grad_norm(1.0);
+        let pre = l.clip_grad_norm(1.0).expect("a norm above 1 is computed");
         assert!(pre > 1.0);
         let mut sq = 0.0;
         l.visit_params(&mut |_, g| sq += g.norm_sq());
         assert!((sq.sqrt() - 1.0).abs() < 1e-4);
+        // Well under the bound: ruled out without an exact norm.
+        let clipped = l.grad_vector();
+        assert_eq!(l.clip_grad_norm(2.0), None);
+        assert_eq!(l.grad_vector(), clipped);
     }
 }

@@ -101,10 +101,7 @@ impl Linear {
     /// [`Layer::backward`] with ∂loss/∂input written into a
     /// caller-provided `dx` (`batch × in`, overwritten).
     pub fn backward_into(&mut self, grad: &Tensor, dx: &mut Tensor) {
-        let x = self.cached_x.as_ref().expect("Linear::backward before forward");
-        // dW += gradᵀ · x  (out×batch · batch×in), summed where it lives.
-        grad.matmul_tn_acc(x, &mut self.dw);
-        grad.add_sum_rows_to(&mut self.db);
+        self.backward_params(grad);
         // dx = grad · W  (batch×out · out×in).
         grad.matmul_into(&self.w, dx);
     }
@@ -121,6 +118,13 @@ impl Layer for Linear {
         let mut dx = Tensor::zeros(&[grad.rows(), self.in_features()]);
         self.backward_into(grad, &mut dx);
         dx
+    }
+
+    fn backward_params(&mut self, grad: &Tensor) {
+        let x = self.cached_x.as_ref().expect("Linear::backward before forward");
+        // dW += gradᵀ · x  (out×batch · batch×in), summed where it lives.
+        grad.matmul_tn_acc(x, &mut self.dw);
+        grad.add_sum_rows_to(&mut self.db);
     }
 
     fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {

@@ -50,9 +50,18 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let mut layers = self.layers.iter_mut().rev();
-        let Some(last) = layers.next() else { return grad.clone() };
-        layers.fold(last.backward(grad), |cur, layer| layer.backward(&cur))
+        backward_through(&mut self.layers, grad).unwrap_or_else(|| grad.clone())
+    }
+
+    /// Every layer but the first back-propagates as in `backward`; the
+    /// first, whose input gradient would be the container's, accumulates
+    /// only its parameter gradients.
+    fn backward_params(&mut self, grad: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else { return };
+        match backward_through(rest, grad) {
+            Some(g) => first.backward_params(&g),
+            None => first.backward_params(grad),
+        }
     }
 
     fn visit_params<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut Tensor, &'a mut Tensor)) {
@@ -66,6 +75,14 @@ impl Layer for Sequential {
             layer.visit_params_ref(f);
         }
     }
+}
+
+/// Back-propagates `grad` through `layers`, last to first; the gradient at
+/// the first one's input, or `None` for no layers.
+fn backward_through(layers: &mut [Box<dyn Layer>], grad: &Tensor) -> Option<Tensor> {
+    let mut layers = layers.iter_mut().rev();
+    let last = layers.next()?;
+    Some(layers.fold(last.backward(grad), |cur, layer| layer.backward(&cur)))
 }
 
 #[cfg(test)]

@@ -149,10 +149,11 @@ const SUM_LANES: usize = 8;
 /// slice's sum is one chain of dependent adds, each waiting out the
 /// adder's latency, so up to eight (`SUM_LANES`) slices advance in one loop and
 /// the adds of different slices overlap. When a slice ends, the next one
-/// in list order takes the free lane. Gradient clipping sums ~100 small
-/// tensors per step this way (`nebula_nn::Layer::clip_grad_norm`) in
-/// `f32`; the sanitize gate's RMS norm sums an update's module vectors in
-/// `f64` (`nebula_core::aggregate`).
+/// in list order takes the free lane. Gradient clipping sums its ~100
+/// small tensors this way in `f32` (`nebula_nn::Layer::clip_grad_norm`),
+/// but only on the steps its cheaper `f64` bound cannot decide; the
+/// sanitize gate's RMS norm sums an update's module vectors in `f64`
+/// (`nebula_core::aggregate`).
 ///
 /// Panics if `slices` and `sums` differ in length.
 pub fn sum_sq_each<A, S>(slices: &[S], sums: &mut [A])
