@@ -403,6 +403,11 @@ fn run_case(name: &str) -> u64 {
             cfg.aggregator = RobustAggregator::TrimmedMean { frac: 0.2 };
             nebula_case(NebulaStrategy::new(cfg, 1), nebula_plan)
         }
+        // No other case forges frames under the int8 codec, where the
+        // upload is cut with the device's error-feedback carry.
+        "nebula_int8_auth_faulty" => {
+            nebula_case(NebulaStrategy::new(toy_cfg(WireConfig::int8().with_auth([9u8; 16])), 1), nebula_plan)
+        }
         "nebula_tracked_raw_clean" => tracked_case(),
         "nebula_events_faulty" => events_case(),
         // The target is out of reach, so the run probes on the cadence
@@ -435,8 +440,9 @@ fn run_case(name: &str) -> u64 {
 /// real threads; the ordered-trace case at the parent of the change that
 /// gates a Nebula round's cohort before training it; `hfl_raw_faulty`
 /// before the delta codec was deleted, so HeteroFL stays pinned under a
-/// fault plan without it.
-const GOLDEN: [(&str, u64); 12] = [
+/// fault plan without it; `nebula_int8_auth_faulty` at the parent of the
+/// change that trains every Nebula round through its transport.
+const GOLDEN: [(&str, u64); 13] = [
     ("fa_raw_clean", 0xf449_a4ce_cd01_c038),
     ("fa_int8_faulty", 0xde47_9568_83e0_4859),
     ("hfl_raw_clean", 0x222f_cb4c_6cb6_e831),
@@ -444,6 +450,7 @@ const GOLDEN: [(&str, u64); 12] = [
     ("nebula_raw_clean", 0xbbe2_647a_0792_5916),
     ("nebula_raw_auth_faulty_loopback", 0x652b_6d5b_05de_75c3),
     ("nebula_int8_trimmed_faulty", 0xd9cb_e91a_1238_dc6a),
+    ("nebula_int8_auth_faulty", 0xc3b2_7c4a_d444_81d2),
     ("nebula_tracked_raw_clean", 0x8873_3294_aafa_bc11),
     ("nebula_events_faulty", 0xa0f3_5a26_b69b_c837),
     ("runner_target_fa", 0x9997_d0da_d51a_458b),
