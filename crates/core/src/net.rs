@@ -1,17 +1,15 @@
 //! The dispatch transport: how a round's training jobs reach their
 //! executors.
 //!
-//! Historically every strategy trained its cohort in-process with a
-//! loop inlined into the round body. The serving plane generalizes that
-//! into a [`Transport`]: the coordinator hands a batch of
-//! [`DispatchJob`]s to the transport and gets back one [`JobResult`] (or
-//! [`TransportError`]) per job, order-preserving.
+//! Every collaborative round trains its cohort through a [`Transport`]:
+//! the coordinator hands a batch of [`DispatchJob`]s to the transport and
+//! gets back one [`JobResult`] (or [`TransportError`]) per job,
+//! order-preserving.
 //!
 //! Two families of implementation exist:
 //!
-//! * [`Loopback`] — in-process execution over a [`JobRunner`], the
-//!   refactoring of the historical inline loop. Bit-identical to the
-//!   pre-transport round paths (test-pinned).
+//! * [`Loopback`] — in-process execution over a [`JobRunner`], what a
+//!   strategy trains through until a socket transport replaces it.
 //! * `Socket` (in `nebula-serve`) — the same jobs serialized as wire
 //!   control frames to separate worker processes over TCP or
 //!   Unix-domain sockets.
@@ -21,7 +19,9 @@
 //! dataset shard, the training hyper-parameters and the exact RNG
 //! state the device would have used in-process. That is what makes a
 //! remote worker reproduce the loopback trajectory bit-for-bit under
-//! the `Raw` codec: a fresh decoder has no state to diverge on.
+//! every codec: decoding reads no state, and the one step that does —
+//! the upload's encode, with the sender's error-feedback carry — stays
+//! on the coordinator.
 
 use crate::edge::{EdgeClient, EdgeUpdate};
 use crate::transport::{WireConfig, WireContext};
@@ -161,30 +161,25 @@ pub trait Transport: Send {
     fn round_trip(&mut self, jobs: Vec<DispatchJob>) -> Vec<Result<JobResult, TransportError>>;
 }
 
-/// The modular-job executor: decode payload → adapt → encode update,
-/// using a *fresh* [`WireContext`] per job.
+/// The modular-job executor: decode payload → validate → adapt → encode
+/// update, using a *fresh* [`WireContext`] per job.
 ///
-/// Freshness is the point, not an optimization shortcut: a remote
-/// worker cannot share the cloud's context, so the executor here uses
-/// the same stateless setup the worker would, and the loopback/socket
-/// bit-identity tests pin that equivalence. It is only sound for the
-/// stateless `Raw` codec (int8 needs the error-feedback residuals each
-/// sender carries); [`ModularRunner::new`] enforces that.
+/// A fresh context is all a job needs: a frame's records name their own
+/// codecs and decoding keeps no state, so it decodes a payload frame to
+/// the bits the cloud's context would. The update always goes back as a
+/// `Raw` frame under the job's key; the coordinator re-cuts it under the
+/// run's codec ([`WireContext::upload_frame`]).
 pub struct ModularRunner {
     modular: ModularConfig,
+    /// `Raw`, under the run's master key.
     wire: WireConfig,
 }
 
 impl ModularRunner {
-    /// Builds the executor. Panics on a stateful codec — socket/loopback
-    /// job execution is `Raw`-only (the handshake rejects others too).
+    /// Builds the executor for jobs of the `modular` architecture. Of
+    /// `wire` only the master key is read.
     pub fn new(modular: ModularConfig, wire: WireConfig) -> Self {
-        assert!(
-            wire.codec == nebula_wire::CodecKind::Raw,
-            "transport job execution requires the stateless Raw codec, got {:?}",
-            wire.codec
-        );
-        ModularRunner { modular, wire }
+        ModularRunner { modular, wire: WireConfig { auth_key: wire.auth_key, ..WireConfig::raw() } }
     }
 }
 
@@ -342,9 +337,9 @@ mod tests {
 
     #[test]
     fn fresh_context_matches_shared_context_under_raw() {
-        // The invariant the whole remote path rests on: decoding and
-        // re-encoding through a fresh WireContext yields the exact bytes
-        // a shared cloud-side context produces, for Raw (± auth).
+        // The invariant every job rests on: decoding and re-encoding
+        // through a fresh WireContext yields the exact bytes a shared
+        // cloud-side context produces, for Raw (± auth).
         for wire_cfg in [WireConfig::raw(), WireConfig::raw().with_auth([9u8; 16])] {
             let c = cloud();
             let cfg = c.model().config().clone();
@@ -423,7 +418,38 @@ mod tests {
     }
 
     #[test]
-    fn modular_runner_rejects_dense_jobs_and_stateful_codecs() {
+    fn fresh_context_decodes_int8_payloads_as_the_shared_one_does() {
+        // The cloud's context, with a download carry from an earlier
+        // frame, cuts an int8 payload; the executor decodes it fresh and
+        // answers with a Raw frame holding the update the shared context's
+        // decode trains to.
+        let c = cloud();
+        let cfg = c.model().config().clone();
+        let mut shared = WireContext::new(WireConfig::int8());
+        let mut frame = Vec::new();
+        shared.encode_payload(5, &c.dispatch(&spec()), &mut frame);
+        shared.encode_payload(5, &c.dispatch(&spec()), &mut frame);
+        let job = DispatchJob {
+            spec: JobSpec::Modular { frame: frame.clone() },
+            ..job_for(&c, WireConfig::raw(), 5)
+        };
+        let remote = frame_of(ModularRunner::new(cfg.clone(), WireConfig::int8()).run(job.clone()));
+
+        let payload = shared.decode_payload(job.device, &frame).unwrap();
+        let mut rng = NebulaRng::from_state(job.rng_state).unwrap();
+        let mut client = EdgeClient::from_payload(cfg, &payload);
+        client.adapt(&job.data, job.train.epochs, job.train.batch_size, job.train.lr, &mut rng);
+        let mut out = Vec::new();
+        WireContext::new(WireConfig::raw()).encode_update(
+            job.device,
+            &client.make_update(&job.data),
+            &mut out,
+        );
+        assert_eq!(remote, out, "an int8 payload must train to the same Raw update frame");
+    }
+
+    #[test]
+    fn modular_runner_rejects_dense_jobs() {
         let c = cloud();
         let cfg = c.model().config().clone();
         let runner = ModularRunner::new(cfg, WireConfig::raw());
@@ -438,9 +464,5 @@ mod tests {
             params: vec![0.0; 8],
         };
         assert!(matches!(runner.run(job), Err(TransportError::Rejected(_))));
-        assert!(std::panic::catch_unwind(|| {
-            ModularRunner::new(ModularConfig::toy(16, 4), WireConfig::int8());
-        })
-        .is_err());
     }
 }

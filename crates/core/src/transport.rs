@@ -10,6 +10,12 @@
 //! lossy both ways, with error feedback per receiving device for
 //! downloads and per sending device for uploads.
 //!
+//! Only an encode reads that error feedback. So an executor's fresh
+//! context decodes any payload frame to the bits the cloud's would, and
+//! writes its update `Raw`; [`WireContext::upload_frame`] then re-cuts
+//! that update on the cloud, under the configured codec and with the
+//! sender's carry.
+//!
 //! Frame layout notes: payload frames carry one record per module
 //! (residual modules ship empty payloads), a `SHARED` record, and a
 //! `META` record holding a reserved 0. Update frames carry module
@@ -18,7 +24,7 @@
 
 use crate::aggregate::ModuleUpdate;
 use crate::cloud::SubModelPayload;
-use nebula_modular::{ModularModel, SubModelSpec};
+use nebula_modular::{ModularConfig, ModularModel, SubModelSpec};
 use nebula_telemetry::Telemetry;
 use nebula_wire::codec::{self, CodecKind};
 use nebula_wire::frame::{FrameBuilder, FrameKind, FrameView, ModuleKey};
@@ -145,11 +151,40 @@ impl WireContext {
     /// Decode an update frame attributed to `device`, verifying its MAC
     /// under the device's derived key when auth is enabled.
     pub fn decode_update_from(&mut self, device: u64, bytes: &[u8]) -> Result<ModuleUpdate, WireError> {
-        let (payload, importance, volume) = self
+        let decoded = self
             .decode_frame(device, bytes, true)
             .inspect_err(|e| self.note_decode_error("up", device, e))?;
-        let SubModelPayload { spec, module_params, shared_params } = payload;
-        Ok(ModuleUpdate { spec, module_params, shared_params, importance, data_volume: volume as usize })
+        Ok(update_of(decoded))
+    }
+
+    /// The frame `device` puts on the upload link, given `result`: the
+    /// `Raw` update frame an executor cut under the device's key. `result`
+    /// itself stands when the codec is `Raw` and the device does not
+    /// `edit` its update. Otherwise the update it decodes to, once it fits
+    /// `cfg`, is edited and re-cut into `out` under the configured codec
+    /// with the device's upload carry. A `result` that does not decode or
+    /// fit is passed on as it came, for the receiver to refuse. Either way
+    /// the frame is counted as [`Self::encode_update`] counts one.
+    pub fn upload_frame<'f>(
+        &mut self,
+        device: u64,
+        result: &'f [u8],
+        cfg: &ModularConfig,
+        edit: Option<impl FnOnce(&mut ModuleUpdate)>,
+        out: &'f mut Vec<u8>,
+    ) -> &'f [u8] {
+        if self.cfg.codec != CodecKind::Raw || edit.is_some() {
+            let decoded = self.decode_frame(device, result, true).ok().map(update_of);
+            if let Some(mut update) = decoded.filter(|u| u.validate(cfg).is_ok()) {
+                if let Some(edit) = edit {
+                    edit(&mut update);
+                }
+                self.encode_update(device, &update, out);
+                return out;
+            }
+        }
+        self.note_frame("up", device, result.len());
+        result
     }
 
     /// Cut a module frame of `kind` for `device`: the modules in key
@@ -255,6 +290,12 @@ impl WireContext {
             e.ints.insert("device".into(), device);
         });
     }
+}
+
+/// The update an update frame's decoded parts make up.
+fn update_of((payload, importance, volume): (SubModelPayload, Vec<Vec<f32>>, u64)) -> ModuleUpdate {
+    let SubModelPayload { spec, module_params, shared_params } = payload;
+    ModuleUpdate { spec, module_params, shared_params, importance, data_volume: volume as usize }
 }
 
 /// Rebuild a [`SubModelSpec`] from the module keys present in a frame.
@@ -385,6 +426,50 @@ mod tests {
             assert_eq!(holds_residuals(&wire.down_residuals), int8, "{:?}", cfg.codec);
             assert_eq!(holds_residuals(&wire.up_residuals), int8, "{:?}", cfg.codec);
         }
+    }
+
+    #[test]
+    fn upload_frame_stands_only_for_an_unedited_raw_update() {
+        let c = cloud();
+        let cfg = c.model().config().clone();
+        let payload = c.dispatch(&spec());
+        let update = ModuleUpdate {
+            spec: payload.spec,
+            module_params: payload.module_params,
+            shared_params: payload.shared_params,
+            importance: vec![vec![0.25; 4]; 2],
+            data_volume: 9,
+        };
+        let raw_frame = |update: &ModuleUpdate| {
+            let mut frame = Vec::new();
+            WireContext::new(WireConfig::raw()).encode_update(7, update, &mut frame);
+            frame
+        };
+        let result = raw_frame(&update);
+        let none = None::<fn(&mut ModuleUpdate)>;
+        let mut out = Vec::new();
+
+        // Raw: the result itself stands, unless the device edits it.
+        let mut raw = WireContext::new(WireConfig::raw());
+        assert!(std::ptr::eq(raw.upload_frame(7, &result, &cfg, none, &mut out), result.as_slice()));
+        let edited =
+            raw.upload_frame(7, &result, &cfg, Some(|u: &mut ModuleUpdate| u.data_volume = 3), &mut out);
+        assert_eq!(raw.decode_update_from(7, edited).unwrap().data_volume, 3);
+
+        // Int8: re-cut with the sender's carry, as the sender would cut it.
+        let (mut cloud_side, mut sender) =
+            (WireContext::new(WireConfig::int8()), WireContext::new(WireConfig::int8()));
+        let mut want = Vec::new();
+        for _ in 0..2 {
+            sender.encode_update(7, &update, &mut want);
+            assert_eq!(cloud_side.upload_frame(7, &result, &cfg, none, &mut out), want.as_slice());
+        }
+
+        // An update that does not fit the model goes on as it came.
+        let mut short = update.clone();
+        short.importance[1].pop();
+        let misfit = raw_frame(&short);
+        assert_eq!(cloud_side.upload_frame(7, &misfit, &cfg, none, &mut out), misfit.as_slice());
     }
 
     #[test]

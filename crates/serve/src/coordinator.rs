@@ -506,8 +506,8 @@ fn handshake_and_serve(mut conn: Conn, shared: &Arc<Shared>) -> Result<(), Serve
     let refusal = if hello.proto != HELLO_PROTO {
         Some(format!("unsupported handshake revision {}", hello.proto))
     } else if hello.codec != CodecKind::Raw {
-        // Stateful codecs would need the coordinator's channel state on
-        // the worker; the serving plane speaks Raw only.
+        // Workers answer in Raw; the coordinator keeps every codec's
+        // channel state and re-cuts the results itself.
         Some(format!("codec {:?} not served; speak Raw", hello.codec))
     } else {
         None

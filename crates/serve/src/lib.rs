@@ -27,10 +27,11 @@
 //!   `/metrics` (the telemetry registry as JSON) and `/round`.
 //!
 //! Everything is `std::net`/`std::os::unix::net` plus blocking threads:
-//! no async runtime. The job codec is `Raw`-only (enforced at the
-//! handshake) because that is the codec family with no cross-frame
-//! state, which is what makes a remote worker's output byte-identical
-//! to in-process execution.
+//! no async runtime. Workers answer every job with a `Raw` result
+//! frame, the codec their hello names; whatever codec a round runs, the
+//! coordinator keeps the only cross-frame state (the upload's
+//! error-feedback carry), which is what makes a remote worker's output
+//! byte-identical to in-process execution.
 
 pub mod coordinator;
 pub mod netio;

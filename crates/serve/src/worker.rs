@@ -3,8 +3,8 @@
 //!
 //! Execution is routed through the same [`JobRunner`]s the in-process
 //! [`nebula_core::Loopback`] transport uses — that is what makes a
-//! remote round byte-identical to an in-process one under the `Raw`
-//! codec (test-pinned in this crate). A job forks nothing: the executor
+//! remote round byte-identical to an in-process one under every codec
+//! (test-pinned in this crate). A job forks nothing: the executor
 //! pool is the worker's parallelism.
 //!
 //! A worker outlives its connection: [`run_worker`] wraps one *session*

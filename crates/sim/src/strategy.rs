@@ -32,11 +32,11 @@
 //!
 //! The dense round attaches a width ratio and hands train → receive →
 //! aggregate to `nebula_baselines::dense_round`; Nebula attaches the
-//! decoded payload, its data and a forked stream, and runs each stage as a
-//! function of its own. Retry billing stays per body: Nebula bills the
-//! frame bytes it measured, the dense round bills analytic bytes and plans
-//! the corrupt-frame resend up front, before any of its frames exists
-//! (DESIGN.md §10).
+//! payload frame, its data and a forked stream, and runs each stage as a
+//! function of its own. Both train through their `Transport`. Retry
+//! billing stays per body: Nebula bills the frame bytes it measured, the
+//! dense round bills analytic bytes and plans the corrupt-frame resend up
+//! front, before any of its frames exists (DESIGN.md §10).
 //!
 //! The deadline/crash gate runs *before* training in both, and a device
 //! it turns away is not trained. Nothing can observe the difference: fates
@@ -58,8 +58,8 @@ use crate::world::SimWorld;
 use nebula_baselines::{dense_round, local_adapt, ratio_for_budget, DenseJobRunner, DenseModel};
 use nebula_core::{
     discount_staleness, plan_corrupt_resend, DispatchJob, EdgeClient, EdgeClientState, EdgeUpdate, JobResult,
-    JobSpec, Loopback, NebulaCloud, NebulaParams, RobustAggregator, RoundStats, SanitizePolicy,
-    SubModelPayload, TrainParams, Transport, WireConfig, WireContext,
+    JobSpec, Loopback, ModularRunner, NebulaCloud, NebulaParams, RobustAggregator, RoundStats,
+    SanitizePolicy, TrainParams, Transport, WireConfig, WireContext,
 };
 use nebula_data::Dataset;
 use nebula_modular::ModularConfig;
@@ -215,12 +215,10 @@ pub trait AdaptStrategy {
     fn set_aggregator(&mut self, _aggregator: RobustAggregator) {}
 
     /// Routes the per-round local training through `transport`
-    /// (loopback executors or socket workers). FedAvg and HeteroFL always
-    /// train through one — a loopback over in-process executors until
-    /// this replaces it; Nebula trains inline until one is installed, and
-    /// panics on a configuration the transport cannot reproduce
-    /// bit-exactly (it requires the stateless `Raw` codec). Strategies
-    /// without a dispatch seam ignore it.
+    /// (loopback executors or socket workers). The collaborative
+    /// strategies always train through one — a loopback over in-process
+    /// executors until this replaces it — under any wire codec.
+    /// Strategies without a dispatch seam ignore it.
     fn set_transport(&mut self, _transport: Box<dyn Transport>) {}
 
     /// One adaptation step (collaborative rounds and/or tracked-device
@@ -617,9 +615,9 @@ pub struct NebulaStrategy {
     wire: WireContext,
     /// Reusable frame buffer for all encode/decode round trips.
     frame_buf: Vec<u8>,
-    /// Optional dispatch transport for the round's local training;
-    /// `None` trains in-process (the historical path, bit-identical).
-    transport: Option<Box<dyn Transport>>,
+    /// Where the round's local training runs: in-process executors until
+    /// [`AdaptStrategy::set_transport`] installs socket workers.
+    transport: Box<dyn Transport>,
     telemetry: Telemetry,
 }
 
@@ -633,6 +631,7 @@ impl NebulaStrategy {
         params.pretrain.epochs = cfg.pretrain_epochs;
         let cloud = NebulaCloud::new(cfg.modular.clone(), params, seed);
         let wire = WireContext::new(cfg.wire);
+        let transport = Box::new(Loopback::new(Arc::new(ModularRunner::new(cfg.modular.clone(), cfg.wire))));
         let aggregator = cfg.aggregator;
         Self {
             cfg,
@@ -646,7 +645,7 @@ impl NebulaStrategy {
             rollback: None,
             wire,
             frame_buf: Vec::new(),
-            transport: None,
+            transport,
             telemetry: Telemetry::off(),
         }
     }
@@ -673,8 +672,8 @@ impl NebulaStrategy {
     ///
     /// Derivation and framing happen sequentially (they read the shared
     /// cloud model and the wire's per-device state); the expensive
-    /// per-device local training runs on the process's threads
-    /// (`nebula_tensor::par::map`) with streams forked in the sequential
+    /// per-device local training runs through the transport — by default
+    /// on the process's threads — with streams forked in the sequential
     /// stage, so results are identical for any thread budget. Fault
     /// fates come from the plan's dedicated RNG, so with
     /// [`crate::faults::FaultPlan::none`] this round is bit-for-bit
@@ -702,11 +701,10 @@ impl NebulaStrategy {
 
     /// Plan → derive + frame, sequentially in sampling order: fate and
     /// link plan, derivation, dispatch, download. Each download is encoded
-    /// into a real frame; in process the *decoded* payload is what the
-    /// device trains from, and a transport ships the frame itself to the
-    /// worker that decodes it. The tracker records the measured frame
-    /// length, while the latency model keeps the analytic planning size (so
-    /// `Raw` rounds stay bit-identical). Returns a record per device whose
+    /// into a real frame, which the device's job ships to the executor
+    /// that decodes it. The tracker records the measured frame length,
+    /// while the latency model keeps the analytic planning size (so `Raw`
+    /// rounds stay bit-identical). Returns a record per device whose
     /// download landed, its training stream already forked.
     fn derive_and_frame<'w>(
         &mut self,
@@ -725,8 +723,7 @@ impl NebulaStrategy {
                 round.note_client(id, "dropped", None);
                 continue;
             };
-            let remote = self.transport.is_some();
-            let dl = self.download(world, id, up.delivered, !remote, &round.telemetry);
+            let dl = self.download(world, id, up.delivered, &round.telemetry);
             if !up.delivered {
                 // Retries exhausted: the device never joins the round (and
                 // never receives a frame, so its wire state stays cold).
@@ -739,12 +736,6 @@ impl NebulaStrategy {
                 continue;
             }
             round.comm.record_download(dl.wire_bytes);
-            if !remote && dl.payload.is_none() {
-                // Defensive: a pristine in-process frame always decodes.
-                round.report.link_dropped += 1;
-                round.note_client(id, "link_dropped", None);
-                continue;
-            }
             for _ in 0..up.resends {
                 round.comm.record_retry(dl.wire_bytes);
             }
@@ -758,76 +749,49 @@ impl NebulaStrategy {
                 up.resends as u64,
                 up.backoff_ms,
             );
-            // Remote dispatch ships the encoded payload frame; the fork
-            // happens here either way, so both modes — and a device the
-            // gate later turns away — consume the same RNG sequence.
-            let frame = remote.then(|| self.frame_buf.clone());
-            let job = Job { payload: dl.payload, frame, data: dl.local, rng: rng.fork(id as u64 ^ 0xEB) };
+            // The fork happens here, so a device the gate later turns away
+            // consumes the same RNG sequence as one that trains.
+            let job = Job { frame: self.frame_buf.clone(), data: dl.local, rng: rng.fork(id as u64 ^ 0xEB) };
             devices.push(Device::new(id, fate, time_ms, job));
         }
         devices
     }
 
-    /// Trains the devices whose upload is due — on the process's threads,
-    /// or through the installed transport — and attaches how each one's
-    /// update came back. A device the gate turned away is not trained and
-    /// carries `None`.
+    /// Trains the devices whose upload is due through the transport and
+    /// attaches what came back for each. A device the gate turned away is
+    /// not trained and carries `None`.
     fn train(&mut self, round: &Round, devices: Vec<Device<Job<'_>>>) -> Vec<Device<Option<Arrived>>> {
-        let reporting = devices.iter().filter(|d| d.reports()).count();
-        let Some(transport) = self.transport.as_deref_mut() else {
-            let cfg = &self.cfg;
-            let mut train_span = round.telemetry.span("local_train");
-            train_span.int("clients", reporting as u64);
-            // A job's length grows with the sub-model it trains and the
-            // data it trains on; a gated device is no job at all.
-            let cost = |d: &Device<Job<'_>>| match &d.work.payload {
-                Some(payload) if d.reports() => payload.bytes() * d.work.data.len() as u64,
-                _ => 0,
-            };
-            return nebula_tensor::par::map_longest_first(devices, cost, |d| {
-                d.advance(|Job { payload, data, mut rng, .. }| {
-                    let payload = payload.expect("in-process jobs carry their decoded payload");
-                    let mut client = EdgeClient::from_payload(cfg.modular.clone(), &payload);
-                    client.adapt(data, cfg.local_epochs, cfg.batch_size, cfg.local_lr, &mut rng);
-                    // The update goes into the download's buffers, which
-                    // this thread did not allocate (see `nebula_tensor::par`).
-                    Arrived::Update(client.make_update_reusing(data, payload))
-                })
-            });
-        };
-        let mut train_span = round.telemetry.span("remote_train");
-        train_span.int("clients", reporting as u64);
+        let mut train_span = round.telemetry.span("local_train");
         let train = self.cfg.train_params();
         // Only jobs whose upload is due cross the transport; their results
         // come back in dispatch order.
-        let mut dispatch = Vec::with_capacity(reporting);
+        let mut dispatch = Vec::with_capacity(devices.len());
         let waiting: Vec<Device<Option<()>>> = devices
             .into_iter()
             .map(|d| {
                 let device = d.id as u64;
-                d.advance(|job| {
+                d.advance(|Job { frame, data, rng }| {
                     dispatch.push(DispatchJob {
                         round: round.index as usize,
                         device,
-                        spec: JobSpec::Modular {
-                            frame: job.frame.expect("remote jobs carry their payload frame"),
-                        },
-                        rng_state: job.rng.state(),
+                        spec: JobSpec::Modular { frame },
+                        rng_state: rng.state(),
                         train,
-                        data: job.data.clone(),
+                        data: data.clone(),
                     })
                 })
             })
             .collect();
-        let mut results = transport.round_trip(dispatch).into_iter();
+        train_span.int("clients", dispatch.len() as u64);
+        let mut results = self.transport.round_trip(dispatch).into_iter();
         waiting
             .into_iter()
             .map(|d| {
                 d.advance(|_| match results.next() {
-                    Some(Ok(JobResult::Frame(frame))) => Arrived::Frame(frame),
+                    Some(Ok(JobResult::Frame(frame))) => Some(frame),
                     // A dense result to a modular job is a protocol
                     // violation; the device degrades like a lost link.
-                    _ => Arrived::Lost,
+                    _ => None,
                 })
             })
             .collect()
@@ -890,14 +854,21 @@ impl NebulaStrategy {
         fate: &DeviceFate,
         arrived: Arrived,
     ) -> Option<EdgeUpdate> {
+        let Some(result) = arrived else {
+            // The transport failed to bring the job back (worker crash,
+            // socket deadline): the device degrades through the same path
+            // as a dropped link.
+            round.telemetry.counter_add("serve.transport_lost", 1);
+            return None;
+        };
         let plan = &round.plan;
         let fault_seed = plan.seed ^ (round.index << 20) ^ id as u64;
-        // What a faulty or hostile device does to its own update.
-        // App-level corruption garbles the tensors inside a valid frame
-        // (the sanitize gate is the defence); a Byzantine persona crafts
-        // a well-formed update to poison the aggregate (colluders share
-        // one per-round attack seed; the robust combine rule is the
-        // defence).
+        // What a faulty or hostile device does to its own update before
+        // the frame is cut. App-level corruption garbles the tensors
+        // inside a valid frame (the sanitize gate is the defence); a
+        // Byzantine persona crafts a well-formed update to poison the
+        // aggregate (colluders share one per-round attack seed; the robust
+        // combine rule is the defence).
         let sabotage = |update: &mut EdgeUpdate| {
             if let Some(kind) = fate.corruption {
                 corrupt_module_update(update, kind, plan.explode_scale, fault_seed);
@@ -906,39 +877,13 @@ impl NebulaStrategy {
                 apply_attack(update, &plan.adversary, plan.adversary.attack_seed(round.index, id));
             }
         };
+        let edit = (fate.corruption.is_some() || fate.malicious.is_some()).then_some(sabotage);
+        let frame = self.wire.upload_frame(id as u64, &result, &self.cfg.modular, edit, &mut self.frame_buf);
         let tamper = fate.frame_corrupt.then_some(fault_seed);
         let retry = round.policy.max_retries > 0;
         let forge = self.wire.config().auth_key.is_some();
-        let (comm, report) = (&mut round.comm, &mut round.report);
-        match arrived {
-            Arrived::Lost => {
-                // The transport failed to bring the job back (worker
-                // crash, socket deadline): the device degrades through
-                // the same path as a dropped link.
-                round.telemetry.counter_add("serve.transport_lost", 1);
-                None
-            }
-            Arrived::Update(mut update) => {
-                // In-process the device sabotages *before* the frame is
-                // cut; the cloud aggregates what it decodes, never the
-                // sender's structs.
-                sabotage(&mut update);
-                self.wire.encode_update(id as u64, &update, &mut self.frame_buf);
-                let accept = |f: &[u8]| accept_upload(&mut self.wire, &self.cfg.modular, id as u64, f);
-                receive_upload(accept, forge, &self.frame_buf, tamper, retry, comm, report)
-            }
-            Arrived::Frame(frame) => {
-                // A remote worker already encoded the update, so the
-                // sabotage lands on what the cloud decoded. Under the Raw
-                // codec that ordering is bit-identical to the in-process
-                // one, which the serve tests pin.
-                let accept = |f: &[u8]| accept_upload(&mut self.wire, &self.cfg.modular, id as u64, f);
-                receive_upload(accept, forge, &frame, tamper, retry, comm, report).map(|mut update| {
-                    sabotage(&mut update);
-                    update
-                })
-            }
-        }
+        let accept = |f: &[u8]| accept_upload(&mut self.wire, &self.cfg.modular, id as u64, f);
+        receive_upload(accept, forge, frame, tamper, retry, &mut round.comm, &mut round.report)
     }
 
     /// Aggregates the accepted updates behind the sanitize gate,
@@ -975,15 +920,13 @@ impl NebulaStrategy {
 
     /// The cloud → device half of an exchange: derive a sub-model for the
     /// device's current data and budget, package it, and — unless the
-    /// link never `delivers` — cut the frame (left in `frame_buf`) and,
-    /// when asked to `decode`, decode it as the device would. The crossing
-    /// is spanned as `wire_tx` under `trace`.
+    /// link never `delivers` — cut the frame, left in `frame_buf`. The
+    /// crossing is spanned as `wire_tx` under `trace`.
     fn download<'w>(
         &mut self,
         world: &'w SimWorld,
         id: usize,
         delivers: bool,
-        decode: bool,
         trace: &Telemetry,
     ) -> Download<'w> {
         let dev = &world.devices[id];
@@ -991,13 +934,10 @@ impl NebulaStrategy {
         let outcome = self.cloud.derive_for_data(local, &dev.profile(self.cloud.cost_model()), None);
         let sent = self.cloud.dispatch(&outcome.spec);
         let flops = self.cloud.cost_model().submodel(&sent.spec).flops;
-        let mut dl = Download { local, plan_bytes: sent.bytes(), flops, wire_bytes: 0, payload: None };
+        let mut dl = Download { local, plan_bytes: sent.bytes(), flops, wire_bytes: 0 };
         if delivers {
             let _span = trace.span("wire_tx");
             dl.wire_bytes = self.wire.encode_payload(id as u64, &sent, &mut self.frame_buf) as u64;
-            if decode {
-                dl.payload = self.wire.decode_payload(id as u64, &self.frame_buf).ok();
-            }
         }
         dl
     }
@@ -1007,8 +947,11 @@ impl NebulaStrategy {
     /// client installs what it decoded. Not part of any round, so not in
     /// a round's trace.
     fn refresh_client(&mut self, world: &SimWorld, id: usize) -> u64 {
-        let dl = self.download(world, id, true, true, &Telemetry::off());
-        let payload = dl.payload.expect("pristine in-process frame must decode");
+        let dl = self.download(world, id, true, &Telemetry::off());
+        let payload = self
+            .wire
+            .decode_payload(id as u64, &self.frame_buf)
+            .expect("pristine in-process frame must decode");
         match self.clients.get_mut(&id) {
             Some(client) => client.install(&payload),
             None => {
@@ -1031,31 +974,22 @@ struct Download<'w> {
     flops: u64,
     /// Measured frame length (0 when no frame was cut).
     wire_bytes: u64,
-    /// The payload as the device decoded it; only decoded when asked.
-    payload: Option<SubModelPayload>,
 }
 
 /// What a Nebula round attaches to a device's record between its
 /// download and its training.
 struct Job<'w> {
-    /// In process: the sub-model as the device decoded it; its buffers
-    /// come back as the update's.
-    payload: Option<SubModelPayload>,
-    /// The encoded payload frame, when a transport ships the job.
-    frame: Option<Vec<u8>>,
+    /// The encoded payload frame the device downloaded.
+    frame: Vec<u8>,
     /// The device's local data.
     data: &'w Dataset,
     /// The device's training stream, forked in sampling order.
     rng: NebulaRng,
 }
 
-/// How one device's training came back: an in-process update, a remote
-/// worker's encoded update frame, or not at all.
-enum Arrived {
-    Update(EdgeUpdate),
-    Frame(Vec<u8>),
-    Lost,
-}
+/// How one device's training came back: the update frame its executor
+/// cut, or `None` when the transport lost the job.
+type Arrived = Option<Vec<u8>>;
 
 /// Gate-probability and module-load telemetry of what the cloud actually
 /// decoded: which modules an accepted client activated (also counted into
@@ -1115,15 +1049,7 @@ impl AdaptStrategy for NebulaStrategy {
     }
 
     fn set_transport(&mut self, transport: Box<dyn Transport>) {
-        // Remote dispatch rebuilds a fresh WireContext per job on the
-        // worker side, which is only byte-identical to the coordinator's
-        // shared context under the stateless Raw codec.
-        assert_eq!(
-            self.cfg.wire.codec,
-            CodecKind::Raw,
-            "Nebula transport routing requires the stateless Raw codec"
-        );
-        self.transport = Some(transport);
+        self.transport = transport;
     }
 
     fn adaptation_step(&mut self, world: &mut SimWorld, rng: &mut NebulaRng) -> RoundStats {

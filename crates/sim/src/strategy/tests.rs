@@ -2,6 +2,7 @@ use super::*;
 use crate::resources::ResourceSampler;
 use nebula_core::ModularRunner;
 use nebula_data::{PartitionSpec, Partitioner, SynthSpec, Synthesizer};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn toy_world(devices: usize) -> SimWorld {
     let synth = Synthesizer::new(SynthSpec::toy(), 1);
@@ -126,12 +127,14 @@ fn dense_round_that_loses_every_job_is_not_poisoned() {
 }
 
 /// Trains every job honestly, then rewrites the first job's update in
-/// one of four shapes the aggregate cannot take and frames it again under
-/// that device's key: a frame the cloud decodes cleanly.
+/// one of four shapes the aggregate cannot take and frames it again as an
+/// executor would, `Raw` under that device's key: a frame the cloud
+/// decodes cleanly. Notes the frame's length in `sent`.
 struct Misshapen {
     inner: Loopback,
     wire: WireConfig,
     shape: usize,
+    sent: Arc<AtomicU64>,
 }
 
 impl Transport for Misshapen {
@@ -146,7 +149,7 @@ impl Transport for Misshapen {
         let device = jobs[0].device;
         let mut results = self.inner.round_trip(jobs);
         let Ok(JobResult::Frame(frame)) = &mut results[0] else { panic!("honest job failed") };
-        let mut wire = WireContext::new(self.wire);
+        let mut wire = WireContext::new(WireConfig { codec: CodecKind::Raw, ..self.wire });
         let mut update = wire.decode_update_from(device, frame).expect("honest update decodes");
         match self.shape {
             0 => drop(update.module_params.values_mut().find(|m| !m.is_empty()).expect("a module").pop()),
@@ -154,7 +157,8 @@ impl Transport for Misshapen {
             2 => drop(update.importance.pop()),
             _ => drop(update.importance[0].pop()),
         }
-        wire.encode_update(device, &update, frame);
+        let n = wire.encode_update(device, &update, frame);
+        self.sent.store(n as u64, Ordering::Relaxed);
         results
     }
 }
@@ -162,19 +166,36 @@ impl Transport for Misshapen {
 #[test]
 fn misshapen_update_is_link_dropped_not_aggregated() {
     // A module record, the shared record or an importance row one element
-    // short, or an importance row missing.
-    for shape in 0..4 {
-        let cfg = toy_cfg();
-        let wire = WireConfig::raw().with_auth([5u8; 16]);
-        let runner = ModularRunner::new(cfg.modular.clone(), wire);
-        let mut s = NebulaStrategy::new(StrategyConfig { wire, ..cfg }, 1);
-        s.set_transport(Box::new(Misshapen { inner: Loopback::new(Arc::new(runner)), wire, shape }));
-        let out = s.single_round(&mut toy_world(8), &mut NebulaRng::seed(3));
-        let faults = out.stats.faults;
-        assert_eq!((faults.participated, faults.link_dropped), (3, 1), "shape {shape}");
-        // The refused frame is billed as a retry and not resent.
-        assert_eq!((out.stats.comm.uploads, faults.retried), (3, 0), "shape {shape}");
-        assert!(out.stats.comm.retry_bytes > 0, "shape {shape}");
+    // short, or an importance row missing; under Raw with auth and under
+    // int8, in a clean round and in one where every device is corrupt and
+    // Byzantine, whose update the cloud re-cuts after the sabotage: the
+    // cloud must refuse the misshapen update before anything indexes it,
+    // and bill the frame as it came, not a re-cut of it.
+    let hostile = crate::FaultPlan {
+        corrupt_prob: 1.0,
+        adversary: crate::AdversaryPlan { frac: 1.0, ..crate::AdversaryPlan::none() },
+        ..crate::FaultPlan::none()
+    };
+    for wire in [WireConfig::raw().with_auth([5u8; 16]), WireConfig::int8()] {
+        for plan in [crate::FaultPlan::none(), hostile] {
+            for shape in 0..4 {
+                let case = format!("{:?}, corrupt {}, shape {shape}", wire.codec, plan.corrupt_prob);
+                let cfg = toy_cfg();
+                let runner = ModularRunner::new(cfg.modular.clone(), wire);
+                let mut s = NebulaStrategy::new(StrategyConfig { wire, ..cfg }, 1);
+                let sent = Arc::new(AtomicU64::new(0));
+                let inner = Loopback::new(Arc::new(runner));
+                s.set_transport(Box::new(Misshapen { inner, wire, shape, sent: sent.clone() }));
+                let mut world = toy_world(8);
+                world.set_fault_plan(plan);
+                let out = s.single_round(&mut world, &mut NebulaRng::seed(3));
+                let faults = out.stats.faults;
+                assert_eq!((faults.participated, faults.link_dropped), (3, 1), "{case}");
+                // The refused frame is billed as a retry and not resent.
+                assert_eq!((out.stats.comm.uploads, faults.retried), (3, 0), "{case}");
+                assert_eq!(out.stats.comm.retry_bytes, sent.load(Ordering::Relaxed), "{case}");
+            }
+        }
     }
 }
 

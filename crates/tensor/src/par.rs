@@ -2,10 +2,10 @@
 //! [`map`] and the nesting guard it shares a thread-local with.
 //!
 //! The simulator parallelises at two levels. In a collaborative round,
-//! one job per sampled device (the in-process arm of
-//! `NebulaStrategy::single_round`, the tracked cohort of its
-//! `adaptation_step`, `core::net::Loopback`, which every dense-baseline
-//! round goes through, and the shard fan-out of `ShardedWorld`). While it
+//! one job per sampled device (`core::net::Loopback`, which every
+//! collaborative round goes through, the tracked cohort of
+//! `NebulaStrategy::adaptation_step`, and the shard fan-out of
+//! `ShardedWorld`). While it
 //! synthesises data, one job per 64-row block of already-planned datasets
 //! (`Synthesizer::fill`; a world build or a drift slot fills the whole
 //! device population in one region). A round's job is tens of

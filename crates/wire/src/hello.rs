@@ -56,7 +56,9 @@ pub struct Hello {
     /// Handshake revision ([`HELLO_PROTO`]); the coordinator rejects
     /// revisions it does not speak.
     pub proto: u8,
-    /// Codec the worker proposes for job traffic.
+    /// Codec of the worker's result frames (every worker writes its
+    /// module updates `Raw`; the coordinator re-cuts them under the
+    /// run's codec).
     pub codec: CodecKind,
     /// Executor threads the worker runs. The coordinator gives the worker
     /// up to this many jobs plus one at a time (at least one, so a worker
