@@ -323,8 +323,8 @@ fn traced_rounds(mut s: NebulaStrategy, h: &mut Fnv) {
     }
 }
 
-/// The ordered trace of a faulty round, in-process (int8) and through an
-/// authenticated loopback transport.
+/// The ordered trace of a faulty round under int8, then under `Raw` with
+/// frame auth through an explicitly installed loopback transport.
 fn events_case() -> u64 {
     let mut h = Fnv::new();
     traced_rounds(NebulaStrategy::new(toy_cfg(WireConfig::int8()), 1), &mut h);
@@ -441,7 +441,10 @@ fn run_case(name: &str) -> u64 {
 /// gates a Nebula round's cohort before training it; `hfl_raw_faulty`
 /// before the delta codec was deleted, so HeteroFL stays pinned under a
 /// fault plan without it; `nebula_int8_auth_faulty` at the parent of the
-/// change that trains every Nebula round through its transport.
+/// change that trains every Nebula round through its transport. That
+/// change moved `nebula_events_faulty` alone: its Loopback half now
+/// traces `local_train` and the upload `wire` events, and the new
+/// constant is what the parent computes with that half run in process.
 const GOLDEN: [(&str, u64); 13] = [
     ("fa_raw_clean", 0xf449_a4ce_cd01_c038),
     ("fa_int8_faulty", 0xde47_9568_83e0_4859),
@@ -452,7 +455,7 @@ const GOLDEN: [(&str, u64); 13] = [
     ("nebula_int8_trimmed_faulty", 0xd9cb_e91a_1238_dc6a),
     ("nebula_int8_auth_faulty", 0xc3b2_7c4a_d444_81d2),
     ("nebula_tracked_raw_clean", 0x8873_3294_aafa_bc11),
-    ("nebula_events_faulty", 0xa0f3_5a26_b69b_c837),
+    ("nebula_events_faulty", 0x1a10_8852_f91b_7065),
     ("runner_target_fa", 0x9997_d0da_d51a_458b),
     ("runner_target_nebula", 0x017f_0200_8109_61cb),
     ("runner_continuous_nebula_drift", 0x81d8_bebf_bdb6_9cd4),
