@@ -420,31 +420,29 @@ mod tests {
     #[test]
     fn fresh_context_decodes_int8_payloads_as_the_shared_one_does() {
         // The cloud's context, with a download carry from an earlier
-        // frame, cuts an int8 payload; the executor decodes it fresh and
-        // answers with a Raw frame holding the update the shared context's
+        // frame, cuts an int8 payload into a buffer of the answer's
+        // length; the executor decodes it fresh and answers in that
+        // buffer with a Raw frame holding the update the shared context's
         // decode trains to.
         let c = cloud();
         let cfg = c.model().config().clone();
         let mut shared = WireContext::new(WireConfig::int8());
-        let mut frame = Vec::new();
-        shared.encode_payload(5, &c.dispatch(&spec()), &mut frame);
-        shared.encode_payload(5, &c.dispatch(&spec()), &mut frame);
-        let job = DispatchJob {
-            spec: JobSpec::Modular { frame: frame.clone() },
-            ..job_for(&c, WireConfig::raw(), 5)
-        };
-        let remote = frame_of(ModularRunner::new(cfg.clone(), WireConfig::int8()).run(job.clone()));
+        let sent = c.dispatch(&spec());
+        let mut frame = Vec::with_capacity(shared.result_len(&sent, &cfg));
+        shared.encode_payload(5, &sent, &mut frame);
+        shared.encode_payload(5, &sent, &mut frame);
+        let (sent_frame, buffer) = (frame.clone(), frame.as_ptr());
+        let job = DispatchJob { spec: JobSpec::Modular { frame }, ..job_for(&c, WireConfig::raw(), 5) };
+        let (device, rng_state, data, train) = (job.device, job.rng_state, job.data.clone(), job.train);
+        let remote = frame_of(ModularRunner::new(cfg.clone(), WireConfig::int8()).run(job));
+        assert_eq!(remote.as_ptr(), buffer, "the answer must fit the job's buffer");
 
-        let payload = shared.decode_payload(job.device, &frame).unwrap();
-        let mut rng = NebulaRng::from_state(job.rng_state).unwrap();
+        let payload = shared.decode_payload(device, &sent_frame).unwrap();
+        let mut rng = NebulaRng::from_state(rng_state).unwrap();
         let mut client = EdgeClient::from_payload(cfg, &payload);
-        client.adapt(&job.data, job.train.epochs, job.train.batch_size, job.train.lr, &mut rng);
+        client.adapt(&data, train.epochs, train.batch_size, train.lr, &mut rng);
         let mut out = Vec::new();
-        WireContext::new(WireConfig::raw()).encode_update(
-            job.device,
-            &client.make_update(&job.data),
-            &mut out,
-        );
+        WireContext::new(WireConfig::raw()).encode_update(device, &client.make_update(&data), &mut out);
         assert_eq!(remote, out, "an int8 payload must train to the same Raw update frame");
     }
 

@@ -27,7 +27,9 @@ use crate::cloud::SubModelPayload;
 use nebula_modular::{ModularConfig, ModularModel, SubModelSpec};
 use nebula_telemetry::Telemetry;
 use nebula_wire::codec::{self, CodecKind};
-use nebula_wire::frame::{FrameBuilder, FrameKind, FrameView, ModuleKey};
+use nebula_wire::frame::{
+    FrameBuilder, FrameKind, FrameView, ModuleKey, HEADER_LEN, MAC_LEN, RECORD_HEADER_LEN, TRAILER_LEN,
+};
 use nebula_wire::{FrameKey, ResidualStore, WireError};
 use std::collections::BTreeMap;
 
@@ -155,6 +157,25 @@ impl WireContext {
             .decode_frame(device, bytes, true)
             .inspect_err(|e| self.note_decode_error("up", device, e))?;
         Ok(update_of(decoded))
+    }
+
+    /// The length of the update frame an executor answers a job for
+    /// `payload` with: `Raw`, keyed as this context keys, with an
+    /// importance row per layer of `cfg`. A job's payload frame is
+    /// allocated at this capacity, so the executor's answer fits the
+    /// caller's buffer (DESIGN §9's recycling rule).
+    pub fn result_len(&self, payload: &SubModelPayload, cfg: &ModularConfig) -> usize {
+        // Modules, SHARED, the importance rows, META and its u64.
+        let records = payload.module_params.len() + 1 + cfg.num_layers + 1;
+        let importance = 4 * cfg.num_layers * cfg.modules_per_layer;
+        let mac = if self.master_key.is_some() { MAC_LEN } else { 0 };
+        HEADER_LEN
+            + records * RECORD_HEADER_LEN
+            + payload.bytes() as usize
+            + importance
+            + 8
+            + TRAILER_LEN
+            + mac
     }
 
     /// The frame `device` puts on the upload link, given `result`: the
@@ -425,6 +446,26 @@ mod tests {
             let int8 = cfg.codec == CodecKind::QuantInt8;
             assert_eq!(holds_residuals(&wire.down_residuals), int8, "{:?}", cfg.codec);
             assert_eq!(holds_residuals(&wire.up_residuals), int8, "{:?}", cfg.codec);
+        }
+    }
+
+    #[test]
+    fn result_len_is_the_length_of_the_raw_update_frame() {
+        let c = cloud();
+        let cfg = c.model().config().clone();
+        let payload = c.dispatch(&spec());
+        let update = ModuleUpdate {
+            spec: payload.spec.clone(),
+            module_params: payload.module_params.clone(),
+            shared_params: payload.shared_params.clone(),
+            importance: vec![vec![0.25; 4]; 2],
+            data_volume: 9,
+        };
+        let mut frame = Vec::new();
+        for cfg_wire in [WireConfig::int8(), WireConfig::int8().with_auth([3u8; 16])] {
+            let raw = WireConfig { codec: CodecKind::Raw, ..cfg_wire };
+            let n = WireContext::new(raw).encode_update(7, &update, &mut frame);
+            assert_eq!(WireContext::new(cfg_wire).result_len(&payload, &cfg), n, "{cfg_wire:?}");
         }
     }
 

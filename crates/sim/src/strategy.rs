@@ -613,7 +613,7 @@ pub struct NebulaStrategy {
     rollback: Option<(Dataset, f32)>,
     /// Module transport: codecs and per-device residual state.
     wire: WireContext,
-    /// Reusable frame buffer for all encode/decode round trips.
+    /// Reusable buffer the uploads are re-cut into.
     frame_buf: Vec<u8>,
     /// Where the round's local training runs: in-process executors until
     /// [`AdaptStrategy::set_transport`] installs socket workers.
@@ -735,9 +735,10 @@ impl NebulaStrategy {
                 round.note_client(id, "link_dropped", None);
                 continue;
             }
-            round.comm.record_download(dl.wire_bytes);
+            let wire_bytes = dl.frame.len() as u64;
+            round.comm.record_download(wire_bytes);
             for _ in 0..up.resends {
-                round.comm.record_retry(dl.wire_bytes);
+                round.comm.record_retry(wire_bytes);
             }
             round.report.retried += up.resends as u64;
             let time_ms = predicted_time_ms(
@@ -751,7 +752,7 @@ impl NebulaStrategy {
             );
             // The fork happens here, so a device the gate later turns away
             // consumes the same RNG sequence as one that trains.
-            let job = Job { frame: self.frame_buf.clone(), data: dl.local, rng: rng.fork(id as u64 ^ 0xEB) };
+            let job = Job { frame: dl.frame, data: dl.local, rng: rng.fork(id as u64 ^ 0xEB) };
             devices.push(Device::new(id, fate, time_ms, job));
         }
         devices
@@ -920,8 +921,8 @@ impl NebulaStrategy {
 
     /// The cloud → device half of an exchange: derive a sub-model for the
     /// device's current data and budget, package it, and — unless the
-    /// link never `delivers` — cut the frame, left in `frame_buf`. The
-    /// crossing is spanned as `wire_tx` under `trace`.
+    /// link never `delivers` — cut the frame, with room for the executor's
+    /// answer. The crossing is spanned as `wire_tx` under `trace`.
     fn download<'w>(
         &mut self,
         world: &'w SimWorld,
@@ -934,10 +935,11 @@ impl NebulaStrategy {
         let outcome = self.cloud.derive_for_data(local, &dev.profile(self.cloud.cost_model()), None);
         let sent = self.cloud.dispatch(&outcome.spec);
         let flops = self.cloud.cost_model().submodel(&sent.spec).flops;
-        let mut dl = Download { local, plan_bytes: sent.bytes(), flops, wire_bytes: 0 };
+        let mut dl = Download { local, plan_bytes: sent.bytes(), flops, frame: Vec::new() };
         if delivers {
             let _span = trace.span("wire_tx");
-            dl.wire_bytes = self.wire.encode_payload(id as u64, &sent, &mut self.frame_buf) as u64;
+            dl.frame = Vec::with_capacity(self.wire.result_len(&sent, &self.cfg.modular));
+            self.wire.encode_payload(id as u64, &sent, &mut dl.frame);
         }
         dl
     }
@@ -948,17 +950,15 @@ impl NebulaStrategy {
     /// a round's trace.
     fn refresh_client(&mut self, world: &SimWorld, id: usize) -> u64 {
         let dl = self.download(world, id, true, &Telemetry::off());
-        let payload = self
-            .wire
-            .decode_payload(id as u64, &self.frame_buf)
-            .expect("pristine in-process frame must decode");
+        let payload =
+            self.wire.decode_payload(id as u64, &dl.frame).expect("pristine in-process frame must decode");
         match self.clients.get_mut(&id) {
             Some(client) => client.install(&payload),
             None => {
                 self.clients.insert(id, EdgeClient::from_payload(self.cfg.modular.clone(), &payload));
             }
         }
-        dl.wire_bytes
+        dl.frame.len() as u64
     }
 }
 
@@ -972,8 +972,9 @@ struct Download<'w> {
     plan_bytes: u64,
     /// The sub-model's training cost, the latency model's compute input.
     flops: u64,
-    /// Measured frame length (0 when no frame was cut).
-    wire_bytes: u64,
+    /// The payload frame (empty when none was cut); its length is the
+    /// measured download size.
+    frame: Vec<u8>,
 }
 
 /// What a Nebula round attaches to a device's record between its
