@@ -22,11 +22,13 @@
 //! rounds with and without auth, and a residual module shipped as an
 //! empty raw record. The dense pins do the same through a `DensePool`, whose down
 //! and up blobs differ in length and whose down blob changes length once.
+//! The handshake pins hold the hello and ack frames, keyed and not.
 
 use nebula_core::journal::{decode_snapshot, encode_snapshot, read_journal, JournalWriter};
 use nebula_core::{ModuleUpdate, SubModelPayload, WireConfig, WireContext};
 use nebula_modular::{ModularConfig, ModularModel, SubModelSpec};
-use nebula_wire::{crc32, siphash24, CodecKind, DensePool, FrameKey, FrameView};
+use nebula_wire::hello::{decode_hello, decode_hello_ack, encode_hello, encode_hello_ack, HELLO_PROTO};
+use nebula_wire::{crc32, siphash24, CodecKind, DensePool, FrameKey, FrameView, Hello, HelloAck};
 use std::collections::BTreeMap;
 
 fn fnv(bytes: &[u8]) -> u64 {
@@ -404,4 +406,41 @@ fn dense_pool_keeps_its_sizes_and_values() {
     let got: Vec<_> = cases.iter().map(|&(name, codec, _)| (name, dense_session(codec))).collect();
     let pinned: Vec<_> = cases.iter().map(|&(name, _, pinned)| (name, pinned)).collect();
     assert_eq!(got, pinned, "dense sessions changed: {got:#018x?}");
+}
+
+/// Digests of the handshake frames, `[unkeyed, keyed]`: a hello, an ack
+/// that admits its worker with a run config, and one that refuses it
+/// with a reason.
+const PINNED_HELLO: [u64; 2] = [0x6662_6a27_a296_9e2d, 0x681d_b90f_6dac_d59c];
+const PINNED_ACK_ACCEPT: [u64; 2] = [0x9abe_044f_4f69_7052, 0x0ec3_b59f_d41b_4e8c];
+const PINNED_ACK_REFUSE: [u64; 2] = [0xdac4_0fcc_7524_b584, 0xd225_60b5_d5f0_8fa2];
+
+#[test]
+fn handshake_frames_keep_their_bytes() {
+    let master = FrameKey::from_bytes(&KEY);
+    let hello = Hello { proto: HELLO_PROTO, codec: CodecKind::Raw, threads: 3, name: "edge-7".into() };
+    let ack = |accepted: bool| HelloAck {
+        accepted,
+        codec: CodecKind::Raw,
+        worker_id: if accepted { 5 } else { 0 },
+        reason: if accepted { String::new() } else { "unsupported handshake revision 9".into() },
+        config_json: if accepted { "{\"input_dim\":16}".into() } else { String::new() },
+    };
+    let mut buf = Vec::new();
+    let mut got = [[0u64; 2]; 3];
+    for (i, key) in [None, Some(&master)].into_iter().enumerate() {
+        encode_hello(&mut buf, &hello, key);
+        assert_eq!(decode_hello(&buf, key).expect("pinned hello decodes"), hello);
+        got[0][i] = fnv(&buf);
+        for (row, accepted) in [(1, true), (2, false)] {
+            encode_hello_ack(&mut buf, &ack(accepted), key);
+            assert_eq!(decode_hello_ack(&buf, key).expect("pinned ack decodes"), ack(accepted));
+            got[row][i] = fnv(&buf);
+        }
+    }
+    assert_eq!(
+        got,
+        [PINNED_HELLO, PINNED_ACK_ACCEPT, PINNED_ACK_REFUSE],
+        "handshake frames changed: {got:#018x?}"
+    );
 }
