@@ -388,6 +388,13 @@ fn run_case(name: &str) -> u64 {
             dense_plan,
             HeteroFlStrategy::single_round,
         ),
+        // HeteroFL's width slices under the int8 codec, each device's
+        // carry kept across rounds.
+        "hfl_int8_faulty" => dense_case(
+            HeteroFlStrategy::new(toy_cfg(WireConfig::int8()), 1),
+            dense_plan,
+            HeteroFlStrategy::single_round,
+        ),
         "nebula_raw_clean" => nebula_case(NebulaStrategy::new(toy_cfg(WireConfig::raw()), 1), None),
         "nebula_raw_auth_faulty_loopback" => {
             // Authenticated frames, so the transit tamper is the
@@ -445,11 +452,14 @@ fn run_case(name: &str) -> u64 {
 /// change moved `nebula_events_faulty` alone: its Loopback half now
 /// traces `local_train` and the upload `wire` events, and the new
 /// constant is what the parent computes with that half run in process.
-const GOLDEN: [(&str, u64); 13] = [
+/// `hfl_int8_faulty` was captured at the parent of the change that keeps
+/// every int8 carry in one per-device `Channel`.
+const GOLDEN: [(&str, u64); 14] = [
     ("fa_raw_clean", 0xf449_a4ce_cd01_c038),
     ("fa_int8_faulty", 0xde47_9568_83e0_4859),
     ("hfl_raw_clean", 0x222f_cb4c_6cb6_e831),
     ("hfl_raw_faulty", 0xf47b_4729_a229_f509),
+    ("hfl_int8_faulty", 0x74c8_faca_73c1_975e),
     ("nebula_raw_clean", 0xbbe2_647a_0792_5916),
     ("nebula_raw_auth_faulty_loopback", 0x652b_6d5b_05de_75c3),
     ("nebula_int8_trimmed_faulty", 0xd9cb_e91a_1238_dc6a),
