@@ -30,8 +30,8 @@ use nebula_wire::codec::{self, CodecKind};
 use nebula_wire::frame::{
     FrameBuilder, FrameKind, FrameView, ModuleKey, HEADER_LEN, MAC_LEN, RECORD_HEADER_LEN, TRAILER_LEN,
 };
-use nebula_wire::{FrameKey, ResidualStore, WireError};
-use std::collections::BTreeMap;
+use nebula_wire::{Channel, FrameKey, WireError};
+use std::collections::{BTreeMap, HashMap};
 
 /// Transport configuration, chosen per strategy/config.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -69,14 +69,14 @@ impl WireConfig {
     }
 }
 
-/// Transport state: the error-feedback residual stores for both
-/// directions and the master MAC key.
+/// Transport state: each device's link [`Channel`] for both directions
+/// and the master MAC key.
 pub struct WireContext {
     cfg: WireConfig,
-    /// Upload error feedback, keyed by the sending device.
-    up_residuals: ResidualStore,
-    /// Download error feedback, keyed by the receiving device.
-    down_residuals: ResidualStore,
+    /// Download error feedback, per receiving device.
+    down: HashMap<u64, Channel>,
+    /// Upload error feedback, per sending device.
+    up: HashMap<u64, Channel>,
     /// Master MAC key when frame auth is enabled.
     master_key: Option<FrameKey>,
     /// Frame/byte/CRC-reject accounting; off by default.
@@ -87,8 +87,8 @@ impl WireContext {
     pub fn new(cfg: WireConfig) -> Self {
         WireContext {
             cfg,
-            up_residuals: ResidualStore::new(),
-            down_residuals: ResidualStore::new(),
+            down: HashMap::new(),
+            up: HashMap::new(),
             master_key: cfg.auth_key.as_ref().map(FrameKey::from_bytes),
             telemetry: Telemetry::off(),
         }
@@ -210,8 +210,8 @@ impl WireContext {
 
     /// Cut a module frame of `kind` for `device`: the modules in key
     /// order, then `SHARED`, each under the configured codec, then the
-    /// caller's `tail` records. A payload carries download residuals, an
-    /// update upload residuals.
+    /// caller's `tail` records. A payload is cut on the device's download
+    /// channel, an update on its upload channel.
     fn encode_frame(
         &mut self,
         kind: FrameKind,
@@ -221,15 +221,15 @@ impl WireContext {
         out: &mut Vec<u8>,
         tail: impl FnOnce(&mut FrameBuilder<'_>),
     ) -> usize {
-        let (dir, residuals) = match kind {
-            FrameKind::Payload => ("down", &mut self.down_residuals),
-            _ => ("up", &mut self.up_residuals),
+        let (dir, links) = match kind {
+            FrameKind::Payload => ("down", &mut self.down),
+            _ => ("up", &mut self.up),
         };
+        let link = links.entry(device).or_default();
         let mut b = FrameBuilder::begin(out, kind, self.cfg.codec);
         let records = modules.iter().map(|(&(l, i), v)| (ModuleKey::module(l, i), v.as_slice()));
         for (key, values) in records.chain([(ModuleKey::SHARED, shared)]) {
-            let store = &mut *residuals;
-            b.values(key, self.cfg.codec, values, move || store.residual(device, key, values.len()));
+            b.values(key, self.cfg.codec, values, link);
         }
         tail(&mut b);
         let n = b.finish_keyed(self.key_for(device).as_ref());
@@ -418,11 +418,13 @@ mod tests {
 
     /// After two devices' three-round session each codec's context holds
     /// only what that codec reads: `Raw` nothing, `QuantInt8` its
-    /// error-feedback carries.
+    /// error-feedback carries, on every device's link both ways.
     #[test]
     fn wire_contexts_hold_only_what_their_codec_reads() {
-        let holds_residuals =
-            |store: &ResidualStore| format!("{store:?}") != format!("{:?}", ResidualStore::new());
+        let holds_carries = |links: &HashMap<u64, Channel>| {
+            let empty = format!("{:?}", Channel::default());
+            [3, 9].map(|device| format!("{:?}", links[&device]) != empty)
+        };
         let c = cloud();
         for cfg in [WireConfig::raw(), WireConfig::int8()] {
             let mut wire = WireContext::new(cfg);
@@ -444,8 +446,9 @@ mod tests {
                 }
             }
             let int8 = cfg.codec == CodecKind::QuantInt8;
-            assert_eq!(holds_residuals(&wire.down_residuals), int8, "{:?}", cfg.codec);
-            assert_eq!(holds_residuals(&wire.up_residuals), int8, "{:?}", cfg.codec);
+            for links in [&wire.down, &wire.up] {
+                assert_eq!((links.len(), holds_carries(links)), (2, [int8; 2]), "{:?}", cfg.codec);
+            }
         }
     }
 

@@ -14,7 +14,8 @@
 //! Non-finite inputs are not laundered: a NaN/Inf tensor yields a NaN
 //! scale and decodes to NaNs, which the aggregation sanitize gate rejects
 //! exactly like app-level corruption. The residual is zeroed in that case
-//! so one poisoned round cannot contaminate later clean rounds.
+//! so one poisoned round cannot contaminate later clean rounds. A
+//! [`Channel`] holds a link's residuals.
 
 use crate::frame::ModuleKey;
 use crate::WireError;
@@ -182,32 +183,14 @@ pub fn decode_q8(payload: &[u8], elems: usize, out: &mut Vec<f32>) -> Result<(),
     Ok(())
 }
 
-/// Sender-side error-feedback residuals, keyed by (sender id, module).
-///
-/// Residuals belong to the *encoder*: each edge device carries its own
-/// upload residuals, the cloud carries per-receiver download residuals.
-/// The store resizes entries on demand so module shape changes (sub-model
-/// re-derivation) reset the carry rather than mixing shapes.
+/// A sender's int8 error-feedback carries for one device link, one per
+/// record key. [`FrameBuilder::values`](crate::FrameBuilder::values)
+/// asks for a key's carry only when it cuts a non-empty int8 record, so a
+/// `Raw` link stores nothing, and [`encode_q8`] resizes the carry to the
+/// record's length, keeping its prefix.
 #[derive(Debug, Default)]
-pub struct ResidualStore {
-    map: HashMap<(u64, ModuleKey), Vec<f32>>,
-}
-
-impl ResidualStore {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Residual buffer for `(sender, key)`, zero-initialised (or reset)
-    /// to `len` elements.
-    pub fn residual(&mut self, sender: u64, key: ModuleKey, len: usize) -> &mut Vec<f32> {
-        let r = self.map.entry((sender, key)).or_default();
-        if r.len() != len {
-            r.clear();
-            r.resize(len, 0.0);
-        }
-        r
-    }
+pub struct Channel {
+    pub(crate) carries: HashMap<ModuleKey, Vec<f32>>,
 }
 
 #[cfg(test)]
@@ -313,6 +296,36 @@ mod tests {
                 let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&r_lane), bits(&r_serial), "residual, len {len} round {round}");
             }
+        }
+    }
+
+    /// The one carry rule: a `Raw` cut, and an empty int8 one, store
+    /// nothing; a record whose length changes reads its carry's prefix,
+    /// zero-extended, and leaves the new error in its place.
+    #[test]
+    fn a_channel_keeps_each_carry_prefix_across_lengths() {
+        use crate::frame::{FrameBuilder, FrameKind, FrameView};
+        let key = ModuleKey::module(1, 2);
+        let v: Vec<f32> = (0..9).map(|i| i as f32 * 0.37 - 1.3).collect();
+        let mut link = Channel::default();
+        let mut frame = Vec::new();
+        let mut b = FrameBuilder::begin(&mut frame, FrameKind::Update, CodecKind::QuantInt8);
+        b.values(key, CodecKind::Raw, &v, &mut link);
+        b.values(key, CodecKind::QuantInt8, &[], &mut link);
+        assert!(link.carries.is_empty(), "{link:?}");
+        for len in [9, 5, 7] {
+            let mut carry = link.carries.get(&key).cloned().unwrap_or_default();
+            assert!(len == 9 || carry.iter().any(|&r| r != 0.0), "a carry to keep");
+            carry.truncate(len);
+            carry.resize(len, 0.0);
+            let mut want = Vec::new();
+            encode_q8(&v[..len], &mut carry, &mut want);
+            let mut b = FrameBuilder::begin(&mut frame, FrameKind::Update, CodecKind::QuantInt8);
+            b.values(key, CodecKind::QuantInt8, &v[..len], &mut link);
+            b.finish();
+            let view = FrameView::parse(&frame).unwrap();
+            assert_eq!(view.find(key).unwrap().payload, want.as_slice(), "length {len}");
+            assert_eq!(link.carries[&key], carry, "length {len}");
         }
     }
 

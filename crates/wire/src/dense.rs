@@ -1,58 +1,26 @@
-//! Dense-blob channel for the flat-model baselines (FedAvg, HeteroFL,
+//! Dense-blob channels for the flat-model baselines (FedAvg, HeteroFL,
 //! AdaptiveNet).
 //!
 //! Those strategies exchange whole parameter vectors rather than modular
-//! records, so the channel abstraction is one sender→receiver link. It
-//! holds only what its codec reads: under `QuantInt8` the sender's
-//! error-feedback carry, under `Raw` nothing. Decoding keeps no state, so
-//! after a failed decode (transit corruption) the sender can resend the
-//! identical frame.
+//! records: each transfer is one frame holding one `SHARED` record, cut
+//! on the device's [`Channel`] for that direction, so the pool holds only
+//! what its codec reads: under `QuantInt8` the sender's error-feedback
+//! carry, under `Raw` nothing. Decoding keeps no state, so after a failed
+//! decode (transit corruption) the sender can resend the identical frame.
 
-use crate::codec::CodecKind;
+use crate::codec::{Channel, CodecKind};
 use crate::frame::{FrameBuilder, FrameKind, FrameView, ModuleKey};
 use crate::WireError;
 use std::collections::HashMap;
 
-/// One logical point-to-point channel carrying a dense f32 blob.
-#[derive(Debug)]
-struct DenseChannel {
-    codec: CodecKind,
-    /// Sender-side error-feedback carry for `QuantInt8`.
-    residual: Vec<f32>,
-}
-
-impl DenseChannel {
-    pub fn new(codec: CodecKind) -> Self {
-        DenseChannel { codec, residual: Vec::new() }
-    }
-
-    /// Encode `values` into `out` as one dense frame. Returns the frame
-    /// length in bytes (the measured on-wire size).
-    pub fn encode(&mut self, values: &[f32], out: &mut Vec<u8>) -> usize {
-        let mut b = FrameBuilder::begin(out, FrameKind::Dense, self.codec);
-        let residual = &mut self.residual;
-        b.values(ModuleKey::SHARED, self.codec, values, || residual);
-        b.finish()
-    }
-
-    /// Decode one frame produced by `encode` into `out`.
-    pub fn decode(&self, bytes: &[u8], out: &mut Vec<f32>) -> Result<(), WireError> {
-        let view = FrameView::parse(bytes)?;
-        let rec = view.find(ModuleKey::SHARED).ok_or(WireError::Truncated { needed: 1, have: 0 })?;
-        rec.decode(out)
-    }
-}
-
 /// Per-device channel pool for a server exchanging dense blobs with many
-/// devices: one download and one upload `DenseChannel` per device id,
-/// plus a reusable frame buffer so steady-state transfers do not
-/// allocate. Per device and direction it keeps one model-sized carry
-/// under `QuantInt8` and nothing under `Raw`.
+/// devices: one download and one upload [`Channel`] per device id, plus a
+/// reusable frame buffer so steady-state transfers do not allocate.
 #[derive(Debug)]
 pub struct DensePool {
     codec: CodecKind,
-    down: HashMap<u64, DenseChannel>,
-    up: HashMap<u64, DenseChannel>,
+    down: HashMap<u64, Channel>,
+    up: HashMap<u64, Channel>,
     frame: Vec<u8>,
 }
 
@@ -66,19 +34,36 @@ impl DensePool {
     /// download channel, decode into `out`, return the measured frame
     /// bytes.
     pub fn send_down(&mut self, device: u64, values: &[f32], out: &mut Vec<f32>) -> Result<u64, WireError> {
-        let ch = self.down.entry(device).or_insert_with(|| DenseChannel::new(self.codec));
-        let n = ch.encode(values, &mut self.frame);
-        ch.decode(&self.frame, out)?;
-        Ok(n as u64)
+        send(self.codec, self.down.entry(device).or_default(), values, &mut self.frame, out)
     }
 
     /// Device → server transfer of `values` (see [`DensePool::send_down`]).
     pub fn send_up(&mut self, device: u64, values: &[f32], out: &mut Vec<f32>) -> Result<u64, WireError> {
-        let ch = self.up.entry(device).or_insert_with(|| DenseChannel::new(self.codec));
-        let n = ch.encode(values, &mut self.frame);
-        ch.decode(&self.frame, out)?;
-        Ok(n as u64)
+        send(self.codec, self.up.entry(device).or_default(), values, &mut self.frame, out)
     }
+}
+
+/// Cuts `values` into `frame` as one dense frame on `link`, decodes it
+/// into `out` and returns the frame's length.
+fn send(
+    codec: CodecKind,
+    link: &mut Channel,
+    values: &[f32],
+    frame: &mut Vec<u8>,
+    out: &mut Vec<f32>,
+) -> Result<u64, WireError> {
+    let mut b = FrameBuilder::begin(frame, FrameKind::Dense, codec);
+    b.values(ModuleKey::SHARED, codec, values, link);
+    let n = b.finish();
+    decode(frame, out)?;
+    Ok(n as u64)
+}
+
+/// Decodes a dense frame's `SHARED` record into `out`.
+fn decode(bytes: &[u8], out: &mut Vec<f32>) -> Result<(), WireError> {
+    let view = FrameView::parse(bytes)?;
+    let rec = view.find(ModuleKey::SHARED).ok_or(WireError::Truncated { needed: 1, have: 0 })?;
+    rec.decode(out)
 }
 
 #[cfg(test)]
@@ -101,53 +86,46 @@ mod tests {
 
     #[test]
     fn raw_channel_is_bit_exact() {
-        let mut ch = DenseChannel::new(CodecKind::Raw);
+        let mut pool = DensePool::new(CodecKind::Raw, 0.0);
         let vals: Vec<f32> = (0..64).map(|i| (i as f32).sin()).collect();
-        let mut frame = Vec::new();
-        let n = ch.encode(&vals, &mut frame);
-        assert_eq!(n, frame.len());
         let mut back = Vec::new();
-        ch.decode(&frame, &mut back).unwrap();
+        let n = pool.send_down(0, &vals, &mut back).unwrap();
+        assert_eq!(n as usize, pool.frame.len());
         assert_eq!(back, vals);
     }
 
     #[test]
     fn failed_decode_leaves_channel_retryable() {
-        let mut ch = DenseChannel::new(CodecKind::QuantInt8);
-        let v0: Vec<f32> = vec![1.0; 128];
-        let mut frame = Vec::new();
+        let mut pool = DensePool::new(CodecKind::QuantInt8, 0.0);
         let mut back = Vec::new();
-        ch.encode(&v0, &mut frame);
-        ch.decode(&frame, &mut back).unwrap();
+        pool.send_up(0, &[1.0; 128], &mut back).unwrap();
 
-        let v1: Vec<f32> = vec![2.0; 128];
-        ch.encode(&v1, &mut frame);
         let mut want = Vec::new();
-        ch.decode(&frame, &mut want).unwrap();
+        pool.send_up(0, &[2.0; 128], &mut want).unwrap();
+        let frame = pool.frame.clone();
         let mut corrupted = frame.clone();
         corrupted[20] ^= 0xFF;
-        assert!(ch.decode(&corrupted, &mut back).is_err());
+        assert!(decode(&corrupted, &mut back).is_err());
         // Retry with the pristine frame decodes as it did before.
-        ch.decode(&frame, &mut back).unwrap();
+        decode(&frame, &mut back).unwrap();
         assert_eq!(back, want);
     }
 
     #[test]
     fn q8_channel_stays_within_quantization_bound() {
-        let mut ch = DenseChannel::new(CodecKind::QuantInt8);
+        let mut pool = DensePool::new(CodecKind::QuantInt8, 0.0);
         let vals: Vec<f32> = (0..1000).map(|i| ((i * 37) % 100) as f32 / 50.0 - 1.0).collect();
         let max_abs = vals.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let scale = max_abs / 127.0;
-        let mut frame = Vec::new();
         let mut back = Vec::new();
-        ch.encode(&vals, &mut frame);
-        ch.decode(&frame, &mut back).unwrap();
+        let n = pool.send_down(0, &vals, &mut back).unwrap();
         for (v, d) in vals.iter().zip(&back) {
             assert!((v - d).abs() <= scale * 1.0001 + 1e-7);
         }
         // Frame is about 4x smaller than raw.
-        assert!(frame.len() < vals.len() * 4 / 3);
+        assert!((n as usize) < vals.len() * 4 / 3);
     }
+
     /// Five frames of one channel per codec, and what each decodes to,
     /// folded into one FNV-1a digest each: a first frame, a frame after a
     /// sparse move, a frame after a move in every value, a frame of a new
@@ -155,9 +133,9 @@ mod tests {
     #[test]
     fn frames_keep_their_bytes() {
         let digest = |codec: CodecKind| {
-            let mut ch = DenseChannel::new(codec);
+            let mut pool = DensePool::new(codec, 0.0);
             let mut v: Vec<f32> = (0..300).map(|i| ((i * 29) % 97) as f32 * 0.02 - 1.0).collect();
-            let (mut frame, mut back) = (Vec::new(), Vec::new());
+            let mut back = Vec::new();
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             for step in 0..5 {
                 match step {
@@ -169,10 +147,9 @@ mod tests {
                     3 => v.truncate(280),
                     _ => {}
                 }
-                ch.encode(&v, &mut frame);
-                ch.decode(&frame, &mut back).unwrap();
+                pool.send_down(0, &v, &mut back).unwrap();
                 let bits = back.iter().flat_map(|x| x.to_bits().to_le_bytes());
-                for b in frame.iter().copied().chain(bits) {
+                for b in pool.frame.iter().copied().chain(bits) {
                     h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
                 }
             }
@@ -200,8 +177,9 @@ mod tests {
             for map in [&pool.down, &pool.up] {
                 assert_eq!(map.len(), 8, "{codec:?}");
                 for ch in map.values() {
-                    let carry = if codec == CodecKind::QuantInt8 { v.len() } else { 0 };
-                    assert_eq!(ch.residual.len(), carry, "{codec:?}");
+                    let carries: Vec<usize> = ch.carries.values().map(Vec::len).collect();
+                    let want = if codec == CodecKind::QuantInt8 { vec![v.len()] } else { vec![] };
+                    assert_eq!(carries, want, "{codec:?}");
                 }
             }
         }

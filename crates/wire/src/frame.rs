@@ -38,7 +38,7 @@
 //! magic/version/lengths/CRC once and hands out records borrowing the
 //! input buffer.
 
-use crate::codec::{self, CodecKind};
+use crate::codec::{self, Channel, CodecKind};
 use crate::crc32::crc32;
 use crate::siphash::FrameKey;
 use crate::WireError;
@@ -215,20 +215,14 @@ impl<'a> FrameBuilder<'a> {
 
     /// Append `values` as one record under the sender's `codec`, the one
     /// place a record's codec is chosen: `QuantInt8` writes int8 for a
-    /// non-empty tensor, asking for its error-feedback carry only then;
-    /// everything else, an empty int8 tensor included, is a raw record.
-    pub fn values<'r>(
-        &mut self,
-        key: ModuleKey,
-        codec: CodecKind,
-        values: &[f32],
-        residual: impl FnOnce() -> &'r mut Vec<f32>,
-    ) {
+    /// non-empty tensor, with `link`'s error-feedback carry for `key`;
+    /// everything else, an empty int8 tensor included, is a raw record
+    /// and leaves `link` as it was.
+    pub fn values(&mut self, key: ModuleKey, codec: CodecKind, values: &[f32], link: &mut Channel) {
         let n = values.len();
         if codec == CodecKind::QuantInt8 && n > 0 {
-            let r = residual();
             self.record(key, codec, n, |o| {
-                codec::encode_q8(values, r, o);
+                codec::encode_q8(values, link.carries.entry(key).or_default(), o);
             })
         } else {
             self.record(key, CodecKind::Raw, n, |o| codec::encode_raw(values, o))

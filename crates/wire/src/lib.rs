@@ -16,8 +16,9 @@
 //!   bytes or more are folded with carry-less multiplies on x86-64 CPUs
 //!   that have `pclmulqdq`, everything else walks slicing-by-8 tables;
 //!   same value either way.
-//! * [`codec`] — `Raw` / `QuantInt8` payload codecs plus the sender-side
-//!   [`codec::ResidualStore`] for error feedback.
+//! * [`codec`] — `Raw` / `QuantInt8` payload codecs plus [`Channel`], a
+//!   sender's error-feedback carries for one device link, which module
+//!   and dense frames alike are cut on.
 //! * [`frame`] — the framed format: header, per-module records keyed by
 //!   (layer, module), CRC trailer; [`frame::FrameBuilder`] writes into
 //!   reusable buffers, [`frame::FrameView`] parses zero-copy. It holds
@@ -32,9 +33,9 @@
 //!   SipHash-2-4 lanes side by side, tied by a ninth) of the optional MAC
 //!   trailer, so forged frames (tampering plus a recomputed CRC) are
 //!   rejected before decode.
-//! * [`dense`] — per-device point-to-point channels for the flat-model
-//!   baselines' blobs, one record per frame through the same record
-//!   path as module frames.
+//! * [`dense`] — per-device channels for the flat-model baselines'
+//!   blobs, one record per frame through the same record path as module
+//!   frames.
 //! * [`stream`] — length-delimited frame I/O over TCP/UDS byte streams,
 //!   with a pre-allocation cap on hostile length prefixes.
 //! * [`hello`] — the serving-plane handshake (worker hello, coordinator
@@ -49,7 +50,7 @@ pub mod hello;
 pub mod siphash;
 pub mod stream;
 
-pub use codec::{CodecKind, ResidualStore};
+pub use codec::{Channel, CodecKind};
 pub use crc32::crc32;
 pub use dense::DensePool;
 pub use error::WireError;
