@@ -418,10 +418,9 @@ const PINNED_ACK_REFUSE: [u64; 2] = [0xdac4_0fcc_7524_b584, 0xd225_60b5_d5f0_8fa
 #[test]
 fn handshake_frames_keep_their_bytes() {
     let master = FrameKey::from_bytes(&KEY);
-    let hello = Hello { proto: HELLO_PROTO, codec: CodecKind::Raw, threads: 3, name: "edge-7".into() };
+    let hello = Hello { proto: HELLO_PROTO, threads: 3, name: "edge-7".into() };
     let ack = |accepted: bool| HelloAck {
         accepted,
-        codec: CodecKind::Raw,
         worker_id: if accepted { 5 } else { 0 },
         reason: if accepted { String::new() } else { "unsupported handshake revision 9".into() },
         config_json: if accepted { "{\"input_dim\":16}".into() } else { String::new() },

@@ -56,7 +56,7 @@ use nebula_core::{DispatchJob, JobResult, RetryPolicy, Transport, TransportError
 use nebula_telemetry::Telemetry;
 use nebula_wire::hello::{decode_hello, encode_hello_ack, read_hello, HelloAck, HELLO_PROTO};
 use nebula_wire::stream::{read_frame, write_frame};
-use nebula_wire::{CodecKind, FrameKey};
+use nebula_wire::FrameKey;
 
 use crate::netio::Conn;
 use crate::proto::{self, JobTag, Message};
@@ -505,17 +505,12 @@ fn handshake_and_serve(mut conn: Conn, shared: &Arc<Shared>) -> Result<(), Serve
         .map_err(|e| ServeError::Handshake(format!("bad hello: {e:?}")))?;
     let refusal = if hello.proto != HELLO_PROTO {
         Some(format!("unsupported handshake revision {}", hello.proto))
-    } else if hello.codec != CodecKind::Raw {
-        // Workers answer in Raw; the coordinator keeps every codec's
-        // channel state and re-cuts the results itself.
-        Some(format!("codec {:?} not served; speak Raw", hello.codec))
     } else {
         None
     };
     let accepted = refusal.is_none();
     let ack = HelloAck {
         accepted,
-        codec: CodecKind::Raw,
         worker_id: if accepted { shared.next_worker_id.fetch_add(1, Ordering::SeqCst) } else { 0 },
         reason: refusal.unwrap_or_default(),
         config_json: if accepted { shared.config_json.clone() } else { String::new() },

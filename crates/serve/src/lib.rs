@@ -28,10 +28,9 @@
 //!
 //! Everything is `std::net`/`std::os::unix::net` plus blocking threads:
 //! no async runtime. Workers answer every job with a `Raw` result
-//! frame, the codec their hello names; whatever codec a round runs, the
-//! coordinator keeps the only cross-frame state (the upload's
-//! error-feedback carry), which is what makes a remote worker's output
-//! byte-identical to in-process execution.
+//! frame; whatever codec a round runs, the coordinator keeps the only
+//! cross-frame state (the upload's error-feedback carry), which is what
+//! makes a remote worker's output byte-identical to in-process execution.
 
 pub mod coordinator;
 pub mod netio;
@@ -64,7 +63,7 @@ pub enum ServeError {
     /// before giving up.
     Handshake(String),
     /// The deployment permanently refused this worker — an explicit
-    /// handshake rejection (unsupported proto revision or codec) or a
+    /// handshake rejection (an unsupported proto revision) or a
     /// run config this worker cannot satisfy. Never retried: the same
     /// hello would be refused again, forever.
     Rejected(String),

@@ -23,7 +23,7 @@ use nebula_core::{backoff_ms, DispatchJob, JobRunner, JobSpec, ModularRunner, Tr
 use nebula_telemetry::Telemetry;
 use nebula_wire::hello::{decode_hello_ack, encode_hello, Hello, HELLO_PROTO};
 use nebula_wire::stream::{read_frame, write_frame};
-use nebula_wire::{CodecKind, FrameKey};
+use nebula_wire::FrameKey;
 
 use crate::netio::{Conn, Endpoint, NetFaultPlan};
 use crate::proto::{self, JobTag, Message};
@@ -207,7 +207,6 @@ fn run_session(
     let mut buf = Vec::new();
     let hello = Hello {
         proto: HELLO_PROTO,
-        codec: CodecKind::Raw,
         threads: cfg.threads.clamp(1, u16::MAX as usize) as u16,
         name: cfg.name.clone(),
     };

@@ -213,10 +213,9 @@ fn worker_crash_mid_round_degrades_to_dropout_fates() {
     let saboteur = thread::spawn(move || {
         use nebula_wire::hello::{decode_hello_ack, encode_hello, Hello, HELLO_PROTO};
         use nebula_wire::stream::{read_frame, write_frame};
-        use nebula_wire::CodecKind;
         let mut conn = nebula_serve::Conn::connect(&ep).expect("dial");
         let mut buf = Vec::new();
-        let hello = Hello { proto: HELLO_PROTO, codec: CodecKind::Raw, threads: 1, name: "bad".into() };
+        let hello = Hello { proto: HELLO_PROTO, threads: 1, name: "bad".into() };
         encode_hello(&mut buf, &hello, None);
         write_frame(&mut conn, &buf).expect("hello");
         assert!(read_frame(&mut conn, &mut buf).expect("ack"));
@@ -277,10 +276,9 @@ fn crash_with_survivor_reassigns_and_stays_bit_identical() {
     let saboteur = thread::spawn(move || {
         use nebula_wire::hello::{decode_hello_ack, encode_hello, Hello, HELLO_PROTO};
         use nebula_wire::stream::{read_frame, write_frame};
-        use nebula_wire::CodecKind;
         let mut conn = nebula_serve::Conn::connect(&ep).expect("dial");
         let mut buf = Vec::new();
-        let hello = Hello { proto: HELLO_PROTO, codec: CodecKind::Raw, threads: 1, name: "bad".into() };
+        let hello = Hello { proto: HELLO_PROTO, threads: 1, name: "bad".into() };
         encode_hello(&mut buf, &hello, None);
         write_frame(&mut conn, &buf).expect("hello");
         assert!(read_frame(&mut conn, &mut buf).expect("ack"));
@@ -326,7 +324,6 @@ fn crash_with_survivor_reassigns_and_stays_bit_identical() {
 fn worker_fails_fast_on_corrupt_job_frame() {
     use nebula_wire::hello::{decode_hello, encode_hello_ack, HelloAck};
     use nebula_wire::stream::{read_frame, write_frame};
-    use nebula_wire::CodecKind;
     use std::os::unix::net::UnixListener;
 
     let path = uds_path("badframe");
@@ -341,7 +338,6 @@ fn worker_fails_fast_on_corrupt_job_frame() {
         decode_hello(&buf, None).expect("hello decodes");
         let ack = HelloAck {
             accepted: true,
-            codec: CodecKind::Raw,
             worker_id: 1,
             reason: String::new(),
             config_json: serde_json::to_string(&WorkerRunConfig::default()).expect("config json"),
@@ -371,7 +367,6 @@ fn worker_fails_fast_on_corrupt_job_frame() {
 fn worker_refuses_a_run_config_that_does_not_validate() {
     use nebula_wire::hello::{decode_hello, encode_hello_ack, HelloAck};
     use nebula_wire::stream::{read_frame, write_frame};
-    use nebula_wire::CodecKind;
     use std::os::unix::net::UnixListener;
 
     let path = uds_path("badconfig");
@@ -389,7 +384,6 @@ fn worker_refuses_a_run_config_that_does_not_validate() {
         let run_cfg = WorkerRunConfig { modular: Some(modular), ..WorkerRunConfig::default() };
         let ack = HelloAck {
             accepted: true,
-            codec: CodecKind::Raw,
             worker_id: 1,
             reason: String::new(),
             config_json: serde_json::to_string(&run_cfg).expect("config json"),
@@ -496,10 +490,9 @@ fn silent_worker_is_evicted_within_liveness_timeout() {
     let silent = thread::spawn(move || {
         use nebula_wire::hello::{decode_hello_ack, encode_hello, Hello, HELLO_PROTO};
         use nebula_wire::stream::{read_frame, write_frame};
-        use nebula_wire::CodecKind;
         let mut conn = nebula_serve::Conn::connect(&ep).expect("dial");
         let mut buf = Vec::new();
-        let hello = Hello { proto: HELLO_PROTO, codec: CodecKind::Raw, threads: 1, name: "mute".into() };
+        let hello = Hello { proto: HELLO_PROTO, threads: 1, name: "mute".into() };
         encode_hello(&mut buf, &hello, None);
         write_frame(&mut conn, &buf).expect("hello");
         assert!(read_frame(&mut conn, &mut buf).expect("ack"));
@@ -609,7 +602,6 @@ fn result_write_failure_poisons_the_session_and_fails_fast() {
     use nebula_tensor::Tensor;
     use nebula_wire::hello::{decode_hello, encode_hello_ack, HelloAck};
     use nebula_wire::stream::{read_frame, write_frame};
-    use nebula_wire::CodecKind;
     use std::os::unix::net::UnixListener;
 
     let path = uds_path("poison");
@@ -625,7 +617,6 @@ fn result_write_failure_poisons_the_session_and_fails_fast() {
         decode_hello(&buf, None).expect("hello decodes");
         let ack = HelloAck {
             accepted: true,
-            codec: CodecKind::Raw,
             worker_id: 1,
             reason: String::new(),
             config_json: serde_json::to_string(&WorkerRunConfig::default()).expect("config json"),
@@ -800,12 +791,11 @@ fn single_threaded_worker(
     use nebula_serve::proto::{self, Message};
     use nebula_wire::hello::{decode_hello_ack, encode_hello, Hello, HELLO_PROTO};
     use nebula_wire::stream::{read_frame, write_frame};
-    use nebula_wire::CodecKind;
 
     thread::spawn(move || {
         let mut conn = nebula_serve::Conn::connect(&ep).expect("dial");
         let mut buf = Vec::new();
-        let hello = Hello { proto: HELLO_PROTO, codec: CodecKind::Raw, threads, name: "single".into() };
+        let hello = Hello { proto: HELLO_PROTO, threads, name: "single".into() };
         encode_hello(&mut buf, &hello, None);
         write_frame(&mut conn, &buf).expect("hello");
         assert!(read_frame(&mut conn, &mut buf).expect("ack"));

@@ -600,8 +600,7 @@ mod tests {
         };
         let hello = {
             let mut buf = Vec::new();
-            let hello =
-                crate::hello::Hello { proto: 1, codec: CodecKind::Raw, threads: 2, name: "w0".into() };
+            let hello = crate::hello::Hello { proto: 1, threads: 2, name: "w0".into() };
             crate::hello::encode_hello(&mut buf, &hello, None);
             buf
         };

@@ -1,10 +1,12 @@
 //! Serving-plane handshake frames: hello / hello-ack.
 //!
 //! The first frame on every worker connection is a [`Hello`] announcing
-//! protocol version, requested codec and executor capacity; the
-//! coordinator answers with a [`HelloAck`] carrying the accepted codec
-//! and an opaque run-configuration JSON blob (the coordinator side owns
-//! its schema — this crate only moves the bytes).
+//! protocol version and executor capacity; the coordinator answers with
+//! a [`HelloAck`] carrying an opaque run-configuration JSON blob (the
+//! coordinator side owns its schema — this crate only moves the bytes).
+//! Each record's second byte once named a codec: it is written 0 and a
+//! non-zero one is refused as [`WireError::ReservedNonZero`], as the
+//! frame's own reserved bytes are.
 //!
 //! Authentication reuses the per-device MAC machinery: when the
 //! deployment holds a master [`FrameKey`], both hello and ack are
@@ -33,8 +35,8 @@ pub const HELLO_PROTO: u8 = 1;
 pub const MAX_HELLO_LEN: usize =
     HEADER_LEN + RECORD_HEADER_LEN + HELLO_FIXED_LEN + u16::MAX as usize + TRAILER_LEN + MAC_LEN;
 
-/// A hello record's bytes before its name: proto, codec, threads, name
-/// length.
+/// A hello record's bytes before its name: proto, a reserved byte,
+/// threads, name length.
 const HELLO_FIXED_LEN: usize = 6;
 
 /// Domain-separation label of the handshake subkey; outside the device
@@ -56,10 +58,6 @@ pub struct Hello {
     /// Handshake revision ([`HELLO_PROTO`]); the coordinator rejects
     /// revisions it does not speak.
     pub proto: u8,
-    /// Codec of the worker's result frames (every worker writes its
-    /// module updates `Raw`; the coordinator re-cuts them under the
-    /// run's codec).
-    pub codec: CodecKind,
     /// Executor threads the worker runs. The coordinator gives the worker
     /// up to this many jobs plus one at a time (at least one, so a worker
     /// that announces 0 still gets work).
@@ -74,9 +72,6 @@ pub struct HelloAck {
     /// Whether the worker was admitted; when false `reason` says why and
     /// the coordinator closes the connection after writing the ack.
     pub accepted: bool,
-    /// Negotiated codec (may differ from the proposal; the coordinator
-    /// decides).
-    pub codec: CodecKind,
     /// Coordinator-assigned worker id, unique per run.
     pub worker_id: u64,
     /// Rejection reason (empty on accept).
@@ -89,10 +84,10 @@ pub struct HelloAck {
 /// Encodes `hello` into `buf` (cleared) as an authenticated-when-keyed
 /// control frame. Returns the frame length.
 pub fn encode_hello(buf: &mut Vec<u8>, hello: &Hello, key: Option<&FrameKey>) -> usize {
-    let mut b = FrameBuilder::begin(buf, FrameKind::Control, hello.codec);
+    let mut b = FrameBuilder::begin(buf, FrameKind::Control, CodecKind::Raw);
     b.record(SLOT_HELLO, CodecKind::Raw, 0, |o| {
         o.push(hello.proto);
-        o.push(hello.codec.id());
+        o.push(0);
         o.extend_from_slice(&hello.threads.to_le_bytes());
         let name = hello.name.as_bytes();
         o.extend_from_slice(&(name.len().min(u16::MAX as usize) as u16).to_le_bytes());
@@ -122,8 +117,8 @@ pub fn decode_hello(bytes: &[u8], key: Option<&FrameKey>) -> Result<Hello, WireE
     if p.len() < HELLO_FIXED_LEN {
         return Err(WireError::Truncated { needed: HELLO_FIXED_LEN, have: p.len() });
     }
+    reserved_zero(bytes, p)?;
     let proto = p[0];
-    let codec = CodecKind::from_id(p[1])?;
     let threads = u16::from_le_bytes([p[2], p[3]]);
     let name_len = u16::from_le_bytes([p[4], p[5]]) as usize;
     let end = HELLO_FIXED_LEN + name_len;
@@ -131,15 +126,15 @@ pub fn decode_hello(bytes: &[u8], key: Option<&FrameKey>) -> Result<Hello, WireE
         return Err(WireError::Truncated { needed: end, have: p.len() });
     }
     let name = String::from_utf8_lossy(&p[HELLO_FIXED_LEN..end]).into_owned();
-    Ok(Hello { proto, codec, threads, name })
+    Ok(Hello { proto, threads, name })
 }
 
 /// Encodes `ack` into `buf` (cleared). Returns the frame length.
 pub fn encode_hello_ack(buf: &mut Vec<u8>, ack: &HelloAck, key: Option<&FrameKey>) -> usize {
-    let mut b = FrameBuilder::begin(buf, FrameKind::Control, ack.codec);
+    let mut b = FrameBuilder::begin(buf, FrameKind::Control, CodecKind::Raw);
     b.record(SLOT_ACK, CodecKind::Raw, 0, |o| {
         o.push(ack.accepted as u8);
-        o.push(ack.codec.id());
+        o.push(0);
         o.extend_from_slice(&ack.worker_id.to_le_bytes());
         let reason = ack.reason.as_bytes();
         o.extend_from_slice(&(reason.len().min(u16::MAX as usize) as u16).to_le_bytes());
@@ -163,8 +158,8 @@ pub fn decode_hello_ack(bytes: &[u8], key: Option<&FrameKey>) -> Result<HelloAck
     if p.len() < 12 {
         return Err(WireError::Truncated { needed: 12, have: p.len() });
     }
+    reserved_zero(bytes, p)?;
     let accepted = p[0] != 0;
-    let codec = CodecKind::from_id(p[1])?;
     let worker_id = u64::from_le_bytes(p[2..10].try_into().expect("8 bytes"));
     let reason_len = u16::from_le_bytes([p[10], p[11]]) as usize;
     if p.len() < 12 + reason_len + 4 {
@@ -177,7 +172,18 @@ pub fn decode_hello_ack(bytes: &[u8], key: Option<&FrameKey>) -> Result<HelloAck
         return Err(WireError::Truncated { needed: at + 4 + json_len, have: p.len() });
     }
     let config_json = String::from_utf8_lossy(&p[at + 4..at + 4 + json_len]).into_owned();
-    Ok(HelloAck { accepted, codec, worker_id, reason, config_json })
+    Ok(HelloAck { accepted, worker_id, reason, config_json })
+}
+
+/// Refuses a hello or ack record `payload` of frame `bytes` whose second
+/// byte, reserved, is not zero.
+fn reserved_zero(bytes: &[u8], payload: &[u8]) -> Result<(), WireError> {
+    match payload[1] {
+        0 => Ok(()),
+        _ => Err(WireError::ReservedNonZero {
+            offset: payload.as_ptr() as usize - bytes.as_ptr() as usize + 1,
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -185,13 +191,12 @@ mod tests {
     use super::*;
 
     fn hello() -> Hello {
-        Hello { proto: HELLO_PROTO, codec: CodecKind::Raw, threads: 4, name: "worker-a".into() }
+        Hello { proto: HELLO_PROTO, threads: 4, name: "worker-a".into() }
     }
 
     fn ack() -> HelloAck {
         HelloAck {
             accepted: true,
-            codec: CodecKind::Raw,
             worker_id: 3,
             reason: String::new(),
             config_json: "{\"input_dim\":16}".into(),
@@ -256,9 +261,8 @@ mod tests {
     fn ack_carries_rejection_and_config() {
         let rej = HelloAck {
             accepted: false,
-            codec: CodecKind::Raw,
             worker_id: 0,
-            reason: "codec not supported over sockets".into(),
+            reason: "unsupported handshake revision 9".into(),
             config_json: String::new(),
         };
         let mut buf = Vec::new();
@@ -266,6 +270,34 @@ mod tests {
         let back = decode_hello_ack(&buf, None).unwrap();
         assert!(!back.accepted);
         assert_eq!(back.reason, rej.reason);
+    }
+
+    /// The byte that once named a codec is reserved: a hello or ack that
+    /// sets it, whatever to, is refused at its frame offset.
+    #[test]
+    fn a_non_zero_codec_byte_is_refused() {
+        let master = FrameKey::from_bytes(&[0x3C; 16]);
+        let offset = HEADER_LEN + RECORD_HEADER_LEN + 1;
+        for key in [None, Some(&master)] {
+            let derived = key.map(hello_key);
+            for (slot, payload) in [(SLOT_HELLO, vec![HELLO_PROTO, 2, 1, 0, 0, 0]), (SLOT_ACK, vec![1; 16])] {
+                let mut buf = Vec::new();
+                let mut b = FrameBuilder::begin(&mut buf, FrameKind::Control, CodecKind::Raw);
+                b.record(slot, CodecKind::Raw, 0, |o| o.extend_from_slice(&payload));
+                b.finish_keyed(derived.as_ref());
+                let err = if slot == SLOT_HELLO {
+                    decode_hello(&buf, key).map(drop)
+                } else {
+                    decode_hello_ack(&buf, key).map(drop)
+                };
+                assert_eq!(
+                    err,
+                    Err(WireError::ReservedNonZero { offset }),
+                    "{slot:?}, keyed {}",
+                    key.is_some()
+                );
+            }
+        }
     }
 
     #[test]
