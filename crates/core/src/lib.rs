@@ -56,6 +56,6 @@ pub use net::{
 pub use offline::{enhance_module_abilities, pretrain, subtask_load_matrices, PretrainConfig};
 pub use presets::modular_config_for;
 pub use profile::ResourceProfile;
-pub use retry::{backoff_ms, plan_corrupt_resend, plan_upload, round_deadline_ms, RetryPolicy, UploadPlan};
+pub use retry::backoff_ms;
 pub use stats::{CommTracker, RoundReport, RoundStats};
 pub use transport::{WireConfig, WireContext};

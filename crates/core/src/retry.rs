@@ -1,36 +1,5 @@
-//! Shared retry / backoff / deadline arithmetic for round orchestration.
-//!
-//! Every collaborative strategy used to duplicate the same three blocks:
-//! exponential backoff accumulation for flaky-link re-sends, the
-//! retries-exhausted drop, and the one-clean-resend path for
-//! CRC-rejected transit-corrupt frames. The socket serving plane needs
-//! the identical arithmetic for its send/receive retries, so the logic
-//! lives here once and both the in-process rounds and the coordinator's
-//! worker scheduling consume it.
-//!
-//! The helpers are *pure accounting*: they decide how many re-sends are
-//! billed and how much simulated backoff wait accrues, in exactly the
-//! order the strategies did it, so refactored call sites stay
-//! bit-identical (the backoff sum is accumulated lowest attempt first —
-//! f64 addition order matters).
-
-/// Retry budget and backoff base shared by round paths and socket
-/// transports. A strategy builds one from the world's `RoundPolicy`; the
-/// serving plane from its own configuration.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Re-sends before the sender gives the destination up.
-    pub max_retries: u32,
-    /// Base of the exponential backoff, milliseconds.
-    pub backoff_base_ms: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        // Mirrors the simulator's default `RoundPolicy`.
-        Self { max_retries: 2, backoff_base_ms: 50.0 }
-    }
-}
+//! Exponential backoff, shared by the simulator's retry accounting and
+//! the serving-plane worker's dial loop.
 
 /// Exponential backoff before retry `attempt` (0-based): `base · 2^attempt`.
 /// The exponent saturates at 16 so pathological attempt counts cannot
@@ -39,67 +8,9 @@ pub fn backoff_ms(base_ms: f64, attempt: u32) -> f64 {
     base_ms * 2f64.powi(attempt.min(16) as i32)
 }
 
-/// What one device's upload costs under a retry policy.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct UploadPlan {
-    /// Whether the transfer lands at all. False means the retry budget
-    /// was exhausted: the device never joins the round.
-    pub delivered: bool,
-    /// Billed re-sends (each one frame's worth of retry bytes).
-    pub resends: u32,
-    /// Total backoff wait accrued across the re-sends, ms. Zero when the
-    /// transfer is abandoned (the sender stops waiting once the budget
-    /// is spent).
-    pub backoff_ms: f64,
-}
-
-/// Plans a transfer that needs `upload_attempts` tries on a link that is
-/// flaky when `flaky_link` is set.
-///
-/// Reproduces the strategies' shared block exactly: a flaky link whose
-/// attempt count exceeds `1 + max_retries` is abandoned after billing
-/// `max_retries` re-sends and no backoff; otherwise every extra attempt
-/// is billed one re-send plus `backoff_ms(base, attempt)` wait, summed
-/// lowest attempt first.
-pub fn plan_upload(upload_attempts: u32, flaky_link: bool, policy: RetryPolicy) -> UploadPlan {
-    let extra = upload_attempts.saturating_sub(1);
-    if flaky_link && extra > policy.max_retries {
-        return UploadPlan { delivered: false, resends: policy.max_retries, backoff_ms: 0.0 };
-    }
-    let mut backoff = 0.0;
-    for attempt in 0..extra {
-        backoff += backoff_ms(policy.backoff_base_ms, attempt);
-    }
-    UploadPlan { delivered: true, resends: extra, backoff_ms: backoff }
-}
-
-/// Plans the clean resend after a CRC/MAC-rejected transit-corrupt
-/// frame. `prior_resends` is how many re-sends the transfer already
-/// billed (the resend's backoff slot continues the same exponential
-/// schedule). Returns the added backoff, or `None` when the policy has
-/// no retry budget — the device is lost.
-pub fn plan_corrupt_resend(prior_resends: u32, policy: RetryPolicy) -> Option<f64> {
-    (policy.max_retries > 0).then(|| backoff_ms(policy.backoff_base_ms, prior_resends))
-}
-
-/// Deadline for a round: `deadline_factor` × the median predicted
-/// participant time. `None` when no factor is set or nobody started the
-/// round (the seed behaviour: wait forever).
-pub fn round_deadline_ms(deadline_factor: Option<f64>, times: &[f64]) -> Option<f64> {
-    let f = deadline_factor?;
-    if times.is_empty() {
-        return None;
-    }
-    let mut sorted = times.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite participant times"));
-    Some(f * sorted[sorted.len() / 2])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const POLICY: RetryPolicy = RetryPolicy { max_retries: 2, backoff_base_ms: 50.0 };
 
     #[test]
     fn backoff_doubles_and_saturates() {
@@ -108,53 +19,5 @@ mod tests {
         assert_eq!(backoff_ms(50.0, 4), 800.0);
         // Saturation: attempts past 16 stop growing.
         assert_eq!(backoff_ms(1.0, 16), backoff_ms(1.0, 40));
-    }
-
-    #[test]
-    fn clean_link_plans_no_retries() {
-        let p = plan_upload(1, false, POLICY);
-        assert_eq!(p, UploadPlan { delivered: true, resends: 0, backoff_ms: 0.0 });
-    }
-
-    #[test]
-    fn flaky_link_within_budget_accrues_exponential_backoff() {
-        let p = plan_upload(3, true, POLICY);
-        assert!(p.delivered);
-        assert_eq!(p.resends, 2);
-        // attempts 0 and 1: 50 + 100.
-        assert_eq!(p.backoff_ms, 150.0);
-    }
-
-    #[test]
-    fn flaky_link_past_budget_is_abandoned() {
-        let p = plan_upload(4, true, POLICY);
-        assert_eq!(p, UploadPlan { delivered: false, resends: 2, backoff_ms: 0.0 });
-    }
-
-    #[test]
-    fn non_flaky_attempts_never_trigger_abandonment() {
-        // The exhaustion drop is a flaky-link behaviour; a non-flaky
-        // transfer bills every extra attempt (legacy semantics preserved
-        // bit-for-bit).
-        let p = plan_upload(5, false, POLICY);
-        assert!(p.delivered);
-        assert_eq!(p.resends, 4);
-        assert_eq!(p.backoff_ms, 50.0 + 100.0 + 200.0 + 400.0);
-    }
-
-    #[test]
-    fn corrupt_resend_continues_the_backoff_schedule() {
-        assert_eq!(plan_corrupt_resend(0, POLICY), Some(50.0));
-        assert_eq!(plan_corrupt_resend(2, POLICY), Some(200.0));
-        assert_eq!(plan_corrupt_resend(0, RetryPolicy { max_retries: 0, backoff_base_ms: 50.0 }), None);
-    }
-
-    #[test]
-    fn deadline_is_factor_times_median() {
-        assert_eq!(round_deadline_ms(None, &[1.0, 2.0]), None);
-        assert_eq!(round_deadline_ms(Some(2.0), &[]), None);
-        assert_eq!(round_deadline_ms(Some(2.0), &[3.0]), Some(6.0));
-        // Median of an even count picks the upper middle (index len/2).
-        assert_eq!(round_deadline_ms(Some(1.5), &[4.0, 1.0, 3.0, 2.0]), Some(4.5));
     }
 }

@@ -52,7 +52,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use nebula_core::{DispatchJob, JobResult, RetryPolicy, Transport, TransportError};
+use nebula_core::{DispatchJob, JobResult, Transport, TransportError};
 use nebula_telemetry::Telemetry;
 use nebula_wire::hello::{decode_hello, encode_hello_ack, read_hello, HelloAck, HELLO_PROTO};
 use nebula_wire::stream::{read_frame, write_frame};
@@ -77,7 +77,8 @@ pub struct ServeConfig {
     /// Round barrier wall-clock deadline.
     pub deadline_ms: u64,
     /// Reassignment budget for jobs on dying workers: re-sends before a
-    /// job resolves [`TransportError::Closed`].
+    /// job resolves [`TransportError::Closed`]. 2 by default, the
+    /// simulator's default `RoundPolicy::max_retries`.
     pub max_retries: u32,
     /// Evict a worker that has been silent (no result, no pong) for this
     /// long. `0` disables liveness: a half-open connection then costs the
@@ -105,7 +106,7 @@ impl ServeConfig {
             auth_key: None,
             worker_config,
             deadline_ms: 60_000,
-            max_retries: RetryPolicy::default().max_retries,
+            max_retries: 2,
             liveness_timeout_ms: 0,
             hedge_after_ms: 0,
             telemetry: Telemetry::off(),
@@ -628,7 +629,7 @@ mod tests {
     use nebula_tensor::Tensor;
 
     fn shared() -> Shared {
-        shared_with(RetryPolicy::default().max_retries, 0, 1_000)
+        shared_with(2, 0, 1_000)
     }
 
     fn shared_with(max_retries: u32, hedge_after_ms: u64, deadline_ms: u64) -> Shared {

@@ -13,7 +13,8 @@
 //! main RNG stream is never consumed, so a [`FaultPlan::none`] run is
 //! bit-for-bit identical to a run without any fault plumbing.
 
-use nebula_core::{plan_upload, ModuleUpdate, UploadPlan};
+use crate::retry::{plan_upload, UploadPlan};
+use nebula_core::ModuleUpdate;
 use nebula_tensor::NebulaRng;
 use serde::{Deserialize, Serialize};
 
@@ -243,7 +244,7 @@ impl FaultPlan {
     /// a round gate its cohort before training it.
     pub(crate) fn plan_device(&self, policy: &RoundPolicy, round: u64, device: usize) -> Option<DevicePlan> {
         let fate = self.fate(round, device);
-        let upload = plan_upload(fate.upload_attempts, fate.flaky_link, policy.retry_policy());
+        let upload = plan_upload(fate.upload_attempts, fate.flaky_link, policy);
         (!fate.dropped).then_some(DevicePlan { fate, upload })
     }
 }
@@ -321,17 +322,6 @@ pub struct RoundPolicy {
 impl Default for RoundPolicy {
     fn default() -> Self {
         Self { deadline_factor: None, max_retries: 2, staleness_discount: 0.5, retry_backoff_base_ms: 50.0 }
-    }
-}
-
-impl RoundPolicy {
-    /// The policy's retry budget in the shared `core::retry` shape, used
-    /// by the round paths and the socket transports alike.
-    pub fn retry_policy(&self) -> nebula_core::RetryPolicy {
-        nebula_core::RetryPolicy {
-            max_retries: self.max_retries,
-            backoff_base_ms: self.retry_backoff_base_ms,
-        }
     }
 }
 

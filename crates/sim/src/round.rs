@@ -26,9 +26,10 @@ use crate::device::SimDevice;
 use crate::faults::{DeviceFate, FaultPlan, RoundPolicy, RoundReport};
 use crate::latency::adaptation_latency_ms;
 use crate::network::{transfer_time_ms, CommTracker};
+use crate::retry::round_deadline_ms;
 use crate::strategy::{RoundOutcome, StrategyConfig};
 use crate::world::SimWorld;
-use nebula_core::{round_deadline_ms, RoundStats};
+use nebula_core::RoundStats;
 use nebula_telemetry::{Span, Telemetry};
 
 /// One collaborative round in flight: what the prologue fixed and what the
@@ -194,7 +195,7 @@ pub(crate) fn predicted_time_ms(
 /// round's predicted wall-clock (capped at the deadline when one cut in).
 pub(crate) fn gate<T>(policy: &RoundPolicy, devices: &mut [Device<T>], report: &mut RoundReport) -> f64 {
     let times: Vec<f64> = devices.iter().map(|d| d.time_ms).collect();
-    let deadline = round_deadline_ms(policy.deadline_factor, &times);
+    let deadline = round_deadline_ms(policy, &times);
     let mut round_time_ms = 0.0f64;
     for d in devices {
         d.exit = match deadline {

@@ -53,13 +53,14 @@ use crate::faults::{
 };
 use crate::latency::adaptation_latency_ms;
 use crate::network::{transfer_time_ms, CommTracker};
+use crate::retry::plan_corrupt_resend;
 use crate::round::{gate, predicted_time_ms, Device, Exit, Round};
 use crate::world::SimWorld;
 use nebula_baselines::{dense_round, local_adapt, ratio_for_budget, DenseJobRunner, DenseModel};
 use nebula_core::{
-    discount_staleness, plan_corrupt_resend, DispatchJob, EdgeClient, EdgeClientState, EdgeUpdate, JobResult,
-    JobSpec, Loopback, ModularRunner, NebulaCloud, NebulaParams, RobustAggregator, RoundStats,
-    SanitizePolicy, TrainParams, Transport, WireConfig, WireContext,
+    discount_staleness, DispatchJob, EdgeClient, EdgeClientState, EdgeUpdate, JobResult, JobSpec, Loopback,
+    ModularRunner, NebulaCloud, NebulaParams, RobustAggregator, RoundStats, SanitizePolicy, TrainParams,
+    Transport, WireConfig, WireContext,
 };
 use nebula_data::Dataset;
 use nebula_modular::ModularConfig;
@@ -357,7 +358,6 @@ impl<const HETERO: bool> DenseFlStrategy<HETERO> {
     /// the devices whose link delivers, each carrying the width ratio it
     /// trains and exchanges its sub-model at.
     fn plan_devices(&self, round: &mut Round, world: &SimWorld) -> Vec<Device<f32>> {
-        let retry_policy = round.policy.retry_policy();
         let mut devices = Vec::with_capacity(round.ids.len());
         for &id in &round.ids {
             let Some(DevicePlan { fate, upload: up }) =
@@ -385,7 +385,7 @@ impl<const HETERO: bool> DenseFlStrategy<HETERO> {
             if fate.frame_corrupt {
                 round.report.corrupt_frames += 1;
                 round.comm.record_retry(payload_bytes);
-                let Some(wait) = plan_corrupt_resend(up.resends, retry_policy) else {
+                let Some(wait) = plan_corrupt_resend(up.resends, &round.policy) else {
                     round.report.link_dropped += 1;
                     continue;
                 };
