@@ -186,8 +186,9 @@ pub fn dense_round(
     // Downloads: ship the active slice, splice what the channel decoded
     // into a full-length vector, and hand that to the job (a whole level's
     // decoded slice already is that vector). A device whose width level
-    // changed since last round changes its slice length; the dense channel
-    // falls back to a raw (cold) frame transparently.
+    // changed since last round changes its slice length; under `QuantInt8`
+    // its channel's carry is then resized to the new length, keeping its
+    // prefix, as every int8 carry is.
     // Per-device RNG streams are forked sequentially by participant index,
     // so the result is identical wherever and however parallel the jobs
     // run.

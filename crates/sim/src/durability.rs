@@ -153,8 +153,8 @@ pub enum RunError {
     InvalidConfig(String),
     /// Snapshot/journal I/O or integrity failure.
     Durability(DurabilityError),
-    /// The strategy cannot export/import deterministic state (e.g. a
-    /// lossy wire codec with cross-round baselines).
+    /// The strategy cannot export/import deterministic state (e.g. under
+    /// the int8 codec, whose error-feedback carries are not snapshotted).
     UnsupportedStrategy(String),
     /// The persisted state disagrees with the caller's reconstruction
     /// (different seed, mode, strategy, or eval set).

@@ -144,7 +144,7 @@ impl<'a> Runner<'a> {
 
     /// Route the strategy's training dispatch through a
     /// [`nebula_core::Transport`] (e.g. [`nebula_core::Loopback`] or a
-    /// serving-plane socket transport) instead of the in-process path.
+    /// serving-plane socket transport).
     /// Applied via [`AdaptStrategy::set_transport`]; strategies without
     /// remote dispatch ignore it.
     pub fn transport(mut self, transport: Box<dyn nebula_core::Transport>) -> Self {

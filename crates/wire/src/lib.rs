@@ -39,7 +39,7 @@
 //! * [`stream`] — length-delimited frame I/O over TCP/UDS byte streams,
 //!   with a pre-allocation cap on hostile length prefixes.
 //! * [`hello`] — the serving-plane handshake (worker hello, coordinator
-//!   ack) with auth and codec negotiation.
+//!   ack) with auth.
 
 pub mod codec;
 pub mod crc32;
