@@ -178,12 +178,8 @@ pub fn decode_hello_ack(bytes: &[u8], key: Option<&FrameKey>) -> Result<HelloAck
 /// Refuses a hello or ack record `payload` of frame `bytes` whose second
 /// byte, reserved, is not zero.
 fn reserved_zero(bytes: &[u8], payload: &[u8]) -> Result<(), WireError> {
-    match payload[1] {
-        0 => Ok(()),
-        _ => Err(WireError::ReservedNonZero {
-            offset: payload.as_ptr() as usize - bytes.as_ptr() as usize + 1,
-        }),
-    }
+    let offset = payload.as_ptr() as usize - bytes.as_ptr() as usize + 1;
+    (payload[1] == 0).then_some(()).ok_or(WireError::ReservedNonZero { offset })
 }
 
 #[cfg(test)]
